@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"reflect"
 	"testing"
 
 	"github.com/shc-go/shc/internal/hbase"
@@ -75,12 +76,15 @@ func TestFusedPagerResumesAcrossSplit(t *testing.T) {
 }
 
 func TestRemapOpScanSplitsAcrossFreshRegions(t *testing.T) {
-	regions := []hbase.RegionInfo{
+	regions := hbase.NewRegionMap([]hbase.RegionInfo{
 		{ID: "r1", EndKey: []byte("m"), Epoch: 3},
 		{ID: "r2", StartKey: []byte("m"), Epoch: 4},
-	}
+	})
 	op := hbase.ScanOp{RegionID: "gone", Scan: &hbase.Scan{StartRow: []byte("c"), StopRow: []byte("x"), Limit: 7}}
-	out := remapOp(op, regions)
+	out, err := remapOp(op, regions)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(out) != 2 {
 		t.Fatalf("remapped ops = %d, want 2", len(out))
 	}
@@ -96,20 +100,23 @@ func TestRemapOpScanSplitsAcrossFreshRegions(t *testing.T) {
 		t.Error("per-op limit must survive the remap")
 	}
 	// A range entirely outside the fresh regions' coverage folds to nothing.
-	empty := remapOp(hbase.ScanOp{RegionID: "gone", Scan: &hbase.Scan{StartRow: []byte("x"), StopRow: []byte("x")}}, nil)
-	if len(empty) != 0 {
+	empty, err := remapOp(hbase.ScanOp{RegionID: "gone", Scan: &hbase.Scan{StartRow: []byte("x"), StopRow: []byte("x")}}, hbase.NewRegionMap(nil))
+	if err != nil || len(empty) != 0 {
 		t.Errorf("no-region remap = %d ops", len(empty))
 	}
 }
 
 func TestRemapOpRowsPartitionByContainingRegion(t *testing.T) {
-	regions := []hbase.RegionInfo{
+	regions := hbase.NewRegionMap([]hbase.RegionInfo{
 		{ID: "r1", EndKey: []byte("m")},
 		{ID: "r2", StartKey: []byte("m")},
-	}
+	})
 	tmpl := &hbase.Scan{}
 	op := hbase.ScanOp{RegionID: "gone", Rows: [][]byte{[]byte("a"), []byte("c"), []byte("n")}, Scan: tmpl}
-	out := remapOp(op, regions)
+	out, err := remapOp(op, regions)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(out) != 2 {
 		t.Fatalf("remapped ops = %d, want 2", len(out))
 	}
@@ -165,5 +172,70 @@ func TestFoldCursorRewritesLeadOp(t *testing.T) {
 	g.foldCursor()
 	if !bytes.Equal(g.ops[0].Scan.StartRow, []byte("a")) {
 		t.Error("zero cursor must not rewrite the op")
+	}
+}
+
+// listWalkRemap is the remap the pager used before region maps: a linear
+// walk of the fresh region list. It is kept as the oracle remapOp must match
+// byte for byte.
+func listWalkRemap(op hbase.ScanOp, regions []hbase.RegionInfo) []hbase.ScanOp {
+	var out []hbase.ScanOp
+	if len(op.Rows) > 0 {
+		i := 0
+		for ri := range regions {
+			in := &regions[ri]
+			var rows [][]byte
+			for i < len(op.Rows) && in.ContainsRow(op.Rows[i]) {
+				rows = append(rows, op.Rows[i])
+				i++
+			}
+			if len(rows) > 0 {
+				out = append(out, hbase.ScanOp{RegionID: in.ID, Epoch: in.Epoch, Rows: rows, Scan: op.Scan})
+			}
+		}
+		return out
+	}
+	for ri := range regions {
+		in := &regions[ri]
+		lo, hi, ok := hbase.SplitRowRange(in, op.Scan.StartRow, op.Scan.StopRow)
+		if !ok {
+			continue
+		}
+		sc := *op.Scan
+		sc.StartRow, sc.StopRow = lo, hi
+		out = append(out, hbase.ScanOp{RegionID: in.ID, Epoch: in.Epoch, Scan: &sc})
+	}
+	return out
+}
+
+func TestRemapOpMatchesListWalk(t *testing.T) {
+	split := []hbase.RegionInfo{
+		{ID: "r1", EndKey: []byte("m"), Epoch: 3},
+		{ID: "r2", StartKey: []byte("m"), Epoch: 4},
+	}
+	tmpl := &hbase.Scan{}
+	for _, tc := range []struct {
+		name    string
+		op      hbase.ScanOp
+		regions []hbase.RegionInfo
+	}{
+		{"scan across two daughters",
+			hbase.ScanOp{RegionID: "gone", Scan: &hbase.Scan{StartRow: []byte("c"), StopRow: []byte("x"), Limit: 7}}, split},
+		{"scan inside one daughter",
+			hbase.ScanOp{RegionID: "gone", Scan: &hbase.Scan{StartRow: []byte("n"), StopRow: []byte("p")}}, split},
+		{"scan with no fresh regions",
+			hbase.ScanOp{RegionID: "gone", Scan: &hbase.Scan{StartRow: []byte("x"), StopRow: []byte("x")}}, nil},
+		{"rows across two daughters",
+			hbase.ScanOp{RegionID: "gone", Rows: [][]byte{[]byte("a"), []byte("c"), []byte("n")}, Scan: tmpl}, split},
+		{"rows in the high daughter only",
+			hbase.ScanOp{RegionID: "gone", Rows: [][]byte{[]byte("m"), []byte("z")}, Scan: tmpl}, split},
+	} {
+		got, err := remapOp(tc.op, hbase.NewRegionMap(tc.regions))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if want := listWalkRemap(tc.op, tc.regions); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: remapOp = %+v, list walk = %+v", tc.name, got, want)
+		}
 	}
 }

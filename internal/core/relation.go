@@ -626,14 +626,15 @@ type fusedPager struct {
 	cursor   hbase.FusedCursor
 	batch    int
 	columnar bool // request column-major pages (vectorized decode path)
-	failures int
+	retry    hbase.RetryBudget
 	done     bool
 }
 
 func newFusedPager(p *hbasePartition, ops []hbase.ScanOp, batch int) *fusedPager {
 	// At plan time every op in the partition lives on p.host, so the first
 	// run is the whole list; runs only fragment after a failover.
-	return &fusedPager{p: p, ops: ops, host: p.host, prefix: len(ops), batch: batch}
+	return &fusedPager{p: p, ops: ops, host: p.host, prefix: len(ops), batch: batch,
+		retry: p.rel.client.NewRetryBudget(p.rel.cat.Table.Name)}
 }
 
 // wrapErr annotates a terminal paging error with where the fused stream
@@ -650,48 +651,27 @@ func (g *fusedPager) wrapErr(err error) error {
 
 // next returns the next page, or (nil, nil) once every op has streamed.
 func (g *fusedPager) next(ctx context.Context) (*hbase.ScanResponse, error) {
-	client := g.p.rel.client
 	for !g.done {
-		var resp *hbase.ScanResponse
-		var err error
-		if g.columnar {
-			resp, err = client.FusedExecPageColumnar(ctx, g.host, g.ops[:g.prefix], g.batch, g.cursor)
-		} else {
-			resp, err = client.FusedExecPageContext(ctx, g.host, g.ops[:g.prefix], g.batch, g.cursor)
-		}
+		resp, err := g.p.rel.client.FusedExecPage(ctx, g.host, &hbase.FusedRequest{
+			Ops: g.ops[:g.prefix], BatchLimit: g.batch, Cursor: g.cursor, Columnar: g.columnar,
+		})
 		if err != nil {
-			if !hbase.IsRetryable(err) {
-				return nil, g.wrapErr(err)
-			}
-			g.failures++
-			if g.failures >= client.RetryPolicy().MaxAttempts {
-				return nil, g.wrapErr(err)
-			}
-			metrics.Scoped(ctx, g.p.rel.meter).Inc(metrics.ClientRetries)
-			if errors.Is(err, hbase.ErrServerBusy) {
-				// The server shed us under load: locations are still right,
-				// so keep the op layout and just back off before resending.
-				if perr := client.RetryPause(ctx, g.failures); perr != nil {
-					return nil, g.wrapErr(perr)
-				}
-				continue
-			}
-			// Ops before cursor.Op have fully streamed; the cursor's own op
+			// A shed request keeps the op layout: the budget skips the regroup
+			// and the same page is resent after the backoff. Otherwise ops
+			// before cursor.Op have fully streamed; the cursor's own op
 			// resumes mid-scan via Row/RowIdx/Sent, which survive the rebase
 			// because the server walks ops from Cursor.Op.
 			failed := g.host
-			g.ops = g.ops[g.cursor.Op:]
-			g.cursor.Op = 0
-			client.InvalidateRegions(g.p.rel.cat.Table.Name)
-			if perr := client.RetryPause(ctx, g.failures); perr != nil {
-				return nil, g.wrapErr(perr)
-			}
-			if rerr := g.replace(ctx, failed); rerr != nil {
+			if rerr := g.retry.Retry(ctx, err, func() error {
+				g.ops = g.ops[g.cursor.Op:]
+				g.cursor.Op = 0
+				return g.replace(ctx, failed)
+			}); rerr != nil {
 				return nil, g.wrapErr(rerr)
 			}
 			continue
 		}
-		g.failures = 0
+		g.retry.Progressed()
 		if resp.More {
 			g.cursor = resp.Next
 			return resp, nil
@@ -726,13 +706,9 @@ func (g *fusedPager) next(ctx context.Context) (*hbase.ScanResponse, error) {
 // serves, and the pages come back tagged stale. Strong queries never
 // redirect; they wait out reassignment exactly as before replicas existed.
 func (g *fusedPager) replace(ctx context.Context, avoid string) error {
-	regions, err := g.p.rel.client.RegionsContext(ctx, g.p.rel.cat.Table.Name)
+	rm, err := g.p.rel.client.RegionMap(ctx, g.p.rel.cat.Table.Name)
 	if err != nil {
 		return err
-	}
-	infoOf := make(map[string]hbase.RegionInfo, len(regions))
-	for _, ri := range regions {
-		infoOf[ri.ID] = ri
 	}
 	// Fold the in-flight cursor into the lead op's own key range / row list.
 	// Only the cursor key says where the stream truly stands, and a region
@@ -746,11 +722,15 @@ func (g *fusedPager) replace(ctx context.Context, avoid string) error {
 	// produced.
 	remapped := g.ops[:0:0]
 	for _, op := range g.ops {
-		if _, ok := infoOf[op.RegionID]; ok {
+		if _, ok := rm.ByID(op.RegionID); ok {
 			remapped = append(remapped, op)
 			continue
 		}
-		remapped = append(remapped, remapOp(op, regions)...)
+		ops, err := remapOp(op, rm)
+		if err != nil {
+			return err
+		}
+		remapped = append(remapped, ops...)
 	}
 	g.ops = remapped
 	if len(g.ops) == 0 {
@@ -758,9 +738,9 @@ func (g *fusedPager) replace(ctx context.Context, avoid string) error {
 		g.done = true
 		return nil
 	}
-	lead := infoOf[g.ops[0].RegionID]
+	lead, _ := rm.ByID(g.ops[0].RegionID)
 	for i := range g.ops {
-		if in, ok := infoOf[g.ops[i].RegionID]; ok {
+		if in, ok := rm.ByID(g.ops[i].RegionID); ok {
 			g.ops[i].Epoch = in.Epoch
 		}
 		g.ops[i].Replica = 0
@@ -779,7 +759,7 @@ func (g *fusedPager) replace(ctx context.Context, avoid string) error {
 	}
 	// replicaOn reports which copy of a region host serves: 0 for the
 	// primary, n for replica #n, -1 when host holds no copy.
-	replicaOn := func(in hbase.RegionInfo) int {
+	replicaOn := func(in *hbase.RegionInfo) int {
 		if in.Host == host {
 			return 0
 		}
@@ -793,7 +773,7 @@ func (g *fusedPager) replace(ctx context.Context, avoid string) error {
 	g.host = host
 	g.prefix = 1
 	for g.prefix < len(g.ops) {
-		in, ok := infoOf[g.ops[g.prefix].RegionID]
+		in, ok := rm.ByID(g.ops[g.prefix].RegionID)
 		if !ok {
 			break
 		}
@@ -851,31 +831,27 @@ func (g *fusedPager) foldCursor() {
 	g.ops[0] = op
 }
 
-// remapOp re-homes one op whose region vanished onto the fresh region list:
+// remapOp re-homes one op whose region vanished onto the fresh region map:
 // a scan op is clipped to every fresh region its range overlaps, a bulk get
-// is partitioned by which fresh region contains each row. regions are sorted
-// by start key and rows within an op are sorted, so expansion preserves
+// is partitioned by which fresh region contains each row. Both expand in
+// region key order and rows within an op are sorted, so expansion preserves
 // stream order.
-func remapOp(op hbase.ScanOp, regions []hbase.RegionInfo) []hbase.ScanOp {
+func remapOp(op hbase.ScanOp, rm *hbase.RegionMap) ([]hbase.ScanOp, error) {
 	var out []hbase.ScanOp
 	if len(op.Rows) > 0 {
-		i := 0
-		for ri := range regions {
-			in := &regions[ri]
-			var rows [][]byte
-			for i < len(op.Rows) && in.ContainsRow(op.Rows[i]) {
-				rows = append(rows, op.Rows[i])
-				i++
-			}
-			if len(rows) > 0 {
-				out = append(out, hbase.ScanOp{RegionID: in.ID, Epoch: in.Epoch, Rows: rows, Scan: op.Scan})
-			}
+		groups, err := hbase.GroupByRegion(rm, op.Rows, func(r *[]byte) []byte { return *r })
+		if err != nil {
+			return nil, err
 		}
-		return out
+		for _, g := range groups {
+			out = append(out, hbase.ScanOp{RegionID: g.Region.ID, Epoch: g.Region.Epoch, Rows: g.Items, Scan: op.Scan})
+		}
+		return out, nil
 	}
 	if op.Scan == nil {
-		return nil
+		return nil, nil
 	}
+	regions := rm.Regions()
 	for ri := range regions {
 		in := &regions[ri]
 		lo, hi, ok := hbase.SplitRowRange(in, op.Scan.StartRow, op.Scan.StopRow)
@@ -886,21 +862,17 @@ func remapOp(op hbase.ScanOp, regions []hbase.RegionInfo) []hbase.ScanOp {
 		sc.StartRow, sc.StopRow = lo, hi
 		out = append(out, hbase.ScanOp{RegionID: in.ID, Epoch: in.Epoch, Scan: &sc})
 	}
-	return out
+	return out, nil
 }
 
 // defaultFusedBatch is the per-page row budget when the caller does not pick
 // one.
 const defaultFusedBatch = 256
 
-// ComputeBatches implements datasource.BatchScan: the partition's fused RPC
-// is paged with a continuation cursor, each page decoded and yielded as one
-// batch. While the caller consumes a page, the next page's RPC is already in
-// flight (double buffering), so decode and network time overlap. A LimitHint
-// shrinks each op's server-side Scan.Limit and stops paging once enough rows
-// streamed — the fused-LIMIT short circuit.
-func (p *hbasePartition) ComputeBatches(ctx context.Context, opts datasource.BatchOptions, yield func([]plan.Row) error) error {
-	ctx = bridgeConsistency(ctx)
+// openPager starts the partition's paged fused execution for a batch scan:
+// pages of opts.BatchSize rows (default defaultFusedBatch), and a LimitHint
+// shrinking each scan op's server-side Scan.Limit.
+func (p *hbasePartition) openPager(opts datasource.BatchOptions) *fusedPager {
 	batchSize := opts.BatchSize
 	if batchSize <= 0 {
 		batchSize = defaultFusedBatch
@@ -919,23 +891,41 @@ func (p *hbasePartition) ComputeBatches(ctx context.Context, opts datasource.Bat
 			ops[i] = op
 		}
 	}
+	return newFusedPager(p, ops, batchSize)
+}
 
-	pager := newFusedPager(p, ops, batchSize)
-	type fusedPage struct {
-		resp *hbase.ScanResponse
-		err  error
-	}
-	fetch := func() chan fusedPage {
-		ch := make(chan fusedPage, 1)
-		go func() {
-			resp, err := pager.next(ctx)
-			ch <- fusedPage{resp: resp, err: err}
-		}()
-		return ch
-	}
+// fusedPage is the outcome of one prefetched page.
+type fusedPage struct {
+	resp *hbase.ScanResponse
+	err  error
+}
+
+// prefetch fetches the next page in the background (double buffering). The
+// buffered channel keeps the goroutine from leaking if the consumer stops
+// early. Pager state mutates only inside these goroutines, and a consumer
+// launches the next one only after receiving the previous result, so access
+// stays serial.
+func (g *fusedPager) prefetch(ctx context.Context) chan fusedPage {
+	ch := make(chan fusedPage, 1)
+	go func() {
+		resp, err := g.next(ctx)
+		ch <- fusedPage{resp: resp, err: err}
+	}()
+	return ch
+}
+
+// ComputeBatches implements datasource.BatchScan: the partition's fused RPC
+// is paged with a continuation cursor, each page decoded and yielded as one
+// batch. While the caller consumes a page, the next page's RPC is already in
+// flight (double buffering), so decode and network time overlap. A LimitHint
+// shrinks each op's server-side Scan.Limit and stops paging once enough rows
+// streamed — the fused-LIMIT short circuit.
+func (p *hbasePartition) ComputeBatches(ctx context.Context, opts datasource.BatchOptions, yield func([]plan.Row) error) error {
+	ctx = bridgeConsistency(ctx)
+	pager := p.openPager(opts)
 
 	meter := metrics.Scoped(ctx, p.rel.meter)
-	pending := fetch()
+	pending := pager.prefetch(ctx)
 	emitted := 0
 	var batch []plan.Row
 	var keyScratch []any
@@ -950,12 +940,11 @@ func (p *hbasePartition) ComputeBatches(ctx context.Context, opts datasource.Bat
 		}
 		meter.Inc(metrics.FusedPages)
 		results := pg.resp.Results
-		// Pager state mutates only inside fetch goroutines; the channel
+		// Pager state mutates only inside prefetch goroutines; the channel
 		// receive above happens-before this launch, so access stays serial.
 		if !pager.done && (opts.LimitHint <= 0 || emitted+len(results) < opts.LimitHint) {
-			// Launch the next page before decoding this one; the buffered
-			// channel keeps the goroutine from leaking if we stop early.
-			pending = fetch()
+			// Launch the next page before decoding this one.
+			pending = pager.prefetch(ctx)
 			meter.Inc(metrics.PagesPrefetched)
 		}
 		if opts.LimitHint > 0 && emitted+len(results) > opts.LimitHint {

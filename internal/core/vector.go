@@ -77,46 +77,15 @@ func putBatch(b *plan.Batch) {
 // and decoded into one reused column batch instead of row slices.
 func (p *hbasePartition) ComputeVectors(ctx context.Context, opts datasource.BatchOptions, yield func(*plan.Batch) error) error {
 	ctx = bridgeConsistency(ctx)
-	batchSize := opts.BatchSize
-	if batchSize <= 0 {
-		batchSize = defaultFusedBatch
-	}
-	ops := p.ops
-	if opts.LimitHint > 0 {
-		ops = make([]hbase.ScanOp, len(p.ops))
-		for i, op := range p.ops {
-			if op.Scan != nil && len(op.Rows) == 0 {
-				s := *op.Scan
-				if s.Limit == 0 || s.Limit > opts.LimitHint {
-					s.Limit = opts.LimitHint
-				}
-				op.Scan = &s
-			}
-			ops[i] = op
-		}
-	}
-
 	specs, schema, lazyDec := p.rel.vecSpecs(p.required, opts.EagerColumns)
 	batch := getBatch(schema, specs, lazyDec)
 	defer putBatch(batch)
 
-	pager := newFusedPager(p, ops, batchSize)
+	pager := p.openPager(opts)
 	pager.columnar = true
-	type fusedPage struct {
-		resp *hbase.ScanResponse
-		err  error
-	}
-	fetch := func() chan fusedPage {
-		ch := make(chan fusedPage, 1)
-		go func() {
-			resp, err := pager.next(ctx)
-			ch <- fusedPage{resp: resp, err: err}
-		}()
-		return ch
-	}
 
 	meter := metrics.Scoped(ctx, p.rel.meter)
-	pending := fetch()
+	pending := pager.prefetch(ctx)
 	emitted := 0
 	var keyScratch []any
 	for pending != nil {
@@ -134,10 +103,10 @@ func (p *hbasePartition) ComputeVectors(ctx context.Context, opts datasource.Bat
 			n = pg.resp.Block.Len()
 			meter.Inc(metrics.ColumnarPages)
 		}
-		// Pager state mutates only inside fetch goroutines; the channel
+		// Pager state mutates only inside prefetch goroutines; the channel
 		// receive above happens-before this launch, so access stays serial.
 		if !pager.done && (opts.LimitHint <= 0 || emitted+n < opts.LimitHint) {
-			pending = fetch()
+			pending = pager.prefetch(ctx)
 			meter.Inc(metrics.PagesPrefetched)
 		}
 		if opts.LimitHint > 0 && emitted+n > opts.LimitHint {

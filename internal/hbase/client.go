@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"sync"
@@ -74,13 +75,13 @@ type Client struct {
 
 	mu         sync.Mutex
 	masterHost string
-	regions    map[string][]RegionInfo // table -> sorted regions
-	// stale holds the last-known region list of each invalidated table
+	regions    map[string]*RegionMap // table -> current snapshot
+	// stale holds the last-known region map of each invalidated table
 	// until its next refresh, so the refresh can spot hosts that no longer
 	// serve any region and evict their pooled connections too — a cached
 	// connection to a fully-drained host would otherwise outlive the
 	// routing information that justified it.
-	stale map[string][]RegionInfo
+	stale map[string]*RegionMap
 }
 
 // ClientOption customizes a client.
@@ -121,8 +122,8 @@ func NewClient(clusterName string, net *rpc.Network, zkSrv *zk.Server, opts ...C
 		clusterName: clusterName,
 		net:         net,
 		zkSess:      zkSrv.NewSession(),
-		regions:     make(map[string][]RegionInfo),
-		stale:       make(map[string][]RegionInfo),
+		regions:     make(map[string]*RegionMap),
+		stale:       make(map[string]*RegionMap),
 		retry:       RetryPolicy{}.withDefaults(),
 	}
 	c.retryRng = rand.New(rand.NewSource(c.retry.JitterSeed))
@@ -390,7 +391,7 @@ func (c *Client) callMaster(ctx context.Context, method string, req rpc.Message)
 			return nil, err
 		}
 		meter.Inc(metrics.MasterRediscoveries)
-		if perr := c.RetryPause(ctx, attempt); perr != nil {
+		if perr := c.backoff(ctx, attempt); perr != nil {
 			return nil, perr
 		}
 	}
@@ -455,12 +456,18 @@ func (c *Client) TableStats(table string) (TableStats, error) {
 // Regions returns the table's regions in key order, from the client's meta
 // cache when warm.
 func (c *Client) Regions(table string) ([]RegionInfo, error) {
-	return c.RegionsContext(context.Background(), table)
+	m, err := c.RegionMap(context.Background(), table)
+	if err != nil {
+		return nil, err
+	}
+	return m.Regions(), nil
 }
 
-// RegionsContext is Regions bounded by ctx (which governs the meta RPC on a
-// cache miss).
-func (c *Client) RegionsContext(ctx context.Context, table string) ([]RegionInfo, error) {
+// RegionMap returns the table's current region-map snapshot, from the meta
+// cache when warm; ctx governs the meta RPC on a miss. The snapshot never
+// changes: invalidation replaces the cached map, so a caller grouping one
+// batch against it sees one consistent set of boundaries.
+func (c *Client) RegionMap(ctx context.Context, table string) (*RegionMap, error) {
 	c.mu.Lock()
 	cached, ok := c.regions[table]
 	c.mu.Unlock()
@@ -470,7 +477,7 @@ func (c *Client) RegionsContext(ctx context.Context, table string) ([]RegionInfo
 	return c.refreshRegions(ctx, table)
 }
 
-func (c *Client) refreshRegions(ctx context.Context, table string) ([]RegionInfo, error) {
+func (c *Client) refreshRegions(ctx context.Context, table string) (*RegionMap, error) {
 	tok, err := c.token()
 	if err != nil {
 		return nil, err
@@ -479,27 +486,26 @@ func (c *Client) refreshRegions(ctx context.Context, table string) ([]RegionInfo
 	if err != nil {
 		return nil, err
 	}
-	regions := resp.(*RegionList).Regions
+	fresh := NewRegionMap(resp.(*RegionList).Regions)
 	c.mu.Lock()
 	prior := c.stale[table]
 	delete(c.stale, table)
-	c.regions[table] = regions
+	c.regions[table] = fresh
 	// Hosts the invalidated map pointed at that no cached table references
 	// any more have no reason to stay in the connection pool: evict them so
 	// the next call to a drained-and-restarted host re-dials instead of
 	// reusing a connection from its previous life.
 	var gone []string
-	if len(prior) > 0 {
+	if prior != nil {
 		live := make(map[string]bool)
 		for _, cached := range c.regions {
-			for i := range cached {
-				live[cached[i].Host] = true
+			for _, ri := range cached.regions {
+				live[ri.Host] = true
 			}
 		}
 		seen := make(map[string]bool)
-		for i := range prior {
-			h := prior[i].Host
-			if !live[h] && !seen[h] {
+		for _, ri := range prior.regions {
+			if h := ri.Host; !live[h] && !seen[h] {
 				seen[h] = true
 				gone = append(gone, h)
 			}
@@ -511,13 +517,14 @@ func (c *Client) refreshRegions(ctx context.Context, table string) ([]RegionInfo
 			inv.Invalidate(h)
 		}
 	}
-	return regions, nil
+	return fresh, nil
 }
 
 // InvalidateRegions drops the cached region map for table (after splits,
 // balancing, failover reassignment, or a drain move regions). The dropped
-// list is remembered until the next refresh, which evicts pooled
-// connections to hosts that turn out to serve nothing.
+// map is remembered until the next refresh, which evicts pooled connections
+// to hosts that turn out to serve nothing. Snapshots already handed out stay
+// intact.
 func (c *Client) InvalidateRegions(table string) {
 	c.mu.Lock()
 	if cached, ok := c.regions[table]; ok {
@@ -527,80 +534,10 @@ func (c *Client) InvalidateRegions(table string) {
 	c.mu.Unlock()
 }
 
-// regionForRow locates the region containing row.
-func (c *Client) regionForRow(ctx context.Context, table string, row []byte) (RegionInfo, error) {
-	regions, err := c.RegionsContext(ctx, table)
-	if err != nil {
-		return RegionInfo{}, err
-	}
-	for _, ri := range regions {
-		if ri.ContainsRow(row) {
-			return ri, nil
-		}
-	}
-	return RegionInfo{}, fmt.Errorf("hbase: no region for row %x in table %q", row, table)
-}
-
-// RetryPolicy returns the client's effective (defaulted) retry policy.
-func (c *Client) RetryPolicy() RetryPolicy { return c.retry }
-
-// RetryPause sleeps the policy's jittered backoff before retry attempt n
-// (1-based), stopping early — and returning the context's error — if ctx is
-// done first. Layers that implement their own resume logic on top of the
-// policy — the paged Scanner, SHC's partition failover — share the client's
-// seeded jitter source through it.
-func (c *Client) RetryPause(ctx context.Context, attempt int) error {
-	c.retryMu.Lock()
-	jitter := 0.5 + 0.5*c.retryRng.Float64()
-	c.retryMu.Unlock()
-	return c.retry.pause(ctx, time.Duration(float64(c.retry.backoff(attempt))*jitter))
-}
-
-// withRetry runs op under the client's retry policy. A recoverable failure
-// — the region cache went stale (ErrNotServing after a split, balancer
-// move, or reassignment), the hosting server stopped answering
-// (ErrHostDown/ErrConnClosed during a failover), or the server shed the
-// request under load (ErrServerBusy) — backs off and retries, up to the
-// policy's attempt and deadline caps. Stale-location and dead-host failures
-// additionally invalidate the region cache first; a shed request does not,
-// because the locations are still correct — the server is alive, just
-// saturated. Context errors are never retried: once the caller's deadline
-// passed or it cancelled, further attempts only waste a saturated cluster's
-// capacity. This is the NotServingRegionException dance of the real HBase
-// client, extended to server death and overload.
-func (c *Client) withRetry(ctx context.Context, table string, op func() error) error {
-	var start time.Time
-	if c.retry.Deadline > 0 {
-		start = time.Now()
-	}
-	var err error
-	for attempt := 1; ; attempt++ {
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
-		}
-		err = op()
-		if err == nil || !IsRetryable(err) {
-			return err
-		}
-		if attempt >= c.retry.MaxAttempts {
-			return err
-		}
-		if c.retry.Deadline > 0 && time.Since(start) >= c.retry.Deadline {
-			return err
-		}
-		metrics.Scoped(ctx, c.net.Meter()).Inc(metrics.ClientRetries)
-		trace.SpanFromContext(ctx).Annotate("retry %d: %v", attempt, err)
-		if !errors.Is(err, ErrServerBusy) && !errors.Is(err, ErrMemstoreFull) {
-			c.InvalidateRegions(table)
-		}
-		if perr := c.RetryPause(ctx, attempt); perr != nil {
-			return perr
-		}
-	}
-}
+func cellRow(c *Cell) []byte { return c.Row }
 
 // Put writes cells, batching them per region. Stale region locations are
-// refreshed and retried once.
+// refreshed and retried under the client's retry policy.
 func (c *Client) Put(table string, cells []Cell) error {
 	return c.PutContext(context.Background(), table, cells)
 }
@@ -608,41 +545,12 @@ func (c *Client) Put(table string, cells []Cell) error {
 // PutContext is Put bounded by ctx. Writes never hedge: a duplicated put is
 // not idempotent against versioned cells.
 func (c *Client) PutContext(ctx context.Context, table string, cells []Cell) error {
-	if len(cells) == 0 {
-		return nil
-	}
-	tok, err := c.token()
-	if err != nil {
-		return err
-	}
-	return c.withRetry(ctx, table, func() error {
-		batches := make(map[string]*PutRequest)
-		hosts := make(map[string]string)
-		for _, cell := range cells {
-			ri, err := c.regionForRow(ctx, table, cell.Row)
-			if err != nil {
-				return err
-			}
-			b, ok := batches[ri.ID]
-			if !ok {
-				b = &PutRequest{RegionID: ri.ID, Epoch: ri.Epoch, Token: tok}
-				batches[ri.ID] = b
-				hosts[ri.ID] = ri.Host
-			}
-			b.Cells = append(b.Cells, cell)
-		}
-		for id, b := range batches {
-			if _, err := c.call(ctx, hosts[id], MethodPut, b); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
+	return c.write(ctx, table, cells, false)
 }
 
 // BulkLoad installs cells directly as sorted store files, bypassing the WAL
 // and MemStore — the client side of HBase's completebulkload. The client
-// sorts the cells, carves them into per-region runs, and each region
+// carves the cells into per-region runs, sorts each, and each region
 // installs its run as one immutable store file. A retried run that already
 // landed re-installs identical cells, which version resolution collapses, so
 // the call is safe to retry after partial failure.
@@ -652,6 +560,13 @@ func (c *Client) BulkLoad(table string, cells []Cell) error {
 
 // BulkLoadContext is BulkLoad bounded by ctx.
 func (c *Client) BulkLoadContext(ctx context.Context, table string, cells []Cell) error {
+	return c.write(ctx, table, cells, true)
+}
+
+// write sends cells to their regions under a retry budget. Each attempt
+// groups the cells against one region-map snapshot and sends one request per
+// region, in key order: a Put, or with bulk a BulkLoad of the region's run.
+func (c *Client) write(ctx context.Context, table string, cells []Cell, bulk bool) error {
 	if len(cells) == 0 {
 		return nil
 	}
@@ -659,27 +574,41 @@ func (c *Client) BulkLoadContext(ctx context.Context, table string, cells []Cell
 	if err != nil {
 		return err
 	}
-	sorted := make([]Cell, len(cells))
-	copy(sorted, cells)
-	sort.SliceStable(sorted, func(i, j int) bool { return CompareCells(&sorted[i], &sorted[j]) < 0 })
-	return c.withRetry(ctx, table, func() error {
-		for start := 0; start < len(sorted); {
-			ri, err := c.regionForRow(ctx, table, sorted[start].Row)
-			if err != nil {
-				return err
-			}
-			end := start + 1
-			for end < len(sorted) && ri.ContainsRow(sorted[end].Row) {
-				end++
-			}
-			req := &BulkLoadRequest{RegionID: ri.ID, Epoch: ri.Epoch, Cells: sorted[start:end], Token: tok}
-			if _, err := c.call(ctx, ri.Host, MethodBulkLoad, req); err != nil {
-				return err
-			}
-			start = end
+	for retry := c.NewRetryBudget(table); ; {
+		err := c.writeOnce(ctx, table, tok, cells, bulk)
+		if err == nil {
+			return nil
 		}
-		return nil
-	})
+		if err = retry.Retry(ctx, err, nil); err != nil {
+			return err
+		}
+	}
+}
+
+func (c *Client) writeOnce(ctx context.Context, table, tok string, cells []Cell, bulk bool) error {
+	m, err := c.RegionMap(ctx, table)
+	if err != nil {
+		return err
+	}
+	groups, err := GroupByRegion(m, cells, cellRow)
+	if err != nil {
+		return err
+	}
+	for _, g := range groups {
+		ri, run := g.Region, g.Items
+		if bulk {
+			// Each group is a private copy in input order, so sorting it
+			// stably never reorders the caller's cells.
+			sort.SliceStable(run, func(i, j int) bool { return CompareCells(&run[i], &run[j]) < 0 })
+			_, err = c.call(ctx, ri.Host, MethodBulkLoad, &BulkLoadRequest{RegionID: ri.ID, Epoch: ri.Epoch, Cells: run, Token: tok})
+		} else {
+			_, err = c.call(ctx, ri.Host, MethodPut, &PutRequest{RegionID: ri.ID, Epoch: ri.Epoch, Cells: run, Token: tok})
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Get reads one row.
@@ -716,97 +645,66 @@ func (c *Client) BulkGetContext(ctx context.Context, table string, rows [][]byte
 // freshness: whether any region's batch was answered by a secondary replica
 // (only possible under WithConsistency(ctx, ConsistencyTimeline)) and the
 // largest staleness bound attached. Strong reads always come back
-// {Stale: false}.
+// {Stale: false}. Results come back grouped by region in key order.
 func (c *Client) BulkGetFresh(ctx context.Context, table string, rows [][]byte, cols []Column, maxVersions int, tr TimeRange) ([]Result, ReadFreshness, error) {
 	tok, err := c.token()
 	if err != nil {
 		return nil, ReadFreshness{}, err
 	}
-	var out []Result
+	for retry := c.NewRetryBudget(table); ; {
+		out, fresh, err := c.bulkGet(ctx, table, &BulkGetRequest{Columns: cols, MaxVersions: maxVersions, TimeRange: tr, Token: tok}, rows)
+		if err == nil {
+			return out, fresh, nil
+		}
+		if err = retry.Retry(ctx, err, nil); err != nil {
+			return nil, ReadFreshness{}, err
+		}
+	}
+}
+
+// bulkGet runs one attempt: rows grouped against one snapshot, one read per
+// region in key order, each a copy of tmpl addressed to its region.
+func (c *Client) bulkGet(ctx context.Context, table string, tmpl *BulkGetRequest, rows [][]byte) ([]Result, ReadFreshness, error) {
 	var fresh ReadFreshness
-	err = c.withRetry(ctx, table, func() error {
-		out = nil
-		fresh = ReadFreshness{}
-		byRegion := make(map[string]*BulkGetRequest)
-		infos := make(map[string]RegionInfo)
-		for _, row := range rows {
-			ri, err := c.regionForRow(ctx, table, row)
-			if err != nil {
-				return err
-			}
-			b, ok := byRegion[ri.ID]
-			if !ok {
-				b = &BulkGetRequest{RegionID: ri.ID, Epoch: ri.Epoch, Columns: cols, MaxVersions: maxVersions, TimeRange: tr, Token: tok}
-				byRegion[ri.ID] = b
-				infos[ri.ID] = ri
-			}
-			b.Rows = append(b.Rows, row)
-		}
-		for id, b := range byRegion {
-			ri := infos[id]
-			req := b
-			resp, err := c.readRegion(ctx, &ri, MethodBulkGet, func(replica int) rpc.Message {
-				r := *req
-				r.Replica = replica
-				return &r
-			})
-			if err != nil {
-				return err
-			}
-			fresh.absorb(resp)
-			out = append(out, resp.Results...)
-		}
-		return nil
-	})
+	m, err := c.RegionMap(ctx, table)
 	if err != nil {
-		return nil, ReadFreshness{}, err
+		return nil, fresh, err
+	}
+	groups, err := GroupByRegion(m, rows, func(r *[]byte) []byte { return *r })
+	if err != nil {
+		return nil, fresh, err
+	}
+	var out []Result
+	for _, g := range groups {
+		resp, err := c.readRegion(ctx, g.Region, MethodBulkGet, func(replica int) rpc.Message {
+			r := *tmpl
+			r.RegionID, r.Epoch, r.Replica, r.Rows = g.Region.ID, g.Region.Epoch, replica, g.Items
+			return &r
+		})
+		if err != nil {
+			return nil, fresh, err
+		}
+		fresh.absorb(resp)
+		out = append(out, resp.Results...)
 	}
 	return out, fresh, nil
 }
 
 // ScanTable scans the whole key range [scan.StartRow, scan.StopRow),
 // visiting every overlapping region in key order and concatenating results.
-// A stale region map restarts the scan once with fresh locations.
 func (c *Client) ScanTable(table string, scan *Scan) ([]Result, error) {
 	return c.ScanTableContext(context.Background(), table, scan)
 }
 
-// ScanTableContext is ScanTable bounded by ctx.
+// ScanTableContext is ScanTable bounded by ctx: a drained Scanner whose pages
+// are whole regions, so a failure resumes from the exact cursor instead of
+// restarting the scan.
 func (c *Client) ScanTableContext(ctx context.Context, table string, scan *Scan) ([]Result, error) {
-	tok, err := c.token()
+	s, err := c.OpenScannerContext(ctx, table, scan, ScannerConfig{BatchSize: math.MaxInt})
 	if err != nil {
 		return nil, err
 	}
-	var out []Result
-	err = c.withRetry(ctx, table, func() error {
-		out = nil
-		regions, err := c.RegionsContext(ctx, table)
-		if err != nil {
-			return err
-		}
-		for i := range regions {
-			ri := &regions[i]
-			if !ri.OverlapsRange(scan.StartRow, scan.StopRow) {
-				continue
-			}
-			resp, err := c.readRegion(ctx, ri, MethodScan, func(replica int) rpc.Message {
-				return &ScanRequest{RegionID: ri.ID, Epoch: ri.Epoch, Replica: replica, Scan: scan, Token: tok}
-			})
-			if err != nil {
-				return err
-			}
-			out = append(out, resp.Results...)
-			if scan.Limit > 0 && len(out) >= scan.Limit {
-				out = out[:scan.Limit]
-				break
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return s.All()
 }
 
 // ScanRegion scans exactly one region — the per-partition read path SHC's
@@ -833,48 +731,21 @@ func (c *Client) ScanRegionContext(ctx context.Context, ri RegionInfo, scan *Sca
 	return resp.Results, nil
 }
 
-// FusedExec sends multiple scan/get operations for regions hosted on the
-// same server in a single RPC (operators fusion). The whole fused result
-// comes back in one response; callers that want bounded pages use
-// FusedExecPage.
-func (c *Client) FusedExec(host string, ops []ScanOp) ([]Result, error) {
-	resp, err := c.FusedExecPage(host, ops, 0, FusedCursor{})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Results, nil
-}
-
-// FusedExecPage sends one page of a fused execution: the server returns at
-// most batchLimit rows (0 = everything) starting at cursor, plus — via
-// More/Next on the response — the cursor for the following page. Paging the
-// fused RPC keeps the per-response memory on both sides bounded by the
-// batch size instead of the partition's full result set.
-func (c *Client) FusedExecPage(host string, ops []ScanOp, batchLimit int, cursor FusedCursor) (*ScanResponse, error) {
-	return c.FusedExecPageContext(context.Background(), host, ops, batchLimit, cursor)
-}
-
-// FusedExecPageContext is FusedExecPage bounded by ctx.
-func (c *Client) FusedExecPageContext(ctx context.Context, host string, ops []ScanOp, batchLimit int, cursor FusedCursor) (*ScanResponse, error) {
-	return c.fusedExecPage(ctx, host, ops, batchLimit, cursor, false)
-}
-
-// FusedExecPageColumnar is FusedExecPageContext with column-major packing
-// requested: when the page is losslessly packable the rows come back in
-// resp.Block (family/qualifier carried once per column, presence as nils)
-// instead of resp.Results. Paging and cursors are unchanged.
-func (c *Client) FusedExecPageColumnar(ctx context.Context, host string, ops []ScanOp, batchLimit int, cursor FusedCursor) (*ScanResponse, error) {
-	return c.fusedExecPage(ctx, host, ops, batchLimit, cursor, true)
-}
-
-func (c *Client) fusedExecPage(ctx context.Context, host string, ops []ScanOp, batchLimit int, cursor FusedCursor, columnar bool) (*ScanResponse, error) {
+// FusedExecPage sends one page of a fused execution — every scan and get in
+// req.Ops targets a region hosted on host, all in a single RPC (operators
+// fusion). The server returns at most req.BatchLimit rows (0 = everything)
+// starting at req.Cursor, plus — via More/Next on the response — the cursor
+// for the following page; with req.Columnar set, a losslessly packable page
+// comes back column-major in resp.Block instead of resp.Results. Paging
+// keeps the per-response memory on both sides bounded by the batch size.
+// FusedExecPage stamps req's Token.
+func (c *Client) FusedExecPage(ctx context.Context, host string, req *FusedRequest) (*ScanResponse, error) {
 	tok, err := c.token()
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.callRead(ctx, host, MethodFused, &FusedRequest{
-		Ops: ops, BatchLimit: batchLimit, Cursor: cursor, Columnar: columnar, Token: tok,
-	})
+	req.Token = tok
+	resp, err := c.callRead(ctx, host, MethodFused, req)
 	if err != nil {
 		return nil, err
 	}

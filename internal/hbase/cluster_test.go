@@ -1,6 +1,7 @@
 package hbase
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -178,12 +179,12 @@ func TestClientScanRegionAndFused(t *testing.T) {
 		{RegionID: regions[0].ID, Scan: &Scan{StartRow: []byte("a"), StopRow: []byte("c")}},
 		{RegionID: regions[0].ID, Rows: [][]byte{[]byte("d")}},
 	}
-	results, err := client.FusedExec(regions[0].Host, ops)
+	resp, err := client.FusedExecPage(context.Background(), regions[0].Host, &FusedRequest{Ops: ops})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 3 {
-		t.Errorf("fused results = %d", len(results))
+	if len(resp.Results) != 3 {
+		t.Errorf("fused results = %d", len(resp.Results))
 	}
 	if got := m.Get(metrics.RPCCalls) - before; got != 1 {
 		t.Errorf("fused exec used %d RPCs, want 1", got)

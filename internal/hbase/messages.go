@@ -41,7 +41,12 @@ func (m *PutRequest) WireSize() int {
 // server deduplicate a retried batch whose ack was lost. A batch regrouped
 // after a split keeps its original stamp: the daughters inherited the
 // parent's dedup window, and the regrouped pieces are row-disjoint, so
-// per-region dedup on the same stamp stays exactly-once. LowWater is the
+// per-region dedup on the same stamp stays exactly-once. That rests on one
+// invariant the mutator guarantees by grouping each delivery round against
+// a single RegionMap snapshot: a region receives every cell of a stamped
+// batch that falls in its range, in one piece — so a region that has
+// recorded a stamp already holds all of that batch's rows in its range, and
+// dropping a re-sent piece as a duplicate loses nothing. LowWater is the
 // writer's low-water mark — every sequence below it is resolved (acked or
 // abandoned) and will never be retried — which bounds the server-side dedup
 // window without a fixed size that could out-prune a slow retry.

@@ -3,7 +3,6 @@ package hbase
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"time"
 
@@ -47,7 +46,7 @@ func (c MutatorConfig) withDefaults(cl *Client) MutatorConfig {
 		c.MaxBufferBytes = 4 * c.FlushBytes
 	}
 	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = cl.RetryPolicy().MaxAttempts
+		c.MaxAttempts = cl.retry.MaxAttempts
 	}
 	return c
 }
@@ -253,7 +252,11 @@ func (m *BufferedMutator) send(ctx context.Context, cells []Cell) error {
 
 	// Group by region once to assign stamps: one sequence-stamped batch per
 	// region the buffer touches.
-	groups, _, err := m.groupByRegion(ctx, cells)
+	rm, err := m.c.RegionMap(ctx, m.table)
+	if err != nil {
+		return err
+	}
+	groups, err := GroupByRegion(rm, cells, cellRow)
 	if err != nil {
 		return err
 	}
@@ -261,54 +264,36 @@ func (m *BufferedMutator) send(ctx context.Context, cells []Cell) error {
 	pending := make([]*stampedBatch, 0, len(groups))
 	for _, g := range groups {
 		m.nextSeq++
-		pending = append(pending, &stampedBatch{seq: m.nextSeq, cells: g})
+		pending = append(pending, &stampedBatch{seq: m.nextSeq, cells: g.Items})
 	}
 	m.mu.Unlock()
 
-	var lastErr error
-	for attempt := 1; len(pending) > 0; attempt++ {
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
-		}
+	retry := RetryBudget{c: m.c, table: m.table, max: m.cfg.MaxAttempts}
+	for {
 		failed, err := m.sendRound(ctx, tok, pending, meter)
 		if err == nil {
-			if len(failed) == 0 {
-				return nil
-			}
+			return nil
+		}
+		// A round that erred before any RPC went out (e.g. region re-lookup
+		// failed while regrouping) reports no per-batch outcome and leaves
+		// every batch pending. Only a verdict that names failed batches
+		// replaces the pending set — an early error must never masquerade as
+		// "all acked".
+		if len(failed) > 0 {
 			pending = failed
-		} else {
-			lastErr = err
-			if !IsRetryable(err) {
-				return err
-			}
-			// A round that erred before any RPC went out (e.g. region
-			// re-lookup failed while regrouping) reports no per-batch
-			// outcome and leaves every batch pending. Only a verdict that
-			// names failed batches replaces the pending set — an early
-			// error must never masquerade as "all acked".
-			if len(failed) > 0 {
-				pending = failed
-			}
 		}
-		if attempt >= m.cfg.MaxAttempts {
-			return fmt.Errorf("hbase: mutator flush gave up after %d attempts: %w", attempt, lastErr)
-		}
-		metrics.Scoped(ctx, m.c.net.Meter()).Inc(metrics.ClientRetries)
-		if !errors.Is(lastErr, ErrServerBusy) && !errors.Is(lastErr, ErrMemstoreFull) {
-			m.c.InvalidateRegions(m.table)
-		}
-		if perr := m.c.RetryPause(ctx, attempt); perr != nil {
-			return perr
+		if err = retry.Retry(ctx, err, nil); err != nil {
+			return err
 		}
 	}
-	return nil
 }
 
 // sendRound performs one delivery attempt: every pending batch is regrouped
-// against the current region map (its stamp preserved — the server-side
-// windows inherited across splits keep dedup exact on the regrouped pieces),
-// packed per server, and sent as parallel MultiPut RPCs. It returns the
-// batches that must be retried and the first retryable error seen.
+// against one region-map snapshot (its stamp preserved), packed per server,
+// and sent as parallel MultiPut RPCs. The single snapshot upholds the dedup
+// invariant RegionBatch relies on: a region receives every cell of a stamped
+// batch that falls in its range, in one piece. It returns the batches that
+// must be retried and the first error seen.
 func (m *BufferedMutator) sendRound(ctx context.Context, tok string, pending []*stampedBatch, meter metrics.Meter) ([]*stampedBatch, error) {
 	// The low-water mark carried on every batch: flushes are serialized, so
 	// everything below the smallest still-pending stamp is resolved — acked,
@@ -320,6 +305,10 @@ func (m *BufferedMutator) sendRound(ctx context.Context, tok string, pending []*
 			lowWater = sb.seq
 		}
 	}
+	rm, err := m.c.RegionMap(ctx, m.table)
+	if err != nil {
+		return nil, err
+	}
 	type hostLoad struct {
 		batches []RegionBatch
 		owners  map[*stampedBatch]bool
@@ -329,20 +318,20 @@ func (m *BufferedMutator) sendRound(ctx context.Context, tok string, pending []*
 		// One stamped batch may span several regions (the region it was
 		// grouped under split): partition its cells by current boundaries,
 		// each piece keeping the original stamp.
-		parts, infos, err := m.groupByRegion(ctx, sb.cells)
+		parts, err := GroupByRegion(rm, sb.cells, cellRow)
 		if err != nil {
 			return nil, err
 		}
-		for id, part := range parts {
-			ri := infos[id]
+		for _, part := range parts {
+			ri := part.Region
 			hl := hosts[ri.Host]
 			if hl == nil {
 				hl = &hostLoad{owners: make(map[*stampedBatch]bool)}
 				hosts[ri.Host] = hl
 			}
 			hl.batches = append(hl.batches, RegionBatch{
-				RegionID: id, Epoch: ri.Epoch,
-				Writer: m.cfg.WriterID, Seq: sb.seq, LowWater: lowWater, Cells: part,
+				RegionID: ri.ID, Epoch: ri.Epoch,
+				Writer: m.cfg.WriterID, Seq: sb.seq, LowWater: lowWater, Cells: part.Items,
 			})
 			hl.owners[sb] = true
 		}
@@ -396,21 +385,4 @@ func (m *BufferedMutator) sendRound(ctx context.Context, tok string, pending []*
 		m.mu.Unlock()
 	}
 	return failed, firstErr
-}
-
-// groupByRegion partitions cells by the region currently containing each row.
-func (m *BufferedMutator) groupByRegion(ctx context.Context, cells []Cell) (map[string][]Cell, map[string]RegionInfo, error) {
-	groups := make(map[string][]Cell)
-	infos := make(map[string]RegionInfo)
-	for i := range cells {
-		ri, err := m.c.regionForRow(ctx, m.table, cells[i].Row)
-		if err != nil {
-			return nil, nil, err
-		}
-		groups[ri.ID] = append(groups[ri.ID], cells[i])
-		if _, ok := infos[ri.ID]; !ok {
-			infos[ri.ID] = ri
-		}
-	}
-	return groups, infos, nil
 }

@@ -189,7 +189,7 @@ func TestPromoteNeverServesUnackedWrites(t *testing.T) {
 		t.Fatal("promoted primary serves a write the old primary never acked")
 	}
 	// The promoted copy answers strong reads as the region's primary.
-	fresh, err := client.RegionsContext(context.Background(), "t")
+	fresh, err := client.Regions("t")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,9 +3,12 @@ package hbase
 import (
 	"context"
 	"errors"
+	"fmt"
 	"time"
 
+	"github.com/shc-go/shc/internal/metrics"
 	"github.com/shc-go/shc/internal/rpc"
+	"github.com/shc-go/shc/internal/trace"
 )
 
 // RetryPolicy governs how the client retries operations that fail
@@ -24,9 +27,6 @@ type RetryPolicy struct {
 	BaseBackoff time.Duration
 	// MaxBackoff caps the exponential growth (default 50ms).
 	MaxBackoff time.Duration
-	// Deadline bounds the overall time an operation may spend across
-	// attempts; 0 means attempts alone bound it.
-	Deadline time.Duration
 	// JitterSeed seeds the deterministic jitter RNG (default 1), so a fixed
 	// policy, seed, and failure schedule back off identically across runs.
 	JitterSeed int64
@@ -77,6 +77,73 @@ func (p RetryPolicy) backoff(attempt int) time.Duration {
 		d = p.MaxBackoff
 	}
 	return d
+}
+
+// RetryBudget is one operation's share of the client's RetryPolicy — the
+// single place the client decides what a failed attempt costs. Callers loop
+// on their own attempt and hand each failure to Retry; what stays with the
+// caller is only what is really theirs (the mutator's pending set, the
+// Scanner's relocation, the fused pager's run regrouping).
+type RetryBudget struct {
+	c        *Client
+	table    string
+	max      int
+	failures int
+}
+
+// NewRetryBudget starts a retry budget for an operation on table, capped at
+// the policy's MaxAttempts.
+func (c *Client) NewRetryBudget(table string) RetryBudget {
+	return RetryBudget{c: c, table: table, max: c.retry.MaxAttempts}
+}
+
+// Retry accounts for a failed attempt. It returns nil when the caller should
+// try again: err was retryable and attempts remain, the retry has been
+// counted in client.retries and annotated on the span, the table's cached
+// locations have been invalidated — unless the server merely shed load
+// (ErrServerBusy, ErrMemstoreFull), where the locations are still right —
+// and the jittered backoff has elapsed. relocate, when non-nil, runs after
+// the backoff whenever locations were invalidated, and its error ends the
+// operation. Otherwise Retry returns the error to surface: err itself when
+// it is not retryable, err wrapped once attempts run out, or ctx's error
+// when the backoff was cut short. The caller's context deadline bounds the
+// whole loop.
+func (b *RetryBudget) Retry(ctx context.Context, err error, relocate func() error) error {
+	if !IsRetryable(err) {
+		return err
+	}
+	b.failures++
+	if b.failures >= b.max {
+		return fmt.Errorf("hbase: gave up after %d attempts: %w", b.failures, err)
+	}
+	metrics.Scoped(ctx, b.c.net.Meter()).Inc(metrics.ClientRetries)
+	trace.SpanFromContext(ctx).Annotate("retry %d: %v", b.failures, err)
+	moved := !errors.Is(err, ErrServerBusy) && !errors.Is(err, ErrMemstoreFull)
+	if moved {
+		b.c.InvalidateRegions(b.table)
+	}
+	if perr := b.c.backoff(ctx, b.failures); perr != nil {
+		return perr
+	}
+	if moved && relocate != nil {
+		return relocate()
+	}
+	return nil
+}
+
+// Progressed resets the budget after an attempt that delivered something, so
+// a resumable reader's cap bounds consecutive failures rather than all the
+// failures of a long scan.
+func (b *RetryBudget) Progressed() { b.failures = 0 }
+
+// backoff sleeps the policy's jittered backoff before retry attempt n
+// (1-based), stopping early — and returning the context's error — if ctx is
+// done first. All retry loops share the client's seeded jitter source.
+func (c *Client) backoff(ctx context.Context, attempt int) error {
+	c.retryMu.Lock()
+	jitter := 0.5 + 0.5*c.retryRng.Float64()
+	c.retryMu.Unlock()
+	return c.retry.pause(ctx, time.Duration(float64(c.retry.backoff(attempt))*jitter))
 }
 
 // IsRetryable reports whether err is worth retrying against refreshed meta:

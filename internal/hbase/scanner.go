@@ -3,7 +3,6 @@ package hbase
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 
 	"github.com/shc-go/shc/internal/metrics"
@@ -28,7 +27,7 @@ type Scanner struct {
 	cursor   []byte // next start row within the current region
 	lastRow  []byte // last row actually returned (for error context)
 	returned int    // rows handed out so far (for spec.Limit page sizing)
-	failures int    // consecutive failed page fetches (for retry capping)
+	retry    RetryBudget
 	done     bool
 	err      error
 
@@ -71,13 +70,13 @@ func (c *Client) OpenScannerContext(ctx context.Context, table string, spec *Sca
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 100
 	}
-	regions, err := c.RegionsContext(ctx, table)
+	rm, err := c.RegionMap(ctx, table)
 	if err != nil {
 		return nil, err
 	}
 	s := &Scanner{
 		client: c, ctx: ctx, table: table, spec: *spec, batchSize: cfg.BatchSize,
-		prefetch: cfg.Prefetch, meter: cfg.Meter, regions: regions,
+		prefetch: cfg.Prefetch, meter: cfg.Meter, regions: rm.Regions(), retry: c.NewRetryBudget(table),
 	}
 	s.cursor = spec.StartRow
 	s.skipToOverlap()
@@ -138,28 +137,14 @@ func (s *Scanner) fetchPage() ([]Result, error) {
 		page.Limit = limit
 		results, err := s.client.ScanRegionContext(s.ctx, ri, &page)
 		if err != nil {
-			if !IsRetryable(err) {
-				return nil, s.wrapErr(err, ri.ID)
-			}
-			s.failures++
-			if s.failures >= s.client.retry.MaxAttempts {
-				return nil, s.wrapErr(err, ri.ID)
-			}
-			metrics.Scoped(s.ctx, s.client.net.Meter()).Inc(metrics.ClientRetries)
-			// A shed request means the server is saturated, not gone: the
-			// region map is still right, so skip the relocate and just back
-			// off before resending the same page.
-			if !errors.Is(err, ErrServerBusy) {
-				if rerr := s.relocate(); rerr != nil {
-					return nil, s.wrapErr(rerr, ri.ID)
-				}
-			}
-			if perr := s.client.RetryPause(s.ctx, s.failures); perr != nil {
-				return nil, s.wrapErr(perr, ri.ID)
+			// A shed request leaves the region map right: the budget skips
+			// the relocate and the same page is resent after the backoff.
+			if rerr := s.retry.Retry(s.ctx, err, s.relocate); rerr != nil {
+				return nil, s.wrapErr(rerr, ri.ID)
 			}
 			continue
 		}
-		s.failures = 0
+		s.retry.Progressed()
 		if len(results) == 0 {
 			// Region drained: move on.
 			s.region++
@@ -194,14 +179,13 @@ func (s *Scanner) fetchPage() ([]Result, error) {
 	return nil, nil
 }
 
-// relocate refreshes the region list after a failed page fetch and
-// repositions the scanner at the region now containing its cursor. The
-// cursor marks the first row not yet returned, so when the master has
-// reassigned the dead server's regions the next page resumes on the new
-// host with no rows duplicated or dropped.
+// relocate re-reads the region map (the retry budget has invalidated the
+// cache) after a failed page fetch and repositions the scanner at the region
+// now containing its cursor. The cursor marks the first row not yet
+// returned, so when the master has reassigned the dead server's regions the
+// next page resumes on the new host with no rows duplicated or dropped.
 func (s *Scanner) relocate() error {
-	s.client.InvalidateRegions(s.table)
-	regions, err := s.client.RegionsContext(s.ctx, s.table)
+	rm, err := s.client.RegionMap(s.ctx, s.table)
 	if err != nil {
 		return err
 	}
@@ -215,7 +199,7 @@ func (s *Scanner) relocate() error {
 	if s.cursor == nil && s.lastRow != nil {
 		s.cursor = append(append([]byte(nil), s.lastRow...), 0)
 	}
-	s.regions = regions
+	s.regions = rm.Regions()
 	s.region = 0
 	s.skipToOverlap()
 	return nil

@@ -2,6 +2,7 @@ package hbase
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 
@@ -180,15 +181,16 @@ func TestFusedExecPageMatchesUnpaged(t *testing.T) {
 	_, client := scannerFixture(t, 90)
 	host := firstHost(t, client, "t")
 	ops := fusedOpsForHost(t, client, "t", host)
-	want, err := client.FusedExec(host, ops)
+	whole, err := client.FusedExecPage(context.Background(), host, &FusedRequest{Ops: ops})
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := whole.Results
 	var got []Result
 	cursor := FusedCursor{}
 	pages := 0
 	for {
-		resp, err := client.FusedExecPage(host, ops, 7, cursor)
+		resp, err := client.FusedExecPage(context.Background(), host, &FusedRequest{Ops: ops, BatchLimit: 7, Cursor: cursor})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,7 +231,7 @@ func TestFusedPageHonorsPerOpLimit(t *testing.T) {
 	var got []Result
 	cursor := FusedCursor{}
 	for {
-		resp, err := client.FusedExecPage(host, ops, 5, cursor)
+		resp, err := client.FusedExecPage(context.Background(), host, &FusedRequest{Ops: ops, BatchLimit: 5, Cursor: cursor})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -271,7 +273,7 @@ func TestFusedPageResumesBulkGets(t *testing.T) {
 	cursor := FusedCursor{}
 	pages := 0
 	for {
-		resp, err := client.FusedExecPage(host, ops, 3, cursor)
+		resp, err := client.FusedExecPage(context.Background(), host, &FusedRequest{Ops: ops, BatchLimit: 3, Cursor: cursor})
 		if err != nil {
 			t.Fatal(err)
 		}

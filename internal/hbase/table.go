@@ -3,6 +3,7 @@ package hbase
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -134,4 +135,73 @@ func sortRegions(regions []RegionInfo) {
 		}
 		return bytes.Compare(a, b) < 0
 	})
+}
+
+// RegionMap is an immutable snapshot of one table's regions, sorted by start
+// key — the unit every client data path locates rows against. The client
+// caches one per table and replaces it whole on refresh or invalidation, so
+// a caller that groups a batch against one snapshot sees one consistent set
+// of boundaries even while a concurrent caller invalidates the cache.
+type RegionMap struct{ regions []RegionInfo }
+
+// NewRegionMap wraps regions, which must be sorted by start key (the order
+// meta responses arrive in). The map takes ownership of the slice.
+func NewRegionMap(regions []RegionInfo) *RegionMap { return &RegionMap{regions: regions} }
+
+// Regions returns the snapshot's regions in key order; callers must not
+// modify them.
+func (m *RegionMap) Regions() []RegionInfo { return m.regions }
+
+// Locate returns the region holding row by binary search over start keys.
+// ok is false when row lies outside every region.
+func (m *RegionMap) Locate(row []byte) (ri *RegionInfo, ok bool) {
+	i := sort.Search(len(m.regions), func(i int) bool { return bytes.Compare(m.regions[i].StartKey, row) > 0 }) - 1
+	if i < 0 || !m.regions[i].ContainsRow(row) {
+		return nil, false
+	}
+	return &m.regions[i], true
+}
+
+// ByID returns the snapshot's region with the given ID.
+func (m *RegionMap) ByID(id string) (ri *RegionInfo, ok bool) {
+	for i := range m.regions {
+		if m.regions[i].ID == id {
+			return &m.regions[i], true
+		}
+	}
+	return nil, false
+}
+
+// RegionGroup is one region's share of a batch: the items whose rows the
+// region holds, in input order.
+type RegionGroup[T any] struct {
+	Region *RegionInfo
+	Items  []T
+}
+
+// GroupByRegion partitions items by the region of m holding each item's row.
+// Every item is located against this one snapshot, so a region receives all
+// of the batch's items in its range together. Groups come back in region key
+// order. It fails when some row lies outside every region.
+func GroupByRegion[T any](m *RegionMap, items []T, row func(*T) []byte) ([]RegionGroup[T], error) {
+	var groups []RegionGroup[T]
+	for i := range items {
+		r := row(&items[i])
+		ri, ok := m.Locate(r)
+		if !ok {
+			return nil, fmt.Errorf("hbase: no region holds row %x", r)
+		}
+		// Scan back from the newest group: sorted input hits it at once.
+		g := len(groups) - 1
+		for g >= 0 && groups[g].Region != ri {
+			g--
+		}
+		if g < 0 {
+			groups = append(groups, RegionGroup[T]{Region: ri})
+			g = len(groups) - 1
+		}
+		groups[g].Items = append(groups[g].Items, items[i])
+	}
+	slices.SortFunc(groups, func(a, b RegionGroup[T]) int { return bytes.Compare(a.Region.StartKey, b.Region.StartKey) })
+	return groups, nil
 }
