@@ -79,14 +79,24 @@ type Region struct {
 	// per-region write-rate signal hot-region detection splits by.
 	writeLoad int64
 
-	// gen counts mutations; view caches the resolved default read
-	// (maxVersions=1, unbounded time range) so paged scans clip a shared
-	// sorted run instead of re-merging the region per page. viewGen
-	// records the generation the view was built at; -1 = never built,
-	// which also covers regions assembled directly (splits).
-	gen     int64
-	view    []Cell
-	viewGen int64
+	// view is the resolved default read (maxVersions 1, unbounded time
+	// range) as of its build, sorted in store order; viewOK says it is
+	// current. Paged scans and gets clip it instead of re-merging the
+	// region. A write doesn't discard it: while the view is current, every
+	// written row goes into dirty (sorted, distinct), and a default read
+	// re-resolves just those rows from the store files and MemStore
+	// (rowCursor). Every other row holds the same cells as at the build, so
+	// its view entry stays exact. A flush only moves cells into a file and
+	// keeps the view. Compaction, bulk load, WAL recovery and dropping the
+	// MemStore change what is visible without a write, so they discard the
+	// view (dropViewLocked) and the next default read rebuilds it. Regions
+	// born by split, reopen or replica bootstrap start without one, and no
+	// row is recorded while there is none. Neither slice is written in
+	// place while readers may hold it: the view is only replaced, and
+	// readers copy their part of dirty under the lock.
+	view   []Cell
+	viewOK bool
+	dirty  [][]byte
 
 	// Primary-side replication state: repl fans acked WAL entries out to
 	// this region's secondary copies (nil when unreplicated). The pointer
@@ -109,12 +119,11 @@ type Region struct {
 // NewRegion creates an empty region for the given range.
 func NewRegion(info RegionInfo, desc *TableDescriptor, cfg StoreConfig, meter *metrics.Registry) *Region {
 	return &Region{
-		info:    info,
-		desc:    desc,
-		cfg:     cfg.withDefaults(),
-		meter:   meter,
-		log:     wal.New(meter),
-		viewGen: -1,
+		info:  info,
+		desc:  desc,
+		cfg:   cfg.withDefaults(),
+		meter: meter,
+		log:   wal.New(meter),
 	}
 }
 
@@ -258,8 +267,34 @@ func (r *Region) appendStamped(c Cell, writer string, batchSeq uint64) error {
 		return err
 	}
 	r.mem.add(c)
-	r.gen++
+	r.markDirtyLocked(c.Row)
 	return nil
+}
+
+// locked; records row as written since the view was built. Once dirty
+// rows outnumber half the view's cells, re-resolving them on every read
+// costs more than one rebuild, so the view is dropped instead.
+func (r *Region) markDirtyLocked(row []byte) {
+	if !r.viewOK {
+		return
+	}
+	i := sort.Search(len(r.dirty), func(i int) bool { return bytes.Compare(r.dirty[i], row) >= 0 })
+	if i < len(r.dirty) && bytes.Equal(r.dirty[i], row) {
+		return
+	}
+	if len(r.dirty) >= len(r.view)/2 {
+		r.dropViewLocked()
+		return
+	}
+	r.dirty = append(r.dirty, nil)
+	copy(r.dirty[i+1:], r.dirty[i:])
+	r.dirty[i] = row
+}
+
+// locked; discards the view after a change that alters visibility without
+// a write. The next default read rebuilds it.
+func (r *Region) dropViewLocked() {
+	r.view, r.viewOK, r.dirty = nil, false, nil
 }
 
 // locked
@@ -287,9 +322,8 @@ func (r *Region) flushLocked() {
 	if r.log.Epoch() > r.info.Epoch {
 		return
 	}
-	r.files = append(r.files, newStoreFile(r.mem.snapshot()))
+	r.files = append(r.files, newStoreFile(r.mem.sorted(nil, nil)))
 	r.mem.reset()
-	r.gen++
 	r.flushed = r.log.NextSeq()
 	r.log.Truncate(r.flushed)
 	// Snapshot the dedup window alongside the flushed data: the WAL entries
@@ -317,7 +351,9 @@ func (r *Region) compactLocked() {
 	}
 	merged := compact(r.desc.maxVersions(), runs...)
 	r.files = []*storeFile{newStoreFile(merged)}
-	r.gen++
+	// Compaction drops tombstones and versions past the table's limit from
+	// the files only, so it can unmask MemStore cells a file tombstone hid.
+	r.dropViewLocked()
 	r.meter.Inc(metrics.Compactions)
 }
 
@@ -466,28 +502,15 @@ func (r *Region) SplitInto(lowID, highID string, splitKey []byte, newEpoch uint6
 	return low, high, nil
 }
 
-// locked; merged, sorted cells within [start, stop).
+// locked (read or write); merged, sorted cells within [start, stop), a new
+// slice. Store files come first in file order and the MemStore last, the
+// tie order every read and compaction of the region uses.
 func (r *Region) allCellsLocked(start, stop []byte) []Cell {
 	runs := make([][]Cell, 0, len(r.files)+1)
 	for _, f := range r.files {
-		runs = append(runs, f.cellsInRange(nil, start, stop))
+		runs = append(runs, clipRows(f.cells, start, stop))
 	}
-	// The snapshot is cached and shared, so clip it by subslicing (it is
-	// sorted by row first) rather than filtering in place.
-	memCells := r.mem.snapshot()
-	if start != nil || stop != nil {
-		lo := sort.Search(len(memCells), func(i int) bool {
-			return bytes.Compare(memCells[i].Row, start) >= 0
-		})
-		hi := len(memCells)
-		if stop != nil {
-			hi = lo + sort.Search(len(memCells)-lo, func(i int) bool {
-				return bytes.Compare(memCells[lo+i].Row, stop) >= 0
-			})
-		}
-		memCells = memCells[lo:hi]
-	}
-	runs = append(runs, memCells)
+	runs = append(runs, r.mem.sorted(start, stop))
 	return mergeSorted(runs...)
 }
 
@@ -541,25 +564,19 @@ func (r *Region) RunScanWith(s *Scan, m metrics.Meter) []Result {
 	if maxV > r.desc.maxVersions() {
 		maxV = r.desc.maxVersions()
 	}
-	var visible []Cell
+	var rows rowCursor
 	if maxV == 1 && s.TimeRange.Unbounded() {
-		visible = clipRows(r.defaultView(), start, stop)
+		rows = r.defaultRows(start, stop)
 	} else {
 		r.mu.RLock()
 		cells := r.allCellsLocked(start, stop)
 		r.mu.RUnlock()
-		visible = resolveVersions(cells, maxV, s.TimeRange)
+		rows.clean = resolveVersions(cells, maxV, s.TimeRange)
 	}
 
 	var out []Result
 	var rowsScanned, cellsScanned, rowsReturned, cellsReturned int64
-	i := 0
-	for i < len(visible) {
-		j := i
-		for j < len(visible) && bytes.Equal(visible[j].Row, visible[i].Row) {
-			j++
-		}
-		row := visible[i:j]
+	for row := rows.next(); row != nil; row = rows.next() {
 		rowsScanned++
 		cellsScanned += int64(len(row))
 		res := buildResult(row, s.Columns)
@@ -571,7 +588,6 @@ func (r *Region) RunScanWith(s *Scan, m metrics.Meter) []Result {
 				break
 			}
 		}
-		i = j
 	}
 	m.Add(metrics.RowsScanned, rowsScanned)
 	m.Add(metrics.CellsScanned, cellsScanned)
@@ -581,39 +597,95 @@ func (r *Region) RunScanWith(s *Scan, m metrics.Meter) []Result {
 	return out
 }
 
-// defaultView returns (building if stale) the region's resolved default
-// read: every visible cell under maxVersions=1 and an unbounded time range,
-// sorted in store order. The slice is shared — callers must not mutate it.
-func (r *Region) defaultView() []Cell {
+// defaultRows returns a cursor over the resolved default read
+// (maxVersions 1, unbounded time range) of [start, stop), building the
+// region's view first if it has none.
+func (r *Region) defaultRows(start, stop []byte) rowCursor {
 	r.mu.RLock()
-	if r.viewGen == r.gen {
-		v := r.view
-		r.mu.RUnlock()
-		return v
+	if r.viewOK {
+		defer r.mu.RUnlock()
+		return r.cursorLocked(start, stop)
 	}
 	r.mu.RUnlock()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.viewGen != r.gen {
+	if !r.viewOK {
 		r.view = resolveVersions(r.allCellsLocked(nil, nil), 1, TimeRange{})
-		r.viewGen = r.gen
+		r.viewOK = true
 	}
-	return r.view
+	return r.cursorLocked(start, stop)
 }
 
-// clipRows subslices a row-sorted cell run to startRow <= row < stopRow
-// without copying (nil bounds are open).
-func clipRows(cells []Cell, startRow, stopRow []byte) []Cell {
-	lo := sort.Search(len(cells), func(i int) bool {
-		return bytes.Compare(cells[i].Row, startRow) >= 0
-	})
-	hi := len(cells)
-	if stopRow != nil {
-		hi = lo + sort.Search(len(cells)-lo, func(i int) bool {
-			return bytes.Compare(cells[lo+i].Row, stopRow) >= 0
-		})
+// locked (read or write), with a current view. The cursor shares only
+// immutable data with the region — the view, the store files' cells — and
+// owns copies of the rest, so it is walked after the lock is released.
+func (r *Region) cursorLocked(start, stop []byte) rowCursor {
+	c := rowCursor{clean: clipRows(r.view, start, stop)}
+	lo := sort.Search(len(r.dirty), func(i int) bool { return bytes.Compare(r.dirty[i], start) >= 0 })
+	hi := len(r.dirty)
+	if stop != nil {
+		hi = lo + sort.Search(hi-lo, func(i int) bool { return bytes.Compare(r.dirty[lo+i], stop) >= 0 })
 	}
-	return cells[lo:hi]
+	if lo == hi {
+		return c
+	}
+	c.dirty = append([][]byte(nil), r.dirty[lo:hi]...)
+	c.runs = make([][]Cell, 0, len(r.files)+1)
+	for _, f := range r.files {
+		c.runs = append(c.runs, f.cells)
+	}
+	c.runs = append(c.runs, r.mem.sorted(start, stop))
+	return c
+}
+
+// rowCursor walks resolved cells row by row. clean is a row-sorted run of
+// resolved cells; dirty lists rows (sorted) whose clean entry is stale and
+// which are resolved instead from runs — the store files and the MemStore
+// in tie order, as allCellsLocked merges them.
+type rowCursor struct {
+	clean []Cell
+	dirty [][]byte
+	runs  [][]Cell
+}
+
+// next returns the cells of the next row with a visible cell, or nil when
+// the cursor is exhausted. A clean row is a subslice of clean; a dirty row
+// is merged and resolved for that row alone.
+func (c *rowCursor) next() []Cell {
+	for len(c.dirty) > 0 {
+		if len(c.clean) > 0 && bytes.Compare(c.clean[0].Row, c.dirty[0]) < 0 {
+			break
+		}
+		row := c.dirty[0]
+		c.dirty = c.dirty[1:]
+		if len(c.clean) > 0 && bytes.Equal(c.clean[0].Row, row) {
+			c.clean = c.clean[rowLen(c.clean):]
+		}
+		runs := make([][]Cell, len(c.runs))
+		for i, run := range c.runs {
+			runs[i] = rowCells(run, row)
+		}
+		if cells := resolveVersions(mergeSorted(runs...), 1, TimeRange{}); len(cells) > 0 {
+			return cells
+		}
+	}
+	if len(c.clean) == 0 {
+		return nil
+	}
+	n := rowLen(c.clean)
+	row := c.clean[:n]
+	c.clean = c.clean[n:]
+	return row
+}
+
+// rowLen counts the leading cells of a non-empty row-sorted run that
+// share its first row.
+func rowLen(cells []Cell) int {
+	n := 1
+	for n < len(cells) && bytes.Equal(cells[n].Row, cells[0].Row) {
+		n++
+	}
+	return n
 }
 
 // matchWithFullRow evaluates the filter against the full row (all columns),
@@ -664,7 +736,7 @@ func (r *Region) RecoverFromWAL() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.mem.reset()
-	r.gen++
+	r.dropViewLocked()
 	// The live dedup window tracked un-flushed batches that just evaporated
 	// with the MemStore; rebuild it from the flush-time snapshot plus the
 	// batch stamps on the entries replayed below, so it ends up covering
@@ -688,7 +760,6 @@ func (r *Region) RecoverFromWAL() error {
 			// again on the writer's next live batch.
 			r.dedup.mark(e.Writer, e.Batch, 0)
 		}
-		r.gen++
 		r.meter.Inc(metrics.WALEntriesReplayed)
 		return nil
 	})
@@ -727,7 +798,6 @@ func (r *Region) Reopen(newEpoch uint64) *Region {
 		files:   append([]*storeFile(nil), r.files...),
 		log:     r.log,
 		flushed: r.flushed,
-		viewGen: -1,
 		repl:    r.repl,
 		// The successor starts from durable state and replays the WAL tail
 		// (RecoverFromWAL), which rebuilds the live window from this same
@@ -748,7 +818,7 @@ func (r *Region) DropMemStore() {
 	defer r.mu.Unlock()
 	r.mem.reset()
 	r.dedup = r.durableDedup.clone()
-	r.gen++
+	r.dropViewLocked()
 }
 
 // BulkLoad installs pre-sorted cells directly as a store file, bypassing the
@@ -779,7 +849,7 @@ func (r *Region) BulkLoad(cells []Cell) error {
 		return nil
 	}
 	r.files = append(r.files, newStoreFile(append([]Cell(nil), cells...)))
-	r.gen++
+	r.dropViewLocked()
 	r.meter.Inc(metrics.BulkLoads)
 	r.meter.Add(metrics.BulkLoadCells, int64(len(cells)))
 	if len(r.files) >= r.cfg.CompactThresholdFiles {

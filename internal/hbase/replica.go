@@ -92,7 +92,6 @@ func (r *Region) NewReplica(id int) *Region {
 		cfg:        r.cfg,
 		meter:      r.meter,
 		log:        r.log,
-		viewGen:    -1,
 		repl:       r.repl,
 		appliedSeq: r.log.NextSeq() - 1,
 		caughtUpAt: time.Now(),
@@ -175,7 +174,7 @@ func (r *Region) applyPendingLocked(n int) int {
 		if se.e.Writer != "" {
 			r.dedupLocked().mark(se.e.Writer, se.e.Batch, 0)
 		}
-		r.gen++
+		r.markDirtyLocked(se.e.Row)
 		r.appliedSeq = se.e.Seq
 		r.meter.Observe(metrics.HistReplicaLag, time.Since(se.at))
 		applied++
@@ -234,7 +233,7 @@ func (r *Region) Promote(newEpoch uint64) {
 		if e.Writer != "" {
 			r.dedupLocked().mark(e.Writer, e.Batch, 0)
 		}
-		r.gen++
+		r.markDirtyLocked(e.Row)
 		r.appliedSeq = e.Seq
 		r.meter.Inc(metrics.WALEntriesReplayed)
 		return nil

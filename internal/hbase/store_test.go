@@ -17,6 +17,12 @@ func tomb(row, fam, qual string, ts int64) Cell {
 	return Cell{Row: []byte(row), Family: fam, Qualifier: qual, Timestamp: ts, Type: TypeDelete}
 }
 
+// sortCells stably sorts cells in store order, in place.
+func sortCells(cells []Cell) []Cell {
+	sort.SliceStable(cells, func(i, j int) bool { return CompareCells(&cells[i], &cells[j]) < 0 })
+	return cells
+}
+
 func TestCompareCellsOrdering(t *testing.T) {
 	ordered := []Cell{
 		tomb("a", "cf", "q", 5),
@@ -41,7 +47,7 @@ func TestMemStoreSnapshotSorted(t *testing.T) {
 	m.add(cell("b", "cf", "q", 1, "2"))
 	m.add(cell("a", "cf", "q", 1, "1"))
 	m.add(cell("a", "cf", "q", 9, "newer"))
-	snap := m.snapshot()
+	snap := m.sorted(nil, nil)
 	if len(snap) != 3 {
 		t.Fatalf("snapshot len = %d", len(snap))
 	}
@@ -67,14 +73,14 @@ func TestStoreFileCellsInRange(t *testing.T) {
 		cell("e", "cf", "q", 1, "5"),
 	}
 	f := newStoreFile(cells)
-	got := f.cellsInRange(nil, []byte("b"), []byte("e"))
+	got := clipRows(f.cells, []byte("b"), []byte("e"))
 	if len(got) != 1 || string(got[0].Row) != "c" {
 		t.Errorf("range [b,e) = %v", got)
 	}
-	if got := f.cellsInRange(nil, nil, nil); len(got) != 3 {
+	if got := clipRows(f.cells, nil, nil); len(got) != 3 {
 		t.Errorf("unbounded range returned %d cells", len(got))
 	}
-	if got := f.cellsInRange(nil, []byte("f"), nil); len(got) != 0 {
+	if got := clipRows(f.cells, []byte("f"), nil); len(got) != 0 {
 		t.Errorf("range beyond end returned %d cells", len(got))
 	}
 	if f.size == 0 {
@@ -83,7 +89,7 @@ func TestStoreFileCellsInRange(t *testing.T) {
 }
 
 func TestResolveVersionsNewestFirstAndLimit(t *testing.T) {
-	sorted := mergeSorted([]Cell{
+	sorted := sortCells([]Cell{
 		cell("r", "cf", "q", 1, "v1"),
 		cell("r", "cf", "q", 2, "v2"),
 		cell("r", "cf", "q", 3, "v3"),
@@ -98,7 +104,7 @@ func TestResolveVersionsNewestFirstAndLimit(t *testing.T) {
 }
 
 func TestResolveVersionsTombstoneMasks(t *testing.T) {
-	sorted := mergeSorted([]Cell{
+	sorted := sortCells([]Cell{
 		cell("r", "cf", "q", 1, "old"),
 		cell("r", "cf", "q", 5, "mid"),
 		tomb("r", "cf", "q", 5),
@@ -111,7 +117,7 @@ func TestResolveVersionsTombstoneMasks(t *testing.T) {
 }
 
 func TestResolveVersionsTimeRange(t *testing.T) {
-	sorted := mergeSorted([]Cell{
+	sorted := sortCells([]Cell{
 		cell("r", "cf", "q", 10, "a"),
 		cell("r", "cf", "q", 20, "b"),
 		cell("r", "cf", "q", 30, "c"),
@@ -128,7 +134,7 @@ func TestResolveVersionsTimeRange(t *testing.T) {
 }
 
 func TestResolveVersionsMultipleColumns(t *testing.T) {
-	sorted := mergeSorted([]Cell{
+	sorted := sortCells([]Cell{
 		cell("r", "cf", "a", 1, "va"),
 		cell("r", "cf", "b", 1, "vb"),
 		tomb("r", "cf", "b", 2),
@@ -144,8 +150,8 @@ func TestResolveVersionsMultipleColumns(t *testing.T) {
 }
 
 func TestCompactDropsTombstonesAndTrims(t *testing.T) {
-	run1 := mergeSorted([]Cell{cell("r", "cf", "q", 1, "v1"), cell("r", "cf", "q", 2, "v2")})
-	run2 := mergeSorted([]Cell{tomb("r", "cf", "q", 1), cell("r", "cf", "q", 3, "v3")})
+	run1 := sortCells([]Cell{cell("r", "cf", "q", 1, "v1"), cell("r", "cf", "q", 2, "v2")})
+	run2 := sortCells([]Cell{tomb("r", "cf", "q", 1), cell("r", "cf", "q", 3, "v3")})
 	out := compact(1, run1, run2)
 	if len(out) != 1 || string(out[0].Value) != "v3" {
 		t.Errorf("compact = %v", out)
@@ -176,7 +182,7 @@ func TestResolveVersionsProperty(t *testing.T) {
 			}
 		}
 		mv := int(maxV%5) + 1
-		sorted := mergeSorted(cells)
+		sorted := sortCells(cells)
 		got := resolveVersions(sorted, mv, TimeRange{})
 		if !sort.SliceIsSorted(got, func(i, j int) bool { return CompareCells(&got[i], &got[j]) < 0 }) {
 			return false
@@ -297,5 +303,37 @@ func TestMergeSortedStability(t *testing.T) {
 	got := mergeSorted(b, a)
 	if !bytes.Equal(got[0].Row, []byte("a")) {
 		t.Error("mergeSorted must sort across runs")
+	}
+}
+
+// TestMergeSortedMatchesStableSort checks the k-way merge against the
+// concatenate-and-stable-sort it replaced, on random sorted runs full of
+// cells at equal coordinates (told apart by value, so run order shows).
+func TestMergeSortedMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for iter := 0; iter < 300; iter++ {
+		runs := make([][]Cell, rng.Intn(7))
+		var concat []Cell
+		for k := range runs {
+			for i := rng.Intn(30); i > 0; i-- {
+				c := cell(fmt.Sprintf("r%d", rng.Intn(4)), "cf", fmt.Sprintf("q%d", rng.Intn(2)), int64(rng.Intn(3)), fmt.Sprintf("run%d-%d", k, i))
+				if rng.Intn(4) == 0 {
+					c.Type = TypeDelete
+				}
+				runs[k] = append(runs[k], c)
+			}
+			sortCells(runs[k])
+			concat = append(concat, runs[k]...)
+		}
+		want := sortCells(concat)
+		got := mergeSorted(runs...)
+		if len(got) != len(want) {
+			t.Fatalf("iter %d: merged %d cells, want %d", iter, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].String() != want[i].String() {
+				t.Fatalf("iter %d: cell %d = %s, stable sort gives %s", iter, i, got[i].String(), want[i].String())
+			}
+		}
 	}
 }
