@@ -1,0 +1,106 @@
+package exec
+
+import (
+	"math/rand"
+	"testing"
+
+	"github.com/shc-go/shc/internal/plan"
+)
+
+// q39Inputs builds one month of q39's inputs: inventory(date, item, wh, qty)
+// rows over 30 dates × 200 items × 5 warehouses, and the item dimension.
+// Every key column is int32, as the TPC-DS generator writes them.
+func q39Inputs(invRows int) (inv, item *rowsExec) {
+	rng := rand.New(rand.NewSource(1))
+	inv = &rowsExec{schema: plan.Schema{
+		{Name: "inv_date_sk", Type: plan.TypeInt32},
+		{Name: "inv_item_sk", Type: plan.TypeInt32},
+		{Name: "inv_warehouse_sk", Type: plan.TypeInt32},
+		{Name: "inv_quantity_on_hand", Type: plan.TypeInt32},
+	}}
+	for i := 0; i < invRows; i++ {
+		inv.rows = append(inv.rows, plan.Row{
+			int32(rng.Intn(30) + 1), int32(rng.Intn(200) + 1), int32(rng.Intn(5) + 1), int32(rng.Intn(500)),
+		})
+	}
+	item = &rowsExec{schema: plan.Schema{
+		{Name: "i_item_sk", Type: plan.TypeInt32},
+		{Name: "i_item_id", Type: plan.TypeString},
+	}}
+	for i := 1; i <= 200; i++ {
+		item.rows = append(item.rows, plan.Row{int32(i), "AAAAAAAA" + string(rune('A'+i%26))})
+	}
+	return inv, item
+}
+
+var benchRows []plan.Row
+
+// BenchmarkHashJoin times q39's inventory ⋈ item join on an int32 key,
+// shuffled (both sides exchange) and broadcast (item is built once).
+func BenchmarkHashJoin(b *testing.B) {
+	inv, item := q39Inputs(4000)
+	for _, mode := range []struct {
+		name      string
+		broadcast int
+	}{{"shuffle", 0}, {"broadcast", len(item.rows)}} {
+		b.Run(mode.name, func(b *testing.B) {
+			ctx, _ := testCtx()
+			ctx.BroadcastThreshold = mode.broadcast
+			j := &HashJoinExec{
+				Left: inv, Right: item,
+				LeftKeys:  resolved(b, inv.schema, "inv_item_sk"),
+				RightKeys: resolved(b, item.schema, "i_item_sk"),
+				Type:      plan.InnerJoin,
+				OutSchema: append(append(plan.Schema{}, inv.schema...), item.schema...),
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rows, err := j.Execute(ctx)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchRows = rows
+			}
+		})
+	}
+}
+
+// BenchmarkHashAgg times q39's inner aggregate: GROUP BY warehouse, item
+// with avg and stddev_samp of the quantity (1,000 groups over 4,000 rows).
+func BenchmarkHashAgg(b *testing.B) {
+	inv, _ := q39Inputs(4000)
+	groups := resolved(b, inv.schema, "inv_warehouse_sk", "inv_item_sk")
+	qty := resolved(b, inv.schema, "inv_quantity_on_hand")[0]
+	a := &HashAggExec{
+		GroupBy: []plan.NamedExpr{{Expr: groups[0], Name: "w"}, {Expr: groups[1], Name: "i"}},
+		Aggs: []plan.AggExpr{
+			{Kind: plan.AggAvg, Arg: qty, Name: "qmean"},
+			{Kind: plan.AggStddevSamp, Arg: qty, Name: "qstd"},
+		},
+		Child: inv,
+	}
+	ctx, _ := testCtx()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rows, err := a.Execute(ctx)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchRows = rows
+	}
+}
+
+// BenchmarkExchange times hash-partitioning 4,000 inventory rows by their
+// (warehouse, item) int32 key into 4 buckets.
+func BenchmarkExchange(b *testing.B) {
+	inv, _ := q39Inputs(4000)
+	ctx, _ := testCtx()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buckets := exchange(ctx, inv.rows, []int{2, 1}, 4)
+		benchRows = buckets[0]
+	}
+}

@@ -3,9 +3,9 @@ package exec
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 
 	"github.com/shc-go/shc/internal/datasource"
@@ -120,14 +120,7 @@ func (s *ScanExec) Execute(ctx *Context) ([]plan.Row, error) {
 			},
 		}
 	}
-	if err := ctx.Scheduler.RunContext(ctx.ctx(), tasks); err != nil {
-		return nil, err
-	}
-	var out []plan.Row
-	for _, rs := range results {
-		out = append(out, rs...)
-	}
-	return out, nil
+	return runAll(ctx, tasks, results)
 }
 
 // FilterExec keeps rows matching a resolved predicate.
@@ -207,16 +200,55 @@ func (p *ProjectExec) Execute(ctx *Context) ([]plan.Row, error) {
 	return out, nil
 }
 
-// keyString renders a key tuple unambiguously: each value is rendered and
-// length-prefixed, so no choice of in-value bytes can make two different
-// tuples collide.
-func keyString(r plan.Row, idx []int) string {
-	var b strings.Builder
+// appendKey appends the key tuple r[idx...] to dst: per column, the byte
+// length of the value's %v rendering, a comma, the rendering, a semicolon.
+// The length prefix keeps composite keys apart whatever bytes the values
+// hold; values of different types with the same rendering (int32 7 and
+// int64 7) get the same key, which is what lets join keys of different
+// integer widths match.
+func appendKey(dst []byte, r plan.Row, idx []int) []byte {
+	var scratch [32]byte
 	for _, i := range idx {
-		v := fmt.Sprintf("%v", r[i])
-		fmt.Fprintf(&b, "%d,%s;", len(v), v)
+		var v []byte
+		switch x := r[i].(type) {
+		case string:
+			dst = append(strconv.AppendInt(dst, int64(len(x)), 10), ',')
+			dst = append(append(dst, x...), ';')
+			continue
+		case int64:
+			v = strconv.AppendInt(scratch[:0], x, 10)
+		case int32:
+			v = strconv.AppendInt(scratch[:0], int64(x), 10)
+		case int:
+			v = strconv.AppendInt(scratch[:0], int64(x), 10)
+		case int16:
+			v = strconv.AppendInt(scratch[:0], int64(x), 10)
+		case int8:
+			v = strconv.AppendInt(scratch[:0], int64(x), 10)
+		case bool:
+			v = strconv.AppendBool(scratch[:0], x)
+		case float64:
+			v = strconv.AppendFloat(scratch[:0], x, 'g', -1, 64)
+		case float32:
+			v = strconv.AppendFloat(scratch[:0], float64(x), 'g', -1, 32)
+		default:
+			v = []byte(fmt.Sprintf("%v", x))
+		}
+		dst = append(strconv.AppendInt(dst, int64(len(v)), 10), ',')
+		dst = append(append(dst, v...), ';')
 	}
-	return b.String()
+	return dst
+}
+
+// fnv64a is FNV-1a over b, equal to hash/fnv's New64a without a hasher
+// per call.
+func fnv64a(b []byte) uint64 {
+	h := uint64(14695981039346656037)
+	for _, c := range b {
+		h ^= uint64(c)
+		h *= 1099511628211
+	}
+	return h
 }
 
 // exchange hash-partitions rows by key into n buckets, metering every
@@ -224,10 +256,10 @@ func keyString(r plan.Row, idx []int) string {
 func exchange(ctx *Context, rows []plan.Row, keyIdx []int, n int) [][]plan.Row {
 	buckets := make([][]plan.Row, n)
 	var bytes int64
+	var key []byte
 	for _, r := range rows {
-		h := fnv.New64a()
-		h.Write([]byte(keyString(r, keyIdx)))
-		b := int(h.Sum64() % uint64(n))
+		key = appendKey(key[:0], r, keyIdx)
+		b := int(fnv64a(key) % uint64(n))
 		buckets[b] = append(buckets[b], r)
 		bytes += int64(plan.RowSize(r))
 	}
@@ -308,7 +340,6 @@ func (j *HashJoinExec) joinMaterialized(ctx *Context, left, right []plan.Row, lK
 	lb := exchange(ctx, left, lKey, n)
 	rb := exchange(ctx, right, rKey, n)
 
-	rightWidth := len(j.Right.Schema())
 	results := make([][]plan.Row, n)
 	tasks := make([]Task, 0, n)
 	for b := 0; b < n; b++ {
@@ -316,43 +347,36 @@ func (j *HashJoinExec) joinMaterialized(ctx *Context, left, right []plan.Row, lK
 		tasks = append(tasks, Task{Run: func(_ context.Context) error {
 			// Build on the right so left-outer can track unmatched left
 			// rows while streaming the (usually larger) left side.
-			build := make(map[string][]plan.Row)
-			for _, r := range rb[b] {
-				if hasNilKey(r, rKey) {
-					continue // SQL: NULL keys never match
-				}
-				build[joinKey(r, rKey)] = append(build[joinKey(r, rKey)], r)
-			}
-			var out []plan.Row
-			for _, l := range lb[b] {
-				var matches []plan.Row
-				if !hasNilKey(l, lKey) {
-					matches = build[joinKey(l, lKey)]
-				}
-				if len(matches) == 0 {
-					if j.Type == plan.LeftOuterJoin {
-						joined := make(plan.Row, len(l)+rightWidth)
-						copy(joined, l)
-						out = append(out, joined)
-					}
-					continue
-				}
-				for _, r := range matches {
-					joined := make(plan.Row, 0, len(l)+len(r))
-					if j.swapped {
-						joined = append(joined, r...)
-						joined = append(joined, l...)
-					} else {
-						joined = append(joined, l...)
-						joined = append(joined, r...)
-					}
-					out = append(out, joined)
-				}
-			}
-			results[b] = out
+			results[b] = j.probe(buildTable(rb[b], rKey), lb[b], lKey)
 			return nil
 		}})
 	}
+	return runAll(ctx, tasks, results)
+}
+
+// broadcast joins against a globally built hash of the right side, probing
+// left partitions in parallel without any exchange.
+func (j *HashJoinExec) broadcast(ctx *Context, left, right []plan.Row, lKey, rKey []int) ([]plan.Row, error) {
+	build := buildTable(right, rKey)
+	n := ctx.shufflePartitions()
+	chunk := max((len(left)+n-1)/n, 1)
+	results := make([][]plan.Row, 0, n)
+	var tasks []Task
+	for lo := 0; lo < len(left); lo += chunk {
+		idx := len(results)
+		results = append(results, nil)
+		part := left[lo:min(lo+chunk, len(left))]
+		tasks = append(tasks, Task{Run: func(_ context.Context) error {
+			results[idx] = j.probe(build, part, lKey)
+			return nil
+		}})
+	}
+	return runAll(ctx, tasks, results)
+}
+
+// runAll runs tasks on the scheduler and concatenates their results in
+// task order.
+func runAll(ctx *Context, tasks []Task, results [][]plan.Row) ([]plan.Row, error) {
 	if err := ctx.Scheduler.RunContext(ctx.ctx(), tasks); err != nil {
 		return nil, err
 	}
@@ -363,66 +387,68 @@ func (j *HashJoinExec) joinMaterialized(ctx *Context, left, right []plan.Row, lK
 	return out, nil
 }
 
-// broadcast joins against a globally built hash of the right side, probing
-// left partitions in parallel without any exchange.
-func (j *HashJoinExec) broadcast(ctx *Context, left, right []plan.Row, lKey, rKey []int) ([]plan.Row, error) {
-	build := make(map[string][]plan.Row, len(right))
-	for _, r := range right {
-		if hasNilKey(r, rKey) {
+// joinTable is a hash join's build side: rows grouped by key in build
+// order. Rows with a NULL key are left out — SQL NULL keys never match.
+type joinTable struct {
+	group map[string]int // key → index into rows
+	rows  [][]plan.Row
+}
+
+// buildTable renders each build row's key once into a reused buffer; a key
+// string is allocated only for a key not seen before.
+func buildTable(rows []plan.Row, idx []int) *joinTable {
+	t := &joinTable{group: make(map[string]int, len(rows))}
+	var key []byte
+	for _, r := range rows {
+		if hasNilKey(r, idx) {
 			continue
 		}
-		build[joinKey(r, rKey)] = append(build[joinKey(r, rKey)], r)
-	}
-	rightWidth := len(j.Right.Schema())
-	n := ctx.shufflePartitions()
-	chunk := (len(left) + n - 1) / n
-	if chunk == 0 {
-		chunk = 1
-	}
-	results := make([][]plan.Row, 0, n)
-	var tasks []Task
-	for lo := 0; lo < len(left); lo += chunk {
-		hi := lo + chunk
-		if hi > len(left) {
-			hi = len(left)
+		key = appendKey(key[:0], r, idx)
+		if g, ok := t.group[string(key)]; ok {
+			t.rows[g] = append(t.rows[g], r)
+			continue
 		}
-		idx := len(results)
-		results = append(results, nil)
-		part := left[lo:hi]
-		tasks = append(tasks, Task{Run: func(_ context.Context) error {
-			var out []plan.Row
-			for _, l := range part {
-				var matches []plan.Row
-				if !hasNilKey(l, lKey) {
-					matches = build[joinKey(l, lKey)]
-				}
-				if len(matches) == 0 {
-					if j.Type == plan.LeftOuterJoin {
-						joined := make(plan.Row, len(l)+rightWidth)
-						copy(joined, l)
-						out = append(out, joined)
-					}
-					continue
-				}
-				for _, r := range matches {
-					joined := make(plan.Row, 0, len(l)+len(r))
-					joined = append(joined, l...)
-					joined = append(joined, r...)
-					out = append(out, joined)
-				}
-			}
-			results[idx] = out
-			return nil
-		}})
+		t.group[string(key)] = len(t.rows)
+		t.rows = append(t.rows, []plan.Row{r})
 	}
-	if err := ctx.Scheduler.RunContext(ctx.ctx(), tasks); err != nil {
-		return nil, err
-	}
+	return t
+}
+
+// probe joins each probe row against t, NULL-extending unmatched rows for
+// a left-outer join. It only reads t, so tasks may share one table.
+func (j *HashJoinExec) probe(t *joinTable, part []plan.Row, lKey []int) []plan.Row {
+	rightWidth := len(j.Right.Schema())
 	var out []plan.Row
-	for _, rs := range results {
-		out = append(out, rs...)
+	var key []byte
+	for _, l := range part {
+		var matches []plan.Row
+		if !hasNilKey(l, lKey) {
+			key = appendKey(key[:0], l, lKey)
+			if g, ok := t.group[string(key)]; ok {
+				matches = t.rows[g]
+			}
+		}
+		if len(matches) == 0 {
+			if j.Type == plan.LeftOuterJoin {
+				joined := make(plan.Row, len(l)+rightWidth)
+				copy(joined, l)
+				out = append(out, joined)
+			}
+			continue
+		}
+		for _, r := range matches {
+			joined := make(plan.Row, 0, len(l)+len(r))
+			if j.swapped {
+				joined = append(joined, r...)
+				joined = append(joined, l...)
+			} else {
+				joined = append(joined, l...)
+				joined = append(joined, r...)
+			}
+			out = append(out, joined)
+		}
 	}
-	return out, nil
+	return out
 }
 
 func keyIndexes(keys []plan.Expr) []int {
@@ -445,8 +471,6 @@ func hasNilKey(r plan.Row, idx []int) bool {
 	}
 	return false
 }
-
-func joinKey(r plan.Row, idx []int) string { return keyString(r, idx) }
 
 // SortExec orders rows by the resolved sort keys.
 type SortExec struct {
@@ -608,7 +632,10 @@ func (s *aggState) update(kind plan.AggKind, v any) error {
 		if s.distinct == nil {
 			s.distinct = make(map[string]bool)
 		}
-		s.distinct[fmt.Sprintf("%v", v)] = true
+		var scratch [48]byte
+		if key := appendKey(scratch[:0], plan.Row{v}, []int{0}); !s.distinct[string(key)] {
+			s.distinct[string(key)] = true
+		}
 	case plan.AggSum, plan.AggAvg:
 		f, ok := plan.ToFloat(v)
 		if !ok {
@@ -726,17 +753,32 @@ func (a *HashAggExec) Execute(ctx *Context) ([]plan.Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Phase 1: local partial aggregation.
+	// Phase 1: local partial aggregation. Group values are evaluated into
+	// one reused row and keyed through one reused buffer; only a new group
+	// copies them. A new group's state joins its shuffle bucket when first
+	// seen, so buckets hold groups in first-seen input order and the output
+	// order never depends on map iteration.
+	n := ctx.shufflePartitions()
+	buckets := make([][]*accumulator, n)
 	partials := make(map[string]*accumulator)
+	var shuffleBytes int64
+	vals := make(plan.Row, len(a.GroupBy))
+	var key []byte
 	for _, r := range rows {
-		key, groupVals, err := a.groupOf(r)
-		if err != nil {
-			return nil, err
+		key = key[:0]
+		for i, g := range a.GroupBy {
+			if vals[i], err = g.Expr.Eval(r); err != nil {
+				return nil, err
+			}
+			key = appendKey(key, vals, []int{i})
 		}
-		acc, ok := partials[key]
+		acc, ok := partials[string(key)]
 		if !ok {
-			acc = &accumulator{groupVals: groupVals, states: make([]aggState, len(a.Aggs))}
-			partials[key] = acc
+			acc = &accumulator{groupVals: append([]any(nil), vals...), states: make([]aggState, len(a.Aggs))}
+			partials[string(key)] = acc
+			b := fnv64a(key) % uint64(n)
+			buckets[b] = append(buckets[b], acc)
+			shuffleBytes += int64(acc.stateSize())
 		}
 		for i, agg := range a.Aggs {
 			var v any = int64(1) // COUNT(*) counts rows
@@ -756,20 +798,7 @@ func (a *HashAggExec) Execute(ctx *Context) ([]plan.Row, error) {
 			}
 		}
 	}
-	// Phase 2: exchange partial states by group key (metered shuffle).
-	n := ctx.shufflePartitions()
-	buckets := make([]map[string]*accumulator, n)
-	for i := range buckets {
-		buckets[i] = make(map[string]*accumulator)
-	}
-	var shuffleBytes int64
-	for key, acc := range partials {
-		h := fnv.New64a()
-		h.Write([]byte(key))
-		b := int(h.Sum64() % uint64(n))
-		buckets[b][key] = acc
-		shuffleBytes += int64(acc.stateSize())
-	}
+	// Phase 2: the partial states cross the exchange (metered shuffle).
 	m := ctx.meter()
 	m.Add(metrics.ShuffleBytes, shuffleBytes)
 	m.Add(metrics.ShuffleRecords, int64(len(partials)))
@@ -792,12 +821,9 @@ func (a *HashAggExec) Execute(ctx *Context) ([]plan.Row, error) {
 			return nil
 		}})
 	}
-	if err := ctx.Scheduler.RunContext(ctx.ctx(), tasks); err != nil {
+	out, err := runAll(ctx, tasks, results)
+	if err != nil {
 		return nil, err
-	}
-	var out []plan.Row
-	for _, rs := range results {
-		out = append(out, rs...)
 	}
 	// Global aggregates over an empty input still produce one row.
 	if len(a.GroupBy) == 0 && len(out) == 0 {
@@ -809,22 +835,6 @@ func (a *HashAggExec) Execute(ctx *Context) ([]plan.Row, error) {
 		out = append(out, row)
 	}
 	return out, nil
-}
-
-func (a *HashAggExec) groupOf(r plan.Row) (string, []any, error) {
-	vals := make([]any, len(a.GroupBy))
-	for i, g := range a.GroupBy {
-		v, err := g.Expr.Eval(r)
-		if err != nil {
-			return "", nil, err
-		}
-		vals[i] = v
-	}
-	idx := make([]int, len(vals))
-	for i := range idx {
-		idx[i] = i
-	}
-	return keyString(vals, idx), vals, nil
 }
 
 // Explain renders the whole physical tree.

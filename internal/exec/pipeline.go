@@ -158,12 +158,9 @@ func (p *PipelineExec) Execute(ctx *Context) ([]plan.Row, error) {
 			},
 		}
 	}
-	if err := ctx.Scheduler.RunContext(ctx.ctx(), tasks); err != nil {
+	out, err := runAll(ctx, tasks, results)
+	if err != nil {
 		return nil, err
-	}
-	var out []plan.Row
-	for _, rs := range results {
-		out = append(out, rs...)
 	}
 	if p.Limit > 0 && len(out) > p.Limit {
 		out = out[:p.Limit]

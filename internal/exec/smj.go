@@ -68,14 +68,7 @@ func (j *SortMergeJoinExec) Execute(ctx *Context) ([]plan.Row, error) {
 			return nil
 		}})
 	}
-	if err := ctx.Scheduler.RunContext(ctx.ctx(), tasks); err != nil {
-		return nil, err
-	}
-	var out []plan.Row
-	for _, rs := range results {
-		out = append(out, rs...)
-	}
-	return out, nil
+	return runAll(ctx, tasks, results)
 }
 
 // compareKeys orders two rows by their key tuples; NULL sorts first.

@@ -174,3 +174,28 @@ func TestFacadeTracingAndExplainAnalyze(t *testing.T) {
 		}
 	}
 }
+
+// TestGroupByOutputOrderIsDeterministic runs one GROUP BY 30 times in one
+// process and requires a single row order: the aggregate's groups follow
+// first-seen input order, never Go map iteration order.
+func TestGroupByOutputOrderIsDeterministic(t *testing.T) {
+	_, sess, _ := bootFacade(t)
+	orders := map[string]int{}
+	for i := 0; i < 30; i++ {
+		df, err := sess.SQL("SELECT age, count(*) AS n FROM people GROUP BY age")
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := df.Collect()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != 30 {
+			t.Fatalf("groups = %d, want 30", len(rows))
+		}
+		orders[fmt.Sprint(rows)]++
+	}
+	if len(orders) != 1 {
+		t.Errorf("30 runs returned %d distinct row orders, want 1", len(orders))
+	}
+}
