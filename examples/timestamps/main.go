@@ -71,9 +71,9 @@ func main() {
 			log.Fatal(err)
 		}
 		sess, err := shc.NewSession(shc.SessionConfig{Hosts: cluster.Hosts(), Meter: cluster.Meter})
-	if err != nil {
-		log.Fatal(err)
-	}
+		if err != nil {
+			log.Fatal(err)
+		}
 		sess.Register(rel)
 		df, err := sess.SQL("SELECT id, temp, status FROM sensors WHERE id <= 'sensor-2' ORDER BY id")
 		if err != nil {

@@ -16,7 +16,7 @@ import (
 
 // VectorRow is one measurement of the vectorized-vs-row comparison.
 type VectorRow struct {
-	Section    string  // "kernel" (exec layer, columnar source) or "e2e" (full rig)
+	Section    string // "kernel" (exec layer, columnar source) or "e2e" (full rig)
 	Query      string
 	Mode       string  // "vectorized" or "row"
 	Rows       int64   // input rows processed per run

@@ -37,9 +37,9 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 
 // breaker states.
 const (
-	breakerClosed = iota // normal operation, failures counted
-	breakerOpen          // rejecting calls until Cooldown elapses
-	breakerHalfOpen      // one probe in flight; its outcome decides
+	breakerClosed   = iota // normal operation, failures counted
+	breakerOpen            // rejecting calls until Cooldown elapses
+	breakerHalfOpen        // one probe in flight; its outcome decides
 )
 
 type hostBreaker struct {

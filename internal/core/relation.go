@@ -626,8 +626,12 @@ type fusedPager struct {
 	cursor   hbase.FusedCursor
 	batch    int
 	columnar bool // request column-major pages (vectorized decode path)
-	retry    hbase.RetryBudget
-	done     bool
+	// aggs, when set, makes every run a partial aggregate; state is the
+	// running partials, sent with each run and replaced by its answer.
+	aggs  []hbase.AggSpec
+	state []hbase.AggPartial
+	retry hbase.RetryBudget
+	done  bool
 }
 
 func newFusedPager(p *hbasePartition, ops []hbase.ScanOp, batch int) *fusedPager {
@@ -654,6 +658,7 @@ func (g *fusedPager) next(ctx context.Context) (*hbase.ScanResponse, error) {
 	for !g.done {
 		resp, err := g.p.rel.client.FusedExecPage(ctx, g.host, &hbase.FusedRequest{
 			Ops: g.ops[:g.prefix], BatchLimit: g.batch, Cursor: g.cursor, Columnar: g.columnar,
+			Aggs: g.aggs, State: g.state,
 		})
 		if err != nil {
 			// A shed request keeps the op layout: the budget skips the regroup
@@ -672,6 +677,12 @@ func (g *fusedPager) next(ctx context.Context) (*hbase.ScanResponse, error) {
 			continue
 		}
 		g.retry.Progressed()
+		if g.aggs != nil {
+			if len(resp.Aggs) != len(g.aggs) {
+				return nil, g.wrapErr(fmt.Errorf("%d aggregate partials for %d specs", len(resp.Aggs), len(g.aggs)))
+			}
+			g.state = resp.Aggs
+		}
 		if resp.More {
 			g.cursor = resp.Next
 			return resp, nil

@@ -281,6 +281,37 @@ func StreamPartitionVectors(ctx context.Context, p Partition, schema plan.Schema
 	})
 }
 
+// Aggregate is one aggregate a source may fold for the engine.
+type Aggregate struct {
+	// Kind is plan.AggCount, AggSum, AggAvg, AggMin or AggMax.
+	Kind plan.AggKind
+	// Column is the input's position in the scan's projected columns; -1
+	// for COUNT(*).
+	Column int
+}
+
+// AggregatePartial is one aggregate's partial state over a partition.
+// Count counts rows (COUNT(*)), non-NULL values (COUNT, SUM, AVG); Sum is
+// the float64 sum of SUM/AVG inputs added in partition row order. Has
+// reports that MIN/MAX saw a value: Float is that extreme as float64, the
+// comparison key, and Int the exact integer behind it for integer columns.
+type AggregatePartial struct {
+	Count int64
+	Sum   float64
+	Has   bool
+	Float float64
+	Int   int64
+}
+
+// AggregateScan is an optional Partition capability: fold the partition's
+// rows — every predicate already evaluated at the source — into partial
+// aggregates where the data lives, so only the partials travel. Partials
+// come back in aggs order. ok=false means the source declines these
+// aggregates without having read anything; the caller then scans rows.
+type AggregateScan interface {
+	ComputeAggregates(ctx context.Context, aggs []Aggregate) (partials []AggregatePartial, ok bool, err error)
+}
+
 // Relation is a table provided by an external source.
 type Relation interface {
 	// Name identifies the relation for plans and error messages.

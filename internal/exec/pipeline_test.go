@@ -13,6 +13,12 @@ import (
 func runWith(t *testing.T, lp plan.LogicalPlan, cfg CompileConfig) ([]plan.Row, *metrics.Registry) {
 	t.Helper()
 	ctx, m := testCtx()
+	return runIn(t, ctx, lp, cfg), m
+}
+
+// runIn is runWith on a caller-built context.
+func runIn(t *testing.T, ctx *Context, lp plan.LogicalPlan, cfg CompileConfig) []plan.Row {
+	t.Helper()
 	opt := plan.Optimize(lp)
 	phys, err := CompileWith(opt, cfg)
 	if err != nil {
@@ -22,7 +28,7 @@ func runWith(t *testing.T, lp plan.LogicalPlan, cfg CompileConfig) ([]plan.Row, 
 	if err != nil {
 		t.Fatalf("execute: %v\n%s", err, Explain(phys))
 	}
-	return rows, m
+	return rows
 }
 
 func rowsEqual(t *testing.T, name string, got, want []plan.Row) {
@@ -201,7 +207,11 @@ func TestPipelineLimitShortCircuit(t *testing.T) {
 
 // TestPipelinePeakMemoryBelowMaterialized compares the same selective scan
 // through both paths: releasing batches after processing must cap the
-// streamed high-water mark below the materialized one.
+// streamed high-water mark below the materialized one. Both run on one
+// executor slot, so partitions run one at a time and the streamed peak is
+// one batch plus the rows kept so far, whatever the scheduler does; with
+// more slots it depends on how many partitions' batches happen to be held
+// at once.
 func TestPipelinePeakMemoryBelowMaterialized(t *testing.T) {
 	users := usersMem(t, 4000)
 	lp := func() plan.LogicalPlan {
@@ -213,8 +223,14 @@ func TestPipelinePeakMemoryBelowMaterialized(t *testing.T) {
 			},
 		}
 	}
-	_, sm := runWith(t, lp(), CompileConfig{})
-	_, mm := runWith(t, lp(), CompileConfig{DisablePipelining: true})
+	oneSlot := func() (*Context, *metrics.Registry) {
+		m := metrics.NewRegistry()
+		return &Context{Scheduler: NewScheduler([]string{"h1"}, 1, m), Meter: m, ShufflePartitions: 4}, m
+	}
+	sctx, sm := oneSlot()
+	runIn(t, sctx, lp(), CompileConfig{})
+	mctx, mm := oneSlot()
+	runIn(t, mctx, lp(), CompileConfig{DisablePipelining: true})
 	speak, mpeak := sm.Get(metrics.MemoryPeak), mm.Get(metrics.MemoryPeak)
 	if speak == 0 || mpeak == 0 {
 		t.Fatalf("peaks not tracked: streamed=%d materialized=%d", speak, mpeak)

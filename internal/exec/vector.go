@@ -179,7 +179,26 @@ func (a *AggPipelineExec) Explain() string {
 	if a.Pipe.Cond != nil {
 		s += " filter=" + a.Pipe.Cond.String()
 	}
+	if a.pushable() {
+		s += " pushed=region"
+	}
 	return s
+}
+
+// pushable reports whether the aggregates are offered to the source: no
+// residual predicate is left for the engine, and every partition can fold
+// aggregates where the data lives. A source may still decline an
+// aggregate it cannot fold exactly; that partition then streams rows.
+func (a *AggPipelineExec) pushable() bool {
+	if a.Pipe.Cond != nil || len(a.Pipe.Scan.Partitions) == 0 {
+		return false
+	}
+	for _, p := range a.Pipe.Scan.Partitions {
+		if _, ok := p.(datasource.AggregateScan); !ok {
+			return false
+		}
+	}
+	return true
 }
 
 // fuseAgg turns a global HashAggExec over a fusable chain into an
@@ -261,13 +280,7 @@ func (a *AggPipelineExec) Execute(ctx *Context) ([]plan.Row, error) {
 		tasks[i] = Task{
 			PreferredHost: part.PreferredHost(),
 			Run: func(tctx context.Context) error {
-				var st []aggState
-				var err error
-				if vs, ok := part.(datasource.VectorScan); ok && a.Pipe.Vectorize && vecOK {
-					st, err = a.runPartitionVector(tctx, ctx, vs, filter, eager)
-				} else {
-					st, err = a.runPartitionRows(tctx, ctx, part)
-				}
+				st, err := a.runPartition(tctx, ctx, part, filter, eager, vecOK)
 				if err != nil {
 					return err
 				}
@@ -340,6 +353,53 @@ func (a *AggPipelineExec) runPartitionVector(tctx context.Context, ctx *Context,
 		states[k] = aggs[k].fold()
 	}
 	return states, nil
+}
+
+// runPartition folds one partition: at the source when it can, else over
+// column batches, else row-at-a-time.
+func (a *AggPipelineExec) runPartition(tctx context.Context, ctx *Context, part datasource.Partition, filter *plan.CompiledFilter, eager []int, vecOK bool) ([]aggState, error) {
+	if as, ok := part.(datasource.AggregateScan); ok && a.Pipe.Cond == nil {
+		if st, pushed, err := a.runPartitionPushed(tctx, as); pushed || err != nil {
+			return st, err
+		}
+	}
+	if vs, ok := part.(datasource.VectorScan); ok && a.Pipe.Vectorize && vecOK {
+		return a.runPartitionVector(tctx, ctx, vs, filter, eager)
+	}
+	return a.runPartitionRows(tctx, ctx, part)
+}
+
+// runPartitionPushed has the source fold the partition's rows into partial
+// aggregates where the data lives (no residual predicate remains). The
+// partials become the same states the vector fold would have produced:
+// extremes box through boxBest, so answers are byte-identical. ok=false
+// means the source declined.
+func (a *AggPipelineExec) runPartitionPushed(tctx context.Context, as datasource.AggregateScan) ([]aggState, bool, error) {
+	aggs := make([]datasource.Aggregate, len(a.Aggs))
+	for k, agg := range a.Aggs {
+		aggs[k] = datasource.Aggregate{Kind: agg.Kind, Column: -1}
+		if a.args[k] != nil {
+			aggs[k].Column = a.args[k].Index()
+		}
+	}
+	partials, ok, err := as.ComputeAggregates(tctx, aggs)
+	if !ok || err != nil {
+		return nil, ok, err
+	}
+	states := make([]aggState, len(a.Aggs))
+	for k, p := range partials {
+		states[k] = aggState{count: p.Count, sum: p.Sum}
+		if !p.Has {
+			continue
+		}
+		best := boxBest(a.args[k].Type(), p.Int, p.Float, "")
+		if a.Aggs[k].Kind == plan.AggMin {
+			states[k].min = best
+		} else {
+			states[k].max = best
+		}
+	}
+	return states, true, nil
 }
 
 // runPartitionRows is the row fallback for partitions without VectorScan:

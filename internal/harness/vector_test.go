@@ -10,8 +10,9 @@ import (
 )
 
 // vectorQueries exercises the shapes the columnar path accelerates: a fused
-// global aggregation, a residual filter with projection, and a query that
-// falls back to row-at-a-time output ordering via LIMIT.
+// global aggregation (folded on the region servers), a residual filter with
+// projection, and a query that falls back to row-at-a-time output ordering
+// via LIMIT.
 var vectorQueries = []string{
 	`SELECT count(1), sum(ss_quantity), min(ss_item_sk), max(ss_item_sk) FROM store_sales`,
 	`SELECT ss_item_sk, ss_quantity FROM store_sales WHERE ss_quantity > 10`,
@@ -21,7 +22,9 @@ var vectorQueries = []string{
 // TestVectorizedMatchesRowPathEndToEnd runs the same queries through two
 // identically-seeded rigs — one vectorized, one forced onto the row path —
 // and requires byte-identical results, proving the ablation switch toggles
-// only the execution model, never the answer.
+// only the execution model, never the answer. The global aggregation has no
+// residual predicate, so the vectorized rig pushes it into the fused region
+// op: no row page moves at all, only partials.
 func TestVectorizedMatchesRowPathEndToEnd(t *testing.T) {
 	vecRig, err := NewRig(Config{System: SHC, Scale: 1, Servers: 3})
 	if err != nil {
@@ -34,7 +37,7 @@ func TestVectorizedMatchesRowPathEndToEnd(t *testing.T) {
 	}
 	defer rowRig.Close()
 
-	for _, q := range vectorQueries {
+	for i, q := range vectorQueries {
 		vec, err := vecRig.Run(q)
 		if err != nil {
 			t.Fatalf("vectorized %q: %v", q, err)
@@ -49,7 +52,14 @@ func TestVectorizedMatchesRowPathEndToEnd(t *testing.T) {
 		if !reflect.DeepEqual(vec.Rows, row.Rows) {
 			t.Fatalf("%q: vectorized and row results differ (%d vs %d rows)", q, len(vec.Rows), len(row.Rows))
 		}
-		if vec.Delta[metrics.ColumnarPages] == 0 {
+		if i == 0 {
+			if n := vec.Delta[metrics.FusedPages]; n != 0 {
+				t.Errorf("%q: vectorized rig moved %d fused row pages, want 0 (aggregate pushed)", q, n)
+			}
+			if vec.Delta[metrics.AggregateOps] == 0 {
+				t.Errorf("%q: vectorized rig served no pushed aggregate op", q)
+			}
+		} else if vec.Delta[metrics.ColumnarPages] == 0 {
 			t.Errorf("%q: vectorized rig moved no column-major pages", q)
 		}
 		if row.Delta[metrics.ColumnarPages] != 0 {

@@ -65,8 +65,8 @@ type admission struct {
 	meter  *metrics.Registry
 
 	mu      sync.Mutex
-	inUse   int // RPCs currently executing
-	waiting int // RPCs queued for a slot
+	inUse   int             // RPCs currently executing
+	waiting int             // RPCs queued for a slot
 	waiters []chan struct{} // FIFO queue of parked callers
 }
 

@@ -155,10 +155,13 @@ func (m *ScanRequest) WireSize() int {
 // the request's BatchLimit with work remaining, and Next is the cursor the
 // client echoes back to resume exactly where this page ended. When the
 // request asked for Columnar and the page is packable, the rows travel in
-// Block instead of Results — same rows, same order, column-major.
+// Block instead of Results — same rows, same order, column-major. An
+// aggregate request is answered with Aggs alone: the request's partials
+// with every visited row folded in.
 type ScanResponse struct {
 	Results []Result
 	Block   *CellBlock
+	Aggs    []AggPartial
 	More    bool
 	Next    FusedCursor
 	// Stale marks a page served (in whole or part) by a secondary replica:
@@ -178,6 +181,12 @@ func (m *ScanResponse) WireSize() int {
 	}
 	if m.Block != nil {
 		n += m.Block.WireSize()
+	}
+	if len(m.Aggs) > 0 {
+		n += uvarintLen(uint64(len(m.Aggs)))
+		for i := range m.Aggs {
+			n += m.Aggs[i].WireSize()
+		}
 	}
 	if m.More {
 		n += m.Next.WireSize() + 1
@@ -299,6 +308,11 @@ func (c *FusedCursor) WireSize() int { return 12 + len(c.Row) }
 // the server returns at most BatchLimit rows plus a continuation cursor
 // instead of materializing the whole fused result in one response. Cursor
 // resumes a previous page (zero value = start).
+//
+// Non-empty Aggs turn the call into a partial aggregate: the server walks
+// every op with the same checks, folds each visited row into State (the
+// caller's running partials; empty = zero) and answers with the updated
+// partials instead of rows — no row budget, no cursor.
 type FusedRequest struct {
 	Ops        []ScanOp
 	BatchLimit int
@@ -306,6 +320,8 @@ type FusedRequest struct {
 	// Columnar asks the server to pack the page column-major (CellBlock)
 	// when lossless; the server silently falls back to Results otherwise.
 	Columnar bool
+	Aggs     []AggSpec
+	State    []AggPartial
 	Token    string
 }
 
@@ -317,6 +333,15 @@ func (m *FusedRequest) WireSize() int {
 	}
 	if m.BatchLimit > 0 {
 		n += 4 + m.Cursor.WireSize()
+	}
+	if len(m.Aggs) > 0 {
+		n += uvarintLen(uint64(len(m.Aggs))) + uvarintLen(uint64(len(m.State)))
+		for i := range m.Aggs {
+			n += m.Aggs[i].WireSize()
+		}
+		for i := range m.State {
+			n += m.State[i].WireSize()
+		}
 	}
 	for _, op := range m.Ops {
 		n += len(op.RegionID) + 8

@@ -550,6 +550,37 @@ func (r *Region) RunScan(s *Scan) []Result {
 // per scan rather than per row, so metering stays off the row loop's hot
 // path.
 func (r *Region) RunScanWith(s *Scan, m metrics.Meter) []Result {
+	var out []Result
+	var cellsReturned int64
+	r.visitScan(s, m, func(row []Cell) bool {
+		res := buildResult(row, s.Columns)
+		cellsReturned += int64(len(res.Cells))
+		out = append(out, res)
+		return s.Limit <= 0 || len(out) < s.Limit
+	})
+	m.Add(metrics.RowsReturned, int64(len(out)))
+	m.Add(metrics.CellsReturned, cellsReturned)
+	return out
+}
+
+// foldScan folds the rows of s into f — the partial-aggregate sink of the
+// fused op — stopping after s.Limit rows when set. It returns the fold's
+// decode error, if any.
+func (r *Region) foldScan(s *Scan, m metrics.Meter, f *aggFold) error {
+	n := 0
+	r.visitScan(s, m, func(row []Cell) bool {
+		n++
+		return f.add(row) && (s.Limit <= 0 || n < s.Limit)
+	})
+	return f.err
+}
+
+// visitScan is the region's row visitor: it resolves the rows of s in this
+// region and calls visit with the full resolved cells of each row that
+// holds a projected cell and passes s.Filter, in row order, until visit
+// returns false. The cells are valid only during the call. It meters rows
+// and cells scanned; what a row turns into is the caller's business.
+func (r *Region) visitScan(s *Scan, m metrics.Meter, visit func(row []Cell) bool) {
 	start, stop := s.StartRow, s.StopRow
 	if len(r.info.StartKey) > 0 && (start == nil || bytes.Compare(start, r.info.StartKey) < 0) {
 		start = r.info.StartKey
@@ -574,27 +605,19 @@ func (r *Region) RunScanWith(s *Scan, m metrics.Meter) []Result {
 		rows.clean = resolveVersions(cells, maxV, s.TimeRange)
 	}
 
-	var out []Result
-	var rowsScanned, cellsScanned, rowsReturned, cellsReturned int64
+	var rowsScanned, cellsScanned int64
 	for row := rows.next(); row != nil; row = rows.next() {
 		rowsScanned++
 		cellsScanned += int64(len(row))
-		res := buildResult(row, s.Columns)
-		if !res.Empty() && (s.Filter == nil || matchWithFullRow(s.Filter, row, &res)) {
-			rowsReturned++
-			cellsReturned += int64(len(res.Cells))
-			out = append(out, res)
-			if s.Limit > 0 && len(out) >= s.Limit {
+		if projects(row, s.Columns) && (s.Filter == nil || s.Filter.Match(&Result{Row: row[0].Row, Cells: row})) {
+			if !visit(row) {
 				break
 			}
 		}
 	}
 	m.Add(metrics.RowsScanned, rowsScanned)
 	m.Add(metrics.CellsScanned, cellsScanned)
-	m.Add(metrics.RowsReturned, rowsReturned)
-	m.Add(metrics.CellsReturned, cellsReturned)
 	m.Inc(metrics.RegionsScanned)
-	return out
 }
 
 // defaultRows returns a cursor over the resolved default read
@@ -688,11 +711,28 @@ func rowLen(cells []Cell) int {
 	return n
 }
 
-// matchWithFullRow evaluates the filter against the full row (all columns),
-// as HBase does, even when the projection later narrows the returned cells.
-func matchWithFullRow(f Filter, fullRow []Cell, projected *Result) bool {
-	full := Result{Row: projected.Row, Cells: fullRow}
-	return f.Match(&full)
+// projects reports whether the projection cols keeps any cell of row (all
+// of them when cols is empty) — a row with nothing projected is not
+// returned. The filter, as in HBase, sees the full row either way.
+func projects(row []Cell, cols []Column) bool {
+	if len(cols) == 0 {
+		return len(row) > 0
+	}
+	for i := range row {
+		if columnWanted(&row[i], cols) {
+			return true
+		}
+	}
+	return false
+}
+
+func columnWanted(c *Cell, cols []Column) bool {
+	for _, want := range cols {
+		if c.Family == want.Family && (want.Qualifier == "" || c.Qualifier == want.Qualifier) {
+			return true
+		}
+	}
+	return false
 }
 
 func buildResult(row []Cell, cols []Column) Result {
@@ -702,12 +742,8 @@ func buildResult(row []Cell, cols []Column) Result {
 		return res
 	}
 	for i := range row {
-		c := &row[i]
-		for _, want := range cols {
-			if c.Family == want.Family && (want.Qualifier == "" || c.Qualifier == want.Qualifier) {
-				res.Cells = append(res.Cells, *c)
-				break
-			}
+		if columnWanted(&row[i], cols) {
+			res.Cells = append(res.Cells, row[i])
 		}
 	}
 	return res

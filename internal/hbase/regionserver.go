@@ -601,6 +601,26 @@ func (rs *RegionServer) handleBulkLoad(_ context.Context, req rpc.Message) (rpc.
 // query_fingerprint label carried in ctx), so a CPU profile scraped from
 // the ops endpoint attributes scan time to regions and statements.
 func (rs *RegionServer) runScanTraced(ctx context.Context, r *Region, s *Scan) []Result {
+	var results []Result
+	rs.traceScan(ctx, r, func(m metrics.Meter) {
+		results = r.RunScanWith(s, m)
+	}).SetAttr("rows", int64(len(results)))
+	return results
+}
+
+// foldScanTraced is runScanTraced for the aggregate sink: the rows of s
+// fold into f instead of coming back.
+func (rs *RegionServer) foldScanTraced(ctx context.Context, r *Region, s *Scan, f *aggFold) error {
+	var err error
+	rs.traceScan(ctx, r, func(m metrics.Meter) {
+		err = r.foldScan(s, m, f)
+	}).SetTag("sink", "aggregate")
+	return err
+}
+
+// traceScan runs body under r's "region.scan" span and pprof label and
+// returns the ended span for the caller's attributes.
+func (rs *RegionServer) traceScan(ctx context.Context, r *Region, body func(m metrics.Meter)) *trace.Span {
 	_, sp := trace.StartSpan(ctx, "region.scan")
 	info := r.Info()
 	sp.SetTag("region", info.ID)
@@ -608,13 +628,11 @@ func (rs *RegionServer) runScanTraced(ctx context.Context, r *Region, s *Scan) [
 	if info.Replica > 0 {
 		sp.SetTag("replica", fmt.Sprintf("%d", info.Replica))
 	}
-	var results []Result
 	pprof.Do(ctx, pprof.Labels("region", info.ID), func(ctx context.Context) {
-		results = r.RunScanWith(s, metrics.Scoped(ctx, rs.meter))
+		body(metrics.Scoped(ctx, rs.meter))
 	})
-	sp.SetAttr("rows", int64(len(results)))
 	sp.End()
-	return results
+	return sp
 }
 
 // markStale tags a response served by secondary copy r: the rows may lag
@@ -707,6 +725,10 @@ func (rs *RegionServer) handleFused(ctx context.Context, req rpc.Message) (rpc.M
 	return resp, nil
 }
 
+// fusedPage walks the request's ops from its cursor. Each visited row goes
+// to the page's sink: appended as a projected Result for a paged scan, or
+// folded into the partials for an aggregate request (which has no row
+// budget and returns only the partials).
 func (rs *RegionServer) fusedPage(ctx context.Context, m *FusedRequest) (*ScanResponse, error) {
 	if err := rs.auth(m.Token); err != nil {
 		return nil, err
@@ -719,7 +741,16 @@ func (rs *RegionServer) fusedPage(ctx context.Context, m *FusedRequest) (*ScanRe
 	}
 	meter := metrics.Scoped(ctx, rs.meter)
 	resp := &ScanResponse{}
-	// room reports how many more rows fit in this page; -1 = unbounded.
+	var fold *aggFold
+	if len(m.Aggs) > 0 {
+		var err error
+		if fold, err = newAggFold(m.Aggs, m.State); err != nil {
+			return nil, err
+		}
+		meter.Inc(metrics.AggregateOps)
+	}
+	// room reports how many more rows fit in this page; -1 = unbounded. A
+	// fold appends no rows, so it never runs out of room.
 	room := func() int {
 		if m.BatchLimit <= 0 {
 			return -1
@@ -770,6 +801,13 @@ func (rs *RegionServer) fusedPage(ctx context.Context, m *FusedRequest) (*ScanRe
 					s.Columns, s.Filter = op.Scan.Columns, op.Scan.Filter
 					s.MaxVersions, s.TimeRange = op.Scan.MaxVersions, op.Scan.TimeRange
 				}
+				if fold != nil {
+					if err := r.foldScan(&s, meter, fold); err != nil {
+						sp.End()
+						return nil, err
+					}
+					continue
+				}
 				results := r.RunScanWith(&s, meter)
 				got += int64(len(results))
 				resp.Results = append(resp.Results, results...)
@@ -798,6 +836,12 @@ func (rs *RegionServer) fusedPage(ctx context.Context, m *FusedRequest) (*ScanRe
 			}
 			s.Limit = left
 		}
+		if fold != nil {
+			if err := rs.foldScanTraced(ctx, r, &s, fold); err != nil {
+				return nil, err
+			}
+			continue
+		}
 		// Clip to the page budget when it is tighter than the op's limit.
 		pageBounded := false
 		if rm := room(); rm > 0 && (s.Limit == 0 || s.Limit > rm) {
@@ -818,6 +862,9 @@ func (rs *RegionServer) fusedPage(ctx context.Context, m *FusedRequest) (*ScanRe
 			}
 			return resp, nil
 		}
+	}
+	if fold != nil {
+		resp.Aggs = fold.state
 	}
 	return resp, nil
 }

@@ -57,6 +57,7 @@ func Catalog() []CatalogEntry {
 		{ColumnarPages, "counter", "Columnar scan pages served by region servers."},
 		{Compactions, "counter", "Store-file compactions."},
 		{FusedPages, "counter", "Fused scan→filter→project pages served."},
+		{AggregateOps, "counter", "Fused aggregate requests served: rows folded into partial aggregates on the region server."},
 		{Heartbeats, "counter", "Master heartbeat probes sent to region servers."},
 		{MemstoreFlushes, "counter", "MemStore flushes to store files."},
 		{PagesPrefetched, "counter", "Scan pages fetched ahead of the cursor."},

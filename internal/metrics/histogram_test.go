@@ -16,14 +16,14 @@ func TestBucketBoundaries(t *testing.T) {
 	}{
 		{0, 0},
 		{500 * time.Nanosecond, 0},
-		{time.Microsecond, 0},               // exactly the first bound
-		{time.Microsecond + 1, 1},           // just past it
-		{2 * time.Microsecond, 1},           // exactly the second bound
-		{2*time.Microsecond + 1, 2},         // just past it
-		{4 * time.Microsecond, 2},           // power-of-two bounds are inclusive
-		{3 * time.Microsecond, 2},           // interior of (2µs, 4µs]
-		{time.Millisecond, 10},              // 1µs<<10 = 1024µs ≥ 1ms, 1µs<<9 = 512µs < 1ms
-		{time.Second, 20},                   // 1µs<<20 ≈ 1.05s
+		{time.Microsecond, 0},       // exactly the first bound
+		{time.Microsecond + 1, 1},   // just past it
+		{2 * time.Microsecond, 1},   // exactly the second bound
+		{2*time.Microsecond + 1, 2}, // just past it
+		{4 * time.Microsecond, 2},   // power-of-two bounds are inclusive
+		{3 * time.Microsecond, 2},   // interior of (2µs, 4µs]
+		{time.Millisecond, 10},      // 1µs<<10 = 1024µs ≥ 1ms, 1µs<<9 = 512µs < 1ms
+		{time.Second, 20},           // 1µs<<20 ≈ 1.05s
 		{bucketBound(numBounds - 1), numBounds - 1},
 		{bucketBound(numBounds-1) + 1, numBounds}, // overflow
 		{time.Duration(1<<62 - 1), numBounds},     // huge → overflow

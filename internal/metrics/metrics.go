@@ -45,6 +45,7 @@ const (
 	ColumnarPages       = "hbase.columnar_pages"
 	PagesPrefetched     = "hbase.pages_prefetched"
 	FusedPages          = "hbase.fused_pages"
+	AggregateOps        = "hbase.aggregate_ops"
 	TasksLaunched       = "engine.tasks_launched"
 	TasksLocal          = "engine.tasks_local"
 	WALAppends          = "wal.appends"

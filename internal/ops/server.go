@@ -37,9 +37,9 @@ type ServerConfig struct {
 // query fingerprints and regions). It binds its own mux — never the
 // process-global DefaultServeMux — so tests can run many instances.
 type Server struct {
-	cfg ServerConfig
-	ln  net.Listener
-	srv *http.Server
+	cfg  ServerConfig
+	ln   net.Listener
+	srv  *http.Server
 	done chan struct{}
 }
 

@@ -37,13 +37,13 @@ type ServerStatus struct {
 
 // RegionStatus is one region's placement and health.
 type RegionStatus struct {
-	Name    string `json:"name"`
-	Table   string `json:"table"`
-	Server  string `json:"server"`
-	Epoch   uint64 `json:"epoch"`
-	SizeB   int64  `json:"size_bytes"`
-	Cells   int64  `json:"cells"`
-	Files   int    `json:"store_files"`
+	Name   string `json:"name"`
+	Table  string `json:"table"`
+	Server string `json:"server"`
+	Epoch  uint64 `json:"epoch"`
+	SizeB  int64  `json:"size_bytes"`
+	Cells  int64  `json:"cells"`
+	Files  int    `json:"store_files"`
 	// WriteLoad is the writes observed since the last janitor pass
 	// (non-destructive peek — the janitor's own hot-region counter is
 	// unaffected).
