@@ -177,7 +177,7 @@ func TestMasterFailoverAvailabilityGate(t *testing.T) {
 	// hosts them — recovery re-learns only the fenced parent and must roll
 	// BACK — and the master dies on the spot, orphaning the split journal.
 	boot := rig.Cluster.ActiveMaster()
-	boot.SetSplitHook(func(stage string) error {
+	boot.SetStageHook(func(stage string) error {
 		if stage == "split" {
 			return errMasterDeath
 		}
@@ -288,7 +288,7 @@ func TestMasterKillMidSplitRollForwardTakeover(t *testing.T) {
 	}
 	parent := regions[0].ID
 	boot := rig.Cluster.ActiveMaster()
-	boot.SetSplitHook(func(stage string) error {
+	boot.SetStageHook(func(stage string) error {
 		if stage == "meta-updated" {
 			return errMasterDeath
 		}
@@ -342,7 +342,7 @@ func TestMasterKillMidDrainTakeover(t *testing.T) {
 
 	boot := rig.Cluster.ActiveMaster()
 	var once sync.Once
-	boot.SetDrainHook(func(stage string) error {
+	boot.SetStageHook(func(stage string) error {
 		var err error
 		if stage == "move" {
 			once.Do(func() { err = errMasterDeath })

@@ -142,11 +142,17 @@ func (c *Cluster) masterTookOver(nm *Master) {
 	c.active.Store(nm)
 	c.dutyMu.Lock()
 	defer c.dutyMu.Unlock()
+	c.armDutiesLocked(nm)
+}
+
+// armDutiesLocked starts m's heartbeat and janitor loops at the configured
+// intervals (zero disables either). Caller holds dutyMu.
+func (c *Cluster) armDutiesLocked(m *Master) {
 	if c.dutyHB > 0 {
-		c.dutyStops = append(c.dutyStops, nm.StartHeartbeats(c.dutyHB))
+		c.dutyStops = append(c.dutyStops, m.StartHeartbeats(c.dutyHB))
 	}
 	if c.dutyJanitor > 0 {
-		c.dutyStops = append(c.dutyStops, nm.StartJanitor(c.dutyJanitor))
+		c.dutyStops = append(c.dutyStops, m.StartJanitor(c.dutyJanitor))
 	}
 }
 
@@ -168,12 +174,7 @@ func (c *Cluster) StartDuties(heartbeat, janitor time.Duration) (stop func()) {
 	m := c.ActiveMaster()
 	c.dutyMu.Lock()
 	c.dutyHB, c.dutyJanitor = heartbeat, janitor
-	if heartbeat > 0 {
-		c.dutyStops = append(c.dutyStops, m.StartHeartbeats(heartbeat))
-	}
-	if janitor > 0 {
-		c.dutyStops = append(c.dutyStops, m.StartJanitor(janitor))
-	}
+	c.armDutiesLocked(m)
 	c.dutyMu.Unlock()
 	var once sync.Once
 	return func() {

@@ -300,6 +300,10 @@ func TestMasterDeleteTable(t *testing.T) {
 	if err := client.CreateTable(TableDescriptor{Name: "t", Families: []string{"cf"}}, nil); err != nil {
 		t.Fatal(err)
 	}
+	regions, err := client.Regions("t")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := client.DeleteTable("t"); err != nil {
 		t.Fatal(err)
 	}
@@ -311,6 +315,20 @@ func TestMasterDeleteTable(t *testing.T) {
 	}
 	if c.Servers[0].RegionCount() != 0 {
 		t.Error("regions must be unhosted on delete")
+	}
+	// A dropped region's epoch znode goes with it.
+	sess := c.ZK.NewSession()
+	defer sess.Close()
+	left, err := sess.Children(zkEpochRegions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ri := range regions {
+		for _, id := range left {
+			if id == ri.ID {
+				t.Errorf("%s/%s survived DeleteTable", zkEpochRegions, id)
+			}
+		}
 	}
 }
 

@@ -377,6 +377,8 @@ func (m *CreateTableRequest) WireSize() int {
 	return n
 }
 
+func (m *CreateTableRequest) authToken() string { return m.Token }
+
 // TableRequest names a table for meta operations.
 type TableRequest struct {
 	Table string
@@ -385,6 +387,8 @@ type TableRequest struct {
 
 // WireSize implements rpc.Message.
 func (m *TableRequest) WireSize() int { return len(m.Table) + len(m.Token) }
+
+func (m *TableRequest) authToken() string { return m.Token }
 
 // RegionList is the meta response listing a table's regions in key order.
 type RegionList struct {

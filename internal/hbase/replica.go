@@ -243,6 +243,12 @@ func (r *Region) Promote(newEpoch uint64) {
 	r.info.ReplicaHosts = nil
 	r.caughtUpAt = time.Time{}
 	r.pending = nil
+	r.detachFromPrimary()
+}
+
+// detachFromPrimary unsubscribes this copy from its primary's replicator, so
+// shipping to it stops and a retired copy can be collected.
+func (r *Region) detachFromPrimary() {
 	if r.repl != nil {
 		r.repl.detach(r)
 	}

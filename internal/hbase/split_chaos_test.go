@@ -53,7 +53,7 @@ func TestSplitAbortRollsBackViaJanitor(t *testing.T) {
 			c := bootCluster(t, 2)
 			client, baseline, parent := seedSplitTable(t, c)
 
-			c.Master.SetSplitHook(func(s string) error {
+			c.Master.SetStageHook(func(s string) error {
 				if s == stage {
 					return errAbort
 				}
@@ -62,7 +62,7 @@ func TestSplitAbortRollsBackViaJanitor(t *testing.T) {
 			if err := c.Master.SplitRegion("t", parent); !errors.Is(err, errAbort) {
 				t.Fatalf("aborted split returned %v", err)
 			}
-			c.Master.SetSplitHook(nil)
+			c.Master.SetStageHook(nil)
 
 			// The janitor finds the orphan journal and rolls the split back.
 			c.Master.JanitorPass()
@@ -106,7 +106,7 @@ func TestSplitAbortRollsBackAfterMasterFailover(t *testing.T) {
 	c := bootCluster(t, 2)
 	client, baseline, parent := seedSplitTable(t, c)
 
-	c.Master.SetSplitHook(func(s string) error {
+	c.Master.SetStageHook(func(s string) error {
 		if s == "split" {
 			return errAbort
 		}
@@ -153,7 +153,7 @@ func TestSplitAbortRollsForwardAfterMasterFailover(t *testing.T) {
 	c := bootCluster(t, 2)
 	client, baseline, parent := seedSplitTable(t, c)
 
-	c.Master.SetSplitHook(func(s string) error {
+	c.Master.SetStageHook(func(s string) error {
 		if s == "meta-updated" {
 			return errAbort
 		}
@@ -199,5 +199,153 @@ func TestSplitAbortRollsForwardAfterMasterFailover(t *testing.T) {
 	}
 	if err := client.Put("t", []Cell{cell("row-997", "cf", "q", 2, "after")}); err != nil {
 		t.Fatalf("write after roll-forward: %v", err)
+	}
+}
+
+// parentCopies snapshots the secondary copies of region id from m's meta.
+func parentCopies(m *Master, table, id string) []*Region {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return append([]*Region(nil), m.tables[table].replicas[id]...)
+}
+
+// attached reports whether rep is still subscribed to a replicator.
+func attached(rep *Region) bool {
+	if rep.repl == nil {
+		return false
+	}
+	rep.repl.mu.Lock()
+	defer rep.repl.mu.Unlock()
+	for _, r := range rep.repl.replicas {
+		if r == rep {
+			return true
+		}
+	}
+	return false
+}
+
+// assertParentRetired checks a committed split on a replicated table: both
+// daughters carry a full replica set on distinct hosts, no server hosts any
+// copy of the parent, none of the parent's secondary copies is still
+// attached to a replicator, and neither the split journal nor the parent's
+// epoch node survives.
+func assertParentRetired(t *testing.T, c *Cluster, m *Master, parent string, copies []*Region) {
+	t.Helper()
+	regions, err := m.TableRegions("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(regions) != 2 {
+		t.Fatalf("regions after split = %d, want 2", len(regions))
+	}
+	for _, ri := range regions {
+		if ri.ID == parent {
+			t.Fatalf("parent %s still in meta", parent)
+		}
+		hosts := map[string]bool{ri.Host: true}
+		for _, h := range ri.ReplicaHosts {
+			if h == "" || hosts[h] {
+				t.Errorf("daughter %s: replica hosts %v collide with primary %s", ri.ID, ri.ReplicaHosts, ri.Host)
+			}
+			hosts[h] = true
+		}
+		if len(hosts) != c.Master.cfg.RegionReplication {
+			t.Errorf("daughter %s: %d distinct copies, want %d", ri.ID, len(hosts), c.Master.cfg.RegionReplication)
+		}
+		if findCopy(c, ri.ID, 1) == nil {
+			t.Errorf("daughter %s: replica copy not hosted anywhere", ri.ID)
+		}
+	}
+	for _, rs := range c.Servers {
+		for _, info := range rs.RegionInfos() {
+			if info.ID == parent {
+				t.Errorf("server %s still hosts copy %d of parent %s", rs.Host(), info.Replica, parent)
+			}
+		}
+	}
+	if len(copies) == 0 {
+		t.Fatal("parent had no secondary copies to retire")
+	}
+	for _, rep := range copies {
+		if attached(rep) {
+			t.Errorf("parent copy %d still attached to its replicator", rep.Info().Replica)
+		}
+	}
+	sess := c.ZK.NewSession()
+	defer sess.Close()
+	for _, node := range []string{zkSplits + "/" + parent, zkEpochRegions + "/" + parent} {
+		if ok, _ := sess.Exists(node); ok {
+			t.Errorf("znode %s survived the split", node)
+		}
+	}
+}
+
+// TestSplitWithReplicasRetiresParentCopies runs a live split of a region
+// with a secondary copy: the commit retires the parent everywhere and both
+// daughters bootstrap a full replica set.
+func TestSplitWithReplicasRetiresParentCopies(t *testing.T) {
+	c := bootReplicated(t, 3, 2)
+	client, baseline, parent := seedSplitTable(t, c)
+	copies := parentCopies(c.Master, "t", parent)
+	if err := c.Master.SplitRegion("t", parent); err != nil {
+		t.Fatal(err)
+	}
+	assertParentRetired(t, c, c.Master, parent, copies)
+	client.InvalidateRegions("t")
+	after, err := client.ScanTable("t", &Scan{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(baseline, after) {
+		t.Fatalf("split lost or duplicated rows: %d vs %d", len(after), len(baseline))
+	}
+}
+
+// TestSplitAbortRollsForwardWithReplicas is the replicated twin of
+// TestSplitAbortRollsForwardAfterMasterFailover. Aborted once the daughters
+// are hosted, the standby re-learns the parent, its secondary copy and both
+// daughters from the servers, and the roll-forward must retire the parent
+// and its copy. Aborted after the meta swap, the parent is already retired
+// and the roll-forward only tops up the daughters' replica sets.
+func TestSplitAbortRollsForwardWithReplicas(t *testing.T) {
+	for _, stage := range []string{"daughters-added", "meta-updated"} {
+		t.Run(stage, func(t *testing.T) {
+			c := bootReplicated(t, 3, 2)
+			client, baseline, parent := seedSplitTable(t, c)
+			copies := parentCopies(c.Master, "t", parent)
+			c.Master.SetStageHook(func(s string) error {
+				if s == stage {
+					return errAbort
+				}
+				return nil
+			})
+			if err := c.Master.SplitRegion("t", parent); !errors.Is(err, errAbort) {
+				t.Fatalf("aborted split returned %v", err)
+			}
+
+			c.Master.Resign()
+			if err := c.Net.SetDown(c.Master.Host(), true); err != nil {
+				t.Fatal(err)
+			}
+			standby, err := NewMaster("test-master-2", c.Net, c.ZK, StoreConfig{RegionReplication: 2}, c.Meter, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := standby.RecoverFrom(c.Servers); err != nil {
+				t.Fatal(err)
+			}
+			if got := c.Meter.Get(metrics.SplitsRolledForward); got != 1 {
+				t.Fatalf("splits rolled forward = %d, want 1", got)
+			}
+			assertParentRetired(t, c, standby, parent, copies)
+			client.InvalidateRegions("t")
+			after, err := client.ScanTable("t", &Scan{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(baseline, after) {
+				t.Fatalf("roll-forward lost or duplicated rows: %d vs %d", len(after), len(baseline))
+			}
+		})
 	}
 }
