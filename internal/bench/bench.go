@@ -403,7 +403,7 @@ func Ablation(p Params) ([]AblationRow, error) {
 		{"no filter pushdown", core.Options{DisableFilterPushdown: true}, false},
 		{"no operator fusion", core.Options{DisableOperatorFusion: true}, false},
 		{"no connection cache", core.Options{}, true},
-		{"full-key pruning (future work)", core.Options{FullKeyPruning: true}, false},
+		{"first dimension only (paper)", core.Options{FirstDimensionPruning: true}, false},
 	}
 	var rows []AblationRow
 	for _, cfg := range configs {

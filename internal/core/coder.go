@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strings"
 
@@ -263,65 +265,48 @@ type rowkeyCodec struct {
 	coder FieldCoder
 }
 
+// errKeyNUL rejects a value a terminated rowkey dimension cannot hold.
+var errKeyNUL = errors.New("contains NUL")
+
 // encodeRowkey concatenates the encoded dimensions of vals, which follow
 // the catalog's rowkey field order.
 func (rc rowkeyCodec) encodeRowkey(vals []any) ([]byte, error) {
-	fields := rc.cat.RowkeyFields()
-	if len(vals) != len(fields) {
-		return nil, fmt.Errorf("core: rowkey needs %d values, got %d", len(fields), len(vals))
+	if n := len(rc.cat.RowkeyFields()); len(vals) != n {
+		return nil, fmt.Errorf("core: rowkey needs %d values, got %d", n, len(vals))
 	}
 	var out []byte
-	for i, f := range fields {
-		t := rc.cat.fieldType(f)
-		enc, err := rc.coder.Encode(vals[i], t)
-		if err != nil {
-			return nil, fmt.Errorf("core: rowkey dimension %q: %w", f, err)
+	for dim, v := range vals {
+		var err error
+		if out, err = rc.appendDim(out, dim, v); err != nil {
+			return nil, err
 		}
-		// Variable-length dimensions before the last need a terminator to
-		// stay decodable (and order-preserving where the coder is).
-		if i < len(fields)-1 && fixedWidth(t, rc.coder) < 0 {
-			if strings.IndexByte(string(enc), 0) >= 0 {
-				return nil, fmt.Errorf("core: rowkey dimension %q contains NUL", f)
-			}
-			enc = append(enc, 0)
-		}
-		out = append(out, enc...)
 	}
 	return out, nil
 }
 
-// encodePrefix encodes the first dimension only — the unit of partition
-// pruning (paper §VI-A.1: "the partition pruning is performed on the first
-// dimension of the row keys").
-func (rc rowkeyCodec) encodePrefix(v any) ([]byte, error) {
-	f := rc.cat.RowkeyFields()[0]
-	return rc.coder.Encode(v, rc.cat.fieldType(f))
-}
-
-// encodeDims encodes the first n rowkey dimensions with the same
-// terminator layout encodeRowkey uses, producing a byte prefix that every
-// matching full key starts with. It powers the full-key pruning extension.
-func (rc rowkeyCodec) encodeDims(vals []any, n int) ([]byte, error) {
+// appendDim appends rowkey dimension dim holding v to dst. Variable-length
+// dimensions before the last get a terminator to stay decodable (and
+// order-preserving where the coder is), so a value containing NUL fails
+// with errKeyNUL there.
+func (rc rowkeyCodec) appendDim(dst []byte, dim int, v any) ([]byte, error) {
 	fields := rc.cat.RowkeyFields()
-	if n > len(vals) || n > len(fields) {
-		return nil, fmt.Errorf("core: %d dimensions requested, have %d", n, len(vals))
+	t := rc.cat.fieldType(fields[dim])
+	enc, err := rc.coder.Encode(v, t)
+	if err != nil {
+		return nil, fmt.Errorf("core: rowkey dimension %q: %w", fields[dim], err)
 	}
-	var out []byte
-	for i := 0; i < n; i++ {
-		t := rc.cat.fieldType(fields[i])
-		enc, err := rc.coder.Encode(vals[i], t)
-		if err != nil {
-			return nil, fmt.Errorf("core: rowkey dimension %q: %w", fields[i], err)
-		}
-		if i < len(fields)-1 && fixedWidth(t, rc.coder) < 0 {
-			if strings.IndexByte(string(enc), 0) >= 0 {
-				return nil, fmt.Errorf("core: rowkey dimension %q contains NUL", fields[i])
-			}
-			enc = append(enc, 0)
-		}
-		out = append(out, enc...)
+	if len(dst) == 0 {
+		dst = enc // Encode returns a fresh slice
+	} else {
+		dst = append(dst, enc...)
 	}
-	return out, nil
+	if dim < len(fields)-1 && fixedWidth(t, rc.coder) < 0 {
+		if bytes.IndexByte(enc, 0) >= 0 {
+			return nil, fmt.Errorf("core: rowkey dimension %q: %w", fields[dim], errKeyNUL)
+		}
+		dst = append(dst, 0)
+	}
+	return dst, nil
 }
 
 // fixedWidth reports the encoded byte width of t under the given coder, or

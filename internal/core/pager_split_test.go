@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/shc-go/shc/internal/datasource"
 	"github.com/shc-go/shc/internal/hbase"
 	"github.com/shc-go/shc/internal/plan"
 )
@@ -237,5 +238,70 @@ func TestRemapOpMatchesListWalk(t *testing.T) {
 		if want := listWalkRemap(tc.op, tc.regions); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: remapOp = %+v, list walk = %+v", tc.name, got, want)
 		}
+	}
+}
+
+// TestFusedPagerPointOpsSurviveSplit splits the region under a composite-key
+// bulk get between two pages. The get's remaining keys must be regrouped
+// onto the daughters (remapOp's Rows branch) and stream the same rows in
+// the same order as an undisturbed run.
+func TestFusedPagerPointOpsSurviveSplit(t *testing.T) {
+	rig := compositeRig(t, Options{NewTableRegions: 1})
+	filters := []datasource.Filter{
+		datasource.In{Column: "region", Values: []any{"ap", "eu", "us"}},
+		datasource.EqualTo{Column: "host", Value: "host-1"},
+		datasource.In{Column: "ts", Values: []any{int64(1), int64(5), int64(9), int64(20)}},
+	}
+	cols := []string{"region", "host", "ts", "msg"}
+	baseParts, err := rig.rel.BuildScan(cols, filters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseline := scanAll(t, baseParts)
+	if len(baseline) != 12 {
+		t.Fatalf("baseline rows = %d, want 12", len(baseline))
+	}
+
+	parts, err := rig.rel.BuildScan(cols, filters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(parts) != 1 {
+		t.Fatalf("partitions = %d, want 1", len(parts))
+	}
+	p := parts[0].(*hbasePartition)
+	if len(p.ops) != 1 || len(p.ops[0].Rows) != 12 {
+		t.Fatalf("ops = %+v, want one 12-key get", p.ops)
+	}
+	pager := newFusedPager(p, p.ops, 2)
+	ctx := context.Background()
+
+	var rows []plan.Row
+	var scratch []any
+	first := true
+	for {
+		resp, err := pager.next(ctx)
+		if err != nil {
+			t.Fatalf("paged bulk get across split: %v", err)
+		}
+		if resp == nil {
+			break
+		}
+		rows, scratch, err = p.rel.decodeResults(resp.Results, p.required, rows, scratch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first {
+			first = false
+			if err := rig.cluster.Master.SplitRegion("logs", p.ops[0].RegionID); err != nil {
+				t.Fatalf("split under pager: %v", err)
+			}
+		}
+	}
+	if regions, err := rig.client.Regions("logs"); err != nil || len(regions) != 2 {
+		t.Fatalf("regions after split = %d (%v), want 2", len(regions), err)
+	}
+	if !reflect.DeepEqual(rows, baseline) {
+		t.Fatalf("rows across split = %v, want %v (order or content drifted)", rows, baseline)
 	}
 }

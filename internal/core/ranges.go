@@ -59,32 +59,31 @@ type RangeSet struct {
 	ranges []RowRange
 }
 
+// fullRanges backs every full set; sets are never mutated in place.
+var fullRanges = []RowRange{fullRange()}
+
 // fullSet matches every row.
-func fullSet() RangeSet { return RangeSet{ranges: []RowRange{fullRange()}} }
+func fullSet() RangeSet { return RangeSet{ranges: fullRanges} }
 
 // emptySet matches nothing.
 func emptySet() RangeSet { return RangeSet{} }
 
-// singleSet wraps one range.
-func singleSet(r RowRange) RangeSet {
-	if r.isEmpty() {
-		return emptySet()
-	}
-	return RangeSet{ranges: []RowRange{r}}
-}
-
 // pointSet matches exactly the given encoded keys.
 func pointSet(keys ...[]byte) RangeSet {
-	s := emptySet()
-	for _, k := range keys {
-		s = s.Union(singleSet(RowRange{Start: k, Stop: bytesutil.Successor(k)}))
+	rs := make([]RowRange, len(keys))
+	for i, k := range keys {
+		rs[i] = RowRange{Start: k, Stop: bytesutil.Successor(k)}
 	}
-	return s
+	return normalize(rs)
 }
 
-// prefixSet matches every key beginning with prefix.
-func prefixSet(prefix []byte) RangeSet {
-	return singleSet(RowRange{Start: prefix, Stop: bytesutil.PrefixSuccessor(prefix)})
+// prefixSet matches every key beginning with one of prefixes.
+func prefixSet(prefixes ...[]byte) RangeSet {
+	rs := make([]RowRange, len(prefixes))
+	for i, p := range prefixes {
+		rs[i] = RowRange{Start: p, Stop: bytesutil.PrefixSuccessor(p)}
+	}
+	return normalize(rs)
 }
 
 // IsEmpty reports whether the set matches nothing.
@@ -111,6 +110,12 @@ func (s RangeSet) Contains(key []byte) bool {
 
 // Intersect computes the set intersection (predicates ANDed together).
 func (s RangeSet) Intersect(o RangeSet) RangeSet {
+	switch {
+	case s.IsFull():
+		return o
+	case o.IsFull():
+		return s
+	}
 	var out []RowRange
 	for _, a := range s.ranges {
 		for _, b := range o.ranges {
@@ -138,8 +143,11 @@ func normalize(in []RowRange) RangeSet {
 			rs = append(rs, r)
 		}
 	}
-	if len(rs) == 0 {
+	switch len(rs) {
+	case 0:
 		return emptySet()
+	case 1:
+		return RangeSet{ranges: rs}
 	}
 	sort.Slice(rs, func(i, j int) bool {
 		a, b := rs[i].Start, rs[j].Start

@@ -10,6 +10,14 @@ import (
 	"github.com/shc-go/shc/internal/bytesutil"
 )
 
+// singleSet wraps one range.
+func singleSet(r RowRange) RangeSet {
+	if r.isEmpty() {
+		return emptySet()
+	}
+	return RangeSet{ranges: []RowRange{r}}
+}
+
 func rng(start, stop string) RowRange {
 	r := RowRange{}
 	if start != "" {

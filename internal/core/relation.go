@@ -52,12 +52,11 @@ type Options struct {
 	// DisableFilterPushdown keeps every predicate in the engine (ablation
 	// of §VI-A.3).
 	DisableFilterPushdown bool
-	// FullKeyPruning enables the paper's stated future work (§VIII):
-	// extending rowkey pruning beyond the first dimension of a composite
-	// key. With equality predicates on a prefix of the key dimensions, the
-	// scan narrows to the exact composite prefix (plus an optional range
-	// on the next dimension).
-	FullKeyPruning bool
+	// FirstDimensionPruning prunes on the first dimension of a composite
+	// rowkey only, as the paper does (§VI-A.1; ablation). By default every
+	// leading equality-bound dimension narrows the scan (the paper's future
+	// work, §VIII), and a full-rowkey equality is a Get.
+	FirstDimensionPruning bool
 }
 
 func (o Options) timeRange() hbase.TimeRange {
@@ -111,92 +110,74 @@ func (r *HBaseRelation) Schema() plan.Schema { return r.cat.Schema() }
 // Catalog exposes the relation's catalog.
 func (r *HBaseRelation) Catalog() *Catalog { return r.cat }
 
-// translation is the outcome of mapping one source filter onto HBase.
+// translation is the outcome of mapping source filters onto HBase.
 type translation struct {
 	ranges  RangeSet     // restriction on encoded row keys (full when none)
 	hfilter hbase.Filter // server-side filter (nil when none)
-	handled bool         // fully evaluated by HBase; engine need not re-apply
+	handled bool         // all fully evaluated by HBase; engine need not re-apply
 }
 
-// translate maps a source filter to rowkey ranges and server filters. The
-// selective-pushdown policy of §VI-A.3 lives here: NOT IN never pushes,
-// range predicates on non-order-preserving coders never push, and anything
-// unpushable is left for the engine via handled=false.
-func (r *HBaseRelation) translate(f datasource.Filter) translation {
-	full := translation{ranges: fullSet()}
-	if r.opts.DisableFilterPushdown {
-		return full
-	}
-	firstDim := r.cat.RowkeyFields()[0]
-	isFirstDim := func(col string) bool { return col == firstDim }
-	singleDimKey := len(r.cat.RowkeyFields()) == 1
+// maxKeyPoints caps the key ranges a predicate past the first rowkey
+// dimension may expand to: a composite IN whose cross product is larger
+// falls back to the prefix range of the dimensions before it.
+const maxKeyPoints = 64
 
+// translate maps one source filter onto HBase.
+func (r *HBaseRelation) translate(f datasource.Filter) translation {
+	tr, _ := r.pushdown([]datasource.Filter{f})
+	return tr
+}
+
+// pushdown maps a conjunct list onto HBase: the intersected rowkey ranges,
+// the ANDed server filters, and per conjunct whether HBase evaluates it
+// exactly (the engine re-applies the rest). BuildScan and UnhandledFilters
+// both call it, so the scan and the engine agree on what was applied.
+func (r *HBaseRelation) pushdown(filters []datasource.Filter) (translation, []bool) {
+	handled := make([]bool, len(filters))
+	out := translation{ranges: fullSet()}
+	if r.opts.DisableFilterPushdown {
+		return out, handled
+	}
+	for i, f := range filters {
+		if r.keyDim(f) >= 0 {
+			continue // the key-range pass below
+		}
+		tr := r.translateColumn(f)
+		out.ranges = out.ranges.Intersect(tr.ranges)
+		out.hfilter = andFilters(out.hfilter, tr.hfilter)
+		handled[i] = tr.handled
+	}
+	out.ranges = out.ranges.Intersect(r.keyRanges(filters, handled))
+	out.handled = true
+	for _, h := range handled {
+		out.handled = out.handled && h
+	}
+	return out, handled
+}
+
+// translateColumn maps a filter the key-range pass does not take to rowkey
+// ranges and server filters. The selective-pushdown policy of §VI-A.3 lives
+// here: NOT IN never pushes, range predicates on non-order-preserving coders
+// never push, and anything unpushable is left for the engine via
+// handled=false.
+func (r *HBaseRelation) translateColumn(f datasource.Filter) translation {
+	full := translation{ranges: fullSet()}
 	switch x := f.(type) {
 	case datasource.EqualTo:
-		if isFirstDim(x.Column) && r.coder.OrderPreserving() {
-			enc, err := r.codec.encodePrefix(x.Value)
-			if err == nil {
-				if singleDimKey {
-					return translation{ranges: pointSet(enc), handled: true}
-				}
-				return translation{ranges: prefixSet(enc), handled: true}
-			}
-		}
 		return r.columnFilter(x.Column, hbase.CmpEqual, x.Value, true)
 	case datasource.NotEqual:
-		if _, isKey := r.cat.IsRowkeyField(x.Column); isKey {
-			// != on a key dimension does not narrow ranges usefully.
-			return full
-		}
+		// != on a key dimension does not narrow ranges usefully, and
+		// columnFilter leaves key dimensions to the engine.
 		return r.columnFilter(x.Column, hbase.CmpNotEqual, x.Value, true)
 	case datasource.GreaterThan:
-		if tr, ok := r.keyBound(x.Column, x.Value, func(enc []byte) RowRange {
-			return RowRange{Start: bytesutil.PrefixSuccessor(enc)}
-		}); ok {
-			return tr
-		}
 		return r.columnFilter(x.Column, hbase.CmpGreater, x.Value, r.coder.OrderPreserving())
 	case datasource.GreaterThanOrEqual:
-		if tr, ok := r.keyBound(x.Column, x.Value, func(enc []byte) RowRange {
-			return RowRange{Start: enc}
-		}); ok {
-			return tr
-		}
 		return r.columnFilter(x.Column, hbase.CmpGreaterOrEqual, x.Value, r.coder.OrderPreserving())
 	case datasource.LessThan:
-		if tr, ok := r.keyBound(x.Column, x.Value, func(enc []byte) RowRange {
-			return RowRange{Stop: enc}
-		}); ok {
-			return tr
-		}
 		return r.columnFilter(x.Column, hbase.CmpLess, x.Value, r.coder.OrderPreserving())
 	case datasource.LessThanOrEqual:
-		if tr, ok := r.keyBound(x.Column, x.Value, func(enc []byte) RowRange {
-			return RowRange{Stop: bytesutil.PrefixSuccessor(enc)}
-		}); ok {
-			return tr
-		}
 		return r.columnFilter(x.Column, hbase.CmpLessOrEqual, x.Value, r.coder.OrderPreserving())
 	case datasource.In:
-		if isFirstDim(x.Column) && r.coder.OrderPreserving() {
-			set := emptySet()
-			ok := true
-			for _, v := range x.Values {
-				enc, err := r.codec.encodePrefix(v)
-				if err != nil {
-					ok = false
-					break
-				}
-				if singleDimKey {
-					set = set.Union(pointSet(enc))
-				} else {
-					set = set.Union(prefixSet(enc))
-				}
-			}
-			if ok {
-				return translation{ranges: set, handled: true}
-			}
-		}
 		// Non-key IN becomes an OR of equality filters.
 		spec, err := r.cat.Column(x.Column)
 		if err != nil || spec.CF == RowkeyCF {
@@ -219,9 +200,6 @@ func (r *HBaseRelation) translate(f datasource.Filter) translation {
 		// after the fetch (§VI-A.3).
 		return full
 	case datasource.StringStartsWith:
-		if isFirstDim(x.Column) && r.coder.OrderPreserving() && r.cat.fieldType(x.Column) == plan.TypeString {
-			return translation{ranges: prefixSet([]byte(x.Prefix)), handled: true}
-		}
 		if !r.coder.OrderPreserving() {
 			return full
 		}
@@ -243,14 +221,8 @@ func (r *HBaseRelation) translate(f datasource.Filter) translation {
 		}
 		return translation{ranges: fullSet(), hfilter: list, handled: true}
 	case datasource.AndFilter:
-		l := r.translate(x.Left)
-		rt := r.translate(x.Right)
-		out := translation{
-			ranges:  l.ranges.Intersect(rt.ranges),
-			handled: l.handled && rt.handled,
-		}
-		out.hfilter = andFilters(l.hfilter, rt.hfilter)
-		return out
+		tr, _ := r.pushdown([]datasource.Filter{x.Left, x.Right})
+		return tr
 	case datasource.OrFilter:
 		l := r.translate(x.Left)
 		rt := r.translate(x.Right)
@@ -282,16 +254,169 @@ func (r *HBaseRelation) translate(f datasource.Filter) translation {
 	return full
 }
 
-// keyBound builds a first-dimension range translation for an inequality.
-func (r *HBaseRelation) keyBound(col string, v any, build func(enc []byte) RowRange) (translation, bool) {
-	if col != r.cat.RowkeyFields()[0] || !r.coder.OrderPreserving() {
-		return translation{}, false
+// keyDim returns the rowkey dimension a comparison, IN or string-prefix
+// filter constrains, or -1 when the key-range pass does not take it.
+func (r *HBaseRelation) keyDim(f datasource.Filter) int {
+	var col string
+	switch x := f.(type) {
+	case datasource.EqualTo:
+		col = x.Column
+	case datasource.In:
+		col = x.Column
+	case datasource.GreaterThan:
+		col = x.Column
+	case datasource.GreaterThanOrEqual:
+		col = x.Column
+	case datasource.LessThan:
+		col = x.Column
+	case datasource.LessThanOrEqual:
+		col = x.Column
+	case datasource.StringStartsWith:
+		if r.cat.fieldType(x.Column) != plan.TypeString {
+			return -1
+		}
+		col = x.Column
+	default:
+		return -1
 	}
-	enc, err := r.codec.encodePrefix(v)
-	if err != nil {
-		return translation{}, false
+	dim, ok := r.cat.IsRowkeyField(col)
+	if !ok || !r.coder.OrderPreserving() || (r.opts.FirstDimensionPruning && dim > 0) {
+		return -1
 	}
-	return translation{ranges: singleSet(build(enc)), handled: true}, true
+	return dim
+}
+
+// keyRanges is the key-range pass. Dimension by dimension, it extends the
+// set of key prefixes with the values the first = or IN on that dimension
+// binds, encoded by appendDim in the layout encodeRowkey writes. Every key
+// predicate on a dimension the run reaches becomes exact ranges under the
+// prefixes so far and is marked handled; the run stops at the first
+// dimension no equality binds, and key predicates past it stay unhandled.
+// When every dimension is bound, the ranges are single keys, which
+// BuildScan sends as gets.
+func (r *HBaseRelation) keyRanges(filters []datasource.Filter, handled []bool) RangeSet {
+	// Each binding's ranges lie inside the previous binding's, so only the
+	// latest is kept; every other predicate narrows extra.
+	bound, extra := fullSet(), fullSet()
+	var root [1][]byte
+	prefixes := root[:]
+	for dim := range r.cat.RowkeyFields() {
+		var next [][]byte
+		for i, f := range filters {
+			if r.keyDim(f) != dim {
+				continue
+			}
+			rs, keys, ok := r.keyPredicate(f, dim, prefixes)
+			if !ok {
+				continue
+			}
+			handled[i] = true
+			if keys != nil && next == nil {
+				next, bound = keys, rs
+			} else {
+				extra = extra.Intersect(rs)
+			}
+		}
+		if next == nil {
+			break
+		}
+		prefixes = next
+	}
+	return bound.Intersect(extra)
+}
+
+// keyPredicate encodes a predicate on dimension dim under each prefix of
+// the dimensions before it. For = and IN, keys lists the extended prefixes
+// and is non-nil even when no value can be stored (a NUL on a terminated
+// dimension matches nothing). ok is false when a value does not encode or
+// the ranges would pass maxKeyPoints.
+func (r *HBaseRelation) keyPredicate(f datasource.Filter, dim int, prefixes [][]byte) (set RangeSet, keys [][]byte, ok bool) {
+	var one [1]any
+	vals := one[:]
+	switch x := f.(type) {
+	case datasource.EqualTo:
+		one[0] = x.Value
+	case datasource.In:
+		vals = x.Values
+	case datasource.GreaterThan:
+		one[0] = x.Value
+	case datasource.GreaterThanOrEqual:
+		one[0] = x.Value
+	case datasource.LessThan:
+		one[0] = x.Value
+	case datasource.LessThanOrEqual:
+		one[0] = x.Value
+	}
+	if dim > 0 && len(prefixes)*len(vals) > maxKeyPoints {
+		return set, nil, false
+	}
+	last := dim == len(r.cat.RowkeyFields())-1
+	switch x := f.(type) {
+	case datasource.EqualTo, datasource.In:
+		keys = make([][]byte, 0, len(prefixes)*len(vals))
+		for _, p := range prefixes {
+			for _, v := range vals {
+				key, err := r.codec.appendDim(p[:len(p):len(p)], dim, v)
+				if errors.Is(err, errKeyNUL) {
+					continue
+				}
+				if err != nil {
+					return set, nil, false
+				}
+				keys = append(keys, key)
+			}
+		}
+		if last {
+			return pointSet(keys...), keys, true
+		}
+		return prefixSet(keys...), keys, true
+	case datasource.StringStartsWith:
+		// A raw prefix of the encoded value, so no terminator; a NUL in it
+		// would reach past a terminated value into the next dimension.
+		enc, err := r.coder.Encode(x.Prefix, plan.TypeString)
+		if err != nil || (!last && bytes.IndexByte(enc, 0) >= 0) {
+			return set, nil, false
+		}
+		starts := make([][]byte, len(prefixes))
+		for i, p := range prefixes {
+			starts[i] = bytesutil.Concat(p, enc)
+		}
+		return prefixSet(starts...), nil, true
+	}
+	var rs []RowRange
+	for _, p := range prefixes {
+		key, err := r.codec.appendDim(p[:len(p):len(p)], dim, vals[0])
+		if err != nil {
+			return set, nil, false
+		}
+		rr := RowRange{Start: p, Stop: bytesutil.PrefixSuccessor(p)}
+		switch f.(type) {
+		case datasource.GreaterThan:
+			if rr.Start = valueEnd(key, last); rr.Start == nil {
+				continue
+			}
+		case datasource.GreaterThanOrEqual:
+			rr.Start = key
+		case datasource.LessThan:
+			rr.Stop = key
+		case datasource.LessThanOrEqual:
+			if end := valueEnd(key, last); end != nil {
+				rr.Stop = end
+			}
+		}
+		rs = append(rs, rr)
+	}
+	return normalize(rs), nil, true
+}
+
+// valueEnd is the first key past every key whose last encoded dimension
+// is the one key ends with: the last dimension is the key's tail, an
+// earlier one a prefix of it. nil means no key follows.
+func valueEnd(key []byte, last bool) []byte {
+	if last {
+		return bytesutil.Successor(key)
+	}
+	return bytesutil.PrefixSuccessor(key)
 }
 
 // columnFilter builds a server-side single-column filter; handled=false
@@ -326,101 +451,6 @@ func andFilters(a, b hbase.Filter) hbase.Filter {
 	return &hbase.FilterList{Op: hbase.MustPassAll, Filters: []hbase.Filter{a, b}}
 }
 
-// compositeRanges implements the paper's future-work extension (§VIII):
-// pruning on every dimension of a composite rowkey. With equality
-// predicates on key dimensions 1..k-1, the matching keys share the encoded
-// prefix of those values; an additional equality or bound on dimension k
-// refines the range further. The result is an over-approximation (the
-// engine still re-applies the non-first-dimension predicates), so it only
-// ever narrows the scan, never changes answers.
-func (r *HBaseRelation) compositeRanges(filters []datasource.Filter) RangeSet {
-	fields := r.cat.RowkeyFields()
-	if len(fields) < 2 || !r.coder.OrderPreserving() || r.opts.DisableFilterPushdown {
-		return fullSet()
-	}
-	// Gather per-dimension simple predicates.
-	eq := make(map[int]any)
-	type bound struct {
-		v         any
-		inclusive bool
-	}
-	lower := make(map[int]bound)
-	upper := make(map[int]bound)
-	for _, f := range filters {
-		var col string
-		switch x := f.(type) {
-		case datasource.EqualTo:
-			col = x.Column
-			if dim, ok := r.cat.IsRowkeyField(col); ok {
-				eq[dim] = x.Value
-			}
-		case datasource.GreaterThan:
-			if dim, ok := r.cat.IsRowkeyField(x.Column); ok {
-				lower[dim] = bound{x.Value, false}
-			}
-		case datasource.GreaterThanOrEqual:
-			if dim, ok := r.cat.IsRowkeyField(x.Column); ok {
-				lower[dim] = bound{x.Value, true}
-			}
-		case datasource.LessThan:
-			if dim, ok := r.cat.IsRowkeyField(x.Column); ok {
-				upper[dim] = bound{x.Value, false}
-			}
-		case datasource.LessThanOrEqual:
-			if dim, ok := r.cat.IsRowkeyField(x.Column); ok {
-				upper[dim] = bound{x.Value, true}
-			}
-		}
-	}
-	// k = longest all-equality prefix.
-	k := 0
-	vals := make([]any, 0, len(fields))
-	for ; k < len(fields); k++ {
-		v, ok := eq[k]
-		if !ok {
-			break
-		}
-		vals = append(vals, v)
-	}
-	if k == 0 {
-		return fullSet() // first-dimension logic already covers this
-	}
-	prefix, err := r.codec.encodeDims(vals, k)
-	if err != nil {
-		return fullSet()
-	}
-	set := prefixSet(prefix)
-	// Refine with a bound on the next dimension when it is fixed-width
-	// (variable-width encodings do not compose into contiguous key ranges
-	// past a prefix). The result stays an over-approximation either way.
-	_, hasLower := lower[k]
-	_, hasUpper := upper[k]
-	if k < len(fields) && (hasLower || hasUpper) && fixedWidth(r.cat.fieldType(fields[k]), r.coder) > 0 {
-		t := r.cat.fieldType(fields[k])
-		rr := RowRange{Start: prefix, Stop: bytesutil.PrefixSuccessor(prefix)}
-		if lb, ok := lower[k]; ok {
-			if enc, err := r.coder.Encode(lb.v, t); err == nil {
-				if lb.inclusive {
-					rr.Start = bytesutil.Concat(prefix, enc)
-				} else if succ := bytesutil.PrefixSuccessor(enc); succ != nil {
-					rr.Start = bytesutil.Concat(prefix, succ)
-				}
-			}
-		}
-		if ub, ok := upper[k]; ok {
-			if enc, err := r.coder.Encode(ub.v, t); err == nil {
-				if !ub.inclusive {
-					rr.Stop = bytesutil.Concat(prefix, enc)
-				} else if succ := bytesutil.PrefixSuccessor(enc); succ != nil {
-					rr.Stop = bytesutil.Concat(prefix, succ)
-				}
-			}
-		}
-		set = set.Intersect(singleSet(rr))
-	}
-	return set
-}
-
 // EstimatedRowCount implements datasource.Statistics: cell count from the
 // master's region metrics divided by the catalog's data-column count. The
 // estimate ignores multi-versioned cells and NULL-absent columns, which is
@@ -440,8 +470,9 @@ func (r *HBaseRelation) EstimatedRowCount() (int64, bool) {
 // UnhandledFilters implements datasource.PrunedFilteredScan.
 func (r *HBaseRelation) UnhandledFilters(filters []datasource.Filter) []datasource.Filter {
 	var out []datasource.Filter
-	for _, f := range filters {
-		if !r.translate(f).handled {
+	_, handled := r.pushdown(filters)
+	for i, f := range filters {
+		if !handled[i] {
 			out = append(out, f)
 		}
 	}
@@ -464,26 +495,14 @@ func (r *HBaseRelation) BuildScan(requiredColumns []string, filters []datasource
 		}
 	}
 
-	ranges := fullSet()
-	var hfilters []hbase.Filter
-	for _, f := range filters {
-		tr := r.translate(f)
-		ranges = ranges.Intersect(tr.ranges)
-		if tr.hfilter != nil {
-			hfilters = append(hfilters, tr.hfilter)
-		}
-		if tr.handled {
+	tr, handled := r.pushdown(filters)
+	ranges, filter := tr.ranges, tr.hfilter
+	for _, h := range handled {
+		if h {
 			r.meter.Inc(metrics.FiltersPushed)
 		} else {
 			r.meter.Inc(metrics.FiltersUnhandled)
 		}
-	}
-	if r.opts.FullKeyPruning {
-		ranges = ranges.Intersect(r.compositeRanges(filters))
-	}
-	var filter hbase.Filter
-	for _, f := range hfilters {
-		filter = andFilters(filter, f)
 	}
 
 	regions, err := r.client.Regions(r.cat.Table.Name)
@@ -515,10 +534,14 @@ func (r *HBaseRelation) BuildScan(requiredColumns []string, filters []datasource
 			if !ok {
 				continue
 			}
-			if isPoint(rng) {
-				ops = append(ops, hbase.ScanOp{RegionID: ri.ID, Epoch: ri.Epoch, Rows: [][]byte{rng.Start}, Scan: scanTemplate(nil, nil)})
-			} else {
+			// Consecutive single keys in one region become one bulk get.
+			switch {
+			case !isPoint(rng):
 				ops = append(ops, hbase.ScanOp{RegionID: ri.ID, Epoch: ri.Epoch, Scan: scanTemplate(lo, hi)})
+			case len(ops) > 0 && len(ops[len(ops)-1].Rows) > 0:
+				ops[len(ops)-1].Rows = append(ops[len(ops)-1].Rows, rng.Start)
+			default:
+				ops = append(ops, hbase.ScanOp{RegionID: ri.ID, Epoch: ri.Epoch, Rows: [][]byte{rng.Start}, Scan: scanTemplate(nil, nil)})
 			}
 		}
 		if len(ops) == 0 {
