@@ -22,20 +22,20 @@ func (p *hbasePartition) ComputeAggregates(ctx context.Context, aggs []datasourc
 		return nil, false, nil
 	}
 	ctx = bridgeConsistency(ctx)
-	pager := newFusedPager(p, p.ops, 0)
-	pager.aggs = specs
-	pager.state = make([]hbase.AggPartial, len(specs))
+	state := make([]hbase.AggPartial, len(specs))
+	pager := p.pager(hbase.FusedRequest{Aggs: specs, State: state}, 0)
 	for {
-		resp, err := pager.next(ctx)
+		resp, err := pager.Next(ctx)
 		if err != nil {
 			return nil, true, err
 		}
 		if resp == nil {
 			break
 		}
+		state = resp.Aggs
 	}
 	out := make([]datasource.AggregatePartial, len(specs))
-	for i, s := range pager.state {
+	for i, s := range state {
 		out[i] = datasource.AggregatePartial(s)
 	}
 	return out, true, nil

@@ -12,7 +12,6 @@ import (
 	"github.com/shc-go/shc/internal/hbase"
 	"github.com/shc-go/shc/internal/metrics"
 	"github.com/shc-go/shc/internal/plan"
-	"github.com/shc-go/shc/internal/trace"
 )
 
 // bridgeConsistency translates the engine-level consistency choice (carried
@@ -617,11 +616,11 @@ func (p *hbasePartition) PreferredHost() string { return p.host }
 // servers if the host dies mid-query.
 func (p *hbasePartition) Compute(ctx context.Context) ([]plan.Row, error) {
 	ctx = bridgeConsistency(ctx)
-	pager := newFusedPager(p, p.ops, 0)
+	pager := p.pager(hbase.FusedRequest{}, 0)
 	var rows []plan.Row
 	var keyScratch []any
 	for {
-		resp, err := pager.next(ctx)
+		resp, err := pager.Next(ctx)
 		if err != nil {
 			return nil, err
 		}
@@ -635,364 +634,52 @@ func (p *hbasePartition) Compute(ctx context.Context) ([]plan.Row, error) {
 	}
 }
 
-// fusedPager drives a partition's paged fused execution with failover. The
-// partition bakes in the host that served its regions at plan time; when
-// that host dies mid-scan, the pager re-resolves region locations, regroups
-// the not-yet-streamed ops into contiguous same-host runs, and resumes each
-// run from the continuation cursor — so a query started before a crash
-// finishes with exactly the rows it would have produced without one.
-type fusedPager struct {
-	p        *hbasePartition
-	ops      []hbase.ScanOp // ops not yet fully streamed, in original order
-	host     string         // host serving ops[:prefix]
-	prefix   int            // length of the contiguous same-host run being paged
-	cursor   hbase.FusedCursor
-	batch    int
-	columnar bool // request column-major pages (vectorized decode path)
-	// aggs, when set, makes every run a partial aggregate; state is the
-	// running partials, sent with each run and replaced by its answer.
-	aggs  []hbase.AggSpec
-	state []hbase.AggPartial
-	retry hbase.RetryBudget
-	done  bool
-}
-
-func newFusedPager(p *hbasePartition, ops []hbase.ScanOp, batch int) *fusedPager {
-	// At plan time every op in the partition lives on p.host, so the first
-	// run is the whole list; runs only fragment after a failover.
-	return &fusedPager{p: p, ops: ops, host: p.host, prefix: len(ops), batch: batch,
-		retry: p.rel.client.NewRetryBudget(p.rel.cat.Table.Name)}
-}
-
-// wrapErr annotates a terminal paging error with where the fused stream
-// stood — table, the region the cursor was walking, and the resume row — so
-// a failure inside a multi-region fused scan reports its position.
-func (g *fusedPager) wrapErr(err error) error {
-	region := "?"
-	if g.cursor.Op >= 0 && g.cursor.Op < g.prefix && g.cursor.Op < len(g.ops) {
-		region = g.ops[g.cursor.Op].RegionID
-	}
-	return fmt.Errorf("core: fused scan table=%q region=%s after-row=%x: %w",
-		g.p.rel.cat.Table.Name, region, g.cursor.Row, err)
-}
-
-// next returns the next page, or (nil, nil) once every op has streamed.
-func (g *fusedPager) next(ctx context.Context) (*hbase.ScanResponse, error) {
-	for !g.done {
-		resp, err := g.p.rel.client.FusedExecPage(ctx, g.host, &hbase.FusedRequest{
-			Ops: g.ops[:g.prefix], BatchLimit: g.batch, Cursor: g.cursor, Columnar: g.columnar,
-			Aggs: g.aggs, State: g.state,
-		})
-		if err != nil {
-			// A shed request keeps the op layout: the budget skips the regroup
-			// and the same page is resent after the backoff. Otherwise ops
-			// before cursor.Op have fully streamed; the cursor's own op
-			// resumes mid-scan via Row/RowIdx/Sent, which survive the rebase
-			// because the server walks ops from Cursor.Op.
-			failed := g.host
-			if rerr := g.retry.Retry(ctx, err, func() error {
-				g.ops = g.ops[g.cursor.Op:]
-				g.cursor.Op = 0
-				return g.replace(ctx, failed)
-			}); rerr != nil {
-				return nil, g.wrapErr(rerr)
-			}
-			continue
-		}
-		g.retry.Progressed()
-		if g.aggs != nil {
-			if len(resp.Aggs) != len(g.aggs) {
-				return nil, g.wrapErr(fmt.Errorf("%d aggregate partials for %d specs", len(resp.Aggs), len(g.aggs)))
-			}
-			g.state = resp.Aggs
-		}
-		if resp.More {
-			g.cursor = resp.Next
-			return resp, nil
-		}
-		// This same-host run is exhausted; advance to the next one (only
-		// present after a failover scattered the partition's regions).
-		g.ops = g.ops[g.prefix:]
-		g.cursor = hbase.FusedCursor{}
-		if len(g.ops) == 0 {
-			g.done = true
-		} else if rerr := g.replace(ctx, ""); rerr != nil {
-			return nil, g.wrapErr(rerr)
-		}
-		return resp, nil
-	}
-	return nil, nil
-}
-
-// replace re-resolves where the remaining ops now live and sets host/prefix
-// to the leading contiguous run served by one host. Op order is preserved,
-// so the rows stream in exactly the order the unbroken fused RPC would have
-// produced them. Each remaining op is restamped with the region's current
-// ownership epoch — the fresh locations are only honored by servers when the
-// routing epoch matches what they hold.
-//
-// avoid names a host that just failed (empty on the normal run-exhausted
-// path). When the refreshed meta still routes the leading op's primary to
-// that host — the master's heartbeat has not noticed the death yet — and
-// the query runs under timeline consistency, the run is redirected to one of
-// the region's secondary replicas instead of burning the remaining attempts
-// against a corpse: ops are stamped with the replica number the chosen host
-// serves, and the pages come back tagged stale. Strong queries never
-// redirect; they wait out reassignment exactly as before replicas existed.
-func (g *fusedPager) replace(ctx context.Context, avoid string) error {
-	rm, err := g.p.rel.client.RegionMap(ctx, g.p.rel.cat.Table.Name)
-	if err != nil {
-		return err
-	}
-	// Fold the in-flight cursor into the lead op's own key range / row list.
-	// Only the cursor key says where the stream truly stands, and a region
-	// that split between pages invalidates the (RegionID, cursor) pair — so
-	// bake the resume position into the op before remapping by key range.
-	g.foldCursor()
-	// Re-lookup ops whose region no longer exists (it split — or merged —
-	// under the scan) by their remaining key range. Fresh regions come back
-	// sorted by start key and each op expands in place, so op order — and
-	// therefore row order — is exactly what the unbroken stream would have
-	// produced.
-	remapped := g.ops[:0:0]
-	for _, op := range g.ops {
-		if _, ok := rm.ByID(op.RegionID); ok {
-			remapped = append(remapped, op)
-			continue
-		}
-		ops, err := remapOp(op, rm)
-		if err != nil {
-			return err
-		}
-		remapped = append(remapped, ops...)
-	}
-	g.ops = remapped
-	if len(g.ops) == 0 {
-		// Every remaining op folded away (cursor past the end of its range).
-		g.done = true
-		return nil
-	}
-	lead, _ := rm.ByID(g.ops[0].RegionID)
-	for i := range g.ops {
-		if in, ok := rm.ByID(g.ops[i].RegionID); ok {
-			g.ops[i].Epoch = in.Epoch
-		}
-		g.ops[i].Replica = 0
-	}
-	host := lead.Host
-	if avoid != "" && host == avoid && hbase.ConsistencyFromContext(ctx) == hbase.ConsistencyTimeline {
-		for i, rh := range lead.ReplicaHosts {
-			if rh != "" && rh != avoid {
-				host = rh
-				g.ops[0].Replica = i + 1
-				metrics.Scoped(ctx, g.p.rel.meter).Inc(metrics.ReplicaFailovers)
-				trace.SpanFromContext(ctx).Annotate("timeline failover: fused run -> %s replica %d on %s", lead.ID, i+1, rh)
-				break
-			}
-		}
-	}
-	// replicaOn reports which copy of a region host serves: 0 for the
-	// primary, n for replica #n, -1 when host holds no copy.
-	replicaOn := func(in *hbase.RegionInfo) int {
-		if in.Host == host {
-			return 0
-		}
-		for i, rh := range in.ReplicaHosts {
-			if rh != "" && rh == host {
-				return i + 1
-			}
-		}
-		return -1
-	}
-	g.host = host
-	g.prefix = 1
-	for g.prefix < len(g.ops) {
-		in, ok := rm.ByID(g.ops[g.prefix].RegionID)
-		if !ok {
-			break
-		}
-		rep := replicaOn(in)
-		if rep < 0 || (rep > 0 && g.ops[0].Replica == 0) {
-			// Replica-served ops only join a run that already failed over;
-			// a healthy strong run stays primary-only.
-			break
-		}
-		g.ops[g.prefix].Replica = rep
-		g.prefix++
-	}
-	return nil
-}
-
-// foldCursor rewrites the lead op so its own key range (scan) or row list
-// (bulk get) starts at the continuation cursor, then clears the cursor. A
-// folded op resumes exactly where the stream stood no matter which region —
-// or how many, after a split — now covers its keys. The zero cursor (the
-// run-exhausted path) folds to a no-op. The op's Scan is cloned before
-// mutation because the backing array is shared with the partition's op list.
-func (g *fusedPager) foldCursor() {
-	if len(g.ops) == 0 {
-		return
-	}
-	c := g.cursor
-	if c.Row == nil && c.RowIdx == 0 && c.Sent == 0 {
-		return
-	}
-	op := g.ops[0]
-	g.cursor = hbase.FusedCursor{}
-	exhausted := false
-	if len(op.Rows) > 0 {
-		if c.RowIdx >= len(op.Rows) {
-			exhausted = true
-		} else if c.RowIdx > 0 {
-			op.Rows = op.Rows[c.RowIdx:]
-		}
-	} else if op.Scan != nil {
-		sc := *op.Scan
-		if c.Row != nil {
-			sc.StartRow = c.Row
-		}
-		if sc.Limit > 0 {
-			sc.Limit -= c.Sent
-			exhausted = sc.Limit <= 0
-		}
-		op.Scan = &sc
-	}
-	if exhausted {
-		// The cursor sat exactly at the op's end: it has fully streamed.
-		g.ops = g.ops[1:]
-		return
-	}
-	g.ops[0] = op
-}
-
-// remapOp re-homes one op whose region vanished onto the fresh region map:
-// a scan op is clipped to every fresh region its range overlaps, a bulk get
-// is partitioned by which fresh region contains each row. Both expand in
-// region key order and rows within an op are sorted, so expansion preserves
-// stream order.
-func remapOp(op hbase.ScanOp, rm *hbase.RegionMap) ([]hbase.ScanOp, error) {
-	var out []hbase.ScanOp
-	if len(op.Rows) > 0 {
-		groups, err := hbase.GroupByRegion(rm, op.Rows, func(r *[]byte) []byte { return *r })
-		if err != nil {
-			return nil, err
-		}
-		for _, g := range groups {
-			out = append(out, hbase.ScanOp{RegionID: g.Region.ID, Epoch: g.Region.Epoch, Rows: g.Items, Scan: op.Scan})
-		}
-		return out, nil
-	}
-	if op.Scan == nil {
-		return nil, nil
-	}
-	regions := rm.Regions()
-	for ri := range regions {
-		in := &regions[ri]
-		lo, hi, ok := hbase.SplitRowRange(in, op.Scan.StartRow, op.Scan.StopRow)
-		if !ok {
-			continue
-		}
-		sc := *op.Scan
-		sc.StartRow, sc.StopRow = lo, hi
-		out = append(out, hbase.ScanOp{RegionID: in.ID, Epoch: in.Epoch, Scan: &sc})
-	}
-	return out, nil
+// pager starts the partition's read: its ops on its planned host, pages
+// shaped by tmpl, at most limit rows (0 = all).
+func (p *hbasePartition) pager(tmpl hbase.FusedRequest, limit int) *hbase.Pager {
+	tmpl.Ops = p.ops
+	return p.rel.client.NewPager(p.rel.cat.Table.Name, p.host, tmpl, limit)
 }
 
 // defaultFusedBatch is the per-page row budget when the caller does not pick
 // one.
 const defaultFusedBatch = 256
 
-// openPager starts the partition's paged fused execution for a batch scan:
-// pages of opts.BatchSize rows (default defaultFusedBatch), and a LimitHint
-// shrinking each scan op's server-side Scan.Limit.
-func (p *hbasePartition) openPager(opts datasource.BatchOptions) *fusedPager {
+// batchPages pages the partition's read for a batch scan: pages of
+// opts.BatchSize rows (default defaultFusedBatch), at most opts.LimitHint
+// rows in all — the fused-LIMIT short circuit — and the next page's RPC in
+// flight while the caller decodes the current one (double buffering).
+func (p *hbasePartition) batchPages(ctx context.Context, opts datasource.BatchOptions, columnar bool) func() (*hbase.ScanResponse, error) {
 	batchSize := opts.BatchSize
 	if batchSize <= 0 {
 		batchSize = defaultFusedBatch
 	}
-	ops := p.ops
-	if opts.LimitHint > 0 {
-		ops = make([]hbase.ScanOp, len(p.ops))
-		for i, op := range p.ops {
-			if op.Scan != nil && len(op.Rows) == 0 {
-				s := *op.Scan
-				if s.Limit == 0 || s.Limit > opts.LimitHint {
-					s.Limit = opts.LimitHint
-				}
-				op.Scan = &s
-			}
-			ops[i] = op
-		}
-	}
-	return newFusedPager(p, ops, batchSize)
-}
-
-// fusedPage is the outcome of one prefetched page.
-type fusedPage struct {
-	resp *hbase.ScanResponse
-	err  error
-}
-
-// prefetch fetches the next page in the background (double buffering). The
-// buffered channel keeps the goroutine from leaking if the consumer stops
-// early. Pager state mutates only inside these goroutines, and a consumer
-// launches the next one only after receiving the previous result, so access
-// stays serial.
-func (g *fusedPager) prefetch(ctx context.Context) chan fusedPage {
-	ch := make(chan fusedPage, 1)
-	go func() {
-		resp, err := g.next(ctx)
-		ch <- fusedPage{resp: resp, err: err}
-	}()
-	return ch
+	pager := p.pager(hbase.FusedRequest{BatchLimit: batchSize, Columnar: columnar}, opts.LimitHint)
+	return pager.Prefetch(ctx, p.rel.meter)
 }
 
 // ComputeBatches implements datasource.BatchScan: the partition's fused RPC
 // is paged with a continuation cursor, each page decoded and yielded as one
-// batch. While the caller consumes a page, the next page's RPC is already in
-// flight (double buffering), so decode and network time overlap. A LimitHint
-// shrinks each op's server-side Scan.Limit and stops paging once enough rows
-// streamed — the fused-LIMIT short circuit.
+// batch while the next page is already in flight.
 func (p *hbasePartition) ComputeBatches(ctx context.Context, opts datasource.BatchOptions, yield func([]plan.Row) error) error {
 	ctx = bridgeConsistency(ctx)
-	pager := p.openPager(opts)
-
+	next := p.batchPages(ctx, opts, false)
 	meter := metrics.Scoped(ctx, p.rel.meter)
-	pending := pager.prefetch(ctx)
-	emitted := 0
 	var batch []plan.Row
 	var keyScratch []any
-	for pending != nil {
-		pg := <-pending
-		pending = nil
-		if pg.err != nil {
-			return pg.err
-		}
-		if pg.resp == nil {
-			break
+	for {
+		resp, err := next()
+		if err != nil || resp == nil {
+			return err
 		}
 		meter.Inc(metrics.FusedPages)
-		results := pg.resp.Results
-		// Pager state mutates only inside prefetch goroutines; the channel
-		// receive above happens-before this launch, so access stays serial.
-		if !pager.done && (opts.LimitHint <= 0 || emitted+len(results) < opts.LimitHint) {
-			// Launch the next page before decoding this one.
-			pending = pager.prefetch(ctx)
-			meter.Inc(metrics.PagesPrefetched)
-		}
-		if opts.LimitHint > 0 && emitted+len(results) > opts.LimitHint {
-			results = results[:opts.LimitHint-emitted]
-		}
-		if len(results) == 0 {
+		if len(resp.Results) == 0 {
 			continue
 		}
-		var err error
-		batch, keyScratch, err = p.rel.decodeResults(results, p.required, batch[:0], keyScratch)
+		batch, keyScratch, err = p.rel.decodeResults(resp.Results, p.required, batch[:0], keyScratch)
 		if err != nil {
 			return err
 		}
-		emitted += len(batch)
 		if err := yield(batch); err != nil {
 			if errors.Is(err, datasource.ErrStopBatches) {
 				return nil
@@ -1000,7 +687,6 @@ func (p *hbasePartition) ComputeBatches(ctx context.Context, opts datasource.Bat
 			return err
 		}
 	}
-	return nil
 }
 
 // decodeResults decodes a page of HBase results into rows appended to dst,

@@ -72,61 +72,42 @@ func putBatch(b *plan.Batch) {
 }
 
 // ComputeVectors implements datasource.VectorScan: the same paged fused
-// execution as ComputeBatches — double-buffered prefetch, LimitHint
-// shrinking, cursor-exact failover — but pages are requested column-major
-// and decoded into one reused column batch instead of row slices.
+// read as ComputeBatches — double-buffered prefetch, the LimitHint cap,
+// cursor-exact failover — but pages are requested column-major and decoded
+// into one reused column batch instead of row slices.
 func (p *hbasePartition) ComputeVectors(ctx context.Context, opts datasource.BatchOptions, yield func(*plan.Batch) error) error {
 	ctx = bridgeConsistency(ctx)
 	specs, schema, lazyDec := p.rel.vecSpecs(p.required, opts.EagerColumns)
 	batch := getBatch(schema, specs, lazyDec)
 	defer putBatch(batch)
 
-	pager := p.openPager(opts)
-	pager.columnar = true
-
+	next := p.batchPages(ctx, opts, true)
 	meter := metrics.Scoped(ctx, p.rel.meter)
-	pending := pager.prefetch(ctx)
-	emitted := 0
 	var keyScratch []any
-	for pending != nil {
-		pg := <-pending
-		pending = nil
-		if pg.err != nil {
-			return pg.err
-		}
-		if pg.resp == nil {
-			break
+	for {
+		resp, err := next()
+		if err != nil || resp == nil {
+			return err
 		}
 		meter.Inc(metrics.FusedPages)
-		n := len(pg.resp.Results)
-		if pg.resp.Block != nil {
-			n = pg.resp.Block.Len()
+		n := len(resp.Results)
+		if resp.Block != nil {
+			n = resp.Block.Len()
 			meter.Inc(metrics.ColumnarPages)
-		}
-		// Pager state mutates only inside prefetch goroutines; the channel
-		// receive above happens-before this launch, so access stays serial.
-		if !pager.done && (opts.LimitHint <= 0 || emitted+n < opts.LimitHint) {
-			pending = pager.prefetch(ctx)
-			meter.Inc(metrics.PagesPrefetched)
-		}
-		if opts.LimitHint > 0 && emitted+n > opts.LimitHint {
-			n = opts.LimitHint - emitted
 		}
 		if n == 0 {
 			continue
 		}
 		batch.Reset()
-		var err error
-		if pg.resp.Block != nil {
-			err = p.rel.decodeBlock(batch, specs, pg.resp.Block, n, &keyScratch)
+		if resp.Block != nil {
+			err = p.rel.decodeBlock(batch, specs, resp.Block, n, &keyScratch)
 		} else {
-			err = p.rel.decodeResultsToBatch(batch, specs, pg.resp.Results[:n], &keyScratch)
+			err = p.rel.decodeResultsToBatch(batch, specs, resp.Results, &keyScratch)
 		}
 		if err != nil {
 			return err
 		}
 		batch.SetLen(n)
-		emitted += n
 		if err := yield(batch); err != nil {
 			if errors.Is(err, datasource.ErrStopBatches) {
 				return nil
@@ -134,7 +115,6 @@ func (p *hbasePartition) ComputeVectors(ctx context.Context, opts datasource.Bat
 			return err
 		}
 	}
-	return nil
 }
 
 // vecSpecs builds the per-column decode plan: HBase coordinates, rowkey

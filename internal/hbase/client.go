@@ -108,10 +108,10 @@ func WithRetryPolicy(p RetryPolicy) ClientOption {
 // the host as unreachable without spending a connection or an RPC on it.
 func WithBreaker(b HostBreaker) ClientOption { return func(c *Client) { c.breaker = b } }
 
-// WithHedgedReads makes read-only region RPCs (scans, gets, fused pages)
-// fire a speculative duplicate when the first try is still unanswered after
-// delay. The first response wins; the loser's context is cancelled. Writes
-// never hedge. delay <= 0 disables hedging.
+// WithHedgedReads makes read-only region RPCs (the fused pages every scan
+// and get travels in) fire a speculative duplicate when the first try is
+// still unanswered after delay. The first response wins; the loser's context
+// is cancelled. Writes never hedge. delay <= 0 disables hedging.
 func WithHedgedReads(delay time.Duration) ClientOption {
 	return func(c *Client) { c.hedgeDelay = delay }
 }
@@ -319,41 +319,6 @@ func (f *ReadFreshness) absorb(resp *ScanResponse) {
 	if resp.StalenessMs > f.BoundMs {
 		f.BoundMs = resp.StalenessMs
 	}
-}
-
-// readRegion issues one read RPC against a region's primary and — when the
-// context asks for timeline consistency — fails over to the region's
-// secondary replicas within the same round if the primary is unreachable or
-// no longer serving. This is the availability contract replicas exist for:
-// a crashed primary costs one failed RPC, not a heartbeat-plus-WAL-replay
-// wait. build stamps the request for the copy being addressed (0 =
-// primary); replica responses come back tagged stale with their staleness
-// bound. Strong-consistency callers never take the failover branch, so
-// their behaviour is byte-identical to the replica-free client.
-func (c *Client) readRegion(ctx context.Context, ri *RegionInfo, method string, build func(replica int) rpc.Message) (*ScanResponse, error) {
-	resp, err := c.callRead(ctx, ri.Host, method, build(0))
-	if err == nil {
-		return resp.(*ScanResponse), nil
-	}
-	if ConsistencyFromContext(ctx) != ConsistencyTimeline || !IsRetryable(err) {
-		return nil, err
-	}
-	meter := metrics.Scoped(ctx, c.net.Meter())
-	for i, host := range ri.ReplicaHosts {
-		if host == "" || host == ri.Host {
-			continue
-		}
-		if ctx.Err() != nil {
-			break
-		}
-		rresp, rerr := c.callRead(ctx, host, method, build(i+1))
-		if rerr == nil {
-			meter.Inc(metrics.ReplicaFailovers)
-			trace.SpanFromContext(ctx).Annotate("timeline failover: %s replica %d on %s", ri.ID, i+1, host)
-			return rresp.(*ScanResponse), nil
-		}
-	}
-	return nil, err
 }
 
 // callMaster sends a meta request to the current master, riding out a master
@@ -590,7 +555,7 @@ func (c *Client) writeOnce(ctx context.Context, table, tok string, cells []Cell,
 	if err != nil {
 		return err
 	}
-	groups, err := GroupByRegion(m, cells, cellRow)
+	groups, err := groupByRegion(m, cells, cellRow)
 	if err != nil {
 		return err
 	}
@@ -628,8 +593,9 @@ func (c *Client) GetContext(ctx context.Context, table string, row []byte, cols 
 	return results[0], nil
 }
 
-// BulkGet fetches many rows, one batched RPC per region. Stale region
-// locations are refreshed and retried once.
+// BulkGet fetches many rows, one fused RPC per same-host run of regions.
+// Stale region locations are refreshed and retried under the client's retry
+// policy.
 func (c *Client) BulkGet(table string, rows [][]byte, cols []Column, maxVersions int, tr TimeRange) ([]Result, error) {
 	return c.BulkGetContext(context.Background(), table, rows, cols, maxVersions, tr)
 }
@@ -645,49 +611,29 @@ func (c *Client) BulkGetContext(ctx context.Context, table string, rows [][]byte
 // freshness: whether any region's batch was answered by a secondary replica
 // (only possible under WithConsistency(ctx, ConsistencyTimeline)) and the
 // largest staleness bound attached. Strong reads always come back
-// {Stale: false}. Results come back grouped by region in key order.
+// {Stale: false}. The rows are grouped against one region-map snapshot into
+// one bulk-get op per region, read by a Pager; results come back grouped by
+// region in key order.
 func (c *Client) BulkGetFresh(ctx context.Context, table string, rows [][]byte, cols []Column, maxVersions int, tr TimeRange) ([]Result, ReadFreshness, error) {
-	tok, err := c.token()
+	m, err := c.RegionMap(ctx, table)
 	if err != nil {
 		return nil, ReadFreshness{}, err
 	}
-	for retry := c.NewRetryBudget(table); ; {
-		out, fresh, err := c.bulkGet(ctx, table, &BulkGetRequest{Columns: cols, MaxVersions: maxVersions, TimeRange: tr, Token: tok}, rows)
-		if err == nil {
-			return out, fresh, nil
-		}
-		if err = retry.Retry(ctx, err, nil); err != nil {
-			return nil, ReadFreshness{}, err
-		}
-	}
-}
-
-// bulkGet runs one attempt: rows grouped against one snapshot, one read per
-// region in key order, each a copy of tmpl addressed to its region.
-func (c *Client) bulkGet(ctx context.Context, table string, tmpl *BulkGetRequest, rows [][]byte) ([]Result, ReadFreshness, error) {
-	var fresh ReadFreshness
-	m, err := c.RegionMap(ctx, table)
+	groups, err := groupByRegion(m, rows, func(r *[]byte) []byte { return *r })
 	if err != nil {
-		return nil, fresh, err
+		return nil, ReadFreshness{}, err
 	}
-	groups, err := GroupByRegion(m, rows, func(r *[]byte) []byte { return *r })
+	tmpl := &Scan{Columns: cols, MaxVersions: maxVersions, TimeRange: tr}
+	ops := make([]ScanOp, len(groups))
+	for i, g := range groups {
+		ops[i] = ScanOp{RegionID: g.Region.ID, Epoch: g.Region.Epoch, Rows: g.Items, Scan: tmpl}
+	}
+	g := c.NewPager(table, "", FusedRequest{Ops: ops}, 0)
+	out, err := g.all(ctx)
 	if err != nil {
-		return nil, fresh, err
+		return nil, ReadFreshness{}, err
 	}
-	var out []Result
-	for _, g := range groups {
-		resp, err := c.readRegion(ctx, g.Region, MethodBulkGet, func(replica int) rpc.Message {
-			r := *tmpl
-			r.RegionID, r.Epoch, r.Replica, r.Rows = g.Region.ID, g.Region.Epoch, replica, g.Items
-			return &r
-		})
-		if err != nil {
-			return nil, fresh, err
-		}
-		fresh.absorb(resp)
-		out = append(out, resp.Results...)
-	}
-	return out, fresh, nil
+	return out, g.fresh, nil
 }
 
 // ScanTable scans the whole key range [scan.StartRow, scan.StopRow),
@@ -697,8 +643,8 @@ func (c *Client) ScanTable(table string, scan *Scan) ([]Result, error) {
 }
 
 // ScanTableContext is ScanTable bounded by ctx: a drained Scanner whose pages
-// are whole regions, so a failure resumes from the exact cursor instead of
-// restarting the scan.
+// are whole same-host runs of regions, so a failure resumes from the exact
+// cursor instead of restarting the scan.
 func (c *Client) ScanTableContext(ctx context.Context, table string, scan *Scan) ([]Result, error) {
 	s, err := c.OpenScannerContext(ctx, table, scan, ScannerConfig{BatchSize: math.MaxInt})
 	if err != nil {
@@ -713,22 +659,15 @@ func (c *Client) ScanRegion(ri RegionInfo, scan *Scan) ([]Result, error) {
 	return c.ScanRegionContext(context.Background(), ri, scan)
 }
 
-// ScanRegionContext is ScanRegion bounded by ctx. Under timeline
-// consistency an unreachable primary fails over to the region's replicas
-// (the cached RegionInfo carries their hosts), so per-partition readers
-// survive a primary crash without waiting out reassignment.
+// ScanRegionContext is ScanRegion bounded by ctx: one unpaged scan op on
+// ri's host. A region that split after the caller read ri is remapped by
+// its key range, and under timeline consistency an unreachable primary
+// fails over to the region's replicas, so per-partition readers survive
+// both. A fenced answer surfaces: ri's own epoch is stale.
 func (c *Client) ScanRegionContext(ctx context.Context, ri RegionInfo, scan *Scan) ([]Result, error) {
-	tok, err := c.token()
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.readRegion(ctx, &ri, MethodScan, func(replica int) rpc.Message {
-		return &ScanRequest{RegionID: ri.ID, Epoch: ri.Epoch, Replica: replica, Scan: scan, Token: tok}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Results, nil
+	g := c.NewPager(ri.Table, ri.Host, FusedRequest{Ops: []ScanOp{{RegionID: ri.ID, Epoch: ri.Epoch, Scan: scan}}}, 0)
+	g.home = &ri
+	return g.all(ctx)
 }
 
 // FusedExecPage sends one page of a fused execution — every scan and get in

@@ -5,8 +5,6 @@ const (
 	MethodPut          = "Put"
 	MethodMultiPut     = "MultiPut"
 	MethodBulkLoad     = "BulkLoad"
-	MethodScan         = "Scan"
-	MethodBulkGet      = "BulkGet"
 	MethodFused        = "Fused"
 	MethodPing         = "Ping"
 	MethodCreateTable  = "CreateTable"
@@ -125,31 +123,6 @@ type Ping struct {
 // WireSize implements rpc.Message.
 func (p Ping) WireSize() int { return 9 + len(p.Master) }
 
-// ScanRequest runs a Scan against one region. Epoch carries the routing
-// epoch (see PutRequest). Replica selects which copy answers: 0 (the
-// default) is the primary, higher values address a secondary — the
-// timeline-read failover path, which skips epoch checks because a replica
-// is allowed to lag the primary's ownership changes.
-type ScanRequest struct {
-	RegionID string
-	Epoch    uint64
-	Replica  int
-	Scan     *Scan
-	Token    string
-}
-
-// WireSize implements rpc.Message.
-func (m *ScanRequest) WireSize() int {
-	n := len(m.RegionID) + len(m.Token) + 8
-	if m.Replica > 0 {
-		n += 2
-	}
-	if m.Scan != nil {
-		n += m.Scan.WireSize()
-	}
-	return n
-}
-
 // ScanResponse returns the matching rows. For paged fused requests it also
 // carries the continuation state: More reports that the server stopped at
 // the request's BatchLimit with work remaining, and Next is the cursor the
@@ -241,42 +214,18 @@ func (b *CellBlock) WireSize() int {
 // Len reports the block's row count.
 func (b *CellBlock) Len() int { return len(b.Rows) }
 
-// BulkGetRequest fetches many individual rows from one region in one round
-// trip — HBase's batched Get (paper §V-A).
-type BulkGetRequest struct {
-	RegionID    string
-	Epoch       uint64
-	Replica     int // copy to address; see ScanRequest
-	Rows        [][]byte
-	Columns     []Column
-	MaxVersions int
-	TimeRange   TimeRange
-	Token       string
-}
-
-// WireSize implements rpc.Message.
-func (m *BulkGetRequest) WireSize() int {
-	n := len(m.RegionID) + len(m.Token) + 28
-	if m.Replica > 0 {
-		n += 2
-	}
-	for _, r := range m.Rows {
-		n += len(r)
-	}
-	for _, c := range m.Columns {
-		n += len(c.Family) + len(c.Qualifier)
-	}
-	return n
-}
-
 // ScanOp is one scan or bulk-get bound for a specific region, used inside a
-// fused request. Epoch carries the per-region routing epoch (see
-// PutRequest); each op is checked independently, since a fused request spans
-// many regions that may have moved at different times.
+// fused request — the only form a region read takes. Epoch carries the
+// per-region routing epoch (see PutRequest); each op is checked
+// independently, since a fused request spans many regions that may have
+// moved at different times. Replica selects which copy answers: 0 (the
+// default) is the primary, higher values address a secondary — the
+// timeline-read failover path, which skips epoch checks because a replica
+// is allowed to lag the primary's ownership changes.
 type ScanOp struct {
 	RegionID string
 	Epoch    uint64
-	Replica  int      // copy to address; see ScanRequest
+	Replica  int      // copy to address (0 = primary)
 	Scan     *Scan    // nil when Rows is set
 	Rows     [][]byte // bulk get when non-empty
 }

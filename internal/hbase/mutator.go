@@ -256,7 +256,7 @@ func (m *BufferedMutator) send(ctx context.Context, cells []Cell) error {
 	if err != nil {
 		return err
 	}
-	groups, err := GroupByRegion(rm, cells, cellRow)
+	groups, err := groupByRegion(rm, cells, cellRow)
 	if err != nil {
 		return err
 	}
@@ -318,7 +318,7 @@ func (m *BufferedMutator) sendRound(ctx context.Context, tok string, pending []*
 		// One stamped batch may span several regions (the region it was
 		// grouped under split): partition its cells by current boundaries,
 		// each piece keeping the original stamp.
-		parts, err := GroupByRegion(rm, sb.cells, cellRow)
+		parts, err := groupByRegion(rm, sb.cells, cellRow)
 		if err != nil {
 			return nil, err
 		}

@@ -752,13 +752,8 @@ func buildResult(row []Cell, cols []Column) Result {
 // Get reads one row, honoring the same projection/version/time options as
 // Scan.
 func (r *Region) Get(row []byte, cols []Column, maxVersions int, tr TimeRange) Result {
-	return r.GetWith(row, cols, maxVersions, tr, metrics.Direct(r.meter))
-}
-
-// GetWith is Get writing its counters through m (see RunScanWith).
-func (r *Region) GetWith(row []byte, cols []Column, maxVersions int, tr TimeRange, m metrics.Meter) Result {
 	s := &Scan{StartRow: row, StopRow: append(append([]byte(nil), row...), 0), Columns: cols, MaxVersions: maxVersions, TimeRange: tr, Limit: 1}
-	results := r.RunScanWith(s, m)
+	results := r.RunScan(s)
 	if len(results) == 0 {
 		return Result{Row: append([]byte(nil), row...)}
 	}

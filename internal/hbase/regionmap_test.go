@@ -74,7 +74,7 @@ func TestGroupByRegionKeyOrderAndInputOrder(t *testing.T) {
 		for _, r := range tc.rows {
 			rows = append(rows, []byte(r))
 		}
-		groups, err := GroupByRegion(m, rows, func(r *[]byte) []byte { return *r })
+		groups, err := groupByRegion(m, rows, func(r *[]byte) []byte { return *r })
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -91,7 +91,7 @@ func TestGroupByRegionKeyOrderAndInputOrder(t *testing.T) {
 		}
 	}
 	bounded := testRegionMap([]byte("c"), nil)
-	if _, err := GroupByRegion(bounded, [][]byte{[]byte("d"), []byte("a")}, func(r *[]byte) []byte { return *r }); err == nil {
+	if _, err := groupByRegion(bounded, [][]byte{[]byte("d"), []byte("a")}, func(r *[]byte) []byte { return *r }); err == nil {
 		t.Error("a row outside every region must fail the grouping")
 	}
 }

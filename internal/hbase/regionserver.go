@@ -1,6 +1,7 @@
 package hbase
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -92,8 +93,6 @@ func NewRegionServer(host string, net *rpc.Network, meter *metrics.Registry, val
 		MethodPut:      rs.admitted(rs.handlePut),
 		MethodMultiPut: rs.admitted(rs.handleMultiPut),
 		MethodBulkLoad: rs.admitted(rs.handleBulkLoad),
-		MethodScan:     rs.admitted(rs.handleScan),
-		MethodBulkGet:  rs.admitted(rs.handleBulkGet),
 		MethodFused:    rs.admitted(rs.handleFused),
 		MethodPing:     rs.handlePing,
 	} {
@@ -645,68 +644,6 @@ func markStale(resp *ScanResponse, r *Region) {
 	}
 }
 
-func (rs *RegionServer) handleScan(ctx context.Context, req rpc.Message) (rpc.Message, error) {
-	m, ok := req.(*ScanRequest)
-	if !ok {
-		return nil, fmt.Errorf("hbase: %s: bad request type %T", MethodScan, req)
-	}
-	if err := rs.auth(m.Token); err != nil {
-		return nil, err
-	}
-	if err := rs.checkReadFence(); err != nil {
-		return nil, err
-	}
-	r, err := rs.regionFor(m.RegionID, m.Epoch, m.Replica)
-	if err != nil {
-		return nil, err
-	}
-	if m.Scan == nil {
-		return nil, fmt.Errorf("hbase: %s: nil scan", MethodScan)
-	}
-	resp := &ScanResponse{Results: rs.runScanTraced(ctx, r, m.Scan)}
-	if m.Replica > 0 {
-		markStale(resp, r)
-	}
-	return resp, nil
-}
-
-func (rs *RegionServer) handleBulkGet(ctx context.Context, req rpc.Message) (rpc.Message, error) {
-	m, ok := req.(*BulkGetRequest)
-	if !ok {
-		return nil, fmt.Errorf("hbase: %s: bad request type %T", MethodBulkGet, req)
-	}
-	if err := rs.auth(m.Token); err != nil {
-		return nil, err
-	}
-	if err := rs.checkReadFence(); err != nil {
-		return nil, err
-	}
-	r, err := rs.regionFor(m.RegionID, m.Epoch, m.Replica)
-	if err != nil {
-		return nil, err
-	}
-	_, sp := trace.StartSpan(ctx, "region.get")
-	sp.SetTag("region", r.Info().ID)
-	sp.SetTag("host", rs.host)
-	if m.Replica > 0 {
-		sp.SetTag("replica", fmt.Sprintf("%d", m.Replica))
-	}
-	meter := metrics.Scoped(ctx, rs.meter)
-	resp := &ScanResponse{}
-	for _, row := range m.Rows {
-		res := r.GetWith(row, m.Columns, m.MaxVersions, m.TimeRange, meter)
-		if !res.Empty() {
-			resp.Results = append(resp.Results, res)
-		}
-	}
-	if m.Replica > 0 {
-		markStale(resp, r)
-	}
-	sp.SetAttr("rows", int64(len(resp.Results)))
-	sp.End()
-	return resp, nil
-}
-
 func (rs *RegionServer) handleFused(ctx context.Context, req rpc.Message) (rpc.Message, error) {
 	m, ok := req.(*FusedRequest)
 	if !ok {
@@ -736,8 +673,9 @@ func (rs *RegionServer) fusedPage(ctx context.Context, m *FusedRequest) (*ScanRe
 	if err := rs.checkReadFence(); err != nil {
 		return nil, err
 	}
-	if m.Cursor.Op < 0 || m.Cursor.Op > len(m.Ops) {
-		return nil, fmt.Errorf("hbase: %s: cursor op %d out of range", MethodFused, m.Cursor.Op)
+	if c := m.Cursor; c.Op < 0 || c.Op > len(m.Ops) || c.RowIdx < 0 || c.Sent < 0 ||
+		(c.Op < len(m.Ops) && c.RowIdx > len(m.Ops[c.Op].Rows)) {
+		return nil, fmt.Errorf("hbase: %s: cursor %+v out of range", MethodFused, m.Cursor)
 	}
 	meter := metrics.Scoped(ctx, rs.meter)
 	resp := &ScanResponse{}
@@ -852,14 +790,16 @@ func (rs *RegionServer) fusedPage(ctx context.Context, m *FusedRequest) (*ScanRe
 		resp.Results = append(resp.Results, results...)
 		if pageBounded && len(results) == s.Limit {
 			// The op may hold more rows: stop here and hand back a cursor
-			// resuming just past the last row returned.
-			last := results[len(results)-1].Row
-			resp.More = true
-			resp.Next = FusedCursor{
-				Op:   opIdx,
-				Row:  append(append([]byte(nil), last...), 0),
-				Sent: cur.Sent + len(results),
+			// resuming just past the last row returned — unless that row is
+			// already past the op's range or the region's end, where the op
+			// is done and a further page would come back empty.
+			next := append(append([]byte(nil), results[len(results)-1].Row...), 0)
+			if (s.StopRow != nil && bytes.Compare(next, s.StopRow) >= 0) ||
+				(len(r.info.EndKey) > 0 && bytes.Compare(next, r.info.EndKey) >= 0) {
+				continue
 			}
+			resp.More = true
+			resp.Next = FusedCursor{Op: opIdx, Row: next, Sent: cur.Sent + len(results)}
 			return resp, nil
 		}
 	}

@@ -198,65 +198,99 @@ func TestPromoteNeverServesUnackedWrites(t *testing.T) {
 	}
 }
 
-// TestTimelineFailoverSurvivesPrimaryCrash is the availability contract: a
-// timeline read rides over a crashed primary to its replica in the same
-// round, tagged stale, while a strong read keeps failing until the master
-// recovers the region.
+// TestTimelineFailoverSurvivesPrimaryCrash is the availability contract,
+// for every client read entry point: a timeline read rides over a crashed
+// primary to its replica on the pager's first retry, while a strong read
+// keeps failing until the master recovers the region.
 func TestTimelineFailoverSurvivesPrimaryCrash(t *testing.T) {
-	c := bootReplicated(t, 3, 2)
-	client := c.NewClient()
-	defer client.Close()
-	if err := client.CreateTable(TableDescriptor{Name: "t", Families: []string{"cf"}}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := client.Put("t", []Cell{cell("k", "cf", "q", 1, "v")}); err != nil {
-		t.Fatal(err)
-	}
-	ri, err := client.Regions("t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.CrashServer(ri[0].Host); err != nil {
-		t.Fatal(err)
-	}
+	type read func(ctx context.Context, client *Client, ri RegionInfo) ([]Result, error)
+	for _, tc := range []struct {
+		name string
+		read read
+	}{
+		{"Get", func(ctx context.Context, client *Client, _ RegionInfo) ([]Result, error) {
+			res, err := client.GetContext(ctx, "t", []byte("k"), nil, 1, TimeRange{})
+			return []Result{res}, err
+		}},
+		{"BulkGetFresh", func(ctx context.Context, client *Client, _ RegionInfo) ([]Result, error) {
+			results, freshness, err := client.BulkGetFresh(ctx, "t", [][]byte{[]byte("k")}, nil, 1, TimeRange{})
+			if err == nil && freshness.Stale != (ConsistencyFromContext(ctx) == ConsistencyTimeline) {
+				return nil, fmt.Errorf("freshness = %+v: only the replica-served read is tagged stale", freshness)
+			}
+			return results, err
+		}},
+		{"ScanRegion", func(ctx context.Context, client *Client, ri RegionInfo) ([]Result, error) {
+			return client.ScanRegionContext(ctx, ri, &Scan{})
+		}},
+		{"ScanTable", func(ctx context.Context, client *Client, _ RegionInfo) ([]Result, error) {
+			return client.ScanTableContext(ctx, "t", &Scan{})
+		}},
+		{"OpenScanner", func(ctx context.Context, client *Client, _ RegionInfo) ([]Result, error) {
+			sc, err := client.OpenScannerContext(ctx, "t", &Scan{}, ScannerConfig{BatchSize: 10})
+			if err != nil {
+				return nil, err
+			}
+			return sc.All()
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := bootReplicated(t, 3, 2)
+			client := c.NewClient()
+			defer client.Close()
+			if err := client.CreateTable(TableDescriptor{Name: "t", Families: []string{"cf"}}, nil); err != nil {
+				t.Fatal(err)
+			}
+			if err := client.Put("t", []Cell{cell("k", "cf", "q", 1, "v")}); err != nil {
+				t.Fatal(err)
+			}
+			ri, err := client.Regions("t")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.CrashServer(ri[0].Host); err != nil {
+				t.Fatal(err)
+			}
+			served := func(results []Result) bool {
+				return len(results) == 1 && len(results[0].Cells) > 0 && string(results[0].Cells[0].Value) == "v"
+			}
 
-	// Strong: the default consistency insists on the primary and fails.
-	if _, err := client.Get("t", []byte("k"), nil, 1, TimeRange{}); err == nil {
-		t.Fatal("strong read must fail while the primary is down and unrecovered")
-	}
+			// Strong: the default consistency insists on the primary and fails.
+			if _, err := tc.read(context.Background(), client, ri[0]); err == nil {
+				t.Fatal("strong read must fail while the primary is down and unrecovered")
+			}
 
-	// Timeline: same client, same cache — served by the replica, stale.
-	tctx := WithConsistency(context.Background(), ConsistencyTimeline)
-	results, freshness, err := client.BulkGetFresh(tctx, "t", [][]byte{[]byte("k")}, nil, 1, TimeRange{})
-	if err != nil {
-		t.Fatalf("timeline read failed across crash: %v", err)
-	}
-	if len(results) != 1 || len(results[0].Cells) == 0 || string(results[0].Cells[0].Value) != "v" {
-		t.Fatalf("timeline read lost data: %+v", results)
-	}
-	if !freshness.Stale {
-		t.Fatal("replica-served read must be tagged stale")
-	}
-	if got := c.Meter.Get(metrics.ReplicaFailovers); got < 1 {
-		t.Fatalf("client.replica_failovers = %d, want >= 1", got)
-	}
-	if got := c.Meter.Get(metrics.ReplicaReads); got < 1 {
-		t.Fatalf("hbase.replica_reads = %d, want >= 1", got)
-	}
+			// Timeline: same client, same cache — served by the replica.
+			failovers := c.Meter.Get(metrics.ReplicaFailovers)
+			tctx := WithConsistency(context.Background(), ConsistencyTimeline)
+			results, err := tc.read(tctx, client, ri[0])
+			if err != nil {
+				t.Fatalf("timeline read failed across crash: %v", err)
+			}
+			if !served(results) {
+				t.Fatalf("timeline read lost data: %+v", results)
+			}
+			if got := c.Meter.Get(metrics.ReplicaFailovers); got <= failovers {
+				t.Fatalf("client.replica_failovers = %d, want > %d", got, failovers)
+			}
+			if got := c.Meter.Get(metrics.ReplicaReads); got < 1 {
+				t.Fatalf("hbase.replica_reads = %d, want >= 1", got)
+			}
 
-	// Recovery: the master promotes the replica and strong reads resume.
-	if _, err := c.Master.CheckServers(); err != nil {
-		t.Fatal(err)
-	}
-	res, err := client.Get("t", []byte("k"), nil, 1, TimeRange{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Cells) == 0 || string(res.Cells[0].Value) != "v" {
-		t.Fatalf("post-promotion strong read = %+v", res)
-	}
-	if got := c.Meter.Get(metrics.Promotions); got < 1 {
-		t.Fatalf("promotions = %d, want >= 1", got)
+			// Recovery: the master promotes the replica and strong reads resume.
+			if _, err := c.Master.CheckServers(); err != nil {
+				t.Fatal(err)
+			}
+			results, err = tc.read(context.Background(), client, ri[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !served(results) {
+				t.Fatalf("post-promotion strong read = %+v", results)
+			}
+			if got := c.Meter.Get(metrics.Promotions); got < 1 {
+				t.Fatalf("promotions = %d, want >= 1", got)
+			}
+		})
 	}
 }
 

@@ -83,7 +83,7 @@ func (p RetryPolicy) backoff(attempt int) time.Duration {
 // single place the client decides what a failed attempt costs. Callers loop
 // on their own attempt and hand each failure to Retry; what stays with the
 // caller is only what is really theirs (the mutator's pending set, the
-// Scanner's relocation, the fused pager's run regrouping).
+// Pager's run regrouping).
 type RetryBudget struct {
 	c        *Client
 	table    string

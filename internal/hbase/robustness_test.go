@@ -40,7 +40,7 @@ func TestDeadlineExceededNotRetried(t *testing.T) {
 
 	// Every scan stalls far longer than the caller's deadline.
 	c.Net.SetFaultInjector(rpc.NewFaultInjector(1,
-		&rpc.FaultRule{Method: MethodScan, ExtraLatency: 200 * time.Millisecond},
+		&rpc.FaultRule{Method: MethodFused, ExtraLatency: 200 * time.Millisecond},
 	))
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
@@ -147,7 +147,7 @@ func TestHedgedReadBeatsStraggler(t *testing.T) {
 	// Odd-numbered scan calls stall; the hedge (the next matching call)
 	// lands on a fast slot.
 	c.Net.SetFaultInjector(rpc.NewFaultInjector(1,
-		&rpc.FaultRule{Method: MethodScan, ExtraLatency: 100 * time.Millisecond, LatencyEvery: 2},
+		&rpc.FaultRule{Method: MethodFused, ExtraLatency: 100 * time.Millisecond, LatencyEvery: 2},
 	))
 	hedged := c.NewClient(WithHedgedReads(3 * time.Millisecond))
 	defer hedged.Close()

@@ -172,19 +172,19 @@ func (m *RegionMap) ByID(id string) (ri *RegionInfo, ok bool) {
 	return nil, false
 }
 
-// RegionGroup is one region's share of a batch: the items whose rows the
+// regionGroup is one region's share of a batch: the items whose rows the
 // region holds, in input order.
-type RegionGroup[T any] struct {
+type regionGroup[T any] struct {
 	Region *RegionInfo
 	Items  []T
 }
 
-// GroupByRegion partitions items by the region of m holding each item's row.
+// groupByRegion partitions items by the region of m holding each item's row.
 // Every item is located against this one snapshot, so a region receives all
 // of the batch's items in its range together. Groups come back in region key
 // order. It fails when some row lies outside every region.
-func GroupByRegion[T any](m *RegionMap, items []T, row func(*T) []byte) ([]RegionGroup[T], error) {
-	var groups []RegionGroup[T]
+func groupByRegion[T any](m *RegionMap, items []T, row func(*T) []byte) ([]regionGroup[T], error) {
+	var groups []regionGroup[T]
 	for i := range items {
 		r := row(&items[i])
 		ri, ok := m.Locate(r)
@@ -197,11 +197,11 @@ func GroupByRegion[T any](m *RegionMap, items []T, row func(*T) []byte) ([]Regio
 			g--
 		}
 		if g < 0 {
-			groups = append(groups, RegionGroup[T]{Region: ri})
+			groups = append(groups, regionGroup[T]{Region: ri})
 			g = len(groups) - 1
 		}
 		groups[g].Items = append(groups[g].Items, items[i])
 	}
-	slices.SortFunc(groups, func(a, b RegionGroup[T]) int { return bytes.Compare(a.Region.StartKey, b.Region.StartKey) })
+	slices.SortFunc(groups, func(a, b regionGroup[T]) int { return bytes.Compare(a.Region.StartKey, b.Region.StartKey) })
 	return groups, nil
 }

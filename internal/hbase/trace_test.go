@@ -20,7 +20,7 @@ func TestHedgeLoserSpanCancelled(t *testing.T) {
 	loadRows(t, plain, 40)
 
 	c.Net.SetFaultInjector(rpc.NewFaultInjector(1,
-		&rpc.FaultRule{Method: MethodScan, ExtraLatency: 100 * time.Millisecond, LatencyEvery: 2},
+		&rpc.FaultRule{Method: MethodFused, ExtraLatency: 100 * time.Millisecond, LatencyEvery: 2},
 	))
 	hedged := c.NewClient(WithHedgedReads(3 * time.Millisecond))
 	defer hedged.Close()
