@@ -20,6 +20,14 @@ type DataFrame struct {
 	// parseDur is the SQL front-end time when this frame came from
 	// Session.SQL; traced actions back-date a parse span from it.
 	parseDur time.Duration
+	// tmpl, when set, is the prepared plan this frame was served from
+	// and vals the query's literals: actions bind tmpl's optimized plan
+	// instead of optimizing and fingerprinting lp. A frame served from a
+	// cached template has no lp: LogicalPlan binds one from tmpl each
+	// time it is asked for, which only transformations, views and
+	// EXPLAIN do.
+	tmpl *template
+	vals []any
 	// consistency is the read-consistency mode actions execute under. The
 	// zero value (Strong) routes every read to region primaries; Timeline
 	// allows possibly-stale replica reads with same-round crash failover.
@@ -49,14 +57,19 @@ func (df *DataFrame) WithConsistency(c datasource.Consistency) *DataFrame {
 func (df *DataFrame) Consistency() datasource.Consistency { return df.consistency }
 
 // Schema describes the DataFrame's output columns.
-func (df *DataFrame) Schema() plan.Schema { return df.lp.Schema() }
+func (df *DataFrame) Schema() plan.Schema { return df.LogicalPlan().Schema() }
 
 // LogicalPlan exposes the underlying plan (for EXPLAIN and tests).
-func (df *DataFrame) LogicalPlan() plan.LogicalPlan { return df.lp }
+func (df *DataFrame) LogicalPlan() plan.LogicalPlan {
+	if df.lp == nil {
+		return plan.Bind(df.tmpl.built, df.vals)
+	}
+	return df.lp
+}
 
 // Filter keeps rows satisfying cond (Code 3's df.filter($"col0" <= ...)).
 func (df *DataFrame) Filter(cond plan.Expr) *DataFrame {
-	return df.derive(&plan.FilterNode{Cond: cond, Child: df.lp})
+	return df.derive(&plan.FilterNode{Cond: cond, Child: df.LogicalPlan()})
 }
 
 // Select projects the named columns (Code 3's .select("col0", "col1")).
@@ -65,12 +78,12 @@ func (df *DataFrame) Select(cols ...string) *DataFrame {
 	for i, c := range cols {
 		exprs[i] = plan.NamedExpr{Expr: plan.Col(c), Name: c}
 	}
-	return df.derive(&plan.ProjectNode{Exprs: exprs, Child: df.lp})
+	return df.derive(&plan.ProjectNode{Exprs: exprs, Child: df.LogicalPlan()})
 }
 
 // SelectExpr projects arbitrary named expressions.
 func (df *DataFrame) SelectExpr(exprs ...plan.NamedExpr) *DataFrame {
-	return df.derive(&plan.ProjectNode{Exprs: exprs, Child: df.lp})
+	return df.derive(&plan.ProjectNode{Exprs: exprs, Child: df.LogicalPlan()})
 }
 
 // Join inner-joins with other on leftCols[i] = rightCols[i].
@@ -95,17 +108,18 @@ func (df *DataFrame) join(other *DataFrame, leftCols, rightCols []string, jt pla
 		rk[i] = plan.Col(rightCols[i])
 	}
 	return df.derive(&plan.JoinNode{
-		Left: df.lp, Right: other.lp, LeftKeys: lk, RightKeys: rk, Type: jt,
+		Left: df.LogicalPlan(), Right: other.LogicalPlan(), LeftKeys: lk, RightKeys: rk, Type: jt,
 	}), nil
 }
 
 // Distinct deduplicates the DataFrame's rows.
 func (df *DataFrame) Distinct() *DataFrame {
-	groups := make([]plan.NamedExpr, len(df.lp.Schema()))
-	for i, f := range df.lp.Schema() {
+	lp := df.LogicalPlan()
+	groups := make([]plan.NamedExpr, len(lp.Schema()))
+	for i, f := range lp.Schema() {
 		groups[i] = plan.NamedExpr{Expr: plan.Col(f.Name), Name: f.Name}
 	}
-	return df.derive(&plan.AggregateNode{GroupBy: groups, Child: df.lp})
+	return df.derive(&plan.AggregateNode{GroupBy: groups, Child: lp})
 }
 
 // GroupBy starts a grouped aggregation.
@@ -126,26 +140,29 @@ func (g *GroupedData) Agg(aggs ...plan.AggExpr) *DataFrame {
 		groups[i] = plan.NamedExpr{Expr: plan.Col(c), Name: c}
 	}
 	return g.df.derive(&plan.AggregateNode{
-		GroupBy: groups, Aggs: aggs, Child: g.df.lp,
+		GroupBy: groups, Aggs: aggs, Child: g.df.LogicalPlan(),
 	})
 }
 
 // OrderBy sorts by the given keys.
 func (df *DataFrame) OrderBy(orders ...plan.SortOrder) *DataFrame {
-	return df.derive(&plan.SortNode{Orders: orders, Child: df.lp})
+	return df.derive(&plan.SortNode{Orders: orders, Child: df.LogicalPlan()})
 }
 
 // Limit keeps the first n rows.
 func (df *DataFrame) Limit(n int) *DataFrame {
-	return df.derive(&plan.LimitNode{N: n, Child: df.lp})
+	return df.derive(&plan.LimitNode{N: n, Child: df.LogicalPlan()})
 }
 
 // CreateOrReplaceTempView registers the DataFrame's plan under name for SQL
-// (the paper's Code 4).
+// (the paper's Code 4). The view holds a copy without literal slots, so a
+// query over it never rebinds the view's literals with its own.
 func (df *DataFrame) CreateOrReplaceTempView(name string) {
+	lp := plan.Unslot(df.LogicalPlan())
 	df.sess.mu.Lock()
-	defer df.sess.mu.Unlock()
-	df.sess.views[name] = df.lp
+	df.sess.views[name] = lp
+	df.sess.mu.Unlock()
+	df.sess.catalogChanged()
 }
 
 // Collect optimizes, compiles, and executes the plan, returning all rows.
@@ -170,7 +187,7 @@ func (df *DataFrame) Count() (int64, error) {
 
 // CountContext is Count bounded by ctx (see CollectContext).
 func (df *DataFrame) CountContext(ctx context.Context) (int64, error) {
-	agg := &plan.AggregateNode{Aggs: []plan.AggExpr{{Kind: plan.AggCount, Name: "count"}}, Child: df.lp}
+	agg := &plan.AggregateNode{Aggs: []plan.AggExpr{{Kind: plan.AggCount, Name: "count"}}, Child: df.LogicalPlan()}
 	cdf := df.derive(agg)
 	cdf.parseDur = df.parseDur
 	rows, _, err := cdf.run(ctx, false)
@@ -270,7 +287,7 @@ func (df *DataFrame) Show(n int) (string, error) {
 
 // Explain renders the optimized logical and physical plans.
 func (df *DataFrame) Explain() (string, error) {
-	opt := plan.Optimize(df.lp)
+	opt := plan.Optimize(df.LogicalPlan())
 	phys, err := exec.CompileWith(opt, df.sess.compileConfig())
 	if err != nil {
 		return "", err
@@ -280,5 +297,5 @@ func (df *DataFrame) Explain() (string, error) {
 }
 
 func (df *DataFrame) compile() (exec.PhysicalPlan, error) {
-	return exec.CompileWith(plan.Optimize(df.lp), df.sess.compileConfig())
+	return exec.CompileWith(plan.Optimize(df.LogicalPlan()), df.sess.compileConfig())
 }

@@ -16,7 +16,6 @@ import (
 	"github.com/shc-go/shc/internal/metrics"
 	"github.com/shc-go/shc/internal/ops"
 	"github.com/shc-go/shc/internal/plan"
-	"github.com/shc-go/shc/internal/sql"
 )
 
 // Config sizes a session's execution resources.
@@ -123,6 +122,8 @@ type Session struct {
 	mu     sync.RWMutex
 	tables map[string]plan.Relation
 	views  map[string]plan.LogicalPlan
+
+	plans planCache
 }
 
 // NewSession builds a session, validating the configuration first.
@@ -156,16 +157,15 @@ func (s *Session) QueryStats() *ops.StatsTable { return s.stats }
 
 // Register adds a relation to the catalog under its own name.
 func (s *Session) Register(rel plan.Relation) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.tables[rel.Name()] = rel
+	s.RegisterAs(rel.Name(), rel)
 }
 
 // RegisterAs adds a relation under an explicit name.
 func (s *Session) RegisterAs(name string, rel plan.Relation) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.tables[name] = rel
+	s.mu.Unlock()
+	s.catalogChanged()
 }
 
 // Table returns a DataFrame reading the named table.
@@ -195,14 +195,19 @@ func (s *Session) resolve(name string) (plan.LogicalPlan, error) {
 }
 
 // SQL parses a query against the catalog and returns its (lazy) DataFrame.
-// Parse time is remembered so a traced action can back-date a parse span.
+// A query whose shape — its text with the literals masked — was seen
+// before is served from the session's plan cache: its template is bound to
+// the query's literals, and its actions skip optimization and
+// fingerprinting (see plancache.go). Parse time is remembered so a traced
+// action can back-date a parse span.
 func (s *Session) SQL(query string) (*DataFrame, error) {
 	start := time.Now()
-	lp, err := sql.Build(query, s.resolve)
+	df, err := s.sqlFrame(query)
 	if err != nil {
 		return nil, err
 	}
-	return &DataFrame{sess: s, lp: lp, parseDur: time.Since(start)}, nil
+	df.parseDur = time.Since(start)
+	return df, nil
 }
 
 // compileConfig selects physical strategies for this session.

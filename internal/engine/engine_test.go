@@ -10,7 +10,7 @@ import (
 	"github.com/shc-go/shc/internal/plan"
 )
 
-func newTestSession(t *testing.T) *Session {
+func newTestSession(t testing.TB) *Session {
 	t.Helper()
 	s, _ := NewSession(Config{Hosts: []string{"h1", "h2"}, ExecutorsPerHost: 2, ShufflePartitions: 4})
 

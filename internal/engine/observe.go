@@ -75,9 +75,16 @@ func (df *DataFrame) run(ctx context.Context, analyze bool) ([]plan.Row, *queryR
 		qr.tr.Root().AddTimed("parse", df.parseDur)
 	}
 	_, osp := trace.StartSpan(ctx, "optimize")
-	qr.opt = plan.Optimize(df.lp)
+	if df.tmpl != nil {
+		qr.opt = plan.Bind(df.tmpl.opt, df.vals)
+		qr.fp, qr.shape = df.tmpl.fp, df.tmpl.shape
+	} else {
+		qr.opt = plan.Optimize(df.lp)
+	}
 	osp.End()
-	qr.fp, qr.shape = plan.Fingerprint(qr.opt)
+	if df.tmpl == nil {
+		qr.fp, qr.shape = plan.Fingerprint(qr.opt)
+	}
 
 	_, csp := trace.StartSpan(ctx, "compile")
 	phys, err := exec.CompileWith(qr.opt, sess.compileConfig())

@@ -38,6 +38,10 @@ func Catalog() []CatalogEntry {
 		{MemoryHeld, "gauge", "Decoded-row bytes currently held by the engine."},
 		{MemoryPeak, "gauge", "High-water mark of decoded-row bytes held."},
 		{QueriesCancelled, "counter", "Queries that ended cancelled or past their deadline."},
+		{PlanCacheHits, "counter", "Session.SQL calls served by a prepared-plan template: no parse, optimize or fingerprint."},
+		{PlanCacheMisses, "counter", "Session.SQL calls whose query shape had no template yet: a full build that also tries to prepare one."},
+		{PlanCacheUncacheable, "counter", "Session.SQL calls that took the full path because their shape cannot be prepared or their literals could not be bound."},
+		{PlanCacheInvalidations, "counter", "Prepared-plan templates dropped because the catalog changed (Register, RegisterAs, CreateOrReplaceTempView)."},
 		{HistQueryLatency, "histogram", "End-to-end query latency."},
 		{TasksLaunched, "counter", "Tasks launched by the scheduler."},
 		{TasksLocal, "counter", "Tasks placed on their preferred (data-local) host."},

@@ -97,6 +97,13 @@ const (
 	MasterTakeovers     = "master.takeovers"
 	MasterFencedWrites  = "master.fenced_writes"
 	MasterRediscoveries = "client.master_rediscoveries"
+
+	// Prepared-plan cache outcomes: each Session.SQL call whose text lexes
+	// counts as one of a hit, a miss or an uncacheable query.
+	PlanCacheHits          = "engine.plan_cache_hits"
+	PlanCacheMisses        = "engine.plan_cache_misses"
+	PlanCacheUncacheable   = "engine.plan_cache_uncacheable"
+	PlanCacheInvalidations = "engine.plan_cache_invalidations"
 )
 
 // Registry is a concurrency-safe set of named monotonic counters, gauges

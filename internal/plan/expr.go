@@ -61,6 +61,14 @@ func (c *ColumnRef) Index() int { return c.idx }
 type Literal struct {
 	Val any
 	Typ DataType
+	// Slot is the 1-based position, among a normalized query's literal
+	// tokens, of the token the SQL parser made this literal from; 0 for
+	// literals that came from no such token. A prepared-plan template
+	// rebinds slotted literals to a later query's values (see Bind).
+	Slot int
+	// Negated records that the parser folded a unary minus into the
+	// token's value, so a rebound value is negated too.
+	Negated bool
 }
 
 // Lit constructs a literal, inferring its type from the Go value.

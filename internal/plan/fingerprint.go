@@ -10,8 +10,9 @@ import (
 // the plan rendered with every literal masked to '?' and IN lists collapsed
 // — and hashes it. Queries that differ only in their constants share a
 // fingerprint, which is what lets the ops plane aggregate per-statement
-// stats (and, later, key a plan cache) without retaining query text. The
-// fingerprint is the FNV-1a hash of the shape as 16 hex digits.
+// stats without retaining query text; the plan cache hands a template's
+// fingerprint to every query it serves. The fingerprint is the FNV-1a
+// hash of the shape as 16 hex digits.
 func Fingerprint(p LogicalPlan) (fp, shape string) {
 	shape = Shape(p)
 	h := fnv.New64a()
@@ -62,7 +63,13 @@ func nodeShape(p LogicalPlan) string {
 	case *ProjectNode:
 		parts := make([]string, len(n.Exprs))
 		for i, ne := range n.Exprs {
-			parts[i] = exprShape(ne.Expr) + " AS " + ne.Name
+			// A default name is the expression's own rendering, literals
+			// included; mask it like the expression.
+			shape, name := exprShape(ne.Expr), ne.Name
+			if name == ne.Expr.String() {
+				name = shape
+			}
+			parts[i] = shape + " AS " + name
 		}
 		return "Project[" + strings.Join(parts, ", ") + "]"
 	case *JoinNode:

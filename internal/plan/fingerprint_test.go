@@ -37,6 +37,27 @@ func TestFingerprintMasksLiterals(t *testing.T) {
 	if fp3, _ := Fingerprint(ne); fp3 == fp1 {
 		t.Fatal("different operator produced the same fingerprint")
 	}
+
+	// SELECT age + 1 and SELECT age + 2: the default column name renders
+	// the literal, and is masked with it. An alias is kept verbatim.
+	project := func(lit any, name string) LogicalPlan {
+		e := &Arithmetic{Op: OpAdd, L: Col("age"), R: Lit(lit)}
+		if name == "" {
+			name = e.String()
+		}
+		return &ProjectNode{Exprs: []NamedExpr{{Expr: e, Name: name}}, Child: &ScanNode{Relation: usersRel()}}
+	}
+	fa, sa := Fingerprint(project(1, ""))
+	fb, sb := Fingerprint(project(2, ""))
+	if fa != fb || sa != sb {
+		t.Fatalf("default-named literal projections diverge:\n  %s %s\n  %s %s", fa, sa, fb, sb)
+	}
+	if !strings.Contains(sa, "(age + ?) AS (age + ?)") {
+		t.Fatalf("shape = %s", sa)
+	}
+	if _, s := Fingerprint(project(1, "next")); !strings.Contains(s, "(age + ?) AS next") {
+		t.Fatalf("aliased shape = %s", s)
+	}
 }
 
 // TestFingerprintCollapsesInLists: IN lists of different lengths normalize

@@ -51,6 +51,7 @@ func buildSelect(stmt *SelectStmt, resolve Resolver) (plan.LogicalPlan, error) {
 	// references of its outputs.
 	aggs := collectAggregates(stmt)
 	if len(stmt.GroupBy) > 0 || len(aggs) > 0 {
+		unslotAggregateClauses(stmt)
 		if stmt.Distinct {
 			return nil, fmt.Errorf("sql: SELECT DISTINCT cannot be combined with aggregates or GROUP BY")
 		}
@@ -266,6 +267,36 @@ func collectAggregates(stmt *SelectStmt) []*FuncCall {
 		add(o.Expr)
 	}
 	return out
+}
+
+// unslotAggregateClauses clears the slot of every literal in the clauses
+// an aggregate statement matches against its groups and aggregates by
+// rendered text (collectAggregates, rewriteAggRefs). There a literal's
+// value can decide the plan's structure — whether a select item reuses a
+// group, whether two aggregate calls are one — so no prepared-plan
+// template may rebind it; a missing slot keeps the query uncached.
+func unslotAggregateClauses(stmt *SelectStmt) {
+	unslot := func(e plan.Expr) {
+		walkExpr(e, func(x plan.Expr) {
+			if l, ok := x.(*plan.Literal); ok {
+				l.Slot = 0
+			}
+		})
+	}
+	for _, item := range stmt.Items {
+		if item.Expr != nil {
+			unslot(item.Expr)
+		}
+	}
+	for _, g := range stmt.GroupBy {
+		unslot(g)
+	}
+	if stmt.Having != nil {
+		unslot(stmt.Having)
+	}
+	for _, o := range stmt.OrderBy {
+		unslot(o.Expr)
+	}
 }
 
 func walkExpr(e plan.Expr, fn func(plan.Expr)) {

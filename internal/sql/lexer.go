@@ -11,7 +11,7 @@ import (
 	"strings"
 )
 
-type tokenKind int
+type tokenKind uint8
 
 const (
 	tokEOF tokenKind = iota
@@ -22,9 +22,12 @@ const (
 )
 
 type token struct {
-	kind tokenKind
 	text string
 	pos  int
+	kind tokenKind
+	// slot is the token's 1-based literal slot once Normalize has masked
+	// it; 0 for every other token.
+	slot int32
 }
 
 func (t token) String() string {
@@ -44,7 +47,9 @@ func (l *lexer) error(pos int, format string, args ...any) error {
 }
 
 func (l *lexer) lex() ([]token, error) {
-	var out []token
+	// About one token per four bytes of SQL, so most queries lex without
+	// growing the slice.
+	out := make([]token, 0, len(l.in)/4+2)
 	for {
 		l.skipSpace()
 		if l.pos >= len(l.in) {
@@ -106,7 +111,7 @@ func (l *lexer) lex() ([]token, error) {
 			out = append(out, token{kind: tokString, text: b.String(), pos: start})
 		case strings.ContainsRune("(),.*=+-/", rune(c)):
 			l.pos++
-			out = append(out, token{kind: tokPunct, text: string(c), pos: start})
+			out = append(out, token{kind: tokPunct, text: l.in[start:l.pos], pos: start})
 		case c == '<':
 			l.pos++
 			if l.pos < len(l.in) && (l.in[l.pos] == '=' || l.in[l.pos] == '>') {

@@ -110,6 +110,11 @@ func Parse(query string) (*SelectStmt, error) {
 	if err != nil {
 		return nil, err
 	}
+	return parseTokens(toks)
+}
+
+// parseTokens parses one SELECT statement from lexed tokens.
+func parseTokens(toks []token) (*SelectStmt, error) {
 	p := &parser{toks: toks}
 	stmt, err := p.parseQuery()
 	if err != nil {
@@ -590,11 +595,16 @@ func (p *parser) parseUnary() (plan.Expr, error) {
 			return nil, err
 		}
 		if lit, ok := e.(*plan.Literal); ok {
+			var neg *plan.Literal
 			switch v := lit.Val.(type) {
 			case int64:
-				return plan.Lit(-v), nil
+				neg = plan.Lit(-v)
 			case float64:
-				return plan.Lit(-v), nil
+				neg = plan.Lit(-v)
+			}
+			if neg != nil {
+				neg.Slot, neg.Negated = lit.Slot, !lit.Negated
+				return neg, nil
 			}
 		}
 		return &plan.Arithmetic{Op: plan.OpSub, L: plan.Lit(int64(0)), R: e}, nil
@@ -605,23 +615,15 @@ func (p *parser) parseUnary() (plan.Expr, error) {
 func (p *parser) parsePrimary() (plan.Expr, error) {
 	t := p.peek()
 	switch t.kind {
-	case tokNumber:
+	case tokNumber, tokString:
 		p.next()
-		if strings.Contains(t.text, ".") {
-			f, err := strconv.ParseFloat(t.text, 64)
-			if err != nil {
-				return nil, fmt.Errorf("sql: bad number %q", t.text)
-			}
-			return plan.Lit(f), nil
-		}
-		n, err := strconv.ParseInt(t.text, 10, 64)
+		v, err := t.value()
 		if err != nil {
-			return nil, fmt.Errorf("sql: bad number %q", t.text)
+			return nil, err
 		}
-		return plan.Lit(n), nil
-	case tokString:
-		p.next()
-		return plan.Lit(t.text), nil
+		lit := plan.Lit(v)
+		lit.Slot = int(t.slot)
+		return lit, nil
 	case tokPunct:
 		if t.text == "(" {
 			p.next()
