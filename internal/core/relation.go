@@ -709,16 +709,6 @@ func (r *HBaseRelation) decodeResults(results []hbase.Result, required []string,
 	return dst, keyScratch, nil
 }
 
-// decodeResult projects one HBase result onto the required columns.
-func (r *HBaseRelation) decodeResult(res *hbase.Result, required []string) (plan.Row, error) {
-	row := make(plan.Row, len(required))
-	_, err := r.decodeResultInto(row, nil, res, required)
-	if err != nil {
-		return nil, err
-	}
-	return row, nil
-}
-
 // decodeResultInto decodes res into row (which must have len(required)),
 // reusing keyScratch for rowkey dimension values; it returns the (possibly
 // grown) scratch. Values are copied out of the scratch, so callers may hand

@@ -261,26 +261,6 @@ type VectorScan interface {
 	ComputeVectors(ctx context.Context, opts BatchOptions, yield func(*plan.Batch) error) error
 }
 
-// StreamPartitionVectors streams p's rows as column batches, using the
-// VectorScan fast path when the partition implements it and transposing the
-// row stream into a reused batch otherwise. schema describes the scan's
-// projected columns.
-func StreamPartitionVectors(ctx context.Context, p Partition, schema plan.Schema, opts BatchOptions, yield func(*plan.Batch) error) error {
-	if vs, ok := p.(VectorScan); ok {
-		return vs.ComputeVectors(ctx, opts, yield)
-	}
-	batch := plan.NewBatch(schema)
-	return StreamPartition(ctx, p, opts, func(rows []plan.Row) error {
-		batch.Reset()
-		for _, r := range rows {
-			if err := batch.AppendRow(r); err != nil {
-				return err
-			}
-		}
-		return yield(batch)
-	})
-}
-
 // Aggregate is one aggregate a source may fold for the engine.
 type Aggregate struct {
 	// Kind is plan.AggCount, AggSum, AggAvg, AggMin or AggMax.

@@ -59,16 +59,6 @@ func TestNewSessionDefaults(t *testing.T) {
 	}
 }
 
-func TestNewSessionClampsNegativeHedgeDelay(t *testing.T) {
-	s, err := NewSession(Config{HedgeDelay: -time.Millisecond})
-	if err != nil {
-		t.Fatalf("negative HedgeDelay must clamp, not reject: %v", err)
-	}
-	if got := s.Config().HedgeDelay; got != 0 {
-		t.Errorf("HedgeDelay = %v, want 0", got)
-	}
-}
-
 // TestCollectContextCancelledQuery: a dead context aborts the query with the
 // context's error and the cancellation is counted.
 func TestCollectContextCancelledQuery(t *testing.T) {

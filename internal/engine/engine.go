@@ -52,12 +52,6 @@ type Config struct {
 	// context.DeadlineExceeded. 0 means no per-query deadline. Negative is
 	// rejected by NewSession.
 	QueryTimeout time.Duration
-	// HedgeDelay is advisory for integrators wiring hedged reads into the
-	// storage client backing this session's relations (see
-	// hbase.WithHedgedReads): how long a read may go unanswered before a
-	// speculative duplicate fires. The engine itself only validates it;
-	// negative values are clamped to 0 (disabled).
-	HedgeDelay time.Duration
 	// Meter receives execution counters; a fresh registry when nil.
 	Meter *metrics.Registry
 	// SlowQueryThreshold turns on the slow-query log: any action whose
@@ -72,7 +66,7 @@ type Config struct {
 	QueryStatsSize int
 }
 
-// Validate normalizes cfg in place (defaults, clamps) and reports
+// Validate normalizes cfg in place (defaults) and reports
 // out-of-range settings. NewSession calls it; it is exported so harnesses
 // can surface configuration errors before building a cluster.
 func (cfg *Config) Validate() error {
@@ -93,9 +87,6 @@ func (cfg *Config) Validate() error {
 	}
 	if cfg.QueryStatsSize < 0 {
 		return fmt.Errorf("engine: QueryStatsSize must not be negative, got %d", cfg.QueryStatsSize)
-	}
-	if cfg.HedgeDelay < 0 {
-		cfg.HedgeDelay = 0
 	}
 	if len(cfg.Hosts) == 0 {
 		cfg.Hosts = []string{"local"}

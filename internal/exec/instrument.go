@@ -167,13 +167,14 @@ func countRetriedTasks(sp *trace.Span) int64 {
 
 // opName maps an operator to its span name suffix.
 func opName(p PhysicalPlan) string {
-	switch p.(type) {
+	switch n := p.(type) {
 	case *ScanExec:
 		return "scan"
 	case *PipelineExec:
+		if n.Aggs != nil {
+			return "agg_pipeline"
+		}
 		return "pipeline"
-	case *AggPipelineExec:
-		return "agg_pipeline"
 	case *FilterExec:
 		return "filter"
 	case *ProjectExec:

@@ -141,7 +141,7 @@ func TestInstrumentedPipelineChainNotWrapped(t *testing.T) {
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	root := Instrument(FusePipelines(phys))
+	root := Instrument(phys)
 
 	ctx, _ := testCtx()
 	rows, err := root.Execute(ctx)

@@ -43,17 +43,12 @@ func rowsEqual(t *testing.T, name string, got, want []plan.Row) {
 	}
 }
 
-// TestPipelineFusionEquivalence pins the core correctness contract: every
-// query produces identical rows (values AND order) through the fused
-// streaming path and the materialized path.
-func TestPipelineFusionEquivalence(t *testing.T) {
-	users := usersMem(t, 500)
-	orders := ordersMem(t, 200)
+// pipelineFusionCases are fused chains over users (usersMem) and orders
+// (ordersMem): filters, projections and limits, with and without a
+// residual predicate, and pipelines under a sort and a join.
+func pipelineFusionCases(users, orders plan.Relation) []planCase {
 	scanU := func() *plan.ScanNode { return &plan.ScanNode{Relation: users} }
-	cases := []struct {
-		name string
-		lp   func() plan.LogicalPlan
-	}{
+	return []planCase{
 		{"filter-project", func() plan.LogicalPlan {
 			return &plan.ProjectNode{
 				Exprs: []plan.NamedExpr{{Expr: plan.Col("id"), Name: "id"}},
@@ -117,6 +112,13 @@ func TestPipelineFusionEquivalence(t *testing.T) {
 			}
 		}},
 	}
+}
+
+// TestPipelineFusionEquivalence pins the core correctness contract: every
+// query produces identical rows (values AND order) through the fused
+// streaming path and the materialized path.
+func TestPipelineFusionEquivalence(t *testing.T) {
+	cases := pipelineFusionCases(usersMem(t, 500), ordersMem(t, 200))
 	for _, c := range cases {
 		streamed, _ := runWith(t, c.lp(), CompileConfig{})
 		materialized, _ := runWith(t, c.lp(), CompileConfig{DisablePipelining: true})

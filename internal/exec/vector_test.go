@@ -201,11 +201,17 @@ func runCfg(t *testing.T, lp plan.LogicalPlan, cfg CompileConfig) ([]plan.Row, e
 	return phys.Execute(ctx)
 }
 
-// TestVectorAggEquivalence pins the fused global aggregation: every
-// supported aggregate over every numeric storage class — including all-NULL
-// inputs and the empty relation — matches the hash aggregate exactly.
-func TestVectorAggEquivalence(t *testing.T) {
-	rel := nullableMem(t, 500, 11)
+// planCase is a named logical plan, built fresh for every run because
+// compilation resolves expressions in place.
+type planCase struct {
+	name string
+	lp   func() plan.LogicalPlan
+}
+
+// vectorAggCases are the fused global aggregates over rel (a nullableMem
+// relation): every supported aggregate over every numeric storage class,
+// over a filter, through a projection, and over a filter nothing passes.
+func vectorAggCases(rel plan.Relation) []planCase {
 	aggs := func() []plan.AggExpr {
 		return []plan.AggExpr{
 			{Kind: plan.AggCount, Name: "n"},
@@ -219,10 +225,7 @@ func TestVectorAggEquivalence(t *testing.T) {
 			{Kind: plan.AggMax, Arg: plan.Col("f32"), Name: "mxf"},
 		}
 	}
-	cases := []struct {
-		name string
-		lp   func() plan.LogicalPlan
-	}{
+	return []planCase{
 		{"global-agg", func() plan.LogicalPlan {
 			return &plan.AggregateNode{Aggs: aggs(), Child: &plan.ScanNode{Relation: rel}}
 		}},
@@ -252,6 +255,13 @@ func TestVectorAggEquivalence(t *testing.T) {
 			}}
 		}},
 	}
+}
+
+// TestVectorAggEquivalence pins the fused global aggregation: every
+// supported aggregate over every numeric storage class — including all-NULL
+// inputs and the empty relation — matches the hash aggregate exactly.
+func TestVectorAggEquivalence(t *testing.T) {
+	cases := vectorAggCases(nullableMem(t, 500, 11))
 	for _, c := range cases {
 		vec, row := bothPaths(t, c.lp)
 		assertIdenticalRows(t, c.name, vec, row)
@@ -276,9 +286,9 @@ func TestVectorAggEquivalence(t *testing.T) {
 	}
 }
 
-// TestAggFusionShapes pins which aggregates fuse into AggPipelineExec and
-// which must stay on the hash aggregate: GROUP BY, LIMIT below the
-// aggregate, and stddev all disqualify fusion.
+// TestAggFusionShapes pins which aggregates fuse into an aggregate
+// PipelineExec and which must stay on the hash aggregate: GROUP BY, LIMIT
+// below the aggregate, and stddev all disqualify fusion.
 func TestAggFusionShapes(t *testing.T) {
 	rel := usersMem(t, 50)
 	compile := func(lp plan.LogicalPlan) PhysicalPlan {
@@ -289,34 +299,38 @@ func TestAggFusionShapes(t *testing.T) {
 		}
 		return phys
 	}
+	fused := func(p PhysicalPlan) bool {
+		pipe, ok := p.(*PipelineExec)
+		return ok && pipe.Aggs != nil
+	}
 	global := compile(&plan.AggregateNode{
 		Aggs:  []plan.AggExpr{{Kind: plan.AggCount, Name: "n"}},
 		Child: &plan.ScanNode{Relation: rel},
 	})
-	if _, ok := global.(*AggPipelineExec); !ok {
-		t.Errorf("global aggregate root = %T, want *AggPipelineExec\n%s", global, Explain(global))
+	if !fused(global) {
+		t.Errorf("global aggregate root = %T, want *PipelineExec with Aggs\n%s", global, Explain(global))
 	}
 	grouped := compile(&plan.AggregateNode{
 		GroupBy: []plan.NamedExpr{{Expr: plan.Col("city"), Name: "city"}},
 		Aggs:    []plan.AggExpr{{Kind: plan.AggCount, Name: "n"}},
 		Child:   &plan.ScanNode{Relation: rel},
 	})
-	if _, ok := grouped.(*AggPipelineExec); ok {
-		t.Error("GROUP BY aggregate must not fuse into AggPipelineExec")
+	if fused(grouped) {
+		t.Error("GROUP BY aggregate must not fuse into an aggregate pipeline")
 	}
 	limited := compile(&plan.AggregateNode{
 		Aggs:  []plan.AggExpr{{Kind: plan.AggCount, Name: "n"}},
 		Child: &plan.LimitNode{N: 7, Child: &plan.ScanNode{Relation: rel}},
 	})
-	if _, ok := limited.(*AggPipelineExec); ok {
+	if fused(limited) {
 		t.Error("aggregate above LIMIT must not fuse (per-partition caps overcount)")
 	}
 	stddev := compile(&plan.AggregateNode{
 		Aggs:  []plan.AggExpr{{Kind: plan.AggStddevSamp, Arg: plan.Col("score"), Name: "sd"}},
 		Child: &plan.ScanNode{Relation: rel},
 	})
-	if _, ok := stddev.(*AggPipelineExec); ok {
-		t.Error("stddev must not fuse into AggPipelineExec")
+	if fused(stddev) {
+		t.Error("stddev must not fuse into an aggregate pipeline")
 	}
 	// The fused aggregate answers the LIMIT-below case identically anyway.
 	lp := func() plan.LogicalPlan {
@@ -370,5 +384,36 @@ func TestVectorRowEquivalenceManySeeds(t *testing.T) {
 		}
 		vec, row := bothPaths(t, lp)
 		assertIdenticalRows(t, fmt.Sprintf("seed-%d", seed), vec, row)
+	}
+}
+
+// TestRowRouteEquivalence runs fused pipelines with vectorization on over
+// partitions without datasource.VectorScan: the row route, which the
+// baseline relation takes for every fused chain. The aggregate cases must
+// match the hash aggregate and the pipeline cases the materialized
+// operators, row for row and type for type.
+func TestRowRouteEquivalence(t *testing.T) {
+	vals := rowRoute{nullableMem(t, 500, 11)}
+	users, orders := rowRoute{usersMem(t, 500)}, rowRoute{ordersMem(t, 200)}
+	var streamed int64
+	for _, set := range []struct {
+		cases []planCase
+		ref   CompileConfig
+	}{
+		{vectorAggCases(vals), CompileConfig{DisableVectorization: true}},
+		{pipelineFusionCases(users, orders), CompileConfig{DisablePipelining: true}},
+	} {
+		for _, c := range set.cases {
+			got, m := runWith(t, c.lp(), CompileConfig{})
+			if n := m.Get(metrics.VectorBatches); n != 0 {
+				t.Fatalf("%s: row route streamed %d vector batches", c.name, n)
+			}
+			streamed += m.Get(metrics.BatchesStreamed)
+			want, _ := runWith(t, c.lp(), set.ref)
+			assertIdenticalRows(t, c.name, got, want)
+		}
+	}
+	if streamed == 0 {
+		t.Error("no batch streamed through the row route")
 	}
 }

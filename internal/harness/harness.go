@@ -196,7 +196,6 @@ func NewRig(cfg Config) (*Rig, error) {
 		DisablePipelining:    cfg.DisablePipelining,
 		DisableVectorization: cfg.DisableVectorization,
 		QueryTimeout:         cfg.QueryTimeout,
-		HedgeDelay:           cfg.HedgeDelay,
 		Meter:                meter,
 	})
 	if err != nil {
