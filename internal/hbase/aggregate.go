@@ -3,6 +3,7 @@ package hbase
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"github.com/shc-go/shc/internal/bytesutil"
 )
@@ -104,20 +105,23 @@ func newAggFold(specs []AggSpec, state []AggPartial) (*aggFold, error) {
 	return f, nil
 }
 
-// add folds one visited row (its resolved cells, latest version per
-// column). It reports false, with err set, on a value that does not decode.
-func (f *aggFold) add(row []Cell) bool {
-	for k := range f.specs {
-		s, p := &f.specs[k], &f.state[k]
+// add folds one visited row: its resolved cells, newest version first per
+// column, and their column ids. slots[k] is the id of specs[k]'s column in
+// the same dictionary (binding.slots). It reports false, with err set, on
+// a value that does not decode.
+func (f *aggFold) add(row []Cell, ids, slots []colID) bool {
+	specs, state, slots := f.specs, f.state[:len(f.specs)], slots[:len(f.specs)]
+	for k := range specs {
+		s, p := &specs[k], &state[k]
 		if s.Kind == AggCountRows {
 			p.Count++
 			continue
 		}
-		raw, ok := cellValue(row, s.Family, s.Qualifier)
-		if !ok {
+		c := slices.Index(ids, slots[k])
+		if c < 0 {
 			continue // NULL
 		}
-		i, x, err := s.Type.decode(raw)
+		i, x, err := s.Type.decode(row[c].Value)
 		if err != nil {
 			f.err = fmt.Errorf("hbase: aggregate %s:%s: %w", s.Family, s.Qualifier, err)
 			return false
@@ -142,16 +146,6 @@ func (f *aggFold) add(row []Cell) bool {
 		}
 	}
 	return true
-}
-
-// cellValue returns the value of family:qualifier in a resolved row.
-func cellValue(row []Cell, family, qualifier string) ([]byte, bool) {
-	for i := range row {
-		if row[i].Family == family && row[i].Qualifier == qualifier {
-			return row[i].Value, true
-		}
-	}
-	return nil, false
 }
 
 // decode interprets raw as t, returning the exact integer (0 for floats)

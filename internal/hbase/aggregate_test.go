@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/shc-go/shc/internal/bytesutil"
@@ -14,6 +15,9 @@ import (
 // aggFixture loads one region of n rows: n:i an int32 (NULL every 7th row),
 // n:f a float64 (NULL every 5th) and n:s a string. It returns the server
 // hosting the region and a whole-region scan op over the numeric columns.
+// The cells' column names are allocated apart from the literals requests
+// name them by, as a writer's catalog parse is apart from a reader's, so
+// no string comparison of the two can succeed on pointer identity.
 func aggFixture(tb testing.TB, n int) (*RegionServer, ScanOp) {
 	tb.Helper()
 	c, err := NewCluster(ClusterConfig{Name: "agg", NumServers: 1})
@@ -25,16 +29,17 @@ func aggFixture(tb testing.TB, n int) (*RegionServer, ScanOp) {
 	if err := client.CreateTable(TableDescriptor{Name: "a", Families: []string{"n"}}, nil); err != nil {
 		tb.Fatal(err)
 	}
+	fam, qi, qf, qs := strings.Clone("n"), strings.Clone("i"), strings.Clone("f"), strings.Clone("s")
 	var cells []Cell
 	for i := 0; i < n; i++ {
 		row := []byte(fmt.Sprintf("r%05d", i))
 		if i%7 != 0 {
-			cells = append(cells, Cell{Row: row, Family: "n", Qualifier: "i", Timestamp: 1, Type: TypePut, Value: bytesutil.EncodeInt32(int32(i*7919%10007 - 5000))})
+			cells = append(cells, Cell{Row: row, Family: fam, Qualifier: qi, Timestamp: 1, Type: TypePut, Value: bytesutil.EncodeInt32(int32(i*7919%10007 - 5000))})
 		}
 		if i%5 != 0 {
-			cells = append(cells, Cell{Row: row, Family: "n", Qualifier: "f", Timestamp: 1, Type: TypePut, Value: bytesutil.EncodeFloat64(float64(i)*0.1 - 3.7)})
+			cells = append(cells, Cell{Row: row, Family: fam, Qualifier: qf, Timestamp: 1, Type: TypePut, Value: bytesutil.EncodeFloat64(float64(i)*0.1 - 3.7)})
 		}
-		cells = append(cells, Cell{Row: row, Family: "n", Qualifier: "s", Timestamp: 1, Type: TypePut, Value: []byte("payload-0123456789")})
+		cells = append(cells, Cell{Row: row, Family: fam, Qualifier: qs, Timestamp: 1, Type: TypePut, Value: []byte("payload-0123456789")})
 	}
 	if err := client.Put("a", cells); err != nil {
 		tb.Fatal(err)
@@ -61,19 +66,18 @@ var fixtureAggs = []AggSpec{
 }
 
 // foldResults is the client-side reference: the same aggregates folded
-// over returned rows in order.
+// over returned rows in order, by the name-search oracle.
 func foldResults(t *testing.T, results []Result) []AggPartial {
 	t.Helper()
-	f, err := newAggFold(fixtureAggs, nil)
+	rows := make([][]Cell, len(results))
+	for i := range results {
+		rows[i] = results[i].Cells
+	}
+	state, err := oracleFold(fixtureAggs, nil, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, res := range results {
-		if !f.add(res.Cells) {
-			t.Fatal(f.err)
-		}
-	}
-	return f.state
+	return state
 }
 
 func TestFusedAggregateMatchesRowFold(t *testing.T) {
@@ -215,6 +219,39 @@ func BenchmarkFusedAggregate(b *testing.B) {
 	rs, op := aggFixture(b, 2000)
 	ctx := context.Background()
 	req := &FusedRequest{Ops: []ScanOp{op}, Aggs: fixtureAggs}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := rs.handleFused(ctx, req); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestFusedAggregateAllocs pins the pushed aggregate's allocations per
+// request over one region: they must not grow with the rows folded or the
+// columns bound.
+func TestFusedAggregateAllocs(t *testing.T) {
+	rs, op := aggFixture(t, 300)
+	ctx := context.Background()
+	req := &FusedRequest{Ops: []ScanOp{op}, Aggs: fixtureAggs}
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := rs.handleFused(ctx, req); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 6 {
+		t.Fatalf("a fused aggregate over one region made %.1f allocations, want at most 6", allocs)
+	}
+}
+
+// BenchmarkFusedScanRows returns one loaded region's rows through a
+// non-aggregate fused scan (RunScanWith under the fused op) — the path an
+// unpushed region scan takes.
+func BenchmarkFusedScanRows(b *testing.B) {
+	rs, op := aggFixture(b, 2000)
+	ctx := context.Background()
+	req := &FusedRequest{Ops: []ScanOp{op}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -86,12 +86,6 @@ func CompareCells(a, b *Cell) int {
 	}
 }
 
-// sameColumn reports whether two cells name the same (row, family,
-// qualifier) coordinate, ignoring version.
-func sameColumn(a, b *Cell) bool {
-	return bytes.Equal(a.Row, b.Row) && a.Family == b.Family && a.Qualifier == b.Qualifier
-}
-
 // Result holds the cells returned for one row, ordered by (family,
 // qualifier, timestamp desc).
 type Result struct {

@@ -14,7 +14,7 @@ import (
 // every store file and the MemStore merged and resolved, grouped by row.
 func oracleRows(r *Region, start, stop []byte) [][]Cell {
 	r.mu.RLock()
-	visible := resolveVersions(r.allCellsLocked(start, stop), 1, TimeRange{})
+	visible := resolveVersions(r.allCellsLocked(keys{start: start, stop: stop}), 1, TimeRange{})
 	r.mu.RUnlock()
 	var rows [][]Cell
 	for i := 0; i < len(visible); {
@@ -294,6 +294,28 @@ func TestDefaultReadReplicaTracksShippedWrites(t *testing.T) {
 	checkScan(t, "promoted", rep, &Scan{})
 	if got, want := rep.RunScan(&Scan{}), primary.RunScan(&Scan{}); len(got) != len(want) {
 		t.Fatalf("promoted copy has %d rows, primary %d", len(got), len(want))
+	}
+}
+
+// The view is sized to the cells it keeps, with its row index and ids: a
+// region holding four versions of every cell resolves to a quarter of what
+// it merges, and the view must not keep the merge's capacity.
+func TestViewSizedToWhatItKeeps(t *testing.T) {
+	r := newTestRegion(t, StoreConfig{FlushThresholdBytes: 1 << 20})
+	for i := 0; i < 400; i++ {
+		if err := r.Put(cell(fmt.Sprintf("r%03d", i%50), "cf", fmt.Sprintf("q%d", i/50%2), int64(i), "v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkScan(t, "build", r, &Scan{})
+	r.mu.RLock()
+	v := r.view
+	r.mu.RUnlock()
+	if len(v.cells) != 100 || len(v.ids) != len(v.cells) || len(v.rows) != 51 || int(v.rows[50]) != len(v.cells) {
+		t.Fatalf("view holds %d cells, %d ids, %d row starts; want 100, 100, 51 closed by 100", len(v.cells), len(v.ids), len(v.rows))
+	}
+	if cap(v.cells) > len(v.cells)*11/10 || cap(v.ids) > len(v.ids)*11/10 || cap(v.rows) > len(v.rows)*11/10 {
+		t.Fatalf("view capacity %d cells, %d ids, %d row starts for lengths %d, %d, %d: over 1.1x", cap(v.cells), cap(v.ids), cap(v.rows), len(v.cells), len(v.ids), len(v.rows))
 	}
 }
 

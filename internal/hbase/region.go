@@ -79,22 +79,27 @@ type Region struct {
 	// per-region write-rate signal hot-region detection splits by.
 	writeLoad int64
 
+	// cols is the region's column dictionary (columns.go): every column
+	// the region has stored a cell in, with its id.
+	cols *colDict
+
 	// view is the resolved default read (maxVersions 1, unbounded time
-	// range) as of its build, sorted in store order; viewOK says it is
-	// current. Paged scans and gets clip it instead of re-merging the
-	// region. A write doesn't discard it: while the view is current, every
-	// written row goes into dirty (sorted, distinct), and a default read
-	// re-resolves just those rows from the store files and MemStore
-	// (rowCursor). Every other row holds the same cells as at the build, so
-	// its view entry stays exact. A flush only moves cells into a file and
-	// keeps the view. Compaction, bulk load, WAL recovery and dropping the
-	// MemStore change what is visible without a write, so they discard the
-	// view (dropViewLocked) and the next default read rebuilds it. Regions
-	// born by split, reopen or replica bootstrap start without one, and no
-	// row is recorded while there is none. Neither slice is written in
-	// place while readers may hold it: the view is only replaced, and
-	// readers copy their part of dirty under the lock.
-	view   []Cell
+	// range) as of its build, sorted in store order, with its row index
+	// and each cell's column id; viewOK says it is current. Paged scans
+	// and gets clip it instead of re-merging the region. A write doesn't
+	// discard it: while the view is current, every written row goes into
+	// dirty (sorted, distinct), and a default read re-resolves just those
+	// rows from the store files and MemStore (rowCursor). Every other row
+	// holds the same cells as at the build, so its view entry stays exact.
+	// A flush only moves cells into a file and keeps the view. Compaction,
+	// bulk load, WAL recovery and dropping the MemStore change what is
+	// visible without a write, so they discard the view (dropViewLocked)
+	// and the next default read rebuilds it. Regions born by split, reopen
+	// or replica bootstrap start without one, and no row is recorded while
+	// there is none. Neither the view nor dirty is written in place while
+	// readers may hold it: the view is only replaced, and readers copy
+	// their part of dirty under the lock.
+	view   rowRun
 	viewOK bool
 	dirty  [][]byte
 
@@ -124,6 +129,7 @@ func NewRegion(info RegionInfo, desc *TableDescriptor, cfg StoreConfig, meter *m
 		cfg:   cfg.withDefaults(),
 		meter: meter,
 		log:   wal.New(meter),
+		cols:  newColDict(),
 	}
 }
 
@@ -266,9 +272,15 @@ func (r *Region) appendStamped(c Cell, writer string, batchSeq uint64) error {
 		}
 		return err
 	}
-	r.mem.add(c)
+	r.addLocked(c)
 	r.markDirtyLocked(c.Row)
 	return nil
+}
+
+// locked; adds c to the MemStore, recording its column first.
+func (r *Region) addLocked(c Cell) {
+	r.cols.record(c.Family, c.Qualifier)
+	r.mem.add(c)
 }
 
 // locked; records row as written since the view was built. Once dirty
@@ -282,7 +294,7 @@ func (r *Region) markDirtyLocked(row []byte) {
 	if i < len(r.dirty) && bytes.Equal(r.dirty[i], row) {
 		return
 	}
-	if len(r.dirty) >= len(r.view)/2 {
+	if len(r.dirty) >= len(r.view.cells)/2 {
 		r.dropViewLocked()
 		return
 	}
@@ -294,7 +306,7 @@ func (r *Region) markDirtyLocked(row []byte) {
 // locked; discards the view after a change that alters visibility without
 // a write. The next default read rebuilds it.
 func (r *Region) dropViewLocked() {
-	r.view, r.viewOK, r.dirty = nil, false, nil
+	r.view, r.viewOK, r.dirty = rowRun{}, false, nil
 }
 
 // locked
@@ -322,7 +334,7 @@ func (r *Region) flushLocked() {
 	if r.log.Epoch() > r.info.Epoch {
 		return
 	}
-	r.files = append(r.files, newStoreFile(r.mem.sorted(nil, nil)))
+	r.files = append(r.files, newStoreFile(r.mem.sorted(keys{})))
 	r.mem.reset()
 	r.flushed = r.log.NextSeq()
 	r.log.Truncate(r.flushed)
@@ -436,7 +448,7 @@ func (r *Region) NeedsSplit() bool {
 func (r *Region) SplitPoint() []byte {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	all := r.allCellsLocked(nil, nil)
+	all := r.allCellsLocked(keys{})
 	if len(all) == 0 {
 		return nil
 	}
@@ -475,11 +487,12 @@ func (r *Region) SplitInto(lowID, highID string, splitKey []byte, newEpoch uint6
 		epoch = newEpoch
 		r.log.Fence(newEpoch)
 	}
-	all := r.allCellsLocked(nil, nil)
+	all := r.allCellsLocked(keys{})
 	lowInfo := RegionInfo{Table: r.info.Table, ID: lowID, StartKey: r.info.StartKey, EndKey: append([]byte(nil), splitKey...), Host: r.info.Host, Epoch: epoch}
 	highInfo := RegionInfo{Table: r.info.Table, ID: highID, StartKey: append([]byte(nil), splitKey...), EndKey: r.info.EndKey, Host: r.info.Host, Epoch: epoch}
 	low := NewRegion(lowInfo, r.desc, r.cfg, r.meter)
 	high := NewRegion(highInfo, r.desc, r.cfg, r.meter)
+	low.cols, high.cols = r.cols.clone(), r.cols.clone()
 	var lowCells, highCells []Cell
 	for _, c := range all {
 		if bytes.Compare(c.Row, splitKey) < 0 {
@@ -502,15 +515,15 @@ func (r *Region) SplitInto(lowID, highID string, splitKey []byte, newEpoch uint6
 	return low, high, nil
 }
 
-// locked (read or write); merged, sorted cells within [start, stop), a new
+// locked (read or write); merged, sorted cells of the rows k covers, a new
 // slice. Store files come first in file order and the MemStore last, the
 // tie order every read and compaction of the region uses.
-func (r *Region) allCellsLocked(start, stop []byte) []Cell {
+func (r *Region) allCellsLocked(k keys) []Cell {
 	runs := make([][]Cell, 0, len(r.files)+1)
 	for _, f := range r.files {
-		runs = append(runs, clipRows(f.cells, start, stop))
+		runs = append(runs, k.clip(f.cells))
 	}
-	runs = append(runs, r.mem.sorted(start, stop))
+	runs = append(runs, r.mem.sorted(k))
 	return mergeSorted(runs...)
 }
 
@@ -550,43 +563,89 @@ func (r *Region) RunScan(s *Scan) []Result {
 // per scan rather than per row, so metering stays off the row loop's hot
 // path.
 func (r *Region) RunScanWith(s *Scan, m metrics.Meter) []Result {
-	var out []Result
+	b := binding{cols: s.Columns}
+	return r.scanRows(s, keys{}, &b, m, nil)
+}
+
+// scanRows appends the projected rows visitScan visits to out, at most
+// s.Limit of them when set.
+func (r *Region) scanRows(s *Scan, k keys, b *binding, m metrics.Meter, out []Result) []Result {
+	base := len(out)
 	var cellsReturned int64
-	r.visitScan(s, m, func(row []Cell) bool {
-		res := buildResult(row, s.Columns)
+	r.visitScan(s, k, b, m, func(row []Cell, ids []colID) bool {
+		res := b.result(row, ids)
 		cellsReturned += int64(len(res.Cells))
 		out = append(out, res)
-		return s.Limit <= 0 || len(out) < s.Limit
+		return s.Limit <= 0 || len(out)-base < s.Limit
 	})
-	m.Add(metrics.RowsReturned, int64(len(out)))
+	m.Add(metrics.RowsReturned, int64(len(out)-base))
 	m.Add(metrics.CellsReturned, cellsReturned)
 	return out
 }
 
-// foldScan folds the rows of s into f — the partial-aggregate sink of the
-// fused op — stopping after s.Limit rows when set. It returns the fold's
-// decode error, if any.
-func (r *Region) foldScan(s *Scan, m metrics.Meter, f *aggFold) error {
+// foldScan folds the rows visitScan visits into b.fold — the
+// partial-aggregate sink of the fused op — stopping after s.Limit rows
+// when set. It returns the fold's decode error, if any.
+func (r *Region) foldScan(s *Scan, k keys, b *binding, m metrics.Meter) error {
 	n := 0
-	r.visitScan(s, m, func(row []Cell) bool {
+	r.visitScan(s, k, b, m, func(row []Cell, ids []colID) bool {
 		n++
-		return f.add(row) && (s.Limit <= 0 || n < s.Limit)
+		return b.fold.add(row, ids, b.slots()) && (s.Limit <= 0 || n < s.Limit)
 	})
-	return f.err
+	return b.fold.err
 }
 
 // visitScan is the region's row visitor: it resolves the rows of s in this
-// region and calls visit with the full resolved cells of each row that
-// holds a projected cell and passes s.Filter, in row order, until visit
-// returns false. The cells are valid only during the call. It meters rows
-// and cells scanned; what a row turns into is the caller's business.
-func (r *Region) visitScan(s *Scan, m metrics.Meter, visit func(row []Cell) bool) {
-	start, stop := s.StartRow, s.StopRow
-	if len(r.info.StartKey) > 0 && (start == nil || bytes.Compare(start, r.info.StartKey) < 0) {
-		start = r.info.StartKey
+// region — or only the row k.start when k.point is set, ignoring s's row
+// bounds — binds b to the dictionary the rows' column ids come from, and
+// calls visit with the full resolved cells and ids of each row that holds a
+// projected cell and passes s.Filter, in row order, until visit returns
+// false. The cells are valid only during the call. It meters rows and
+// cells scanned; what a row turns into is the caller's business.
+func (r *Region) visitScan(s *Scan, k keys, b *binding, m metrics.Meter, visit func(row []Cell, ids []colID) bool) {
+	var rows rowCursor
+	r.openCursor(&rows, s, k)
+	b.bind(rows.dict, rows.ncols)
+	// The filter's view of a row, allocated once per scan.
+	var fr *Result
+	if s.Filter != nil {
+		fr = &Result{}
 	}
-	if len(r.info.EndKey) > 0 && (stop == nil || bytes.Compare(stop, r.info.EndKey) > 0) {
-		stop = r.info.EndKey
+	var rowsScanned, cellsScanned int64
+	for row, ids := rows.next(); row != nil; row, ids = rows.next() {
+		rowsScanned++
+		cellsScanned += int64(len(row))
+		if !b.projects(ids) {
+			continue
+		}
+		if fr != nil {
+			fr.Row, fr.Cells = row[0].Row, row
+			if !s.Filter.Match(fr) {
+				continue
+			}
+		}
+		if !visit(row, ids) {
+			break
+		}
+	}
+	m.Add(metrics.RowsScanned, rowsScanned)
+	m.Add(metrics.CellsScanned, cellsScanned)
+	m.Inc(metrics.RegionsScanned)
+}
+
+// openCursor sets c, a zero cursor, over the rows of s in this region, or
+// over the row k.start when k.point is set. A point outside the region
+// finds no cells: the region stores none there. The cursor is filled in
+// place, not returned, to keep the read path's stack frames small.
+func (r *Region) openCursor(c *rowCursor, s *Scan, k keys) {
+	if !k.point {
+		k.start, k.stop = s.StartRow, s.StopRow
+		if len(r.info.StartKey) > 0 && (k.start == nil || bytes.Compare(k.start, r.info.StartKey) < 0) {
+			k.start = r.info.StartKey
+		}
+		if len(r.info.EndKey) > 0 && (k.stop == nil || bytes.Compare(k.stop, r.info.EndKey) > 0) {
+			k.stop = r.info.EndKey
+		}
 	}
 	maxV := s.MaxVersions
 	if maxV <= 0 {
@@ -595,169 +654,153 @@ func (r *Region) visitScan(s *Scan, m metrics.Meter, visit func(row []Cell) bool
 	if maxV > r.desc.maxVersions() {
 		maxV = r.desc.maxVersions()
 	}
-	var rows rowCursor
 	if maxV == 1 && s.TimeRange.Unbounded() {
-		rows = r.defaultRows(start, stop)
-	} else {
-		r.mu.RLock()
-		cells := r.allCellsLocked(start, stop)
-		r.mu.RUnlock()
-		rows.clean = resolveVersions(cells, maxV, s.TimeRange)
+		r.defaultRows(c, k)
+		return
 	}
-
-	var rowsScanned, cellsScanned int64
-	for row := rows.next(); row != nil; row = rows.next() {
-		rowsScanned++
-		cellsScanned += int64(len(row))
-		if projects(row, s.Columns) && (s.Filter == nil || s.Filter.Match(&Result{Row: row[0].Row, Cells: row})) {
-			if !visit(row) {
-				break
-			}
-		}
-	}
-	m.Add(metrics.RowsScanned, rowsScanned)
-	m.Add(metrics.CellsScanned, cellsScanned)
-	m.Inc(metrics.RegionsScanned)
+	r.mu.RLock()
+	cells := r.allCellsLocked(k)
+	c.dict, c.ncols = r.cols, r.cols.size()
+	r.mu.RUnlock()
+	c.clean.ids = make([]colID, 0, len(cells))
+	resolve(cells, maxV, s.TimeRange, c.dict, &c.clean)
 }
 
-// defaultRows returns a cursor over the resolved default read
-// (maxVersions 1, unbounded time range) of [start, stop), building the
-// region's view first if it has none.
-func (r *Region) defaultRows(start, stop []byte) rowCursor {
+// defaultRows sets c over the resolved default read (maxVersions 1,
+// unbounded time range) of the rows k covers, building the region's view
+// first if it has none.
+func (r *Region) defaultRows(c *rowCursor, k keys) {
 	r.mu.RLock()
 	if r.viewOK {
-		defer r.mu.RUnlock()
-		return r.cursorLocked(start, stop)
+		r.cursorLocked(c, k)
+		r.mu.RUnlock()
+		return
 	}
 	r.mu.RUnlock()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if !r.viewOK {
-		r.view = resolveVersions(r.allCellsLocked(nil, nil), 1, TimeRange{})
-		r.viewOK = true
+		cells := r.allCellsLocked(keys{})
+		v := rowRun{ids: make([]colID, 0, len(cells))}
+		resolve(cells, 1, TimeRange{}, r.cols, &v)
+		r.view, r.viewOK = rowRun{cells: fit(v.cells), ids: fit(v.ids), rows: fit(v.rows)}, true
 	}
-	return r.cursorLocked(start, stop)
+	r.cursorLocked(c, k)
 }
 
-// locked (read or write), with a current view. The cursor shares only
-// immutable data with the region — the view, the store files' cells — and
-// owns copies of the rest, so it is walked after the lock is released.
-func (r *Region) cursorLocked(start, stop []byte) rowCursor {
-	c := rowCursor{clean: clipRows(r.view, start, stop)}
-	lo := sort.Search(len(r.dirty), func(i int) bool { return bytes.Compare(r.dirty[i], start) >= 0 })
-	hi := len(r.dirty)
-	if stop != nil {
-		hi = lo + sort.Search(hi-lo, func(i int) bool { return bytes.Compare(r.dirty[lo+i], stop) >= 0 })
+// locked (read or write), with a current view; sets c over the rows k
+// covers. The cursor shares only immutable data with the region — the
+// view, the store files' cells — and the dictionary, which guards itself,
+// and owns copies of the rest, so it is walked after the lock is released.
+func (r *Region) cursorLocked(c *rowCursor, k keys) {
+	c.dict, c.ncols, c.clean = r.cols, r.cols.size(), r.view.clip(k)
+	if k.point {
+		if i := sort.Search(len(r.dirty), func(i int) bool { return bytes.Compare(r.dirty[i], k.start) >= 0 }); i < len(r.dirty) && bytes.Equal(r.dirty[i], k.start) {
+			c.clean, c.dirtyRow = rowRun{}, k.start
+			if c.dirtyRow == nil {
+				c.dirtyRow = []byte{} // the empty row key, still dirty
+			}
+		}
+	} else {
+		lo := sort.Search(len(r.dirty), func(i int) bool { return bytes.Compare(r.dirty[i], k.start) >= 0 })
+		hi := len(r.dirty)
+		if k.stop != nil {
+			hi = lo + sort.Search(hi-lo, func(i int) bool { return bytes.Compare(r.dirty[lo+i], k.stop) >= 0 })
+		}
+		if lo < hi {
+			c.dirty = append([][]byte(nil), r.dirty[lo:hi]...)
+		}
 	}
-	if lo == hi {
-		return c
+	if len(c.dirty) == 0 && c.dirtyRow == nil {
+		return
 	}
-	c.dirty = append([][]byte(nil), r.dirty[lo:hi]...)
 	c.runs = make([][]Cell, 0, len(r.files)+1)
 	for _, f := range r.files {
 		c.runs = append(c.runs, f.cells)
 	}
-	c.runs = append(c.runs, r.mem.sorted(start, stop))
-	return c
+	c.runs = append(c.runs, r.mem.sorted(k))
 }
 
-// rowCursor walks resolved cells row by row. clean is a row-sorted run of
-// resolved cells; dirty lists rows (sorted) whose clean entry is stale and
+// rowCursor walks resolved rows in row order. clean is an indexed run of
+// resolved rows; dirty lists rows (sorted) whose clean entry is stale and
 // which are resolved instead from runs — the store files and the MemStore
-// in tie order, as allCellsLocked merges them.
+// in tie order, as allCellsLocked merges them. A point read of a dirty row
+// has dirtyRow set instead, and no clean row. dict is the dictionary the
+// ids of both come from, and ncols its size when the cursor was opened:
+// every id the cursor yields is below it.
 type rowCursor struct {
-	clean []Cell
-	dirty [][]byte
-	runs  [][]Cell
+	dict     *colDict
+	ncols    int
+	clean    rowRun
+	dirty    [][]byte
+	dirtyRow []byte
+	runs     [][]Cell
+
+	// Scratch for dirty rows, reused row to row.
+	rowRuns [][]Cell
+	scratch rowRun
 }
 
-// next returns the cells of the next row with a visible cell, or nil when
-// the cursor is exhausted. A clean row is a subslice of clean; a dirty row
-// is merged and resolved for that row alone.
-func (c *rowCursor) next() []Cell {
+// next returns the cells of the next row with a visible cell and their
+// column ids, or nil when the cursor is exhausted. A clean row is a
+// subslice of clean; a dirty row is merged and resolved for that row alone
+// into scratch, valid until the next call.
+func (c *rowCursor) next() ([]Cell, []colID) {
+	if row := c.dirtyRow; row != nil {
+		c.dirtyRow = nil
+		return c.resolveRow(row)
+	}
 	for len(c.dirty) > 0 {
-		if len(c.clean) > 0 && bytes.Compare(c.clean[0].Row, c.dirty[0]) < 0 {
-			break
-		}
 		row := c.dirty[0]
+		if len(c.clean.rows) > 1 {
+			cmp := bytes.Compare(c.clean.cells[c.clean.rows[0]].Row, row)
+			if cmp < 0 {
+				break
+			}
+			if cmp == 0 {
+				c.clean.rows = c.clean.rows[1:]
+			}
+		}
 		c.dirty = c.dirty[1:]
-		if len(c.clean) > 0 && bytes.Equal(c.clean[0].Row, row) {
-			c.clean = c.clean[rowLen(c.clean):]
-		}
-		runs := make([][]Cell, len(c.runs))
-		for i, run := range c.runs {
-			runs[i] = rowCells(run, row)
-		}
-		if cells := resolveVersions(mergeSorted(runs...), 1, TimeRange{}); len(cells) > 0 {
-			return cells
+		if cells, ids := c.resolveRow(row); cells != nil {
+			return cells, ids
 		}
 	}
-	if len(c.clean) == 0 {
-		return nil
+	if len(c.clean.rows) < 2 {
+		return nil, nil
 	}
-	n := rowLen(c.clean)
-	row := c.clean[:n]
-	c.clean = c.clean[n:]
-	return row
+	a, b := c.clean.rows[0], c.clean.rows[1]
+	c.clean.rows = c.clean.rows[1:]
+	return c.clean.cells[a:b], c.clean.ids[a:b]
 }
 
-// rowLen counts the leading cells of a non-empty row-sorted run that
-// share its first row.
-func rowLen(cells []Cell) int {
-	n := 1
-	for n < len(cells) && bytes.Equal(cells[n].Row, cells[0].Row) {
-		n++
+// resolveRow merges and resolves one dirty row from runs into scratch,
+// returning nil when no cell of it is visible.
+func (c *rowCursor) resolveRow(row []byte) ([]Cell, []colID) {
+	if c.rowRuns == nil {
+		c.rowRuns = make([][]Cell, len(c.runs))
 	}
-	return n
-}
-
-// projects reports whether the projection cols keeps any cell of row (all
-// of them when cols is empty) — a row with nothing projected is not
-// returned. The filter, as in HBase, sees the full row either way.
-func projects(row []Cell, cols []Column) bool {
-	if len(cols) == 0 {
-		return len(row) > 0
+	for i, run := range c.runs {
+		c.rowRuns[i] = rowCells(run, row)
 	}
-	for i := range row {
-		if columnWanted(&row[i], cols) {
-			return true
-		}
+	v := &c.scratch
+	v.ids, v.rows = v.ids[:0], v.rows[:0]
+	if resolve(appendMerged(v.cells[:0], c.rowRuns...), 1, TimeRange{}, c.dict, v); len(v.cells) == 0 {
+		return nil, nil
 	}
-	return false
-}
-
-func columnWanted(c *Cell, cols []Column) bool {
-	for _, want := range cols {
-		if c.Family == want.Family && (want.Qualifier == "" || c.Qualifier == want.Qualifier) {
-			return true
-		}
-	}
-	return false
-}
-
-func buildResult(row []Cell, cols []Column) Result {
-	res := Result{Row: row[0].Row}
-	if len(cols) == 0 {
-		res.Cells = append(res.Cells, row...)
-		return res
-	}
-	for i := range row {
-		if columnWanted(&row[i], cols) {
-			res.Cells = append(res.Cells, row[i])
-		}
-	}
-	return res
+	return v.cells, v.ids
 }
 
 // Get reads one row, honoring the same projection/version/time options as
 // Scan.
 func (r *Region) Get(row []byte, cols []Column, maxVersions int, tr TimeRange) Result {
-	s := &Scan{StartRow: row, StopRow: append(append([]byte(nil), row...), 0), Columns: cols, MaxVersions: maxVersions, TimeRange: tr, Limit: 1}
-	results := r.RunScan(s)
-	if len(results) == 0 {
-		return Result{Row: append([]byte(nil), row...)}
+	s := Scan{Columns: cols, MaxVersions: maxVersions, TimeRange: tr, Limit: 1}
+	b := binding{cols: cols}
+	var one [1]Result
+	if results := r.scanRows(&s, keys{start: row, point: true}, &b, metrics.Direct(r.meter), one[:0]); len(results) > 0 {
+		return results[0]
 	}
-	return results[0]
+	return Result{Row: append([]byte(nil), row...)}
 }
 
 // RecoverFromWAL rebuilds MemStore state by replaying the region's log from
@@ -785,7 +828,7 @@ func (r *Region) RecoverFromWAL() error {
 		if e.Kind == wal.KindDelete {
 			typ = TypeDelete
 		}
-		r.mem.add(Cell{Row: e.Row, Family: e.Family, Qualifier: e.Qualifier, Timestamp: e.Timestamp, Type: typ, Value: e.Value})
+		r.addLocked(Cell{Row: e.Row, Family: e.Family, Qualifier: e.Qualifier, Timestamp: e.Timestamp, Type: typ, Value: e.Value})
 		if e.Writer != "" {
 			// Replayed entries carry no low-water claim; the window converges
 			// again on the writer's next live batch.
@@ -830,6 +873,7 @@ func (r *Region) Reopen(newEpoch uint64) *Region {
 		log:     r.log,
 		flushed: r.flushed,
 		repl:    r.repl,
+		cols:    r.cols.clone(),
 		// The successor starts from durable state and replays the WAL tail
 		// (RecoverFromWAL), which rebuilds the live window from this same
 		// snapshot — so only the durable half carries over.
@@ -878,6 +922,9 @@ func (r *Region) BulkLoad(cells []Cell) error {
 	}
 	if len(cells) == 0 {
 		return nil
+	}
+	for i := range cells {
+		r.cols.record(cells[i].Family, cells[i].Qualifier)
 	}
 	r.files = append(r.files, newStoreFile(append([]Cell(nil), cells...)))
 	r.dropViewLocked()

@@ -612,7 +612,8 @@ func (rs *RegionServer) runScanTraced(ctx context.Context, r *Region, s *Scan) [
 func (rs *RegionServer) foldScanTraced(ctx context.Context, r *Region, s *Scan, f *aggFold) error {
 	var err error
 	rs.traceScan(ctx, r, func(m metrics.Meter) {
-		err = r.foldScan(s, m, f)
+		b := binding{cols: s.Columns, fold: f}
+		err = r.foldScan(s, keys{}, &b, m)
 	}).SetTag("sink", "aggregate")
 	return err
 }
@@ -724,6 +725,14 @@ func (rs *RegionServer) fusedPage(ctx context.Context, m *FusedRequest) (*ScanRe
 			if op.Replica > 0 {
 				sp.SetTag("replica", fmt.Sprintf("%d", op.Replica))
 			}
+			s := Scan{Limit: 1}
+			if op.Scan != nil {
+				s.Columns, s.Filter = op.Scan.Columns, op.Scan.Filter
+				s.MaxVersions, s.TimeRange = op.Scan.MaxVersions, op.Scan.TimeRange
+			}
+			// Every row of the op reads the same region: bind its columns
+			// once.
+			b := binding{cols: s.Columns, fold: fold}
 			var got int64
 			for ri := cur.RowIdx; ri < len(op.Rows); ri++ {
 				if room() == 0 {
@@ -733,22 +742,17 @@ func (rs *RegionServer) fusedPage(ctx context.Context, m *FusedRequest) (*ScanRe
 					sp.End()
 					return resp, nil
 				}
-				row := op.Rows[ri]
-				s := Scan{StartRow: row, StopRow: append(append([]byte(nil), row...), 0), Limit: 1}
-				if op.Scan != nil {
-					s.Columns, s.Filter = op.Scan.Columns, op.Scan.Filter
-					s.MaxVersions, s.TimeRange = op.Scan.MaxVersions, op.Scan.TimeRange
-				}
+				point := keys{start: op.Rows[ri], point: true}
 				if fold != nil {
-					if err := r.foldScan(&s, meter, fold); err != nil {
+					if err := r.foldScan(&s, point, &b, meter); err != nil {
 						sp.End()
 						return nil, err
 					}
 					continue
 				}
-				results := r.RunScanWith(&s, meter)
-				got += int64(len(results))
-				resp.Results = append(resp.Results, results...)
+				n := len(resp.Results)
+				resp.Results = r.scanRows(&s, point, &b, meter, resp.Results)
+				got += int64(len(resp.Results) - n)
 			}
 			sp.SetAttr("rows", got)
 			sp.End()

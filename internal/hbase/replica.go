@@ -93,10 +93,11 @@ func (r *Region) NewReplica(id int) *Region {
 		meter:      r.meter,
 		log:        r.log,
 		repl:       r.repl,
+		cols:       r.cols.clone(),
 		appliedSeq: r.log.NextSeq() - 1,
 		caughtUpAt: time.Now(),
 	}
-	if cells := r.allCellsLocked(nil, nil); len(cells) > 0 {
+	if cells := r.allCellsLocked(keys{}); len(cells) > 0 {
 		rep.files = []*storeFile{newStoreFile(append([]Cell(nil), cells...))}
 	}
 	r.repl.attach(rep)
@@ -168,7 +169,7 @@ func (r *Region) applyPendingLocked(n int) int {
 		if se.e.Kind == wal.KindDelete {
 			typ = TypeDelete
 		}
-		r.mem.add(Cell{Row: se.e.Row, Family: se.e.Family, Qualifier: se.e.Qualifier, Timestamp: se.e.Timestamp, Type: typ, Value: se.e.Value})
+		r.addLocked(Cell{Row: se.e.Row, Family: se.e.Family, Qualifier: se.e.Qualifier, Timestamp: se.e.Timestamp, Type: typ, Value: se.e.Value})
 		// Track the batch stamps the primary applied: if this copy is later
 		// promoted, its dedup window must cover the acked history it serves.
 		if se.e.Writer != "" {
@@ -229,7 +230,7 @@ func (r *Region) Promote(newEpoch uint64) {
 		if e.Kind == wal.KindDelete {
 			typ = TypeDelete
 		}
-		r.mem.add(Cell{Row: e.Row, Family: e.Family, Qualifier: e.Qualifier, Timestamp: e.Timestamp, Type: typ, Value: e.Value})
+		r.addLocked(Cell{Row: e.Row, Family: e.Family, Qualifier: e.Qualifier, Timestamp: e.Timestamp, Type: typ, Value: e.Value})
 		if e.Writer != "" {
 			r.dedupLocked().mark(e.Writer, e.Batch, 0)
 		}

@@ -2,6 +2,7 @@ package hbase
 
 import (
 	"bytes"
+	"slices"
 	"sort"
 )
 
@@ -25,17 +26,15 @@ func (m *memStore) reset() {
 	m.bytes = 0
 }
 
-// sorted returns a fresh copy of the cells with startRow <= row < stopRow
-// (nil bounds are open), in store-file order. Cells at equal coordinates
-// keep their arrival order.
-func (m *memStore) sorted(startRow, stopRow []byte) []Cell {
+// sorted returns a fresh copy of the cells of the rows k covers, in
+// store-file order. Cells at equal coordinates keep their arrival order.
+func (m *memStore) sorted(k keys) []Cell {
 	var out []Cell
-	if startRow == nil && stopRow == nil {
+	if k.all() {
 		out = append([]Cell(nil), m.cells...)
 	} else {
 		for i := range m.cells {
-			row := m.cells[i].Row
-			if bytes.Compare(row, startRow) >= 0 && (stopRow == nil || bytes.Compare(row, stopRow) < 0) {
+			if k.has(m.cells[i].Row) {
 				out = append(out, m.cells[i])
 			}
 		}
@@ -57,6 +56,33 @@ func newStoreFile(sorted []Cell) *storeFile {
 		size += sorted[i].WireSize()
 	}
 	return &storeFile{cells: sorted, size: size}
+}
+
+// keys is the row keys a read covers: the rows in [start, stop) (nil
+// bounds are open), or, when point is set, the one row start.
+type keys struct {
+	start, stop []byte
+	point       bool
+}
+
+// all reports whether k covers every row.
+func (k keys) all() bool { return !k.point && k.start == nil && k.stop == nil }
+
+// has reports whether k covers row.
+func (k keys) has(row []byte) bool {
+	if k.point {
+		return bytes.Equal(row, k.start)
+	}
+	return bytes.Compare(row, k.start) >= 0 && (k.stop == nil || bytes.Compare(row, k.stop) < 0)
+}
+
+// clip subslices a row-sorted cell run to the rows k covers, without
+// copying.
+func (k keys) clip(cells []Cell) []Cell {
+	if k.point {
+		return rowCells(cells, k.start)
+	}
+	return clipRows(cells, k.start, k.stop)
 }
 
 // clipRows subslices a row-sorted cell run to startRow <= row < stopRow
@@ -91,7 +117,10 @@ func rowCells(cells []Cell, row []byte) []Cell {
 // the order a stable sort of the concatenated runs gives — so an earlier
 // run wins a tie wherever version resolution keeps the first of equals.
 // It is a k-way merge over a heap of run heads: O(n log k), no sort.
-func mergeSorted(runs ...[]Cell) []Cell {
+func mergeSorted(runs ...[]Cell) []Cell { return appendMerged(nil, runs...) }
+
+// appendMerged is mergeSorted appending to out, growing it at most once.
+func appendMerged(out []Cell, runs ...[]Cell) []Cell {
 	total, nonEmpty, last := 0, 0, 0
 	for i, r := range runs {
 		if len(r) > 0 {
@@ -100,7 +129,7 @@ func mergeSorted(runs ...[]Cell) []Cell {
 			last = i
 		}
 	}
-	out := make([]Cell, 0, total)
+	out = slices.Grow(out, total)
 	switch nonEmpty {
 	case 0:
 		return out
@@ -163,27 +192,93 @@ func (m *runMerger) down(i int) {
 	}
 }
 
-// resolveVersions walks cells sorted in CompareCells order and produces the
-// visible cells under HBase read semantics: delete tombstones mask every
-// version at or below their timestamp for the same column, at most
-// maxVersions live versions are returned per column (newest first), and
-// only versions inside tr are visible. Tombstones themselves are never
-// returned. keepAll=true (compaction) keeps tombstones and every surviving
-// version instead.
-func resolveVersions(sorted []Cell, maxVersions int, tr TimeRange) []Cell {
+// rowRun is a row-sorted run of resolved cells indexed for the row
+// visitor: ids[i] is the column id of cells[i] in the region's dictionary,
+// and rows holds the offset of each row's first cell followed by
+// len(cells), so row k is cells[rows[k]:rows[k+1]]. The zero rowRun has
+// no rows.
+type rowRun struct {
+	cells []Cell
+	ids   []colID
+	rows  []int32
+}
+
+// clip returns the run cut to the rows k covers, sharing its cells: a
+// binary search over the row starts.
+func (v rowRun) clip(k keys) rowRun {
+	n := len(v.rows) - 1
+	if n <= 0 {
+		return rowRun{}
+	}
+	first := func(key []byte) int {
+		return sort.Search(n, func(i int) bool { return bytes.Compare(v.cells[v.rows[i]].Row, key) >= 0 })
+	}
+	var lo, hi int
+	if k.point {
+		lo = first(k.start)
+		hi = lo
+		if lo < n && bytes.Equal(v.cells[v.rows[lo]].Row, k.start) {
+			hi++
+		}
+	} else {
+		lo, hi = first(k.start), n
+		if k.stop != nil {
+			hi = first(k.stop)
+		}
+		hi = max(hi, lo)
+	}
+	v.rows = v.rows[lo : hi+1]
+	return v
+}
+
+// resolve compacts sorted — cells in CompareCells order that the caller
+// owns — in place to the cells visible under HBase read semantics and
+// returns them: delete tombstones mask every version at or below their
+// timestamp for the same column, at most maxVersions live versions are
+// kept per column (newest first), and only versions inside tr are
+// visible. Tombstones themselves are never kept. With ix non-nil, the
+// same pass indexes the result into ix: it sets ix.cells to it, appends
+// each kept cell's id in d to ix.ids and each kept row's first offset to
+// ix.rows, and closes ix.rows with the kept length.
+func resolve(sorted []Cell, maxVersions int, tr TimeRange, d *colDict, ix *rowRun) []Cell {
 	if maxVersions <= 0 {
 		maxVersions = 1
 	}
-	var out []Cell
-	var colStart int
-	for i := 0; i <= len(sorted); i++ {
-		if i < len(sorted) && i > 0 && sameColumn(&sorted[i], &sorted[colStart]) {
-			continue
+	// Kept cells are written over the ones already read: a column's kept
+	// cells never outnumber its cells, so writes stay behind reads.
+	out := sorted[:0]
+	// rowOpen says the current row has a kept cell (and so an entry in
+	// ix.rows).
+	rowOpen := false
+	if ix != nil {
+		d.mu.RLock()
+		defer d.mu.RUnlock()
+	}
+	for i := 0; i < len(sorted); {
+		row, family, qualifier := sorted[i].Row, sorted[i].Family, sorted[i].Qualifier
+		j := i + 1
+		for j < len(sorted) && sorted[j].Family == family && sorted[j].Qualifier == qualifier && bytes.Equal(sorted[j].Row, row) {
+			j++
 		}
-		if i > 0 {
-			out = appendVisible(out, sorted[colStart:i], maxVersions, tr)
+		start := len(out)
+		out = appendVisible(out, sorted[i:j], maxVersions, tr)
+		if ix != nil && len(out) > start {
+			if !rowOpen {
+				ix.rows = append(ix.rows, int32(start))
+				rowOpen = true
+			}
+			id := d.lookup(family, qualifier)
+			for range len(out) - start {
+				ix.ids = append(ix.ids, id)
+			}
 		}
-		colStart = i
+		if j == len(sorted) || !bytes.Equal(sorted[j].Row, row) {
+			rowOpen = false
+		}
+		i = j
+	}
+	if ix != nil {
+		ix.cells, ix.rows = out, append(ix.rows, int32(len(out)))
 	}
 	return out
 }
@@ -216,9 +311,20 @@ func appendVisible(out []Cell, col []Cell, maxVersions int, tr TimeRange) []Cell
 	return out
 }
 
+// fit returns s for keeping: copied into an exact-size slice when its
+// capacity exceeds its length by more than a tenth, else clipped with the
+// spare capacity cleared, so a kept run pins no dropped cell.
+func fit[T any](s []T) []T {
+	if cap(s)-len(s) > len(s)/10 {
+		return append(make([]T, 0, len(s)), s...)
+	}
+	clear(s[len(s):cap(s)])
+	return s[:len(s):len(s)]
+}
+
 // compact merges cells from several sorted runs into one run with deletes
 // applied and versions trimmed to maxVersions, dropping tombstones — a
 // major compaction.
 func compact(maxVersions int, runs ...[]Cell) []Cell {
-	return resolveVersions(mergeSorted(runs...), maxVersions, TimeRange{})
+	return fit(resolve(mergeSorted(runs...), maxVersions, TimeRange{}, nil, nil))
 }

@@ -17,6 +17,12 @@ func tomb(row, fam, qual string, ts int64) Cell {
 	return Cell{Row: []byte(row), Family: fam, Qualifier: qual, Timestamp: ts, Type: TypeDelete}
 }
 
+// sameColumn reports whether two cells name the same (row, family,
+// qualifier) coordinate, ignoring version.
+func sameColumn(a, b *Cell) bool {
+	return bytes.Equal(a.Row, b.Row) && a.Family == b.Family && a.Qualifier == b.Qualifier
+}
+
 // sortCells stably sorts cells in store order, in place.
 func sortCells(cells []Cell) []Cell {
 	sort.SliceStable(cells, func(i, j int) bool { return CompareCells(&cells[i], &cells[j]) < 0 })
@@ -47,7 +53,7 @@ func TestMemStoreSnapshotSorted(t *testing.T) {
 	m.add(cell("b", "cf", "q", 1, "2"))
 	m.add(cell("a", "cf", "q", 1, "1"))
 	m.add(cell("a", "cf", "q", 9, "newer"))
-	snap := m.sorted(nil, nil)
+	snap := m.sorted(keys{})
 	if len(snap) != 3 {
 		t.Fatalf("snapshot len = %d", len(snap))
 	}
