@@ -129,7 +129,8 @@ func finishIngestRow(rig *harness.Rig, row *IngestRow, samples []time.Duration, 
 
 // Ingest measures the write path end to end:
 //
-//   - unbuffered: one Put RPC per cell — the pre-BufferedMutator baseline.
+//   - unbuffered: one Client.Put (one unstamped MultiPut RPC) per cell —
+//     the pre-BufferedMutator baseline.
 //   - buffered: the same cells through a BufferedMutator; batching must
 //     amortize per-RPC cost into >= 5x the unbuffered throughput.
 //   - buffered+chaos: buffered ingest while seeded ack-lost faults discard

@@ -72,7 +72,6 @@ type PipelineExec struct {
 	vecFilter *plan.CompiledFilter
 	vecProj   *plan.CompiledProjection
 	vecEager  []int
-	vecBad    bool
 }
 
 // Schema implements PhysicalPlan.
@@ -251,9 +250,8 @@ func (p *PipelineExec) runPartition(tctx context.Context, ctx *Context, part dat
 	}
 	m := metrics.Scoped(tctx, ctx.Meter)
 	if vs, ok := part.(datasource.VectorScan); ok && p.Vectorize {
-		if p.vecProgram() {
-			return p.runVector(tctx, m, vs, opts, tracker)
-		}
+		p.vecProgram()
+		return p.runVector(tctx, m, vs, opts, tracker)
 	}
 	return p.runRows(tctx, m, part, opts, tracker)
 }

@@ -16,18 +16,12 @@ import (
 
 // vecProgram compiles the pipeline's residual filter and projection once
 // into vecFilter, vecProj and vecEager; the compiled closures are stateless
-// and shared by every partition task. false means the pipeline must stay on
-// the row path.
-func (p *PipelineExec) vecProgram() bool {
+// and shared by every partition task.
+func (p *PipelineExec) vecProgram() {
 	p.vecOnce.Do(func() {
 		schema := p.Scan.OutSchema
 		if p.Cond != nil {
-			f, err := plan.CompileFilter(p.Cond, schema)
-			if err != nil {
-				p.vecBad = true
-				return
-			}
-			p.vecFilter = f
+			p.vecFilter = plan.CompileFilter(p.Cond, schema)
 			// Only the filter's and the aggregates' inputs need eager
 			// decode; everything else stays lazy until it survives the
 			// filter. With no filter every row survives and laziness buys
@@ -38,7 +32,6 @@ func (p *PipelineExec) vecProgram() bool {
 			p.vecProj = plan.CompileProjection(p.Exprs, schema)
 		}
 	})
-	return !p.vecBad
 }
 
 // eagerColumns resolves the scan positions of every column cond and the

@@ -501,8 +501,10 @@ func (c *Client) InvalidateRegions(table string) {
 
 func cellRow(c *Cell) []byte { return c.Row }
 
-// Put writes cells, batching them per region. Stale region locations are
-// refreshed and retried under the client's retry policy.
+// Put writes cells: one unstamped MultiPut per region server the cells
+// touch, through the same delivery round a BufferedMutator flush takes.
+// Stale region locations are refreshed and the failed servers' pieces
+// retried under the client's retry policy.
 func (c *Client) Put(table string, cells []Cell) error {
 	return c.PutContext(context.Background(), table, cells)
 }
@@ -510,7 +512,10 @@ func (c *Client) Put(table string, cells []Cell) error {
 // PutContext is Put bounded by ctx. Writes never hedge: a duplicated put is
 // not idempotent against versioned cells.
 func (c *Client) PutContext(ctx context.Context, table string, cells []Cell) error {
-	return c.write(ctx, table, cells, false)
+	if len(cells) == 0 {
+		return nil
+	}
+	return c.deliver(ctx, table, "", []*pendingBatch{{cells: cells}}, c.NewRetryBudget(table), nil)
 }
 
 // BulkLoad installs cells directly as sorted store files, bypassing the WAL
@@ -525,13 +530,6 @@ func (c *Client) BulkLoad(table string, cells []Cell) error {
 
 // BulkLoadContext is BulkLoad bounded by ctx.
 func (c *Client) BulkLoadContext(ctx context.Context, table string, cells []Cell) error {
-	return c.write(ctx, table, cells, true)
-}
-
-// write sends cells to their regions under a retry budget. Each attempt
-// groups the cells against one region-map snapshot and sends one request per
-// region, in key order: a Put, or with bulk a BulkLoad of the region's run.
-func (c *Client) write(ctx context.Context, table string, cells []Cell, bulk bool) error {
 	if len(cells) == 0 {
 		return nil
 	}
@@ -540,7 +538,7 @@ func (c *Client) write(ctx context.Context, table string, cells []Cell, bulk boo
 		return err
 	}
 	for retry := c.NewRetryBudget(table); ; {
-		err := c.writeOnce(ctx, table, tok, cells, bulk)
+		err := c.bulkLoadOnce(ctx, table, tok, cells)
 		if err == nil {
 			return nil
 		}
@@ -550,7 +548,9 @@ func (c *Client) write(ctx context.Context, table string, cells []Cell, bulk boo
 	}
 }
 
-func (c *Client) writeOnce(ctx context.Context, table, tok string, cells []Cell, bulk bool) error {
+// bulkLoadOnce groups the cells against one region-map snapshot and sends
+// each region its sorted run, in key order.
+func (c *Client) bulkLoadOnce(ctx context.Context, table, tok string, cells []Cell) error {
 	m, err := c.RegionMap(ctx, table)
 	if err != nil {
 		return err
@@ -561,15 +561,10 @@ func (c *Client) writeOnce(ctx context.Context, table, tok string, cells []Cell,
 	}
 	for _, g := range groups {
 		ri, run := g.Region, g.Items
-		if bulk {
-			// Each group is a private copy in input order, so sorting it
-			// stably never reorders the caller's cells.
-			sort.SliceStable(run, func(i, j int) bool { return CompareCells(&run[i], &run[j]) < 0 })
-			_, err = c.call(ctx, ri.Host, MethodBulkLoad, &BulkLoadRequest{RegionID: ri.ID, Epoch: ri.Epoch, Cells: run, Token: tok})
-		} else {
-			_, err = c.call(ctx, ri.Host, MethodPut, &PutRequest{RegionID: ri.ID, Epoch: ri.Epoch, Cells: run, Token: tok})
-		}
-		if err != nil {
+		// Each group is a private copy in input order, so sorting it
+		// stably never reorders the caller's cells.
+		sort.SliceStable(run, func(i, j int) bool { return CompareCells(&run[i], &run[j]) < 0 })
+		if _, err := c.call(ctx, ri.Host, MethodBulkLoad, &BulkLoadRequest{RegionID: ri.ID, Epoch: ri.Epoch, Cells: run, Token: tok}); err != nil {
 			return err
 		}
 	}

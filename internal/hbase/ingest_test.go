@@ -182,7 +182,7 @@ func TestSplitDaughtersInheritDedupWindow(t *testing.T) {
 		}
 	}
 	// The parent's WAL is fenced at the daughters' epoch.
-	if err := r.Put(cell("row-00", "cf", "q", 2, "late")); !errors.Is(err, ErrFenced) {
+	if err := putCells(r, cell("row-00", "cf", "q", 2, "late")); !errors.Is(err, ErrFenced) {
 		t.Errorf("write to fenced parent = %v, want ErrFenced", err)
 	}
 }

@@ -2,6 +2,9 @@ package hbase
 
 // RPC method names served by region servers and the master.
 const (
+	// MethodPut names the retired per-region write RPC. No server registers
+	// it; it stays declared because the benchmark's write-call count still
+	// reads its latency histogram, which stays empty.
 	MethodPut          = "Put"
 	MethodMultiPut     = "MultiPut"
 	MethodBulkLoad     = "BulkLoad"
@@ -14,29 +17,13 @@ const (
 	MethodTableStats   = "TableStats"
 )
 
-// PutRequest carries a batch of mutations for one region. Epoch is the
-// ownership epoch the client routed by; the server rejects a stale one with
-// ErrFenced (0 = unchecked, for callers that bypass the meta cache).
-type PutRequest struct {
-	RegionID string
-	Epoch    uint64
-	Cells    []Cell
-	Token    string
-}
-
-// WireSize implements rpc.Message.
-func (m *PutRequest) WireSize() int {
-	n := len(m.RegionID) + len(m.Token) + 8
-	for i := range m.Cells {
-		n += m.Cells[i].WireSize()
-	}
-	return n
-}
-
-// RegionBatch is one sequence-stamped group of mutations for one region
-// inside a MultiPutRequest. Writer identifies the BufferedMutator instance
-// and Seq is its per-writer batch sequence number; together they let the
-// server deduplicate a retried batch whose ack was lost. A batch regrouped
+// RegionBatch is one group of mutations for one region inside a
+// MultiPutRequest. Epoch is the ownership epoch the client routed by; the
+// server rejects a stale one with ErrFenced (0 = unchecked, for callers
+// that bypass the meta cache). Writer identifies the BufferedMutator
+// instance and Seq is its per-writer batch sequence number; together they
+// let the server deduplicate a retried batch whose ack was lost. A batch
+// with no Writer (Client.Put's) is unstamped and never deduplicated. A batch regrouped
 // after a split keeps its original stamp: the daughters inherited the
 // parent's dedup window, and the regrouped pieces are row-disjoint, so
 // per-region dedup on the same stamp stays exactly-once. That rests on one
@@ -57,9 +44,14 @@ type RegionBatch struct {
 	Cells    []Cell
 }
 
-// WireSize implements rpc.Message sizing for embedded batches.
+// WireSize implements rpc.Message sizing for embedded batches. An unstamped
+// batch carries no writer, sequence or low-water mark, so it is charged only
+// its region ID, epoch and cells.
 func (b *RegionBatch) WireSize() int {
-	n := len(b.RegionID) + len(b.Writer) + 24
+	n := len(b.RegionID) + 8
+	if b.Writer != "" {
+		n += len(b.Writer) + 16
+	}
 	for i := range b.Cells {
 		n += b.Cells[i].WireSize()
 	}
@@ -67,10 +59,12 @@ func (b *RegionBatch) WireSize() int {
 }
 
 // MultiPutRequest carries several region batches bound for one server — the
-// BufferedMutator's per-server flush RPC. The server applies the batches in
-// order, deduplicating any it has already applied, and returns the first
-// error it hit (retrying the whole request is safe: dedup makes re-applying
-// the batches that did succeed a no-op).
+// client's one write RPC, sent by Client.Put and by BufferedMutator
+// flushes. The server applies the batches in order, deduplicating any
+// stamped batch it has already applied, and returns the first error it hit
+// (retrying the whole request is safe: dedup makes re-applying the stamped
+// batches that did succeed a no-op, and an unstamped batch rewrites the same
+// versions).
 type MultiPutRequest struct {
 	Batches []RegionBatch
 	Token   string
@@ -216,7 +210,7 @@ func (b *CellBlock) Len() int { return len(b.Rows) }
 
 // ScanOp is one scan or bulk-get bound for a specific region, used inside a
 // fused request — the only form a region read takes. Epoch carries the
-// per-region routing epoch (see PutRequest); each op is checked
+// per-region routing epoch (see RegionBatch); each op is checked
 // independently, since a fused request spans many regions that may have
 // moved at different times. Replica selects which copy answers: 0 (the
 // default) is the primary, higher values address a secondary — the

@@ -1,8 +1,10 @@
 package hbase
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"time"
 
@@ -228,30 +230,13 @@ func (m *BufferedMutator) AckedBatches() []BatchStamp {
 	return append([]BatchStamp(nil), m.acked...)
 }
 
-// stampedBatch is one in-flight batch: a stamp plus the cells it covers. The
-// stamp is assigned once and never changes, even when a split forces the
-// cells to regroup across fresh region boundaries.
-type stampedBatch struct {
-	seq   uint64
-	cells []Cell
-}
-
-// send delivers cells, grouping per region, stamping per group, packing per
-// server, and retrying retryable failures with regrouping until every batch
-// is acked or attempts run out.
+// send stamps cells per region and delivers them: one sequence-stamped
+// batch per region the buffer touches, acked as its last piece lands.
 func (m *BufferedMutator) send(ctx context.Context, cells []Cell) error {
 	if len(cells) == 0 {
 		return nil
 	}
-	tok, err := m.c.token()
-	if err != nil {
-		return err
-	}
-	meter := metrics.Scoped(ctx, m.c.net.Meter())
-	meter.Inc(metrics.MutatorFlushes)
-
-	// Group by region once to assign stamps: one sequence-stamped batch per
-	// region the buffer touches.
+	metrics.Scoped(ctx, m.c.net.Meter()).Inc(metrics.MutatorFlushes)
 	rm, err := m.c.RegionMap(ctx, m.table)
 	if err != nil {
 		return err
@@ -261,16 +246,42 @@ func (m *BufferedMutator) send(ctx context.Context, cells []Cell) error {
 		return err
 	}
 	m.mu.Lock()
-	pending := make([]*stampedBatch, 0, len(groups))
+	pending := make([]*pendingBatch, 0, len(groups))
 	for _, g := range groups {
 		m.nextSeq++
-		pending = append(pending, &stampedBatch{seq: m.nextSeq, cells: g.Items})
+		pending = append(pending, &pendingBatch{seq: m.nextSeq, cells: g.Items})
 	}
 	m.mu.Unlock()
-
 	retry := RetryBudget{c: m.c, table: m.table, max: m.cfg.MaxAttempts}
+	return m.c.deliver(ctx, m.table, m.cfg.WriterID, pending, retry, func(seq uint64) {
+		m.mu.Lock()
+		m.acked = append(m.acked, BatchStamp{Writer: m.cfg.WriterID, Seq: seq})
+		m.mu.Unlock()
+	})
+}
+
+// pendingBatch is one batch awaiting its ack: a stamp and the cells still
+// undelivered. The stamp is assigned once and never changes, even when a
+// split regroups the cells across fresh region boundaries. Client.Put sends
+// one unstamped batch (seq 0, no writer).
+type pendingBatch struct {
+	seq   uint64
+	cells []Cell
+}
+
+// deliver is the client's one write path: it sends pending batches in
+// delivery rounds until every batch is acked or retry gives up. writer
+// stamps the pieces; "" sends them unstamped, and the server applies them
+// without dedup. acked, when non-nil, hears each batch's seq once its last
+// piece has landed.
+func (c *Client) deliver(ctx context.Context, table, writer string, pending []*pendingBatch, retry RetryBudget, acked func(seq uint64)) error {
+	tok, err := c.token()
+	if err != nil {
+		return err
+	}
+	meter := metrics.Scoped(ctx, c.net.Meter())
 	for {
-		failed, err := m.sendRound(ctx, tok, pending, meter)
+		failed, err := c.deliverRound(ctx, table, tok, writer, pending, meter, acked)
 		if err == nil {
 			return nil
 		}
@@ -288,101 +299,102 @@ func (m *BufferedMutator) send(ctx context.Context, cells []Cell) error {
 	}
 }
 
-// sendRound performs one delivery attempt: every pending batch is regrouped
-// against one region-map snapshot (its stamp preserved), packed per server,
-// and sent as parallel MultiPut RPCs. The single snapshot upholds the dedup
-// invariant RegionBatch relies on: a region receives every cell of a stamped
-// batch that falls in its range, in one piece. It returns the batches that
-// must be retried and the first error seen.
-func (m *BufferedMutator) sendRound(ctx context.Context, tok string, pending []*stampedBatch, meter metrics.Meter) ([]*stampedBatch, error) {
-	// The low-water mark carried on every batch: flushes are serialized, so
-	// everything below the smallest still-pending stamp is resolved — acked,
-	// or abandoned with its error surfaced — and will never be retried.
-	// Servers prune their dedup windows below it.
+// deliveryPiece is the part of one pending batch that one region holds.
+type deliveryPiece struct {
+	region *RegionInfo
+	owner  int // index of the batch in the round's pending set
+	cells  []Cell
+}
+
+// deliverRound performs one delivery attempt. Every pending batch is
+// regrouped against one region-map snapshot (its stamp preserved) and the
+// pieces are packed per server. Each server gets one MultiPut, one server
+// after another in the key order of its first region, and a failed server
+// does not stop the round. The single snapshot upholds the dedup invariant
+// RegionBatch relies on: a region receives every cell of a stamped batch
+// that falls in its range, in one piece. The sequential send keeps which
+// call meets which seeded fault independent of goroutine scheduling. It
+// returns the batches still owed, each narrowed to the cells the failed
+// servers held, and the error that outranks the others.
+func (c *Client) deliverRound(ctx context.Context, table, tok, writer string, pending []*pendingBatch, meter metrics.Meter, acked func(uint64)) ([]*pendingBatch, error) {
+	// The low-water mark carried on every stamped piece: a writer's
+	// deliveries are serialized, so everything below the smallest
+	// still-pending stamp is resolved — acked, or abandoned with its error
+	// surfaced — and will never be retried. Servers prune their dedup
+	// windows below it.
 	lowWater := pending[0].seq
-	for _, sb := range pending[1:] {
-		if sb.seq < lowWater {
-			lowWater = sb.seq
-		}
+	for _, pb := range pending[1:] {
+		lowWater = min(lowWater, pb.seq)
 	}
-	rm, err := m.c.RegionMap(ctx, m.table)
+	rm, err := c.RegionMap(ctx, table)
 	if err != nil {
 		return nil, err
 	}
-	type hostLoad struct {
-		batches []RegionBatch
-		owners  map[*stampedBatch]bool
-	}
-	hosts := make(map[string]*hostLoad)
-	for _, sb := range pending {
-		// One stamped batch may span several regions (the region it was
-		// grouped under split): partition its cells by current boundaries,
-		// each piece keeping the original stamp.
-		parts, err := groupByRegion(rm, sb.cells, cellRow)
+	var pieces []deliveryPiece
+	for i, pb := range pending {
+		parts, err := groupByRegion(rm, pb.cells, cellRow)
 		if err != nil {
 			return nil, err
 		}
 		for _, part := range parts {
-			ri := part.Region
-			hl := hosts[ri.Host]
-			if hl == nil {
-				hl = &hostLoad{owners: make(map[*stampedBatch]bool)}
-				hosts[ri.Host] = hl
-			}
-			hl.batches = append(hl.batches, RegionBatch{
-				RegionID: ri.ID, Epoch: ri.Epoch,
-				Writer: m.cfg.WriterID, Seq: sb.seq, LowWater: lowWater, Cells: part.Items,
-			})
-			hl.owners[sb] = true
+			pieces = append(pieces, deliveryPiece{region: part.Region, owner: i, cells: part.Items})
 		}
 	}
-
-	var wg sync.WaitGroup
-	errs := make(map[string]error, len(hosts))
-	var errMu sync.Mutex
-	for host, hl := range hosts {
-		wg.Add(1)
-		go func(host string, hl *hostLoad) {
-			defer wg.Done()
-			meter.Inc(metrics.MultiPuts)
-			_, err := m.c.call(ctx, host, MethodMultiPut, &MultiPutRequest{Batches: hl.batches, Token: tok})
-			if err != nil {
-				errMu.Lock()
-				errs[host] = err
-				errMu.Unlock()
-			}
-		}(host, hl)
+	slices.SortStableFunc(pieces, func(a, b deliveryPiece) int { return bytes.Compare(a.region.StartKey, b.region.StartKey) })
+	// Servers in order of first appearance, i.e. of their first region.
+	type serverLoad struct {
+		host   string
+		pieces []deliveryPiece
 	}
-	wg.Wait()
+	var loads []serverLoad
+	for _, p := range pieces {
+		k := 0
+		for k < len(loads) && loads[k].host != p.region.Host {
+			k++
+		}
+		if k == len(loads) {
+			loads = append(loads, serverLoad{host: p.region.Host})
+		}
+		loads[k].pieces = append(loads[k].pieces, p)
+	}
 
-	// A batch is acked only when every host holding a piece of it succeeded;
-	// a failed piece keeps the whole batch pending, and the next round's
-	// regrouped resend deduplicates the pieces that did land.
-	failedSet := make(map[*stampedBatch]bool)
+	owed := make([][]Cell, len(pending))
 	var firstErr error
-	for host, err := range errs {
+	for _, load := range loads {
+		batches := make([]RegionBatch, len(load.pieces))
+		for k, p := range load.pieces {
+			batches[k] = RegionBatch{RegionID: p.region.ID, Epoch: p.region.Epoch, Cells: p.cells}
+			if writer != "" {
+				batches[k].Writer, batches[k].Seq, batches[k].LowWater = writer, pending[p.owner].seq, lowWater
+			}
+		}
+		meter.Inc(metrics.MultiPuts)
+		_, err := c.call(ctx, load.host, MethodMultiPut, &MultiPutRequest{Batches: batches, Token: tok})
+		if err == nil {
+			continue
+		}
 		// A non-retryable error outranks retryable ones: it is the one the
 		// caller must see, since no amount of regrouping fixes it.
 		if firstErr == nil || (IsRetryable(firstErr) && !IsRetryable(err)) {
 			firstErr = err
 		}
-		for sb := range hosts[host].owners {
-			failedSet[sb] = true
+		for _, p := range load.pieces {
+			owed[p.owner] = append(owed[p.owner], p.cells...)
 		}
 	}
-	var failed []*stampedBatch
-	var acked []BatchStamp
-	for _, sb := range pending {
-		if failedSet[sb] {
-			failed = append(failed, sb)
-		} else {
-			acked = append(acked, BatchStamp{Writer: m.cfg.WriterID, Seq: sb.seq})
+
+	// A batch is acked once no failed server held a piece of it. A failed
+	// server may have applied some pieces before erring or losing its
+	// reply: the resend deduplicates them when stamped, and rewrites the
+	// same versions when not.
+	var failed []*pendingBatch
+	for i, pb := range pending {
+		if owed[i] != nil {
+			pb.cells = owed[i]
+			failed = append(failed, pb)
+		} else if acked != nil {
+			acked(pb.seq)
 		}
-	}
-	if len(acked) > 0 {
-		m.mu.Lock()
-		m.acked = append(m.acked, acked...)
-		m.mu.Unlock()
 	}
 	return failed, firstErr
 }

@@ -120,7 +120,7 @@ func runReadOracle(t *testing.T, seed int64) {
 		case op < 45:
 			what = "put"
 			c := randCell()
-			if err := owner(c.Row).Put(c); err != nil {
+			if err := putCells(owner(c.Row), c); err != nil {
 				t.Fatal(err)
 			}
 		case op < 55:
@@ -133,7 +133,7 @@ func runReadOracle(t *testing.T, seed int64) {
 				c, d = d, c
 			}
 			r := owner(c.Row)
-			if err := r.PutBatch([]Cell{c, d}); err != nil {
+			if err := putCells(r, c, d); err != nil {
 				t.Fatal(err)
 			}
 		case op < 65:
@@ -208,7 +208,7 @@ func TestDefaultReadFlushedTombstoneMasksOlderPut(t *testing.T) {
 	row := []byte("row")
 	mustPut := func(c Cell) {
 		t.Helper()
-		if err := r.Put(c); err != nil {
+		if err := putCells(r, c); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -241,11 +241,11 @@ func TestDefaultReadFlushedTombstoneMasksOlderPut(t *testing.T) {
 // so it must discard the view.
 func TestDefaultReadCompactionUnmasksMemStoreCell(t *testing.T) {
 	r := newTestRegion(t, StoreConfig{})
-	if err := r.Put(tomb("row", "cf", "q", 10)); err != nil {
+	if err := putCells(r, tomb("row", "cf", "q", 10)); err != nil {
 		t.Fatal(err)
 	}
 	r.Flush()
-	if err := r.Put(cell("row", "cf", "q", 7, "older")); err != nil {
+	if err := putCells(r, cell("row", "cf", "q", 7, "older")); err != nil {
 		t.Fatal(err)
 	}
 	checkGet(t, "masked", r, []byte("row")) // builds the view
@@ -263,7 +263,7 @@ func TestDefaultReadReplicaTracksShippedWrites(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	primary := newTestRegion(t, StoreConfig{FlushThresholdBytes: 1 << 20})
 	for i := 0; i < 30; i++ {
-		if err := primary.Put(cell(fmt.Sprintf("r%02d", i), "cf", "q", 1, "base")); err != nil {
+		if err := putCells(primary, cell(fmt.Sprintf("r%02d", i), "cf", "q", 1, "base")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -275,7 +275,7 @@ func TestDefaultReadReplicaTracksShippedWrites(t *testing.T) {
 		if rng.Intn(4) == 0 {
 			c = tomb(row, "cf", "q", c.Timestamp)
 		}
-		if err := primary.Put(c); err != nil {
+		if err := putCells(primary, c); err != nil {
 			t.Fatal(err)
 		}
 		switch rng.Intn(10) {
@@ -303,7 +303,7 @@ func TestDefaultReadReplicaTracksShippedWrites(t *testing.T) {
 func TestViewSizedToWhatItKeeps(t *testing.T) {
 	r := newTestRegion(t, StoreConfig{FlushThresholdBytes: 1 << 20})
 	for i := 0; i < 400; i++ {
-		if err := r.Put(cell(fmt.Sprintf("r%03d", i%50), "cf", fmt.Sprintf("q%d", i/50%2), int64(i), "v")); err != nil {
+		if err := putCells(r, cell(fmt.Sprintf("r%03d", i%50), "cf", fmt.Sprintf("q%d", i/50%2), int64(i), "v")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -325,7 +325,7 @@ func TestViewSizedToWhatItKeeps(t *testing.T) {
 func TestConcurrentMultiVersionScansDoNotRace(t *testing.T) {
 	r := newTestRegion(t, StoreConfig{FlushThresholdBytes: 1 << 20})
 	for i := 0; i < 200; i++ {
-		if err := r.Put(cell(fmt.Sprintf("r%03d", i%50), "cf", "q", int64(i), fmt.Sprintf("v%d", i))); err != nil {
+		if err := putCells(r, cell(fmt.Sprintf("r%03d", i%50), "cf", "q", int64(i), fmt.Sprintf("v%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -362,7 +362,7 @@ func TestConcurrentMultiVersionScansDoNotRace(t *testing.T) {
 func benchRegion(b *testing.B) *Region {
 	r := NewRegion(RegionInfo{Table: "t", ID: "t-0"}, testDesc(), StoreConfig{FlushThresholdBytes: 32 << 10}, metrics.NewRegistry())
 	for i := 0; i < 5000; i++ {
-		if err := r.Put(cell(fmt.Sprintf("row%04d", i%500), "cf", fmt.Sprintf("q%d", i/500), 1, "value-0123456789")); err != nil {
+		if err := putCells(r, cell(fmt.Sprintf("row%04d", i%500), "cf", fmt.Sprintf("q%d", i/500), 1, "value-0123456789")); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -377,7 +377,7 @@ func BenchmarkRegionReadAfterWrite(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		row := []byte(fmt.Sprintf("row%04d", (i*7)%500))
-		if err := r.Put(Cell{Row: row, Family: "cf", Qualifier: "q0", Timestamp: int64(2 + i), Type: TypePut, Value: []byte("v")}); err != nil {
+		if err := putCells(r, Cell{Row: row, Family: "cf", Qualifier: "q0", Timestamp: int64(2 + i), Type: TypePut, Value: []byte("v")}); err != nil {
 			b.Fatal(err)
 		}
 		if res := r.Get(row, nil, 1, TimeRange{}); res.Empty() {

@@ -169,37 +169,13 @@ func (r *Region) Epoch() uint64 {
 // Descriptor returns the table descriptor the region serves.
 func (r *Region) Descriptor() TableDescriptor { return *r.desc }
 
-// Put applies one cell mutation: WAL first, then MemStore, then flush if
-// the buffer is over threshold.
-func (r *Region) Put(c Cell) error {
-	if err := r.checkCell(&c); err != nil {
-		return err
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.info.Replica > 0 {
-		return fmt.Errorf("%w: replica %d of region %s is read-only", ErrNotServing, r.info.Replica, r.info.ID)
-	}
-	if err := r.appendStamped(c, "", 0); err != nil {
-		return err
-	}
-	r.writeLoad++
-	r.maybeFlushLocked()
-	return nil
-}
-
-// PutBatch applies many cells under one lock acquisition, the path bulk
-// writes take.
-func (r *Region) PutBatch(cells []Cell) error {
-	_, err := r.PutBatchStamped("", 0, 0, cells)
-	return err
-}
-
-// PutBatchStamped applies one sequence-stamped batch, deduplicating on the
-// (writer, seq) stamp: a batch the region has already applied is acknowledged
-// without re-applying, which is what makes retrying a multi-put whose ack was
-// lost exactly-once. applied reports whether the cells were written (false =
-// duplicate, already durable). An empty writer disables dedup (plain puts).
+// PutBatchStamped is the region's one write entry point: each cell goes to
+// the WAL first, then the MemStore, and the region flushes if the buffer is
+// over threshold. It deduplicates on the (writer, seq) stamp: a batch the
+// region has already applied is acknowledged without re-applying, which is
+// what makes retrying a multi-put whose ack was lost exactly-once. applied
+// reports whether the cells were written (false = duplicate, already
+// durable). An empty writer disables dedup (Client.Put's unstamped batches).
 // lowWater is the writer's claim that every sequence below it is resolved
 // and unretryable; it lets the dedup window prune safely (0 = no claim).
 func (r *Region) PutBatchStamped(writer string, seq, lowWater uint64, cells []Cell) (applied bool, err error) {

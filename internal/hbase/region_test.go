@@ -18,9 +18,16 @@ func newTestRegion(t *testing.T, cfg StoreConfig) *Region {
 	return NewRegion(info, testDesc(), cfg, metrics.NewRegistry())
 }
 
+// putCells writes cells to r as one unstamped batch, the way an unstamped
+// MultiPut piece lands.
+func putCells(r *Region, cells ...Cell) error {
+	_, err := r.PutBatchStamped("", 0, 0, cells)
+	return err
+}
+
 func TestRegionPutGet(t *testing.T) {
 	r := newTestRegion(t, StoreConfig{})
-	if err := r.Put(cell("row1", "cf", "q", 1, "hello")); err != nil {
+	if err := putCells(r, cell("row1", "cf", "q", 1, "hello")); err != nil {
 		t.Fatal(err)
 	}
 	res := r.Get([]byte("row1"), nil, 1, TimeRange{})
@@ -36,16 +43,16 @@ func TestRegionPutGet(t *testing.T) {
 
 func TestRegionRejectsBadCells(t *testing.T) {
 	r := newTestRegion(t, StoreConfig{})
-	if err := r.Put(cell("row", "unknown", "q", 1, "x")); err == nil {
+	if err := putCells(r, cell("row", "unknown", "q", 1, "x")); err == nil {
 		t.Error("unknown family must be rejected")
 	}
 	bad := cell("row", "cf", "q", 1, "x")
 	bad.Type = 0
-	if err := r.Put(bad); err == nil {
+	if err := putCells(r, bad); err == nil {
 		t.Error("invalid type must be rejected")
 	}
 	bounded := NewRegion(RegionInfo{Table: "t", ID: "x", StartKey: []byte("m")}, testDesc(), StoreConfig{}, nil)
-	if err := bounded.Put(cell("a", "cf", "q", 1, "x")); err == nil {
+	if err := putCells(bounded, cell("a", "cf", "q", 1, "x")); err == nil {
 		t.Error("out-of-range row must be rejected")
 	}
 }
@@ -53,7 +60,7 @@ func TestRegionRejectsBadCells(t *testing.T) {
 func TestRegionVersionsAndDelete(t *testing.T) {
 	r := newTestRegion(t, StoreConfig{})
 	for ts := int64(1); ts <= 5; ts++ {
-		if err := r.Put(cell("row", "cf", "q", ts, fmt.Sprintf("v%d", ts))); err != nil {
+		if err := putCells(r, cell("row", "cf", "q", ts, fmt.Sprintf("v%d", ts))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -66,7 +73,7 @@ func TestRegionVersionsAndDelete(t *testing.T) {
 		t.Errorf("newest first, got %s", res.Cells[0].String())
 	}
 	// Delete masks everything at or below its timestamp.
-	if err := r.Put(tomb("row", "cf", "q", 5)); err != nil {
+	if err := putCells(r, tomb("row", "cf", "q", 5)); err != nil {
 		t.Fatal(err)
 	}
 	res = r.Get([]byte("row"), nil, 10, TimeRange{})
@@ -78,7 +85,7 @@ func TestRegionVersionsAndDelete(t *testing.T) {
 func TestRegionTimeRangeQueries(t *testing.T) {
 	r := newTestRegion(t, StoreConfig{})
 	for ts := int64(10); ts <= 30; ts += 10 {
-		if err := r.Put(cell("row", "cf", "q", ts, fmt.Sprintf("v%d", ts))); err != nil {
+		if err := putCells(r, cell("row", "cf", "q", ts, fmt.Sprintf("v%d", ts))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -267,7 +274,7 @@ func TestRegionNeedsSplit(t *testing.T) {
 
 func mustPut(t *testing.T, r *Region, c Cell) {
 	t.Helper()
-	if err := r.Put(c); err != nil {
+	if err := putCells(r, c); err != nil {
 		t.Fatal(err)
 	}
 }

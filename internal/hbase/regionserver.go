@@ -90,7 +90,6 @@ func NewRegionServer(host string, net *rpc.Network, meter *metrics.Registry, val
 	}
 	// Data RPCs pass the admission gate; Ping does not (see handlePing).
 	for method, h := range map[string]rpc.Handler{
-		MethodPut:      rs.admitted(rs.handlePut),
 		MethodMultiPut: rs.admitted(rs.handleMultiPut),
 		MethodBulkLoad: rs.admitted(rs.handleBulkLoad),
 		MethodFused:    rs.admitted(rs.handleFused),
@@ -500,30 +499,6 @@ func (rs *RegionServer) handlePing(_ context.Context, req rpc.Message) (rpc.Mess
 	return Ack{}, nil
 }
 
-func (rs *RegionServer) handlePut(ctx context.Context, req rpc.Message) (rpc.Message, error) {
-	m, ok := req.(*PutRequest)
-	if !ok {
-		return nil, fmt.Errorf("hbase: %s: bad request type %T", MethodPut, req)
-	}
-	if err := rs.auth(m.Token); err != nil {
-		return nil, err
-	}
-	if err := rs.checkWriteFence(); err != nil {
-		return nil, err
-	}
-	if err := rs.checkMemstorePressure(ctx); err != nil {
-		return nil, err
-	}
-	r, err := rs.regionFor(m.RegionID, m.Epoch, 0)
-	if err != nil {
-		return nil, err
-	}
-	if err := r.PutBatch(m.Cells); err != nil {
-		return nil, err
-	}
-	return Ack{}, nil
-}
-
 func (rs *RegionServer) handleMultiPut(ctx context.Context, req rpc.Message) (rpc.Message, error) {
 	m, ok := req.(*MultiPutRequest)
 	if !ok {
@@ -540,8 +515,9 @@ func (rs *RegionServer) handleMultiPut(ctx context.Context, req rpc.Message) (rp
 	}
 	// Apply every batch, returning the first error at the end: later batches
 	// are not skipped because a retry of the whole request deduplicates the
-	// ones that did land — finishing the pass costs nothing and narrows the
-	// retry to genuinely unapplied batches.
+	// stamped ones that did land, and an unstamped one rewrites the same
+	// versions — finishing the pass costs nothing and narrows the retry to
+	// genuinely unapplied batches.
 	var firstErr error
 	for i := range m.Batches {
 		b := &m.Batches[i]

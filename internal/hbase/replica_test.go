@@ -78,7 +78,7 @@ func TestReplicaReadOnlyAndNoFlush(t *testing.T) {
 	if rep == nil {
 		t.Fatal("no replica")
 	}
-	if err := rep.Put(cell("a", "cf", "q", 1, "v")); err == nil {
+	if err := putCells(rep, cell("a", "cf", "q", 1, "v")); err == nil {
 		t.Error("write to a secondary copy must fail")
 	}
 }
@@ -169,7 +169,7 @@ func TestPromoteNeverServesUnackedWrites(t *testing.T) {
 
 	// The zombie still runs and accepts client RPCs, but its WAL is fenced:
 	// this write must die unacknowledged.
-	if err := zombie.Put(cell("unacked", "cf", "q", 1, "never")); err == nil {
+	if err := putCells(zombie, cell("unacked", "cf", "q", 1, "never")); err == nil {
 		t.Fatal("zombie write after promotion must be fenced")
 	}
 

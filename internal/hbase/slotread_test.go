@@ -354,7 +354,7 @@ func runSlotReadOracle(t *testing.T, seed int64) {
 		case op < 45:
 			what = "put"
 			c := randCell()
-			if err := owner(c.Row).Put(c); err != nil {
+			if err := putCells(owner(c.Row), c); err != nil {
 				t.Fatal(err)
 			}
 		case op < 52:
@@ -367,7 +367,7 @@ func runSlotReadOracle(t *testing.T, seed int64) {
 					batch = append(batch, d)
 				}
 			}
-			if err := r.PutBatch(batch); err != nil {
+			if err := putCells(r, batch...); err != nil {
 				t.Fatal(err)
 			}
 		case op < 62:
@@ -451,7 +451,7 @@ func TestSlotBindingPastInlineSizes(t *testing.T) {
 			}
 			c := Cell{Row: []byte(fmt.Sprintf("r%02d", row)), Family: []string{"cf", "cg"}[q%2], Qualifier: fmt.Sprintf("q%03d", q),
 				Timestamp: 1, Type: TypePut, Value: bytesutil.EncodeInt64(int64(row*q - 700))}
-			if err := r.Put(c); err != nil {
+			if err := putCells(r, c); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -494,7 +494,7 @@ func TestBindingSeesColumnsAddedSinceBound(t *testing.T) {
 	r := newTestRegion(t, StoreConfig{})
 	put := func(q string, v int64) {
 		t.Helper()
-		if err := r.Put(Cell{Row: []byte("r1"), Family: "cf", Qualifier: q, Timestamp: 1, Type: TypePut, Value: bytesutil.EncodeInt64(v)}); err != nil {
+		if err := putCells(r, Cell{Row: []byte("r1"), Family: "cf", Qualifier: q, Timestamp: 1, Type: TypePut, Value: bytesutil.EncodeInt64(v)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -535,7 +535,7 @@ func TestWideRowColumnsRecordInPlace(t *testing.T) {
 		for q := range perRow {
 			c := Cell{Row: []byte(fmt.Sprintf("r%05d", i)), Family: "cf", Qualifier: fmt.Sprintf("r%05d.q%d", i, q),
 				Timestamp: 1, Type: TypePut, Value: bytesutil.EncodeInt64(int64(i + q))}
-			if err := r.Put(c); err != nil {
+			if err := putCells(r, c); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -572,7 +572,7 @@ func TestColumnsAddedWhileReading(t *testing.T) {
 		for i := range rows {
 			row := []byte(fmt.Sprintf("r%04d", i))
 			for _, q := range []string{"v", fmt.Sprintf("own%04d", i)} {
-				if err := r.Put(Cell{Row: row, Family: "cf", Qualifier: q, Timestamp: 1, Type: TypePut, Value: bytesutil.EncodeInt64(int64(i))}); err != nil {
+				if err := putCells(r, Cell{Row: row, Family: "cf", Qualifier: q, Timestamp: 1, Type: TypePut, Value: bytesutil.EncodeInt64(int64(i))}); err != nil {
 					t.Error(err)
 					return
 				}

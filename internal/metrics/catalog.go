@@ -29,7 +29,7 @@ func Catalog() []CatalogEntry {
 		{BreakerOpens, "counter", "Circuit-breaker open transitions (threshold trips and failed half-open probes)."},
 		{ClientRetries, "counter", "Client-level operation retries after retryable errors."},
 		{MutatorFlushes, "counter", "Buffered-mutator flushes to the cluster."},
-		{MultiPuts, "counter", "Multi-put batches sent by the client."},
+		{MultiPuts, "counter", "MultiPut RPCs sent by the client: every write RPC, from Client.Put and BufferedMutator flushes alike (bulk loads excepted)."},
 		{ReplicaFailovers, "counter", "Timeline reads failed over from a dead primary to a replica."},
 		{ReadUnavailableMs, "gauge", "Longest observed read-unavailability window, milliseconds."},
 		{ConnectionsCreated, "counter", "Connections dialed to region servers."},

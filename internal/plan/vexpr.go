@@ -35,9 +35,6 @@ type VecFilter func(b *Batch, sel []int, sc *EvalScratch) ([]int, error)
 // CompiledFilter is a predicate compiled to a conjunct chain.
 type CompiledFilter struct {
 	steps []VecFilter
-	// Vectorized reports that every conjunct compiled to a typed loop
-	// (false when any conjunct runs through the interpreted fallback).
-	Vectorized bool
 }
 
 // Run applies the filter, narrowing sel to the surviving rows.
@@ -57,31 +54,27 @@ func (f *CompiledFilter) Run(b *Batch, sel []int, sc *EvalScratch) ([]int, error
 
 // CompileFilter compiles a resolved predicate into a vectorized filter.
 // SQL semantics match EvalPredicate exactly: a conjunct evaluating to NULL
-// drops the row.
-func CompileFilter(e Expr, schema Schema) (*CompiledFilter, error) {
-	out := &CompiledFilter{Vectorized: true}
+// drops the row. Like the projection compiler it never fails: unsupported
+// conjuncts get an interpreted fallback.
+func CompileFilter(e Expr, schema Schema) *CompiledFilter {
+	out := &CompiledFilter{}
 	for _, c := range SplitConjuncts(e) {
-		step, fast, err := compileConjunct(c, schema)
-		if err != nil {
-			return nil, err
-		}
-		out.steps = append(out.steps, step)
-		out.Vectorized = out.Vectorized && fast
+		out.steps = append(out.steps, compileConjunct(c, schema))
 	}
-	return out, nil
+	return out
 }
 
-// compileConjunct returns a filter step for one conjunct and whether it
-// took a typed fast path.
-func compileConjunct(e Expr, schema Schema) (VecFilter, bool, error) {
+// compileConjunct returns a filter step for one conjunct: a typed loop
+// where one exists, the interpreted fallback otherwise.
+func compileConjunct(e Expr, schema Schema) VecFilter {
 	switch x := e.(type) {
 	case *Comparison:
 		if f := compileComparison(x); f != nil {
-			return f, true, nil
+			return f
 		}
 	case *In:
 		if f := compileIn(x); f != nil {
-			return f, true, nil
+			return f
 		}
 	case *IsNull:
 		if c, ok := x.E.(*ColumnRef); ok && c.idx >= 0 {
@@ -95,7 +88,7 @@ func compileConjunct(e Expr, schema Schema) (VecFilter, bool, error) {
 					}
 				}
 				return out, nil
-			}, true, nil
+			}
 		}
 	case *Like:
 		if c, ok := x.E.(*ColumnRef); ok && c.idx >= 0 && c.typ == TypeString {
@@ -113,7 +106,7 @@ func compileConjunct(e Expr, schema Schema) (VecFilter, bool, error) {
 					}
 				}
 				return out, nil
-			}, true, nil
+			}
 		}
 	case *Not:
 		// NOT pushes through the NULL-dropping filter semantics for nodes
@@ -130,7 +123,7 @@ func compileConjunct(e Expr, schema Schema) (VecFilter, bool, error) {
 			return compileConjunct(inner.E, schema)
 		}
 	}
-	return rowFallbackFilter(e, schema), false, nil
+	return rowFallbackFilter(e, schema)
 }
 
 func negateCmp(op CmpOp) CmpOp {

@@ -25,10 +25,7 @@ func compiledKeeps(t *testing.T, cond Expr, schema Schema, b *Batch) []int {
 	if err := Resolve(cond, schema); err != nil {
 		t.Fatal(err)
 	}
-	f, err := CompileFilter(cond, schema)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := CompileFilter(cond, schema)
 	sel, err := f.Run(b, FullSel(b.Len(), nil), NewEvalScratch(schema))
 	if err != nil {
 		t.Fatal(err)
@@ -165,10 +162,7 @@ func TestCompiledFilterTypeErrorsMatchInterpreter(t *testing.T) {
 	if _, err := EvalPredicate(cond, rows[0]); err == nil {
 		t.Fatal("interpreter accepted string > int; test premise broken")
 	}
-	f, err := CompileFilter(cond, schema)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := CompileFilter(cond, schema)
 	b := vbatch(t, schema, rows)
 	if _, err := f.Run(b, FullSel(b.Len(), nil), NewEvalScratch(schema)); err == nil {
 		t.Error("compiled filter accepted string > int")
