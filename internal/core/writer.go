@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -11,7 +12,9 @@ import (
 
 // EnsureTable creates the relation's HBase table if it does not exist,
 // pre-split at splitKeys (which may be nil). Creating an existing table is
-// not an error here so writers can be idempotent.
+// not an error here so writers can be idempotent. It asks the master which
+// tables exist, so the write paths call it only when a write has found the
+// table missing (writeCreating).
 func (r *HBaseRelation) EnsureTable(splitKeys [][]byte) error {
 	tables, err := r.client.ListTables()
 	if err != nil {
@@ -80,10 +83,7 @@ func (r *HBaseRelation) Insert(rows []plan.Row) error {
 	if err != nil {
 		return err
 	}
-	if err := r.EnsureTable(SampleSplitKeys(keys, r.opts.NewTableRegions)); err != nil {
-		return err
-	}
-	return r.client.Put(r.cat.Table.Name, cells)
+	return r.writeCreating(cells, keys, func() error { return r.client.Put(r.cat.Table.Name, cells) })
 }
 
 // BulkLoad implements datasource.BulkLoadableRelation: rows are encoded,
@@ -95,10 +95,24 @@ func (r *HBaseRelation) BulkLoad(rows []plan.Row) error {
 	if err != nil {
 		return err
 	}
+	return r.writeCreating(cells, keys, func() error { return r.client.BulkLoad(r.cat.Table.Name, cells) })
+}
+
+// writeCreating runs write and, only when it finds the table missing
+// (never created, or dropped by another client), creates the table pre-split
+// at split points sampled from keys and writes again. A table that exists
+// costs no master round trip. A batch with no cells writes nothing, so it
+// creates the table up front: saving an empty frame still creates it.
+func (r *HBaseRelation) writeCreating(cells []hbase.Cell, keys [][]byte, write func() error) error {
+	if len(cells) > 0 {
+		if err := write(); !errors.Is(err, hbase.ErrTableNotFound) {
+			return err
+		}
+	}
 	if err := r.EnsureTable(SampleSplitKeys(keys, r.opts.NewTableRegions)); err != nil {
 		return err
 	}
-	return r.client.BulkLoad(r.cat.Table.Name, cells)
+	return write()
 }
 
 // Delete writes tombstones for every data column of the given rowkey

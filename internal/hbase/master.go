@@ -732,6 +732,11 @@ func (m *Master) StartHeartbeats(interval time.Duration) (stop func()) {
 	return every(interval, func() { _, _ = m.CheckServers() })
 }
 
+// ErrTableNotFound reports a request naming a table the master does not
+// know: never created, or dropped. A writer that creates tables on demand
+// tries its write first and creates the table only on this error.
+var ErrTableNotFound = errors.New("hbase: table does not exist")
+
 // CreateTable creates a table pre-split at splitKeys (sorted, distinct) and
 // assigns its regions across the servers, least-loaded first.
 func (m *Master) CreateTable(desc TableDescriptor, splitKeys [][]byte) error {
@@ -798,7 +803,7 @@ func (m *Master) DeleteTable(name string) error {
 	defer m.mu.Unlock()
 	ts, ok := m.tables[name]
 	if !ok {
-		return fmt.Errorf("hbase: table %q does not exist", name)
+		return fmt.Errorf("%w: %q", ErrTableNotFound, name)
 	}
 	for id, r := range ts.regions {
 		m.unhostLocked(r)
@@ -834,7 +839,7 @@ func (m *Master) TableRegions(name string) ([]RegionInfo, error) {
 	defer m.mu.Unlock()
 	ts, ok := m.tables[name]
 	if !ok {
-		return nil, fmt.Errorf("hbase: table %q does not exist", name)
+		return nil, fmt.Errorf("%w: %q", ErrTableNotFound, name)
 	}
 	out := make([]RegionInfo, 0, len(ts.regions))
 	for _, r := range ts.regions {
@@ -880,7 +885,7 @@ func (m *Master) TableDescriptorFor(name string) (TableDescriptor, error) {
 	defer m.mu.Unlock()
 	ts, ok := m.tables[name]
 	if !ok {
-		return TableDescriptor{}, fmt.Errorf("hbase: table %q does not exist", name)
+		return TableDescriptor{}, fmt.Errorf("%w: %q", ErrTableNotFound, name)
 	}
 	return ts.desc, nil
 }
@@ -891,7 +896,7 @@ func (m *Master) TableStatsFor(name string) (TableStats, error) {
 	defer m.mu.Unlock()
 	ts, ok := m.tables[name]
 	if !ok {
-		return TableStats{}, fmt.Errorf("hbase: table %q does not exist", name)
+		return TableStats{}, fmt.Errorf("%w: %q", ErrTableNotFound, name)
 	}
 	var out TableStats
 	for _, r := range ts.regions {

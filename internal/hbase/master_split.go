@@ -56,7 +56,7 @@ func (m *Master) splitRegionCaused(table, regionID string, cause uint64, reason 
 func (m *Master) splitRegionLocked(table, regionID string, cause uint64, reason string) error {
 	ts, ok := m.tables[table]
 	if !ok {
-		return fmt.Errorf("hbase: table %q does not exist", table)
+		return fmt.Errorf("%w: %q", ErrTableNotFound, table)
 	}
 	r, ok := ts.regions[regionID]
 	if !ok {

@@ -169,15 +169,20 @@ func (r *Region) Epoch() uint64 {
 // Descriptor returns the table descriptor the region serves.
 func (r *Region) Descriptor() TableDescriptor { return *r.desc }
 
-// PutBatchStamped is the region's one write entry point: each cell goes to
-// the WAL first, then the MemStore, and the region flushes if the buffer is
-// over threshold. It deduplicates on the (writer, seq) stamp: a batch the
-// region has already applied is acknowledged without re-applying, which is
-// what makes retrying a multi-put whose ack was lost exactly-once. applied
-// reports whether the cells were written (false = duplicate, already
-// durable). An empty writer disables dedup (Client.Put's unstamped batches).
-// lowWater is the writer's claim that every sequence below it is resolved
-// and unretryable; it lets the dedup window prune safely (0 = no claim).
+// PutBatchStamped is the region's one write entry point: the batch goes to
+// the WAL first, as one record, then to the MemStore through the same
+// applyEntryLocked that recovery and replicas use, and the region flushes
+// if the buffer is over threshold. It deduplicates on the (writer, seq)
+// stamp: a batch the region has already applied is acknowledged without
+// re-applying, which is what makes retrying a multi-put whose ack was lost
+// exactly-once. applied reports whether the cells were written (false =
+// duplicate, already durable). An empty writer disables dedup (Client.Put's
+// unstamped batches). lowWater is the writer's claim that every sequence
+// below it is resolved and unretryable; it lets the dedup window prune
+// safely (0 = no claim). The record carries the region's held epoch: once
+// the log has been fenced at a newer epoch (the region was reassigned), the
+// whole batch fails before it is acknowledged, with nothing applied,
+// surfacing as the retryable ErrFenced.
 func (r *Region) PutBatchStamped(writer string, seq, lowWater uint64, cells []Cell) (applied bool, err error) {
 	for i := range cells {
 		if err := r.checkCell(&cells[i]); err != nil {
@@ -193,14 +198,22 @@ func (r *Region) PutBatchStamped(writer string, seq, lowWater uint64, cells []Ce
 		r.meter.Inc(metrics.BatchesDeduped)
 		return false, nil
 	}
+	rec := wal.Entry{Epoch: r.info.Epoch, Table: r.desc.Name, Region: r.info.ID, Writer: writer, Batch: seq, Edits: make([]wal.Edit, len(cells))}
 	for i := range cells {
-		if err := r.appendStamped(cells[i], writer, seq); err != nil {
-			return false, err
+		c := &cells[i]
+		kind := wal.KindPut
+		if c.Type == TypeDelete {
+			kind = wal.KindDelete
 		}
+		rec.Edits[i] = wal.Edit{Kind: kind, Row: c.Row, Family: c.Family, Qualifier: c.Qualifier, Timestamp: c.Timestamp, Value: c.Value}
 	}
-	if writer != "" {
-		r.dedupLocked().mark(writer, seq, lowWater)
+	if rec.Seq, err = r.log.Append(rec); err != nil {
+		if errors.Is(err, wal.ErrFenced) {
+			return false, fmt.Errorf("%w: region %s epoch %d superseded", ErrFenced, r.info.ID, r.info.Epoch)
+		}
+		return false, err
 	}
+	r.applyEntryLocked(&rec, lowWater)
 	r.writeLoad += int64(len(cells))
 	r.maybeFlushLocked()
 	return true, nil
@@ -227,30 +240,31 @@ func (r *Region) checkCell(c *Cell) error {
 	return nil
 }
 
-// locked. The WAL append carries the region's held epoch: once the log has
-// been fenced at a newer epoch (the region was reassigned), the append — and
-// therefore the write — fails before it is acknowledged, surfacing as the
-// retryable ErrFenced.
-func (r *Region) appendStamped(c Cell, writer string, batchSeq uint64) error {
-	kind := wal.KindPut
-	if c.Type == TypeDelete {
-		kind = wal.KindDelete
-	}
-	if _, err := r.log.Append(wal.Entry{
-		Epoch: r.info.Epoch,
-		Table: r.desc.Name, Region: r.info.ID, Kind: kind,
-		Row: c.Row, Family: c.Family, Qualifier: c.Qualifier,
-		Timestamp: c.Timestamp, Value: c.Value,
-		Writer: writer, Batch: batchSeq,
-	}); err != nil {
-		if errors.Is(err, wal.ErrFenced) {
-			return fmt.Errorf("%w: region %s epoch %d superseded", ErrFenced, r.info.ID, r.info.Epoch)
+// locked; applies one WAL record — a region batch — to the MemStore: every
+// cell is added, each distinct row is marked dirty once, the batch stamp
+// joins the dedup window, and the copy's applied high-water mark moves to
+// the record. Writes, crash recovery, a replica's apply loop and promotion
+// all go through it, so a batch lands whole on every path. lowWater is the
+// writer's claim carried on a live batch; replayed and shipped records
+// carry none (0), and the window converges on the writer's next batch.
+func (r *Region) applyEntryLocked(e *wal.Entry, lowWater uint64) {
+	var prev []byte
+	for i := range e.Edits {
+		ed := &e.Edits[i]
+		typ := TypePut
+		if ed.Kind == wal.KindDelete {
+			typ = TypeDelete
 		}
-		return err
+		r.addLocked(Cell{Row: ed.Row, Family: ed.Family, Qualifier: ed.Qualifier, Timestamp: ed.Timestamp, Type: typ, Value: ed.Value})
+		if i == 0 || !bytes.Equal(ed.Row, prev) {
+			r.markDirtyLocked(ed.Row)
+			prev = ed.Row
+		}
 	}
-	r.addLocked(c)
-	r.markDirtyLocked(c.Row)
-	return nil
+	if e.Writer != "" {
+		r.dedupLocked().mark(e.Writer, e.Batch, lowWater)
+	}
+	r.appliedSeq = e.Seq
 }
 
 // locked; adds c to the MemStore, recording its column first.
@@ -793,23 +807,14 @@ func (r *Region) RecoverFromWAL() error {
 	// exactly the recovered history.
 	r.dedup = r.durableDedup.clone()
 	return r.log.Replay(r.flushed, func(e wal.Entry) error {
-		// Discard entries stamped with an epoch newer than the ownership
+		// Discard records stamped with an epoch newer than the ownership
 		// this region holds — they belong to a fenced-off future the log
 		// should never contain (defense in depth; append-time fencing
 		// already keeps them out).
 		if e.Epoch > r.info.Epoch {
 			return nil
 		}
-		typ := TypePut
-		if e.Kind == wal.KindDelete {
-			typ = TypeDelete
-		}
-		r.addLocked(Cell{Row: e.Row, Family: e.Family, Qualifier: e.Qualifier, Timestamp: e.Timestamp, Type: typ, Value: e.Value})
-		if e.Writer != "" {
-			// Replayed entries carry no low-water claim; the window converges
-			// again on the writer's next live batch.
-			r.dedup.mark(e.Writer, e.Batch, 0)
-		}
+		r.applyEntryLocked(&e, 0)
 		r.meter.Inc(metrics.WALEntriesReplayed)
 		return nil
 	})

@@ -21,8 +21,9 @@ func regionKey(id string, replica int) string {
 	return id + "#r" + strconv.Itoa(replica)
 }
 
-// shippedEntry is one WAL entry in flight to a secondary copy, stamped with
-// its enqueue time so the apply loop can report replication lag.
+// shippedEntry is one WAL record (a region batch) in flight to a secondary
+// copy, stamped with its enqueue time so the apply loop can report
+// replication lag.
 type shippedEntry struct {
 	e  wal.Entry
 	at time.Time
@@ -111,8 +112,9 @@ func (r *Region) IsReplica() bool {
 	return r.info.Replica > 0
 }
 
-// AppliedSeq reports the highest WAL sequence this copy has applied — the
-// freshness signal the master uses to pick a promotion candidate.
+// AppliedSeq reports the highest WAL sequence (one record per batch) this
+// copy has applied — the freshness signal the master uses to pick a
+// promotion candidate.
 func (r *Region) AppliedSeq() uint64 {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -136,8 +138,8 @@ func (r *Region) StalenessBound() time.Duration {
 	return d
 }
 
-// enqueueShipped receives one acked WAL entry from the primary's replicator
-// and, unless the apply loop is held, applies it immediately. Entries at or
+// enqueueShipped receives one acked WAL record from the primary's replicator
+// and, unless the apply loop is held, applies it immediately. Records at or
 // below the applied high-water mark (already covered by the bootstrap
 // snapshot) are dropped.
 func (r *Region) enqueueShipped(e wal.Entry) {
@@ -154,9 +156,9 @@ func (r *Region) enqueueShipped(e wal.Entry) {
 	}
 }
 
-// locked; applies up to n pending entries in sequence order, returning how
-// many were applied. Meters per-entry replication lag and refreshes the
-// caught-up timestamp when the queue drains.
+// locked; applies up to n pending records in sequence order, each a whole
+// batch, returning how many were applied. Meters per-record replication
+// lag and refreshes the caught-up timestamp when the queue drains.
 func (r *Region) applyPendingLocked(n int) int {
 	applied := 0
 	for applied < n && len(r.pending) > 0 {
@@ -165,18 +167,10 @@ func (r *Region) applyPendingLocked(n int) int {
 		if se.e.Seq <= r.appliedSeq {
 			continue
 		}
-		typ := TypePut
-		if se.e.Kind == wal.KindDelete {
-			typ = TypeDelete
-		}
-		r.addLocked(Cell{Row: se.e.Row, Family: se.e.Family, Qualifier: se.e.Qualifier, Timestamp: se.e.Timestamp, Type: typ, Value: se.e.Value})
-		// Track the batch stamps the primary applied: if this copy is later
-		// promoted, its dedup window must cover the acked history it serves.
-		if se.e.Writer != "" {
-			r.dedupLocked().mark(se.e.Writer, se.e.Batch, 0)
-		}
-		r.markDirtyLocked(se.e.Row)
-		r.appliedSeq = se.e.Seq
+		// The batch stamps the primary applied come along: if this copy is
+		// later promoted, its dedup window must cover the acked history it
+		// serves.
+		r.applyEntryLocked(&se.e, 0)
 		r.meter.Observe(metrics.HistReplicaLag, time.Since(se.at))
 		applied++
 	}
@@ -199,8 +193,9 @@ func (r *Region) HoldApply(hold bool) {
 	}
 }
 
-// ApplyPending applies up to n held entries (a partial drain, for tests
-// that need a replica frozen mid-history) and reports how many applied.
+// ApplyPending applies up to n held records, each a whole batch (a partial
+// drain, for tests that need a replica frozen mid-history), and reports
+// how many applied.
 func (r *Region) ApplyPending(n int) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -226,16 +221,7 @@ func (r *Region) Promote(newEpoch uint64) {
 		if e.Epoch > newEpoch {
 			return nil
 		}
-		typ := TypePut
-		if e.Kind == wal.KindDelete {
-			typ = TypeDelete
-		}
-		r.addLocked(Cell{Row: e.Row, Family: e.Family, Qualifier: e.Qualifier, Timestamp: e.Timestamp, Type: typ, Value: e.Value})
-		if e.Writer != "" {
-			r.dedupLocked().mark(e.Writer, e.Batch, 0)
-		}
-		r.markDirtyLocked(e.Row)
-		r.appliedSeq = e.Seq
+		r.applyEntryLocked(&e, 0)
 		r.meter.Inc(metrics.WALEntriesReplayed)
 		return nil
 	})

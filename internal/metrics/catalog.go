@@ -110,10 +110,10 @@ func Catalog() []CatalogEntry {
 		{RegionsPruned, "counter", "Regions skipped by partition pruning."},
 		{ShuffleBytes, "counter", "Bytes moved through the shuffle."},
 		{ShuffleRecords, "counter", "Records moved through the shuffle."},
-		{WALAppends, "counter", "WAL records appended."},
-		{WALCorruptEntries, "counter", "Corrupt WAL entries skipped during replay."},
-		{WALEntriesReplayed, "counter", "WAL entries replayed during recovery."},
-		{WALFencedAppends, "counter", "WAL appends rejected by fencing."},
+		{WALAppends, "counter", "WAL records appended, one per region batch (not per cell)."},
+		{WALCorruptEntries, "counter", "Corrupt WAL records that ended a replay; the torn batch is dropped whole."},
+		{WALEntriesReplayed, "counter", "WAL records (region batches, not cells) replayed during recovery and promotion."},
+		{WALFencedAppends, "counter", "WAL records rejected by fencing, each a whole batch."},
 	}
 }
 

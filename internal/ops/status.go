@@ -54,8 +54,9 @@ type RegionStatus struct {
 // ReplicaStatus is one read replica's placement and lag.
 type ReplicaStatus struct {
 	Server string `json:"server"`
-	// AppliedSeq is the newest primary mutation the replica has applied;
-	// LagSeq is how far behind the primary it is.
+	// AppliedSeq is the newest primary WAL record (one region batch) the
+	// replica has applied; LagSeq is how many records it is behind the
+	// primary.
 	AppliedSeq uint64 `json:"applied_seq"`
 	LagSeq     uint64 `json:"lag_seq"`
 }

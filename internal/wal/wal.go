@@ -1,7 +1,7 @@
 // Package wal implements the write-ahead log each region uses for fault
-// tolerance (paper §III-B): every mutation is appended to the log before it
-// is applied to the MemStore, and a crashed region is rebuilt by replaying
-// the log from the last flushed sequence number.
+// tolerance (paper §III-B): every batch of mutations is appended to the log,
+// as one record, before it is applied to the MemStore, and a crashed region
+// is rebuilt by replaying the log from the last flushed sequence number.
 package wal
 
 import (
@@ -14,35 +14,44 @@ import (
 	"github.com/shc-go/shc/internal/metrics"
 )
 
-// Kind discriminates log entries.
+// Kind discriminates the edits of a record.
 type Kind uint8
 
-// Entry kinds.
+// Edit kinds.
 const (
 	KindPut Kind = iota + 1
 	KindDelete
 )
 
-// Entry is one logged mutation. Epoch records the region-ownership epoch the
-// mutation was accepted under; replay after a reassignment discards entries
-// stamped with a fenced (superseded) epoch so a zombie owner's doomed writes
-// never resurrect. Writer/Batch carry the client batch stamp for mutations
-// from a sequence-stamped multi-put ("" / 0 for unstamped writes): replay
-// rebuilds the region's dedup window from them, so an ack-lost retry stays
-// exactly-once even across a crash.
-type Entry struct {
-	Seq       uint64
-	Epoch     uint64
-	Table     string
-	Region    string
+// Edit is one cell mutation inside a record.
+type Edit struct {
 	Kind      Kind
 	Row       []byte
 	Family    string
 	Qualifier string
 	Timestamp int64
 	Value     []byte
-	Writer    string
-	Batch     uint64
+}
+
+// Entry is one logged record: every edit one region accepted from one
+// client batch, as HBase logs one WALEdit per row batch. A record is the
+// unit of the log: it takes one sequence number, one encode and one CRC,
+// and replay, fencing, replication and truncation all keep or drop it
+// whole, so a batch is never half-recovered. Epoch records the
+// region-ownership epoch the batch was accepted under; replay after a
+// reassignment discards records stamped with a fenced (superseded) epoch
+// so a zombie owner's doomed writes never resurrect. Writer/Batch carry
+// the client batch stamp of a sequence-stamped multi-put ("" / 0 for
+// unstamped writes): replay rebuilds the region's dedup window from them,
+// so an ack-lost retry stays exactly-once even across a crash.
+type Entry struct {
+	Seq    uint64
+	Epoch  uint64
+	Table  string
+	Region string
+	Writer string
+	Batch  uint64
+	Edits  []Edit
 }
 
 // ErrCorrupt is returned when decoding malformed bytes.
@@ -54,24 +63,44 @@ var ErrCorrupt = errors.New("wal: corrupt entry")
 // refused before it is acknowledged, so nothing durable is lost.
 var ErrFenced = errors.New("wal: log fenced at a newer epoch")
 
-// Encode serializes the entry to a self-delimiting binary record guarded by
-// a CRC32 (IEEE) trailer over every preceding byte.
-func (e Entry) Encode() []byte {
-	buf := make([]byte, 0, 80+len(e.Row)+len(e.Family)+len(e.Qualifier)+len(e.Value))
+// Fixed sizes of the encoding: the header's integers (Seq, Epoch, Batch,
+// the edit count and three string lengths), an edit's (kind, four lengths,
+// timestamp), and the CRC trailer.
+const (
+	headerFixed = 8 + 8 + 8 + 4 + 3*4
+	editFixed   = 1 + 4*4 + 8
+	trailer     = 4
+)
+
+// Encode serializes the record into one buffer: the header (Seq, Epoch,
+// Table, Region, Writer, Batch, edit count), each edit (Kind, Row, Family,
+// Qualifier, Timestamp, Value), and a CRC32 (IEEE) trailer over every
+// preceding byte. Integers are big-endian; byte strings are prefixed with
+// their uint32 length.
+func (e *Entry) Encode() []byte {
+	n := headerFixed + len(e.Table) + len(e.Region) + len(e.Writer) + trailer
+	for i := range e.Edits {
+		ed := &e.Edits[i]
+		n += editFixed + len(ed.Row) + len(ed.Family) + len(ed.Qualifier) + len(ed.Value)
+	}
+	buf := make([]byte, 0, n)
 	buf = binary.BigEndian.AppendUint64(buf, e.Seq)
 	buf = binary.BigEndian.AppendUint64(buf, e.Epoch)
-	buf = append(buf, byte(e.Kind))
-	buf = appendBytes(buf, []byte(e.Table))
-	buf = appendBytes(buf, []byte(e.Region))
-	buf = appendBytes(buf, e.Row)
-	buf = appendBytes(buf, []byte(e.Family))
-	buf = appendBytes(buf, []byte(e.Qualifier))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(e.Timestamp))
-	buf = appendBytes(buf, e.Value)
-	buf = appendBytes(buf, []byte(e.Writer))
+	buf = appendString(buf, e.Table)
+	buf = appendString(buf, e.Region)
+	buf = appendString(buf, e.Writer)
 	buf = binary.BigEndian.AppendUint64(buf, e.Batch)
-	buf = binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
-	return buf
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(e.Edits)))
+	for i := range e.Edits {
+		ed := &e.Edits[i]
+		buf = append(buf, byte(ed.Kind))
+		buf = appendBytes(buf, ed.Row)
+		buf = appendString(buf, ed.Family)
+		buf = appendString(buf, ed.Qualifier)
+		buf = binary.BigEndian.AppendUint64(buf, uint64(ed.Timestamp))
+		buf = appendBytes(buf, ed.Value)
+	}
+	return binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 }
 
 func appendBytes(buf, b []byte) []byte {
@@ -79,80 +108,105 @@ func appendBytes(buf, b []byte) []byte {
 	return append(buf, b...)
 }
 
+func appendString(buf []byte, s string) []byte {
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(s)))
+	return append(buf, s...)
+}
+
 // DecodeEntry parses bytes produced by Encode, verifying the CRC32 trailer
-// before trusting any field.
+// before trusting any field. Rows and values alias b.
 func DecodeEntry(b []byte) (Entry, error) {
 	var e Entry
-	if len(b) < 21 {
+	if len(b) < headerFixed+trailer {
 		return e, fmt.Errorf("%w: too short", ErrCorrupt)
 	}
-	body, sum := b[:len(b)-4], binary.BigEndian.Uint32(b[len(b)-4:])
+	body, sum := b[:len(b)-trailer], binary.BigEndian.Uint32(b[len(b)-trailer:])
 	if crc32.ChecksumIEEE(body) != sum {
 		return e, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
-	b = body
-	e.Seq = binary.BigEndian.Uint64(b)
-	e.Epoch = binary.BigEndian.Uint64(b[8:])
-	e.Kind = Kind(b[16])
-	if e.Kind != KindPut && e.Kind != KindDelete {
-		return e, fmt.Errorf("%w: bad kind %d", ErrCorrupt, e.Kind)
+	d := decoder{b: body}
+	e.Seq = d.u64()
+	e.Epoch = d.u64()
+	e.Table = string(d.bytes())
+	e.Region = string(d.bytes())
+	e.Writer = string(d.bytes())
+	e.Batch = d.u64()
+	count := d.u32()
+	// Every edit takes at least editFixed bytes, so a count the body cannot
+	// hold is corrupt before anything is allocated for it.
+	if d.err == nil && uint64(count) > uint64(len(d.b)/editFixed) {
+		return e, fmt.Errorf("%w: %d edits in %d bytes", ErrCorrupt, count, len(d.b))
 	}
-	b = b[17:]
-	var err error
-	var table, region, fam, qual []byte
-	if table, b, err = takeBytes(b); err != nil {
-		return e, err
+	if d.err == nil && count > 0 {
+		e.Edits = make([]Edit, count)
 	}
-	if region, b, err = takeBytes(b); err != nil {
-		return e, err
+	for i := range e.Edits {
+		ed := &e.Edits[i]
+		ed.Kind = Kind(d.u8())
+		if d.err == nil && ed.Kind != KindPut && ed.Kind != KindDelete {
+			return e, fmt.Errorf("%w: edit %d has bad kind %d", ErrCorrupt, i, ed.Kind)
+		}
+		ed.Row = d.bytes()
+		ed.Family = string(d.bytes())
+		ed.Qualifier = string(d.bytes())
+		ed.Timestamp = int64(d.u64())
+		ed.Value = d.bytes()
 	}
-	if e.Row, b, err = takeBytes(b); err != nil {
-		return e, err
+	if d.err != nil {
+		return e, d.err
 	}
-	if fam, b, err = takeBytes(b); err != nil {
-		return e, err
+	if len(d.b) != 0 {
+		return e, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(d.b))
 	}
-	if qual, b, err = takeBytes(b); err != nil {
-		return e, err
-	}
-	if len(b) < 8 {
-		return e, fmt.Errorf("%w: missing timestamp", ErrCorrupt)
-	}
-	e.Timestamp = int64(binary.BigEndian.Uint64(b))
-	b = b[8:]
-	if e.Value, b, err = takeBytes(b); err != nil {
-		return e, err
-	}
-	var writer []byte
-	if writer, b, err = takeBytes(b); err != nil {
-		return e, err
-	}
-	if len(b) < 8 {
-		return e, fmt.Errorf("%w: missing batch stamp", ErrCorrupt)
-	}
-	e.Batch = binary.BigEndian.Uint64(b)
-	b = b[8:]
-	if len(b) != 0 {
-		return e, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(b))
-	}
-	e.Table, e.Region, e.Family, e.Qualifier = string(table), string(region), string(fam), string(qual)
-	e.Writer = string(writer)
 	return e, nil
 }
 
-func takeBytes(b []byte) (val, rest []byte, err error) {
-	if len(b) < 4 {
-		return nil, nil, fmt.Errorf("%w: truncated length", ErrCorrupt)
-	}
-	n := binary.BigEndian.Uint32(b)
-	b = b[4:]
-	if uint32(len(b)) < n {
-		return nil, nil, fmt.Errorf("%w: truncated payload", ErrCorrupt)
-	}
-	return b[:n:n], b[n:], nil
+// decoder reads the fields of a record body in order. The first short read
+// sets err; later reads return zero values.
+type decoder struct {
+	b   []byte
+	err error
 }
 
-// Log is an append-only sequence of entries. It retains encoded records in
+func (d *decoder) take(n uint64) []byte {
+	if d.err != nil {
+		return nil
+	}
+	if uint64(len(d.b)) < n {
+		d.err = fmt.Errorf("%w: truncated record", ErrCorrupt)
+		return nil
+	}
+	v := d.b[:n:n]
+	d.b = d.b[n:]
+	return v
+}
+
+func (d *decoder) u8() byte {
+	if v := d.take(1); v != nil {
+		return v[0]
+	}
+	return 0
+}
+
+func (d *decoder) u32() uint32 {
+	if v := d.take(4); v != nil {
+		return binary.BigEndian.Uint32(v)
+	}
+	return 0
+}
+
+func (d *decoder) u64() uint64 {
+	if v := d.take(8); v != nil {
+		return binary.BigEndian.Uint64(v)
+	}
+	return 0
+}
+
+func (d *decoder) bytes() []byte {
+	return d.take(uint64(d.u32()))
+}
+
+// Log is an append-only sequence of records. It retains encoded records in
 // memory (standing in for an HDFS file) and supports replay from a sequence
 // number and truncation below one.
 type Log struct {
@@ -170,11 +224,11 @@ func New(meter *metrics.Registry) *Log {
 	return &Log{nextSeq: 1, first: 1, meter: meter}
 }
 
-// Append assigns the next sequence number to e, encodes and stores it, and
-// returns the assigned sequence number. An entry stamped with an epoch below
-// the log's fence epoch is rejected with ErrFenced — the append-time fencing
-// that keeps a zombie owner's writes out of the durable log after its region
-// has been reassigned.
+// Append assigns the next sequence number to the record e, encodes and
+// stores it, and returns the assigned sequence number. A record stamped with
+// an epoch below the log's fence epoch is rejected whole with ErrFenced — the
+// append-time fencing that keeps a zombie owner's writes out of the durable
+// log after its region has been reassigned.
 func (l *Log) Append(e Entry) (uint64, error) {
 	l.mu.Lock()
 	if e.Epoch < l.epoch {
@@ -195,7 +249,7 @@ func (l *Log) Append(e Entry) (uint64, error) {
 }
 
 // SetObserver registers fn to be invoked with every successfully appended
-// entry (sequence number assigned), after the log's own lock is released —
+// record (sequence number assigned), after the log's own lock is released —
 // the seam region replication hangs off of. Only acknowledged writes reach
 // the observer: a fenced append fails before it, so replicas can never
 // apply a mutation the primary did not durably log. Appends to one region's
@@ -225,7 +279,7 @@ func (l *Log) Epoch() uint64 {
 	return l.epoch
 }
 
-// Replay invokes fn for every retained entry with Seq >= fromSeq, in order.
+// Replay invokes fn for every retained record with Seq >= fromSeq, in order.
 // A corrupt record ends the replay cleanly — everything before it is
 // recovered, the unreadable tail is abandoned, exactly how a recovering
 // region treats a log whose final block was torn mid-write. fn errors still
@@ -266,8 +320,11 @@ func (l *Log) CorruptRecord(i int) {
 	l.records[i] = rec
 }
 
-// Truncate discards entries with Seq < uptoSeq; the region calls this after
-// a MemStore flush makes them durable in a store file.
+// Truncate discards records with Seq < uptoSeq; the region calls this after
+// a MemStore flush makes them durable in a store file. The survivors move to
+// a fresh slice, so the log holds no reference to a dropped record and the
+// collector can reclaim it (a Replay still iterating its snapshot of the
+// old slice is not disturbed).
 func (l *Log) Truncate(uptoSeq uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -278,11 +335,11 @@ func (l *Log) Truncate(uptoSeq uint64) {
 	if drop > uint64(len(l.records)) {
 		drop = uint64(len(l.records))
 	}
-	l.records = l.records[drop:]
+	l.records = append([][]byte(nil), l.records[drop:]...)
 	l.first += drop
 }
 
-// Len reports the number of retained entries.
+// Len reports the number of retained records.
 func (l *Log) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
