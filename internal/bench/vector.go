@@ -330,20 +330,19 @@ func (s *colScan) Compute(context.Context) ([]plan.Row, error) {
 	return rows, nil
 }
 
+// colBatchRows bounds the rows per batch a colScan yields.
+const colBatchRows = 1024
+
 // ComputeBatches implements datasource.BatchScan: boxed rows in bounded
 // batches — what the row pipeline consumes.
 func (s *colScan) ComputeBatches(_ context.Context, opts datasource.BatchOptions, yield func([]plan.Row) error) error {
-	size := opts.BatchSize
-	if size <= 0 {
-		size = 1024
-	}
 	n := len(s.part.k)
 	if opts.LimitHint > 0 && opts.LimitHint < n {
 		n = opts.LimitHint
 	}
-	batch := make([]plan.Row, 0, size)
-	for at := 0; at < n; at += size {
-		end := at + size
+	batch := make([]plan.Row, 0, colBatchRows)
+	for at := 0; at < n; at += colBatchRows {
+		end := at + colBatchRows
 		if end > n {
 			end = n
 		}
@@ -367,10 +366,6 @@ func (s *colScan) ComputeBatches(_ context.Context, opts datasource.BatchOptions
 
 // ComputeVectors implements datasource.VectorScan: typed appends, no boxing.
 func (s *colScan) ComputeVectors(_ context.Context, opts datasource.BatchOptions, yield func(*plan.Batch) error) error {
-	size := opts.BatchSize
-	if size <= 0 {
-		size = 1024
-	}
 	schema := make(plan.Schema, len(s.cols))
 	for j, c := range s.cols {
 		schema[j] = s.rel.schema[c]
@@ -380,8 +375,8 @@ func (s *colScan) ComputeVectors(_ context.Context, opts datasource.BatchOptions
 	if opts.LimitHint > 0 && opts.LimitHint < n {
 		n = opts.LimitHint
 	}
-	for at := 0; at < n; at += size {
-		end := at + size
+	for at := 0; at < n; at += colBatchRows {
+		end := at + colBatchRows
 		if end > n {
 			end = n
 		}

@@ -2,11 +2,9 @@ package conncache
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/shc-go/shc/internal/metrics"
-	"github.com/shc-go/shc/internal/ops"
 )
 
 // BreakerConfig tunes the per-host circuit breaker.
@@ -58,9 +56,8 @@ type hostBreaker struct {
 // another cooldown. This keeps a flapping or dead host from absorbing every
 // caller's full retry budget (paper §VI-B's failover handling, hardened).
 type Breaker struct {
-	cfg     BreakerConfig
-	meter   *metrics.Registry
-	journal atomic.Pointer[ops.Journal]
+	cfg   BreakerConfig
+	meter *metrics.Registry
 
 	mu    sync.Mutex
 	hosts map[string]*hostBreaker
@@ -69,22 +66,6 @@ type Breaker struct {
 // NewBreaker builds a breaker. meter may be nil.
 func NewBreaker(cfg BreakerConfig, meter *metrics.Registry) *Breaker {
 	return &Breaker{cfg: cfg.withDefaults(), meter: meter, hosts: make(map[string]*hostBreaker)}
-}
-
-// SetJournal installs a cluster event journal; each circuit-open transition
-// is recorded as a CircuitOpen event against the host. nil disables it.
-func (b *Breaker) SetJournal(j *ops.Journal) {
-	if b == nil {
-		return
-	}
-	b.journal.Store(j)
-}
-
-// noteOpen journals one circuit-open transition. Called with b.mu held;
-// journal appends take only the journal's own lock, so no ordering risk.
-func (b *Breaker) noteOpen(host, detail string) {
-	b.meter.Inc(metrics.BreakerOpens)
-	b.journal.Load().Append(ops.Event{Type: ops.EventCircuitOpen, Server: host, Detail: detail})
 }
 
 // Allow reports whether a call to host may proceed. false means the circuit
@@ -146,7 +127,7 @@ func (b *Breaker) Record(host string, transportFailure bool) {
 			// Probe failed: back to open for another cooldown.
 			hb.state = breakerOpen
 			hb.openedAt = b.cfg.Now()
-			b.noteOpen(host, "half-open probe failed")
+			b.meter.Inc(metrics.BreakerOpens)
 			return
 		}
 		hb.state = breakerClosed
@@ -163,7 +144,7 @@ func (b *Breaker) Record(host string, transportFailure bool) {
 		if hb.failures >= b.cfg.Threshold {
 			hb.state = breakerOpen
 			hb.openedAt = b.cfg.Now()
-			b.noteOpen(host, "consecutive transport failures")
+			b.meter.Inc(metrics.BreakerOpens)
 		}
 	}
 }

@@ -23,8 +23,6 @@ type Config struct {
 	// CloseDelay is how long an idle (refcount zero) connection survives
 	// before the housekeeper evicts it; defaults to DefaultCloseDelay.
 	CloseDelay time.Duration
-	// SweepInterval is the housekeeper period; defaults to CloseDelay/10.
-	SweepInterval time.Duration
 	// Now injects a clock for tests.
 	Now func() time.Time
 }
@@ -32,9 +30,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.CloseDelay <= 0 {
 		c.CloseDelay = DefaultCloseDelay
-	}
-	if c.SweepInterval <= 0 {
-		c.SweepInterval = c.CloseDelay / 10
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -176,11 +171,12 @@ func (c *Cache) Len() int {
 	return len(c.entries)
 }
 
-// StartHousekeeper launches the lazy-deletion thread.
+// StartHousekeeper launches the lazy-deletion thread, which sweeps ten
+// times per CloseDelay.
 func (c *Cache) StartHousekeeper() {
 	go func() {
 		defer close(c.done)
-		ticker := time.NewTicker(c.cfg.SweepInterval)
+		ticker := time.NewTicker(c.cfg.CloseDelay / 10)
 		defer ticker.Stop()
 		for {
 			select {

@@ -641,20 +641,15 @@ func (p *hbasePartition) pager(tmpl hbase.FusedRequest, limit int) *hbase.Pager 
 	return p.rel.client.NewPager(p.rel.cat.Table.Name, p.host, tmpl, limit)
 }
 
-// defaultFusedBatch is the per-page row budget when the caller does not pick
-// one.
-const defaultFusedBatch = 256
+// fusedBatchRows is the per-page row budget of a batch scan.
+const fusedBatchRows = 256
 
 // batchPages pages the partition's read for a batch scan: pages of
-// opts.BatchSize rows (default defaultFusedBatch), at most opts.LimitHint
-// rows in all — the fused-LIMIT short circuit — and the next page's RPC in
-// flight while the caller decodes the current one (double buffering).
+// fusedBatchRows rows, at most opts.LimitHint rows in all — the fused-LIMIT
+// short circuit — and the next page's RPC in flight while the caller decodes
+// the current one (double buffering).
 func (p *hbasePartition) batchPages(ctx context.Context, opts datasource.BatchOptions, columnar bool) func() (*hbase.ScanResponse, error) {
-	batchSize := opts.BatchSize
-	if batchSize <= 0 {
-		batchSize = defaultFusedBatch
-	}
-	pager := p.pager(hbase.FusedRequest{BatchLimit: batchSize, Columnar: columnar}, opts.LimitHint)
+	pager := p.pager(hbase.FusedRequest{BatchLimit: fusedBatchRows, Columnar: columnar}, opts.LimitHint)
 	return pager.Prefetch(ctx, p.rel.meter)
 }
 

@@ -70,7 +70,6 @@ func TestComputeVectorsMatchesRowPath(t *testing.T) {
 	}{
 		{"all-eager", datasource.BatchOptions{}},
 		{"lazy-tail", datasource.BatchOptions{EagerColumns: []int{1}}}, // only age eager
-		{"small-batches", datasource.BatchOptions{BatchSize: 7}},
 		{"limit-hint", datasource.BatchOptions{LimitHint: 13}},
 	}
 	for _, v := range optVariants {
@@ -136,7 +135,9 @@ func TestVectorBatchPoolReuse(t *testing.T) {
 // pager: draining a server mid-scan (regions move, epochs bump) must not
 // lose, duplicate, or reorder rows relative to an undisturbed row-path scan.
 func TestVectorScanFollowsRegionMove(t *testing.T) {
-	rig := newRig(t, Options{}, 400)
+	// Enough rows that every partition spans several pages, so the drain
+	// lands between pages of an in-flight scan.
+	rig := newRig(t, Options{}, 12*fusedBatchRows)
 	parts, err := rig.rel.BuildScan([]string{"id", "age"}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -145,13 +146,12 @@ func TestVectorScanFollowsRegionMove(t *testing.T) {
 	for i, p := range parts {
 		want[i] = collectRowPath(t, p, datasource.BatchOptions{})
 	}
-	// Small pages so the drain lands between pages of an in-flight scan.
 	drained := false
 	for i, p := range parts {
 		vs := p.(datasource.VectorScan)
 		var got []plan.Row
 		pages := 0
-		err := vs.ComputeVectors(context.Background(), datasource.BatchOptions{BatchSize: 32}, func(b *plan.Batch) error {
+		err := vs.ComputeVectors(context.Background(), datasource.BatchOptions{}, func(b *plan.Batch) error {
 			pages++
 			if pages == 2 && !drained {
 				drained = true
@@ -174,7 +174,7 @@ func TestVectorScanFollowsRegionMove(t *testing.T) {
 		}
 	}
 	if !drained {
-		t.Fatal("scan finished before the drain fired; shrink the batch size")
+		t.Fatal("scan finished before the drain fired; load more rows")
 	}
 }
 

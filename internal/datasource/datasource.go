@@ -198,8 +198,6 @@ var ErrStopBatches = errors.New("datasource: stop batch stream")
 
 // BatchOptions tunes a streaming partition read.
 type BatchOptions struct {
-	// BatchSize bounds the rows per yielded batch; 0 lets the source pick.
-	BatchSize int
 	// LimitHint caps the rows the consumer will take from this partition
 	// (0 = unlimited). Callers may only set it when every remaining
 	// predicate is already evaluated inside the source, so that the first

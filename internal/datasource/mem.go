@@ -131,6 +131,9 @@ func (p *memPartition) Compute(ctx context.Context) ([]plan.Row, error) {
 	return out, nil
 }
 
+// memBatchRows bounds the rows per batch a memory partition yields.
+const memBatchRows = 256
+
 // ComputeBatches implements BatchScan: filter and project row-at-a-time,
 // yielding bounded batches, so the engine's pipeline never holds more than
 // one batch of this partition at once.
@@ -138,12 +141,8 @@ func (p *memPartition) ComputeBatches(ctx context.Context, opts BatchOptions, yi
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	batchSize := opts.BatchSize
-	if batchSize <= 0 {
-		batchSize = 256
-	}
 	emitted := 0
-	batch := make([]plan.Row, 0, batchSize)
+	batch := make([]plan.Row, 0, memBatchRows)
 	flush := func() error {
 		if len(batch) == 0 {
 			return nil
@@ -176,7 +175,7 @@ func (p *memPartition) ComputeBatches(ctx context.Context, opts BatchOptions, yi
 		if opts.LimitHint > 0 && emitted >= opts.LimitHint {
 			break
 		}
-		if len(batch) >= batchSize {
+		if len(batch) >= memBatchRows {
 			if err := flush(); err != nil {
 				if errors.Is(err, ErrStopBatches) {
 					return nil

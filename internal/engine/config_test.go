@@ -17,9 +17,6 @@ func TestNewSessionRejectsOutOfRangeConfig(t *testing.T) {
 		want string
 	}{
 		{"negative executors", Config{ExecutorsPerHost: -1}, "ExecutorsPerHost"},
-		{"negative shuffle partitions", Config{ShufflePartitions: -4}, "ShufflePartitions"},
-		{"negative broadcast threshold", Config{BroadcastThreshold: -10}, "BroadcastThreshold"},
-		{"negative query timeout", Config{QueryTimeout: -time.Second}, "QueryTimeout"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, err := NewSession(tc.cfg)
@@ -51,12 +48,6 @@ func TestNewSessionDefaults(t *testing.T) {
 	if cfg.Meter == nil {
 		t.Error("default Meter is nil")
 	}
-	if cfg.TaskRetries != 3 {
-		t.Errorf("default TaskRetries = %d, want 3", cfg.TaskRetries)
-	}
-	if cfg.QueryTimeout != 0 {
-		t.Errorf("default QueryTimeout = %v, want 0 (none)", cfg.QueryTimeout)
-	}
 }
 
 // TestCollectContextCancelledQuery: a dead context aborts the query with the
@@ -80,16 +71,17 @@ func TestCollectContextCancelledQuery(t *testing.T) {
 	}
 }
 
-// TestQueryTimeoutExpires: an unmeetable QueryTimeout turns into
+// TestQueryTimeoutExpires: an unmeetable context deadline turns into
 // DeadlineExceeded through the whole stack.
 func TestQueryTimeoutExpires(t *testing.T) {
 	s := newTestSession(t)
-	s.cfg.QueryTimeout = time.Nanosecond
 	df, err := s.SQL(`SELECT id FROM users`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := df.CollectContext(context.Background()); !errors.Is(err, context.DeadlineExceeded) {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
+	defer cancel()
+	if _, err := df.CollectContext(ctx); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}
 	if got := s.meter.Get(metrics.QueriesCancelled); got == 0 {

@@ -171,7 +171,7 @@ func (df *DataFrame) Collect() ([]plan.Row, error) {
 }
 
 // CollectContext is Collect bounded by ctx: cancelling ctx (or exceeding its
-// deadline, or the session's QueryTimeout) aborts the query — queued tasks
+// deadline, the one way to bound a query) aborts the query — queued tasks
 // drop, in-flight RPCs and backoff sleeps stop early — and the context's
 // error comes back. Cancelled or timed-out queries count in
 // engine.queries_cancelled.

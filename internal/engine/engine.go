@@ -25,13 +25,6 @@ type Config struct {
 	// ExecutorsPerHost is per-host task parallelism; default 2. Negative is
 	// rejected by NewSession.
 	ExecutorsPerHost int
-	// ShufflePartitions overrides reduce-side parallelism; 0 = auto.
-	// Negative is rejected by NewSession.
-	ShufflePartitions int
-	// BroadcastThreshold enables broadcast joins when the build side has
-	// at most this many rows; 0 disables them. Negative is rejected by
-	// NewSession.
-	BroadcastThreshold int
 	// UseSortMergeJoin compiles equi-joins to sort-merge instead of hash
 	// joins (Spark's default strategy for large inputs).
 	UseSortMergeJoin bool
@@ -43,15 +36,6 @@ type Config struct {
 	// instead of columnar batches with compiled predicates (ablation switch;
 	// implies nothing about pipelining itself).
 	DisableVectorization bool
-	// TaskRetries is the per-task attempt cap for transport failures
-	// (default 3); set negative to disable re-execution.
-	TaskRetries int
-	// QueryTimeout bounds each action (Collect/Count/Write/Show) when the
-	// caller does not pass its own context deadline: the query's context is
-	// derived with this timeout and a query that exceeds it fails with
-	// context.DeadlineExceeded. 0 means no per-query deadline. Negative is
-	// rejected by NewSession.
-	QueryTimeout time.Duration
 	// Meter receives execution counters; a fresh registry when nil.
 	Meter *metrics.Registry
 	// SlowQueryThreshold turns on the slow-query log: any action whose
@@ -60,10 +44,6 @@ type Config struct {
 	SlowQueryThreshold time.Duration
 	// SlowQueryLog receives slow-query records; os.Stderr when nil.
 	SlowQueryLog io.Writer
-	// QueryStatsSize caps the session's per-fingerprint statement stats
-	// table (top-K by total time; the least-used entry is evicted when
-	// full). 0 means the default size; negative is rejected by NewSession.
-	QueryStatsSize int
 }
 
 // Validate normalizes cfg in place (defaults) and reports
@@ -73,20 +53,8 @@ func (cfg *Config) Validate() error {
 	if cfg.ExecutorsPerHost < 0 {
 		return fmt.Errorf("engine: ExecutorsPerHost must not be negative, got %d", cfg.ExecutorsPerHost)
 	}
-	if cfg.ShufflePartitions < 0 {
-		return fmt.Errorf("engine: ShufflePartitions must not be negative, got %d", cfg.ShufflePartitions)
-	}
-	if cfg.BroadcastThreshold < 0 {
-		return fmt.Errorf("engine: BroadcastThreshold must not be negative, got %d", cfg.BroadcastThreshold)
-	}
-	if cfg.QueryTimeout < 0 {
-		return fmt.Errorf("engine: QueryTimeout must not be negative, got %v", cfg.QueryTimeout)
-	}
 	if cfg.SlowQueryThreshold < 0 {
 		return fmt.Errorf("engine: SlowQueryThreshold must not be negative, got %v", cfg.SlowQueryThreshold)
-	}
-	if cfg.QueryStatsSize < 0 {
-		return fmt.Errorf("engine: QueryStatsSize must not be negative, got %d", cfg.QueryStatsSize)
 	}
 	if len(cfg.Hosts) == 0 {
 		cfg.Hosts = []string{"local"}
@@ -96,9 +64,6 @@ func (cfg *Config) Validate() error {
 	}
 	if cfg.Meter == nil {
 		cfg.Meter = metrics.NewRegistry()
-	}
-	if cfg.TaskRetries == 0 {
-		cfg.TaskRetries = 3
 	}
 	return nil
 }
@@ -122,14 +87,10 @@ func NewSession(cfg Config) (*Session, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	sched := exec.NewScheduler(cfg.Hosts, cfg.ExecutorsPerHost, cfg.Meter)
-	if cfg.TaskRetries > 0 {
-		sched.SetTaskRetry(cfg.TaskRetries, exec.RetryableTransport)
-	}
 	return &Session{
-		sched:  sched,
+		sched:  exec.NewScheduler(cfg.Hosts, cfg.ExecutorsPerHost, cfg.Meter),
 		meter:  cfg.Meter,
-		stats:  ops.NewStatsTable(cfg.QueryStatsSize),
+		stats:  ops.NewStatsTable(ops.DefaultStatsSize),
 		cfg:    cfg,
 		tables: make(map[string]plan.Relation),
 		views:  make(map[string]plan.LogicalPlan),
@@ -212,11 +173,5 @@ func (s *Session) compileConfig() exec.CompileConfig {
 
 // execContext builds the execution context for one query run under ctx.
 func (s *Session) execContext(ctx context.Context) *exec.Context {
-	return &exec.Context{
-		Ctx:                ctx,
-		Scheduler:          s.sched,
-		Meter:              s.meter,
-		ShufflePartitions:  s.cfg.ShufflePartitions,
-		BroadcastThreshold: s.cfg.BroadcastThreshold,
-	}
+	return &exec.Context{Ctx: ctx, Scheduler: s.sched, Meter: s.meter}
 }

@@ -12,7 +12,7 @@ import (
 
 func newTestSession(t testing.TB) *Session {
 	t.Helper()
-	s, _ := NewSession(Config{Hosts: []string{"h1", "h2"}, ExecutorsPerHost: 2, ShufflePartitions: 4})
+	s, _ := NewSession(Config{Hosts: []string{"h1", "h2"}, ExecutorsPerHost: 2})
 
 	users := datasource.NewMemRelation("users", plan.Schema{
 		{Name: "id", Type: plan.TypeString},

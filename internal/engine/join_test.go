@@ -13,7 +13,7 @@ import (
 // NULL-keyed order, to exercise outer-join edges.
 func joinSession(t *testing.T) *Session {
 	t.Helper()
-	s, _ := NewSession(Config{Hosts: []string{"h1"}, ExecutorsPerHost: 2, ShufflePartitions: 3})
+	s, _ := NewSession(Config{Hosts: []string{"h1"}, ExecutorsPerHost: 3})
 	users := datasource.NewMemRelation("users", plan.Schema{
 		{Name: "id", Type: plan.TypeString},
 		{Name: "city", Type: plan.TypeString},

@@ -36,8 +36,8 @@ type queryRun struct {
 }
 
 // run is the single execution path behind every action: optimize, compile,
-// and execute under ctx plus the session's QueryTimeout, with each phase
-// spanned when a trace is present. With analyze=true (ExplainAnalyze) a
+// and execute under ctx, whose deadline (if any) bounds the query, with each
+// phase spanned when a trace is present. With analyze=true (ExplainAnalyze) a
 // fresh trace and a fresh per-query metrics scope are installed and every
 // operator is wrapped to record actuals. Otherwise the trace and scope are
 // whatever the caller put in ctx — both optional, both zero-cost when
@@ -63,11 +63,6 @@ func (df *DataFrame) run(ctx context.Context, analyze bool) ([]plan.Row, *queryR
 			qr.tr = trace.New("query")
 			ctx = trace.NewContext(ctx, qr.tr)
 		}
-	}
-	if sess.cfg.QueryTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, sess.cfg.QueryTimeout)
-		defer cancel()
 	}
 
 	start := time.Now()

@@ -208,10 +208,3 @@ func TestQueryStatsAggregateByFingerprint(t *testing.T) {
 		t.Errorf("fingerprint entries after new shape = %d, want 2", n)
 	}
 }
-
-// TestValidateRejectsNegativeQueryStatsSize guards the config seam.
-func TestValidateRejectsNegativeQueryStatsSize(t *testing.T) {
-	if _, err := NewSession(Config{QueryStatsSize: -1}); err == nil {
-		t.Fatal("negative QueryStatsSize accepted")
-	}
-}

@@ -260,7 +260,7 @@ func TestPlanCacheSeesCatalogChanges(t *testing.T) {
 // relations.
 func tpcdsSession(t *testing.T) (*Session, *tpcds.Data) {
 	t.Helper()
-	s, err := NewSession(Config{Hosts: []string{"h1", "h2"}, ShufflePartitions: 4})
+	s, err := NewSession(Config{Hosts: []string{"h1", "h2"}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,9 +3,6 @@ package engine
 import (
 	"strings"
 	"testing"
-
-	"github.com/shc-go/shc/internal/metrics"
-	"github.com/shc-go/shc/internal/plan"
 )
 
 func TestUnionAll(t *testing.T) {
@@ -100,54 +97,5 @@ func TestUnionPushdownReachesBothSides(t *testing.T) {
 	}
 	if !strings.Contains(out, `pushed=[(city = "sf")]`) || !strings.Contains(out, `pushed=[(city = "nyc")]`) {
 		t.Errorf("filters should push into both union branches:\n%s", out)
-	}
-}
-
-func TestBroadcastJoinMatchesShuffleJoin(t *testing.T) {
-	s := joinSession(t)
-	shuffled := mustSQL(t, s, `SELECT u.id, o.amount FROM users u JOIN orders o ON u.id = o.uid ORDER BY u.id, o.amount`)
-
-	bs := joinSessionWith(t, Config{Hosts: []string{"h1"}, ExecutorsPerHost: 2, BroadcastThreshold: 100})
-	broadcast := mustSQL(t, bs, `SELECT u.id, o.amount FROM users u JOIN orders o ON u.id = o.uid ORDER BY u.id, o.amount`)
-	if len(shuffled) != len(broadcast) {
-		t.Fatalf("rows: %d vs %d", len(shuffled), len(broadcast))
-	}
-	for i := range shuffled {
-		if shuffled[i][0] != broadcast[i][0] || shuffled[i][1] != broadcast[i][1] {
-			t.Fatalf("row %d: %v vs %v", i, shuffled[i], broadcast[i])
-		}
-	}
-	// The broadcast run shuffles nothing for the join (the exchange is
-	// skipped entirely on both sides).
-	if bs.Meter().Get(metrics.ShuffleRecords) != 0 {
-		t.Errorf("broadcast join shuffled %d records", bs.Meter().Get(metrics.ShuffleRecords))
-	}
-}
-
-// joinSessionWith rebuilds joinSession's relations into a session with a
-// custom config.
-func joinSessionWith(t *testing.T, cfg Config) *Session {
-	t.Helper()
-	s, _ := NewSession(cfg)
-	old := joinSession(t)
-	for _, name := range []string{"users", "orders"} {
-		lp, err := old.resolve(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.Register(lp.(*plan.ScanNode).Relation)
-	}
-	return s
-}
-
-// TestLeftOuterBroadcast exercises NULL extension under broadcast.
-func TestLeftOuterBroadcast(t *testing.T) {
-	s := joinSessionWith(t, Config{Hosts: []string{"h1"}, ExecutorsPerHost: 2, BroadcastThreshold: 100})
-	rows := mustSQL(t, s, `
-		SELECT u.id, o.amount FROM users u
-		LEFT JOIN orders o ON u.id = o.uid
-		ORDER BY u.id, o.amount`)
-	if len(rows) != 6 {
-		t.Fatalf("rows = %v", rows)
 	}
 }

@@ -16,7 +16,14 @@ import (
 func testCtx() (*Context, *metrics.Registry) {
 	m := metrics.NewRegistry()
 	sched := NewScheduler([]string{"h1", "h2"}, 2, m)
-	return &Context{Scheduler: sched, Meter: m, ShufflePartitions: 4}, m
+	return &Context{Scheduler: sched, Meter: m}, m
+}
+
+// slotsCtx is a context over one host with the given executor slots, so a
+// shuffle splits into that many buckets.
+func slotsCtx(slots int) *Context {
+	m := metrics.NewRegistry()
+	return &Context{Scheduler: NewScheduler([]string{"h1"}, slots, m), Meter: m}
 }
 
 func usersMem(t *testing.T, n int) *datasource.MemRelation {

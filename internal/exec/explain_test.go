@@ -63,9 +63,11 @@ func TestShufflePartitionsFallbacks(t *testing.T) {
 	if m.shufflePartitions() != 3 {
 		t.Errorf("default = %d", m.shufflePartitions())
 	}
-	m.ShufflePartitions = 7
-	if m.shufflePartitions() != 7 {
-		t.Errorf("override = %d", m.shufflePartitions())
+	// A scheduler with no hosts has no slots; the shuffle still needs one
+	// bucket.
+	m = &Context{Scheduler: NewScheduler(nil, 3, nil)}
+	if m.shufflePartitions() != 1 {
+		t.Errorf("no slots = %d", m.shufflePartitions())
 	}
 }
 

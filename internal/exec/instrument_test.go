@@ -19,7 +19,6 @@ import (
 func TestRetriedTaskSpanIntegrity(t *testing.T) {
 	m := metrics.NewRegistry()
 	s := NewScheduler([]string{"h1", "h2"}, 1, m)
-	s.SetTaskRetry(3, RetryableTransport)
 
 	var runs int32
 	tasks := []Task{{Run: func(context.Context) error {

@@ -35,34 +35,26 @@ func q39Inputs(invRows int) (inv, item *rowsExec) {
 
 var benchRows []plan.Row
 
-// BenchmarkHashJoin times q39's inventory ⋈ item join on an int32 key,
-// shuffled (both sides exchange) and broadcast (item is built once).
+// BenchmarkHashJoin times q39's inventory ⋈ item join on an int32 key: both
+// sides exchange into one bucket per slot.
 func BenchmarkHashJoin(b *testing.B) {
 	inv, item := q39Inputs(4000)
-	for _, mode := range []struct {
-		name      string
-		broadcast int
-	}{{"shuffle", 0}, {"broadcast", len(item.rows)}} {
-		b.Run(mode.name, func(b *testing.B) {
-			ctx, _ := testCtx()
-			ctx.BroadcastThreshold = mode.broadcast
-			j := &HashJoinExec{
-				Left: inv, Right: item,
-				LeftKeys:  resolved(b, inv.schema, "inv_item_sk"),
-				RightKeys: resolved(b, item.schema, "i_item_sk"),
-				Type:      plan.InnerJoin,
-				OutSchema: append(append(plan.Schema{}, inv.schema...), item.schema...),
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rows, err := j.Execute(ctx)
-				if err != nil {
-					b.Fatal(err)
-				}
-				benchRows = rows
-			}
-		})
+	ctx, _ := testCtx()
+	j := &HashJoinExec{
+		Left: inv, Right: item,
+		LeftKeys:  resolved(b, inv.schema, "inv_item_sk"),
+		RightKeys: resolved(b, item.schema, "i_item_sk"),
+		Type:      plan.InnerJoin,
+		OutSchema: append(append(plan.Schema{}, inv.schema...), item.schema...),
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rows, err := j.Execute(ctx)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchRows = rows
 	}
 }
 

@@ -118,29 +118,27 @@ func TestJoinKeySemantics(t *testing.T) {
 		if jt == plan.LeftOuterJoin {
 			want = []string{"[7 seven 7 SEVEN]", "[8 eight <nil> <nil>]", "[<nil> null <nil> <nil>]"}
 		}
-		for _, s := range []struct {
-			name      string
-			broadcast int
-			smj       bool
-		}{{"shuffle", 0, false}, {"broadcast", 10, false}, {"sort-merge", 0, true}} {
-			ctx, _ := testCtx()
-			ctx.BroadcastThreshold = s.broadcast
-			var p PhysicalPlan = &HashJoinExec{
-				Left: left, Right: right, LeftKeys: lKeys, RightKeys: rKeys,
-				Type: jt, OutSchema: out,
-			}
-			if s.smj {
-				p = &SortMergeJoinExec{
+		for _, slots := range []int{1, 2, 4} {
+			for _, smj := range []bool{false, true} {
+				name := fmt.Sprintf("hash/%d-slot", slots)
+				var p PhysicalPlan = &HashJoinExec{
 					Left: left, Right: right, LeftKeys: lKeys, RightKeys: rKeys,
 					Type: jt, OutSchema: out,
 				}
-			}
-			rows, err := p.Execute(ctx)
-			if err != nil {
-				t.Fatalf("%s %s: %v", jt, s.name, err)
-			}
-			if got := canonical(rows); fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Errorf("%s %s: rows = %q, want %q", jt, s.name, got, want)
+				if smj {
+					name = fmt.Sprintf("sort-merge/%d-slot", slots)
+					p = &SortMergeJoinExec{
+						Left: left, Right: right, LeftKeys: lKeys, RightKeys: rKeys,
+						Type: jt, OutSchema: out,
+					}
+				}
+				rows, err := p.Execute(slotsCtx(slots))
+				if err != nil {
+					t.Fatalf("%s %s: %v", jt, name, err)
+				}
+				if got := canonical(rows); fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Errorf("%s %s: rows = %q, want %q", jt, name, got, want)
+				}
 			}
 		}
 	}

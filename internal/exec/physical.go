@@ -21,13 +21,6 @@ type Context struct {
 	Ctx       context.Context
 	Scheduler *Scheduler
 	Meter     *metrics.Registry
-	// ShufflePartitions is the reduce-side parallelism for joins and
-	// aggregations; defaults to the scheduler's total slots.
-	ShufflePartitions int
-	// BroadcastThreshold switches a join to broadcast mode when its right
-	// (build) side has at most this many rows — neither side shuffles.
-	// 0 disables broadcasting.
-	BroadcastThreshold int
 }
 
 // ctx returns the query context, defaulting to context.Background().
@@ -44,10 +37,9 @@ func (c *Context) meter() metrics.Meter {
 	return metrics.Scoped(c.ctx(), c.Meter)
 }
 
+// shufflePartitions is the reduce-side parallelism for joins and
+// aggregations: one bucket per executor slot.
 func (c *Context) shufflePartitions() int {
-	if c.ShufflePartitions > 0 {
-		return c.ShufflePartitions
-	}
 	if n := c.Scheduler.TotalSlots(); n > 0 {
 		return n
 	}
@@ -312,11 +304,6 @@ func (j *HashJoinExec) Execute(ctx *Context) ([]plan.Row, error) {
 	if lKey == nil || rKey == nil {
 		return nil, fmt.Errorf("exec: join keys must be resolved column references")
 	}
-	// Broadcast mode: a small build side skips the shuffle entirely — the
-	// BroadcastHashJoin shape Spark picks for dimension tables.
-	if ctx.BroadcastThreshold > 0 && len(right) <= ctx.BroadcastThreshold {
-		return j.broadcast(ctx, left, right, lKey, rKey)
-	}
 	// Cost-based build-side selection: inner joins build the hash table on
 	// whichever side turned out smaller (output column order is unchanged
 	// by re-labelling sides). Left-outer must stream the left side.
@@ -348,26 +335,6 @@ func (j *HashJoinExec) joinMaterialized(ctx *Context, left, right []plan.Row, lK
 			// Build on the right so left-outer can track unmatched left
 			// rows while streaming the (usually larger) left side.
 			results[b] = j.probe(buildTable(rb[b], rKey), lb[b], lKey)
-			return nil
-		}})
-	}
-	return runAll(ctx, tasks, results)
-}
-
-// broadcast joins against a globally built hash of the right side, probing
-// left partitions in parallel without any exchange.
-func (j *HashJoinExec) broadcast(ctx *Context, left, right []plan.Row, lKey, rKey []int) ([]plan.Row, error) {
-	build := buildTable(right, rKey)
-	n := ctx.shufflePartitions()
-	chunk := max((len(left)+n-1)/n, 1)
-	results := make([][]plan.Row, 0, n)
-	var tasks []Task
-	for lo := 0; lo < len(left); lo += chunk {
-		idx := len(results)
-		results = append(results, nil)
-		part := left[lo:min(lo+chunk, len(left))]
-		tasks = append(tasks, Task{Run: func(_ context.Context) error {
-			results[idx] = j.probe(build, part, lKey)
 			return nil
 		}})
 	}
@@ -415,7 +382,7 @@ func buildTable(rows []plan.Row, idx []int) *joinTable {
 }
 
 // probe joins each probe row against t, NULL-extending unmatched rows for
-// a left-outer join. It only reads t, so tasks may share one table.
+// a left-outer join.
 func (j *HashJoinExec) probe(t *joinTable, part []plan.Row, lKey []int) []plan.Row {
 	rightWidth := len(j.Right.Schema())
 	var out []plan.Row

@@ -227,7 +227,7 @@ func TestPipelinePeakMemoryBelowMaterialized(t *testing.T) {
 	}
 	oneSlot := func() (*Context, *metrics.Registry) {
 		m := metrics.NewRegistry()
-		return &Context{Scheduler: NewScheduler([]string{"h1"}, 1, m), Meter: m, ShufflePartitions: 4}, m
+		return &Context{Scheduler: NewScheduler([]string{"h1"}, 1, m), Meter: m}, m
 	}
 	sctx, sm := oneSlot()
 	runIn(t, sctx, lp(), CompileConfig{})

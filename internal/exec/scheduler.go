@@ -53,13 +53,13 @@ type Scheduler struct {
 	hostIdx  map[string]int
 	rrCursor int
 	mu       sync.Mutex
-
-	// maxAttempts is the per-task attempt cap (1 = never re-execute);
-	// retryable classifies which errors are worth another attempt. Both are
-	// fixed before the scheduler runs queries (SetTaskRetry).
-	maxAttempts int
-	retryable   func(error) bool
 }
+
+// maxTaskAttempts caps a task's attempts: a task failing with an error
+// RetryableTransport accepts is re-queued on a different host until it has
+// run this many times, the lineage-based recovery contract of Spark-style
+// engines, before its error surfaces.
+const maxTaskAttempts = 3
 
 // NewScheduler creates a scheduler over hosts with slots executors each.
 func NewScheduler(hosts []string, slotsPerHost int, meter *metrics.Registry) *Scheduler {
@@ -70,19 +70,7 @@ func NewScheduler(hosts []string, slotsPerHost int, meter *metrics.Registry) *Sc
 	for i, h := range hosts {
 		idx[h] = i
 	}
-	return &Scheduler{hosts: hosts, slots: slotsPerHost, meter: meter, hostIdx: idx, maxAttempts: 1}
-}
-
-// SetTaskRetry configures task re-execution, the lineage-based recovery
-// contract of Spark-style engines: a task failing with an error recognized
-// by retryable is re-queued on a different host, up to maxAttempts total
-// attempts, before its error surfaces.
-func (s *Scheduler) SetTaskRetry(maxAttempts int, retryable func(error) bool) {
-	if maxAttempts < 1 {
-		maxAttempts = 1
-	}
-	s.maxAttempts = maxAttempts
-	s.retryable = retryable
+	return &Scheduler{hosts: hosts, slots: slotsPerHost, meter: meter, hostIdx: idx}
 }
 
 // Hosts returns the scheduler's host list.
@@ -127,7 +115,7 @@ func (s *Scheduler) Run(tasks []Task) error {
 // RunContext executes all tasks, placing each on its preferred host when
 // that host has executors and falling back to round-robin otherwise. A task
 // failing with a retryable transport error is re-executed on a different
-// host (up to the configured attempt cap).
+// host (up to maxTaskAttempts attempts).
 //
 // The run stops early two ways, both counted in exec.tasks_cancelled for every
 // queued task dropped unstarted. A permanent task failure aborts the run:
@@ -283,10 +271,9 @@ func (r *runState) abortLocked() {
 // aborts the run — queued-but-unstarted tasks are dropped and in-flight
 // ones cancelled, so a failed query stops consuming the cluster.
 func (r *runState) finish(host int, t *runTask, err error, sp *trace.Span) {
-	s := r.s
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if err != nil && !r.aborted && s.retryable != nil && s.retryable(err) && t.attempts < s.maxAttempts {
+	if err != nil && !r.aborted && RetryableTransport(err) && t.attempts < maxTaskAttempts {
 		t.attempts++
 		t.enqueued = time.Now()
 		target := (host + 1) % len(r.queues) // a different host when one exists

@@ -64,7 +64,6 @@ func TestRunStopsDispatchAfterFailure(t *testing.T) {
 func TestRunRetriesTransportFailureOnDifferentHost(t *testing.T) {
 	m := metrics.NewRegistry()
 	s := NewScheduler([]string{"h1", "h2", "h3"}, 2, m)
-	s.SetTaskRetry(3, RetryableTransport)
 	var mu sync.Mutex
 	attempts := make(map[int][]string) // task -> hosts it ran on (via queue identity)
 	// Tasks report the attempt count; the first attempt fails like a dead
@@ -102,7 +101,6 @@ func TestRunRetriesTransportFailureOnDifferentHost(t *testing.T) {
 func TestRunRetryExhaustionSurfacesError(t *testing.T) {
 	m := metrics.NewRegistry()
 	s := NewScheduler([]string{"h1", "h2"}, 1, m)
-	s.SetTaskRetry(3, RetryableTransport)
 	var runs int32
 	err := s.Run([]Task{{Run: func(context.Context) error {
 		atomic.AddInt32(&runs, 1)
@@ -122,7 +120,6 @@ func TestRunRetryExhaustionSurfacesError(t *testing.T) {
 func TestRunDoesNotRetryDeterministicErrors(t *testing.T) {
 	m := metrics.NewRegistry()
 	s := NewScheduler([]string{"h1", "h2"}, 1, m)
-	s.SetTaskRetry(3, RetryableTransport)
 	var runs int32
 	logic := errors.New("decode failed")
 	if err := s.Run([]Task{{Run: func(context.Context) error {
@@ -153,7 +150,6 @@ func TestRetryableTransportClassifier(t *testing.T) {
 func TestRunManyTasksWithRetriesCompletes(t *testing.T) {
 	m := metrics.NewRegistry()
 	s := NewScheduler([]string{"h1", "h2", "h3", "h4"}, 4, m)
-	s.SetTaskRetry(4, RetryableTransport)
 	var failed int32
 	var done int32
 	var tasks []Task

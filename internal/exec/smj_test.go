@@ -83,8 +83,9 @@ func containsStr(s, sub string) bool {
 }
 
 // TestJoinStrategiesAgreeProperty joins randomly generated tables (with
-// duplicate and NULL keys) under hash, sort-merge, and broadcast and
-// demands identical multisets of output rows.
+// duplicate and NULL keys) under hash (four buckets), sort-merge, and hash
+// on a one-slot scheduler (one bucket) and demands identical multisets of
+// output rows.
 func TestJoinStrategiesAgreeProperty(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 40}
 	if err := quick.Check(func(seed int64, outer bool) bool {
@@ -125,25 +126,23 @@ func TestJoinStrategiesAgreeProperty(t *testing.T) {
 		}
 		hash := canonical(runJoin(t, lp, false))
 		smj := canonical(runJoin(t, lp, true))
-		// Broadcast path.
-		ctx, _ := testCtx()
-		ctx.BroadcastThreshold = 1000
+		// One bucket: nothing is split by key.
 		phys, err := CompileWith(plan.Optimize(lp), CompileConfig{})
 		if err != nil {
 			return false
 		}
-		rows, err := phys.Execute(ctx)
+		rows, err := phys.Execute(slotsCtx(1))
 		if err != nil {
 			return false
 		}
-		bcast := canonical(rows)
-		if len(hash) != len(smj) || len(hash) != len(bcast) {
-			t.Logf("seed %d (%s): hash=%d smj=%d bcast=%d", seed, jt, len(hash), len(smj), len(bcast))
+		single := canonical(rows)
+		if len(hash) != len(smj) || len(hash) != len(single) {
+			t.Logf("seed %d (%s): hash=%d smj=%d single=%d", seed, jt, len(hash), len(smj), len(single))
 			return false
 		}
 		for i := range hash {
-			if hash[i] != smj[i] || hash[i] != bcast[i] {
-				t.Logf("seed %d (%s) row %d: %s / %s / %s", seed, jt, i, hash[i], smj[i], bcast[i])
+			if hash[i] != smj[i] || hash[i] != single[i] {
+				t.Logf("seed %d (%s) row %d: %s / %s / %s", seed, jt, i, hash[i], smj[i], single[i])
 				return false
 			}
 		}

@@ -37,8 +37,7 @@ func TestStragglerHedgedSelect(t *testing.T) {
 	}
 
 	rig, err := NewRig(Config{System: SHC, Scale: 1, Servers: 3,
-		HedgeDelay:   2 * time.Millisecond,
-		QueryTimeout: 30 * time.Second,
+		HedgeDelay: 2 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -55,7 +54,9 @@ func TestStragglerHedgedSelect(t *testing.T) {
 		&rpc.FaultRule{Host: straggler, Method: hbase.MethodFused, ExtraLatency: 100 * time.Millisecond, LatencyEvery: 2},
 	))
 
-	got, err := rig.Run(robustnessQuery)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	got, err := rig.RunContext(ctx, robustnessQuery)
 	if err != nil {
 		t.Fatalf("hedged query through straggler: %v", err)
 	}
@@ -183,12 +184,10 @@ func TestCancelMidStreamingSelect(t *testing.T) {
 }
 
 // TestQueryTimeoutBoundsSlowQuery: with every fused page stalled far past
-// the session's QueryTimeout, the query fails with DeadlineExceeded quickly
-// — the injected latency sleeps abort instead of serving out.
+// the caller's context deadline, the query fails with DeadlineExceeded
+// quickly — the injected latency sleeps abort instead of serving out.
 func TestQueryTimeoutBoundsSlowQuery(t *testing.T) {
-	rig, err := NewRig(Config{System: SHC, Scale: 1, Servers: 3,
-		QueryTimeout: 20 * time.Millisecond,
-	})
+	rig, err := NewRig(Config{System: SHC, Scale: 1, Servers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,8 +195,10 @@ func TestQueryTimeoutBoundsSlowQuery(t *testing.T) {
 	rig.Cluster.Net.SetFaultInjector(rpc.NewFaultInjector(chaosSeed(t),
 		&rpc.FaultRule{Method: hbase.MethodFused, ExtraLatency: 2 * time.Second},
 	))
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
 	start := time.Now()
-	_, err = rig.Run(robustnessQuery)
+	_, err = rig.RunContext(ctx, robustnessQuery)
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)

@@ -96,10 +96,7 @@ func WithTokenProvider(tp TokenProvider) ClientOption { return func(c *Client) {
 // WithRetryPolicy overrides the client's retry behaviour (zero fields fall
 // back to defaults).
 func WithRetryPolicy(p RetryPolicy) ClientOption {
-	return func(c *Client) {
-		c.retry = p.withDefaults()
-		c.retryRng = rand.New(rand.NewSource(c.retry.JitterSeed))
-	}
+	return func(c *Client) { c.retry = p.withDefaults() }
 }
 
 // WithBreaker installs a per-host circuit breaker in front of every call.
@@ -126,7 +123,9 @@ func NewClient(clusterName string, net *rpc.Network, zkSrv *zk.Server, opts ...C
 		stale:       make(map[string]*RegionMap),
 		retry:       RetryPolicy{}.withDefaults(),
 	}
-	c.retryRng = rand.New(rand.NewSource(c.retry.JitterSeed))
+	// A fixed jitter seed: the same policy and failure schedule back off
+	// identically across runs.
+	c.retryRng = rand.New(rand.NewSource(1))
 	c.pool = NewDialPool(net)
 	for _, o := range opts {
 		o(c)
@@ -641,7 +640,7 @@ func (c *Client) ScanTable(table string, scan *Scan) ([]Result, error) {
 // are whole same-host runs of regions, so a failure resumes from the exact
 // cursor instead of restarting the scan.
 func (c *Client) ScanTableContext(ctx context.Context, table string, scan *Scan) ([]Result, error) {
-	s, err := c.OpenScannerContext(ctx, table, scan, ScannerConfig{BatchSize: math.MaxInt})
+	s, err := c.OpenScannerContext(ctx, table, scan, math.MaxInt)
 	if err != nil {
 		return nil, err
 	}

@@ -554,6 +554,81 @@ func TestBufferedMutatorExactlyOnceAcrossLostAck(t *testing.T) {
 	}
 }
 
+// TestBufferedMutatorBlocksAtBufferCap: while a flush is in flight, Mutate
+// keeps buffering up to the cap of 4 × FlushBytes, then blocks until the
+// flush lands, and every cell still lands exactly once. The in-flight
+// MultiPut is held by a fault hook and its reply dropped, so the flush
+// retries a batch the server already applied.
+func TestBufferedMutatorBlocksAtBufferCap(t *testing.T) {
+	ctx := context.Background()
+	c, client, _ := twoServerTable(t)
+	counter := newAppliedCounter()
+	for _, rs := range c.Servers {
+		rs.SetBatchAppliedHook(counter.hook())
+	}
+	held, release := make(chan struct{}), make(chan struct{})
+	inj := rpc.NewFaultInjector(1, &rpc.FaultRule{
+		Method: MethodMultiPut, FailNext: 1, DropReply: true, Err: rpc.ErrConnClosed,
+		OnFire: func() {
+			close(held)
+			<-release
+		},
+	})
+	c.Net.SetFaultInjector(inj)
+
+	cells := spreadCells(51)
+	size := cells[0].WireSize()
+	m := client.NewMutator("t", MutatorConfig{WriterID: "w-cap", FlushBytes: 10 * size})
+
+	// The first 10 cells reach FlushBytes: this Mutate flushes inline and
+	// its first MultiPut is held.
+	first := make(chan error, 1)
+	go func() { first <- m.Mutate(ctx, cells[:10]...) }()
+	<-held
+	// 40 more cells fill the buffer to exactly the cap without blocking.
+	if err := m.Mutate(ctx, cells[10:50]...); err != nil {
+		t.Fatal(err)
+	}
+	blocked := make(chan error, 1)
+	go func() { blocked <- m.Mutate(ctx, cells[50]) }()
+	select {
+	case err := <-blocked:
+		t.Fatalf("Mutate at the cap returned (%v) while the flush was held", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	m.mu.Lock()
+	buffered := m.bufBytes
+	m.mu.Unlock()
+	if buffered != 40*size {
+		t.Fatalf("buffered %d bytes while blocked, want the cap %d", buffered, 40*size)
+	}
+
+	close(release)
+	for name, ch := range map[string]chan error{"flushing Mutate": first, "blocked Mutate": blocked} {
+		select {
+		case err := <-ch:
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s did not resume after the flush landed", name)
+		}
+	}
+	if err := m.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if inj.Fired() != 1 {
+		t.Fatalf("faults fired = %d, want 1: the hold was vacuous", inj.Fired())
+	}
+	requireEachRowOnce(t, client, len(cells))
+	if got := counter.maxApplies(); got > 1 {
+		t.Fatalf("a stamped batch applied %d times in one region — exactly-once violated", got)
+	}
+	if got := c.Meter.Get(metrics.BatchesDeduped); got == 0 {
+		t.Error("the retried batch was not deduplicated; the dropped reply was vacuous")
+	}
+}
+
 func TestBufferedMutatorRegroupsAcrossSplit(t *testing.T) {
 	ctx := context.Background()
 	c := bootCluster(t, 2)

@@ -19,13 +19,11 @@ type MutatorConfig struct {
 	// batches deduplicate against each other. Default "mutator".
 	WriterID string
 	// FlushBytes is the buffered-cell threshold that triggers a flush
-	// (default 16 KiB).
+	// (default 16 KiB). Four times it is the buffer's hard cap: Mutate
+	// blocks once the buffer reaches the cap and a flush is already
+	// draining, so a writer outrunning the cluster exerts backpressure on
+	// its caller instead of growing memory without bound.
 	FlushBytes int
-	// MaxBufferBytes is the hard cap on buffered bytes: Mutate blocks once
-	// the buffer reaches it and a flush is already draining, so a writer
-	// outrunning the cluster exerts backpressure on its caller instead of
-	// growing memory without bound. Default 4 × FlushBytes.
-	MaxBufferBytes int
 	// FlushInterval flushes the buffer in the background even when it stays
 	// under FlushBytes, bounding the time a mutation sits unacknowledged.
 	// 0 disables the background flusher (explicit Flush/Close only).
@@ -43,9 +41,6 @@ func (c MutatorConfig) withDefaults(cl *Client) MutatorConfig {
 	}
 	if c.FlushBytes <= 0 {
 		c.FlushBytes = 16 << 10
-	}
-	if c.MaxBufferBytes <= 0 {
-		c.MaxBufferBytes = 4 * c.FlushBytes
 	}
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = cl.retry.MaxAttempts
@@ -71,7 +66,7 @@ type BatchStamp struct {
 // locations re-resolve (a batch whose region split regroups by the fresh
 // boundaries, keeping its original stamp), and ErrServerBusy/ErrMemstoreFull
 // back off without invalidating locations. Mutate blocks — bounded buffer —
-// when the buffer hits MaxBufferBytes while a flush drains.
+// when the buffer hits 4 × FlushBytes while a flush drains.
 type BufferedMutator struct {
 	c     *Client
 	table string
@@ -141,7 +136,7 @@ func (m *BufferedMutator) Mutate(ctx context.Context, cells ...Cell) error {
 	}
 	// Bounded buffer: while another flush drains and the buffer is at its
 	// hard cap, wait rather than queue unboundedly.
-	for m.flushing && m.bufBytes >= m.cfg.MaxBufferBytes {
+	for m.flushing && m.bufBytes >= 4*m.cfg.FlushBytes {
 		m.cond.Wait()
 		if m.closed {
 			m.mu.Unlock()

@@ -226,7 +226,7 @@ func TestTimelineFailoverSurvivesPrimaryCrash(t *testing.T) {
 			return client.ScanTableContext(ctx, "t", &Scan{})
 		}},
 		{"OpenScanner", func(ctx context.Context, client *Client, _ RegionInfo) ([]Result, error) {
-			sc, err := client.OpenScannerContext(ctx, "t", &Scan{}, ScannerConfig{BatchSize: 10})
+			sc, err := client.OpenScannerContext(ctx, "t", &Scan{}, 10)
 			if err != nil {
 				return nil, err
 			}

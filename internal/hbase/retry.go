@@ -27,9 +27,6 @@ type RetryPolicy struct {
 	BaseBackoff time.Duration
 	// MaxBackoff caps the exponential growth (default 50ms).
 	MaxBackoff time.Duration
-	// JitterSeed seeds the deterministic jitter RNG (default 1), so a fixed
-	// policy, seed, and failure schedule back off identically across runs.
-	JitterSeed int64
 	// Sleep performs the backoff; tests inject a recorder. When nil the
 	// policy sleeps with a context-aware timer, so a cancelled caller never
 	// waits out a backoff.
@@ -45,9 +42,6 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	}
 	if p.MaxBackoff <= 0 {
 		p.MaxBackoff = 50 * time.Millisecond
-	}
-	if p.JitterSeed == 0 {
-		p.JitterSeed = 1
 	}
 	return p
 }

@@ -1,51 +1,27 @@
 package hbase
 
-import (
-	"context"
-
-	"github.com/shc-go/shc/internal/metrics"
-)
+import "context"
 
 // Scanner iterates a table scan in pages, the way HBase clients stream
 // large scans with a caching size instead of materializing everything in
 // one response. It is a Pager over one scan op per overlapping region, in
-// key order: each page is one fused RPC to one host, and with Prefetch
-// enabled the next page's RPC is issued while the caller consumes the
-// current one (double buffering).
+// key order: each page is one fused RPC to one host.
 type Scanner struct {
 	next func() (*ScanResponse, error)
-}
-
-// ScannerConfig tunes a paged scan.
-type ScannerConfig struct {
-	// BatchSize bounds the rows per page (default 100).
-	BatchSize int
-	// Prefetch keeps the next page's RPC in flight while the current page
-	// is being consumed.
-	Prefetch bool
-	// Meter receives client-side scanner counters (PagesPrefetched); may be
-	// nil.
-	Meter *metrics.Registry
 }
 
 // OpenScanner starts a paged scan. batchSize bounds the rows per page
 // (default 100). The Scan's Limit, if set, caps the total across pages.
 func (c *Client) OpenScanner(table string, spec *Scan, batchSize int) (*Scanner, error) {
-	return c.OpenScannerWith(table, spec, ScannerConfig{BatchSize: batchSize})
+	return c.OpenScannerContext(context.Background(), table, spec, batchSize)
 }
 
-// OpenScannerWith starts a paged scan with full configuration.
-func (c *Client) OpenScannerWith(table string, spec *Scan, cfg ScannerConfig) (*Scanner, error) {
-	return c.OpenScannerContext(context.Background(), table, spec, cfg)
-}
-
-// OpenScannerContext starts a paged scan whose page fetches — including
-// prefetched ones — are bounded by ctx. Cancelling ctx makes the next (or
-// in-flight) page fail with the context's error instead of finishing the
-// scan.
-func (c *Client) OpenScannerContext(ctx context.Context, table string, spec *Scan, cfg ScannerConfig) (*Scanner, error) {
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 100
+// OpenScannerContext is OpenScanner with page fetches bounded by ctx.
+// Cancelling ctx makes the next page fail with the context's error instead
+// of finishing the scan.
+func (c *Client) OpenScannerContext(ctx context.Context, table string, spec *Scan, batchSize int) (*Scanner, error) {
+	if batchSize <= 0 {
+		batchSize = 100
 	}
 	rm, err := c.RegionMap(ctx, table)
 	if err != nil {
@@ -65,17 +41,13 @@ func (c *Client) OpenScannerContext(ctx context.Context, table string, spec *Sca
 		sc.StartRow, sc.StopRow, sc.Limit = lo, hi, 0
 		ops = append(ops, ScanOp{RegionID: ri.ID, Epoch: ri.Epoch, Scan: &sc})
 	}
-	g := c.NewPager(table, "", FusedRequest{Ops: ops, BatchLimit: cfg.BatchSize}, spec.Limit)
-	if cfg.Prefetch {
-		return &Scanner{next: g.Prefetch(ctx, cfg.Meter)}, nil
-	}
+	g := c.NewPager(table, "", FusedRequest{Ops: ops, BatchLimit: batchSize}, spec.Limit)
 	return &Scanner{next: func() (*ScanResponse, error) { return g.Next(ctx) }}, nil
 }
 
 // Next returns the next page of results, or (nil, nil) when the scan is
 // exhausted. A page that comes back empty (a region with no rows in range)
-// does not end the scan. With Prefetch, the page was usually fetched while
-// the caller processed the previous one.
+// does not end the scan.
 func (s *Scanner) Next() ([]Result, error) {
 	for {
 		resp, err := s.next()

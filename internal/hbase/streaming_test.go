@@ -112,29 +112,38 @@ func TestScannerCursorClipAtRegionEnd(t *testing.T) {
 	}
 }
 
-// TestScannerPrefetchMatchesPlain pins double buffering: the prefetching
-// scanner returns the same rows in the same order, and actually issues
-// pages ahead of consumption.
-func TestScannerPrefetchMatchesPlain(t *testing.T) {
+// TestPagerPrefetchMatchesNext pins double buffering: a prefetching pager
+// returns the same rows in the same order as one paged with Next, and
+// actually issues pages ahead of consumption.
+func TestPagerPrefetchMatchesNext(t *testing.T) {
 	c, client := scannerFixture(t, 90)
-	plain, err := client.OpenScanner("t", &Scan{}, 25)
+	regions, err := client.Regions("t")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := plain.All()
+	var ops []ScanOp
+	for _, ri := range regions {
+		ops = append(ops, ScanOp{RegionID: ri.ID, Epoch: ri.Epoch, Scan: &Scan{}})
+	}
+	req := FusedRequest{Ops: ops, BatchLimit: 25}
+	want, err := client.NewPager("t", "", req, 0).all(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, err := client.OpenScannerWith("t", &Scan{}, ScannerConfig{BatchSize: 25, Prefetch: true, Meter: c.Meter})
-	if err != nil {
-		t.Fatal(err)
+	next := client.NewPager("t", "", req, 0).Prefetch(context.Background(), c.Meter)
+	var got []Result
+	for {
+		resp, err := next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp == nil {
+			break
+		}
+		got = append(got, resp.Results...)
 	}
-	got, err := sc.All()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("rows = %d, want %d", len(got), len(want))
+	if len(got) != len(want) || len(want) != 90 {
+		t.Fatalf("rows = %d, want %d (of 90)", len(got), len(want))
 	}
 	for i := range got {
 		if !bytes.Equal(got[i].Row, want[i].Row) {
@@ -142,7 +151,7 @@ func TestScannerPrefetchMatchesPlain(t *testing.T) {
 		}
 	}
 	if c.Meter.Get(metrics.PagesPrefetched) == 0 {
-		t.Error("prefetching scanner must launch pages ahead of consumption")
+		t.Error("prefetching pager must launch pages ahead of consumption")
 	}
 }
 

@@ -49,8 +49,6 @@ const (
 	// EventMemstoreBackpressure: a server rejected a write above its
 	// memstore high watermark.
 	EventMemstoreBackpressure EventType = "MemstoreBackpressure"
-	// EventCircuitOpen: a client circuit breaker opened against a host.
-	EventCircuitOpen EventType = "CircuitOpen"
 	// EventMasterElected: a master won the leader election (Epoch is its
 	// master fencing epoch). Recovery actions a takeover performs — split
 	// journals settled, servers re-declared dead — carry this event's seq

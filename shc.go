@@ -78,7 +78,11 @@ type (
 type (
 	// Session is the query-engine entry point.
 	Session = engine.Session
-	// SessionConfig sizes a session's executors.
+	// SessionConfig sizes a session's executors (hosts × executors per host,
+	// which is also the number of shuffle buckets a join or aggregate
+	// splits into) and picks the join strategy, the ablation switches and
+	// the slow-query log. A query's deadline is not a session setting: pass
+	// a context with one to CollectContext or CountContext.
 	SessionConfig = engine.Config
 	// DataFrame is a lazy relational computation.
 	DataFrame = engine.DataFrame
@@ -128,8 +132,7 @@ type (
 func NewCluster(cfg ClusterConfig) (*Cluster, error) { return hbase.NewCluster(cfg) }
 
 // NewSession builds a query-engine session, rejecting out-of-range
-// configuration (negative executor counts, partitions, thresholds, or
-// timeouts).
+// configuration (a negative executor count or slow-query threshold).
 func NewSession(cfg SessionConfig) (*Session, error) { return engine.NewSession(cfg) }
 
 // ParseCatalog parses the JSON table catalog of the paper's Code 1.
