@@ -100,7 +100,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	parts, err := rel.BuildScan([]string{"id", "temp"}, nil)
+	parts, _, err := rel.BuildScan([]string{"id", "temp"}, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -274,25 +274,26 @@ func (r *colRelation) Name() string { return "vbench" }
 // Schema implements datasource.Relation.
 func (r *colRelation) Schema() plan.Schema { return r.schema }
 
-// BuildScan implements datasource.PrunedFilteredScan (filters are left to
-// the engine, keeping a residual predicate in the pipeline).
-func (r *colRelation) BuildScan(required []string, _ []datasource.Filter) ([]datasource.Partition, error) {
+// BuildScan implements datasource.PrunedFilteredScan (every filter is left
+// to the engine, keeping a residual predicate in the pipeline).
+func (r *colRelation) BuildScan(required []string, filters []datasource.Filter) ([]datasource.Partition, []int, error) {
 	cols := make([]int, len(required))
 	for i, name := range required {
 		cols[i] = r.schema.IndexOf(name)
 		if cols[i] < 0 {
-			return nil, fmt.Errorf("bench: no column %q", name)
+			return nil, nil, fmt.Errorf("bench: no column %q", name)
 		}
 	}
 	out := make([]datasource.Partition, len(r.parts))
 	for i, p := range r.parts {
 		out[i] = &colScan{rel: r, part: p, cols: cols}
 	}
-	return out, nil
+	unhandled := make([]int, len(filters))
+	for i := range unhandled {
+		unhandled[i] = i
+	}
+	return out, unhandled, nil
 }
-
-// UnhandledFilters implements datasource.PrunedFilteredScan.
-func (r *colRelation) UnhandledFilters(fs []datasource.Filter) []datasource.Filter { return fs }
 
 type colScan struct {
 	rel  *colRelation

@@ -33,12 +33,12 @@ const typedCatalog = `{
 // reference the pushed answers must equal.
 type rowsOnly struct{ *HBaseRelation }
 
-func (r rowsOnly) BuildScan(cols []string, filters []datasource.Filter) ([]datasource.Partition, error) {
-	parts, err := r.HBaseRelation.BuildScan(cols, filters)
+func (r rowsOnly) BuildScan(cols []string, filters []datasource.Filter) ([]datasource.Partition, []int, error) {
+	parts, unhandled, err := r.HBaseRelation.BuildScan(cols, filters)
 	for i, p := range parts {
 		parts[i] = rowsPartition{Partition: p, BatchScan: p.(datasource.BatchScan), VectorScan: p.(datasource.VectorScan)}
 	}
-	return parts, err
+	return parts, unhandled, err
 }
 
 type rowsPartition struct {
@@ -114,7 +114,7 @@ func collectSQL(t *testing.T, sess *engine.Session, q string) ([]plan.Row, error
 // returns, and the pushed run moves no row pages.
 func TestPushedAggregatesMatchVectorPath(t *testing.T) {
 	rig, sess := typedRig(t, 400)
-	parts, err := rig.rel.BuildScan([]string{"i32"}, nil)
+	parts, _, err := rig.rel.BuildScan([]string{"i32"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -102,32 +102,31 @@ func (b *BaselineRelation) Name() string { return b.cat.Table.Name }
 // Schema implements datasource.Relation.
 func (b *BaselineRelation) Schema() plan.Schema { return b.cat.Schema() }
 
-// UnhandledFilters implements datasource.PrunedFilteredScan: the baseline
-// handles nothing, so the engine re-applies every filter.
-func (b *BaselineRelation) UnhandledFilters(filters []datasource.Filter) []datasource.Filter {
-	return filters
-}
-
 // BuildScan implements datasource.PrunedFilteredScan. Filters are ignored
-// (the generic source cannot push them) and every column of every region is
+// (the generic source cannot push them), so every one is left unhandled
+// and the engine re-applies it, and every column of every region is
 // fetched; the projection is applied only after decoding, which is exactly
 // the redundant processing the paper attributes to the HadoopRDD path.
-func (b *BaselineRelation) BuildScan(requiredColumns []string, filters []datasource.Filter) ([]datasource.Partition, error) {
+func (b *BaselineRelation) BuildScan(requiredColumns []string, filters []datasource.Filter) ([]datasource.Partition, []int, error) {
 	for _, col := range requiredColumns {
 		if _, err := b.cat.Column(col); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	b.meter.Add(metrics.FiltersUnhandled, int64(len(filters)))
+	unhandled := make([]int, len(filters))
+	for i := range unhandled {
+		unhandled[i] = i
+	}
 	regions, err := b.client.Regions(b.cat.Table.Name)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	parts := make([]datasource.Partition, len(regions))
 	for i, ri := range regions {
 		parts[i] = &baselinePartition{rel: b, index: i, region: ri, required: requiredColumns}
 	}
-	return parts, nil
+	return parts, unhandled, nil
 }
 
 type baselinePartition struct {

@@ -40,7 +40,7 @@ func newBaselineRig(t *testing.T, n int) (*BaselineRelation, *metrics.Registry) 
 
 func TestBaselineRoundTrip(t *testing.T) {
 	rel, _ := newBaselineRig(t, 40)
-	parts, err := rel.BuildScan([]string{"id", "age", "city", "score"}, nil)
+	parts, _, err := rel.BuildScan([]string{"id", "age", "city", "score"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,11 +57,11 @@ func TestBaselineRoundTrip(t *testing.T) {
 func TestBaselineIgnoresFiltersAndLocality(t *testing.T) {
 	rel, meter := newBaselineRig(t, 60)
 	filters := []datasource.Filter{datasource.EqualTo{Column: "id", Value: "user-0001"}}
-	if un := rel.UnhandledFilters(filters); len(un) != 1 {
+	if un := unhandledOf(t, rel, filters); len(un) != 1 {
 		t.Error("baseline must hand every filter back")
 	}
 	before := meter.Get(metrics.RowsReturned)
-	parts, err := rel.BuildScan([]string{"id"}, filters)
+	parts, _, err := rel.BuildScan([]string{"id"}, filters)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestBaselineIgnoresFiltersAndLocality(t *testing.T) {
 
 func TestBaselineUnknownColumn(t *testing.T) {
 	rel, _ := newBaselineRig(t, 5)
-	if _, err := rel.BuildScan([]string{"ghost"}, nil); err == nil {
+	if _, _, err := rel.BuildScan([]string{"ghost"}, nil); err == nil {
 		t.Error("unknown column must fail")
 	}
 }
@@ -104,7 +104,7 @@ func TestBaselineCompositeRowkey(t *testing.T) {
 	if err := rel.Insert(rows); err != nil {
 		t.Fatal(err)
 	}
-	parts, err := rel.BuildScan([]string{"region", "host", "ts", "msg"}, nil)
+	parts, _, err := rel.BuildScan([]string{"region", "host", "ts", "msg"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

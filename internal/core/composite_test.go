@@ -78,7 +78,7 @@ func keep(t *testing.T, schema plan.Schema, row plan.Row, filters []datasource.F
 }
 
 // engineScan runs filters the way the engine does: BuildScan of every
-// column, then only the filters the relation declares unhandled are
+// column, then only the filters BuildScan reports unhandled are
 // re-applied. Rows come back in scan order.
 func engineScan(t *testing.T, rel *HBaseRelation, filters []datasource.Filter) []plan.Row {
 	t.Helper()
@@ -86,11 +86,14 @@ func engineScan(t *testing.T, rel *HBaseRelation, filters []datasource.Filter) [
 	for _, f := range rel.Schema() {
 		cols = append(cols, f.Name)
 	}
-	parts, err := rel.BuildScan(cols, filters)
+	parts, idx, err := rel.BuildScan(cols, filters)
 	if err != nil {
 		t.Fatal(err)
 	}
-	unhandled := rel.UnhandledFilters(filters)
+	var unhandled []datasource.Filter
+	for _, i := range idx {
+		unhandled = append(unhandled, filters[i])
+	}
 	var out []plan.Row
 	for _, r := range scanAll(t, parts) {
 		if keep(t, rel.Schema(), r, unhandled) {
@@ -147,9 +150,24 @@ func TestFullKeyPruningNarrowsScans(t *testing.T) {
 	if scanned := on.meter.Get(metrics.RowsScanned); scanned != 10 {
 		t.Errorf("all-dimension pruning should scan exactly the 10 matching rows, got %d", scanned)
 	}
-	if un := on.rel.UnhandledFilters(compositeFilters()); len(un) != 0 {
+	if un := unhandledOf(t, on.rel, compositeFilters()); len(un) != 0 {
 		t.Errorf("every predicate is encoded in the range, unhandled = %v", un)
 	}
+}
+
+// unhandledOf plans a scan under filters and returns the filters
+// BuildScan reports unhandled.
+func unhandledOf(t *testing.T, rel datasource.PrunedFilteredScan, filters []datasource.Filter) []datasource.Filter {
+	t.Helper()
+	_, idx, err := rel.BuildScan(nil, filters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []datasource.Filter
+	for _, i := range idx {
+		out = append(out, filters[i])
+	}
+	return out
 }
 
 func TestFullKeyPruningFallsBackWithoutLeadingEquality(t *testing.T) {
@@ -163,14 +181,14 @@ func TestFullKeyPruningFallsBackWithoutLeadingEquality(t *testing.T) {
 	}
 	// A key dimension is not a cell, so no server-side filter exists for
 	// it: the scan stays full and the engine re-applies the predicate.
-	parts, err := rig.rel.BuildScan([]string{"region", "host"}, filters)
+	parts, _, err := rig.rel.BuildScan([]string{"region", "host"}, filters)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := len(scanAll(t, parts)); got != 300 {
 		t.Errorf("rows = %d, want 300 (unnarrowed)", got)
 	}
-	if un := rig.rel.UnhandledFilters(filters); len(un) != 1 {
+	if un := unhandledOf(t, rig.rel, filters); len(un) != 1 {
 		t.Errorf("host equality must be unhandled, got %v", un)
 	}
 }
@@ -183,7 +201,7 @@ func TestFullKeyPruningEqualityOnAllDims(t *testing.T) {
 		datasource.EqualTo{Column: "ts", Value: int64(7)},
 	}
 	before := rig.meter.Get(metrics.RowsScanned)
-	parts, err := rig.rel.BuildScan([]string{"msg"}, filters)
+	parts, _, err := rig.rel.BuildScan([]string{"msg"}, filters)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +219,7 @@ func TestFullKeyPruningEqualityOnAllDims(t *testing.T) {
 	if scanned := rig.meter.Get(metrics.RowsScanned) - before; scanned != 1 {
 		t.Errorf("scanned %d rows, want exactly 1", scanned)
 	}
-	if un := rig.rel.UnhandledFilters(filters); len(un) != 0 {
+	if un := unhandledOf(t, rig.rel, filters); len(un) != 0 {
 		t.Errorf("every key predicate is encoded in the get, unhandled = %v", un)
 	}
 }
@@ -210,7 +228,7 @@ func TestCompositeFirstDimensionPruningOption(t *testing.T) {
 	// The paper's stated behaviour: pruning on the first dimension only.
 	rig := compositeRig(t, Options{FirstDimensionPruning: true})
 	before := rig.meter.Get(metrics.RowsScanned)
-	parts, err := rig.rel.BuildScan([]string{"msg"}, compositeFilters())
+	parts, _, err := rig.rel.BuildScan([]string{"msg"}, compositeFilters())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +271,7 @@ func TestCompositeVariableWidthFirstDimension(t *testing.T) {
 			filters := []datasource.Filter{tc.filter}
 			name := fmt.Sprintf("%s (first dimension only %v)", tc.name, opts.FirstDimensionPruning)
 			sameRowSet(t, name, engineScan(t, rig.rel, filters), wantRows(t, rig, filters))
-			if un := rig.rel.UnhandledFilters(filters); (len(un) == 0) != tc.handled {
+			if un := unhandledOf(t, rig.rel, filters); (len(un) == 0) != tc.handled {
 				t.Errorf("%s: unhandled = %v, want handled %v", name, un, tc.handled)
 			}
 		}
@@ -277,10 +295,10 @@ func TestCompositeInBecomesGets(t *testing.T) {
 		t.Errorf("rows = %d, want 4", len(got))
 	}
 	sameRowSet(t, "composite IN", got, wantRows(t, rig, filters))
-	if un := rig.rel.UnhandledFilters(filters); len(un) != 0 {
+	if un := unhandledOf(t, rig.rel, filters); len(un) != 0 {
 		t.Errorf("every key predicate is encoded in the gets, unhandled = %v", un)
 	}
-	parts, err := rig.rel.BuildScan([]string{"msg"}, filters)
+	parts, _, err := rig.rel.BuildScan([]string{"msg"}, filters)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +331,7 @@ func TestCompositeInBecomesGets(t *testing.T) {
 	if scanned := rig.meter.Get(metrics.RowsScanned) - before; scanned != 100 {
 		t.Errorf("scanned %d rows, want the 100 under the (eu, host) prefixes", scanned)
 	}
-	if un := rig.rel.UnhandledFilters(wide); !reflect.DeepEqual(un, wide[2:]) {
+	if un := unhandledOf(t, rig.rel, wide); !reflect.DeepEqual(un, wide[2:]) {
 		t.Errorf("only the ts IN past the cap is unhandled, got %v", un)
 	}
 }
@@ -372,7 +390,7 @@ func TestSingleKeyPredicatesAreExact(t *testing.T) {
 		filters := []datasource.Filter{tc.filter}
 		name := fmt.Sprintf("%s %s", tc.coder, tc.filter)
 		sameRowSet(t, name, engineScan(t, rel, filters), wantRows(t, rig, filters))
-		if un := rel.UnhandledFilters(filters); len(un) != 0 {
+		if un := unhandledOf(t, rel, filters); len(un) != 0 {
 			t.Errorf("%s: unhandled = %v, want handled", name, un)
 		}
 	}

@@ -129,8 +129,9 @@ func (r *HBaseRelation) translate(f datasource.Filter) translation {
 
 // pushdown maps a conjunct list onto HBase: the intersected rowkey ranges,
 // the ANDed server filters, and per conjunct whether HBase evaluates it
-// exactly (the engine re-applies the rest). BuildScan and UnhandledFilters
-// both call it, so the scan and the engine agree on what was applied.
+// exactly (the engine re-applies the rest). BuildScan calls it once and
+// reports the unhandled conjuncts from the same pass, so the scan and the
+// engine agree on what was applied.
 func (r *HBaseRelation) pushdown(filters []datasource.Filter) (translation, []bool) {
 	handled := make([]bool, len(filters))
 	out := translation{ranges: fullSet()}
@@ -466,28 +467,17 @@ func (r *HBaseRelation) EstimatedRowCount() (int64, bool) {
 	return stats.Cells / cols, true
 }
 
-// UnhandledFilters implements datasource.PrunedFilteredScan.
-func (r *HBaseRelation) UnhandledFilters(filters []datasource.Filter) []datasource.Filter {
-	var out []datasource.Filter
-	_, handled := r.pushdown(filters)
-	for i, f := range filters {
-		if !handled[i] {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
 // BuildScan implements datasource.PrunedFilteredScan: it derives rowkey
 // ranges and server filters from the pushed predicates, prunes regions,
-// fuses per-server work, and returns locality-tagged partitions.
-func (r *HBaseRelation) BuildScan(requiredColumns []string, filters []datasource.Filter) ([]datasource.Partition, error) {
+// fuses per-server work, and returns locality-tagged partitions with the
+// positions of the filters HBase does not evaluate exactly.
+func (r *HBaseRelation) BuildScan(requiredColumns []string, filters []datasource.Filter) ([]datasource.Partition, []int, error) {
 	// Validate the projection and split it into key dims vs cells.
 	var scanCols []hbase.Column
 	for _, col := range requiredColumns {
 		spec, err := r.cat.Column(col)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if spec.CF != RowkeyCF {
 			scanCols = append(scanCols, hbase.Column{Family: spec.CF, Qualifier: spec.Col})
@@ -496,17 +486,19 @@ func (r *HBaseRelation) BuildScan(requiredColumns []string, filters []datasource
 
 	tr, handled := r.pushdown(filters)
 	ranges, filter := tr.ranges, tr.hfilter
-	for _, h := range handled {
+	var unhandled []int
+	for i, h := range handled {
 		if h {
 			r.meter.Inc(metrics.FiltersPushed)
 		} else {
 			r.meter.Inc(metrics.FiltersUnhandled)
+			unhandled = append(unhandled, i)
 		}
 	}
 
 	regions, err := r.client.Regions(r.cat.Table.Name)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	scanTemplate := func(lo, hi []byte) *hbase.Scan {
 		return &hbase.Scan{
@@ -569,7 +561,7 @@ func (r *HBaseRelation) BuildScan(requiredColumns []string, filters []datasource
 				rel: r, index: i, host: w.info.Host, ops: w.ops, required: requiredColumns,
 			})
 		}
-		return parts, nil
+		return parts, unhandled, nil
 	}
 	byHost := make(map[string][]hbase.ScanOp)
 	for _, w := range work {
@@ -585,7 +577,7 @@ func (r *HBaseRelation) BuildScan(requiredColumns []string, filters []datasource
 			rel: r, index: i, host: h, ops: byHost[h], required: requiredColumns,
 		})
 	}
-	return parts, nil
+	return parts, unhandled, nil
 }
 
 func isPoint(r RowRange) bool {

@@ -91,7 +91,7 @@ func sortRows(rows []plan.Row) {
 
 func TestInsertAndFullScan(t *testing.T) {
 	rig := newRig(t, Options{}, 50)
-	parts, err := rig.rel.BuildScan([]string{"id", "age", "city", "score"}, nil)
+	parts, _, err := rig.rel.BuildScan([]string{"id", "age", "city", "score"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestPartitionPruningOnRowkeyRange(t *testing.T) {
 	filters := []datasource.Filter{
 		datasource.GreaterThanOrEqual{Column: "id", Value: "user-0090"},
 	}
-	parts, err := rig.rel.BuildScan([]string{"id"}, filters)
+	parts, _, err := rig.rel.BuildScan([]string{"id"}, filters)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestPartitionPruningOnRowkeyRange(t *testing.T) {
 		t.Errorf("filters pushed = %d", rig.meter.Get(metrics.FiltersPushed))
 	}
 	// The source fully handles a rowkey range.
-	if un := rig.rel.UnhandledFilters(filters); len(un) != 0 {
+	if un := unhandledOf(t, rig.rel, filters); len(un) != 0 {
 		t.Errorf("unhandled = %v", un)
 	}
 }
@@ -149,7 +149,7 @@ func TestPartitionPruningOnRowkeyRange(t *testing.T) {
 func TestEqualToBecomesPointGet(t *testing.T) {
 	rig := newRig(t, Options{}, 60)
 	before := rig.meter.Get(metrics.RowsScanned)
-	parts, err := rig.rel.BuildScan([]string{"id", "age"},
+	parts, _, err := rig.rel.BuildScan([]string{"id", "age"},
 		[]datasource.Filter{datasource.EqualTo{Column: "id", Value: "user-0033"}})
 	if err != nil {
 		t.Fatal(err)
@@ -170,7 +170,7 @@ func TestColumnPruningLimitsWireBytes(t *testing.T) {
 	rig := newRig(t, Options{}, 80)
 	run := func(cols []string) int64 {
 		before := rig.meter.Get(metrics.CellsReturned)
-		parts, err := rig.rel.BuildScan(cols, nil)
+		parts, _, err := rig.rel.BuildScan(cols, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,7 +187,7 @@ func TestColumnPruningLimitsWireBytes(t *testing.T) {
 func TestNonKeyFilterPushedServerSide(t *testing.T) {
 	rig := newRig(t, Options{}, 90)
 	filters := []datasource.Filter{datasource.EqualTo{Column: "city", Value: "sf"}}
-	parts, err := rig.rel.BuildScan([]string{"id", "city"}, filters)
+	parts, _, err := rig.rel.BuildScan([]string{"id", "city"}, filters)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestNonKeyFilterPushedServerSide(t *testing.T) {
 			t.Fatalf("server-side filter leaked row %v", r)
 		}
 	}
-	if un := rig.rel.UnhandledFilters(filters); len(un) != 0 {
+	if un := unhandledOf(t, rig.rel, filters); len(un) != 0 {
 		t.Errorf("city filter should be handled, unhandled = %v", un)
 	}
 	// Server returned exactly the matching rows: pushdown, not post-filter.
@@ -212,12 +212,12 @@ func TestNonKeyFilterPushedServerSide(t *testing.T) {
 func TestNotInStaysUnhandled(t *testing.T) {
 	rig := newRig(t, Options{}, 30)
 	filters := []datasource.Filter{datasource.NotIn{Column: "city", Values: []any{"sf", "la"}}}
-	un := rig.rel.UnhandledFilters(filters)
+	un := unhandledOf(t, rig.rel, filters)
 	if len(un) != 1 {
 		t.Fatalf("NOT IN must be unhandled (paper §VI-A.3), got %v", un)
 	}
 	// The scan still returns everything; the engine would re-filter.
-	parts, err := rig.rel.BuildScan([]string{"id", "city"}, filters)
+	parts, _, err := rig.rel.BuildScan([]string{"id", "city"}, filters)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestRowkeyOrLeadsToFullScanButInPrunes(t *testing.T) {
 	}
 	// IN on the rowkey prunes to points.
 	in := datasource.In{Column: "id", Values: []any{"user-0001", "user-0002"}}
-	parts, err := rig.rel.BuildScan([]string{"id"}, []datasource.Filter{in})
+	parts, _, err := rig.rel.BuildScan([]string{"id"}, []datasource.Filter{in})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestRangeAndFilterCombination(t *testing.T) {
 		datasource.LessThan{Column: "id", Value: "user-0040"},
 		datasource.EqualTo{Column: "city", Value: "nyc"},
 	}
-	parts, err := rig.rel.BuildScan([]string{"id", "city", "age"}, filters)
+	parts, _, err := rig.rel.BuildScan([]string{"id", "city", "age"}, filters)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestRangeAndFilterCombination(t *testing.T) {
 
 func TestPreferredHostsMatchRegions(t *testing.T) {
 	rig := newRig(t, Options{}, 100)
-	parts, err := rig.rel.BuildScan([]string{"id"}, nil)
+	parts, _, err := rig.rel.BuildScan([]string{"id"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +308,7 @@ func TestPreferredHostsMatchRegions(t *testing.T) {
 
 func TestDisableOperatorFusion(t *testing.T) {
 	rig := newRig(t, Options{DisableOperatorFusion: true}, 100)
-	parts, err := rig.rel.BuildScan([]string{"id"}, nil)
+	parts, _, err := rig.rel.BuildScan([]string{"id"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +323,7 @@ func TestDisableOperatorFusion(t *testing.T) {
 func TestDisablePartitionPruning(t *testing.T) {
 	rig := newRig(t, Options{DisablePartitionPruning: true}, 100)
 	before := rig.meter.Get(metrics.RegionsScanned)
-	parts, err := rig.rel.BuildScan([]string{"id"},
+	parts, _, err := rig.rel.BuildScan([]string{"id"},
 		[]datasource.Filter{datasource.EqualTo{Column: "id", Value: "user-0001"}})
 	if err != nil {
 		t.Fatal(err)
@@ -340,10 +340,10 @@ func TestDisablePartitionPruning(t *testing.T) {
 func TestDisableFilterPushdown(t *testing.T) {
 	rig := newRig(t, Options{DisableFilterPushdown: true}, 40)
 	filters := []datasource.Filter{datasource.EqualTo{Column: "city", Value: "sf"}}
-	if un := rig.rel.UnhandledFilters(filters); len(un) != 1 {
+	if un := unhandledOf(t, rig.rel, filters); len(un) != 1 {
 		t.Errorf("all filters must be unhandled, got %v", un)
 	}
-	parts, err := rig.rel.BuildScan([]string{"id", "city"}, filters)
+	parts, _, err := rig.rel.BuildScan([]string{"id", "city"}, filters)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +361,7 @@ func TestNullColumnsRoundTrip(t *testing.T) {
 	if err := rig.rel.Insert(rows); err != nil {
 		t.Fatal(err)
 	}
-	parts, err := rig.rel.BuildScan([]string{"id", "age", "city", "score"}, nil)
+	parts, _, err := rig.rel.BuildScan([]string{"id", "age", "city", "score"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +397,7 @@ func TestTimestampAndVersionQueries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		parts, err := rel.BuildScan([]string{"id", "age"}, nil)
+		parts, _, err := rel.BuildScan([]string{"id", "age"}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -437,7 +437,7 @@ func TestDeleteWritesTombstones(t *testing.T) {
 	if err := rig.rel.Delete([][]any{{"user-0003"}}, 2); err != nil {
 		t.Fatal(err)
 	}
-	parts, err := rig.rel.BuildScan([]string{"id"}, nil)
+	parts, _, err := rig.rel.BuildScan([]string{"id"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,7 +454,7 @@ func TestDeleteWritesTombstones(t *testing.T) {
 
 func TestBuildScanUnknownColumn(t *testing.T) {
 	rig := newRig(t, Options{}, 5)
-	if _, err := rig.rel.BuildScan([]string{"ghost"}, nil); err == nil {
+	if _, _, err := rig.rel.BuildScan([]string{"ghost"}, nil); err == nil {
 		t.Error("unknown column must fail")
 	}
 }

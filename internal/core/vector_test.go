@@ -57,7 +57,7 @@ func collectVectorPath(t *testing.T, p datasource.Partition, opts datasource.Bat
 // path, rowkey-backed columns included.
 func TestComputeVectorsMatchesRowPath(t *testing.T) {
 	rig := newRig(t, Options{}, 700)
-	parts, err := rig.rel.BuildScan([]string{"id", "age", "city", "score"}, nil)
+	parts, _, err := rig.rel.BuildScan([]string{"id", "age", "city", "score"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestVectorScanFollowsRegionMove(t *testing.T) {
 	// Enough rows that every partition spans several pages, so the drain
 	// lands between pages of an in-flight scan.
 	rig := newRig(t, Options{}, 12*fusedBatchRows)
-	parts, err := rig.rel.BuildScan([]string{"id", "age"}, nil)
+	parts, _, err := rig.rel.BuildScan([]string{"id", "age"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

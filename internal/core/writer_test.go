@@ -51,7 +51,7 @@ func TestInsertRecreatesTableDroppedByAnotherClient(t *testing.T) {
 	if err := rig.rel.Insert(rows); err != nil {
 		t.Fatalf("insert after another client dropped the table: %v", err)
 	}
-	parts, err := rig.rel.BuildScan([]string{"id", "age"}, nil)
+	parts, _, err := rig.rel.BuildScan([]string{"id", "age"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestBulkLoadCreatesMissingTable(t *testing.T) {
 	if err := rig.rel.BulkLoad(rows); err != nil {
 		t.Fatal(err)
 	}
-	parts, err := rig.rel.BuildScan([]string{"id"}, nil)
+	parts, _, err := rig.rel.BuildScan([]string{"id"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

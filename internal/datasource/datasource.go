@@ -2,8 +2,8 @@
 // external storage — the analogue of Spark's Data Sources API (SPARK-3247,
 // paper §III-C). The engine hands a relation the columns it needs and the
 // source-level filters it derived; the relation answers with partitions
-// carrying preferred hosts for locality scheduling and declares, through
-// UnhandledFilters, which predicates the engine must still re-apply. SHC's
+// carrying preferred hosts for locality scheduling, and reports which
+// predicates it left for the engine to re-apply. SHC's
 // HBase relation and the generic baseline both implement exactly these
 // interfaces — the engine contains no HBase-specific code, mirroring the
 // paper's "least modification in Spark SQL itself".
@@ -304,13 +304,12 @@ type PrunedFilteredScan interface {
 	Relation
 	// BuildScan returns the partitions of a scan restricted to the
 	// required columns, with the given filters pushed as far into the
-	// source as the relation can manage.
-	BuildScan(requiredColumns []string, filters []Filter) ([]Partition, error)
-	// UnhandledFilters reports the subset of filters the relation does NOT
-	// fully evaluate; the engine re-applies exactly those (and skips
-	// re-filtering for the rest) — Spark's unhandledFilters API, which the
-	// paper calls out as an effective optimization (§VI-A.3).
-	UnhandledFilters(filters []Filter) []Filter
+	// source as the relation can manage, and the positions in filters,
+	// ascending, of those the relation does NOT fully evaluate. The engine
+	// re-applies exactly those and skips re-filtering the rest — Spark's
+	// unhandledFilters contract, which the paper calls out as an effective
+	// optimization (§VI-A.3), answered by the pass that planned the scan.
+	BuildScan(requiredColumns []string, filters []Filter) (parts []Partition, unhandled []int, err error)
 }
 
 // Statistics is an optional relation capability: sources that can estimate

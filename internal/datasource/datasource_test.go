@@ -112,9 +112,12 @@ func TestMemRelationScanProjectionAndFilter(t *testing.T) {
 	if m.Count() != 4 {
 		t.Fatalf("Count = %d", m.Count())
 	}
-	parts, err := m.BuildScan([]string{"name"}, []Filter{GreaterThan{Column: "age", Value: int32(15)}})
+	parts, unhandled, err := m.BuildScan([]string{"name"}, []Filter{GreaterThan{Column: "age", Value: int32(15)}})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if unhandled != nil {
+		t.Errorf("mem relation handles all filters, unhandled = %v", unhandled)
 	}
 	var got []string
 	for _, p := range parts {
@@ -132,9 +135,6 @@ func TestMemRelationScanProjectionAndFilter(t *testing.T) {
 	if len(got) != 3 {
 		t.Errorf("filtered rows = %v", got)
 	}
-	if fs := m.UnhandledFilters([]Filter{EqualTo{Column: "age", Value: 1}}); fs != nil {
-		t.Error("mem relation handles all filters")
-	}
 }
 
 func TestMemRelationInsertWidthCheck(t *testing.T) {
@@ -146,14 +146,14 @@ func TestMemRelationInsertWidthCheck(t *testing.T) {
 
 func TestMemRelationScanUnknownColumn(t *testing.T) {
 	m := NewMemRelation("t", dsSchema(), 1)
-	if _, err := m.BuildScan([]string{"ghost"}, nil); err == nil {
+	if _, _, err := m.BuildScan([]string{"ghost"}, nil); err == nil {
 		t.Error("unknown column must fail")
 	}
 }
 
 func TestMemRelationEmptyScan(t *testing.T) {
 	m := NewMemRelation("t", dsSchema(), 4)
-	parts, err := m.BuildScan([]string{"name"}, nil)
+	parts, _, err := m.BuildScan([]string{"name"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,13 +61,13 @@ func (m *MemRelation) Count() int {
 func (m *MemRelation) EstimatedRowCount() (int64, bool) { return int64(m.Count()), true }
 
 // BuildScan implements PrunedFilteredScan; the in-memory source evaluates
-// every filter itself.
-func (m *MemRelation) BuildScan(requiredColumns []string, filters []Filter) ([]Partition, error) {
+// every filter itself, so none is left unhandled.
+func (m *MemRelation) BuildScan(requiredColumns []string, filters []Filter) ([]Partition, []int, error) {
 	idx := make([]int, len(requiredColumns))
 	for i, c := range requiredColumns {
 		j := m.schema.IndexOf(c)
 		if j < 0 {
-			return nil, fmt.Errorf("datasource: %s has no column %q", m.name, c)
+			return nil, nil, fmt.Errorf("datasource: %s has no column %q", m.name, c)
 		}
 		idx[i] = j
 	}
@@ -97,12 +97,8 @@ func (m *MemRelation) BuildScan(requiredColumns []string, filters []Filter) ([]P
 			rel: m, index: p, rows: rows[lo:hi], colIdx: idx, filters: filters,
 		}
 	}
-	return parts, nil
+	return parts, nil, nil
 }
-
-// UnhandledFilters implements PrunedFilteredScan: none, the source handles
-// everything it is given.
-func (m *MemRelation) UnhandledFilters([]Filter) []Filter { return nil }
 
 type memPartition struct {
 	rel     *MemRelation

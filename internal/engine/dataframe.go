@@ -231,14 +231,16 @@ func (df *DataFrame) WriteBulk(target datasource.BulkLoadableRelation) error {
 }
 
 // Show renders up to n rows as an aligned text table (n <= 0 means all),
-// like Spark's df.show().
+// like Spark's df.show(). The rows are the frame's first n, read through
+// Limit(n), so only they are fetched.
 func (df *DataFrame) Show(n int) (string, error) {
-	rows, err := df.Collect()
+	shown := df
+	if n > 0 {
+		shown = df.Limit(n)
+	}
+	rows, err := shown.Collect()
 	if err != nil {
 		return "", err
-	}
-	if n > 0 && len(rows) > n {
-		rows = rows[:n]
 	}
 	schema := df.Schema()
 	widths := make([]int, len(schema))
@@ -294,8 +296,4 @@ func (df *DataFrame) Explain() (string, error) {
 	}
 	return "== Optimized Logical Plan ==\n" + plan.Format(opt) +
 		"== Physical Plan ==\n" + exec.Explain(phys), nil
-}
-
-func (df *DataFrame) compile() (exec.PhysicalPlan, error) {
-	return exec.CompileWith(plan.Optimize(df.LogicalPlan()), df.sess.compileConfig())
 }

@@ -69,20 +69,30 @@ func (df *DataFrame) run(ctx context.Context, analyze bool) ([]plan.Row, *queryR
 	if df.parseDur > 0 {
 		qr.tr.Root().AddTimed("parse", df.parseDur)
 	}
+	// A frame served from a template has its plan optimized already; only
+	// EXPLAIN ANALYZE's report needs it bound to the query's values.
 	_, osp := trace.StartSpan(ctx, "optimize")
-	if df.tmpl != nil {
-		qr.opt = plan.Bind(df.tmpl.opt, df.vals)
-		qr.fp, qr.shape = df.tmpl.fp, df.tmpl.shape
-	} else {
+	switch {
+	case df.tmpl == nil:
 		qr.opt = plan.Optimize(df.lp)
+	case analyze:
+		qr.opt = plan.Bind(df.tmpl.opt, df.vals)
 	}
 	osp.End()
-	if df.tmpl == nil {
+	if df.tmpl != nil {
+		qr.fp, qr.shape = df.tmpl.fp, df.tmpl.shape
+	} else {
 		qr.fp, qr.shape = plan.Fingerprint(qr.opt)
 	}
 
 	_, csp := trace.StartSpan(ctx, "compile")
-	phys, err := exec.CompileWith(qr.opt, sess.compileConfig())
+	var phys exec.PhysicalPlan
+	var err error
+	if df.tmpl != nil {
+		phys, err = df.tmpl.compile(df.vals, sess.compileConfig())
+	} else {
+		phys, err = exec.CompileWith(qr.opt, sess.compileConfig())
+	}
 	csp.SetError(err)
 	csp.End()
 	if err != nil {

@@ -3,7 +3,9 @@ package engine
 import (
 	"slices"
 	"sync"
+	"sync/atomic"
 
+	"github.com/shc-go/shc/internal/exec"
 	"github.com/shc-go/shc/internal/metrics"
 	"github.com/shc-go/shc/internal/plan"
 	"github.com/shc-go/shc/internal/sql"
@@ -15,13 +17,37 @@ const maxPlanTemplates = 256
 
 // template is one query shape's prepared plan: the plans Session.SQL
 // would build and optimize for it, with slotted literals that plan.Bind
-// rebinds to each query's values, and the fingerprint every query of the
-// shape shares. Templates are never handed out, only bound copies.
+// rebinds to each query's values, the fingerprint every query of the
+// shape shares, and, once the shape has run, its prepared physical plan.
+// Templates are shared by every goroutine running the shape and never
+// handed out, only bound copies.
 type template struct {
 	built plan.LogicalPlan // as sql.Build returns it: LogicalPlan(), derived frames, views
 	opt   plan.LogicalPlan // as plan.Optimize returns it: what actions compile
 	fp    string
 	shape string
+	// phys is set by the shape's first successful compile and never
+	// changes after.
+	phys atomic.Pointer[exec.Prepared]
+}
+
+// compile returns the physical plan for one execution of the template
+// with vals. The first execution prepares the template's physical plan
+// while compiling its own; later ones bind it, which plans only the scans,
+// and compile the bound logical plan when the prepared plan cannot take
+// the template's literals or these values (exec.Prepared.Bind).
+func (t *template) compile(vals []any, cfg exec.CompileConfig) (exec.PhysicalPlan, error) {
+	if pp := t.phys.Load(); pp != nil {
+		if phys, ok, err := pp.Bind(vals); ok || err != nil {
+			return phys, err
+		}
+		return exec.CompileWith(plan.Bind(t.opt, vals), cfg)
+	}
+	pp, phys, err := exec.Prepare(plan.Bind(t.opt, vals), cfg)
+	if err == nil {
+		t.phys.CompareAndSwap(nil, pp)
+	}
+	return phys, err
 }
 
 // planCache maps a normalized query key (sql.Normalized.Key) to its

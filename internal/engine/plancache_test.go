@@ -1,15 +1,19 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/shc-go/shc/internal/core"
 	"github.com/shc-go/shc/internal/datasource"
+	"github.com/shc-go/shc/internal/exec"
 	"github.com/shc-go/shc/internal/metrics"
 	"github.com/shc-go/shc/internal/plan"
 	"github.com/shc-go/shc/internal/sql"
@@ -68,6 +72,21 @@ func checkAgainstUncached(t *testing.T, s *Session, q string) (hit bool) {
 		}
 		if df.tmpl.fp != fp {
 			t.Fatalf("%s: template fingerprint %s, uncached %s", q, df.tmpl.fp, fp)
+		}
+		if pp := df.tmpl.phys.Load(); pp != nil {
+			// The prepared physical plan, bound to this query's values, is
+			// the plan a fresh compile of the optimized plan gives.
+			bound, ok, err := pp.Bind(df.vals)
+			if err != nil {
+				t.Fatalf("%s: binding the prepared plan: %v", q, err)
+			}
+			fresh, err := exec.CompileWith(opt, s.compileConfig())
+			if err != nil {
+				t.Fatalf("%s: %v", q, err)
+			}
+			if ok && exec.Explain(bound) != exec.Explain(fresh) {
+				t.Fatalf("%s: prepared plan bound\n%s\ncompiled\n%s", q, exec.Explain(bound), exec.Explain(fresh))
+			}
 		}
 	}
 	rows, err := df.Collect()
@@ -318,14 +337,19 @@ func TestPlanCacheDifferentialTPCDS(t *testing.T) {
 	}
 }
 
-// frontEndSink keeps BenchmarkSQLFrontEnd's results alive.
-var frontEndSink plan.LogicalPlan
+// frontEndSink and compileSink keep BenchmarkSQLFrontEnd's results alive.
+var (
+	frontEndSink plan.LogicalPlan
+	compileSink  exec.PhysicalPlan
+)
 
-// BenchmarkSQLFrontEnd times the front end of a point lookup — Session.SQL
-// plus the optimize step of an action — on a template hit, on a miss
-// (the cache emptied before each query: build, optimize, the sentinel
-// check and fingerprint), and on the uncached path (sql.Build, Optimize,
-// Fingerprint).
+// BenchmarkSQLFrontEnd times the front end of a point lookup: on a
+// template hit, Session.SQL alone (a hit has no optimize step), and with
+// the compile step of an action (binding the template's prepared physical
+// plan, which plans the scan) — everything a warm lookup pays before it
+// executes; on a miss (the cache emptied before each query: build,
+// optimize, the sentinel check and fingerprint); and on the uncached path
+// (sql.Build, Optimize, Fingerprint).
 func BenchmarkSQLFrontEnd(b *testing.B) {
 	s := newTestSession(b)
 	query := func(i int) string {
@@ -333,7 +357,7 @@ func BenchmarkSQLFrontEnd(b *testing.B) {
 	}
 	optimized := func(df *DataFrame) plan.LogicalPlan {
 		if df.tmpl != nil {
-			return plan.Bind(df.tmpl.opt, df.vals)
+			return df.tmpl.opt
 		}
 		return plan.Optimize(df.lp)
 	}
@@ -345,6 +369,18 @@ func BenchmarkSQLFrontEnd(b *testing.B) {
 				b.Fatal(err)
 			}
 			frontEndSink = optimized(df)
+		}
+	})
+	b.Run("hit+compile", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			df, err := s.SQL(query(i))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if compileSink, err = df.tmpl.compile(df.vals, s.compileConfig()); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 	b.Run("miss", func(b *testing.B) {
@@ -412,5 +448,87 @@ func TestPlanCacheConcurrent(t *testing.T) {
 	}
 	if s.meter.Get(metrics.PlanCacheHits) == 0 {
 		t.Error("no query was served from the plan cache")
+	}
+}
+
+// scanCounter counts a relation's BuildScan calls and records the most
+// goroutines any of its partitions saw while computing. Its partitions
+// offer only Compute, so every read goes through it.
+type scanCounter struct {
+	*datasource.MemRelation
+	builds     atomic.Int64
+	goroutines atomic.Int64
+}
+
+func (r *scanCounter) BuildScan(cols []string, filters []datasource.Filter) ([]datasource.Partition, []int, error) {
+	r.builds.Add(1)
+	parts, unhandled, err := r.MemRelation.BuildScan(cols, filters)
+	for i, p := range parts {
+		parts[i] = countedPartition{Partition: p, rel: r}
+	}
+	return parts, unhandled, err
+}
+
+type countedPartition struct {
+	datasource.Partition
+	rel *scanCounter
+}
+
+func (p countedPartition) Compute(ctx context.Context) ([]plan.Row, error) {
+	n := int64(runtime.NumGoroutine())
+	for {
+		seen := p.rel.goroutines.Load()
+		if n <= seen || p.rel.goroutines.CompareAndSwap(seen, n) {
+			break
+		}
+	}
+	return p.Partition.Compute(ctx)
+}
+
+// TestWarmLookupPlansOnceOnCaller: every execution of a point-lookup
+// template plans its scan exactly once — the source's one pushdown pass,
+// which also reports what it left unhandled — and a warm lookup runs its
+// one task on the calling goroutine, starting none.
+func TestWarmLookupPlansOnceOnCaller(t *testing.T) {
+	s, err := NewSession(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel := &scanCounter{MemRelation: datasource.NewMemRelation("kv", plan.Schema{
+		{Name: "k", Type: plan.TypeString},
+		{Name: "v", Type: plan.TypeInt64},
+	}, 1)}
+	var rows []plan.Row
+	for i := 0; i < 20; i++ {
+		rows = append(rows, plan.Row{fmt.Sprintf("k%02d", i), int64(i * i)})
+	}
+	if err := rel.Insert(rows); err != nil {
+		t.Fatal(err)
+	}
+	s.Register(rel)
+	const runs = 10
+	for i := 0; i < runs; i++ {
+		df, err := s.SQL(fmt.Sprintf("SELECT v FROM kv WHERE k = 'k%02d'", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rel.goroutines.Store(0)
+		before := int64(runtime.NumGoroutine())
+		got, err := df.Collect()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 1 || got[0][0] != int64(i*i) {
+			t.Fatalf("k%02d: rows %v, want [[%d]]", i, got, i*i)
+		}
+		if during := rel.goroutines.Load(); i > 0 && during > before {
+			t.Errorf("warm lookup %d: %d goroutines while its partition computed, %d before; want none started", i, during, before)
+		}
+	}
+	if n := rel.builds.Load(); n != runs {
+		t.Errorf("%d BuildScan calls for %d lookups, want one each", n, runs)
+	}
+	if hits := s.meter.Get(metrics.PlanCacheHits); hits != runs-1 {
+		t.Errorf("plan-cache hits = %d, want %d", hits, runs-1)
 	}
 }

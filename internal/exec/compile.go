@@ -32,26 +32,39 @@ func Compile(p plan.LogicalPlan) (PhysicalPlan, error) {
 
 // CompileWith lowers an optimized logical plan to a physical one, resolving
 // every expression against its input schema, translating pushed predicates
-// to source filters, and consulting each relation's UnhandledFilters to
-// decide what the engine must re-apply (paper §VI-A.3). Unless disabled,
-// scan-rooted operator chains are then fused into streaming pipelines.
+// to source filters, and re-applying exactly the filters each relation's
+// BuildScan reports unhandled (paper §VI-A.3). Unless disabled, scan-rooted
+// operator chains are then fused into streaming pipelines.
 func CompileWith(p plan.LogicalPlan, cfg CompileConfig) (PhysicalPlan, error) {
-	phys, err := compileNode(p, cfg)
+	phys, _, err := compile(p, cfg)
+	return phys, err
+}
+
+// compiler lowers one plan, recording every scan it builds.
+type compiler struct {
+	cfg   CompileConfig
+	scans []*preparedScan
+}
+
+// compile is CompileWith that also returns the plan's scans.
+func compile(p plan.LogicalPlan, cfg CompileConfig) (PhysicalPlan, []*preparedScan, error) {
+	c := &compiler{cfg: cfg}
+	phys, err := c.node(p)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if !cfg.DisablePipelining {
 		phys = FusePipelinesWith(phys, !cfg.DisableVectorization)
 	}
-	return phys, nil
+	return phys, c.scans, nil
 }
 
-func compileNode(p plan.LogicalPlan, cfg CompileConfig) (PhysicalPlan, error) {
+func (c *compiler) node(p plan.LogicalPlan) (PhysicalPlan, error) {
 	switch n := p.(type) {
 	case *plan.ScanNode:
-		return compileScan(n)
+		return c.scan(n)
 	case *plan.FilterNode:
-		child, err := compileNode(n.Child, cfg)
+		child, err := c.node(n.Child)
 		if err != nil {
 			return nil, err
 		}
@@ -61,7 +74,7 @@ func compileNode(p plan.LogicalPlan, cfg CompileConfig) (PhysicalPlan, error) {
 		}
 		return &FilterExec{Cond: cond, Child: child}, nil
 	case *plan.ProjectNode:
-		child, err := compileNode(n.Child, cfg)
+		child, err := c.node(n.Child)
 		if err != nil {
 			return nil, err
 		}
@@ -77,11 +90,11 @@ func compileNode(p plan.LogicalPlan, cfg CompileConfig) (PhysicalPlan, error) {
 		}
 		return &ProjectExec{Exprs: exprs, OutSchema: schema, Child: child}, nil
 	case *plan.JoinNode:
-		left, err := compileNode(n.Left, cfg)
+		left, err := c.node(n.Left)
 		if err != nil {
 			return nil, err
 		}
-		right, err := compileNode(n.Right, cfg)
+		right, err := c.node(n.Right)
 		if err != nil {
 			return nil, err
 		}
@@ -94,12 +107,12 @@ func compileNode(p plan.LogicalPlan, cfg CompileConfig) (PhysicalPlan, error) {
 			return nil, err
 		}
 		out := append(append(plan.Schema{}, left.Schema()...), right.Schema()...)
-		if cfg.SortMergeJoin {
+		if c.cfg.SortMergeJoin {
 			return &SortMergeJoinExec{Left: left, Right: right, LeftKeys: lk, RightKeys: rk, Type: n.Type, OutSchema: out}, nil
 		}
 		return &HashJoinExec{Left: left, Right: right, LeftKeys: lk, RightKeys: rk, Type: n.Type, OutSchema: out}, nil
 	case *plan.AggregateNode:
-		child, err := compileNode(n.Child, cfg)
+		child, err := c.node(n.Child)
 		if err != nil {
 			return nil, err
 		}
@@ -127,7 +140,7 @@ func compileNode(p plan.LogicalPlan, cfg CompileConfig) (PhysicalPlan, error) {
 		}
 		return &HashAggExec{GroupBy: groups, Aggs: aggs, OutSchema: schema, Child: child}, nil
 	case *plan.SortNode:
-		child, err := compileNode(n.Child, cfg)
+		child, err := c.node(n.Child)
 		if err != nil {
 			return nil, err
 		}
@@ -141,15 +154,15 @@ func compileNode(p plan.LogicalPlan, cfg CompileConfig) (PhysicalPlan, error) {
 		}
 		return &SortExec{Orders: orders, Child: child}, nil
 	case *plan.LimitNode:
-		child, err := compileNode(n.Child, cfg)
+		child, err := c.node(n.Child)
 		if err != nil {
 			return nil, err
 		}
 		return &LimitExec{N: n.N, Child: child}, nil
 	case *plan.UnionNode:
 		inputs := make([]PhysicalPlan, len(n.Inputs))
-		for i, c := range n.Inputs {
-			in, err := compileNode(c, cfg)
+		for i, child := range n.Inputs {
+			in, err := c.node(child)
 			if err != nil {
 				return nil, err
 			}
@@ -178,7 +191,7 @@ func resolveAll(es []plan.Expr, schema plan.Schema) ([]plan.Expr, error) {
 	return out, nil
 }
 
-func compileScan(n *plan.ScanNode) (PhysicalPlan, error) {
+func (c *compiler) scan(n *plan.ScanNode) (PhysicalPlan, error) {
 	rel, ok := n.Relation.(datasource.PrunedFilteredScan)
 	if !ok {
 		return nil, fmt.Errorf("exec: relation %q does not support scanning", n.Relation.Name())
@@ -190,11 +203,12 @@ func compileScan(n *plan.ScanNode) (PhysicalPlan, error) {
 		required[i] = bare(f.Name)
 	}
 	// Translate pushed predicates to source filters.
+	srcSchema := rel.Schema()
 	var filters []datasource.Filter
 	var pushedExprs []plan.Expr
 	var engineOnly []plan.Expr
 	for _, e := range n.Pushed {
-		f, ok := translateFilter(e, rel.Schema())
+		f, ok := translateFilter(e, srcSchema, nil)
 		if !ok {
 			engineOnly = append(engineOnly, e)
 			continue
@@ -202,43 +216,32 @@ func compileScan(n *plan.ScanNode) (PhysicalPlan, error) {
 		filters = append(filters, f)
 		pushedExprs = append(pushedExprs, e)
 	}
-	parts, err := rel.BuildScan(required, filters)
+	parts, unhandled, err := rel.BuildScan(required, filters)
 	if err != nil {
 		return nil, err
 	}
-	var scan PhysicalPlan = &ScanExec{
+	scan := &ScanExec{
 		Source:     rel,
 		Columns:    required,
 		Filters:    filters,
 		OutSchema:  outSchema,
 		Partitions: parts,
 	}
-	// Re-apply exactly the filters the source declares unhandled, plus any
+	c.scans = append(c.scans, &preparedScan{scan: scan, pushed: pushedExprs, unhandled: unhandled})
+	// Re-apply exactly the filters the source left unhandled, plus any
 	// predicate that had no source translation.
-	unhandled := rel.UnhandledFilters(filters)
 	reapply := append([]plan.Expr{}, engineOnly...)
-	for i, f := range filters {
-		if containsFilter(unhandled, f) {
-			reapply = append(reapply, pushedExprs[i])
-		}
+	for _, i := range unhandled {
+		reapply = append(reapply, pushedExprs[i])
 	}
 	if cond := plan.CombineConjuncts(reapply); cond != nil {
-		c := plan.CloneExpr(cond)
-		if err := plan.Resolve(c, outSchema); err != nil {
+		residual := plan.CloneExpr(cond)
+		if err := plan.Resolve(residual, outSchema); err != nil {
 			return nil, err
 		}
-		scan = &FilterExec{Cond: c, Child: scan}
+		return &FilterExec{Cond: residual, Child: scan}, nil
 	}
 	return scan, nil
-}
-
-func containsFilter(fs []datasource.Filter, f datasource.Filter) bool {
-	for _, x := range fs {
-		if x.String() == f.String() {
-			return true
-		}
-	}
-	return false
 }
 
 func bare(name string) string {
@@ -249,12 +252,13 @@ func bare(name string) string {
 }
 
 // translateFilter maps a pushable predicate to the data-source filter
-// language, coercing literals to the source column's type. Column names are
-// stripped of their alias qualifier.
-func translateFilter(e plan.Expr, srcSchema plan.Schema) (datasource.Filter, bool) {
+// language, each literal taking its Bound value under vals and coerced to
+// the source column's type. Column names are stripped of their alias
+// qualifier.
+func translateFilter(e plan.Expr, srcSchema plan.Schema, vals []any) (datasource.Filter, bool) {
 	switch x := e.(type) {
 	case *plan.Comparison:
-		col, lit, flipped := columnAndLiteral(x.L, x.R)
+		col, lit, flipped := columnAndLiteral(x.L, x.R, vals)
 		if col == "" {
 			return nil, false
 		}
@@ -287,22 +291,22 @@ func translateFilter(e plan.Expr, srcSchema plan.Schema) (datasource.Filter, boo
 			return nil, false
 		}
 		col := bare(c.Name)
-		vals := make([]any, 0, len(x.Values))
+		set := make([]any, 0, len(x.Values))
 		for _, ve := range x.Values {
 			lit, ok := ve.(*plan.Literal)
 			if !ok {
 				return nil, false
 			}
-			v, ok := coerceTo(srcSchema, col, lit.Val)
+			v, ok := coerceTo(srcSchema, col, lit.Bound(vals))
 			if !ok {
 				return nil, false
 			}
-			vals = append(vals, v)
+			set = append(set, v)
 		}
 		if x.Negate {
-			return datasource.NotIn{Column: col, Values: vals}, true
+			return datasource.NotIn{Column: col, Values: set}, true
 		}
-		return datasource.In{Column: col, Values: vals}, true
+		return datasource.In{Column: col, Values: set}, true
 	case *plan.Like:
 		c, ok := x.E.(*plan.ColumnRef)
 		if !ok {
@@ -314,21 +318,21 @@ func translateFilter(e plan.Expr, srcSchema plan.Schema) (datasource.Filter, boo
 		}
 		return datasource.StringStartsWith{Column: bare(c.Name), Prefix: x.Pattern[:i]}, true
 	case *plan.And:
-		l, ok := translateFilter(x.L, srcSchema)
+		l, ok := translateFilter(x.L, srcSchema, vals)
 		if !ok {
 			return nil, false
 		}
-		r, ok := translateFilter(x.R, srcSchema)
+		r, ok := translateFilter(x.R, srcSchema, vals)
 		if !ok {
 			return nil, false
 		}
 		return datasource.AndFilter{Left: l, Right: r}, true
 	case *plan.Or:
-		l, ok := translateFilter(x.L, srcSchema)
+		l, ok := translateFilter(x.L, srcSchema, vals)
 		if !ok {
 			return nil, false
 		}
-		r, ok := translateFilter(x.R, srcSchema)
+		r, ok := translateFilter(x.R, srcSchema, vals)
 		if !ok {
 			return nil, false
 		}
@@ -337,15 +341,15 @@ func translateFilter(e plan.Expr, srcSchema plan.Schema) (datasource.Filter, boo
 	return nil, false
 }
 
-func columnAndLiteral(l, r plan.Expr) (col string, val any, flipped bool) {
+func columnAndLiteral(l, r plan.Expr, vals []any) (col string, val any, flipped bool) {
 	if c, ok := l.(*plan.ColumnRef); ok {
 		if lit, ok := r.(*plan.Literal); ok {
-			return bare(c.Name), lit.Val, false
+			return bare(c.Name), lit.Bound(vals), false
 		}
 	}
 	if c, ok := r.(*plan.ColumnRef); ok {
 		if lit, ok := l.(*plan.Literal); ok {
-			return bare(c.Name), lit.Val, true
+			return bare(c.Name), lit.Bound(vals), true
 		}
 	}
 	return "", nil, false

@@ -356,7 +356,7 @@ func TestTranslateFilterShapes(t *testing.T) {
 		}, "(age = 1 OR age = 2)"},
 	}
 	for _, c := range cases {
-		f, ok := translateFilter(c.e, schema)
+		f, ok := translateFilter(c.e, schema, nil)
 		if !ok {
 			t.Errorf("translateFilter(%s) failed", c.e)
 			continue
@@ -372,7 +372,7 @@ func TestTranslateFilterShapes(t *testing.T) {
 		&plan.Comparison{Op: plan.OpEq, L: plan.Col("ghost"), R: plan.Lit(1)},
 		&plan.Comparison{Op: plan.OpEq, L: plan.Col("age"), R: plan.Lit("not-an-int")},
 	} {
-		if _, ok := translateFilter(e, schema); ok {
+		if _, ok := translateFilter(e, schema, nil); ok {
 			t.Errorf("translateFilter(%s) should fail", e)
 		}
 	}

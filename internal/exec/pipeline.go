@@ -66,12 +66,8 @@ type PipelineExec struct {
 	// projected space; nil for COUNT(*).
 	aggArgs []*plan.ColumnRef
 
-	// Compiled vector program, built lazily on first vectorized partition
-	// and shared (immutably) by all partition tasks.
-	vecOnce   sync.Once
-	vecFilter *plan.CompiledFilter
-	vecProj   *plan.CompiledProjection
-	vecEager  []int
+	// vec is the compiled vector program (see program).
+	vec *vecProgram
 }
 
 // Schema implements PhysicalPlan.
@@ -250,7 +246,6 @@ func (p *PipelineExec) runPartition(tctx context.Context, ctx *Context, part dat
 	}
 	m := metrics.Scoped(tctx, ctx.Meter)
 	if vs, ok := part.(datasource.VectorScan); ok && p.Vectorize {
-		p.vecProgram()
 		return p.runVector(tctx, m, vs, opts, tracker)
 	}
 	return p.runRows(tctx, m, part, opts, tracker)
@@ -294,7 +289,8 @@ func (p *PipelineExec) runPushed(tctx context.Context, as datasource.AggregateSc
 // projected, or materialized whole — or fold into the aggregates with
 // typed loops, no row ever materializing.
 func (p *PipelineExec) runVector(tctx context.Context, m metrics.Meter, vs datasource.VectorScan, opts datasource.BatchOptions, tracker *limitTracker) ([]plan.Row, []aggState, error) {
-	opts.EagerColumns = p.vecEager
+	prog := p.program()
+	opts.EagerColumns = prog.eager
 	aggs := p.vecAggs()
 	sc := plan.NewEvalScratch(p.Scan.OutSchema)
 	var selBuf []int
@@ -312,9 +308,9 @@ func (p *PipelineExec) runVector(tctx context.Context, m metrics.Meter, vs datas
 		}
 		sel := plan.FullSel(b.Len(), selBuf)
 		selBuf = sel
-		if p.vecFilter != nil {
+		if prog.filter != nil {
 			var err error
-			if sel, err = p.vecFilter.Run(b, sel, sc); err != nil {
+			if sel, err = prog.filter.Run(b, sel, sc); err != nil {
 				return err
 			}
 		}
@@ -337,9 +333,9 @@ func (p *PipelineExec) runVector(tctx context.Context, m metrics.Meter, vs datas
 		for _, i := range sel {
 			var nr plan.Row
 			var err error
-			if p.vecProj != nil {
-				nr = make(plan.Row, p.vecProj.Width())
-				err = p.vecProj.ProjectRow(b, i, sc, nr)
+			if prog.proj != nil {
+				nr = make(plan.Row, prog.proj.Width())
+				err = prog.proj.ProjectRow(b, i, sc, nr)
 			} else {
 				nr, err = b.MaterializeRow(i)
 			}
@@ -537,6 +533,7 @@ func fuseChain(p PhysicalPlan, vectorize bool) (PhysicalPlan, bool) {
 		OutSchema: outSchema,
 		Limit:     limit,
 		Vectorize: vectorize,
+		vec:       &vecProgram{},
 	}, true
 }
 
@@ -565,7 +562,7 @@ func fuseAgg(n *HashAggExec) (PhysicalPlan, bool) {
 	if fused, ok := fuseChain(n.Child, true); ok {
 		pipe = fused.(*PipelineExec)
 	} else if scan, ok := n.Child.(*ScanExec); ok {
-		pipe = &PipelineExec{Scan: scan, Vectorize: true}
+		pipe = &PipelineExec{Scan: scan, Vectorize: true, vec: &vecProgram{}}
 	} else {
 		return nil, false
 	}

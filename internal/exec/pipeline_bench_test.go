@@ -14,12 +14,12 @@ import (
 // partition without datasource.VectorScan takes.
 type rowRoute struct{ *datasource.MemRelation }
 
-func (r rowRoute) BuildScan(cols []string, filters []datasource.Filter) ([]datasource.Partition, error) {
-	parts, err := r.MemRelation.BuildScan(cols, filters)
+func (r rowRoute) BuildScan(cols []string, filters []datasource.Filter) ([]datasource.Partition, []int, error) {
+	parts, unhandled, err := r.MemRelation.BuildScan(cols, filters)
 	for i, p := range parts {
 		parts[i] = rowPartition{Partition: p, BatchScan: p.(datasource.BatchScan)}
 	}
-	return parts, err
+	return parts, unhandled, err
 }
 
 type rowPartition struct {

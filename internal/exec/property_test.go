@@ -120,7 +120,7 @@ func TestMemRelationFilterAgreesWithEngineFilter(t *testing.T) {
 		{&plan.In{E: plan.Col("city"), Values: []plan.Expr{plan.Lit("sf")}, Negate: true}, datasource.NotIn{Column: "city", Values: []any{"sf"}}},
 		{&plan.Like{E: plan.Col("id"), Pattern: "u00%"}, datasource.StringStartsWith{Column: "id", Prefix: "u00"}},
 	}
-	parts, err := rel.BuildScan([]string{"id", "age", "city", "score"}, nil)
+	parts, _, err := rel.BuildScan([]string{"id", "age", "city", "score"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

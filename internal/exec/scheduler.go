@@ -89,6 +89,14 @@ type runTask struct {
 	enqueued time.Time // when the task last entered a queue (for queue-wait)
 }
 
+// hostQueue is one host's share of a Run call: the tasks queued on it and
+// its workers.
+type hostQueue struct {
+	tasks   []*runTask
+	workers int // workers started, the caller included
+	parked  int // workers waiting in take
+}
+
 // runState coordinates one Run call: per-host queues fed to workers, a
 // remaining-task count, and the abort flag that stops dispatch after a
 // permanent failure or caller cancellation.
@@ -97,10 +105,12 @@ type runState struct {
 	ctx    context.Context    // the run's derived context, handed to tasks
 	cancel context.CancelFunc // cancels in-flight tasks when the run aborts
 	meter  metrics.Meter      // scheduler registry + the query's scope
+	wg     sync.WaitGroup     // the workers started besides the caller
 
 	mu        sync.Mutex
-	cond      *sync.Cond
-	queues    [][]*runTask
+	cond      sync.Cond
+	queues    []hostQueue
+	perHost   int // the most workers a host gets: its slots, at most one per task
 	remaining int // tasks not yet finished (succeeded, failed, or dropped)
 	aborted   bool
 	errs      []error
@@ -117,6 +127,13 @@ func (s *Scheduler) Run(tasks []Task) error {
 // failing with a retryable transport error is re-executed on a different
 // host (up to maxTaskAttempts attempts).
 //
+// The calling goroutine is one of the run's workers: it serves the first
+// host with queued work, and each host gets further goroutines only for
+// tasks that could run beside it — as many workers as it has queued
+// tasks, up to its slots, with one started later when a retry lands on a
+// host whose workers are all busy. A one-task run, every point lookup,
+// therefore runs on the caller's goroutine and starts none.
+//
 // The run stops early two ways, both counted in exec.tasks_cancelled for every
 // queued task dropped unstarted. A permanent task failure aborts the run:
 // queued tasks are dropped, in-flight ones see their context cancelled, and
@@ -132,10 +149,14 @@ func (s *Scheduler) RunContext(ctx context.Context, tasks []Task) error {
 	}
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	r := &runState{s: s, ctx: runCtx, cancel: cancel, meter: metrics.Scoped(ctx, s.meter), queues: make([][]*runTask, len(s.hosts)), remaining: len(tasks)}
-	r.cond = sync.NewCond(&r.mu)
+	r := &runState{
+		s: s, ctx: runCtx, cancel: cancel, meter: metrics.Scoped(ctx, s.meter),
+		queues: make([]hostQueue, len(s.hosts)), perHost: min(s.slots, len(tasks)), remaining: len(tasks),
+	}
+	r.cond.L = &r.mu
 	now := time.Now()
-	for _, t := range tasks {
+	slab := make([]runTask, len(tasks))
+	for j, t := range tasks {
 		i, local := s.hostIdx[t.PreferredHost]
 		if !local {
 			s.mu.Lock()
@@ -146,54 +167,54 @@ func (s *Scheduler) RunContext(ctx context.Context, tasks []Task) error {
 			r.meter.Inc(metrics.TasksLocal)
 		}
 		r.meter.Inc(metrics.TasksLaunched)
-		r.queues[i] = append(r.queues[i], &runTask{task: t, attempts: 1, enqueued: now})
+		slab[j] = runTask{task: t, attempts: 1, enqueued: now}
+		r.queues[i].tasks = append(r.queues[i].tasks, &slab[j])
 	}
 
-	// The watcher turns caller cancellation into an abort: queued tasks
-	// drop, parked workers wake and exit. In-flight tasks see runCtx
-	// cancelled directly.
-	watcherStop := make(chan struct{})
-	var watcherWG sync.WaitGroup
+	// Caller cancellation aborts the run: queued tasks drop, parked workers
+	// wake and exit. In-flight tasks see runCtx cancelled directly.
 	if ctx.Done() != nil {
-		watcherWG.Add(1)
-		go func() {
-			defer watcherWG.Done()
-			select {
-			case <-ctx.Done():
-				r.mu.Lock()
-				r.abortLocked()
-				r.mu.Unlock()
-			case <-watcherStop:
-			}
-		}()
+		stop := context.AfterFunc(ctx, func() {
+			r.mu.Lock()
+			r.abortLocked()
+			r.mu.Unlock()
+		})
+		defer stop()
 	}
 
-	// Every host gets workers even when its initial queue is empty: a retry
-	// may land there. Workers block on the condition variable, so idle ones
-	// cost nothing.
-	workers := s.slots
-	if len(tasks) < workers {
-		workers = len(tasks)
-	}
-	var wg sync.WaitGroup
-	for h := range s.hosts {
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(host int) {
-				defer wg.Done()
-				r.work(host)
-			}(h)
+	caller := -1
+	r.mu.Lock()
+	for h := range r.queues {
+		for w := min(r.perHost, len(r.queues[h].tasks)); w > 0; w-- {
+			if caller < 0 {
+				caller = h
+				r.queues[h].workers++
+				continue
+			}
+			r.startLocked(h)
 		}
 	}
-	wg.Wait()
-	close(watcherStop)
-	watcherWG.Wait()
+	r.mu.Unlock()
+	if caller >= 0 { // else an abort already dropped every task
+		r.work(caller)
+	}
+	r.wg.Wait()
 	if cerr := ctx.Err(); cerr != nil {
 		// The caller cancelled; its context error is the story, not the
 		// pile of per-task cancellation errors it caused.
 		return cerr
 	}
 	return errors.Join(r.errs...)
+}
+
+// startLocked (r.mu held) starts one more worker goroutine on host.
+func (r *runState) startLocked(host int) {
+	r.queues[host].workers++
+	r.wg.Add(1)
+	go func() {
+		defer r.wg.Done()
+		r.work(host)
+	}()
 }
 
 // work drains one host's queue until the run completes. Each attempt runs
@@ -231,14 +252,17 @@ func (r *runState) work(host int) {
 func (r *runState) take(host int) *runTask {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for len(r.queues[host]) == 0 && !r.done {
+	q := &r.queues[host]
+	for len(q.tasks) == 0 && !r.done {
+		q.parked++
 		r.cond.Wait()
+		q.parked--
 	}
-	if len(r.queues[host]) == 0 {
+	if len(q.tasks) == 0 {
 		return nil
 	}
-	t := r.queues[host][0]
-	r.queues[host] = r.queues[host][1:]
+	t := q.tasks[0]
+	q.tasks = q.tasks[1:]
 	return t
 }
 
@@ -252,8 +276,8 @@ func (r *runState) abortLocked() {
 	r.aborted = true
 	dropped := 0
 	for i := range r.queues {
-		dropped += len(r.queues[i])
-		r.queues[i] = nil
+		dropped += len(r.queues[i].tasks)
+		r.queues[i].tasks = nil
 	}
 	if dropped > 0 {
 		r.meter.Add(metrics.TasksCancelled, int64(dropped))
@@ -277,7 +301,13 @@ func (r *runState) finish(host int, t *runTask, err error, sp *trace.Span) {
 		t.attempts++
 		t.enqueued = time.Now()
 		target := (host + 1) % len(r.queues) // a different host when one exists
-		r.queues[target] = append(r.queues[target], t)
+		q := &r.queues[target]
+		q.tasks = append(q.tasks, t)
+		if len(q.tasks) > q.parked && q.workers < r.perHost {
+			// Every worker on target is busy or spoken for: the retry
+			// gets one of the host's unused slots.
+			r.startLocked(target)
+		}
 		r.meter.Inc(metrics.TasksRetried)
 		sp.SetTag("outcome", "retried")
 		r.cond.Broadcast()

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"sync"
 
 	"github.com/shc-go/shc/internal/plan"
 )
@@ -14,24 +15,35 @@ import (
 // without the capability — and operators without a vectorized form — keep
 // the row path, so the two execute side by side in one plan.
 
-// vecProgram compiles the pipeline's residual filter and projection once
-// into vecFilter, vecProj and vecEager; the compiled closures are stateless
-// and shared by every partition task.
-func (p *PipelineExec) vecProgram() {
-	p.vecOnce.Do(func() {
+// vecProgram is a pipeline's compiled vector program: the residual filter,
+// the projection, and the scan positions the filter and aggregates read
+// eagerly. It is built once, on the first vectorized partition, and the
+// compiled closures are stateless, so every partition task — and every
+// execution of a prepared plan — shares it.
+type vecProgram struct {
+	once   sync.Once
+	filter *plan.CompiledFilter
+	proj   *plan.CompiledProjection
+	eager  []int
+}
+
+// program returns the pipeline's vector program, compiling it on first use.
+func (p *PipelineExec) program() *vecProgram {
+	p.vec.once.Do(func() {
 		schema := p.Scan.OutSchema
 		if p.Cond != nil {
-			p.vecFilter = plan.CompileFilter(p.Cond, schema)
+			p.vec.filter = plan.CompileFilter(p.Cond, schema)
 			// Only the filter's and the aggregates' inputs need eager
 			// decode; everything else stays lazy until it survives the
 			// filter. With no filter every row survives and laziness buys
 			// nothing, so eager stays nil: decode everything.
-			p.vecEager = eagerColumns(schema, p.Cond, p.aggArgs)
+			p.vec.eager = eagerColumns(schema, p.Cond, p.aggArgs)
 		}
 		if p.Exprs != nil {
-			p.vecProj = plan.CompileProjection(p.Exprs, schema)
+			p.vec.proj = plan.CompileProjection(p.Exprs, schema)
 		}
 	})
+	return p.vec
 }
 
 // eagerColumns resolves the scan positions of every column cond and the

@@ -23,12 +23,12 @@ const pushedAggQuery = `SELECT count(*), count(ss_quantity), sum(ss_sales_price)
 // other capability: a query over it takes the unpushed vector path.
 type rowsOnly struct{ *core.HBaseRelation }
 
-func (r rowsOnly) BuildScan(cols []string, filters []datasource.Filter) ([]datasource.Partition, error) {
-	parts, err := r.HBaseRelation.BuildScan(cols, filters)
+func (r rowsOnly) BuildScan(cols []string, filters []datasource.Filter) ([]datasource.Partition, []int, error) {
+	parts, unhandled, err := r.HBaseRelation.BuildScan(cols, filters)
 	for i, p := range parts {
 		parts[i] = rowsPartition{Partition: p, BatchScan: p.(datasource.BatchScan), VectorScan: p.(datasource.VectorScan)}
 	}
-	return parts, err
+	return parts, unhandled, err
 }
 
 type rowsPartition struct {

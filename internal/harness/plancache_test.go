@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/shc-go/shc/internal/hbase"
@@ -15,11 +16,14 @@ import (
 	"github.com/shc-go/shc/internal/plan"
 )
 
-// TestPlanCacheSurvivesSplit: a cached template holds no region
-// boundaries — compile runs per execution — so after a region splits
-// under it, the same shapes answer correctly, key-range pruning follows
-// the new region map, and point lookups land in both daughters. The
-// plan-cache counters reach /metrics.
+// TestPlanCacheSurvivesSplit: a cached template's prepared physical plan
+// holds no region boundaries — each execution plans its scans against the
+// client's current region map — so after a region splits under a lookup
+// prepared before the split, the same shapes answer correctly, key-range
+// pruning follows the new region map, and point lookups land in both
+// daughters; after a daughter then moves to the other server, the same
+// prepared lookup answers from its new host. The plan-cache counters reach
+// /metrics.
 func TestPlanCacheSurvivesSplit(t *testing.T) {
 	rig, err := NewRig(Config{System: SHC, Scale: 1, Servers: 2, OpsAddr: "127.0.0.1:0"})
 	if err != nil {
@@ -30,7 +34,7 @@ func TestPlanCacheSurvivesSplit(t *testing.T) {
 
 	// lookup runs the point-lookup shape for row r and returns the region
 	// that served it and the regions the plan pruned.
-	lookup := func(r plan.Row) (region string, pruned int64) {
+	lookup := func(r plan.Row) (region, host string, pruned int64) {
 		t.Helper()
 		before := rig.Meter.Get(metrics.RegionsPruned)
 		df, err := rig.Session.SQL(fmt.Sprintf("SELECT ss_customer_sk, ss_item_sk, ss_quantity, ss_sales_price "+
@@ -49,7 +53,7 @@ func TestPlanCacheSurvivesSplit(t *testing.T) {
 		if len(gets) != 1 {
 			t.Fatalf("lookup %v: %d region.get spans, want 1", r[:2], len(gets))
 		}
-		return gets[0].Tag("region"), rig.Meter.Get(metrics.RegionsPruned) - before
+		return gets[0].Tag("region"), gets[0].Tag("host"), rig.Meter.Get(metrics.RegionsPruned) - before
 	}
 	// scan runs the range shape and checks its tickets against the data.
 	scan := func(lo, hi int32) {
@@ -79,8 +83,8 @@ func TestPlanCacheSurvivesSplit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parent, _ := lookup(sales[0])
-	if _, pruned := lookup(sales[1]); pruned != int64(len(regions)-1) {
+	parent, _, _ := lookup(sales[0])
+	if _, _, pruned := lookup(sales[1]); pruned != int64(len(regions)-1) {
 		t.Fatalf("before the split a lookup pruned %d of %d regions", pruned, len(regions))
 	}
 	scan(100, 130)
@@ -104,11 +108,15 @@ func TestPlanCacheSurvivesSplit(t *testing.T) {
 
 	// Every twentieth row: enough keys that both daughters serve some.
 	served := map[string]bool{}
+	var daughterRow plan.Row
 	for i := 0; i < len(sales); i += 20 {
-		region, pruned := lookup(sales[i])
+		region, _, pruned := lookup(sales[i])
 		served[region] = true
 		if pruned != int64(len(after)-1) {
 			t.Fatalf("after the split a lookup pruned %d of %d regions", pruned, len(after))
+		}
+		if !containsRegion(regions, region) {
+			daughterRow = sales[i]
 		}
 	}
 	daughters := 0
@@ -121,6 +129,19 @@ func TestPlanCacheSurvivesSplit(t *testing.T) {
 		t.Fatalf("lookups reached %d of the 2 daughters of %s (served: %v)", daughters, parent, served)
 	}
 	scan(100, 130)
+	scan(1, 360)
+
+	// Move: drain the daughter's server, so the daughter moves to the
+	// other one. The lookup prepared before the split still answers, from
+	// the daughter's new host.
+	daughter, from, _ := lookup(daughterRow)
+	if err := rig.Cluster.Master.DrainServer(from); err != nil {
+		t.Fatal(err)
+	}
+	lookup(daughterRow) // fails over to the new host and refreshes the map
+	if region, to, _ := lookup(daughterRow); region != daughter || to == from {
+		t.Fatalf("after draining %s the lookup read %s on %s, want %s on another host", from, region, to, daughter)
+	}
 	scan(1, 360)
 
 	if got := rig.Meter.Get(metrics.PlanCacheMisses); got != misses {
@@ -153,4 +174,93 @@ func containsRegion(regions []hbase.RegionInfo, id string) bool {
 		}
 	}
 	return false
+}
+
+// TestPlanCachePreparedLookupsConcurrent: one point-lookup template, and
+// one range-aggregate template, run from 8 goroutines at once, each with
+// its own literals, share one prepared physical plan per template; every
+// answer must equal the one computed from the generated rows (run it with
+// -race).
+func TestPlanCachePreparedLookupsConcurrent(t *testing.T) {
+	rig, err := NewRig(Config{System: SHC, Scale: 1, Servers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rig.Close()
+	sales := rig.Data.Rows("store_sales")
+	byKey := make(map[[2]int64]plan.Row, len(sales))
+	for _, r := range sales {
+		byKey[[2]int64{int64(r[0].(int32)), r[1].(int64)}] = r
+	}
+	quantity := func(lo, hi int32) (n, sum int64) {
+		for _, r := range sales {
+			if d := r[0].(int32); d >= lo && d <= hi && r[4] != nil {
+				n++
+				sum += int64(r[4].(int32))
+			}
+		}
+		return n, sum
+	}
+	hits := rig.Meter.Get(metrics.PlanCacheHits)
+
+	const workers, perWorker = 8, 25
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				r := sales[(g*perWorker+i)*7%len(sales)]
+				date, ticket := int64(r[0].(int32)), r[1].(int64)
+				if i%5 == 4 {
+					date = date%360 + 1 // the ticket under another date: mostly absent
+				}
+				df, err := rig.Session.SQL(fmt.Sprintf("SELECT ss_customer_sk, ss_item_sk, ss_quantity, ss_sales_price "+
+					"FROM store_sales WHERE ss_sold_date_sk = %d AND ss_ticket_number = %d", date, ticket))
+				if err != nil {
+					errs <- err
+					return
+				}
+				rows, err := df.Collect()
+				if err != nil {
+					errs <- err
+					return
+				}
+				var want []plan.Row
+				if row, ok := byKey[[2]int64{date, ticket}]; ok {
+					want = []plan.Row{row[2:]}
+				}
+				if !reflect.DeepEqual(rows, want) {
+					errs <- fmt.Errorf("lookup (%d, %d): rows %v, want %v", date, ticket, rows, want)
+					return
+				}
+				lo := int32(1 + (g*perWorker+i)%330)
+				df, err = rig.Session.SQL(fmt.Sprintf("SELECT count(ss_quantity), sum(ss_quantity) FROM store_sales "+
+					"WHERE ss_sold_date_sk BETWEEN %d AND %d", lo, lo+30))
+				if err != nil {
+					errs <- err
+					return
+				}
+				if rows, err = df.Collect(); err != nil {
+					errs <- err
+					return
+				}
+				n, sum := quantity(lo, lo+30)
+				if len(rows) != 1 || rows[0][0] != n || rows[0][1] != float64(sum) {
+					errs <- fmt.Errorf("range [%d, %d]: rows %v, want [%d %d]", lo, lo+30, rows, n, sum)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	// Each shape misses once, on a goroutine that gets there first.
+	if got := rig.Meter.Get(metrics.PlanCacheHits) - hits; got < 2*workers*perWorker-2*workers {
+		t.Errorf("%d plan-cache hits, want at least %d", got, 2*workers*perWorker-2*workers)
+	}
 }

@@ -3,6 +3,7 @@ package harness
 import (
 	"testing"
 
+	"github.com/shc-go/shc/internal/datasource"
 	"github.com/shc-go/shc/internal/metrics"
 )
 
@@ -104,5 +105,59 @@ func TestStreamedPeakMemoryLower(t *testing.T) {
 	}
 	if s.Delta[metrics.PagesPrefetched] == 0 {
 		t.Error("streamed scan should prefetch fused pages")
+	}
+}
+
+// TestShowReadsOnlyItsRows: Show(n) collects through Limit(n), so a
+// multi-region table renders the same table as truncating every row to
+// the first n, while the region servers scan a few rows per partition
+// instead of the whole table.
+func TestShowReadsOnlyItsRows(t *testing.T) {
+	rig, err := NewRig(Config{System: SHC, Scale: 1, Servers: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rig.Close()
+	regions, err := rig.Client.Regions("store_sales")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(regions) < 2 {
+		t.Fatalf("store_sales has %d regions, want several", len(regions))
+	}
+	df, err := rig.Session.SQL("SELECT ss_ticket_number, ss_quantity, ss_sales_price FROM store_sales WHERE ss_quantity > 5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := rig.Meter.Get(metrics.RowsScanned)
+	all, err := df.Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := rig.Meter.Get(metrics.RowsScanned) - before
+	if len(all) < 3 {
+		t.Fatalf("query returned %d rows, want more than 2", len(all))
+	}
+
+	// The reference: the first two collected rows rendered on their own.
+	first := datasource.NewMemRelation("first", df.Schema(), 1)
+	if err := first.Insert(all[:2]); err != nil {
+		t.Fatal(err)
+	}
+	want, err := rig.Session.Read(first).Show(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before = rig.Meter.Get(metrics.RowsScanned)
+	got, err := df.Show(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shown := rig.Meter.Get(metrics.RowsScanned) - before
+	if got != want {
+		t.Errorf("Show(2):\n%s\nwant the first two rows of Collect:\n%s", got, want)
+	}
+	if shown*10 > full {
+		t.Errorf("Show(2) scanned %d rows, Collect %d; want under a tenth", shown, full)
 	}
 }

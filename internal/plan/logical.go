@@ -2,7 +2,9 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"strings"
+	"sync/atomic"
 )
 
 // Relation is the minimal view the planner needs of a data source; the
@@ -35,24 +37,59 @@ type ScanNode struct {
 	Projection []string
 	// Pushed holds predicates the optimizer pushed into the source.
 	Pushed []Expr
+
+	// schemas memoizes Schema; see scanSchemas.
+	schemas atomic.Pointer[scanSchemas]
 }
 
-// Schema implements LogicalPlan.
-func (s *ScanNode) Schema() Schema {
-	base := s.Relation.Schema()
-	if s.Alias != "" {
-		base = base.Qualify(s.Alias)
-	}
-	if s.Projection == nil {
-		return base
-	}
-	out, err := base.Project(s.Projection)
-	if err != nil {
-		// Projection was validated when set; fall back to the full schema.
-		return base
-	}
-	return out
+// scanSchemas is a scan's schemas as computed from one relation schema,
+// alias and projection.
+type scanSchemas struct {
+	rel   Schema
+	alias string
+	proj  []string
+	base  Schema // rel qualified by alias
+	out   Schema // base projected
 }
+
+// fits reports whether m was computed from exactly these inputs: the same
+// relation schema slice, alias and projection (nil, meaning every column,
+// is not the empty projection).
+func (m *scanSchemas) fits(rel Schema, alias string, proj []string) bool {
+	return len(m.rel) == len(rel) && (len(rel) == 0 || &m.rel[0] == &rel[0]) &&
+		m.alias == alias && (m.proj == nil) == (proj == nil) && slices.Equal(m.proj, proj)
+}
+
+// memo returns the scan's schemas for its current relation, Alias and
+// Projection. The optimizer rewrites Projection in place, so the memo is
+// keyed on all three and recomputed when any changed; it is stored
+// atomically because plans are read from several goroutines.
+func (s *ScanNode) memo() *scanSchemas {
+	rel := s.Relation.Schema()
+	if m := s.schemas.Load(); m != nil && m.fits(rel, s.Alias, s.Projection) {
+		return m
+	}
+	m := &scanSchemas{rel: rel, alias: s.Alias, proj: slices.Clone(s.Projection), base: rel}
+	if s.Alias != "" {
+		m.base = rel.Qualify(s.Alias)
+	}
+	m.out = m.base
+	if s.Projection != nil {
+		// Projection was validated when set; on error keep the full schema.
+		if out, err := m.base.Project(s.Projection); err == nil {
+			m.out = out
+		}
+	}
+	s.schemas.Store(m)
+	return m
+}
+
+// Schema implements LogicalPlan. The result is shared: callers must not
+// modify it.
+func (s *ScanNode) Schema() Schema { return s.memo().out }
+
+// qualified is the relation's whole schema under the scan's alias.
+func (s *ScanNode) qualified() Schema { return s.memo().base }
 
 // Children implements LogicalPlan.
 func (s *ScanNode) Children() []LogicalPlan { return nil }

@@ -28,6 +28,7 @@ func ClonePlan(p LogicalPlan) LogicalPlan {
 	case *ScanNode:
 		cp := &ScanNode{Relation: n.Relation, Alias: n.Alias}
 		cp.Projection = append([]string(nil), n.Projection...)
+		cp.schemas.Store(n.schemas.Load())
 		for _, e := range n.Pushed {
 			cp.Pushed = append(cp.Pushed, CloneExpr(e))
 		}
@@ -393,10 +394,7 @@ func pruneColumns(p LogicalPlan, required []string) LogicalPlan {
 			}
 		}
 		var proj []string
-		full := n.Relation.Schema()
-		if n.Alias != "" {
-			full = full.Qualify(n.Alias)
-		}
+		full := n.qualified()
 		for _, f := range full {
 			if need[f.Name] || need[bareName(f.Name)] {
 				proj = append(proj, f.Name)

@@ -1,7 +1,9 @@
 package plan
 
 import (
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -230,6 +232,129 @@ func TestScanSchemaWithAliasAndProjection(t *testing.T) {
 	if len(s.Schema()) != 1 || s.Schema()[0].Name != "u.age" {
 		t.Errorf("projected schema = %s", s.Schema())
 	}
+}
+
+// freshScanSchema computes a scan's schema from scratch: the reference
+// ScanNode.Schema's memo must reproduce.
+func freshScanSchema(s *ScanNode) Schema {
+	base := s.Relation.Schema()
+	if s.Alias != "" {
+		base = base.Qualify(s.Alias)
+	}
+	if s.Projection == nil {
+		return base
+	}
+	out, err := base.Project(s.Projection)
+	if err != nil {
+		return base
+	}
+	return out
+}
+
+// scansOf lists every scan in p.
+func scansOf(p LogicalPlan) []*ScanNode {
+	var out []*ScanNode
+	if s, ok := p.(*ScanNode); ok {
+		out = append(out, s)
+	}
+	for _, c := range p.Children() {
+		out = append(out, scansOf(c)...)
+	}
+	return out
+}
+
+func checkScanSchemas(t *testing.T, label string, p LogicalPlan) {
+	t.Helper()
+	for _, s := range scansOf(p) {
+		if got, want := s.Schema(), freshScanSchema(s); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: scan %s alias %q projection %v: schema %s, want %s", label, s.Relation.Name(), s.Alias, s.Projection, got, want)
+		}
+	}
+}
+
+// TestScanSchemaMemoMatchesFreshAcrossOptimize: ScanNode.Schema is
+// memoized, and Optimize rewrites Projection in place and clones scans
+// with their memo, so at every step — the built plan, the optimized and
+// bound copies, the input after optimizing, and further in-place edits of
+// Projection, Alias and Relation — the memo must equal a from-scratch
+// computation.
+func TestScanSchemaMemoMatchesFreshAcrossOptimize(t *testing.T) {
+	aliased := func(rel *fakeRelation, alias string) *ScanNode { return &ScanNode{Relation: rel, Alias: alias} }
+	plans := map[string]func() LogicalPlan{
+		"filter and project": func() LogicalPlan {
+			return &ProjectNode{Exprs: []NamedExpr{{Expr: Col("city"), Name: "city"}}, Child: &FilterNode{
+				Cond: &Comparison{Op: OpGt, L: Col("age"), R: Lit(30)}, Child: &ScanNode{Relation: usersRel()}}}
+		},
+		"aliased join": func() LogicalPlan {
+			return &ProjectNode{Exprs: []NamedExpr{{Expr: Col("u.city"), Name: "city"}, {Expr: Col("o.amount"), Name: "amount"}},
+				Child: &FilterNode{Cond: &And{L: &Comparison{Op: OpEq, L: Col("u.city"), R: Lit("sf")}, R: &Comparison{Op: OpGt, L: Col("o.amount"), R: Lit(1.5)}},
+					Child: &JoinNode{Left: aliased(usersRel(), "u"), Right: aliased(ordersRel(), "o"),
+						LeftKeys: []Expr{Col("u.id")}, RightKeys: []Expr{Col("o.uid")}, Type: InnerJoin}}}
+		},
+		"self join": func() LogicalPlan {
+			rel := usersRel()
+			return &JoinNode{Left: aliased(rel, "a"), Right: aliased(rel, "b"),
+				LeftKeys: []Expr{Col("a.id")}, RightKeys: []Expr{Col("b.id")}, Type: LeftOuterJoin}
+		},
+		"count only": func() LogicalPlan {
+			return &AggregateNode{Aggs: []AggExpr{{Kind: AggCount, Name: "n"}}, Child: aliased(ordersRel(), "o")}
+		},
+		"grouped under sort and limit": func() LogicalPlan {
+			return &LimitNode{N: 3, Child: &SortNode{Orders: []SortOrder{{Expr: Col("s"), Desc: true}}, Child: &AggregateNode{
+				GroupBy: []NamedExpr{{Expr: Col("u.city"), Name: "city"}},
+				Aggs:    []AggExpr{{Kind: AggSum, Arg: Col("u.score"), Name: "s"}},
+				Child:   aliased(usersRel(), "u")}}}
+		},
+		"union": func() LogicalPlan {
+			return &UnionNode{Inputs: []LogicalPlan{
+				&ProjectNode{Exprs: []NamedExpr{{Expr: Col("id"), Name: "id"}}, Child: &ScanNode{Relation: usersRel()}},
+				&ProjectNode{Exprs: []NamedExpr{{Expr: Col("oid"), Name: "id"}}, Child: &ScanNode{Relation: ordersRel()}},
+			}}
+		},
+	}
+	for name, build := range plans {
+		p := build()
+		checkScanSchemas(t, name+" built", p)
+		opt := Optimize(p)
+		checkScanSchemas(t, name+" optimized", opt)
+		checkScanSchemas(t, name+" input after Optimize", p)
+		checkScanSchemas(t, name+" bound", Bind(opt, nil))
+		checkScanSchemas(t, name+" re-optimized", Optimize(opt))
+		for _, s := range scansOf(opt) {
+			s.Schema()
+			if len(s.Projection) > 1 {
+				s.Projection[0], s.Projection[1] = s.Projection[1], s.Projection[0]
+				checkScanSchemas(t, name+" projection reordered in place", s)
+			}
+			s.Projection = s.Projection[:len(s.Projection)/2]
+			checkScanSchemas(t, name+" projection shortened", s)
+			s.Projection = []string{}
+			checkScanSchemas(t, name+" empty projection", s)
+			s.Projection = nil
+			checkScanSchemas(t, name+" no projection", s)
+			s.Alias = "z"
+			checkScanSchemas(t, name+" realiased", s)
+			s.Relation = &fakeRelation{name: "other", schema: Schema{{Name: "x", Type: TypeInt64}}}
+			checkScanSchemas(t, name+" new relation", s)
+		}
+	}
+
+	// Plans are read from several goroutines (run with -race).
+	shared := &ScanNode{Relation: usersRel(), Alias: "u", Projection: []string{"u.age"}}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				if got := shared.Schema(); len(got) != 1 || got[0].Name != "u.age" {
+					t.Errorf("concurrent schema = %s", got)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestFormatRendersTree(t *testing.T) {

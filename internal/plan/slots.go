@@ -62,27 +62,58 @@ func Slots(p LogicalPlan) []int {
 	return out
 }
 
-// Bind deep-copies p and sets every slotted literal to vals[Slot-1]
-// (negated when the literal is Negated). vals must hold an int64,
-// float64 or string for each slot, of the kind the slot's literal was
-// parsed with; Bind leaves a template's literal types unchanged.
+// SlotRefs counts the slotted literals in p, each occurrence once.
+func SlotRefs(p LogicalPlan) int {
+	n := 0
+	forEachExpr(p, func(e Expr) {
+		if l, ok := e.(*Literal); ok && l.Slot > 0 {
+			n++
+		}
+	})
+	return n
+}
+
+// ExprSlotRefs counts the slotted literals in e, each occurrence once.
+func ExprSlotRefs(e Expr) int {
+	n := 0
+	if l, ok := e.(*Literal); ok && l.Slot > 0 {
+		n++
+	}
+	for _, c := range e.Children() {
+		n += ExprSlotRefs(c)
+	}
+	return n
+}
+
+// Bound is the literal's value under a query's slot values: vals[Slot-1]
+// (negated when the literal is Negated) for a slotted literal, Val for
+// an unslotted one or when vals is nil.
+func (l *Literal) Bound(vals []any) any {
+	if l.Slot == 0 || vals == nil {
+		return l.Val
+	}
+	v := vals[l.Slot-1]
+	if l.Negated {
+		switch x := v.(type) {
+		case int64:
+			v = -x
+		case float64:
+			v = -x
+		}
+	}
+	return v
+}
+
+// Bind deep-copies p and sets every slotted literal to its Bound value.
+// vals must hold an int64, float64 or string for each slot, of the kind
+// the slot's literal was parsed with; Bind leaves a template's literal
+// types unchanged.
 func Bind(p LogicalPlan, vals []any) LogicalPlan {
 	p = ClonePlan(p)
 	forEachExpr(p, func(e Expr) {
-		l, ok := e.(*Literal)
-		if !ok || l.Slot == 0 {
-			return
+		if l, ok := e.(*Literal); ok {
+			l.Val = l.Bound(vals)
 		}
-		v := vals[l.Slot-1]
-		if l.Negated {
-			switch x := v.(type) {
-			case int64:
-				v = -x
-			case float64:
-				v = -x
-			}
-		}
-		l.Val = v
 	})
 	return p
 }
