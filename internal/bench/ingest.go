@@ -129,7 +129,7 @@ func finishIngestRow(rig *harness.Rig, row *IngestRow, samples []time.Duration, 
 
 // Ingest measures the write path end to end:
 //
-//   - unbuffered: one Client.Put (one unstamped MultiPut RPC) per cell —
+//   - unbuffered: one Client.Put (one stamped MultiPut RPC) per cell —
 //     the pre-BufferedMutator baseline.
 //   - buffered: the same cells through a BufferedMutator; batching must
 //     amortize per-RPC cost into >= 5x the unbuffered throughput.
@@ -177,7 +177,7 @@ func Ingest(p Params) ([]IngestRow, error) {
 			return nil, fmt.Errorf("bench: ingest buffered: %w", err)
 		}
 		row := IngestRow{Scenario: "buffered", Cells: n}
-		mut := rig.Client.NewMutator(ingestTable, hbase.MutatorConfig{WriterID: "bench-buffered"})
+		mut := rig.Client.NewMutator(ingestTable, hbase.MutatorConfig{})
 		ctx := context.Background()
 		samples := make([]time.Duration, 0, n)
 		start := time.Now()
@@ -218,7 +218,7 @@ func Ingest(p Params) ([]IngestRow, error) {
 		// Small flushes: enough MultiPut RPCs that the seeded ack loss fires
 		// whatever the seed, and the percentile samples cover many flushes.
 		row := IngestRow{Scenario: "buffered+chaos", Cells: n}
-		mut := rig.Client.NewMutator(ingestTable, hbase.MutatorConfig{WriterID: "bench-chaos", FlushBytes: 1 << 10, MaxAttempts: 25})
+		mut := rig.Client.NewMutator(ingestTable, hbase.MutatorConfig{FlushBytes: 1 << 10, MaxAttempts: 25})
 		ctx := context.Background()
 		samples := make([]time.Duration, 0, n)
 		start := time.Now()
@@ -318,7 +318,7 @@ func Ingest(p Params) ([]IngestRow, error) {
 			rig.Cluster.Master.SetHotWriteThreshold(50)
 		}
 		row := IngestRow{Scenario: name, Cells: n}
-		mut := rig.Client.NewMutator(ingestTable, hbase.MutatorConfig{WriterID: "bench-hot", FlushBytes: 2 << 10})
+		mut := rig.Client.NewMutator(ingestTable, hbase.MutatorConfig{FlushBytes: 2 << 10})
 		ctx := context.Background()
 		samples := make([]time.Duration, 0, n)
 		start := time.Now()
@@ -354,11 +354,12 @@ func Ingest(p Params) ([]IngestRow, error) {
 	}
 
 	// --- zipfian multi-writer: skewed concurrent load ---
-	// Several mutators write rows drawn from a Zipf distribution — the
-	// monotonic/skewed key shape real event streams produce. The hot-region
-	// detector splits whatever the skew concentrates; the docs' key-salting
-	// note is the client-side fix for writers whose keys are strictly
-	// monotonic (a salt prefix turns one hot region into W warm ones).
+	// Several mutators on one client write rows drawn from a Zipf
+	// distribution — the monotonic/skewed key shape real event streams
+	// produce. The hot-region detector splits whatever the skew
+	// concentrates; the docs' key-salting note is the client-side fix for
+	// writers whose keys are strictly monotonic (a salt prefix turns one hot
+	// region into W warm ones).
 	{
 		rig, err := bootIngestRig(p, time.Millisecond, ingestSplits(n))
 		if err != nil {
@@ -381,10 +382,11 @@ func Ingest(p Params) ([]IngestRow, error) {
 			go func(w int) {
 				defer wg.Done()
 				ctx := context.Background()
-				// Distinct WriterIDs keep the dedup sequence spaces disjoint;
-				// per-writer seeds keep the skew deterministic per seed.
+				// The mutators share the client's writer and sequence
+				// space; per-writer seeds keep the skew deterministic per
+				// seed.
 				mut := rig.Client.NewMutator(ingestTable, hbase.MutatorConfig{
-					WriterID: fmt.Sprintf("bench-zipf-%d", w), FlushBytes: 2 << 10, MaxAttempts: 25,
+					FlushBytes: 2 << 10, MaxAttempts: 25,
 				})
 				rng := rand.New(rand.NewSource(p.Seed + int64(w)))
 				zipf := rand.NewZipf(rng, 1.2, 1, uint64(n-1))

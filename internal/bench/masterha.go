@@ -46,7 +46,7 @@ func startHAWriter(rig *harness.Rig, table string) *haWriter {
 		defer close(w.done)
 		ctx := context.Background()
 		mut := rig.Client.NewMutator(table, hbase.MutatorConfig{
-			WriterID: "bench-ha", FlushBytes: 512, MaxAttempts: 40,
+			FlushBytes: 512, MaxAttempts: 40,
 		})
 		for i := 0; ; i++ {
 			select {

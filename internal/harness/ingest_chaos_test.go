@@ -108,7 +108,7 @@ func TestIngestExactlyOnceUnderChaos(t *testing.T) {
 			const n = 600
 			ctx := context.Background()
 			mut := rig.Client.NewMutator("ingest", hbase.MutatorConfig{
-				WriterID: "chaos-writer", FlushBytes: 512, MaxAttempts: 25,
+				FlushBytes: 512, MaxAttempts: 25,
 			})
 			for i := 0; i < n; i++ {
 				c := hbase.Cell{

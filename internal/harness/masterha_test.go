@@ -104,7 +104,7 @@ func startHAIngest(rig *Rig, table, prefix string) *haIngest {
 		defer close(ing.done)
 		ctx := context.Background()
 		mut := rig.Client.NewMutator(table, hbase.MutatorConfig{
-			WriterID: "ha-" + prefix, FlushBytes: 256, MaxAttempts: 40,
+			FlushBytes: 256, MaxAttempts: 40,
 		})
 		for i := 0; ; i++ {
 			select {

@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -73,6 +74,16 @@ type Client struct {
 	retryMu  sync.Mutex
 	retryRng *rand.Rand // jitter source, guarded by retryMu
 
+	// writer stamps every batch the client sends: its coordination
+	// session's ID, fixed for the client's lifetime, so a retry carries its
+	// original stamp. Every Put and mutator flush draws its sequences from
+	// lastSeq, and inflight holds the first stamp of each delivery not yet
+	// resolved; seqMu guards both.
+	writer   string
+	seqMu    sync.Mutex
+	lastSeq  uint64
+	inflight map[uint64]struct{}
+
 	mu         sync.Mutex
 	masterHost string
 	regions    map[string]*RegionMap // table -> current snapshot
@@ -119,6 +130,7 @@ func NewClient(clusterName string, net *rpc.Network, zkSrv *zk.Server, opts ...C
 		clusterName: clusterName,
 		net:         net,
 		zkSess:      zkSrv.NewSession(),
+		inflight:    make(map[uint64]struct{}),
 		regions:     make(map[string]*RegionMap),
 		stale:       make(map[string]*RegionMap),
 		retry:       RetryPolicy{}.withDefaults(),
@@ -126,6 +138,7 @@ func NewClient(clusterName string, net *rpc.Network, zkSrv *zk.Server, opts ...C
 	// A fixed jitter seed: the same policy and failure schedule back off
 	// identically across runs.
 	c.retryRng = rand.New(rand.NewSource(1))
+	c.writer = strconv.FormatInt(c.zkSess.ID(), 10)
 	c.pool = NewDialPool(net)
 	for _, o := range opts {
 		o(c)
@@ -500,10 +513,11 @@ func (c *Client) InvalidateRegions(table string) {
 
 func cellRow(c *Cell) []byte { return c.Row }
 
-// Put writes cells: one unstamped MultiPut per region server the cells
-// touch, through the same delivery round a BufferedMutator flush takes.
-// Stale region locations are refreshed and the failed servers' pieces
-// retried under the client's retry policy.
+// Put writes cells as one stamped batch: one MultiPut per region server the
+// cells touch, through the same delivery round a BufferedMutator flush
+// takes. Stale region locations are refreshed and the failed servers'
+// pieces retried under the client's retry policy and the batch's original
+// stamp, so a piece whose reply was lost is deduplicated, not applied twice.
 func (c *Client) Put(table string, cells []Cell) error {
 	return c.PutContext(context.Background(), table, cells)
 }
@@ -514,7 +528,7 @@ func (c *Client) PutContext(ctx context.Context, table string, cells []Cell) err
 	if len(cells) == 0 {
 		return nil
 	}
-	return c.deliver(ctx, table, "", []*pendingBatch{{cells: cells}}, c.NewRetryBudget(table), nil)
+	return c.deliver(ctx, table, []*pendingBatch{{cells: cells}}, c.NewRetryBudget(table), nil)
 }
 
 // BulkLoad installs cells directly as sorted store files, bypassing the WAL

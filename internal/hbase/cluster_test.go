@@ -10,7 +10,7 @@ import (
 	"github.com/shc-go/shc/internal/metrics"
 )
 
-func bootCluster(t *testing.T, servers int) *Cluster {
+func bootCluster(t testing.TB, servers int) *Cluster {
 	t.Helper()
 	c, err := NewCluster(ClusterConfig{Name: "test", NumServers: servers})
 	if err != nil {

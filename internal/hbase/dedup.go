@@ -3,6 +3,9 @@ package hbase
 // dedupWindow records, per writer, which sequence-stamped batches a region
 // has applied, so a retried multi-put whose ack was lost is acknowledged
 // again without re-applying — the server half of the exactly-once contract.
+// Every write is stamped; a writer is one client, named by its coordination
+// session, and every Put and mutator flush of that client shares its one
+// sequence space.
 //
 // Durability mirrors the data it guards: the live window is rebuilt on crash
 // recovery from the flush-time snapshot (carried with the store files, the
@@ -15,17 +18,17 @@ type dedupWindow struct {
 	writers map[string]*writerWindow
 }
 
-// writerWindow is one writer's applied-batch set with its high- and
-// low-water marks. low is the writer's own declaration — carried on every
-// batch it sends — that all sequences below it are resolved (acked, or
-// abandoned with the error surfaced) and will never be retried. Stamps below
-// low are pruned from seen, but has still answers true for them: pruning
-// collapses history into the watermark instead of forgetting it, so the
-// window stays exact for the writer's entire sequence space while holding
-// only the in-flight tail in memory.
+// writerWindow is one writer's applied-batch set with its low-water mark.
+// low is the writer's own declaration — carried on every request it sends,
+// and taken over every batch the client still has in flight, not only the
+// request's own — that all sequences below it are resolved (acked, or
+// abandoned with the error surfaced) and will never be retried. Stamps
+// below low are pruned from seen, but has still answers true for them:
+// pruning collapses history into the watermark instead of forgetting it, so
+// the window stays exact for the writer's entire sequence space while
+// holding only the in-flight tail in memory.
 type writerWindow struct {
 	low  uint64
-	max  uint64
 	seen map[uint64]struct{}
 }
 
@@ -58,18 +61,12 @@ func (d *dedupWindow) has(writer string, seq uint64) bool {
 // resolved-up-to claim, so a retried batch can never out-age its stamp no
 // matter how far it trails the writer's newest sequence.
 func (d *dedupWindow) mark(writer string, seq, lowWater uint64) {
-	if writer == "" {
-		return
-	}
 	w := d.writers[writer]
 	if w == nil {
 		w = &writerWindow{seen: make(map[uint64]struct{})}
 		d.writers[writer] = w
 	}
 	w.seen[seq] = struct{}{}
-	if seq > w.max {
-		w.max = seq
-	}
 	if lowWater > w.low {
 		w.low = lowWater
 		for s := range w.seen {
@@ -86,7 +83,7 @@ func (d *dedupWindow) clone() *dedupWindow {
 	}
 	nd := newDedupWindow()
 	for wr, w := range d.writers {
-		nw := &writerWindow{low: w.low, max: w.max, seen: make(map[uint64]struct{}, len(w.seen))}
+		nw := &writerWindow{low: w.low, seen: make(map[uint64]struct{}, len(w.seen))}
 		for s := range w.seen {
 			nw.seen[s] = struct{}{}
 		}

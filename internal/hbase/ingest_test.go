@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"reflect"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -26,11 +28,6 @@ func TestDedupWindowBasics(t *testing.T) {
 	}
 	if w.has("a", 2) || w.has("c", 1) {
 		t.Error("unmarked stamps must not be reported")
-	}
-	// The anonymous writer is never tracked: unstamped writes do not dedup.
-	w.mark("", 7, 0)
-	if w.has("", 7) {
-		t.Error("anonymous stamps must not be tracked")
 	}
 	// Clones are independent snapshots.
 	c := w.clone()
@@ -305,7 +302,7 @@ func TestBufferedMutatorBatchesWrites(t *testing.T) {
 	if err := client.CreateTable(TableDescriptor{Name: "t", Families: []string{"cf"}}, [][]byte{[]byte("m")}); err != nil {
 		t.Fatal(err)
 	}
-	m := client.NewMutator("t", MutatorConfig{WriterID: "w1", FlushBytes: 1 << 20})
+	m := client.NewMutator("t", MutatorConfig{FlushBytes: 1 << 20})
 	const n = 200
 	for i := 0; i < n; i++ {
 		if err := m.Mutate(ctx, cell(fmt.Sprintf("%c-%03d", 'a'+i%26, i), "cf", "q", 1, "v")); err != nil {
@@ -340,7 +337,7 @@ func TestBufferedMutatorFlushesBySizeAndInterval(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Tiny threshold: every few cells force an inline flush.
-	m := client.NewMutator("t", MutatorConfig{WriterID: "w1", FlushBytes: 64})
+	m := client.NewMutator("t", MutatorConfig{FlushBytes: 64})
 	for i := 0; i < 20; i++ {
 		if err := m.Mutate(ctx, cell(fmt.Sprintf("row-%02d", i), "cf", "q", 1, "0123456789")); err != nil {
 			t.Fatal(err)
@@ -354,7 +351,7 @@ func TestBufferedMutatorFlushesBySizeAndInterval(t *testing.T) {
 	}
 
 	// Interval flusher drains a buffer that never crosses FlushBytes.
-	m2 := client.NewMutator("t", MutatorConfig{WriterID: "w2", FlushBytes: 1 << 20, FlushInterval: 2 * time.Millisecond})
+	m2 := client.NewMutator("t", MutatorConfig{FlushBytes: 1 << 20, FlushInterval: 2 * time.Millisecond})
 	if err := m2.Mutate(ctx, cell("zz-interval", "cf", "q", 1, "x")); err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +391,7 @@ func TestBufferedMutatorFlushSurfacesRegroupFailure(t *testing.T) {
 	})
 	c.Net.SetFaultInjector(inj)
 
-	m := client.NewMutator("t", MutatorConfig{WriterID: "w1", FlushBytes: 1 << 20, MaxAttempts: 3})
+	m := client.NewMutator("t", MutatorConfig{FlushBytes: 1 << 20, MaxAttempts: 3})
 	if err := m.Mutate(ctx, cell("row-a", "cf", "q", 1, "v")); err != nil {
 		t.Fatal(err)
 	}
@@ -420,7 +417,7 @@ func TestBufferedMutatorSurfacesBackgroundFlushError(t *testing.T) {
 	}
 	inj := rpc.NewFaultInjector(1, &rpc.FaultRule{Method: MethodMultiPut, FailNext: 1, Err: rpc.ErrConnClosed})
 	c.Net.SetFaultInjector(inj)
-	m := client.NewMutator("t", MutatorConfig{WriterID: "w1", FlushBytes: 1 << 20, FlushInterval: time.Millisecond, MaxAttempts: 1})
+	m := client.NewMutator("t", MutatorConfig{FlushBytes: 1 << 20, FlushInterval: time.Millisecond, MaxAttempts: 1})
 	if err := m.Mutate(ctx, cell("row-a", "cf", "q", 1, "v")); err != nil {
 		t.Fatal(err)
 	}
@@ -454,7 +451,7 @@ func TestBufferedMutatorConcurrentClose(t *testing.T) {
 	if err := client.CreateTable(TableDescriptor{Name: "t", Families: []string{"cf"}}, nil); err != nil {
 		t.Fatal(err)
 	}
-	m := client.NewMutator("t", MutatorConfig{WriterID: "w1", FlushInterval: time.Millisecond})
+	m := client.NewMutator("t", MutatorConfig{FlushInterval: time.Millisecond})
 	if err := m.Mutate(ctx, cell("row-a", "cf", "q", 1, "v")); err != nil {
 		t.Fatal(err)
 	}
@@ -525,7 +522,7 @@ func TestBufferedMutatorExactlyOnceAcrossLostAck(t *testing.T) {
 	})
 	c.Net.SetFaultInjector(inj)
 
-	m := client.NewMutator("t", MutatorConfig{WriterID: "w1", FlushBytes: 1 << 20})
+	m := client.NewMutator("t", MutatorConfig{FlushBytes: 1 << 20})
 	const n = 40
 	for i := 0; i < n; i++ {
 		if err := m.Mutate(ctx, cell(fmt.Sprintf("%c-%03d", 'a'+i%26, i), "cf", "q", 1, "v")); err != nil {
@@ -554,6 +551,137 @@ func TestBufferedMutatorExactlyOnceAcrossLostAck(t *testing.T) {
 	}
 }
 
+// ingestRows writes n rows named prefix-NN through a mutator that sets
+// nothing, and returns the stamps the cluster acked.
+func ingestRows(t *testing.T, client *Client, prefix string, n int) []BatchStamp {
+	t.Helper()
+	ctx := context.Background()
+	m := client.NewMutator("t", MutatorConfig{})
+	for i := 0; i < n; i++ {
+		if err := m.Mutate(ctx, cell(fmt.Sprintf("%s-%02d", prefix, i), "cf", "q", 1, "v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	return m.AckedBatches()
+}
+
+// TestIngestZeroConfigMutatorsKeepEveryRow: two mutators that set nothing,
+// on one client and then on two, each write 10 distinct rows. The client
+// hands out the stamps, so no writer's batch deduplicates against
+// another's and all 20 rows land.
+func TestIngestZeroConfigMutatorsKeepEveryRow(t *testing.T) {
+	for _, clients := range []int{1, 2} {
+		t.Run(fmt.Sprintf("clients=%d", clients), func(t *testing.T) {
+			c := bootCluster(t, 1)
+			first := c.NewClient()
+			t.Cleanup(first.Close)
+			if err := first.CreateTable(TableDescriptor{Name: "t", Families: []string{"cf"}}, nil); err != nil {
+				t.Fatal(err)
+			}
+			second := first
+			if clients == 2 {
+				second = c.NewClient()
+				t.Cleanup(second.Close)
+			}
+			acked := append(ingestRows(t, first, "a", 10), ingestRows(t, second, "b", 10)...)
+			if len(acked) != 2 {
+				t.Fatalf("acked batches = %d, want 2: %+v", len(acked), acked)
+			}
+			if acked[0] == acked[1] {
+				t.Errorf("both mutators acked stamp %+v", acked[0])
+			}
+			if got := c.Meter.Get(metrics.BatchesDeduped); got != 0 {
+				t.Errorf("batches deduplicated = %d, want 0: no batch was re-sent", got)
+			}
+			requireEachRowOnce(t, first, 20)
+		})
+	}
+}
+
+// TestIngestConcurrentWritersShareLowWater: goroutines Put on one client
+// while a mutator on the same client flushes, under seeded faults that lose
+// replies (the batch applied) and fail calls (nothing applied). Every
+// delivery shares the client's writer, so the low-water mark a request
+// carries must cover every stamp still in flight anywhere in the client: a
+// mark taken over one delivery alone lets a server prune another delivery's
+// stamp, and that delivery's retry of a batch the server never applied is
+// then dropped as a duplicate.
+func TestIngestConcurrentWritersShareLowWater(t *testing.T) {
+	seed := int64(1)
+	if s := os.Getenv("CHAOS_SEED"); s != "" {
+		var err error
+		if seed, err = strconv.ParseInt(s, 10, 64); err != nil {
+			t.Fatalf("bad CHAOS_SEED %q: %v", s, err)
+		}
+	}
+	ctx := context.Background()
+	c, setup, _ := twoServerTable(t)
+	client := c.NewClient(WithRetryPolicy(RetryPolicy{MaxAttempts: 25}))
+	t.Cleanup(client.Close)
+	counter := newAppliedCounter()
+	for _, rs := range c.Servers {
+		rs.SetBatchAppliedHook(counter.hook())
+	}
+	inj := rpc.NewFaultInjector(seed,
+		&rpc.FaultRule{Method: MethodMultiPut, FailProb: 0.1, DropReply: true, Err: rpc.ErrConnClosed},
+		&rpc.FaultRule{Method: MethodMultiPut, FailProb: 0.1, Err: rpc.ErrConnClosed},
+	)
+	c.Net.SetFaultInjector(inj)
+
+	const putters, puts, width = 4, 12, 4
+	row := func(w, i, k int) []byte {
+		return []byte(fmt.Sprintf("%c-w%d-%02d-%d", 'a'+(i*width+k)*7%26, w, i, k))
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, putters+1)
+	for w := 0; w < putters; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < puts; i++ {
+				cells := make([]Cell, width)
+				for k := range cells {
+					cells[k] = Cell{Row: row(w, i, k), Family: "cf", Qualifier: "q", Timestamp: 1, Type: TypePut, Value: []byte("v")}
+				}
+				if err := client.Put("t", cells); err != nil {
+					errs <- fmt.Errorf("putter %d put %d: %w", w, i, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		// A flush every few cells: many small stamped deliveries.
+		m := client.NewMutator("t", MutatorConfig{FlushBytes: 64, MaxAttempts: 25})
+		for i := 0; i < puts*width; i++ {
+			if err := m.Mutate(ctx, Cell{Row: row(putters, i/width, i%width), Family: "cf", Qualifier: "q", Timestamp: 1, Type: TypePut, Value: []byte("v")}); err != nil {
+				errs <- fmt.Errorf("mutate %d: %w", i, err)
+				return
+			}
+		}
+		if err := m.Close(ctx); err != nil {
+			errs <- fmt.Errorf("mutator close: %w", err)
+		}
+	}()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if inj.Fired() == 0 {
+		t.Fatal("no fault fired: the schedule was vacuous")
+	}
+	requireEachRowOnce(t, setup, (putters+1)*puts*width)
+	if got := counter.maxApplies(); got > 1 {
+		t.Fatalf("a stamped batch applied %d times in one region — exactly-once violated", got)
+	}
+}
+
 // TestBufferedMutatorBlocksAtBufferCap: while a flush is in flight, Mutate
 // keeps buffering up to the cap of 4 × FlushBytes, then blocks until the
 // flush lands, and every cell still lands exactly once. The in-flight
@@ -578,7 +706,7 @@ func TestBufferedMutatorBlocksAtBufferCap(t *testing.T) {
 
 	cells := spreadCells(51)
 	size := cells[0].WireSize()
-	m := client.NewMutator("t", MutatorConfig{WriterID: "w-cap", FlushBytes: 10 * size})
+	m := client.NewMutator("t", MutatorConfig{FlushBytes: 10 * size})
 
 	// The first 10 cells reach FlushBytes: this Mutate flushes inline and
 	// its first MultiPut is held.
@@ -666,7 +794,7 @@ func TestBufferedMutatorRegroupsAcrossSplit(t *testing.T) {
 	})
 	c.Net.SetFaultInjector(inj)
 
-	m := client.NewMutator("t", MutatorConfig{WriterID: "w1", FlushBytes: 1 << 20})
+	m := client.NewMutator("t", MutatorConfig{FlushBytes: 1 << 20})
 	const n = 40
 	for i := 0; i < n; i++ {
 		if err := m.Mutate(ctx, cell(fmt.Sprintf("row-%03d", 100+i), "cf", "q", 1, "v")); err != nil {

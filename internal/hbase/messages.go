@@ -20,38 +20,28 @@ const (
 // RegionBatch is one group of mutations for one region inside a
 // MultiPutRequest. Epoch is the ownership epoch the client routed by; the
 // server rejects a stale one with ErrFenced (0 = unchecked, for callers
-// that bypass the meta cache). Writer identifies the BufferedMutator
-// instance and Seq is its per-writer batch sequence number; together they
-// let the server deduplicate a retried batch whose ack was lost. A batch
-// with no Writer (Client.Put's) is unstamped and never deduplicated. A batch regrouped
+// that bypass the meta cache). Seq is the batch's sequence number in its
+// writer's space; with the request's Writer it is the stamp that lets the
+// server deduplicate a retried batch whose ack was lost. A batch regrouped
 // after a split keeps its original stamp: the daughters inherited the
 // parent's dedup window, and the regrouped pieces are row-disjoint, so
 // per-region dedup on the same stamp stays exactly-once. That rests on one
-// invariant the mutator guarantees by grouping each delivery round against
-// a single RegionMap snapshot: a region receives every cell of a stamped
-// batch that falls in its range, in one piece — so a region that has
-// recorded a stamp already holds all of that batch's rows in its range, and
-// dropping a re-sent piece as a duplicate loses nothing. LowWater is the
-// writer's low-water mark — every sequence below it is resolved (acked or
-// abandoned) and will never be retried — which bounds the server-side dedup
-// window without a fixed size that could out-prune a slow retry.
+// invariant the client guarantees by grouping each delivery round against
+// a single RegionMap snapshot: a region receives every cell of a batch that
+// falls in its range, in one piece — so a region that has recorded a stamp
+// already holds all of that batch's rows in its range, and dropping a
+// re-sent piece as a duplicate loses nothing.
 type RegionBatch struct {
 	RegionID string
 	Epoch    uint64
-	Writer   string
 	Seq      uint64
-	LowWater uint64
 	Cells    []Cell
 }
 
-// WireSize implements rpc.Message sizing for embedded batches. An unstamped
-// batch carries no writer, sequence or low-water mark, so it is charged only
-// its region ID, epoch and cells.
+// WireSize implements rpc.Message sizing for embedded batches: the region
+// ID, the fixed-width epoch, Seq as a uvarint, and the cells.
 func (b *RegionBatch) WireSize() int {
-	n := len(b.RegionID) + 8
-	if b.Writer != "" {
-		n += len(b.Writer) + 16
-	}
+	n := len(b.RegionID) + 8 + uvarintLen(b.Seq)
 	for i := range b.Cells {
 		n += b.Cells[i].WireSize()
 	}
@@ -60,19 +50,26 @@ func (b *RegionBatch) WireSize() int {
 
 // MultiPutRequest carries several region batches bound for one server — the
 // client's one write RPC, sent by Client.Put and by BufferedMutator
-// flushes. The server applies the batches in order, deduplicating any
-// stamped batch it has already applied, and returns the first error it hit
-// (retrying the whole request is safe: dedup makes re-applying the stamped
-// batches that did succeed a no-op, and an unstamped batch rewrites the same
-// versions).
+// flushes. Every batch is stamped: Writer is the sending client's identity
+// (its coordination session's ID), the same for every batch of a round, so
+// it is sent once per request. LowWater is the writer's low-water mark:
+// every sequence below it is resolved (acked or abandoned) and will never be
+// retried, which bounds the server-side dedup window without a fixed size
+// that could out-prune a slow retry. The server applies the batches in
+// order, deduplicating any it has already applied, and returns the first
+// error it hit; retrying the whole request is safe, since dedup makes
+// re-applying the batches that did succeed a no-op.
 type MultiPutRequest struct {
-	Batches []RegionBatch
-	Token   string
+	Writer   string
+	LowWater uint64
+	Batches  []RegionBatch
+	Token    string
 }
 
-// WireSize implements rpc.Message.
+// WireSize implements rpc.Message: the writer is length-prefixed and the
+// low-water mark is a uvarint, like the aggregate fields.
 func (m *MultiPutRequest) WireSize() int {
-	n := len(m.Token)
+	n := len(m.Token) + uvarintLen(uint64(len(m.Writer))) + len(m.Writer) + uvarintLen(m.LowWater)
 	for i := range m.Batches {
 		n += m.Batches[i].WireSize()
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"slices"
 	"sync"
 	"time"
@@ -13,11 +14,6 @@ import (
 
 // MutatorConfig tunes a BufferedMutator. The zero value gets sane defaults.
 type MutatorConfig struct {
-	// WriterID identifies this mutator in the batch stamps servers
-	// deduplicate on. It must be unique among concurrently writing mutators
-	// of the same table, or their sequence spaces collide and distinct
-	// batches deduplicate against each other. Default "mutator".
-	WriterID string
 	// FlushBytes is the buffered-cell threshold that triggers a flush
 	// (default 16 KiB). Four times it is the buffer's hard cap: Mutate
 	// blocks once the buffer reaches the cap and a flush is already
@@ -36,9 +32,6 @@ type MutatorConfig struct {
 }
 
 func (c MutatorConfig) withDefaults(cl *Client) MutatorConfig {
-	if c.WriterID == "" {
-		c.WriterID = "mutator"
-	}
 	if c.FlushBytes <= 0 {
 		c.FlushBytes = 16 << 10
 	}
@@ -56,11 +49,11 @@ type BatchStamp struct {
 
 // BufferedMutator is the client write buffer (HBase's BufferedMutator): Mutate
 // accumulates cells locally, and flushes group them per region, stamp each
-// group with a (writer, sequence) pair, pack the groups per region server,
-// and send one MultiPut RPC per server. Batching amortizes the per-RPC wire
-// and admission cost that makes cell-at-a-time Put throughput-bound; the
-// stamps make retrying a flush whose ack was lost provably exactly-once (the
-// server deduplicates applied stamps).
+// group with the client's writer and its next sequence, pack the groups per
+// region server, and send one MultiPut RPC per server. Batching amortizes
+// the per-RPC wire and admission cost that makes cell-at-a-time Put
+// throughput-bound; the stamps make retrying a flush whose ack was lost
+// provably exactly-once (the server deduplicates applied stamps).
 //
 // A flush retries retryable failures itself with the client's backoff: stale
 // locations re-resolve (a batch whose region split regroups by the fresh
@@ -76,7 +69,6 @@ type BufferedMutator struct {
 	cond     *sync.Cond
 	buf      []Cell
 	bufBytes int
-	nextSeq  uint64
 	acked    []BatchStamp
 	flushing bool
 	closed   bool
@@ -225,8 +217,8 @@ func (m *BufferedMutator) AckedBatches() []BatchStamp {
 	return append([]BatchStamp(nil), m.acked...)
 }
 
-// send stamps cells per region and delivers them: one sequence-stamped
-// batch per region the buffer touches, acked as its last piece lands.
+// send groups cells per region and delivers them: one stamped batch per
+// region the buffer touches, acked as its last piece lands.
 func (m *BufferedMutator) send(ctx context.Context, cells []Cell) error {
 	if len(cells) == 0 {
 		return nil
@@ -240,17 +232,14 @@ func (m *BufferedMutator) send(ctx context.Context, cells []Cell) error {
 	if err != nil {
 		return err
 	}
-	m.mu.Lock()
-	pending := make([]*pendingBatch, 0, len(groups))
-	for _, g := range groups {
-		m.nextSeq++
-		pending = append(pending, &pendingBatch{seq: m.nextSeq, cells: g.Items})
+	pending := make([]*pendingBatch, len(groups))
+	for i, g := range groups {
+		pending[i] = &pendingBatch{cells: g.Items}
 	}
-	m.mu.Unlock()
 	retry := RetryBudget{c: m.c, table: m.table, max: m.cfg.MaxAttempts}
-	return m.c.deliver(ctx, m.table, m.cfg.WriterID, pending, retry, func(seq uint64) {
+	return m.c.deliver(ctx, m.table, pending, retry, func(seq uint64) {
 		m.mu.Lock()
-		m.acked = append(m.acked, BatchStamp{Writer: m.cfg.WriterID, Seq: seq})
+		m.acked = append(m.acked, BatchStamp{Writer: m.c.writer, Seq: seq})
 		m.mu.Unlock()
 	})
 }
@@ -258,25 +247,40 @@ func (m *BufferedMutator) send(ctx context.Context, cells []Cell) error {
 // pendingBatch is one batch awaiting its ack: a stamp and the cells still
 // undelivered. The stamp is assigned once and never changes, even when a
 // split regroups the cells across fresh region boundaries. Client.Put sends
-// one unstamped batch (seq 0, no writer).
+// its cells as one batch; a mutator flush sends one batch per region.
 type pendingBatch struct {
 	seq   uint64
 	cells []Cell
 }
 
-// deliver is the client's one write path: it sends pending batches in
-// delivery rounds until every batch is acked or retry gives up. writer
-// stamps the pieces; "" sends them unstamped, and the server applies them
-// without dedup. acked, when non-nil, hears each batch's seq once its last
-// piece has landed.
-func (c *Client) deliver(ctx context.Context, table, writer string, pending []*pendingBatch, retry RetryBudget, acked func(seq uint64)) error {
+// deliver is the client's one write path: it stamps each pending batch with
+// the next sequence of the client's one sequence space, then sends the
+// batches in delivery rounds until every batch is acked or retry gives up.
+// acked, when non-nil, hears each batch's seq once its last piece has
+// landed.
+func (c *Client) deliver(ctx context.Context, table string, pending []*pendingBatch, retry RetryBudget, acked func(seq uint64)) error {
 	tok, err := c.token()
 	if err != nil {
 		return err
 	}
+	// The delivery's first stamp is its smallest, and it stays in flight
+	// until every batch is acked or abandoned with the error surfaced.
+	c.seqMu.Lock()
+	first := c.lastSeq + 1
+	for _, pb := range pending {
+		c.lastSeq++
+		pb.seq = c.lastSeq
+	}
+	c.inflight[first] = struct{}{}
+	c.seqMu.Unlock()
+	defer func() {
+		c.seqMu.Lock()
+		delete(c.inflight, first)
+		c.seqMu.Unlock()
+	}()
 	meter := metrics.Scoped(ctx, c.net.Meter())
 	for {
-		failed, err := c.deliverRound(ctx, table, tok, writer, pending, meter, acked)
+		failed, err := c.deliverRound(ctx, table, tok, pending, meter, acked)
 		if err == nil {
 			return nil
 		}
@@ -311,16 +315,19 @@ type deliveryPiece struct {
 // call meets which seeded fault independent of goroutine scheduling. It
 // returns the batches still owed, each narrowed to the cells the failed
 // servers held, and the error that outranks the others.
-func (c *Client) deliverRound(ctx context.Context, table, tok, writer string, pending []*pendingBatch, meter metrics.Meter, acked func(uint64)) ([]*pendingBatch, error) {
-	// The low-water mark carried on every stamped piece: a writer's
-	// deliveries are serialized, so everything below the smallest
-	// still-pending stamp is resolved — acked, or abandoned with its error
-	// surfaced — and will never be retried. Servers prune their dedup
-	// windows below it.
-	lowWater := pending[0].seq
-	for _, pb := range pending[1:] {
-		lowWater = min(lowWater, pb.seq)
+func (c *Client) deliverRound(ctx context.Context, table, tok string, pending []*pendingBatch, meter metrics.Meter, acked func(uint64)) ([]*pendingBatch, error) {
+	// The low-water mark every request carries: the smallest stamp still in
+	// flight anywhere in the client. Concurrent Puts and mutator flushes
+	// share one writer, so a mark taken over this delivery alone would tell
+	// the servers to prune a stamp another delivery may still retry, and
+	// that retry would be dropped as a duplicate. This delivery is in
+	// flight, so the set is never empty.
+	c.seqMu.Lock()
+	lowWater := uint64(math.MaxUint64)
+	for seq := range c.inflight {
+		lowWater = min(lowWater, seq)
 	}
+	c.seqMu.Unlock()
 	rm, err := c.RegionMap(ctx, table)
 	if err != nil {
 		return nil, err
@@ -358,13 +365,10 @@ func (c *Client) deliverRound(ctx context.Context, table, tok, writer string, pe
 	for _, load := range loads {
 		batches := make([]RegionBatch, len(load.pieces))
 		for k, p := range load.pieces {
-			batches[k] = RegionBatch{RegionID: p.region.ID, Epoch: p.region.Epoch, Cells: p.cells}
-			if writer != "" {
-				batches[k].Writer, batches[k].Seq, batches[k].LowWater = writer, pending[p.owner].seq, lowWater
-			}
+			batches[k] = RegionBatch{RegionID: p.region.ID, Epoch: p.region.Epoch, Seq: pending[p.owner].seq, Cells: p.cells}
 		}
 		meter.Inc(metrics.MultiPuts)
-		_, err := c.call(ctx, load.host, MethodMultiPut, &MultiPutRequest{Batches: batches, Token: tok})
+		_, err := c.call(ctx, load.host, MethodMultiPut, &MultiPutRequest{Writer: c.writer, LowWater: lowWater, Batches: batches, Token: tok})
 		if err == nil {
 			continue
 		}
@@ -380,8 +384,7 @@ func (c *Client) deliverRound(ctx context.Context, table, tok, writer string, pe
 
 	// A batch is acked once no failed server held a piece of it. A failed
 	// server may have applied some pieces before erring or losing its
-	// reply: the resend deduplicates them when stamped, and rewrites the
-	// same versions when not.
+	// reply: the resend deduplicates them.
 	var failed []*pendingBatch
 	for i, pb := range pending {
 		if owed[i] != nil {

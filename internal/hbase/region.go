@@ -176,13 +176,12 @@ func (r *Region) Descriptor() TableDescriptor { return *r.desc }
 // stamp: a batch the region has already applied is acknowledged without
 // re-applying, which is what makes retrying a multi-put whose ack was lost
 // exactly-once. applied reports whether the cells were written (false =
-// duplicate, already durable). An empty writer disables dedup (Client.Put's
-// unstamped batches). lowWater is the writer's claim that every sequence
-// below it is resolved and unretryable; it lets the dedup window prune
-// safely (0 = no claim). The record carries the region's held epoch: once
-// the log has been fenced at a newer epoch (the region was reassigned), the
-// whole batch fails before it is acknowledged, with nothing applied,
-// surfacing as the retryable ErrFenced.
+// duplicate, already durable). lowWater is the writer's claim that every
+// sequence below it is resolved and unretryable; it lets the dedup window
+// prune safely (0 = no claim). The record carries the region's held epoch:
+// once the log has been fenced at a newer epoch (the region was
+// reassigned), the whole batch fails before it is acknowledged, with
+// nothing applied, surfacing as the retryable ErrFenced.
 func (r *Region) PutBatchStamped(writer string, seq, lowWater uint64, cells []Cell) (applied bool, err error) {
 	for i := range cells {
 		if err := r.checkCell(&cells[i]); err != nil {
@@ -194,7 +193,7 @@ func (r *Region) PutBatchStamped(writer string, seq, lowWater uint64, cells []Ce
 	if r.info.Replica > 0 {
 		return false, fmt.Errorf("%w: replica %d of region %s is read-only", ErrNotServing, r.info.Replica, r.info.ID)
 	}
-	if writer != "" && r.dedupLocked().has(writer, seq) {
+	if r.dedupLocked().has(writer, seq) {
 		r.meter.Inc(metrics.BatchesDeduped)
 		return false, nil
 	}
@@ -261,9 +260,7 @@ func (r *Region) applyEntryLocked(e *wal.Entry, lowWater uint64) {
 			prev = ed.Row
 		}
 	}
-	if e.Writer != "" {
-		r.dedupLocked().mark(e.Writer, e.Batch, lowWater)
-	}
+	r.dedupLocked().mark(e.Writer, e.Batch, lowWater)
 	r.appliedSeq = e.Seq
 }
 

@@ -3,6 +3,7 @@ package hbase
 import (
 	"bytes"
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"github.com/shc-go/shc/internal/metrics"
@@ -18,10 +19,13 @@ func newTestRegion(t *testing.T, cfg StoreConfig) *Region {
 	return NewRegion(info, testDesc(), cfg, metrics.NewRegistry())
 }
 
-// putCells writes cells to r as one unstamped batch, the way an unstamped
+// putSeq numbers the batches putCells writes, so no two share a stamp.
+var putSeq atomic.Uint64
+
+// putCells writes cells to r as one freshly stamped batch, the way a
 // MultiPut piece lands.
 func putCells(r *Region, cells ...Cell) error {
-	_, err := r.PutBatchStamped("", 0, 0, cells)
+	_, err := r.PutBatchStamped("test", putSeq.Add(1), 0, cells)
 	return err
 }
 

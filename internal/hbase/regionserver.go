@@ -515,9 +515,8 @@ func (rs *RegionServer) handleMultiPut(ctx context.Context, req rpc.Message) (rp
 	}
 	// Apply every batch, returning the first error at the end: later batches
 	// are not skipped because a retry of the whole request deduplicates the
-	// stamped ones that did land, and an unstamped one rewrites the same
-	// versions — finishing the pass costs nothing and narrows the retry to
-	// genuinely unapplied batches.
+	// ones that did land — finishing the pass costs nothing and narrows the
+	// retry to genuinely unapplied batches.
 	var firstErr error
 	for i := range m.Batches {
 		b := &m.Batches[i]
@@ -528,15 +527,15 @@ func (rs *RegionServer) handleMultiPut(ctx context.Context, req rpc.Message) (rp
 			}
 			continue
 		}
-		applied, err := r.PutBatchStamped(b.Writer, b.Seq, b.LowWater, b.Cells)
+		applied, err := r.PutBatchStamped(m.Writer, b.Seq, m.LowWater, b.Cells)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
 			}
 			continue
 		}
-		if applied && b.Writer != "" {
-			rs.notifyBatchApplied(b.Writer, b.Seq, b.RegionID)
+		if applied {
+			rs.notifyBatchApplied(m.Writer, b.Seq, b.RegionID)
 		}
 	}
 	if firstErr != nil {

@@ -2,7 +2,9 @@ package hbase
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -12,7 +14,7 @@ import (
 
 // twoServerTable creates table "t" split at "m" on a two-server cluster and
 // returns its two regions, checking that they live on different servers.
-func twoServerTable(t *testing.T) (*Cluster, *Client, []RegionInfo) {
+func twoServerTable(t testing.TB) (*Cluster, *Client, []RegionInfo) {
 	t.Helper()
 	c := bootCluster(t, 2)
 	client := c.NewClient()
@@ -122,22 +124,105 @@ func TestClientPutRetriesOnlyTheFailedServer(t *testing.T) {
 	requireEachRowOnce(t, client, n)
 }
 
-func TestRegionBatchWireSize(t *testing.T) {
-	one := cell("row", "cf", "q", 1, "value")
-	cellBytes := one.WireSize()
-	for _, tc := range []struct {
-		name  string
-		batch RegionBatch
-		want  int
-	}{
-		{"unstamped", RegionBatch{RegionID: "t-0001", Epoch: 3, Cells: []Cell{one}}, len("t-0001") + 8 + cellBytes},
-		{"unstamped, no cells", RegionBatch{RegionID: "t-0001"}, len("t-0001") + 8},
-		{"stamped", RegionBatch{RegionID: "t-0001", Epoch: 3, Writer: "w1", Seq: 9, LowWater: 4, Cells: []Cell{one, one}}, len("t-0001") + len("w1") + 24 + 2*cellBytes},
-	} {
-		if got := tc.batch.WireSize(); got != tc.want {
-			t.Errorf("%s: WireSize = %d, want %d", tc.name, got, tc.want)
+// TestIngestPutAppliesOnceAcrossLostReply: the first server applies
+// Client.Put's piece but its reply is lost. The retry re-sends the piece
+// under its original stamp, so the region deduplicates it instead of
+// writing and logging its cells a second time.
+func TestIngestPutAppliesOnceAcrossLostReply(t *testing.T) {
+	c, client, regions := twoServerTable(t)
+	inj := rpc.NewFaultInjector(1, &rpc.FaultRule{
+		Host: regions[0].Host, Method: MethodMultiPut, FailNext: 1, DropReply: true, Err: rpc.ErrConnClosed,
+	})
+	c.Net.SetFaultInjector(inj)
+	cells := spreadCells(40)
+	if err := client.Put("t", cells); err != nil {
+		t.Fatal(err)
+	}
+	if inj.Fired() != 1 {
+		t.Fatalf("faults fired = %d, want 1: the lost reply was vacuous", inj.Fired())
+	}
+	want := 0
+	for _, cl := range cells {
+		if regions[0].ContainsRow(cl.Row) {
+			want++
 		}
 	}
+	if got := regionOf(t, c, regions[0].ID).WriteLoad(); got != int64(want) {
+		t.Errorf("first region wrote %d cells, want its %d once", got, want)
+	}
+	if got := c.Meter.Get(metrics.WALAppends); got != 2 {
+		t.Errorf("WAL records = %d, want 2: one per region", got)
+	}
+	if got := c.Meter.Get(metrics.BatchesDeduped); got < 1 {
+		t.Error("the re-sent piece whose reply was lost must have been deduplicated")
+	}
+	requireEachRowOnce(t, client, len(cells))
+}
+
+// BenchmarkClientPut times one 8-row Client.Put over the two-server table:
+// one stamped MultiPut to each server, the shape of perfbench's mixed-rw
+// insert.
+func BenchmarkClientPut(b *testing.B) {
+	_, client, _ := twoServerTable(b)
+	cells := spreadCells(8)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := client.Put("t", cells); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestMultiPutWireSizeMatchesEncoding holds the write request's stamp model
+// to an encoding of the stamp fields: the writer length-prefixed, the
+// low-water mark and each batch's Seq as uvarints. The fixed-width Ping and
+// TableStats are held to their encodings too.
+func TestMultiPutWireSizeMatchesEncoding(t *testing.T) {
+	within := func(what string, model, real int) {
+		t.Helper()
+		if d := math.Abs(float64(model-real)) / float64(real); d > 0.05 {
+			t.Errorf("%s: WireSize models %d bytes, encoding is %d (%.1f%% off)", what, model, real, 100*d)
+		}
+	}
+	one := cell("row", "cf", "q", 1, "value")
+	for _, tc := range []struct {
+		writer string
+		low    uint64
+		seqs   []uint64
+	}{
+		{"7", 1, []uint64{1}},
+		{"12", 120, []uint64{127, 128, 300}},
+		{"40961", 1 << 40, []uint64{1 << 40, 1<<40 + 1, math.MaxUint64}},
+	} {
+		var enc []byte
+		enc = binary.AppendUvarint(enc, uint64(len(tc.writer)))
+		enc = append(enc, tc.writer...)
+		enc = binary.AppendUvarint(enc, tc.low)
+		batches := make([]RegionBatch, len(tc.seqs))
+		for i, seq := range tc.seqs {
+			enc = binary.AppendUvarint(enc, seq)
+			batches[i] = RegionBatch{RegionID: "t-0001", Epoch: 3, Seq: seq, Cells: []Cell{one}}
+		}
+		// Region IDs, epochs and cells are outside this check; only the
+		// stamp fields are under test.
+		rest := len(tc.seqs) * (len("t-0001") + 8 + one.WireSize())
+		req := &MultiPutRequest{Writer: tc.writer, LowWater: tc.low, Batches: batches}
+		within(fmt.Sprintf("MultiPutRequest stamp fields %+v", tc), req.WireSize()-rest, len(enc))
+	}
+
+	for _, master := range []string{"", "m", "cluster-master-standby-1"} {
+		p := Ping{Master: master, MasterEpoch: 9}
+		enc := binary.AppendUvarint(nil, uint64(len(master)))
+		enc = append(enc, master...)
+		enc = binary.BigEndian.AppendUint64(enc, p.MasterEpoch)
+		within("Ping "+master, p.WireSize(), len(enc))
+	}
+	st := TableStats{Bytes: 1 << 30, Cells: 1 << 20, Regions: 12}
+	enc := binary.BigEndian.AppendUint64(nil, uint64(st.Bytes))
+	enc = binary.BigEndian.AppendUint64(enc, uint64(st.Cells))
+	enc = binary.BigEndian.AppendUint32(enc, uint32(st.Regions))
+	within("TableStats", st.WireSize(), len(enc))
 }
 
 // TestWriteRoundSplitMidRoundKeepsOneSnapshot lands a split in the middle of
@@ -145,12 +230,12 @@ func TestRegionBatchWireSize(t *testing.T) {
 // reply, and the rule's hook splits the second server's region before the
 // round reaches it. The round's remaining piece goes out against the
 // round's own snapshot and is refused; the retry regroups every unacked cell
-// against a fresh map. Every cell must land once, and every acked stamp
-// must be applied at most once per region.
+// against a fresh map. Every cell must land once, and every stamp must be
+// applied at most once per region, through Client.Put and through a mutator.
 func TestWriteRoundSplitMidRoundKeepsOneSnapshot(t *testing.T) {
-	for _, stamped := range []bool{false, true} {
+	for _, viaMutator := range []bool{false, true} {
 		name := "put"
-		if stamped {
+		if viaMutator {
 			name = "mutator"
 		}
 		t.Run(name, func(t *testing.T) {
@@ -183,8 +268,8 @@ func TestWriteRoundSplitMidRoundKeepsOneSnapshot(t *testing.T) {
 			const n = 40
 			cells := spreadCells(n)
 			var m *BufferedMutator
-			if stamped {
-				m = client.NewMutator("t", MutatorConfig{WriterID: "w1", FlushBytes: 1 << 20})
+			if viaMutator {
+				m = client.NewMutator("t", MutatorConfig{FlushBytes: 1 << 20})
 				if err := m.Mutate(ctx, cells...); err != nil {
 					t.Fatal(err)
 				}
@@ -201,14 +286,14 @@ func TestWriteRoundSplitMidRoundKeepsOneSnapshot(t *testing.T) {
 				t.Fatalf("regions after split = %d, want 3", len(got))
 			}
 			requireEachRowOnce(t, client, len(seed)+n)
-			if !stamped {
-				return
-			}
 			if got := counter.maxApplies(); got > 1 {
 				t.Fatalf("a stamped batch applied %d times in one region — exactly-once violated", got)
 			}
 			if got := c.Meter.Get(metrics.BatchesDeduped); got == 0 {
 				t.Error("the resent piece whose reply was lost must have been deduplicated")
+			}
+			if !viaMutator {
+				return
 			}
 			acked := m.AckedBatches()
 			if len(acked) != 2 {

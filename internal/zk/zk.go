@@ -87,6 +87,10 @@ func (s *Server) NewSession() *Session {
 	return &Session{srv: s, id: s.nextSID}
 }
 
+// ID returns the session's identifier: unique on its server, and handed out
+// in the order sessions were opened.
+func (sess *Session) ID() int64 { return sess.id }
+
 func splitPath(path string) ([]string, error) {
 	if !strings.HasPrefix(path, "/") || strings.Contains(path, "//") {
 		return nil, fmt.Errorf("%w: %q", ErrBadPath, path)

@@ -264,3 +264,16 @@ func mustCreate(t *testing.T, sess *Session, path string, ephemeral bool) {
 		t.Fatalf("Create(%s): %v", path, err)
 	}
 }
+
+func TestSessionIDsUniqueInOpenOrder(t *testing.T) {
+	s := NewServer()
+	a := s.NewSession()
+	a.Close()
+	b, c := s.NewSession(), s.NewSession()
+	defer b.Close()
+	defer c.Close()
+	// A closed session's ID is not reused: clients name themselves by it.
+	if !(a.ID() < b.ID() && b.ID() < c.ID()) {
+		t.Fatalf("session IDs %d, %d, %d: want strictly increasing in open order", a.ID(), b.ID(), c.ID())
+	}
+}
