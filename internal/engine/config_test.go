@@ -7,7 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"github.com/shc-go/shc/internal/datasource"
 	"github.com/shc-go/shc/internal/metrics"
+	"github.com/shc-go/shc/internal/plan"
 )
 
 func TestNewSessionRejectsOutOfRangeConfig(t *testing.T) {
@@ -68,6 +70,40 @@ func TestCollectContextCancelledQuery(t *testing.T) {
 	}
 	if got := m.Get(metrics.QueriesCancelled); got != 1 {
 		t.Errorf("engine.queries_cancelled = %d, want 1", got)
+	}
+}
+
+// bulkMem is a MemRelation whose bulk-load path is its Insert.
+type bulkMem struct{ *datasource.MemRelation }
+
+func (b bulkMem) BulkLoad(rows []plan.Row) error { return b.Insert(rows) }
+
+// TestWriteContextCancelled: a dead context stops Write's and WriteBulk's
+// read half with the context's error, and nothing is inserted.
+func TestWriteContextCancelled(t *testing.T) {
+	s := newTestSession(t)
+	users, _ := s.Table("users")
+	df := users.Select("id", "age")
+	target := bulkMem{datasource.NewMemRelation("copy", plan.Schema{
+		{Name: "id", Type: plan.TypeString},
+		{Name: "age", Type: plan.TypeInt32},
+	}, 1)}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := df.WriteContext(ctx, target); !errors.Is(err, context.Canceled) {
+		t.Fatalf("WriteContext err = %v, want context.Canceled", err)
+	}
+	if err := df.WriteBulkContext(ctx, target); !errors.Is(err, context.Canceled) {
+		t.Fatalf("WriteBulkContext err = %v, want context.Canceled", err)
+	}
+	if n := target.Count(); n != 0 {
+		t.Fatalf("cancelled writes inserted %d rows", n)
+	}
+	if err := df.WriteBulkContext(context.Background(), target); err != nil {
+		t.Fatal(err)
+	}
+	if n := target.Count(); n != 40 {
+		t.Errorf("bulk-written rows = %d, want 40", n)
 	}
 }
 

@@ -200,15 +200,16 @@ func (df *DataFrame) CountContext(ctx context.Context) (int64, error) {
 // Write inserts the DataFrame's rows into an insertable relation — the
 // paper's write path (Code 2): df.write....save().
 func (df *DataFrame) Write(target datasource.InsertableRelation) error {
-	rows, err := df.Collect()
+	return df.WriteContext(context.Background(), target)
+}
+
+// WriteContext is Write whose read half runs under ctx (see
+// CollectContext): a cancelled or expired ctx returns its error and inserts
+// nothing.
+func (df *DataFrame) WriteContext(ctx context.Context, target datasource.InsertableRelation) error {
+	rows, err := df.collectFor(ctx, target)
 	if err != nil {
 		return err
-	}
-	want := len(target.Schema())
-	for _, r := range rows {
-		if len(r) != want {
-			return fmt.Errorf("engine: cannot write %d-column rows into %q with %d columns", len(r), target.Name(), want)
-		}
 	}
 	return target.Insert(rows)
 }
@@ -217,17 +218,33 @@ func (df *DataFrame) Write(target datasource.InsertableRelation) error {
 // path — store files installed directly in each region, bypassing WAL and
 // MemStore. Use it for initial loads too large for the buffered write path.
 func (df *DataFrame) WriteBulk(target datasource.BulkLoadableRelation) error {
-	rows, err := df.Collect()
+	return df.WriteBulkContext(context.Background(), target)
+}
+
+// WriteBulkContext is WriteBulk whose read half runs under ctx (see
+// WriteContext).
+func (df *DataFrame) WriteBulkContext(ctx context.Context, target datasource.BulkLoadableRelation) error {
+	rows, err := df.collectFor(ctx, target)
 	if err != nil {
 		return err
+	}
+	return target.BulkLoad(rows)
+}
+
+// collectFor collects the frame under ctx and checks every row's width
+// against target's schema.
+func (df *DataFrame) collectFor(ctx context.Context, target datasource.Relation) ([]plan.Row, error) {
+	rows, err := df.CollectContext(ctx)
+	if err != nil {
+		return nil, err
 	}
 	want := len(target.Schema())
 	for _, r := range rows {
 		if len(r) != want {
-			return fmt.Errorf("engine: cannot write %d-column rows into %q with %d columns", len(r), target.Name(), want)
+			return nil, fmt.Errorf("engine: cannot write %d-column rows into %q with %d columns", len(r), target.Name(), want)
 		}
 	}
-	return target.BulkLoad(rows)
+	return rows, nil
 }
 
 // Show renders up to n rows as an aligned text table (n <= 0 means all),

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -8,9 +9,9 @@ import (
 )
 
 // q39Inputs builds one month of q39's inputs: inventory(date, item, wh, qty)
-// rows over 30 dates × 200 items × 5 warehouses, and the item dimension.
+// rows over 30 dates × items items × 5 warehouses, and the item dimension.
 // Every key column is int32, as the TPC-DS generator writes them.
-func q39Inputs(invRows int) (inv, item *rowsExec) {
+func q39Inputs(invRows, items int) (inv, item *rowsExec) {
 	rng := rand.New(rand.NewSource(1))
 	inv = &rowsExec{schema: plan.Schema{
 		{Name: "inv_date_sk", Type: plan.TypeInt32},
@@ -20,14 +21,14 @@ func q39Inputs(invRows int) (inv, item *rowsExec) {
 	}}
 	for i := 0; i < invRows; i++ {
 		inv.rows = append(inv.rows, plan.Row{
-			int32(rng.Intn(30) + 1), int32(rng.Intn(200) + 1), int32(rng.Intn(5) + 1), int32(rng.Intn(500)),
+			int32(rng.Intn(30) + 1), int32(rng.Intn(items) + 1), int32(rng.Intn(5) + 1), int32(rng.Intn(500)),
 		})
 	}
 	item = &rowsExec{schema: plan.Schema{
 		{Name: "i_item_sk", Type: plan.TypeInt32},
 		{Name: "i_item_id", Type: plan.TypeString},
 	}}
-	for i := 1; i <= 200; i++ {
+	for i := 1; i <= items; i++ {
 		item.rows = append(item.rows, plan.Row{int32(i), "AAAAAAAA" + string(rune('A'+i%26))})
 	}
 	return inv, item
@@ -35,33 +36,39 @@ func q39Inputs(invRows int) (inv, item *rowsExec) {
 
 var benchRows []plan.Row
 
-// BenchmarkHashJoin times q39's inventory ⋈ item join on an int32 key: both
-// sides exchange into one bucket per slot.
+// BenchmarkHashJoin times inventory ⋈ item on an int32 key, each inventory
+// row matching one item, at q39's shape (a 200-row dimension against 4,000
+// rows) and with a build side as large as its probe side (4,000 items).
+// The broadcast join has no size threshold; the second case is its worst.
 func BenchmarkHashJoin(b *testing.B) {
-	inv, item := q39Inputs(4000)
-	ctx, _ := testCtx()
-	j := &HashJoinExec{
-		Left: inv, Right: item,
-		LeftKeys:  resolved(b, inv.schema, "inv_item_sk"),
-		RightKeys: resolved(b, item.schema, "i_item_sk"),
-		Type:      plan.InnerJoin,
-		OutSchema: append(append(plan.Schema{}, inv.schema...), item.schema...),
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows, err := j.Execute(ctx)
-		if err != nil {
-			b.Fatal(err)
-		}
-		benchRows = rows
+	for _, items := range []int{200, 4000} {
+		inv, item := q39Inputs(4000, items)
+		b.Run(fmt.Sprintf("4000x%d", items), func(b *testing.B) {
+			ctx, _ := testCtx()
+			j := &HashJoinExec{
+				Left: inv, Right: item,
+				LeftKeys:  resolved(b, inv.schema, "inv_item_sk"),
+				RightKeys: resolved(b, item.schema, "i_item_sk"),
+				Type:      plan.InnerJoin,
+				OutSchema: append(append(plan.Schema{}, inv.schema...), item.schema...),
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rows, err := j.Execute(ctx)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchRows = rows
+			}
+		})
 	}
 }
 
 // BenchmarkHashAgg times q39's inner aggregate: GROUP BY warehouse, item
 // with avg and stddev_samp of the quantity (1,000 groups over 4,000 rows).
 func BenchmarkHashAgg(b *testing.B) {
-	inv, _ := q39Inputs(4000)
+	inv, _ := q39Inputs(4000, 200)
 	groups := resolved(b, inv.schema, "inv_warehouse_sk", "inv_item_sk")
 	qty := resolved(b, inv.schema, "inv_quantity_on_hand")[0]
 	a := &HashAggExec{
@@ -87,7 +94,7 @@ func BenchmarkHashAgg(b *testing.B) {
 // BenchmarkExchange times hash-partitioning 4,000 inventory rows by their
 // (warehouse, item) int32 key into 4 buckets.
 func BenchmarkExchange(b *testing.B) {
-	inv, _ := q39Inputs(4000)
+	inv, _ := q39Inputs(4000, 200)
 	ctx, _ := testCtx()
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -99,47 +99,113 @@ func TestFNV64aMatchesHashFNV(t *testing.T) {
 	}
 }
 
-// TestJoinKeySemantics pins the equality the key bytes give every join
-// strategy: an int32 key matches an equal int64 key, NULL keys never match
-// (not even each other), and a left-outer join NULL-extends the rest.
-func TestJoinKeySemantics(t *testing.T) {
-	left := &rowsExec{
-		schema: plan.Schema{{Name: "k", Type: plan.TypeInt32}, {Name: "l", Type: plan.TypeString}},
-		rows:   []plan.Row{{int32(7), "seven"}, {nil, "null"}, {int32(8), "eight"}},
-	}
-	right := &rowsExec{
-		schema: plan.Schema{{Name: "j", Type: plan.TypeInt64}, {Name: "r", Type: plan.TypeString}},
-		rows:   []plan.Row{{int64(7), "SEVEN"}, {nil, "NULL"}, {int64(9), "NINE"}},
-	}
+// joinEveryWay runs one join as a broadcast hash join on 1, 2 and 4 slots
+// and, when smj is set, as a sort-merge join too, and fails the test unless
+// every run returns want (as a canonical multiset).
+func joinEveryWay(t *testing.T, name string, left, right *rowsExec, lKey, rKey string, jt plan.JoinType, smj bool, want []string) {
+	t.Helper()
 	out := append(append(plan.Schema{}, left.schema...), right.schema...)
-	lKeys, rKeys := resolved(t, left.schema, "k"), resolved(t, right.schema, "j")
-	for _, jt := range []plan.JoinType{plan.InnerJoin, plan.LeftOuterJoin} {
-		want := []string{"[7 seven 7 SEVEN]"}
-		if jt == plan.LeftOuterJoin {
-			want = []string{"[7 seven 7 SEVEN]", "[8 eight <nil> <nil>]", "[<nil> null <nil> <nil>]"}
+	lKeys, rKeys := resolved(t, left.schema, lKey), resolved(t, right.schema, rKey)
+	for _, slots := range []int{1, 2, 4} {
+		plans := map[string]PhysicalPlan{"hash": &HashJoinExec{
+			Left: left, Right: right, LeftKeys: lKeys, RightKeys: rKeys, Type: jt, OutSchema: out,
+		}}
+		if smj {
+			plans["sort-merge"] = &SortMergeJoinExec{
+				Left: left, Right: right, LeftKeys: lKeys, RightKeys: rKeys, Type: jt, OutSchema: out,
+			}
 		}
-		for _, slots := range []int{1, 2, 4} {
-			for _, smj := range []bool{false, true} {
-				name := fmt.Sprintf("hash/%d-slot", slots)
-				var p PhysicalPlan = &HashJoinExec{
-					Left: left, Right: right, LeftKeys: lKeys, RightKeys: rKeys,
-					Type: jt, OutSchema: out,
-				}
-				if smj {
-					name = fmt.Sprintf("sort-merge/%d-slot", slots)
-					p = &SortMergeJoinExec{
-						Left: left, Right: right, LeftKeys: lKeys, RightKeys: rKeys,
-						Type: jt, OutSchema: out,
-					}
-				}
-				rows, err := p.Execute(slotsCtx(slots))
-				if err != nil {
-					t.Fatalf("%s %s: %v", jt, name, err)
-				}
-				if got := canonical(rows); fmt.Sprint(got) != fmt.Sprint(want) {
-					t.Errorf("%s %s: rows = %q, want %q", jt, name, got, want)
-				}
+		for strategy, p := range plans {
+			rows, err := p.Execute(slotsCtx(slots))
+			if err != nil {
+				t.Fatalf("%s %s %s/%d-slot: %v", name, jt, strategy, slots, err)
+			}
+			if got := canonical(rows); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("%s %s %s/%d-slot: rows = %q, want %q", name, jt, strategy, slots, got, want)
 			}
 		}
 	}
+}
+
+// intOf returns v as a value of the integer type t.
+func intOf(t plan.DataType, v int64) any {
+	switch t {
+	case plan.TypeInt8:
+		return int8(v)
+	case plan.TypeInt16:
+		return int16(v)
+	case plan.TypeInt32:
+		return int32(v)
+	}
+	return v
+}
+
+// TestJoinKeySemantics pins the equality the key bytes give every join
+// strategy: integer keys of any two widths match when equal, NULL keys
+// never match (not even each other), and a left-outer join NULL-extends the
+// rest. The broadcast join's int64 table must agree with the key bytes
+// wherever they differ from plain integer equality.
+func TestJoinKeySemantics(t *testing.T) {
+	widths := []plan.DataType{plan.TypeInt8, plan.TypeInt16, plan.TypeInt32, plan.TypeInt64}
+	for _, lt := range widths {
+		for _, rt := range widths {
+			left := &rowsExec{
+				schema: plan.Schema{{Name: "k", Type: lt}, {Name: "l", Type: plan.TypeString}},
+				rows:   []plan.Row{{intOf(lt, 7), "seven"}, {nil, "null"}, {intOf(lt, 8), "eight"}},
+			}
+			right := &rowsExec{
+				schema: plan.Schema{{Name: "j", Type: rt}, {Name: "r", Type: plan.TypeString}},
+				rows:   []plan.Row{{intOf(rt, 7), "SEVEN"}, {nil, "NULL"}, {intOf(rt, 9), "NINE"}},
+			}
+			name := fmt.Sprintf("%s=%s", lt, rt)
+			joinEveryWay(t, name, left, right, "k", "j", plan.InnerJoin, true, []string{"[7 seven 7 SEVEN]"})
+			joinEveryWay(t, name, left, right, "k", "j", plan.LeftOuterJoin, true,
+				[]string{"[7 seven 7 SEVEN]", "[8 eight <nil> <nil>]", "[<nil> null <nil> <nil>]"})
+		}
+	}
+
+	// A string key matches an integer key that renders the same, and only
+	// a canonical rendering does: "07" and "+7" are not 7.
+	strs := &rowsExec{
+		schema: plan.Schema{{Name: "s", Type: plan.TypeString}},
+		rows:   []plan.Row{{"7"}, {"07"}, {"+7"}, {"x"}, {nil}},
+	}
+	ints := &rowsExec{
+		schema: plan.Schema{{Name: "i", Type: plan.TypeInt64}},
+		rows:   []plan.Row{{int64(7)}, {int64(8)}, {nil}},
+	}
+	joinEveryWay(t, "string=bigint", strs, ints, "s", "i", plan.InnerJoin, false, []string{"[7 7]"})
+	joinEveryWay(t, "bigint=string", ints, strs, "i", "s", plan.LeftOuterJoin, false,
+		[]string{"[7 7]", "[8 <nil>]", "[<nil> <nil>]"})
+
+	// Integer-typed columns holding other values: a probe value that
+	// renders as an integer still matches, and a build value that does not
+	// falls the table back to key bytes.
+	strayProbe := &rowsExec{
+		schema: plan.Schema{{Name: "k", Type: plan.TypeInt32}},
+		rows:   []plan.Row{{"7"}, {7.0}, {7.5}, {int32(8)}},
+	}
+	strayBuild := &rowsExec{
+		schema: plan.Schema{{Name: "j", Type: plan.TypeInt64}},
+		rows:   []plan.Row{{int64(7)}, {"x"}},
+	}
+	joinEveryWay(t, "stray probe", strayProbe, strayBuild, "k", "j", plan.LeftOuterJoin, false,
+		[]string{"[7 7]", "[7 7]", "[7.5 <nil>]", "[8 <nil>]"})
+	strayBuild.rows = append(strayBuild.rows, plan.Row{7.5})
+	joinEveryWay(t, "stray build", strayProbe, strayBuild, "k", "j", plan.LeftOuterJoin, false,
+		[]string{"[7 7]", "[7 7]", "[7.5 7.5]", "[8 <nil>]"})
+
+	// A left-outer join builds on the right even when the right is the
+	// larger side; NULL and unmatched left rows are NULL-extended.
+	small := &rowsExec{
+		schema: plan.Schema{{Name: "k", Type: plan.TypeInt32}},
+		rows:   []plan.Row{{int32(1)}, {nil}, {int32(5)}},
+	}
+	large := &rowsExec{schema: plan.Schema{{Name: "j", Type: plan.TypeInt64}, {Name: "n", Type: plan.TypeInt64}}}
+	for i := int64(0); i < 12; i++ {
+		large.rows = append(large.rows, plan.Row{i % 3, i})
+	}
+	large.rows = append(large.rows, plan.Row{nil, int64(99)})
+	joinEveryWay(t, "outer, larger build", small, large, "k", "j", plan.LeftOuterJoin, true,
+		[]string{"[1 1 10]", "[1 1 1]", "[1 1 4]", "[1 1 7]", "[5 <nil> <nil>]", "[<nil> <nil> <nil>]"})
 }

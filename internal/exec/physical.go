@@ -201,35 +201,74 @@ func (p *ProjectExec) Execute(ctx *Context) ([]plan.Row, error) {
 func appendKey(dst []byte, r plan.Row, idx []int) []byte {
 	var scratch [32]byte
 	for _, i := range idx {
-		var v []byte
-		switch x := r[i].(type) {
-		case string:
-			dst = append(strconv.AppendInt(dst, int64(len(x)), 10), ',')
-			dst = append(append(dst, x...), ';')
+		if s, ok := r[i].(string); ok {
+			dst = append(strconv.AppendInt(dst, int64(len(s)), 10), ',')
+			dst = append(append(dst, s...), ';')
 			continue
-		case int64:
-			v = strconv.AppendInt(scratch[:0], x, 10)
-		case int32:
-			v = strconv.AppendInt(scratch[:0], int64(x), 10)
-		case int:
-			v = strconv.AppendInt(scratch[:0], int64(x), 10)
-		case int16:
-			v = strconv.AppendInt(scratch[:0], int64(x), 10)
-		case int8:
-			v = strconv.AppendInt(scratch[:0], int64(x), 10)
-		case bool:
-			v = strconv.AppendBool(scratch[:0], x)
-		case float64:
-			v = strconv.AppendFloat(scratch[:0], x, 'g', -1, 64)
-		case float32:
-			v = strconv.AppendFloat(scratch[:0], float64(x), 'g', -1, 32)
-		default:
-			v = []byte(fmt.Sprintf("%v", x))
 		}
+		v := appendValue(scratch[:0], r[i])
 		dst = append(strconv.AppendInt(dst, int64(len(v)), 10), ',')
 		dst = append(append(dst, v...), ';')
 	}
 	return dst
+}
+
+// appendValue appends v's %v rendering to dst, through strconv for the
+// types keys usually hold.
+func appendValue(dst []byte, v any) []byte {
+	switch x := v.(type) {
+	case string:
+		return append(dst, x...)
+	case int64:
+		return strconv.AppendInt(dst, x, 10)
+	case int32:
+		return strconv.AppendInt(dst, int64(x), 10)
+	case int:
+		return strconv.AppendInt(dst, int64(x), 10)
+	case int16:
+		return strconv.AppendInt(dst, int64(x), 10)
+	case int8:
+		return strconv.AppendInt(dst, int64(x), 10)
+	case bool:
+		return strconv.AppendBool(dst, x)
+	case float64:
+		return strconv.AppendFloat(dst, x, 'g', -1, 64)
+	case float32:
+		return strconv.AppendFloat(dst, float64(x), 'g', -1, 32)
+	}
+	return fmt.Appendf(dst, "%v", v)
+}
+
+// intKey returns the integer whose decimal rendering is v's rendering, so
+// an int64-keyed join table matches exactly the pairs appendKey's bytes
+// match: every integer width, and any other value (the string "7", say)
+// that renders as a canonical integer. ok is false for any other value.
+func intKey(v any) (k int64, ok bool) {
+	switch x := v.(type) {
+	case int64:
+		return x, true
+	case int32:
+		return int64(x), true
+	case int:
+		return int64(x), true
+	case int16:
+		return int64(x), true
+	case int8:
+		return int64(x), true
+	}
+	var scratch, canon [32]byte
+	r := appendValue(scratch[:0], v)
+	k, err := strconv.ParseInt(string(r), 10, 64)
+	return k, err == nil && string(strconv.AppendInt(canon[:0], k, 10)) == string(r)
+}
+
+// integer reports whether t is one of the integer types int8–int64.
+func integer(t plan.DataType) bool {
+	switch t {
+	case plan.TypeInt8, plan.TypeInt16, plan.TypeInt32, plan.TypeInt64:
+		return true
+	}
+	return false
 }
 
 // fnv64a is FNV-1a over b, equal to hash/fnv's New64a without a hasher
@@ -261,17 +300,17 @@ func exchange(ctx *Context, rows []plan.Row, keyIdx []int, n int) [][]plan.Row {
 	return buckets
 }
 
-// HashJoinExec is an equi-join: both sides shuffle by key, each bucket
-// pair builds and probes in its own task. Left-outer joins NULL-extend
-// unmatched left rows.
+// HashJoinExec is an equi-join that broadcasts its build side: one
+// joinTable is built over it, and the probe side is split into contiguous
+// chunks, one task per scheduler slot, that all read that table. An inner
+// join builds on the smaller side; a left-outer join builds on the right,
+// and each chunk NULL-extends its own unmatched left rows. Output follows
+// probe order.
 type HashJoinExec struct {
 	Left, Right         PhysicalPlan
 	LeftKeys, RightKeys []plan.Expr // resolved against the child schemas
 	Type                plan.JoinType
 	OutSchema           plan.Schema
-	// swapped marks a runtime build-side swap: output rows re-assemble in
-	// the original column order (probe side second).
-	swapped bool
 }
 
 // Schema implements PhysicalPlan.
@@ -304,39 +343,37 @@ func (j *HashJoinExec) Execute(ctx *Context) ([]plan.Row, error) {
 	if lKey == nil || rKey == nil {
 		return nil, fmt.Errorf("exec: join keys must be resolved column references")
 	}
-	// Cost-based build-side selection: inner joins build the hash table on
-	// whichever side turned out smaller (output column order is unchanged
-	// by re-labelling sides). Left-outer must stream the left side.
+	lSchema, rSchema := j.Left.Schema(), j.Right.Schema()
+	intKeyed := len(lKey) == 1 && integer(lSchema[lKey[0]].Type) && integer(rSchema[rKey[0]].Type)
+	// Inner joins build on whichever side turned out smaller; left-outer
+	// must probe with the left side to NULL-extend it.
+	pr := prober{key: lKey, outer: j.Type == plan.LeftOuterJoin, leftWidth: len(lSchema), width: len(lSchema) + len(rSchema)}
+	probe, build, bKey := left, right, rKey
 	if j.Type == plan.InnerJoin && len(left) < len(right) {
-		return (&HashJoinExec{
-			Left: j.Right, Right: j.Left,
-			LeftKeys: j.RightKeys, RightKeys: j.LeftKeys,
-			Type:      plan.InnerJoin,
-			OutSchema: j.OutSchema,
-			swapped:   true,
-		}).joinMaterialized(ctx, right, left, rKey, lKey)
+		probe, build, bKey = right, left, lKey
+		pr.key, pr.buildLeft = rKey, true
 	}
-	return j.joinMaterialized(ctx, left, right, lKey, rKey)
-}
+	pr.table = buildTable(build, bKey, intKeyed)
 
-// joinMaterialized runs the shuffle hash join over already-materialized
-// inputs. When swapped is set, output rows are re-assembled in the original
-// (pre-swap) column order.
-func (j *HashJoinExec) joinMaterialized(ctx *Context, left, right []plan.Row, lKey, rKey []int) ([]plan.Row, error) {
-	n := ctx.shufflePartitions()
-	lb := exchange(ctx, left, lKey, n)
-	rb := exchange(ctx, right, rKey, n)
+	// Every probe task reads the whole build side: that is what a
+	// broadcast moves.
+	n := min(ctx.shufflePartitions(), len(probe))
+	var size int64
+	for _, r := range build {
+		size += int64(plan.RowSize(r))
+	}
+	m := ctx.meter()
+	m.Add(metrics.ShuffleBytes, size*int64(n))
+	m.Add(metrics.ShuffleRecords, int64(len(build)*n))
 
 	results := make([][]plan.Row, n)
-	tasks := make([]Task, 0, n)
-	for b := 0; b < n; b++ {
-		b := b
-		tasks = append(tasks, Task{Run: func(_ context.Context) error {
-			// Build on the right so left-outer can track unmatched left
-			// rows while streaming the (usually larger) left side.
-			results[b] = j.probe(buildTable(rb[b], rKey), lb[b], lKey)
+	tasks := make([]Task, n)
+	for i := range tasks {
+		chunk := probe[i*len(probe)/n : (i+1)*len(probe)/n]
+		tasks[i] = Task{Run: func(_ context.Context) error {
+			results[i] = pr.probe(chunk)
 			return nil
-		}})
+		}}
 	}
 	return runAll(ctx, tasks, results)
 }
@@ -347,72 +384,187 @@ func runAll(ctx *Context, tasks []Task, results [][]plan.Row) ([]plan.Row, error
 	if err := ctx.Scheduler.RunContext(ctx.ctx(), tasks); err != nil {
 		return nil, err
 	}
-	var out []plan.Row
+	if len(results) == 1 {
+		return results[0], nil
+	}
+	n := 0
+	for _, rs := range results {
+		n += len(rs)
+	}
+	out := make([]plan.Row, 0, n)
 	for _, rs := range results {
 		out = append(out, rs...)
 	}
 	return out, nil
 }
 
-// joinTable is a hash join's build side: rows grouped by key in build
-// order. Rows with a NULL key are left out — SQL NULL keys never match.
+// joinTable is a hash join's build side: rows grouped by key, each group's
+// rows contiguous and in build order. It is keyed by int64 when both key
+// columns are integers and by appendKey bytes otherwise. Rows with a NULL
+// key are left out — SQL NULL keys never match.
 type joinTable struct {
-	group map[string]int // key → index into rows
-	rows  [][]plan.Row
+	ints  map[int64]int32  // key → group for an int64-keyed table, else nil
+	keys  map[string]int32 // key bytes → group otherwise
+	start []int32          // group g's rows are rows[start[g]:start[g+1]]
+	rows  []plan.Row
 }
 
-// buildTable renders each build row's key once into a reused buffer; a key
-// string is allocated only for a key not seen before.
-func buildTable(rows []plan.Row, idx []int) *joinTable {
-	t := &joinTable{group: make(map[string]int, len(rows))}
-	var key []byte
-	for _, r := range rows {
-		if hasNilKey(r, idx) {
-			continue
+// buildTable groups rows by their key at idx. intKeyed asks for the int64
+// table; a key value that does not render as an integer falls the whole
+// table back to key bytes.
+func buildTable(rows []plan.Row, idx []int, intKeyed bool) *joinTable {
+	t := &joinTable{}
+	gid := make([]int32, len(rows)) // each row's group, -1 for a NULL key
+	groups := -1
+	if intKeyed {
+		groups = t.groupInts(rows, idx[0], gid)
+	}
+	if groups < 0 {
+		groups = t.groupKeys(rows, idx, gid)
+	}
+	// A counting sort by group keeps each group's rows contiguous and in
+	// build order, in two allocations.
+	t.start = make([]int32, groups+1)
+	for _, g := range gid {
+		if g >= 0 {
+			t.start[g+1]++
 		}
-		key = appendKey(key[:0], r, idx)
-		if g, ok := t.group[string(key)]; ok {
-			t.rows[g] = append(t.rows[g], r)
-			continue
+	}
+	for g := 1; g <= groups; g++ {
+		t.start[g] += t.start[g-1]
+	}
+	t.rows = make([]plan.Row, t.start[groups])
+	next := append([]int32(nil), t.start[:groups]...)
+	for i, g := range gid {
+		if g >= 0 {
+			t.rows[next[g]] = rows[i]
+			next[g]++
 		}
-		t.group[string(key)] = len(t.rows)
-		t.rows = append(t.rows, []plan.Row{r})
 	}
 	return t
 }
 
-// probe joins each probe row against t, NULL-extending unmatched rows for
-// a left-outer join.
-func (j *HashJoinExec) probe(t *joinTable, part []plan.Row, lKey []int) []plan.Row {
-	rightWidth := len(j.Right.Schema())
-	var out []plan.Row
-	var key []byte
-	for _, l := range part {
-		var matches []plan.Row
-		if !hasNilKey(l, lKey) {
-			key = appendKey(key[:0], l, lKey)
-			if g, ok := t.group[string(key)]; ok {
-				matches = t.rows[g]
-			}
+// groupInts numbers the groups of rows by the integer key in column c,
+// returning the group count, or -1 if a key is not an integer.
+func (t *joinTable) groupInts(rows []plan.Row, c int, gid []int32) int {
+	ints := make(map[int64]int32, len(rows))
+	for i, r := range rows {
+		if r[c] == nil {
+			gid[i] = -1
+			continue
 		}
-		if len(matches) == 0 {
-			if j.Type == plan.LeftOuterJoin {
-				joined := make(plan.Row, len(l)+rightWidth)
-				copy(joined, l)
-				out = append(out, joined)
+		k, ok := intKey(r[c])
+		if !ok {
+			return -1
+		}
+		g, seen := ints[k]
+		if !seen {
+			g = int32(len(ints))
+			ints[k] = g
+		}
+		gid[i] = g
+	}
+	t.ints = ints
+	return len(ints)
+}
+
+// groupKeys numbers the groups of rows by their appendKey bytes, rendered
+// into one reused buffer; a key string is allocated only for a new group.
+func (t *joinTable) groupKeys(rows []plan.Row, idx []int, gid []int32) int {
+	t.keys = make(map[string]int32, len(rows))
+	var key []byte
+	for i, r := range rows {
+		if hasNilKey(r, idx) {
+			gid[i] = -1
+			continue
+		}
+		key = appendKey(key[:0], r, idx)
+		g, seen := t.keys[string(key)]
+		if !seen {
+			g = int32(len(t.keys))
+			t.keys[string(key)] = g
+		}
+		gid[i] = g
+	}
+	return len(t.keys)
+}
+
+// lookup returns the group r's key at idx falls in, or -1 for none.
+func (t *joinTable) lookup(r plan.Row, idx []int, key *[]byte) int32 {
+	if hasNilKey(r, idx) {
+		return -1
+	}
+	var g int32
+	var ok bool
+	if t.ints != nil {
+		var k int64
+		if k, ok = intKey(r[idx[0]]); ok {
+			g, ok = t.ints[k]
+		}
+	} else {
+		*key = appendKey((*key)[:0], r, idx)
+		g, ok = t.keys[string(*key)]
+	}
+	if !ok {
+		return -1
+	}
+	return g
+}
+
+// prober joins probe rows against a broadcast joinTable.
+type prober struct {
+	table     *joinTable
+	key       []int // the probe side's key columns
+	outer     bool  // left-outer: NULL-extend unmatched probe rows
+	buildLeft bool  // the build side is the join's left input
+	leftWidth int   // columns of the left input
+	width     int   // columns of a joined row
+}
+
+// probe joins a chunk of probe rows in order. A first pass finds each
+// row's group and counts the output, so every joined row is carved from
+// one slab.
+func (p *prober) probe(chunk []plan.Row) []plan.Row {
+	t := p.table
+	groups := make([]int32, len(chunk))
+	n := 0
+	var key []byte
+	for i, r := range chunk {
+		g := t.lookup(r, p.key, &key)
+		groups[i] = g
+		if g >= 0 {
+			n += int(t.start[g+1] - t.start[g])
+		} else if p.outer {
+			n++
+		}
+	}
+	out := make([]plan.Row, 0, n)
+	slab := make([]any, n*p.width)
+	next := func() plan.Row {
+		row := plan.Row(slab[:p.width:p.width])
+		slab = slab[p.width:]
+		return row
+	}
+	for i, r := range chunk {
+		g := groups[i]
+		if g < 0 {
+			if p.outer {
+				row := next()
+				copy(row, r)
+				out = append(out, row)
 			}
 			continue
 		}
-		for _, r := range matches {
-			joined := make(plan.Row, 0, len(l)+len(r))
-			if j.swapped {
-				joined = append(joined, r...)
-				joined = append(joined, l...)
+		for _, b := range t.rows[t.start[g]:t.start[g+1]] {
+			row := next()
+			if p.buildLeft {
+				copy(row, b)
+				copy(row[p.leftWidth:], r)
 			} else {
-				joined = append(joined, l...)
-				joined = append(joined, r...)
+				copy(row, r)
+				copy(row[p.leftWidth:], b)
 			}
-			out = append(out, joined)
+			out = append(out, row)
 		}
 	}
 	return out
@@ -548,9 +700,10 @@ func (l *LimitExec) Execute(ctx *Context) ([]plan.Row, error) {
 }
 
 // HashAggExec groups rows and computes aggregates. It pre-aggregates
-// locally, exchanges the (much smaller) partial states, and merges them in
-// parallel — the partial-aggregation shape Spark uses, which keeps the
-// shuffle proportional to the number of groups rather than rows.
+// locally and meters the (much smaller) partial states as the exchange they
+// would cross — the partial-aggregation shape Spark uses, which keeps the
+// shuffle proportional to the number of groups rather than rows — then
+// finalizes the groups on the caller, in first-seen order.
 type HashAggExec struct {
 	GroupBy   []plan.NamedExpr
 	Aggs      []plan.AggExpr
@@ -722,12 +875,10 @@ func (a *HashAggExec) Execute(ctx *Context) ([]plan.Row, error) {
 	}
 	// Phase 1: local partial aggregation. Group values are evaluated into
 	// one reused row and keyed through one reused buffer; only a new group
-	// copies them. A new group's state joins its shuffle bucket when first
-	// seen, so buckets hold groups in first-seen input order and the output
+	// copies them. Groups are kept in first-seen input order, so the output
 	// order never depends on map iteration.
-	n := ctx.shufflePartitions()
-	buckets := make([][]*accumulator, n)
 	partials := make(map[string]*accumulator)
+	var groups []*accumulator
 	var shuffleBytes int64
 	vals := make(plan.Row, len(a.GroupBy))
 	var key []byte
@@ -743,8 +894,7 @@ func (a *HashAggExec) Execute(ctx *Context) ([]plan.Row, error) {
 		if !ok {
 			acc = &accumulator{groupVals: append([]any(nil), vals...), states: make([]aggState, len(a.Aggs))}
 			partials[string(key)] = acc
-			b := fnv64a(key) % uint64(n)
-			buckets[b] = append(buckets[b], acc)
+			groups = append(groups, acc)
 			shuffleBytes += int64(acc.stateSize())
 		}
 		for i, agg := range a.Aggs {
@@ -769,28 +919,18 @@ func (a *HashAggExec) Execute(ctx *Context) ([]plan.Row, error) {
 	m := ctx.meter()
 	m.Add(metrics.ShuffleBytes, shuffleBytes)
 	m.Add(metrics.ShuffleRecords, int64(len(partials)))
-	// Phase 3: finalize per bucket in parallel.
-	results := make([][]plan.Row, n)
-	tasks := make([]Task, 0, n)
-	for b := 0; b < n; b++ {
-		b := b
-		tasks = append(tasks, Task{Run: func(_ context.Context) error {
-			var out []plan.Row
-			for _, acc := range buckets[b] {
-				row := make(plan.Row, 0, len(a.GroupBy)+len(a.Aggs))
-				row = append(row, acc.groupVals...)
-				for i, agg := range a.Aggs {
-					row = append(row, acc.states[i].final(agg.Kind))
-				}
-				out = append(out, row)
-			}
-			results[b] = out
-			return nil
-		}})
-	}
-	out, err := runAll(ctx, tasks, results)
-	if err != nil {
-		return nil, err
+	// Phase 3: finalize on the caller, every output row carved from one
+	// slab.
+	w := len(a.GroupBy) + len(a.Aggs)
+	slab := make([]any, len(groups)*w)
+	out := make([]plan.Row, len(groups))
+	for g, acc := range groups {
+		row := plan.Row(slab[g*w : (g+1)*w : (g+1)*w])
+		copy(row, acc.groupVals)
+		for i, agg := range a.Aggs {
+			row[len(a.GroupBy)+i] = acc.states[i].final(agg.Kind)
+		}
+		out[g] = row
 	}
 	// Global aggregates over an empty input still produce one row.
 	if len(a.GroupBy) == 0 && len(out) == 0 {

@@ -82,37 +82,64 @@ func containsStr(s, sub string) bool {
 	return false
 }
 
+// nestedLoopJoin is the join oracle: every (left, right) pair whose keys
+// are both non-NULL and render to the same appendKey bytes, plus, for a
+// left-outer join, each unmatched left row NULL-extended.
+func nestedLoopJoin(left, right []plan.Row, lKey, rKey []int, rightWidth int, jt plan.JoinType) []plan.Row {
+	var out []plan.Row
+	for _, l := range left {
+		matched := false
+		for _, r := range right {
+			if hasNilKey(l, lKey) || hasNilKey(r, rKey) ||
+				string(appendKey(nil, l, lKey)) != string(appendKey(nil, r, rKey)) {
+				continue
+			}
+			matched = true
+			out = append(out, append(append(plan.Row{}, l...), r...))
+		}
+		if !matched && jt == plan.LeftOuterJoin {
+			out = append(out, append(append(plan.Row{}, l...), make(plan.Row, rightWidth)...))
+		}
+	}
+	return out
+}
+
 // TestJoinStrategiesAgreeProperty joins randomly generated tables (with
-// duplicate and NULL keys) under hash (four buckets), sort-merge, and hash
-// on a one-slot scheduler (one bucket) and demands identical multisets of
-// output rows.
+// duplicate and NULL keys, an int64 key against an int32 one) under the
+// broadcast hash join on four slots and on one, and under sort-merge, and
+// demands the nested-loop oracle's multiset of output rows from each.
+// bigRight puts the larger table on the right, so a left-outer join builds
+// on its larger side and an inner join on its left.
 func TestJoinStrategiesAgreeProperty(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 40}
-	if err := quick.Check(func(seed int64, outer bool) bool {
+	if err := quick.Check(func(seed int64, outer, bigRight bool) bool {
 		rng := rand.New(rand.NewSource(seed))
 		left := datasource.NewMemRelation("l", plan.Schema{
 			{Name: "k", Type: plan.TypeInt64}, {Name: "lv", Type: plan.TypeInt64},
 		}, 3)
 		right := datasource.NewMemRelation("r", plan.Schema{
-			{Name: "k2", Type: plan.TypeInt64}, {Name: "rv", Type: plan.TypeInt64},
+			{Name: "k2", Type: plan.TypeInt32}, {Name: "rv", Type: plan.TypeInt64},
 		}, 3)
-		fill := func(rel *datasource.MemRelation, n int) {
+		fill := func(rel *datasource.MemRelation, n int, key func(int) any) []plan.Row {
 			rows := make([]plan.Row, n)
 			for i := range rows {
 				var k any
-				if rng.Intn(8) == 0 {
-					k = nil // NULL keys never match
-				} else {
-					k = int64(rng.Intn(10)) // heavy duplication
+				if rng.Intn(8) != 0 { // else NULL: NULL keys never match
+					k = key(rng.Intn(10)) // heavy duplication
 				}
 				rows[i] = plan.Row{k, int64(i)}
 			}
 			if err := rel.Insert(rows); err != nil {
 				panic(err)
 			}
+			return rows
 		}
-		fill(left, rng.Intn(40))
-		fill(right, rng.Intn(40))
+		nl, nr := rng.Intn(10), 10+rng.Intn(30)
+		if !bigRight {
+			nl, nr = nr, nl
+		}
+		lrows := fill(left, nl, func(k int) any { return int64(k) })
+		rrows := fill(right, nr, func(k int) any { return int32(k) })
 		jt := plan.InnerJoin
 		if outer {
 			jt = plan.LeftOuterJoin
@@ -124,9 +151,9 @@ func TestJoinStrategiesAgreeProperty(t *testing.T) {
 			RightKeys: []plan.Expr{plan.Col("k2")},
 			Type:      jt,
 		}
+		want := canonical(nestedLoopJoin(lrows, rrows, []int{0}, []int{0}, 2, jt))
 		hash := canonical(runJoin(t, lp, false))
 		smj := canonical(runJoin(t, lp, true))
-		// One bucket: nothing is split by key.
 		phys, err := CompileWith(plan.Optimize(lp), CompileConfig{})
 		if err != nil {
 			return false
@@ -136,13 +163,9 @@ func TestJoinStrategiesAgreeProperty(t *testing.T) {
 			return false
 		}
 		single := canonical(rows)
-		if len(hash) != len(smj) || len(hash) != len(single) {
-			t.Logf("seed %d (%s): hash=%d smj=%d single=%d", seed, jt, len(hash), len(smj), len(single))
-			return false
-		}
-		for i := range hash {
-			if hash[i] != smj[i] || hash[i] != single[i] {
-				t.Logf("seed %d (%s) row %d: %s / %s / %s", seed, jt, i, hash[i], smj[i], single[i])
+		for name, got := range map[string][]string{"hash": hash, "sort-merge": smj, "hash/1-slot": single} {
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Logf("seed %d (%s, %d×%d) %s:\n got %q\nwant %q", seed, jt, nl, nr, name, got, want)
 				return false
 			}
 		}

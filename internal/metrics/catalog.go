@@ -108,8 +108,8 @@ func Catalog() []CatalogEntry {
 		{FiltersPushed, "counter", "Predicates pushed down into the datasource."},
 		{FiltersUnhandled, "counter", "Predicates the source declined (evaluated in the engine)."},
 		{RegionsPruned, "counter", "Regions skipped by partition pruning."},
-		{ShuffleBytes, "counter", "Bytes moved through the shuffle."},
-		{ShuffleRecords, "counter", "Records moved through the shuffle."},
+		{ShuffleBytes, "counter", "Bytes moved through a shuffle or a broadcast."},
+		{ShuffleRecords, "counter", "Records moved through a shuffle or a broadcast."},
 		{WALAppends, "counter", "WAL records appended, one per region batch (not per cell)."},
 		{WALCorruptEntries, "counter", "Corrupt WAL records that ended a replay; the torn batch is dropped whole."},
 		{WALEntriesReplayed, "counter", "WAL records (region batches, not cells) replayed during recovery and promotion."},
