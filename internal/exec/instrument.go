@@ -76,28 +76,56 @@ func (n *instrumented) Explain() string { return n.inner.Explain() }
 // operator. The op span's context is threaded to children through a copied
 // Context so their spans (and the tasks they launch) nest under this one.
 func (n *instrumented) Execute(ctx *Context) ([]plan.Row, error) {
-	sctx, sp := trace.StartSpan(ctx.ctx(), "op:"+opName(n.inner))
-	child := *ctx
-	child.Ctx = sctx
+	child, sp := n.start(ctx)
 	start := time.Now()
-	rows, err := n.inner.Execute(&child)
+	rows, err := n.inner.Execute(child)
 	wall := time.Since(start)
 	var bytes int64
 	for _, r := range rows {
 		bytes += int64(plan.RowSize(r))
 	}
-	sp.SetAttr("rows", int64(len(rows)))
+	n.record(sp, wall, int64(len(rows)), bytes, err)
+	return rows, err
+}
+
+// stream implements rowStream for an instrumented hash join: the rows it
+// emits are its output rows and bytes. The consumer's work on each row
+// runs inside emit, so it falls inside this operator's span and wall time.
+func (n *instrumented) stream(ctx *Context, emit func(plan.Row) error) error {
+	child, sp := n.start(ctx)
+	start := time.Now()
+	var rows, bytes int64
+	err := n.inner.(rowStream).stream(child, func(r plan.Row) error {
+		rows++
+		bytes += int64(plan.RowSize(r))
+		return emit(r)
+	})
+	n.record(sp, time.Since(start), rows, bytes, err)
+	return err
+}
+
+// start opens the operator's span and returns a copy of ctx that carries
+// it.
+func (n *instrumented) start(ctx *Context) (*Context, *trace.Span) {
+	sctx, sp := trace.StartSpan(ctx.ctx(), "op:"+opName(n.inner))
+	child := *ctx
+	child.Ctx = sctx
+	return &child, sp
+}
+
+// record closes the span and adds one execution's actuals.
+func (n *instrumented) record(sp *trace.Span, wall time.Duration, rows, bytes int64, err error) {
+	sp.SetAttr("rows", rows)
 	sp.SetAttr("bytes", bytes)
 	sp.SetError(err)
 	sp.End()
 	n.mu.Lock()
 	n.stats.Executed = true
-	n.stats.Rows += int64(len(rows))
+	n.stats.Rows += rows
 	n.stats.Bytes += bytes
 	n.stats.Wall += wall
 	n.span = sp
 	n.mu.Unlock()
-	return rows, err
 }
 
 // Stats returns the actuals captured by the last Execute.

@@ -103,3 +103,50 @@ func BenchmarkExchange(b *testing.B) {
 		benchRows = buckets[0]
 	}
 }
+
+// BenchmarkHashAggOverJoin times one month of q39: inventory probes the
+// item, warehouse and date dimensions in turn, and the joined rows fold
+// into GROUP BY warehouse, item with avg and stddev_samp of the quantity.
+// The join chain streams into the aggregate, materializing no joined row.
+func BenchmarkHashAggOverJoin(b *testing.B) {
+	inv, item := q39Inputs(4000, 200)
+	dim := func(name string, n int) *rowsExec {
+		d := &rowsExec{schema: plan.Schema{{Name: name, Type: plan.TypeInt32}}}
+		for i := 1; i <= n; i++ {
+			d.rows = append(d.rows, plan.Row{int32(i)})
+		}
+		return d
+	}
+	wh, date := dim("w_warehouse_sk", 5), dim("d_date_sk", 30)
+	join := func(left PhysicalPlan, right *rowsExec, lk string) *HashJoinExec {
+		out := append(append(plan.Schema{}, left.Schema()...), right.schema...)
+		return &HashJoinExec{
+			Left: left, Right: right,
+			LeftKeys:  resolved(b, left.Schema(), lk),
+			RightKeys: resolved(b, right.schema, right.schema[0].Name),
+			Type:      plan.InnerJoin,
+			OutSchema: out,
+		}
+	}
+	chain := join(join(join(inv, item, "inv_item_sk"), wh, "inv_warehouse_sk"), date, "inv_date_sk")
+	groups := resolved(b, chain.OutSchema, "w_warehouse_sk", "i_item_sk")
+	qty := resolved(b, chain.OutSchema, "inv_quantity_on_hand")[0]
+	a := &HashAggExec{
+		GroupBy: []plan.NamedExpr{{Expr: groups[0], Name: "w"}, {Expr: groups[1], Name: "i"}},
+		Aggs: []plan.AggExpr{
+			{Kind: plan.AggAvg, Arg: qty, Name: "qmean"},
+			{Kind: plan.AggStddevSamp, Arg: qty, Name: "qstd"},
+		},
+		Child: chain,
+	}
+	ctx, _ := testCtx()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rows, err := a.Execute(ctx)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchRows = rows
+	}
+}

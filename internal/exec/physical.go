@@ -306,6 +306,9 @@ func exchange(ctx *Context, rows []plan.Row, keyIdx []int, n int) [][]plan.Row {
 // join builds on the smaller side; a left-outer join builds on the right,
 // and each chunk NULL-extends its own unmatched left rows. Output follows
 // probe order.
+//
+// Under a HashAggExec the join streams instead (see stream): its rows go
+// to the aggregate's fold one at a time, and none is materialized.
 type HashJoinExec struct {
 	Left, Right         PhysicalPlan
 	LeftKeys, RightKeys []plan.Expr // resolved against the child schemas
@@ -330,42 +333,12 @@ func (j *HashJoinExec) Explain() string {
 
 // Execute implements PhysicalPlan.
 func (j *HashJoinExec) Execute(ctx *Context) ([]plan.Row, error) {
-	left, err := j.Left.Execute(ctx)
+	pr, probe, err := j.open(ctx, false, false)
 	if err != nil {
 		return nil, err
 	}
-	right, err := j.Right.Execute(ctx)
-	if err != nil {
-		return nil, err
-	}
-	lKey := keyIndexes(j.LeftKeys)
-	rKey := keyIndexes(j.RightKeys)
-	if lKey == nil || rKey == nil {
-		return nil, fmt.Errorf("exec: join keys must be resolved column references")
-	}
-	lSchema, rSchema := j.Left.Schema(), j.Right.Schema()
-	intKeyed := len(lKey) == 1 && integer(lSchema[lKey[0]].Type) && integer(rSchema[rKey[0]].Type)
-	// Inner joins build on whichever side turned out smaller; left-outer
-	// must probe with the left side to NULL-extend it.
-	pr := prober{key: lKey, outer: j.Type == plan.LeftOuterJoin, leftWidth: len(lSchema), width: len(lSchema) + len(rSchema)}
-	probe, build, bKey := left, right, rKey
-	if j.Type == plan.InnerJoin && len(left) < len(right) {
-		probe, build, bKey = right, left, lKey
-		pr.key, pr.buildLeft = rKey, true
-	}
-	pr.table = buildTable(build, bKey, intKeyed)
-
-	// Every probe task reads the whole build side: that is what a
-	// broadcast moves.
 	n := min(ctx.shufflePartitions(), len(probe))
-	var size int64
-	for _, r := range build {
-		size += int64(plan.RowSize(r))
-	}
-	m := ctx.meter()
-	m.Add(metrics.ShuffleBytes, size*int64(n))
-	m.Add(metrics.ShuffleRecords, int64(len(build)*n))
-
+	pr.broadcast(ctx, n)
 	results := make([][]plan.Row, n)
 	tasks := make([]Task, n)
 	for i := range tasks {
@@ -376,6 +349,104 @@ func (j *HashJoinExec) Execute(ctx *Context) ([]plan.Row, error) {
 		}}
 	}
 	return runAll(ctx, tasks, results)
+}
+
+// rowStream is an operator that can hand its output to a consumer one row
+// at a time instead of materializing it. The row passed to emit is reused
+// once emit returns: a consumer that keeps any part of the slice must copy
+// it.
+type rowStream interface {
+	stream(ctx *Context, emit func(plan.Row) error) error
+}
+
+// streamOf returns p as a row stream when it is a hash join, instrumented
+// or not.
+func streamOf(p PhysicalPlan) (rowStream, bool) {
+	if n, ok := p.(*instrumented); ok {
+		if _, ok := n.inner.(*HashJoinExec); ok {
+			return n, true
+		}
+	}
+	if j, ok := p.(*HashJoinExec); ok {
+		return j, true
+	}
+	return nil, false
+}
+
+// stream implements rowStream on the caller's goroutine. A child that is
+// itself a hash join streams into the probe — for a left-outer join only
+// the left child may, since the left side is the one NULL-extended — and
+// the other child is built. When neither child streams, both are
+// materialized and the build side is chosen as Execute chooses it. Every
+// joined row is written into one reused row.
+func (j *HashJoinExec) stream(ctx *Context, emit func(plan.Row) error) error {
+	src, left := streamOf(j.Left)
+	right := false
+	if !left && j.Type == plan.InnerJoin {
+		src, right = streamOf(j.Right)
+	}
+	pr, probe, err := j.open(ctx, left, right)
+	if err != nil {
+		return err
+	}
+	// One consumer reads the build side.
+	pr.broadcast(ctx, 1)
+	row := make(plan.Row, pr.width)
+	reuse := func() plan.Row { return row }
+	var key []byte
+	each := func(r plan.Row) error {
+		return pr.probeRow(r, pr.table.lookup(r, pr.key, &key), reuse, emit)
+	}
+	if src != nil {
+		return src.stream(ctx, each)
+	}
+	for _, r := range probe {
+		if err := each(r); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// open materializes the join's inputs, except a streamed child (the left
+// one when streamLeft, the right one when streamRight), and builds the
+// table over the build side, returning the materialized probe side (nil
+// when a child streams). A streamed child is the probe side. Otherwise an
+// inner join builds on whichever side turned out smaller, and a left-outer
+// join builds on the right, since it must probe with the left side to
+// NULL-extend it.
+func (j *HashJoinExec) open(ctx *Context, streamLeft, streamRight bool) (*prober, []plan.Row, error) {
+	lKey := keyIndexes(j.LeftKeys)
+	rKey := keyIndexes(j.RightKeys)
+	if lKey == nil || rKey == nil {
+		return nil, nil, fmt.Errorf("exec: join keys must be resolved column references")
+	}
+	var left, right []plan.Row
+	var err error
+	if !streamLeft {
+		if left, err = j.Left.Execute(ctx); err != nil {
+			return nil, nil, err
+		}
+	}
+	if !streamRight {
+		if right, err = j.Right.Execute(ctx); err != nil {
+			return nil, nil, err
+		}
+	}
+	lSchema, rSchema := j.Left.Schema(), j.Right.Schema()
+	intKeyed := len(lKey) == 1 && integer(lSchema[lKey[0]].Type) && integer(rSchema[rKey[0]].Type)
+	pr := &prober{key: lKey, outer: j.Type == plan.LeftOuterJoin, leftWidth: len(lSchema), width: len(lSchema) + len(rSchema)}
+	probe, build, bKey := left, right, rKey
+	if streamRight || !streamLeft && j.Type == plan.InnerJoin && len(left) < len(right) {
+		probe, build, bKey = right, left, lKey
+		pr.key, pr.buildLeft = rKey, true
+	}
+	pr.table = buildTable(build, bKey, intKeyed)
+	pr.buildRows = len(build)
+	for _, r := range build {
+		pr.buildBytes += int64(plan.RowSize(r))
+	}
+	return pr, probe, nil
 }
 
 // runAll runs tasks on the scheduler and concatenates their results in
@@ -519,6 +590,18 @@ type prober struct {
 	buildLeft bool  // the build side is the join's left input
 	leftWidth int   // columns of the left input
 	width     int   // columns of a joined row
+	// buildRows and buildBytes measure the build side, which every
+	// consumer of the table reads.
+	buildRows  int
+	buildBytes int64
+}
+
+// broadcast meters the build side as read by n consumers: that is what a
+// broadcast moves.
+func (p *prober) broadcast(ctx *Context, n int) {
+	m := ctx.meter()
+	m.Add(metrics.ShuffleBytes, p.buildBytes*int64(n))
+	m.Add(metrics.ShuffleRecords, int64(p.buildRows*n))
 }
 
 // probe joins a chunk of probe rows in order. A first pass finds each
@@ -545,29 +628,45 @@ func (p *prober) probe(chunk []plan.Row) []plan.Row {
 		slab = slab[p.width:]
 		return row
 	}
+	keep := func(row plan.Row) error {
+		out = append(out, row)
+		return nil
+	}
 	for i, r := range chunk {
-		g := groups[i]
-		if g < 0 {
-			if p.outer {
-				row := next()
-				copy(row, r)
-				out = append(out, row)
-			}
-			continue
-		}
-		for _, b := range t.rows[t.start[g]:t.start[g+1]] {
-			row := next()
-			if p.buildLeft {
-				copy(row, b)
-				copy(row[p.leftWidth:], r)
-			} else {
-				copy(row, r)
-				copy(row[p.leftWidth:], b)
-			}
-			out = append(out, row)
-		}
+		_ = p.probeRow(r, groups[i], next, keep)
 	}
 	return out
+}
+
+// probeRow joins probe row r, whose key fell in group g (-1 for none): each
+// joined row is written into the row next returns and handed to emit, and
+// an unmatched row of a left-outer join is NULL-extended. It is the one
+// per-row probe loop of both the materialized join and the stream.
+func (p *prober) probeRow(r plan.Row, g int32, next func() plan.Row, emit func(plan.Row) error) error {
+	if g < 0 {
+		if !p.outer {
+			return nil
+		}
+		row := next()
+		copy(row, r)
+		clear(row[p.leftWidth:])
+		return emit(row)
+	}
+	t := p.table
+	for _, b := range t.rows[t.start[g]:t.start[g+1]] {
+		row := next()
+		if p.buildLeft {
+			copy(row, b)
+			copy(row[p.leftWidth:], r)
+		} else {
+			copy(row, r)
+			copy(row[p.leftWidth:], b)
+		}
+		if err := emit(row); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func keyIndexes(keys []plan.Expr) []int {
@@ -703,7 +802,9 @@ func (l *LimitExec) Execute(ctx *Context) ([]plan.Row, error) {
 // locally and meters the (much smaller) partial states as the exchange they
 // would cross — the partial-aggregation shape Spark uses, which keeps the
 // shuffle proportional to the number of groups rather than rows — then
-// finalizes the groups on the caller, in first-seen order.
+// finalizes the groups on the caller, in first-seen order. A hash-join
+// child streams its joined rows into the fold, so no joined row of the
+// chain below is materialized.
 type HashAggExec struct {
 	GroupBy   []plan.NamedExpr
 	Aggs      []plan.AggExpr
@@ -869,62 +970,34 @@ func (a *accumulator) stateSize() int {
 
 // Execute implements PhysicalPlan.
 func (a *HashAggExec) Execute(ctx *Context) ([]plan.Row, error) {
-	rows, err := a.Child.Execute(ctx)
-	if err != nil {
-		return nil, err
-	}
-	// Phase 1: local partial aggregation. Group values are evaluated into
-	// one reused row and keyed through one reused buffer; only a new group
-	// copies them. Groups are kept in first-seen input order, so the output
-	// order never depends on map iteration.
-	partials := make(map[string]*accumulator)
-	var groups []*accumulator
-	var shuffleBytes int64
-	vals := make(plan.Row, len(a.GroupBy))
-	var key []byte
-	for _, r := range rows {
-		key = key[:0]
-		for i, g := range a.GroupBy {
-			if vals[i], err = g.Expr.Eval(r); err != nil {
-				return nil, err
-			}
-			key = appendKey(key, vals, []int{i})
+	// Phase 1: local partial aggregation. A hash-join child streams its
+	// rows into the fold; any other child is materialized first.
+	f := newGroupFold(a)
+	if src, ok := streamOf(a.Child); ok {
+		if err := src.stream(ctx, f.add); err != nil {
+			return nil, err
 		}
-		acc, ok := partials[string(key)]
-		if !ok {
-			acc = &accumulator{groupVals: append([]any(nil), vals...), states: make([]aggState, len(a.Aggs))}
-			partials[string(key)] = acc
-			groups = append(groups, acc)
-			shuffleBytes += int64(acc.stateSize())
+	} else {
+		rows, err := a.Child.Execute(ctx)
+		if err != nil {
+			return nil, err
 		}
-		for i, agg := range a.Aggs {
-			var v any = int64(1) // COUNT(*) counts rows
-			if agg.Arg != nil {
-				v, err = agg.Arg.Eval(r)
-				if err != nil {
-					return nil, err
-				}
-			} else if agg.Kind != plan.AggCount {
-				return nil, fmt.Errorf("exec: %s requires an argument", agg.Kind)
-			}
-			if agg.Kind == plan.AggCount && agg.Arg != nil && v == nil {
-				continue // COUNT(col) skips NULLs
-			}
-			if err := acc.states[i].update(agg.Kind, v); err != nil {
+		for _, r := range rows {
+			if err := f.add(r); err != nil {
 				return nil, err
 			}
 		}
 	}
 	// Phase 2: the partial states cross the exchange (metered shuffle).
 	m := ctx.meter()
-	m.Add(metrics.ShuffleBytes, shuffleBytes)
-	m.Add(metrics.ShuffleRecords, int64(len(partials)))
+	m.Add(metrics.ShuffleBytes, f.shuffleBytes)
+	m.Add(metrics.ShuffleRecords, int64(len(f.groups)))
 	// Phase 3: finalize on the caller, every output row carved from one
 	// slab.
 	w := len(a.GroupBy) + len(a.Aggs)
-	slab := make([]any, len(groups)*w)
-	out := make([]plan.Row, len(groups))
-	for g, acc := range groups {
+	slab := make([]any, len(f.groups)*w)
+	out := make([]plan.Row, len(f.groups))
+	for g, acc := range f.groups {
 		row := plan.Row(slab[g*w : (g+1)*w : (g+1)*w])
 		copy(row, acc.groupVals)
 		for i, agg := range a.Aggs {
@@ -942,6 +1015,88 @@ func (a *HashAggExec) Execute(ctx *Context) ([]plan.Row, error) {
 		out = append(out, row)
 	}
 	return out, nil
+}
+
+// groupFold folds rows into a HashAggExec's groups. Group values are
+// evaluated into one reused row and keyed through one reused buffer; only
+// a new group copies them, and its accumulator, values and states are
+// carved from chunked slabs. Groups are kept in first-seen input order, so
+// the output order never depends on map iteration. add keeps no part of
+// the row it is given, so a stream may reuse it.
+type groupFold struct {
+	a            *HashAggExec
+	partials     map[string]*accumulator
+	groups       []*accumulator
+	shuffleBytes int64
+	vals         plan.Row
+	key          []byte
+	accs         slab[accumulator]
+	groupVals    slab[any]
+	states       slab[aggState]
+}
+
+func newGroupFold(a *HashAggExec) *groupFold {
+	return &groupFold{a: a, partials: make(map[string]*accumulator), vals: make(plan.Row, len(a.GroupBy))}
+}
+
+// add folds row r into its group.
+func (f *groupFold) add(r plan.Row) error {
+	a := f.a
+	var err error
+	f.key = f.key[:0]
+	for i, g := range a.GroupBy {
+		if f.vals[i], err = g.Expr.Eval(r); err != nil {
+			return err
+		}
+		f.key = appendKey(f.key, f.vals, []int{i})
+	}
+	acc, ok := f.partials[string(f.key)]
+	if !ok {
+		acc = &f.accs.take(1)[0]
+		acc.groupVals = f.groupVals.take(len(f.vals))
+		copy(acc.groupVals, f.vals)
+		acc.states = f.states.take(len(a.Aggs))
+		f.partials[string(f.key)] = acc
+		f.groups = append(f.groups, acc)
+		f.shuffleBytes += int64(acc.stateSize())
+	}
+	for i, agg := range a.Aggs {
+		var v any = int64(1) // COUNT(*) counts rows
+		if agg.Arg != nil {
+			if v, err = agg.Arg.Eval(r); err != nil {
+				return err
+			}
+		} else if agg.Kind != plan.AggCount {
+			return fmt.Errorf("exec: %s requires an argument", agg.Kind)
+		}
+		if agg.Kind == plan.AggCount && agg.Arg != nil && v == nil {
+			continue // COUNT(col) skips NULLs
+		}
+		if err := acc.states[i].update(agg.Kind, v); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// slab hands out short slices carved from chunks, so many small slices
+// cost a few allocations. Chunks double from 8 slices to 64, which bounds
+// the unused tail of the last one. A slice it returns is never handed out
+// again.
+type slab[T any] struct {
+	free  []T
+	chunk int
+}
+
+// take returns a zeroed slice of n elements.
+func (s *slab[T]) take(n int) []T {
+	if len(s.free) < n {
+		s.chunk = min(max(2*s.chunk, 8*n), 64*n)
+		s.free = make([]T, s.chunk)
+	}
+	out := s.free[:n:n]
+	s.free = s.free[n:]
+	return out
 }
 
 // Explain renders the whole physical tree.

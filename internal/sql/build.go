@@ -269,12 +269,16 @@ func collectAggregates(stmt *SelectStmt) []*FuncCall {
 	return out
 }
 
-// unslotAggregateClauses clears the slot of every literal in the clauses
-// an aggregate statement matches against its groups and aggregates by
-// rendered text (collectAggregates, rewriteAggRefs). There a literal's
-// value can decide the plan's structure — whether a select item reuses a
-// group, whether two aggregate calls are one — so no prepared-plan
-// template may rebind it; a missing slot keeps the query uncached.
+// unslotAggregateClauses clears the slot of every literal an aggregate
+// statement matches against its groups and aggregates by rendered text
+// (collectAggregates, rewriteAggRefs): those inside GROUP BY expressions
+// and aggregate-call arguments. There a literal's value can decide the
+// plan's structure — whether a select item reuses a group, whether two
+// aggregate calls are one — so no prepared-plan template may rebind it; a
+// missing slot keeps the query uncached. A literal anywhere else (a HAVING
+// threshold, a CASE branch over aggregates) keeps its slot: a cached
+// query's groups and aggregate calls then hold no literal, so no rendering
+// that holds one can match them, whatever its value.
 func unslotAggregateClauses(stmt *SelectStmt) {
 	unslot := func(e plan.Expr) {
 		walkExpr(e, func(x plan.Expr) {
@@ -283,19 +287,30 @@ func unslotAggregateClauses(stmt *SelectStmt) {
 			}
 		})
 	}
+	unslotAggArgs := func(e plan.Expr) {
+		walkExpr(e, func(x plan.Expr) {
+			if f, ok := x.(*FuncCall); ok {
+				if _, isAgg := aggFuncs[f.Name]; isAgg {
+					for _, arg := range f.Args {
+						unslot(arg)
+					}
+				}
+			}
+		})
+	}
 	for _, item := range stmt.Items {
 		if item.Expr != nil {
-			unslot(item.Expr)
+			unslotAggArgs(item.Expr)
 		}
 	}
 	for _, g := range stmt.GroupBy {
 		unslot(g)
 	}
 	if stmt.Having != nil {
-		unslot(stmt.Having)
+		unslotAggArgs(stmt.Having)
 	}
 	for _, o := range stmt.OrderBy {
-		unslot(o.Expr)
+		unslotAggArgs(o.Expr)
 	}
 }
 

@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -138,16 +139,22 @@ func TestSentinelsAreDistinct(t *testing.T) {
 	}
 }
 
-// TestAggregateClausesLoseSlots: literals an aggregate statement matches
-// by rendering (select list, GROUP BY, HAVING, ORDER BY) lose their slot;
-// those in WHERE keep it.
+// TestAggregateClausesLoseSlots: in an aggregate statement, literals in
+// GROUP BY expressions and aggregate-call arguments, which the builder
+// matches by rendering, lose their slot; those in WHERE, HAVING and a
+// select item outside any aggregate call keep it.
 func TestAggregateClausesLoseSlots(t *testing.T) {
-	n := mustNormalize(t, "SELECT age + 1, count(*) FROM users WHERE city = 'sf' GROUP BY age + 1 HAVING count(*) > 2")
+	// Slots in lexing order: 1 the select's age + 1 (replaced by the
+	// group's output), 2 and 7 the sum arguments, 3 and 4 the CASE's
+	// literals, 5 'sf', 6 the GROUP BY's 1, 8 the HAVING threshold, 9 the
+	// count bound.
+	n := mustNormalize(t, `SELECT age + 1, sum(age * 3) AS s, CASE WHEN count(*) > 5 THEN 'many' END AS c
+		FROM users WHERE city = 'sf' GROUP BY age + 1 HAVING sum(age * 3) > 2 AND count(*) < 9`)
 	lp, err := n.Build(testResolver())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := plan.Slots(lp); len(got) != 1 || got[0] != 2 {
-		t.Fatalf("slots = %v, want [2] (the WHERE literal only)", got)
+	if got := plan.Slots(lp); fmt.Sprint(got) != "[3 4 5 8 9]" {
+		t.Fatalf("slots = %v, want [3 4 5 8 9] (CASE, WHERE and HAVING literals)", got)
 	}
 }
