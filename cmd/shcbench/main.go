@@ -59,7 +59,7 @@ func main() {
 	exp := flag.String("exp", "all", "experiment: all|table1|fig4|fig5|fig6|fig7|table2|ablation|streaming|vector|chaos|partition|replica|overload|trace-overhead|ingest|masterha")
 	scales := flag.String("scales", "1,2,3,4,5,6", "comma-separated scale factors (the 5..30 GB axis)")
 	servers := flag.Int("servers", 5, "region servers / executor hosts")
-	runs := flag.Int("runs", 1, "average each measurement over N runs")
+	runs := flag.Int("runs", 1, "timed runs per measurement: a query reports the median of N warm runs, a write the mean")
 	executors := flag.String("executors", "5,10,15,20,25", "total executor counts for fig6")
 	seed := flag.Int64("seed", 1, "fault-injection seed for the chaos and partition experiments")
 	metricsDump := flag.Bool("metrics", false, "dump a Prometheus-style metrics exposition after supporting experiments")

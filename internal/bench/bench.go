@@ -8,6 +8,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"github.com/shc-go/shc/internal/core"
@@ -27,7 +28,9 @@ type Params struct {
 	Executors []int
 	// ExecutorsPerHost for non-Fig6 experiments; default 2.
 	ExecutorsPerHost int
-	// Runs averages each measurement over this many runs; default 1.
+	// Runs is the number of timed runs behind each measurement; default 1.
+	// A query's figure is the median of its warm runs (see timeQuery), a
+	// write's the mean.
 	Runs int
 	// RPC is the simulated network cost model; DefaultRPC() unless set.
 	RPC rpc.Config
@@ -124,19 +127,29 @@ func bootPair(p Params, scale, executorsPerHost int, opts core.Options) (*harnes
 	return shcRig, baseRig, nil
 }
 
-// timeQuery averages query wall time over p.Runs.
+// timeQuery runs query once untimed, so that the timed runs find the plan
+// cache, the client's region map and the regions' read views warm, then
+// returns the median wall time of p.Runs runs and the last run's counter
+// deltas.
 func timeQuery(p Params, rig *harness.Rig, query string) (time.Duration, map[string]int64, error) {
-	var total time.Duration
+	if _, err := rig.Run(query); err != nil {
+		return 0, nil, err
+	}
+	times := make([]time.Duration, p.Runs)
 	var delta map[string]int64
-	for i := 0; i < p.Runs; i++ {
+	for i := range times {
 		res, err := rig.Run(query)
 		if err != nil {
 			return 0, nil, err
 		}
-		total += res.Elapsed
-		delta = res.Delta
+		times[i], delta = res.Elapsed, res.Delta
 	}
-	return total / time.Duration(p.Runs), delta, nil
+	slices.Sort(times)
+	mid := len(times) / 2
+	if len(times)%2 == 0 {
+		return (times[mid-1] + times[mid]) / 2, delta, nil
+	}
+	return times[mid], delta, nil
 }
 
 // Fig4 reproduces "Evaluation of query performance": query latency versus

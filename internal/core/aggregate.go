@@ -17,7 +17,7 @@ import (
 // partition row order whichever servers end up serving it. A run that
 // fails is re-sent whole from its starting partials.
 func (p *hbasePartition) ComputeAggregates(ctx context.Context, aggs []datasource.Aggregate) ([]datasource.AggregatePartial, bool, error) {
-	specs, ok := p.rel.aggSpecs(p.required, aggs)
+	specs, ok := p.scan.rel.aggSpecs(p.scan.required, aggs)
 	if !ok {
 		return nil, false, nil
 	}

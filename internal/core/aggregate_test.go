@@ -34,7 +34,24 @@ const typedCatalog = `{
 type rowsOnly struct{ *HBaseRelation }
 
 func (r rowsOnly) BuildScan(cols []string, filters []datasource.Filter) ([]datasource.Partition, []int, error) {
-	parts, unhandled, err := r.HBaseRelation.BuildScan(cols, filters)
+	ps, err := r.PrepareScan(cols, filters, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	return ps.BindScan(filters)
+}
+
+// PrepareScan hides the capability from the partitions of every bind too:
+// the engine plans its scans through it.
+func (r rowsOnly) PrepareScan(cols []string, filters []datasource.Filter, slotted []bool) (datasource.PreparedScan, error) {
+	ps, err := r.HBaseRelation.PrepareScan(cols, filters, slotted)
+	return rowsOnlyScan{ps}, err
+}
+
+type rowsOnlyScan struct{ datasource.PreparedScan }
+
+func (s rowsOnlyScan) BindScan(filters []datasource.Filter) ([]datasource.Partition, []int, error) {
+	parts, unhandled, err := s.PreparedScan.BindScan(filters)
 	for i, p := range parts {
 		parts[i] = rowsPartition{Partition: p, BatchScan: p.(datasource.BatchScan), VectorScan: p.(datasource.VectorScan)}
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/shc-go/shc/internal/bytesutil"
@@ -136,8 +137,9 @@ func (s RangeSet) Union(o RangeSet) RangeSet {
 }
 
 // normalize sorts ranges and merges overlaps, keeping the set canonical.
+// It reuses in, which the caller gives up.
 func normalize(in []RowRange) RangeSet {
-	var rs []RowRange
+	rs := in[:0]
 	for _, r := range in {
 		if !r.isEmpty() {
 			rs = append(rs, r)
@@ -149,15 +151,16 @@ func normalize(in []RowRange) RangeSet {
 	case 1:
 		return RangeSet{ranges: rs}
 	}
-	sort.Slice(rs, func(i, j int) bool {
-		a, b := rs[i].Start, rs[j].Start
-		if a == nil {
-			return b != nil
+	slices.SortFunc(rs, func(x, y RowRange) int {
+		switch {
+		case x.Start == nil && y.Start == nil:
+			return 0
+		case x.Start == nil:
+			return -1
+		case y.Start == nil:
+			return 1
 		}
-		if b == nil {
-			return false
-		}
-		return bytes.Compare(a, b) < 0
+		return bytes.Compare(x.Start, y.Start)
 	})
 	out := []RowRange{rs[0]}
 	for _, r := range rs[1:] {

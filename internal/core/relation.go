@@ -5,7 +5,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
+	"sync/atomic"
 
 	"github.com/shc-go/shc/internal/bytesutil"
 	"github.com/shc-go/shc/internal/datasource"
@@ -129,25 +132,64 @@ func (r *HBaseRelation) translate(f datasource.Filter) translation {
 
 // pushdown maps a conjunct list onto HBase: the intersected rowkey ranges,
 // the ANDed server filters, and per conjunct whether HBase evaluates it
-// exactly (the engine re-applies the rest). BuildScan calls it once and
+// exactly (the engine re-applies the rest). A scan's bind calls it once and
 // reports the unhandled conjuncts from the same pass, so the scan and the
 // engine agree on what was applied.
 func (r *HBaseRelation) pushdown(filters []datasource.Filter) (translation, []bool) {
+	return r.prepareConjuncts(filters, nil).pushdown(filters)
+}
+
+// conjuncts is a conjunct list prepared for pushdown: the rowkey dimension
+// each conjunct constrains (-1 when the key-range pass does not take it),
+// and the column translation of each other conjunct whose value is fixed.
+type conjuncts struct {
+	rel   *HBaseRelation
+	dims  []int
+	fixed []*translation // nil where the value is slotted, or a key conjunct
+}
+
+// prepareConjuncts does the value-independent half of pushdown: filters
+// marked slotted (slotted nil marks none) are translated by each pushdown.
+func (r *HBaseRelation) prepareConjuncts(filters []datasource.Filter, slotted []bool) conjuncts {
+	c := conjuncts{rel: r}
+	if r.opts.DisableFilterPushdown {
+		return c
+	}
+	c.dims = make([]int, len(filters))
+	c.fixed = make([]*translation, len(filters))
+	for i, f := range filters {
+		if c.dims[i] = r.keyDim(f); c.dims[i] < 0 && (slotted == nil || !slotted[i]) {
+			tr := r.translateColumn(f)
+			c.fixed[i] = &tr
+		}
+	}
+	return c
+}
+
+// pushdown is HBaseRelation.pushdown for filters, which match the prepared
+// list in everything but slotted values.
+func (c conjuncts) pushdown(filters []datasource.Filter) (translation, []bool) {
+	r := c.rel
 	handled := make([]bool, len(filters))
 	out := translation{ranges: fullSet()}
 	if r.opts.DisableFilterPushdown {
 		return out, handled
 	}
 	for i, f := range filters {
-		if r.keyDim(f) >= 0 {
+		if c.dims[i] >= 0 {
 			continue // the key-range pass below
 		}
-		tr := r.translateColumn(f)
+		var tr translation
+		if c.fixed[i] != nil {
+			tr = *c.fixed[i]
+		} else {
+			tr = r.translateColumn(f)
+		}
 		out.ranges = out.ranges.Intersect(tr.ranges)
 		out.hfilter = andFilters(out.hfilter, tr.hfilter)
 		handled[i] = tr.handled
 	}
-	out.ranges = out.ranges.Intersect(r.keyRanges(filters, handled))
+	out.ranges = out.ranges.Intersect(r.keyRanges(filters, c.dims, handled))
 	out.handled = true
 	for _, h := range handled {
 		out.handled = out.handled && h
@@ -292,18 +334,18 @@ func (r *HBaseRelation) keyDim(f datasource.Filter) int {
 // predicate on a dimension the run reaches becomes exact ranges under the
 // prefixes so far and is marked handled; the run stops at the first
 // dimension no equality binds, and key predicates past it stay unhandled.
-// When every dimension is bound, the ranges are single keys, which
-// BuildScan sends as gets.
-func (r *HBaseRelation) keyRanges(filters []datasource.Filter, handled []bool) RangeSet {
-	// Each binding's ranges lie inside the previous binding's, so only the
-	// latest is kept; every other predicate narrows extra.
-	bound, extra := fullSet(), fullSet()
+// When every dimension is bound, the ranges are single keys, which the
+// scan sends as gets. dims[i] is keyDim(filters[i]).
+func (r *HBaseRelation) keyRanges(filters []datasource.Filter, dims []int, handled []bool) RangeSet {
+	// Each binding's keys extend the previous binding's, so only the
+	// latest becomes ranges; every other predicate narrows extra.
+	extra := fullSet()
 	var root [1][]byte
-	prefixes := root[:]
+	prefixes, bound := root[:], -1
 	for dim := range r.cat.RowkeyFields() {
 		var next [][]byte
 		for i, f := range filters {
-			if r.keyDim(f) != dim {
+			if dims[i] != dim {
 				continue
 			}
 			rs, keys, ok := r.keyPredicate(f, dim, prefixes)
@@ -311,25 +353,41 @@ func (r *HBaseRelation) keyRanges(filters []datasource.Filter, handled []bool) R
 				continue
 			}
 			handled[i] = true
-			if keys != nil && next == nil {
-				next, bound = keys, rs
-			} else {
+			switch {
+			case keys != nil && next == nil:
+				next = keys
+			case keys != nil:
+				extra = extra.Intersect(r.keySet(keys, dim))
+			default:
 				extra = extra.Intersect(rs)
 			}
 		}
 		if next == nil {
 			break
 		}
-		prefixes = next
+		prefixes, bound = next, dim
 	}
-	return bound.Intersect(extra)
+	if bound < 0 {
+		return extra
+	}
+	return r.keySet(prefixes, bound).Intersect(extra)
+}
+
+// keySet is the ranges of the keys that begin with keys, encoded up to
+// dimension dim: keys themselves when dim is the last.
+func (r *HBaseRelation) keySet(keys [][]byte, dim int) RangeSet {
+	if dim == len(r.cat.RowkeyFields())-1 {
+		return pointSet(keys...)
+	}
+	return prefixSet(keys...)
 }
 
 // keyPredicate encodes a predicate on dimension dim under each prefix of
 // the dimensions before it. For = and IN, keys lists the extended prefixes
-// and is non-nil even when no value can be stored (a NUL on a terminated
-// dimension matches nothing). ok is false when a value does not encode or
-// the ranges would pass maxKeyPoints.
+// (keySet makes them ranges) and is non-nil even when no value can be
+// stored (a NUL on a terminated dimension matches nothing); any other
+// predicate comes back as ranges. ok is false when a value does not encode
+// or the ranges would pass maxKeyPoints.
 func (r *HBaseRelation) keyPredicate(f datasource.Filter, dim int, prefixes [][]byte) (set RangeSet, keys [][]byte, ok bool) {
 	var one [1]any
 	vals := one[:]
@@ -366,10 +424,7 @@ func (r *HBaseRelation) keyPredicate(f datasource.Filter, dim int, prefixes [][]
 				keys = append(keys, key)
 			}
 		}
-		if last {
-			return pointSet(keys...), keys, true
-		}
-		return prefixSet(keys...), keys, true
+		return set, keys, true
 	case datasource.StringStartsWith:
 		// A raw prefix of the encoded value, so no terminator; a NUL in it
 		// would reach past a terminated value into the next dimension.
@@ -470,114 +525,203 @@ func (r *HBaseRelation) EstimatedRowCount() (int64, bool) {
 // BuildScan implements datasource.PrunedFilteredScan: it derives rowkey
 // ranges and server filters from the pushed predicates, prunes regions,
 // fuses per-server work, and returns locality-tagged partitions with the
-// positions of the filters HBase does not evaluate exactly.
+// positions of the filters HBase does not evaluate exactly. It is
+// PrepareScan with no slotted filter, then BindScan.
 func (r *HBaseRelation) BuildScan(requiredColumns []string, filters []datasource.Filter) ([]datasource.Partition, []int, error) {
-	// Validate the projection and split it into key dims vs cells.
-	var scanCols []hbase.Column
-	for _, col := range requiredColumns {
-		spec, err := r.cat.Column(col)
-		if err != nil {
-			return nil, nil, err
-		}
-		if spec.CF != RowkeyCF {
-			scanCols = append(scanCols, hbase.Column{Family: spec.CF, Qualifier: spec.Col})
-		}
-	}
-
-	tr, handled := r.pushdown(filters)
-	ranges, filter := tr.ranges, tr.hfilter
-	var unhandled []int
-	for i, h := range handled {
-		if h {
-			r.meter.Inc(metrics.FiltersPushed)
-		} else {
-			r.meter.Inc(metrics.FiltersUnhandled)
-			unhandled = append(unhandled, i)
-		}
-	}
-
-	regions, err := r.client.Regions(r.cat.Table.Name)
+	ps, err := r.PrepareScan(requiredColumns, filters, nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	scanTemplate := func(lo, hi []byte) *hbase.Scan {
-		return &hbase.Scan{
-			StartRow: lo, StopRow: hi,
-			Columns:     scanCols,
-			Filter:      filter,
-			MaxVersions: r.opts.maxVersions(),
-			TimeRange:   r.opts.timeRange(),
-		}
-	}
+	return ps.BindScan(filters)
+}
 
-	// Partition pruning: keep only regions intersecting some range.
-	type regionWork struct {
-		info hbase.RegionInfo
-		ops  []hbase.ScanOp
-	}
-	var work []regionWork
-	pruned := 0
-	for _, ri := range regions {
-		ri := ri
-		var ops []hbase.ScanOp
-		for _, rng := range ranges.Ranges() {
-			lo, hi, ok := hbase.SplitRowRange(&ri, rng.Start, rng.Stop)
-			if !ok {
-				continue
-			}
-			// Consecutive single keys in one region become one bulk get.
-			switch {
-			case !isPoint(rng):
-				ops = append(ops, hbase.ScanOp{RegionID: ri.ID, Epoch: ri.Epoch, Scan: scanTemplate(lo, hi)})
-			case len(ops) > 0 && len(ops[len(ops)-1].Rows) > 0:
-				ops[len(ops)-1].Rows = append(ops[len(ops)-1].Rows, rng.Start)
-			default:
-				ops = append(ops, hbase.ScanOp{RegionID: ri.ID, Epoch: ri.Epoch, Rows: [][]byte{rng.Start}, Scan: scanTemplate(nil, nil)})
-			}
+// hbaseScan is a scan of the relation prepared up to its slotted filter
+// values: the projection resolved to HBase columns, the pushdown of every
+// fixed filter, and the decode plans. It holds no region boundaries.
+type hbaseScan struct {
+	rel      *HBaseRelation
+	required []string
+	cols     []hbase.Column // the projection's cell columns
+	conj     conjuncts
+	// all decodes every column eagerly: the row path's plan, and the
+	// vector path's when the consumer names no eager subset.
+	all *decodePlan
+	// subset is the plan last built for an eager subset; a pipeline names
+	// the same subset on every execution.
+	subset atomic.Pointer[decodePlan]
+}
+
+// decodePlan is the per-column decode plan of a scan for one eager set.
+type decodePlan struct {
+	eager   []int
+	specs   []vecColSpec
+	schema  plan.Schema
+	lazyDec []func([]byte) (any, error)
+}
+
+// PrepareScan implements datasource.ScanPreparer: it resolves the
+// projection, pushes down the filters not marked slotted, and builds the
+// scan's decode plan.
+func (r *HBaseRelation) PrepareScan(requiredColumns []string, filters []datasource.Filter, slotted []bool) (datasource.PreparedScan, error) {
+	// Validate the projection and split it into key dims vs cells.
+	var cols []hbase.Column
+	for _, col := range requiredColumns {
+		spec, err := r.cat.Column(col)
+		if err != nil {
+			return nil, err
 		}
-		if len(ops) == 0 {
-			if !r.opts.DisablePartitionPruning {
-				pruned++
-				continue
-			}
-			// Pruning disabled: the region still receives a (vacuous) scan
-			// task — the wasted round trip the optimization removes.
-			empty := ri.StartKey
-			if empty == nil {
-				empty = []byte{}
-			}
-			ops = append(ops, hbase.ScanOp{RegionID: ri.ID, Epoch: ri.Epoch, Scan: scanTemplate(empty, empty)})
+		if spec.CF != RowkeyCF {
+			cols = append(cols, hbase.Column{Family: spec.CF, Qualifier: spec.Col})
 		}
-		work = append(work, regionWork{info: ri, ops: ops})
 	}
+	s := &hbaseScan{
+		rel:      r,
+		required: requiredColumns,
+		cols:     cols,
+		conj:     r.prepareConjuncts(filters, slotted),
+	}
+	s.all = s.buildDecodePlan(nil)
+	return s, nil
+}
+
+// decodePlan returns the scan's decode plan for eagerCols (nil: every
+// column eager).
+func (s *hbaseScan) decodePlan(eagerCols []int) *decodePlan {
+	if eagerCols == nil {
+		return s.all
+	}
+	if d := s.subset.Load(); d != nil && slices.Equal(d.eager, eagerCols) {
+		return d
+	}
+	d := s.buildDecodePlan(slices.Clone(eagerCols))
+	s.subset.Store(d)
+	return d
+}
+
+func (s *hbaseScan) buildDecodePlan(eagerCols []int) *decodePlan {
+	d := &decodePlan{eager: eagerCols}
+	d.specs, d.schema, d.lazyDec = s.rel.vecSpecs(s.required, eagerCols)
+	return d
+}
+
+// BindScan implements datasource.PreparedScan: it pushes down the slotted
+// filters' values and plans the scan's partitions against the client's
+// current region map, so a split or move needs no invalidation.
+func (s *hbaseScan) BindScan(filters []datasource.Filter) ([]datasource.Partition, []int, error) {
+	r := s.rel
+	tr, handled := s.conj.pushdown(filters)
+	var unhandled []int
+	for i, h := range handled {
+		if !h {
+			unhandled = append(unhandled, i)
+		}
+	}
+	if n := len(handled) - len(unhandled); n > 0 {
+		r.meter.Add(metrics.FiltersPushed, int64(n))
+	}
+	if len(unhandled) > 0 {
+		r.meter.Add(metrics.FiltersUnhandled, int64(len(unhandled)))
+	}
+	rm, err := r.client.RegionMap(context.Background(), r.cat.Table.Name)
+	if err != nil {
+		return nil, nil, err
+	}
+	work, pruned := s.workFor(rm.Regions(), tr)
 	r.meter.Add(metrics.RegionsPruned, int64(pruned))
 
 	// Operator fusion: one partition (one task, one RPC) per region
 	// server, packing every Scan/Get for regions it hosts (§VI-A.4).
-	var parts []datasource.Partition
 	if r.opts.DisableOperatorFusion {
+		parts := make([]datasource.Partition, len(work))
 		for i, w := range work {
-			parts = append(parts, &hbasePartition{
-				rel: r, index: i, host: w.info.Host, ops: w.ops, required: requiredColumns,
-			})
+			parts[i] = &hbasePartition{scan: s, index: i, host: w.info.Host, ops: w.ops}
 		}
 		return parts, unhandled, nil
 	}
-	byHost := make(map[string][]hbase.ScanOp)
-	for _, w := range work {
-		byHost[w.info.Host] = append(byHost[w.info.Host], w.ops...)
-	}
-	hosts := make([]string, 0, len(byHost))
-	for h := range byHost {
-		hosts = append(hosts, h)
-	}
-	sort.Strings(hosts)
-	for i, h := range hosts {
-		parts = append(parts, &hbasePartition{
-			rel: r, index: i, host: h, ops: byHost[h], required: requiredColumns,
-		})
+	slices.SortStableFunc(work, func(a, b regionWork) int { return strings.Compare(a.info.Host, b.info.Host) })
+	var parts []datasource.Partition
+	for i := 0; i < len(work); {
+		host, ops := work[i].info.Host, work[i].ops
+		for i++; i < len(work) && work[i].info.Host == host; i++ {
+			ops = append(ops, work[i].ops...)
+		}
+		parts = append(parts, &hbasePartition{scan: s, index: len(parts), host: host, ops: ops})
 	}
 	return parts, unhandled, nil
+}
+
+// regionWork is one region's share of a scan.
+type regionWork struct {
+	info *hbase.RegionInfo
+	ops  []hbase.ScanOp
+}
+
+// workFor plans tr against regions, which are in key order: each range
+// locates its first region by binary search and takes every region it
+// overlaps, so the regions come out in key order with their ops in range
+// order, and pruned counts the regions left out. With pruning disabled,
+// every region is kept, the ones no range reaches with a vacuous scan.
+func (s *hbaseScan) workFor(regions []hbase.RegionInfo, tr translation) (work []regionWork, pruned int) {
+	opts := s.rel.opts
+	tmpl := func(lo, hi []byte) *hbase.Scan {
+		return &hbase.Scan{
+			StartRow: lo, StopRow: hi,
+			Columns:     s.cols,
+			Filter:      tr.hfilter,
+			MaxVersions: opts.maxVersions(),
+			TimeRange:   opts.timeRange(),
+		}
+	}
+	for _, rng := range tr.ranges.Ranges() {
+		first := 0
+		if rng.Start != nil {
+			first = max(sort.Search(len(regions), func(i int) bool {
+				return bytes.Compare(regions[i].StartKey, rng.Start) > 0
+			})-1, 0)
+		}
+		for j := first; j < len(regions); j++ {
+			ri := &regions[j]
+			lo, hi, ok := hbase.SplitRowRange(ri, rng.Start, rng.Stop)
+			if !ok {
+				if j > first {
+					break // regions past the range's end
+				}
+				continue
+			}
+			if len(work) == 0 || work[len(work)-1].info != ri {
+				work = append(work, regionWork{info: ri})
+			}
+			w := &work[len(work)-1]
+			// Consecutive single keys in one region become one bulk get.
+			switch {
+			case !isPoint(rng):
+				w.ops = append(w.ops, hbase.ScanOp{RegionID: ri.ID, Epoch: ri.Epoch, Scan: tmpl(lo, hi)})
+			case len(w.ops) > 0 && len(w.ops[len(w.ops)-1].Rows) > 0:
+				w.ops[len(w.ops)-1].Rows = append(w.ops[len(w.ops)-1].Rows, rng.Start)
+			default:
+				w.ops = append(w.ops, hbase.ScanOp{RegionID: ri.ID, Epoch: ri.Epoch, Rows: [][]byte{rng.Start}, Scan: tmpl(nil, nil)})
+			}
+		}
+	}
+	if !opts.DisablePartitionPruning {
+		return work, len(regions) - len(work)
+	}
+	// Pruning disabled: every region still receives a (vacuous) scan task
+	// — the wasted round trip the optimization removes.
+	all := make([]regionWork, len(regions))
+	for j := range regions {
+		ri := &regions[j]
+		if len(work) > 0 && work[0].info == ri {
+			all[j], work = work[0], work[1:]
+			continue
+		}
+		empty := ri.StartKey
+		if empty == nil {
+			empty = []byte{}
+		}
+		all[j] = regionWork{info: ri, ops: []hbase.ScanOp{{RegionID: ri.ID, Epoch: ri.Epoch, Scan: tmpl(empty, empty)}}}
+	}
+	return all, 0
 }
 
 func isPoint(r RowRange) bool {
@@ -589,11 +733,10 @@ func isPoint(r RowRange) bool {
 // hbasePartition is one locality-tagged unit of scan work: every Scan and
 // BulkGet bound for one region server, executed in a single fused RPC.
 type hbasePartition struct {
-	rel      *HBaseRelation
-	index    int
-	host     string
-	ops      []hbase.ScanOp
-	required []string
+	scan  *hbaseScan
+	index int
+	host  string
+	ops   []hbase.ScanOp
 }
 
 // Index implements datasource.Partition.
@@ -609,6 +752,7 @@ func (p *hbasePartition) PreferredHost() string { return p.host }
 func (p *hbasePartition) Compute(ctx context.Context) ([]plan.Row, error) {
 	ctx = bridgeConsistency(ctx)
 	pager := p.pager(hbase.FusedRequest{}, 0)
+	r, specs := p.scan.rel, p.scan.all.specs
 	var rows []plan.Row
 	var keyScratch []any
 	for {
@@ -619,7 +763,7 @@ func (p *hbasePartition) Compute(ctx context.Context) ([]plan.Row, error) {
 		if resp == nil {
 			return rows, nil
 		}
-		rows, keyScratch, err = p.rel.decodeResults(resp.Results, p.required, rows, keyScratch)
+		rows, keyScratch, err = r.decodeResults(resp.Results, specs, rows, keyScratch)
 		if err != nil {
 			return nil, err
 		}
@@ -630,7 +774,8 @@ func (p *hbasePartition) Compute(ctx context.Context) ([]plan.Row, error) {
 // shaped by tmpl, at most limit rows (0 = all).
 func (p *hbasePartition) pager(tmpl hbase.FusedRequest, limit int) *hbase.Pager {
 	tmpl.Ops = p.ops
-	return p.rel.client.NewPager(p.rel.cat.Table.Name, p.host, tmpl, limit)
+	r := p.scan.rel
+	return r.client.NewPager(r.cat.Table.Name, p.host, tmpl, limit)
 }
 
 // fusedBatchRows is the per-page row budget of a batch scan.
@@ -642,7 +787,7 @@ const fusedBatchRows = 256
 // the current one (double buffering).
 func (p *hbasePartition) batchPages(ctx context.Context, opts datasource.BatchOptions, columnar bool) func() (*hbase.ScanResponse, error) {
 	pager := p.pager(hbase.FusedRequest{BatchLimit: fusedBatchRows, Columnar: columnar}, opts.LimitHint)
-	return pager.Prefetch(ctx, p.rel.meter)
+	return pager.Prefetch(ctx, p.scan.rel.meter)
 }
 
 // ComputeBatches implements datasource.BatchScan: the partition's fused RPC
@@ -651,7 +796,8 @@ func (p *hbasePartition) batchPages(ctx context.Context, opts datasource.BatchOp
 func (p *hbasePartition) ComputeBatches(ctx context.Context, opts datasource.BatchOptions, yield func([]plan.Row) error) error {
 	ctx = bridgeConsistency(ctx)
 	next := p.batchPages(ctx, opts, false)
-	meter := metrics.Scoped(ctx, p.rel.meter)
+	r, specs := p.scan.rel, p.scan.all.specs
+	meter := metrics.Scoped(ctx, r.meter)
 	var batch []plan.Row
 	var keyScratch []any
 	for {
@@ -663,7 +809,7 @@ func (p *hbasePartition) ComputeBatches(ctx context.Context, opts datasource.Bat
 		if len(resp.Results) == 0 {
 			continue
 		}
-		batch, keyScratch, err = p.rel.decodeResults(resp.Results, p.required, batch[:0], keyScratch)
+		batch, keyScratch, err = r.decodeResults(resp.Results, specs, batch[:0], keyScratch)
 		if err != nil {
 			return err
 		}
@@ -676,18 +822,18 @@ func (p *hbasePartition) ComputeBatches(ctx context.Context, opts datasource.Bat
 	}
 }
 
-// decodeResults decodes a page of HBase results into rows appended to dst,
-// amortizing allocations: one values slab backs every row in the batch, and
-// keyScratch is reused across rows for composite-rowkey decoding. It returns
-// the grown dst and scratch. Rows stay valid after dst is reused — they
-// alias the slab, not dst.
-func (r *HBaseRelation) decodeResults(results []hbase.Result, required []string, dst []plan.Row, keyScratch []any) ([]plan.Row, []any, error) {
-	w := len(required)
+// decodeResults decodes a page of HBase results into rows of the specs'
+// columns appended to dst, amortizing allocations: one values slab backs
+// every row in the batch, and keyScratch is reused across rows for
+// composite-rowkey decoding. It returns the grown dst and scratch. Rows
+// stay valid after dst is reused — they alias the slab, not dst.
+func (r *HBaseRelation) decodeResults(results []hbase.Result, specs []vecColSpec, dst []plan.Row, keyScratch []any) ([]plan.Row, []any, error) {
+	w := len(specs)
 	slab := make([]any, len(results)*w)
 	for i := range results {
 		row := plan.Row(slab[i*w : (i+1)*w : (i+1)*w])
 		var err error
-		keyScratch, err = r.decodeResultInto(row, keyScratch, &results[i], required)
+		keyScratch, err = r.decodeResultInto(row, keyScratch, &results[i], specs)
 		if err != nil {
 			return nil, keyScratch, err
 		}
@@ -696,14 +842,15 @@ func (r *HBaseRelation) decodeResults(results []hbase.Result, required []string,
 	return dst, keyScratch, nil
 }
 
-// decodeResultInto decodes res into row (which must have len(required)),
+// decodeResultInto decodes res into row (which must have len(specs)),
 // reusing keyScratch for rowkey dimension values; it returns the (possibly
 // grown) scratch. Values are copied out of the scratch, so callers may hand
 // the same scratch to the next row.
-func (r *HBaseRelation) decodeResultInto(row plan.Row, keyScratch []any, res *hbase.Result, required []string) ([]any, error) {
+func (r *HBaseRelation) decodeResultInto(row plan.Row, keyScratch []any, res *hbase.Result, specs []vecColSpec) ([]any, error) {
 	keyDecoded := false
-	for i, col := range required {
-		if dim, ok := r.cat.IsRowkeyField(col); ok {
+	for i := range specs {
+		s := &specs[i]
+		if s.keyDim >= 0 {
 			if !keyDecoded {
 				vals, err := r.codec.decodeRowkeyInto(keyScratch, res.Row)
 				if err != nil {
@@ -712,21 +859,17 @@ func (r *HBaseRelation) decodeResultInto(row plan.Row, keyScratch []any, res *hb
 				keyScratch = vals
 				keyDecoded = true
 			}
-			row[i] = keyScratch[dim]
+			row[i] = keyScratch[s.keyDim]
 			continue
 		}
-		spec, err := r.cat.Column(col)
-		if err != nil {
-			return keyScratch, err
-		}
-		raw, ok := res.Value(spec.CF, spec.Col)
+		raw, ok := res.Value(s.cf, s.q)
 		if !ok {
 			row[i] = nil // SQL NULL for absent cells
 			continue
 		}
-		v, err := r.coder.Decode(raw, r.cat.fieldType(col))
+		v, err := r.coder.Decode(raw, s.typ)
 		if err != nil {
-			return keyScratch, fmt.Errorf("core: decode %s: %w", col, err)
+			return keyScratch, fmt.Errorf("core: decode %s: %w", s.name, err)
 		}
 		row[i] = v
 	}

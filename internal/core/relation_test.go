@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -505,5 +506,92 @@ func TestEstimatedRowCount(t *testing.T) {
 	}
 	if _, err := rig.client.TableStats("missing"); err == nil {
 		t.Error("stats for a missing table must fail")
+	}
+}
+
+// TestPrepareScanBindsLikeBuildScan: a scan prepared with some filters
+// marked slotted, then bound to filters that differ in those filters'
+// values, plans what BuildScan plans for the bound filters — the same
+// partitions, ops, server filters and unhandled positions, the same
+// counters metered and the same rows — under every ablation that reaches
+// the planning, with slotted and fixed filters mixed on key and cell
+// columns.
+func TestPrepareScanBindsLikeBuildScan(t *testing.T) {
+	prepared := []datasource.Filter{
+		datasource.GreaterThan{Column: "age", Value: int32(20)},
+		datasource.EqualTo{Column: "city", Value: "sf"},
+		datasource.GreaterThanOrEqual{Column: "id", Value: "user-0100"},
+		datasource.LessThan{Column: "score", Value: float64(50)},
+		datasource.In{Column: "city", Values: []any{"sf", "la"}},
+		datasource.NotIn{Column: "city", Values: []any{"nyc"}},
+	}
+	slotted := []bool{true, false, true, false, true, true}
+	binds := [][]datasource.Filter{
+		prepared,
+		{
+			datasource.GreaterThan{Column: "age", Value: int32(40)},
+			prepared[1],
+			datasource.GreaterThanOrEqual{Column: "id", Value: "user-0300"},
+			prepared[3],
+			datasource.In{Column: "city", Values: []any{"nyc"}},
+			datasource.NotIn{Column: "city", Values: []any{"la", "sf"}},
+		},
+		{
+			datasource.GreaterThan{Column: "age", Value: int32(99)},
+			prepared[1],
+			datasource.GreaterThanOrEqual{Column: "id", Value: "zzz"},
+			prepared[3],
+			datasource.In{Column: "city", Values: []any{"sf"}},
+			datasource.NotIn{Column: "city", Values: []any{}},
+		},
+	}
+	cols := []string{"id", "age", "city", "score"}
+	for _, opts := range []Options{
+		{},
+		{DisablePartitionPruning: true},
+		{DisableFilterPushdown: true},
+		{DisableOperatorFusion: true},
+		{FirstDimensionPruning: true},
+	} {
+		rig := newRig(t, opts, 400)
+		ps, err := rig.rel.PrepareScan(cols, prepared, slotted)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, filters := range binds {
+			before := rig.meter.Snapshot()
+			parts, unhandled, err := ps.BindScan(filters)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mid := rig.meter.Snapshot()
+			wantParts, wantUnhandled, err := rig.rel.BuildScan(cols, filters)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bound, built := metrics.Diff(before, mid), metrics.Diff(mid, rig.meter.Snapshot())
+			for _, name := range []string{metrics.RegionsPruned, metrics.FiltersPushed, metrics.FiltersUnhandled} {
+				if bound[name] != built[name] {
+					t.Errorf("%+v, bind %d: %s %d, BuildScan %d", opts, i, name, bound[name], built[name])
+				}
+			}
+			if fmt.Sprint(unhandled) != fmt.Sprint(wantUnhandled) {
+				t.Errorf("%+v, bind %d: unhandled %v, BuildScan %v", opts, i, unhandled, wantUnhandled)
+			}
+			if len(parts) != len(wantParts) {
+				t.Fatalf("%+v, bind %d: %d partitions, BuildScan %d", opts, i, len(parts), len(wantParts))
+			}
+			for j := range parts {
+				p, w := parts[j].(*hbasePartition), wantParts[j].(*hbasePartition)
+				if p.index != w.index || p.host != w.host || !reflect.DeepEqual(p.ops, w.ops) {
+					t.Errorf("%+v, bind %d, partition %d: %d on %s %+v, BuildScan %d on %s %+v",
+						opts, i, j, p.index, p.host, p.ops, w.index, w.host, w.ops)
+				}
+			}
+			rows, want := scanAll(t, parts), scanAll(t, wantParts)
+			if !reflect.DeepEqual(rows, want) {
+				t.Errorf("%+v, bind %d: %d rows, BuildScan %d", opts, i, len(rows), len(want))
+			}
+		}
 	}
 }

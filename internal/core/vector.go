@@ -77,12 +77,14 @@ func putBatch(b *plan.Batch) {
 // into one reused column batch instead of row slices.
 func (p *hbasePartition) ComputeVectors(ctx context.Context, opts datasource.BatchOptions, yield func(*plan.Batch) error) error {
 	ctx = bridgeConsistency(ctx)
-	specs, schema, lazyDec := p.rel.vecSpecs(p.required, opts.EagerColumns)
-	batch := getBatch(schema, specs, lazyDec)
+	dec := p.scan.decodePlan(opts.EagerColumns)
+	specs := dec.specs
+	batch := getBatch(dec.schema, specs, dec.lazyDec)
 	defer putBatch(batch)
 
+	r := p.scan.rel
 	next := p.batchPages(ctx, opts, true)
-	meter := metrics.Scoped(ctx, p.rel.meter)
+	meter := metrics.Scoped(ctx, r.meter)
 	var keyScratch []any
 	for {
 		resp, err := next()
@@ -100,9 +102,9 @@ func (p *hbasePartition) ComputeVectors(ctx context.Context, opts datasource.Bat
 		}
 		batch.Reset()
 		if resp.Block != nil {
-			err = p.rel.decodeBlock(batch, specs, resp.Block, n, &keyScratch)
+			err = r.decodeBlock(batch, specs, resp.Block, n, &keyScratch)
 		} else {
-			err = p.rel.decodeResultsToBatch(batch, specs, resp.Results, &keyScratch)
+			err = r.decodeResultsToBatch(batch, specs, resp.Results, &keyScratch)
 		}
 		if err != nil {
 			return err
@@ -154,7 +156,7 @@ func (r *HBaseRelation) vecSpecs(required []string, eagerCols []int) ([]vecColSp
 			}
 			continue
 		}
-		// BuildScan validated the projection, so Column cannot fail here.
+		// PrepareScan validated the projection, so Column cannot fail here.
 		spec, _ := r.cat.Column(col)
 		specs[i].cf, specs[i].q = spec.CF, spec.Col
 		if !eager[i] {

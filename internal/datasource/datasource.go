@@ -312,6 +312,51 @@ type PrunedFilteredScan interface {
 	BuildScan(requiredColumns []string, filters []Filter) (parts []Partition, unhandled []int, err error)
 }
 
+// ScanPreparer is an optional PrunedFilteredScan capability: BuildScan
+// split into a step that depends only on the scan's shape and a step that
+// takes the filter values. A prepared query plans the first step once and
+// runs only the second per execution.
+type ScanPreparer interface {
+	PrunedFilteredScan
+	// PrepareScan does the part of BuildScan(requiredColumns, filters)
+	// that holds for any values of the filters marked slotted: every other
+	// filter's value, and each filter's kind and column, stay as given.
+	// slotted nil marks none. It fails where BuildScan would fail for
+	// every value.
+	PrepareScan(requiredColumns []string, filters []Filter, slotted []bool) (PreparedScan, error)
+}
+
+// PreparedScan is a scan planned up to its slotted filter values. It is
+// immutable and safe for concurrent Binds.
+type PreparedScan interface {
+	// BindScan returns what BuildScan(requiredColumns, filters) would,
+	// for filters that differ from the preparing ones only in the values
+	// of slotted filters, planned against the source's current state.
+	BindScan(filters []Filter) (parts []Partition, unhandled []int, err error)
+}
+
+// PrepareScan prepares a scan of rel: through its own PrepareScan when rel
+// is a ScanPreparer, else as a PreparedScan whose every bind is a full
+// BuildScan.
+func PrepareScan(rel PrunedFilteredScan, requiredColumns []string, filters []Filter, slotted []bool) (PreparedScan, error) {
+	if sp, ok := rel.(ScanPreparer); ok {
+		return sp.PrepareScan(requiredColumns, filters, slotted)
+	}
+	return buildEachBind{rel: rel, required: requiredColumns}, nil
+}
+
+// buildEachBind is the PreparedScan of a source that cannot split
+// BuildScan.
+type buildEachBind struct {
+	rel      PrunedFilteredScan
+	required []string
+}
+
+// BindScan implements PreparedScan.
+func (b buildEachBind) BindScan(filters []Filter) ([]Partition, []int, error) {
+	return b.rel.BuildScan(b.required, filters)
+}
+
 // Statistics is an optional relation capability: sources that can estimate
 // their cardinality enable the engine's cost-based decisions (join-side
 // selection), the "cost-based optimization mechanisms" the paper credits

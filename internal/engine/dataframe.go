@@ -251,11 +251,16 @@ func (df *DataFrame) collectFor(ctx context.Context, target datasource.Relation)
 // like Spark's df.show(). The rows are the frame's first n, read through
 // Limit(n), so only they are fetched.
 func (df *DataFrame) Show(n int) (string, error) {
+	return df.ShowContext(context.Background(), n)
+}
+
+// ShowContext is Show bounded by ctx, as CollectContext is Collect.
+func (df *DataFrame) ShowContext(ctx context.Context, n int) (string, error) {
 	shown := df
 	if n > 0 {
 		shown = df.Limit(n)
 	}
-	rows, err := shown.Collect()
+	rows, err := shown.CollectContext(ctx)
 	if err != nil {
 		return "", err
 	}

@@ -79,10 +79,12 @@ func (df *DataFrame) run(ctx context.Context, analyze bool) ([]plan.Row, *queryR
 		qr.opt = plan.Bind(df.tmpl.opt, df.vals)
 	}
 	osp.End()
+	var labels pprof.LabelSet
 	if df.tmpl != nil {
-		qr.fp, qr.shape = df.tmpl.fp, df.tmpl.shape
+		qr.fp, qr.shape, labels = df.tmpl.fp, df.tmpl.shape, df.tmpl.labels
 	} else {
 		qr.fp, qr.shape = plan.Fingerprint(qr.opt)
+		labels = fingerprintLabels(qr.fp)
 	}
 
 	_, csp := trace.StartSpan(ctx, "compile")
@@ -109,7 +111,7 @@ func (df *DataFrame) run(ctx context.Context, analyze bool) ([]plan.Row, *queryR
 	// shape that burned them (composing with the scheduler's host label and
 	// the region server's region label).
 	var rows []plan.Row
-	pprof.Do(ectx, pprof.Labels("query_fingerprint", qr.fp), func(ectx context.Context) {
+	pprof.Do(ectx, labels, func(ectx context.Context) {
 		rows, err = phys.Execute(sess.execContext(ectx))
 	})
 	esp.SetError(err)
@@ -137,6 +139,10 @@ func (df *DataFrame) run(ctx context.Context, analyze bool) ([]plan.Row, *queryR
 	sess.logSlowQuery(qr, err)
 	return rows, qr, err
 }
+
+// fingerprintLabels is the pprof label set a statement's execution runs
+// under.
+func fingerprintLabels(fp string) pprof.LabelSet { return pprof.Labels("query_fingerprint", fp) }
 
 // ExplainAnalyze executes the plan and reports what actually happened:
 // the physical tree annotated with per-operator actual rows, bytes, and

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"runtime/pprof"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -26,6 +27,8 @@ type template struct {
 	opt   plan.LogicalPlan // as plan.Optimize returns it: what actions compile
 	fp    string
 	shape string
+	// labels is the pprof label set executions of the shape run under.
+	labels pprof.LabelSet
 	// phys is set by the shape's first successful compile and never
 	// changes after.
 	phys atomic.Pointer[exec.Prepared]
@@ -122,6 +125,7 @@ func (s *Session) sqlFrame(query string) (*DataFrame, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer n.Release()
 	t, known, version := s.plans.lookup(n.Key())
 	if t != nil {
 		if vals, err := n.Values(); err == nil {
@@ -182,5 +186,5 @@ func (s *Session) prepare(n *sql.Normalized, lp plan.LogicalPlan) *template {
 		!slices.Equal(opt.Schema(), sopt.Schema()) || !slices.Equal(plan.Slots(sopt), want) {
 		return nil
 	}
-	return &template{built: lp, opt: opt, fp: fp, shape: shape}
+	return &template{built: lp, opt: opt, fp: fp, shape: shape, labels: fingerprintLabels(fp)}
 }

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -33,5 +35,20 @@ func TestShowRendersTable(t *testing.T) {
 	}
 	if !strings.Contains(full, "NULL") {
 		t.Errorf("NULL cell not rendered:\n%s", full)
+	}
+}
+
+// TestShowContextCancelled: a cancelled context stops Show's query, and
+// the context's error comes back.
+func TestShowContextCancelled(t *testing.T) {
+	s := joinSession(t)
+	df, err := s.SQL("SELECT id, city FROM users ORDER BY id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if out, err := df.ShowContext(ctx, 3); !errors.Is(err, context.Canceled) {
+		t.Fatalf("ShowContext under a cancelled context: %q, %v; want context.Canceled", out, err)
 	}
 }

@@ -216,7 +216,17 @@ func (c *compiler) scan(n *plan.ScanNode) (PhysicalPlan, error) {
 		filters = append(filters, f)
 		pushedExprs = append(pushedExprs, e)
 	}
-	parts, unhandled, err := rel.BuildScan(required, filters)
+	// The scan is prepared with every slotted filter marked, so a prepared
+	// plan's executions only bind the values (Prepared.Bind).
+	slotted := make([]bool, len(pushedExprs))
+	for i, e := range pushedExprs {
+		slotted[i] = plan.ExprSlotRefs(e) > 0
+	}
+	prep, err := datasource.PrepareScan(rel, required, filters, slotted)
+	if err != nil {
+		return nil, err
+	}
+	parts, unhandled, err := prep.BindScan(filters)
 	if err != nil {
 		return nil, err
 	}
@@ -227,7 +237,7 @@ func (c *compiler) scan(n *plan.ScanNode) (PhysicalPlan, error) {
 		OutSchema:  outSchema,
 		Partitions: parts,
 	}
-	c.scans = append(c.scans, &preparedScan{scan: scan, pushed: pushedExprs, unhandled: unhandled})
+	c.scans = append(c.scans, &preparedScan{scan: scan, pushed: pushedExprs, unhandled: unhandled, slotted: slotted, prep: prep})
 	// Re-apply exactly the filters the source left unhandled, plus any
 	// predicate that had no source translation.
 	reapply := append([]plan.Expr{}, engineOnly...)

@@ -3,6 +3,7 @@ package exec
 import (
 	"slices"
 
+	"github.com/shc-go/shc/internal/datasource"
 	"github.com/shc-go/shc/internal/plan"
 )
 
@@ -10,9 +11,10 @@ import (
 // literals are slots (plan.Literal.Slot). Everything that does not depend
 // on the literals is built once and shared, read-only, by every execution:
 // output schemas, required columns, resolved expressions, each scan's
-// source filters, the residual filter and the pipeline's vector program.
-// An execution (Bind) only translates the slotted filters with its values
-// and runs each scan's BuildScan against the source's current state — for
+// source filters and prepared source scan (datasource.PrepareScan), the
+// residual filter and the pipeline's vector program. An execution (Bind)
+// only translates the slotted filters with its values and binds each
+// prepared source scan to them against the source's current state — for
 // HBase, the client's current region map — so the template holds no region
 // boundaries and a split or move needs no invalidation.
 //
@@ -29,11 +31,13 @@ type preparedScan struct {
 	scan *ScanExec
 	// pushed is the predicate behind each of scan.Filters.
 	pushed []plan.Expr
-	// unhandled is what BuildScan left unhandled of scan.Filters: the
+	// unhandled is what the source left unhandled of scan.Filters: the
 	// residual the plan re-applies.
 	unhandled []int
 	// slotted marks the filters that carry a slotted literal.
 	slotted []bool
+	// prep is the source's scan, prepared with slotted marked.
+	prep datasource.PreparedScan
 }
 
 // Prepare compiles p, which holds one query's literal values in its slots,
@@ -52,12 +56,9 @@ func Prepare(p plan.LogicalPlan, cfg CompileConfig) (*Prepared, PhysicalPlan, er
 	}
 	pushedSlots := 0
 	for _, ps := range scans {
-		ps.slotted = make([]bool, len(ps.pushed))
 		for i, e := range ps.pushed {
-			n := plan.ExprSlotRefs(e)
-			ps.slotted[i] = n > 0
 			if !slices.Contains(ps.unhandled, i) {
-				pushedSlots += n
+				pushedSlots += plan.ExprSlotRefs(e)
 			}
 		}
 	}
@@ -77,11 +78,11 @@ func Prepare(p plan.LogicalPlan, cfg CompileConfig) (*Prepared, PhysicalPlan, er
 }
 
 // Bind instantiates the plan for one query's slot values (plan.Bind's
-// vals): each scan's slotted filters are translated with vals and BuildScan
-// plans the scan afresh, once. ok=false means a value did not translate or
-// changed which filters the source leaves unhandled, so the prepared
-// residual does not fit; the caller then compiles the bound logical plan,
-// whose BuildScan runs again.
+// vals): each scan's slotted filters are translated with vals and its
+// prepared source scan is bound to them, once. ok=false means a value did
+// not translate or changed which filters the source leaves unhandled, so
+// the prepared residual does not fit; the caller then compiles the bound
+// logical plan, which plans its scans afresh.
 func (pp *Prepared) Bind(vals []any) (phys PhysicalPlan, ok bool, err error) {
 	if pp.root == nil {
 		return nil, false, nil
@@ -112,7 +113,7 @@ func (ps *preparedScan) bind(vals []any) (*ScanExec, bool, error) {
 			s.Filters[i] = f
 		}
 	}
-	parts, unhandled, err := s.Source.BuildScan(s.Columns, s.Filters)
+	parts, unhandled, err := ps.prep.BindScan(s.Filters)
 	if err != nil {
 		return nil, false, err
 	}

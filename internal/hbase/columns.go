@@ -173,6 +173,9 @@ func (b *binding) bind(d *colDict, n int) {
 	}
 }
 
+// keeps reports whether the projection keeps the cells of column id.
+func (b *binding) keeps(id colID) bool { return len(b.cols) == 0 || b.keep.has(id) }
+
 // projects reports whether the projection keeps any cell of a row whose
 // cells have ids (all of them when it lists no column) — a row with
 // nothing projected is not returned. The filter, as in HBase, sees the

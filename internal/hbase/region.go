@@ -570,6 +570,50 @@ func (r *Region) scanRows(s *Scan, k keys, b *binding, m metrics.Meter, out []Re
 	return out
 }
 
+// getBlock is scanRows for the point k on a one-row columnar page: the
+// row visitScan finds is cut straight into the CellBlock packColumnar
+// would make of its Result, the column order taken from the row's column
+// ids. A row packColumnar would leave row-major — two versions of a
+// column, or an empty value — comes back as that Result instead.
+func (r *Region) getBlock(s *Scan, k keys, b *binding, m metrics.Meter) (block *CellBlock, res []Result) {
+	var rows, cells int64
+	r.visitScan(s, k, b, m, func(row []Cell, ids []colID) bool {
+		rows++
+		n, packable := 0, true
+		prev := absent
+		for i, id := range ids {
+			if !b.keeps(id) {
+				continue
+			}
+			packable = packable && id != prev && len(row[i].Value) > 0
+			prev = id
+			n++
+		}
+		cells = int64(n)
+		if !packable {
+			res = append(res, b.result(row, ids))
+			return false
+		}
+		// One backing array for the row key and every column's value.
+		vals := make([][]byte, n+1)
+		vals[0] = row[0].Row
+		block = &CellBlock{Rows: vals[:1:1], Cols: make([]CellColumn, 0, n)}
+		for i, id := range ids {
+			if !b.keeps(id) {
+				continue
+			}
+			c := &row[i]
+			j := len(block.Cols) + 1
+			vals[j] = c.Value
+			block.Cols = append(block.Cols, CellColumn{Family: c.Family, Qualifier: c.Qualifier, Values: vals[j : j+1 : j+1]})
+		}
+		return false
+	})
+	m.Add(metrics.RowsReturned, rows)
+	m.Add(metrics.CellsReturned, cells)
+	return block, res
+}
+
 // foldScan folds the rows visitScan visits into b.fold — the
 // partial-aggregate sink of the fused op — stopping after s.Limit rows
 // when set. It returns the fold's decode error, if any.

@@ -632,7 +632,7 @@ func (rs *RegionServer) handleFused(ctx context.Context, req rpc.Message) (rpc.M
 	// Column-major packing happens strictly after the page's rows and
 	// continuation cursor are final, so paging and mid-scan resume are
 	// byte-identical to the row-major form.
-	if m.Columnar {
+	if m.Columnar && resp.Block == nil {
 		packColumnar(resp)
 	}
 	return resp, nil
@@ -722,6 +722,14 @@ func (rs *RegionServer) fusedPage(ctx context.Context, m *FusedRequest) (*ScanRe
 					if err := r.foldScan(&s, point, &b, meter); err != nil {
 						sp.End()
 						return nil, err
+					}
+					continue
+				}
+				if m.Columnar && len(m.Ops) == 1 && len(op.Rows) == 1 {
+					// The page is this one row: cut its block directly.
+					resp.Block, resp.Results = r.getBlock(&s, point, &b, meter)
+					if resp.Block != nil || resp.Results != nil {
+						got++
 					}
 					continue
 				}

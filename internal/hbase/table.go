@@ -182,9 +182,19 @@ type regionGroup[T any] struct {
 // groupByRegion partitions items by the region of m holding each item's row.
 // Every item is located against this one snapshot, so a region receives all
 // of the batch's items in its range together. Groups come back in region key
-// order. It fails when some row lies outside every region.
+// order. It fails when some row lies outside every region. A first pass
+// locates the items and counts each group's; the groups' Items are then
+// cut from one slice of len(items), capacity-limited, so a batch costs one
+// allocation for its items however its rows spread.
 func groupByRegion[T any](m *RegionMap, items []T, row func(*T) []byte) ([]regionGroup[T], error) {
 	var groups []regionGroup[T]
+	var smallOf [16]int32
+	var smallN [8]int
+	of := smallOf[:0] // of[i] is the group of items[i]
+	if len(items) > len(smallOf) {
+		of = make([]int32, 0, len(items))
+	}
+	counts := smallN[:0] // counts[g] is how many items groups[g] gets
 	for i := range items {
 		r := row(&items[i])
 		ri, ok := m.Locate(r)
@@ -198,9 +208,21 @@ func groupByRegion[T any](m *RegionMap, items []T, row func(*T) []byte) ([]regio
 		}
 		if g < 0 {
 			groups = append(groups, regionGroup[T]{Region: ri})
+			counts = append(counts, 0)
 			g = len(groups) - 1
 		}
-		groups[g].Items = append(groups[g].Items, items[i])
+		counts[g]++
+		of = append(of, int32(g))
+	}
+	slab := make([]T, len(items))
+	off := 0
+	for g := range groups {
+		groups[g].Items = slab[off : off : off+counts[g]]
+		off += counts[g]
+	}
+	for i := range items {
+		g := &groups[of[i]]
+		g.Items = append(g.Items, items[i])
 	}
 	slices.SortFunc(groups, func(a, b regionGroup[T]) int { return bytes.Compare(a.Region.StartKey, b.Region.StartKey) })
 	return groups, nil

@@ -195,23 +195,7 @@ func (r *Registry) Histogram(name string) *Histogram {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	h, ok := r.hists[name]
-	r.mu.RUnlock()
-	if ok {
-		return h
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h, ok = r.hists[name]; ok {
-		return h
-	}
-	if r.hists == nil {
-		r.hists = make(map[string]*Histogram)
-	}
-	h = &Histogram{}
-	r.hists[name] = h
-	return h
+	return r.hists.get(&r.mu, name)
 }
 
 // Observe records d into the named histogram.
@@ -225,11 +209,9 @@ func (r *Registry) Histograms() map[string]*Histogram {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make(map[string]*Histogram, len(r.hists))
-	for name, h := range r.hists {
-		out[name] = h
-	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make(map[string]*Histogram, len(r.hists.read())+len(r.hists.dirty))
+	r.hists.each(func(name string, h *Histogram) { out[name] = h })
 	return out
 }

@@ -8,6 +8,7 @@ package metrics
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 	"sync"
@@ -109,38 +110,93 @@ const (
 // Registry is a concurrency-safe set of named monotonic counters, gauges
 // (SetMax/AddPeak high-water marks), and latency histograms.
 // The zero value is not usable; call NewRegistry.
+//
+// Every hot path names its counter on each write, so a lookup of a name
+// the registry has published takes no lock (see nameTable).
 type Registry struct {
-	mu       sync.RWMutex
-	counters map[string]*atomic.Int64
-	hists    map[string]*Histogram
-	gauges   map[string]struct{}
+	mu       sync.Mutex // guards the tables' unpublished names
+	counters nameTable[atomic.Int64]
+	hists    nameTable[Histogram]
+	gauges   nameTable[struct{}]
+}
+
+// nameTable maps names to entries that live as long as the registry. Its
+// published map is never written once stored, so a lookup of a published
+// name is an atomic load and a map read. A new name goes to the unpublished
+// map under the registry's mu; once lookups under mu have cost as much as
+// copying both maps would, the union is published — the read-mostly split
+// sync.Map used before Go 1.24, typed. A registry that stops growing ends
+// with every name published, and a fresh one (a query's scope) creates n
+// names in O(n).
+type nameTable[V any] struct {
+	published atomic.Pointer[map[string]*V]
+	dirty     map[string]*V // names not yet published; under mu
+	misses    int           // lookups under mu since the last publish
+}
+
+func (t *nameTable[V]) read() map[string]*V {
+	if m := t.published.Load(); m != nil {
+		return *m
+	}
+	return nil
+}
+
+// get returns name's entry, creating it when absent.
+func (t *nameTable[V]) get(mu *sync.Mutex, name string) *V {
+	if v, ok := t.read()[name]; ok {
+		return v
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	pub := t.read()
+	if v, ok := pub[name]; ok {
+		return v
+	}
+	v, ok := t.dirty[name]
+	if !ok {
+		if t.dirty == nil {
+			t.dirty = make(map[string]*V)
+		}
+		v = new(V)
+		t.dirty[name] = v
+	}
+	if t.misses++; t.misses >= len(pub)+len(t.dirty) {
+		next := make(map[string]*V, len(pub)+len(t.dirty))
+		maps.Copy(next, pub)
+		maps.Copy(next, t.dirty)
+		t.published.Store(&next)
+		t.dirty, t.misses = nil, 0
+	}
+	return v
+}
+
+// lookup returns name's entry, or nil when absent, creating nothing.
+func (t *nameTable[V]) lookup(mu *sync.Mutex, name string) *V {
+	if v, ok := t.read()[name]; ok {
+		return v
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if v, ok := t.read()[name]; ok {
+		return v
+	}
+	return t.dirty[name]
+}
+
+// each calls fn on every entry. The caller holds mu.
+func (t *nameTable[V]) each(fn func(name string, v *V)) {
+	for name, v := range t.read() {
+		fn(name, v)
+	}
+	for name, v := range t.dirty {
+		fn(name, v)
+	}
 }
 
 // NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{
-		counters: make(map[string]*atomic.Int64),
-		hists:    make(map[string]*Histogram),
-		gauges:   make(map[string]struct{}),
-	}
-}
+func NewRegistry() *Registry { return &Registry{} }
 
-func (r *Registry) counter(name string) *atomic.Int64 {
-	r.mu.RLock()
-	c, ok := r.counters[name]
-	r.mu.RUnlock()
-	if ok {
-		return c
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c, ok = r.counters[name]; ok {
-		return c
-	}
-	c = new(atomic.Int64)
-	r.counters[name] = c
-	return c
-}
+func (r *Registry) counter(name string) *atomic.Int64 { return r.counters.get(&r.mu, name) }
 
 // Add increments the named counter by delta.
 func (r *Registry) Add(name string, delta int64) {
@@ -194,30 +250,14 @@ func (r *Registry) AddPeak(cur, peak string, delta int64) {
 
 // markGauge remembers that name holds a level rather than a monotonic
 // total, so exposition can label it correctly.
-func (r *Registry) markGauge(name string) {
-	r.mu.RLock()
-	_, ok := r.gauges[name]
-	r.mu.RUnlock()
-	if ok {
-		return
-	}
-	r.mu.Lock()
-	if r.gauges == nil {
-		r.gauges = make(map[string]struct{})
-	}
-	r.gauges[name] = struct{}{}
-	r.mu.Unlock()
-}
+func (r *Registry) markGauge(name string) { r.gauges.get(&r.mu, name) }
 
 // IsGauge reports whether name has been written through SetMax/AddPeak.
 func (r *Registry) IsGauge(name string) bool {
 	if r == nil {
 		return false
 	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	_, ok := r.gauges[name]
-	return ok
+	return r.gauges.lookup(&r.mu, name) != nil
 }
 
 // Get returns the current value of the named counter (zero if never written).
@@ -225,13 +265,10 @@ func (r *Registry) Get(name string) int64 {
 	if r == nil {
 		return 0
 	}
-	r.mu.RLock()
-	c, ok := r.counters[name]
-	r.mu.RUnlock()
-	if !ok {
-		return 0
+	if c := r.counters.lookup(&r.mu, name); c != nil {
+		return c.Load()
 	}
-	return c.Load()
+	return 0
 }
 
 // Reset zeroes every counter, gauge, and histogram while keeping them
@@ -242,14 +279,10 @@ func (r *Registry) Reset() {
 	if r == nil {
 		return
 	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	for _, c := range r.counters {
-		c.Store(0)
-	}
-	for _, h := range r.hists {
-		h.reset()
-	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.counters.each(func(_ string, c *atomic.Int64) { c.Store(0) })
+	r.hists.each(func(_ string, h *Histogram) { h.reset() })
 }
 
 // Snapshot returns a point-in-time copy of all counters.
@@ -257,12 +290,10 @@ func (r *Registry) Snapshot() map[string]int64 {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make(map[string]int64, len(r.counters))
-	for name, c := range r.counters {
-		out[name] = c.Load()
-	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make(map[string]int64, len(r.counters.read())+len(r.counters.dirty))
+	r.counters.each(func(name string, c *atomic.Int64) { out[name] = c.Load() })
 	return out
 }
 

@@ -46,10 +46,14 @@ func (l *lexer) error(pos int, format string, args ...any) error {
 	return fmt.Errorf("sql: position %d: %s", pos, fmt.Sprintf(format, args...))
 }
 
-func (l *lexer) lex() ([]token, error) {
-	// About one token per four bytes of SQL, so most queries lex without
-	// growing the slice.
-	out := make([]token, 0, len(l.in)/4+2)
+// lex appends the input's tokens to out[:0], which it grows when its
+// capacity falls short of about one token per four bytes of SQL, so most
+// queries lex without growing the slice.
+func (l *lexer) lex(out []token) ([]token, error) {
+	out = out[:0]
+	if want := len(l.in)/4 + 2; cap(out) < want {
+		out = make([]token, 0, want)
+	}
 	for {
 		l.skipSpace()
 		if l.pos >= len(l.in) {

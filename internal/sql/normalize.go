@@ -3,8 +3,10 @@ package sql
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 
 	"github.com/shc-go/shc/internal/plan"
 )
@@ -27,15 +29,24 @@ const (
 	slotString = 's'
 )
 
+// normalizedPool recycles Normalized buffers: a plan-cache hit reads only
+// a query's key and values, so its token and key buffers need not grow
+// with the query on every call.
+var normalizedPool = sync.Pool{New: func() any { return new(Normalized) }}
+
 // Normalize lexes query and masks its literals. It fails exactly when
-// lexing fails, with the same error Parse would return.
+// lexing fails, with the same error Parse would return. The caller may
+// hand the result back with Release once done with it and everything it
+// returned.
 func Normalize(query string) (*Normalized, error) {
-	toks, err := (&lexer{in: query}).lex()
+	n := normalizedPool.Get().(*Normalized)
+	toks, err := (&lexer{in: query}).lex(n.toks)
 	if err != nil {
+		normalizedPool.Put(n)
 		return nil, err
 	}
-	n := &Normalized{toks: toks}
-	key := make([]byte, 0, len(query)+2*len(toks))
+	n.toks, n.slots = toks, n.slots[:0]
+	key := n.key[:0]
 	for i := range toks {
 		t := &toks[i]
 		if kind := slotKind(toks, i); kind != 0 {
@@ -51,6 +62,11 @@ func Normalize(query string) (*Normalized, error) {
 	n.key = key
 	return n, nil
 }
+
+// Release returns n's buffers to a later Normalize. Neither n nor the
+// Key it returned may be used afterwards; values, plans and errors built
+// from n stay valid.
+func (n *Normalized) Release() { normalizedPool.Put(n) }
 
 // Key is the token stream with each slot replaced by its kind (int, float
 // or string). Literals the parser consumes structurally — the LIMIT count
@@ -122,7 +138,7 @@ func (n *Normalized) Sentinels() (*Normalized, error) {
 	for _, v := range vals {
 		taken[v] = true
 	}
-	out := &Normalized{key: n.key, toks: append([]token(nil), n.toks...), slots: n.slots}
+	out := &Normalized{key: slices.Clone(n.key), toks: slices.Clone(n.toks), slots: slices.Clone(n.slots)}
 	next := int64(1_000_000_007)
 	for _, ti := range n.slots {
 		t := &out.toks[ti]

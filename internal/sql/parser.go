@@ -106,7 +106,7 @@ func (f *FuncCall) WithChildren(ch []plan.Expr) plan.Expr {
 
 // Parse parses one SELECT statement.
 func Parse(query string) (*SelectStmt, error) {
-	toks, err := (&lexer{in: query}).lex()
+	toks, err := (&lexer{in: query}).lex(nil)
 	if err != nil {
 		return nil, err
 	}
