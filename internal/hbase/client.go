@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -573,11 +572,8 @@ func (c *Client) bulkLoadOnce(ctx context.Context, table, tok string, cells []Ce
 		return err
 	}
 	for _, g := range groups {
-		ri, run := g.Region, g.Items
-		// Each group is a private copy in input order, so sorting it
-		// stably never reorders the caller's cells.
-		sort.SliceStable(run, func(i, j int) bool { return CompareCells(&run[i], &run[j]) < 0 })
-		if _, err := c.call(ctx, ri.Host, MethodBulkLoad, &BulkLoadRequest{RegionID: ri.ID, Epoch: ri.Epoch, Cells: run, Token: tok}); err != nil {
+		ri := g.Region
+		if _, err := c.call(ctx, ri.Host, MethodBulkLoad, &BulkLoadRequest{RegionID: ri.ID, Epoch: ri.Epoch, Cells: sortedCells(g.Items), Token: tok}); err != nil {
 			return err
 		}
 	}

@@ -91,14 +91,19 @@ type Region struct {
 	// dirty (sorted, distinct), and a default read re-resolves just those
 	// rows from the store files and MemStore (rowCursor). Every other row
 	// holds the same cells as at the build, so its view entry stays exact.
-	// A flush only moves cells into a file and keeps the view. Compaction,
-	// bulk load, WAL recovery and dropping the MemStore change what is
-	// visible without a write, so they discard the view (dropViewLocked)
-	// and the next default read rebuilds it. Regions born by split, reopen
-	// or replica bootstrap start without one, and no row is recorded while
-	// there is none. Neither the view nor dirty is written in place while
-	// readers may hold it: the view is only replaced, and readers copy
-	// their part of dirty under the lock.
+	// A flush only moves cells into a file and keeps the view. A
+	// compaction replaces it with the compacted run's resolution and the
+	// MemStore's rows as dirty; when the table keeps one version, the
+	// view's cells are the compacted file's own. A view built while the
+	// region is one store file that is its own default read and an empty
+	// MemStore is that file's cells too, so the region holds one copy of
+	// them. Bulk load, WAL recovery and dropping the MemStore change what
+	// is visible without a write, so they discard the view
+	// (dropViewLocked) and the next default read rebuilds it. Regions born
+	// by split, reopen or replica bootstrap start without one, and no row
+	// is recorded while there is none. Neither the view nor dirty is
+	// written in place while readers may hold it: the view is only
+	// replaced, and readers copy their part of dirty under the lock.
 	view   rowRun
 	viewOK bool
 	dirty  [][]byte
@@ -296,6 +301,35 @@ func (r *Region) dropViewLocked() {
 	r.view, r.viewOK, r.dirty = rowRun{}, false, nil
 }
 
+// locked; installs v as the current view, with dirty (sorted, distinct,
+// owned) as its stale rows, or discards the view when dirty rows already
+// outnumber half its cells, the bound markDirtyLocked keeps. v's cells
+// are kept as they are: a private run the caller has fitted, or a store
+// file's own.
+func (r *Region) setViewLocked(v rowRun, dirty [][]byte) {
+	if len(dirty) > len(v.cells)/2 {
+		r.dropViewLocked()
+		return
+	}
+	r.view, r.viewOK, r.dirty = rowRun{cells: v.cells, ids: fit(v.ids), rows: fit(v.rows)}, true, dirty
+}
+
+// locked; the default read of cells, a sorted run, indexed for the view.
+// A run that is its own default read is indexed as it stands, the view
+// sharing its cells; any other is resolved in place when owned (the
+// caller's to overwrite), else in a copy.
+func (r *Region) defaultView(cells []Cell, owned bool) rowRun {
+	if !owned && !isDefaultRead(cells) {
+		cells, owned = append([]Cell(nil), cells...), true
+	}
+	v := rowRun{ids: make([]colID, 0, len(cells))}
+	resolve(cells, 1, TimeRange{}, r.cols, &v)
+	if owned {
+		v.cells = fit(v.cells)
+	}
+	return v
+}
+
 // locked
 func (r *Region) maybeFlushLocked() {
 	if r.mem.bytes < r.cfg.FlushThresholdBytes {
@@ -342,18 +376,22 @@ func (r *Region) Flush() {
 	r.flushLocked()
 }
 
-// locked
+// locked; a major compaction of the store files. A current view is kept:
+// each row the MemStore holds becomes dirty, and every other row resolves
+// to what the compacted file holds of it. When the table keeps one
+// version, the compacted file holds no tombstone and one version per
+// column, so it is its own default read and the view shares its cells.
 func (r *Region) compactLocked() {
 	runs := make([][]Cell, len(r.files))
 	for i, f := range r.files {
 		runs[i] = f.cells
 	}
-	merged := compact(r.desc.maxVersions(), runs...)
-	r.files = []*storeFile{newStoreFile(merged)}
-	// Compaction drops tombstones and versions past the table's limit from
-	// the files only, so it can unmask MemStore cells a file tombstone hid.
-	r.dropViewLocked()
+	cells := compact(r.desc.maxVersions(), runs...)
+	r.files = []*storeFile{newStoreFile(cells)}
 	r.meter.Inc(metrics.Compactions)
+	if r.viewOK {
+		r.setViewLocked(r.defaultView(cells, false), r.mem.rows())
+	}
 }
 
 // Compact forces a major compaction.
@@ -711,10 +749,13 @@ func (r *Region) defaultRows(c *rowCursor, k keys) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if !r.viewOK {
-		cells := r.allCellsLocked(keys{})
-		v := rowRun{ids: make([]colID, 0, len(cells))}
-		resolve(cells, 1, TimeRange{}, r.cols, &v)
-		r.view, r.viewOK = rowRun{cells: fit(v.cells), ids: fit(v.ids), rows: fit(v.rows)}, true
+		var v rowRun
+		if len(r.files) == 1 && len(r.mem.cells) == 0 {
+			v = r.defaultView(r.files[0].cells, false)
+		} else {
+			v = r.defaultView(r.allCellsLocked(keys{}), true)
+		}
+		r.setViewLocked(v, nil)
 	}
 	r.cursorLocked(c, k)
 }

@@ -99,7 +99,7 @@ func (r *Region) NewReplica(id int) *Region {
 		caughtUpAt: time.Now(),
 	}
 	if cells := r.allCellsLocked(keys{}); len(cells) > 0 {
-		rep.files = []*storeFile{newStoreFile(append([]Cell(nil), cells...))}
+		rep.files = []*storeFile{newStoreFile(cells)}
 	}
 	r.repl.attach(rep)
 	return rep

@@ -2,6 +2,7 @@ package hbase
 
 import (
 	"bytes"
+	"cmp"
 	"slices"
 	"sort"
 )
@@ -29,17 +30,57 @@ func (m *memStore) reset() {
 // sorted returns a fresh copy of the cells of the rows k covers, in
 // store-file order. Cells at equal coordinates keep their arrival order.
 func (m *memStore) sorted(k keys) []Cell {
-	var out []Cell
 	if k.all() {
-		out = append([]Cell(nil), m.cells...)
-	} else {
-		for i := range m.cells {
-			if k.has(m.cells[i].Row) {
-				out = append(out, m.cells[i])
-			}
+		return sortedCells(m.cells)
+	}
+	var buf [16]int32 // a point read's few indices stay on the stack
+	idx := buf[:0]
+	for i := range m.cells {
+		if k.has(m.cells[i].Row) {
+			idx = append(idx, int32(i))
 		}
 	}
-	sort.SliceStable(out, func(i, j int) bool { return CompareCells(&out[i], &out[j]) < 0 })
+	return gather(m.cells, idx)
+}
+
+// rows returns the distinct row keys the MemStore holds, sorted.
+func (m *memStore) rows() [][]byte {
+	if len(m.cells) == 0 {
+		return nil
+	}
+	rows := make([][]byte, len(m.cells))
+	for i := range m.cells {
+		rows[i] = m.cells[i].Row
+	}
+	slices.SortFunc(rows, bytes.Compare)
+	return slices.CompactFunc(rows, bytes.Equal)
+}
+
+// sortedCells returns cells in CompareCells order, a new slice. Cells at
+// equal coordinates keep their order in cells, as a stable sort keeps it.
+func sortedCells(cells []Cell) []Cell {
+	idx := make([]int32, len(cells))
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	return gather(cells, idx)
+}
+
+// gather returns the cells idx names in CompareCells order, a new slice,
+// breaking ties by index, so equal cells keep their order in cells. It
+// sorts idx in place — indices, not 96-byte cells — and moves each cell
+// once.
+func gather(cells []Cell, idx []int32) []Cell {
+	slices.SortFunc(idx, func(a, b int32) int {
+		if c := CompareCells(&cells[a], &cells[b]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	out := make([]Cell, len(idx))
+	for i, j := range idx {
+		out[i] = cells[j]
+	}
 	return out
 }
 
@@ -236,17 +277,20 @@ func (v rowRun) clip(k keys) rowRun {
 // returns them: delete tombstones mask every version at or below their
 // timestamp for the same column, at most maxVersions live versions are
 // kept per column (newest first), and only versions inside tr are
-// visible. Tombstones themselves are never kept. With ix non-nil, the
-// same pass indexes the result into ix: it sets ix.cells to it, appends
-// each kept cell's id in d to ix.ids and each kept row's first offset to
-// ix.rows, and closes ix.rows with the kept length.
+// visible. Tombstones themselves are never kept. A cell is written only
+// when an earlier one was dropped, so a run resolve keeps whole is only
+// read: a shared run that is its own default read (isDefaultRead) may be
+// resolved to the default read too. With ix non-nil, the same pass
+// indexes the result into ix: it sets ix.cells to it, appends each kept
+// cell's id in d to ix.ids and each kept row's first offset to ix.rows,
+// and closes ix.rows with the kept length.
 func resolve(sorted []Cell, maxVersions int, tr TimeRange, d *colDict, ix *rowRun) []Cell {
 	if maxVersions <= 0 {
 		maxVersions = 1
 	}
-	// Kept cells are written over the ones already read: a column's kept
-	// cells never outnumber its cells, so writes stay behind reads.
-	out := sorted[:0]
+	// sorted[:n] holds the kept cells: a column's kept cells never
+	// outnumber its cells, so writes stay behind reads.
+	n := 0
 	// rowOpen says the current row has a kept cell (and so an entry in
 	// ix.rows).
 	rowOpen := false
@@ -260,15 +304,15 @@ func resolve(sorted []Cell, maxVersions int, tr TimeRange, d *colDict, ix *rowRu
 		for j < len(sorted) && sorted[j].Family == family && sorted[j].Qualifier == qualifier && bytes.Equal(sorted[j].Row, row) {
 			j++
 		}
-		start := len(out)
-		out = appendVisible(out, sorted[i:j], maxVersions, tr)
-		if ix != nil && len(out) > start {
+		start := n
+		n = keepVisible(sorted, n, i, j, maxVersions, tr)
+		if ix != nil && n > start {
 			if !rowOpen {
 				ix.rows = append(ix.rows, int32(start))
 				rowOpen = true
 			}
 			id := d.lookup(family, qualifier)
-			for range len(out) - start {
+			for range n - start {
 				ix.ids = append(ix.ids, id)
 			}
 		}
@@ -277,18 +321,22 @@ func resolve(sorted []Cell, maxVersions int, tr TimeRange, d *colDict, ix *rowRu
 		}
 		i = j
 	}
+	out := sorted[:n]
 	if ix != nil {
-		ix.cells, ix.rows = out, append(ix.rows, int32(len(out)))
+		ix.cells, ix.rows = out, append(ix.rows, int32(n))
 	}
 	return out
 }
 
-func appendVisible(out []Cell, col []Cell, maxVersions int, tr TimeRange) []Cell {
+// keepVisible moves the visible cells of one column, sorted[i:j], down to
+// sorted[n:] and returns the new kept length. A cell already in its place
+// is not written.
+func keepVisible(sorted []Cell, n, i, j, maxVersions int, tr TimeRange) int {
 	var deleteFloor int64 = -1 << 63
 	hasFloor := false
 	taken := 0
-	for i := range col {
-		c := &col[i]
+	for k := i; k < j; k++ {
+		c := &sorted[k]
 		if c.Type == TypeDelete {
 			if !hasFloor || c.Timestamp > deleteFloor {
 				deleteFloor = c.Timestamp
@@ -305,10 +353,32 @@ func appendVisible(out []Cell, col []Cell, maxVersions int, tr TimeRange) []Cell
 		if taken >= maxVersions {
 			continue
 		}
-		out = append(out, *c)
+		if n != k {
+			sorted[n] = *c
+		}
+		n++
 		taken++
 	}
-	return out
+	return n
+}
+
+// isDefaultRead reports whether a run in CompareCells order is its own
+// default read (maxVersions 1, unbounded time range): it holds no
+// tombstone and one version per column, so resolve keeps every cell.
+func isDefaultRead(cells []Cell) bool {
+	for i := range cells {
+		c := &cells[i]
+		if c.Type == TypeDelete {
+			return false
+		}
+		if i > 0 {
+			p := &cells[i-1]
+			if p.Family == c.Family && p.Qualifier == c.Qualifier && bytes.Equal(p.Row, c.Row) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // fit returns s for keeping: copied into an exact-size slice when its

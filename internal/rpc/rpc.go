@@ -99,8 +99,15 @@ type Network struct {
 
 type endpoint struct {
 	mu       sync.RWMutex
-	handlers map[string]Handler
+	handlers map[string]route
 	down     bool
+}
+
+// route is a method's handler on a host, with the name of the method's
+// latency histogram, built once so a call builds none.
+type route struct {
+	h       Handler
+	latency string
 }
 
 // NewNetwork creates a network with the given cost model. meter may be nil.
@@ -118,7 +125,7 @@ func (n *Network) AddHost(host string) error {
 	if _, ok := n.hosts[host]; ok {
 		return fmt.Errorf("rpc: host %q already exists", host)
 	}
-	n.hosts[host] = &endpoint{handlers: make(map[string]Handler)}
+	n.hosts[host] = &endpoint{handlers: make(map[string]route)}
 	return nil
 }
 
@@ -132,7 +139,7 @@ func (n *Network) Handle(host, method string, h Handler) error {
 	}
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
-	ep.handlers[method] = h
+	ep.handlers[method] = route{h: h, latency: metrics.HistRPCLatencyPrefix + method}
 	return nil
 }
 
@@ -282,11 +289,19 @@ func (c *Conn) CallContext(ctx context.Context, method string, req Message) (Mes
 // per-method latency histogram. Latency is recorded on the network's own
 // registry and, when the context carries a query scope, on that too.
 func (n *Network) call(ctx context.Context, host, method string, req Message) (Message, error) {
-	sctx, sp := trace.StartSpan(ctx, "rpc:"+method)
+	// The span's name is built only under a trace; without one, sp is nil
+	// and its methods do nothing.
+	sctx, sp := ctx, (*trace.Span)(nil)
+	if trace.FromContext(ctx) != nil {
+		sctx, sp = trace.StartSpan(ctx, "rpc:"+method)
+	}
 	sp.SetTag("host", host)
 	start := time.Now()
-	resp, err := n.dispatch(sctx, host, method, req)
-	metrics.Scoped(ctx, n.meter).Observe(metrics.HistRPCLatencyPrefix+method, time.Since(start))
+	resp, latency, err := n.dispatch(sctx, host, method, req)
+	if latency == "" { // the host is unknown or does not handle method
+		latency = metrics.HistRPCLatencyPrefix + method
+	}
+	metrics.Scoped(ctx, n.meter).Observe(latency, time.Since(start))
 	if resp != nil {
 		sp.SetAttr("resp_bytes", int64(resp.WireSize()))
 	}
@@ -295,29 +310,31 @@ func (n *Network) call(ctx context.Context, host, method string, req Message) (M
 	return resp, err
 }
 
-func (n *Network) dispatch(ctx context.Context, host, method string, req Message) (Message, error) {
+// dispatch runs method's handler on host and returns its reply and the
+// method's latency histogram name, "" when host does not handle method.
+func (n *Network) dispatch(ctx context.Context, host, method string, req Message) (Message, string, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	n.mu.RLock()
 	ep, ok := n.hosts[host]
 	n.mu.RUnlock()
 	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownHost, host)
+		return nil, "", fmt.Errorf("%w: %q", ErrUnknownHost, host)
 	}
 	ep.mu.RLock()
-	h, hok := ep.handlers[method]
+	rt, hok := ep.handlers[method]
 	down := ep.down
 	ep.mu.RUnlock()
 	if down {
-		return nil, fmt.Errorf("%w: %q", ErrHostDown, host)
+		return nil, "", fmt.Errorf("%w: %q", ErrHostDown, host)
 	}
 	if !hok {
-		return nil, fmt.Errorf("%w: %s on %q", ErrUnknownMethod, method, host)
+		return nil, "", fmt.Errorf("%w: %s on %q", ErrUnknownMethod, method, host)
 	}
 	injErr, afterReply := n.injector().apply(ctx, host, method)
 	if injErr != nil && !afterReply {
-		return nil, injErr
+		return nil, rt.latency, injErr
 	}
 
 	reqSize := 0
@@ -328,15 +345,15 @@ func (n *Network) dispatch(ctx context.Context, host, method string, req Message
 	m.Inc(metrics.RPCCalls)
 	m.Add(metrics.RPCBytesSent, int64(reqSize))
 
-	resp, err := h(ctx, req)
+	resp, err := rt.h(ctx, req)
 	if err != nil {
-		return nil, err
+		return nil, rt.latency, err
 	}
 	if injErr != nil {
 		// Ack lost: the handler ran — its effects stand — but the reply is
 		// discarded, so the caller observes a transport failure for a write
 		// that in fact applied. Retry safety is the server's problem (dedup).
-		return nil, injErr
+		return nil, rt.latency, injErr
 	}
 	respSize := 0
 	if resp != nil {
@@ -344,9 +361,9 @@ func (n *Network) dispatch(ctx context.Context, host, method string, req Message
 	}
 	m.Add(metrics.RPCBytesReceived, int64(respSize))
 	if err := n.charge(ctx, reqSize+respSize); err != nil {
-		return nil, err
+		return nil, rt.latency, err
 	}
-	return resp, nil
+	return resp, rt.latency, nil
 }
 
 func (n *Network) charge(ctx context.Context, bytes int) error {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/shc-go/shc/internal/metrics"
+	"github.com/shc-go/shc/internal/trace"
 )
 
 func newTestNet(t *testing.T) (*Network, *metrics.Registry) {
@@ -145,5 +146,39 @@ func TestNilMessagesMeterZero(t *testing.T) {
 	}
 	if m.Get(metrics.RPCBytesSent) != 0 || m.Get(metrics.RPCBytesReceived) != 0 {
 		t.Error("nil messages must meter zero bytes")
+	}
+}
+
+// An untraced call builds neither its span's name nor its latency
+// histogram's, yet the histogram is the method's; a traced call still
+// names its span after the method.
+func TestCallNamesWithoutAllocating(t *testing.T) {
+	n, m := newTestNet(t)
+	if err := n.Handle("rs1", "echo", func(_ context.Context, req Message) (Message, error) { return req, nil }); err != nil {
+		t.Fatal(err)
+	}
+	conn, err := n.Dial("rs1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	var req Message = Bytes("hello")
+	ctx := context.Background()
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := conn.CallContext(ctx, "echo", req); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("untraced call allocates %.1f objects, want 0", allocs)
+	}
+	if got := m.Histogram(metrics.HistRPCLatencyPrefix + "echo").Count(); got < 100 {
+		t.Errorf("echo latency histogram counts %d calls, want at least 100", got)
+	}
+	tr := trace.New("q")
+	if _, err := conn.CallContext(trace.NewContext(ctx, tr), "echo", req); err != nil {
+		t.Fatal(err)
+	}
+	if spans := tr.Find("rpc:echo"); len(spans) != 1 || spans[0].Tag("host") != "rs1" {
+		t.Errorf("traced call recorded spans %v, want one rpc:echo on rs1", spans)
 	}
 }
