@@ -32,35 +32,13 @@ type instrumented struct {
 	span  *trace.Span
 }
 
-// Instrument wraps every operator in p with an actuals-recording decorator
-// and returns the wrapped root. Child pointers are rewritten in place, so
-// Children() walks the decorated tree. A PipelineExec's Chain subtree is
-// display-only (the fused chain executes as one streaming operator) and is
-// deliberately left unwrapped — wrapping it would re-execute the scan.
+// Instrument returns a copy of p with every operator wrapped in an
+// actuals-recording decorator; p is left as it is. A PipelineExec is a
+// leaf here: its Chain subtree is display-only (the fused chain executes
+// as one streaming operator) and stays unwrapped, since wrapping it would
+// re-execute the scan.
 func Instrument(p PhysicalPlan) PhysicalPlan {
-	switch n := p.(type) {
-	case *FilterExec:
-		n.Child = Instrument(n.Child)
-	case *ProjectExec:
-		n.Child = Instrument(n.Child)
-	case *LimitExec:
-		n.Child = Instrument(n.Child)
-	case *SortExec:
-		n.Child = Instrument(n.Child)
-	case *HashAggExec:
-		n.Child = Instrument(n.Child)
-	case *HashJoinExec:
-		n.Left = Instrument(n.Left)
-		n.Right = Instrument(n.Right)
-	case *SortMergeJoinExec:
-		n.Left = Instrument(n.Left)
-		n.Right = Instrument(n.Right)
-	case *UnionExec:
-		for i, in := range n.Inputs {
-			n.Inputs[i] = Instrument(in)
-		}
-	}
-	return &instrumented{inner: p}
+	return &instrumented{inner: mapInputs(p, Instrument)}
 }
 
 // Schema implements PhysicalPlan.

@@ -452,39 +452,17 @@ func (p *PipelineExec) runRows(tctx context.Context, m metrics.Meter, part datas
 // chain or a bare scan into an aggregate PipelineExec. vectorize=false
 // keeps the fused pipelines on the row-at-a-time interpreter (the row side
 // of the vector-vs-row benchmark). Operators outside such chains — the
-// pipeline breakers — are rebuilt with fused children.
+// pipeline breakers — are copied with fused inputs; p is left as it is.
 func FusePipelinesWith(p PhysicalPlan, vectorize bool) PhysicalPlan {
 	if fused, ok := fuseChain(p, vectorize); ok {
 		return fused
 	}
-	switch n := p.(type) {
-	case *FilterExec:
-		n.Child = FusePipelinesWith(n.Child, vectorize)
-	case *ProjectExec:
-		n.Child = FusePipelinesWith(n.Child, vectorize)
-	case *LimitExec:
-		n.Child = FusePipelinesWith(n.Child, vectorize)
-	case *SortExec:
-		n.Child = FusePipelinesWith(n.Child, vectorize)
-	case *HashAggExec:
-		if vectorize {
-			if fused, ok := fuseAgg(n); ok {
-				return fused
-			}
-		}
-		n.Child = FusePipelinesWith(n.Child, vectorize)
-	case *HashJoinExec:
-		n.Left = FusePipelinesWith(n.Left, vectorize)
-		n.Right = FusePipelinesWith(n.Right, vectorize)
-	case *SortMergeJoinExec:
-		n.Left = FusePipelinesWith(n.Left, vectorize)
-		n.Right = FusePipelinesWith(n.Right, vectorize)
-	case *UnionExec:
-		for i, in := range n.Inputs {
-			n.Inputs[i] = FusePipelinesWith(in, vectorize)
+	if agg, ok := p.(*HashAggExec); ok && vectorize {
+		if fused, ok := fuseAgg(agg); ok {
+			return fused
 		}
 	}
-	return p
+	return mapInputs(p, func(c PhysicalPlan) PhysicalPlan { return FusePipelinesWith(c, vectorize) })
 }
 
 // fuseChain matches Limit? Project? Filter* Scan from the top of p. A bare

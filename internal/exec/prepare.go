@@ -124,9 +124,10 @@ func (ps *preparedScan) bind(vals []any) (*ScanExec, bool, error) {
 	return &s, true, nil
 }
 
-// instance copies every operator of the prepared tree, with bound[i] in
-// place of scans[i], so an execution may instrument or fill its own plan
-// while the expressions and vector programs stay shared.
+// instance copies the prepared tree with bound[i] in place of scans[i].
+// Every operator sits above some scan, so every operator is copied and an
+// execution may instrument or fill its own plan, while the expressions and
+// vector programs stay shared.
 func (pp *Prepared) instance(bound []*ScanExec) PhysicalPlan {
 	return copyPlan(pp.root, func(s *ScanExec) *ScanExec {
 		for i, ps := range pp.scans {
@@ -138,50 +139,16 @@ func (pp *Prepared) instance(bound []*ScanExec) PhysicalPlan {
 	})
 }
 
-// copyPlan copies p's operators, replacing each scan with scan(s).
+// copyPlan copies p's operators above each scan, replacing the scan with
+// scan(s), in a pipeline's Chain as well as its Scan.
 func copyPlan(p PhysicalPlan, scan func(*ScanExec) *ScanExec) PhysicalPlan {
 	switch n := p.(type) {
 	case *ScanExec:
 		return scan(n)
-	case *FilterExec:
-		cp := *n
-		cp.Child = copyPlan(n.Child, scan)
-		return &cp
-	case *ProjectExec:
-		cp := *n
-		cp.Child = copyPlan(n.Child, scan)
-		return &cp
-	case *LimitExec:
-		cp := *n
-		cp.Child = copyPlan(n.Child, scan)
-		return &cp
-	case *SortExec:
-		cp := *n
-		cp.Child = copyPlan(n.Child, scan)
-		return &cp
-	case *HashAggExec:
-		cp := *n
-		cp.Child = copyPlan(n.Child, scan)
-		return &cp
-	case *HashJoinExec:
-		cp := *n
-		cp.Left, cp.Right = copyPlan(n.Left, scan), copyPlan(n.Right, scan)
-		return &cp
-	case *SortMergeJoinExec:
-		cp := *n
-		cp.Left, cp.Right = copyPlan(n.Left, scan), copyPlan(n.Right, scan)
-		return &cp
-	case *UnionExec:
-		inputs := make([]PhysicalPlan, len(n.Inputs))
-		for i, in := range n.Inputs {
-			inputs[i] = copyPlan(in, scan)
-		}
-		return &UnionExec{Inputs: inputs}
 	case *PipelineExec:
 		cp := *n
-		cp.Scan = scan(n.Scan)
-		cp.Chain = copyPlan(n.Chain, scan)
+		cp.Scan, cp.Chain = scan(n.Scan), copyPlan(n.Chain, scan)
 		return &cp
 	}
-	return p
+	return mapInputs(p, func(c PhysicalPlan) PhysicalPlan { return copyPlan(c, scan) })
 }

@@ -76,9 +76,6 @@ func NewScheduler(hosts []string, slotsPerHost int, meter *metrics.Registry) *Sc
 // Hosts returns the scheduler's host list.
 func (s *Scheduler) Hosts() []string { return s.hosts }
 
-// SlotsPerHost returns the per-host executor count.
-func (s *Scheduler) SlotsPerHost() int { return s.slots }
-
 // TotalSlots returns the cluster-wide executor count.
 func (s *Scheduler) TotalSlots() int { return s.slots * len(s.hosts) }
 

@@ -145,10 +145,6 @@ func NewClient(clusterName string, net *rpc.Network, zkSrv *zk.Server, opts ...C
 	return c
 }
 
-// ClusterName identifies the cluster this client talks to (used as the
-// token scope).
-func (c *Client) ClusterName() string { return c.clusterName }
-
 // Close releases the client's coordination session.
 func (c *Client) Close() { c.zkSess.Close() }
 

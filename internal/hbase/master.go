@@ -879,17 +879,6 @@ func (m *Master) Tables() []string {
 	return out
 }
 
-// TableDescriptorFor returns the descriptor of a table.
-func (m *Master) TableDescriptorFor(name string) (TableDescriptor, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ts, ok := m.tables[name]
-	if !ok {
-		return TableDescriptor{}, fmt.Errorf("%w: %q", ErrTableNotFound, name)
-	}
-	return ts.desc, nil
-}
-
 // TableStatsFor aggregates storage statistics across a table's regions.
 func (m *Master) TableStatsFor(name string) (TableStats, error) {
 	m.mu.Lock()
@@ -935,12 +924,10 @@ func (m *Master) SetHotWriteThreshold(n int64) {
 	m.hotWriteThreshold = n
 }
 
-// SplitHotRegions samples every region's write-load counter and splits the
-// ones above the hot threshold — the master-side defense that turns a
-// sustained hot-key workload into more, smaller regions the balancer can
-// spread. Returns how many regions were split.
-func (m *Master) SplitHotRegions() (int, error) { return m.splitHot(0) }
-
+// splitHot samples every region's write-load counter and splits the ones
+// above the hot threshold — the master-side defense that turns a sustained
+// hot-key workload into more, smaller regions the balancer can spread. It
+// returns how many regions were split.
 func (m *Master) splitHot(cause uint64) (int, error) {
 	// Gated up front, not just per split: even sampling drains the regions'
 	// write-load counters, which a deposed master has no business doing.

@@ -358,26 +358,28 @@ func TestConcurrentMultiVersionScansDoNotRace(t *testing.T) {
 }
 
 // benchRegion returns a region of 500 rows × 10 columns (5,000 cells)
-// spread over store files and the MemStore, with its view built.
-func benchRegion(b *testing.B) *Region {
+// spread over store files and the MemStore, with its view built, and the
+// writer that loaded it.
+func benchRegion(b *testing.B) (*Region, *ackedWriter) {
 	r := NewRegion(RegionInfo{Table: "t", ID: "t-0"}, testDesc(), StoreConfig{FlushThresholdBytes: 32 << 10}, metrics.NewRegistry())
+	w := &ackedWriter{}
 	for i := 0; i < 5000; i++ {
-		if err := putCells(r, cell(fmt.Sprintf("row%04d", i%500), "cf", fmt.Sprintf("q%d", i/500), 1, "value-0123456789")); err != nil {
+		if err := w.put(r, cell(fmt.Sprintf("row%04d", i%500), "cf", fmt.Sprintf("q%d", i/500), 1, "value-0123456789")); err != nil {
 			b.Fatal(err)
 		}
 	}
 	r.Get([]byte("row0000"), nil, 1, TimeRange{})
-	return r
+	return r, w
 }
 
 // BenchmarkRegionReadAfterWrite puts one cell and reads its row back.
 func BenchmarkRegionReadAfterWrite(b *testing.B) {
-	r := benchRegion(b)
+	r, w := benchRegion(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		row := []byte(fmt.Sprintf("row%04d", (i*7)%500))
-		if err := putCells(r, Cell{Row: row, Family: "cf", Qualifier: "q0", Timestamp: int64(2 + i), Type: TypePut, Value: []byte("v")}); err != nil {
+		if err := w.put(r, Cell{Row: row, Family: "cf", Qualifier: "q0", Timestamp: int64(2 + i), Type: TypePut, Value: []byte("v")}); err != nil {
 			b.Fatal(err)
 		}
 		if res := r.Get(row, nil, 1, TimeRange{}); res.Empty() {
@@ -388,7 +390,7 @@ func BenchmarkRegionReadAfterWrite(b *testing.B) {
 
 // BenchmarkRegionReadQuiescent reads one row of a region nobody writes.
 func BenchmarkRegionReadQuiescent(b *testing.B) {
-	r := benchRegion(b)
+	r, _ := benchRegion(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -29,6 +29,18 @@ func putCells(r *Region, cells ...Cell) error {
 	return err
 }
 
+// ackedWriter writes batches the way a client does whose every earlier
+// batch was acked: each batch carries the next sequence and, as its
+// low-water mark, that same sequence, so the region's dedup window keeps
+// one stamp instead of every stamp putCells ever wrote.
+type ackedWriter struct{ seq uint64 }
+
+func (w *ackedWriter) put(r *Region, cells ...Cell) error {
+	w.seq++
+	_, err := r.PutBatchStamped("acked", w.seq, w.seq, cells)
+	return err
+}
+
 func TestRegionPutGet(t *testing.T) {
 	r := newTestRegion(t, StoreConfig{})
 	if err := putCells(r, cell("row1", "cf", "q", 1, "hello")); err != nil {

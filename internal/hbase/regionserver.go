@@ -390,18 +390,6 @@ func (rs *RegionServer) RegionCount() int {
 	return len(rs.regions)
 }
 
-// OnlineRegions lists the IDs of the regions this server currently serves,
-// sorted — the set a failover rebuilds when reassigning a dead server's
-// load.
-func (rs *RegionServer) OnlineRegions() []string {
-	infos := rs.RegionInfos()
-	out := make([]string, len(infos))
-	for i := range infos {
-		out[i] = infos[i].ID
-	}
-	return out
-}
-
 // Regions lists the hosted region objects (used by a recovering master to
 // rebuild its meta state).
 func (rs *RegionServer) Regions() []*Region {

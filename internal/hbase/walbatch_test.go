@@ -189,10 +189,11 @@ func BenchmarkRegionPutBatch(b *testing.B) {
 		}
 		ring[i] = rowsBatch("v", rows...)
 	}
+	var w ackedWriter
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := putCells(r, ring[i%batches]...); err != nil {
+		if err := w.put(r, ring[i%batches]...); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -84,6 +84,3 @@ func (m Meter) Observe(name string, d time.Duration) {
 	m.primary.Observe(name, d)
 	m.scoped.Observe(name, d)
 }
-
-// Primary returns the meter's always-on sink.
-func (m Meter) Primary() *Registry { return m.primary }

@@ -116,58 +116,28 @@ func nodeShape(p LogicalPlan) string {
 // list of literals collapses to a single '?' regardless of length, so
 // "k IN (1,2)" and "k IN (1,2,3)" share a shape the way pg_stat_statements
 // normalizes them.
-func exprShape(e Expr) string {
+func exprShape(e Expr) string { return mapExpr(e, mask).String() }
+
+// masked stands for a literal in a shape: a column reference renders as
+// its bare name.
+var masked = &ColumnRef{Name: "?"}
+
+// mask replaces a literal with masked, an IN list of literals (masked by
+// then, the walk being bottom-up) with one masked, and a LIKE pattern with
+// '?'.
+func mask(e Expr) Expr {
 	switch x := e.(type) {
 	case *Literal:
-		return "?"
-	case *ColumnRef:
-		return x.Name
-	case *Comparison:
-		return fmt.Sprintf("(%s %s %s)", exprShape(x.L), x.Op, exprShape(x.R))
-	case *And:
-		return fmt.Sprintf("(%s AND %s)", exprShape(x.L), exprShape(x.R))
-	case *Or:
-		return fmt.Sprintf("(%s OR %s)", exprShape(x.L), exprShape(x.R))
-	case *Not:
-		return "NOT " + exprShape(x.E)
+		return masked
 	case *In:
-		op := "IN"
-		if x.Negate {
-			op = "NOT IN"
-		}
-		list := "?"
 		for _, v := range x.Values {
-			if _, lit := v.(*Literal); !lit {
-				parts := make([]string, len(x.Values))
-				for i, ve := range x.Values {
-					parts[i] = exprShape(ve)
-				}
-				list = strings.Join(parts, ", ")
-				break
+			if v != masked {
+				return e
 			}
 		}
-		return fmt.Sprintf("(%s %s (%s))", exprShape(x.E), op, list)
+		return &In{E: x.E, Values: []Expr{masked}, Negate: x.Negate}
 	case *Like:
-		return fmt.Sprintf("(%s LIKE ?)", exprShape(x.E))
-	case *IsNull:
-		if x.Negate {
-			return fmt.Sprintf("(%s IS NOT NULL)", exprShape(x.E))
-		}
-		return fmt.Sprintf("(%s IS NULL)", exprShape(x.E))
-	case *Arithmetic:
-		return fmt.Sprintf("(%s %s %s)", exprShape(x.L), x.Op, exprShape(x.R))
-	case *CaseWhen:
-		var b strings.Builder
-		b.WriteString("CASE")
-		for _, w := range x.Whens {
-			fmt.Fprintf(&b, " WHEN %s THEN %s", exprShape(w.Cond), exprShape(w.Then))
-		}
-		if x.Else != nil {
-			fmt.Fprintf(&b, " ELSE %s", exprShape(x.Else))
-		}
-		b.WriteString(" END")
-		return b.String()
-	default:
-		return e.String()
+		return &ColumnRef{Name: "(" + x.E.String() + " LIKE ?)"}
 	}
+	return e
 }

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"slices"
 	"sort"
 	"strings"
 )
@@ -24,136 +25,38 @@ func Optimize(p LogicalPlan) LogicalPlan {
 // ClonePlan deep-copies a logical plan: nodes and expressions are cloned,
 // relations are shared.
 func ClonePlan(p LogicalPlan) LogicalPlan {
-	switch n := p.(type) {
-	case *ScanNode:
-		cp := &ScanNode{Relation: n.Relation, Alias: n.Alias}
-		cp.Projection = append([]string(nil), n.Projection...)
-		cp.schemas.Store(n.schemas.Load())
-		for _, e := range n.Pushed {
-			cp.Pushed = append(cp.Pushed, CloneExpr(e))
-		}
-		return cp
-	case *FilterNode:
-		return &FilterNode{Cond: CloneExpr(n.Cond), Child: ClonePlan(n.Child)}
-	case *ProjectNode:
-		exprs := make([]NamedExpr, len(n.Exprs))
-		for i, ne := range n.Exprs {
-			exprs[i] = NamedExpr{Expr: CloneExpr(ne.Expr), Name: ne.Name}
-		}
-		return &ProjectNode{Exprs: exprs, Child: ClonePlan(n.Child)}
-	case *JoinNode:
-		cp := &JoinNode{Left: ClonePlan(n.Left), Right: ClonePlan(n.Right), Type: n.Type}
-		for _, k := range n.LeftKeys {
-			cp.LeftKeys = append(cp.LeftKeys, CloneExpr(k))
-		}
-		for _, k := range n.RightKeys {
-			cp.RightKeys = append(cp.RightKeys, CloneExpr(k))
-		}
-		return cp
-	case *AggregateNode:
-		groups := make([]NamedExpr, len(n.GroupBy))
-		for i, g := range n.GroupBy {
-			groups[i] = NamedExpr{Expr: CloneExpr(g.Expr), Name: g.Name}
-		}
-		aggs := make([]AggExpr, len(n.Aggs))
-		for i, a := range n.Aggs {
-			aggs[i] = a
-			if a.Arg != nil {
-				aggs[i].Arg = CloneExpr(a.Arg)
-			}
-		}
-		return &AggregateNode{GroupBy: groups, Aggs: aggs, Child: ClonePlan(n.Child)}
-	case *SortNode:
-		orders := make([]SortOrder, len(n.Orders))
-		for i, o := range n.Orders {
-			orders[i] = SortOrder{Expr: CloneExpr(o.Expr), Desc: o.Desc}
-		}
-		return &SortNode{Orders: orders, Child: ClonePlan(n.Child)}
-	case *LimitNode:
-		return &LimitNode{N: n.N, Child: ClonePlan(n.Child)}
-	case *UnionNode:
-		inputs := make([]LogicalPlan, len(n.Inputs))
-		for i, c := range n.Inputs {
-			inputs[i] = ClonePlan(c)
-		}
-		return &UnionNode{Inputs: inputs}
+	cp := mapNode(p, CloneExpr, ClonePlan)
+	if s, ok := cp.(*ScanNode); ok && cp == p {
+		// A scan with nothing pushed holds nothing to clone, but the
+		// optimizer rewrites scans in place: copy it all the same.
+		cp = s.withPushed(nil)
 	}
-	return p
+	return cp
 }
 
-// rewriteExprs applies fn to every expression in the tree, bottom-up.
+// rewriteExprs applies fn to every expression in the tree, bottom-up,
+// copying only the nodes whose expressions or children changed.
 func rewriteExprs(p LogicalPlan, fn func(Expr) Expr) LogicalPlan {
-	switch n := p.(type) {
-	case *ScanNode:
-		return n
-	case *FilterNode:
-		return &FilterNode{Cond: mapExpr(n.Cond, fn), Child: rewriteExprs(n.Child, fn)}
-	case *ProjectNode:
-		exprs := make([]NamedExpr, len(n.Exprs))
-		for i, ne := range n.Exprs {
-			exprs[i] = NamedExpr{Expr: mapExpr(ne.Expr, fn), Name: ne.Name}
-		}
-		return &ProjectNode{Exprs: exprs, Child: rewriteExprs(n.Child, fn)}
-	case *JoinNode:
-		return &JoinNode{
-			Left: rewriteExprs(n.Left, fn), Right: rewriteExprs(n.Right, fn),
-			LeftKeys: mapExprs(n.LeftKeys, fn), RightKeys: mapExprs(n.RightKeys, fn),
-			Type: n.Type,
-		}
-	case *AggregateNode:
-		groups := make([]NamedExpr, len(n.GroupBy))
-		for i, g := range n.GroupBy {
-			groups[i] = NamedExpr{Expr: mapExpr(g.Expr, fn), Name: g.Name}
-		}
-		aggs := make([]AggExpr, len(n.Aggs))
-		for i, a := range n.Aggs {
-			aggs[i] = a
-			if a.Arg != nil {
-				aggs[i].Arg = mapExpr(a.Arg, fn)
-			}
-		}
-		return &AggregateNode{GroupBy: groups, Aggs: aggs, Child: rewriteExprs(n.Child, fn)}
-	case *SortNode:
-		orders := make([]SortOrder, len(n.Orders))
-		for i, o := range n.Orders {
-			orders[i] = SortOrder{Expr: mapExpr(o.Expr, fn), Desc: o.Desc}
-		}
-		return &SortNode{Orders: orders, Child: rewriteExprs(n.Child, fn)}
-	case *LimitNode:
-		return &LimitNode{N: n.N, Child: rewriteExprs(n.Child, fn)}
-	case *UnionNode:
-		inputs := make([]LogicalPlan, len(n.Inputs))
-		for i, c := range n.Inputs {
-			inputs[i] = rewriteExprs(c, fn)
-		}
-		return &UnionNode{Inputs: inputs}
-	}
-	return p
+	return mapNode(p,
+		func(e Expr) Expr { return mapExpr(e, fn) },
+		func(c LogicalPlan) LogicalPlan { return rewriteExprs(c, fn) })
 }
 
-func mapExprs(es []Expr, fn func(Expr) Expr) []Expr {
-	out := make([]Expr, len(es))
-	for i, e := range es {
-		out[i] = mapExpr(e, fn)
-	}
-	return out
-}
-
-// mapExpr rewrites an expression bottom-up with fn.
+// mapExpr rewrites an expression bottom-up with fn, copying only the
+// nodes whose children changed.
 func mapExpr(e Expr, fn func(Expr) Expr) Expr {
 	children := e.Children()
-	if len(children) > 0 {
-		mapped := make([]Expr, len(children))
-		changed := false
-		for i, c := range children {
-			mapped[i] = mapExpr(c, fn)
-			if mapped[i] != c {
-				changed = true
+	var mapped []Expr
+	for i, c := range children {
+		if m := mapExpr(c, fn); m != c {
+			if mapped == nil {
+				mapped = slices.Clone(children)
 			}
+			mapped[i] = m
 		}
-		if changed {
-			e = e.WithChildren(mapped)
-		}
+	}
+	if mapped != nil {
+		e = e.WithChildren(mapped)
 	}
 	return fn(e)
 }
@@ -180,29 +83,11 @@ func foldConstants(e Expr) Expr {
 
 // combineFilters merges adjacent FilterNodes.
 func combineFilters(p LogicalPlan) LogicalPlan {
-	switch n := p.(type) {
-	case *FilterNode:
-		child := combineFilters(n.Child)
-		if fc, ok := child.(*FilterNode); ok {
-			return &FilterNode{Cond: &And{L: n.Cond, R: fc.Cond}, Child: fc.Child}
+	p = mapNode(p, nil, combineFilters)
+	if f, ok := p.(*FilterNode); ok {
+		if fc, ok := f.Child.(*FilterNode); ok {
+			return &FilterNode{Cond: &And{L: f.Cond, R: fc.Cond}, Child: fc.Child}
 		}
-		return &FilterNode{Cond: n.Cond, Child: child}
-	case *ProjectNode:
-		return &ProjectNode{Exprs: n.Exprs, Child: combineFilters(n.Child)}
-	case *JoinNode:
-		return &JoinNode{Left: combineFilters(n.Left), Right: combineFilters(n.Right), LeftKeys: n.LeftKeys, RightKeys: n.RightKeys, Type: n.Type}
-	case *AggregateNode:
-		return &AggregateNode{GroupBy: n.GroupBy, Aggs: n.Aggs, Child: combineFilters(n.Child)}
-	case *SortNode:
-		return &SortNode{Orders: n.Orders, Child: combineFilters(n.Child)}
-	case *LimitNode:
-		return &LimitNode{N: n.N, Child: combineFilters(n.Child)}
-	case *UnionNode:
-		inputs := make([]LogicalPlan, len(n.Inputs))
-		for i, c := range n.Inputs {
-			inputs[i] = combineFilters(c)
-		}
-		return &UnionNode{Inputs: inputs}
 	}
 	return p
 }
@@ -210,33 +95,16 @@ func combineFilters(p LogicalPlan) LogicalPlan {
 // pushDownFilters moves filter conjuncts as close to the scans as possible
 // and deposits source-translatable ones into ScanNode.Pushed.
 func pushDownFilters(p LogicalPlan) LogicalPlan {
-	switch n := p.(type) {
-	case *FilterNode:
-		child := pushDownFilters(n.Child)
-		conjuncts := SplitConjuncts(n.Cond)
-		remaining := pushInto(child, conjuncts)
-		if rem := CombineConjuncts(remaining); rem != nil {
-			return &FilterNode{Cond: rem, Child: child}
-		}
-		return child
-	case *ProjectNode:
-		return &ProjectNode{Exprs: n.Exprs, Child: pushDownFilters(n.Child)}
-	case *JoinNode:
-		return &JoinNode{Left: pushDownFilters(n.Left), Right: pushDownFilters(n.Right), LeftKeys: n.LeftKeys, RightKeys: n.RightKeys, Type: n.Type}
-	case *AggregateNode:
-		return &AggregateNode{GroupBy: n.GroupBy, Aggs: n.Aggs, Child: pushDownFilters(n.Child)}
-	case *SortNode:
-		return &SortNode{Orders: n.Orders, Child: pushDownFilters(n.Child)}
-	case *LimitNode:
-		return &LimitNode{N: n.N, Child: pushDownFilters(n.Child)}
-	case *UnionNode:
-		inputs := make([]LogicalPlan, len(n.Inputs))
-		for i, c := range n.Inputs {
-			inputs[i] = pushDownFilters(c)
-		}
-		return &UnionNode{Inputs: inputs}
+	p = mapNode(p, nil, pushDownFilters)
+	f, ok := p.(*FilterNode)
+	if !ok {
+		return p
 	}
-	return p
+	remaining := pushInto(f.Child, SplitConjuncts(f.Cond))
+	if rem := CombineConjuncts(remaining); rem != nil {
+		return &FilterNode{Cond: rem, Child: f.Child}
+	}
+	return f.Child
 }
 
 // pushInto tries to sink each conjunct into node (mutating scans in place)

@@ -2,49 +2,9 @@ package plan
 
 import "sort"
 
-// forEachExpr calls fn on every expression node in the plan tree: each
-// node's own expressions, walked depth-first, then its children's.
+// forEachExpr calls fn on every expression node in the plan tree.
 func forEachExpr(p LogicalPlan, fn func(Expr)) {
-	var walk func(Expr)
-	walk = func(e Expr) {
-		fn(e)
-		for _, c := range e.Children() {
-			walk(c)
-		}
-	}
-	switch n := p.(type) {
-	case *ScanNode:
-		for _, e := range n.Pushed {
-			walk(e)
-		}
-	case *FilterNode:
-		walk(n.Cond)
-	case *ProjectNode:
-		for _, ne := range n.Exprs {
-			walk(ne.Expr)
-		}
-	case *JoinNode:
-		for i := range n.LeftKeys {
-			walk(n.LeftKeys[i])
-			walk(n.RightKeys[i])
-		}
-	case *AggregateNode:
-		for _, g := range n.GroupBy {
-			walk(g.Expr)
-		}
-		for _, a := range n.Aggs {
-			if a.Arg != nil {
-				walk(a.Arg)
-			}
-		}
-	case *SortNode:
-		for _, o := range n.Orders {
-			walk(o.Expr)
-		}
-	}
-	for _, c := range p.Children() {
-		forEachExpr(c, fn)
-	}
+	rewriteExprs(p, func(e Expr) Expr { fn(e); return e })
 }
 
 // Slots lists, ascending and without repeats, the literal slots present
@@ -104,29 +64,35 @@ func (l *Literal) Bound(vals []any) any {
 	return v
 }
 
-// Bind deep-copies p and sets every slotted literal to its Bound value.
-// vals must hold an int64, float64 or string for each slot, of the kind
-// the slot's literal was parsed with; Bind leaves a template's literal
-// types unchanged.
+// Bind returns p with every slotted literal set to its Bound value,
+// copying only the nodes and expressions on the way to one; p is left as
+// it is. vals must hold an int64, float64 or string for each slot, of the
+// kind the slot's literal was parsed with; Bind leaves a template's
+// literal types unchanged.
 func Bind(p LogicalPlan, vals []any) LogicalPlan {
-	p = ClonePlan(p)
-	forEachExpr(p, func(e Expr) {
-		if l, ok := e.(*Literal); ok {
-			l.Val = l.Bound(vals)
+	if vals == nil {
+		return p
+	}
+	return rewriteExprs(p, func(e Expr) Expr {
+		if l, ok := e.(*Literal); ok && l.Slot > 0 {
+			cp := *l
+			cp.Val = l.Bound(vals)
+			return &cp
 		}
+		return e
 	})
-	return p
 }
 
-// Unslot returns a copy of p whose literals carry no slots. Slots number
-// one query's literals; a plan embedded in other queries (a view) must
-// not be rebound with theirs.
+// Unslot returns p with no literal carrying a slot, copying only what
+// changes. Slots number one query's literals; a plan embedded in other
+// queries (a view) must not be rebound with theirs.
 func Unslot(p LogicalPlan) LogicalPlan {
-	p = ClonePlan(p)
-	forEachExpr(p, func(e Expr) {
-		if l, ok := e.(*Literal); ok {
-			l.Slot, l.Negated = 0, false
+	return rewriteExprs(p, func(e Expr) Expr {
+		if l, ok := e.(*Literal); ok && (l.Slot != 0 || l.Negated) {
+			cp := *l
+			cp.Slot, cp.Negated = 0, false
+			return &cp
 		}
+		return e
 	})
-	return p
 }

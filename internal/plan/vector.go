@@ -104,16 +104,6 @@ func (v *Vector) Null(i int) bool {
 	return v.nulls[w]&(1<<(uint(i)&63)) != 0
 }
 
-// HasNulls reports whether any entry is NULL.
-func (v *Vector) HasNulls() bool {
-	for _, w := range v.nulls {
-		if w != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 func (v *Vector) setNull(i int) {
 	w := i >> 6
 	for w >= len(v.nulls) {
