@@ -30,7 +30,9 @@ type rowPartition struct {
 // BenchmarkPipeline measures one fused pipeline query over a 4-partition,
 // 20,000-row relation with a residual filter (age < cap, about half the
 // rows) and a projection: rows out, or one global aggregate row out, each
-// on the vector route and on the row route.
+// on the vector route and on the row route. The arith cases filter on
+// age*2 < 80 instead, which keeps the same half of the rows, so they price
+// an arithmetic comparison against the column-vs-column one.
 func BenchmarkPipeline(b *testing.B) {
 	rel := datasource.NewMemRelation("users", plan.Schema{
 		{Name: "id", Type: plan.TypeString},
@@ -46,21 +48,26 @@ func BenchmarkPipeline(b *testing.B) {
 	if err := rel.Insert(rows); err != nil {
 		b.Fatal(err)
 	}
-	// A column-vs-column predicate has no source filter, so it stays with
-	// the pipeline.
-	filtered := func(r plan.Relation) plan.LogicalPlan {
-		return &plan.FilterNode{
-			Cond:  &plan.Comparison{Op: plan.OpLt, L: plan.Col("age"), R: plan.Col("cap")},
-			Child: &plan.ScanNode{Relation: r},
+	// Neither a column-vs-column nor an arithmetic predicate has a source
+	// filter, so both stay with the pipeline.
+	ageLtCap := func() plan.Expr { return &plan.Comparison{Op: plan.OpLt, L: plan.Col("age"), R: plan.Col("cap")} }
+	twiceAgeLt80 := func() plan.Expr {
+		return &plan.Comparison{
+			Op: plan.OpLt,
+			L:  &plan.Arithmetic{Op: plan.OpMul, L: plan.Col("age"), R: plan.Lit(int64(2))},
+			R:  plan.Lit(int64(80)),
 		}
 	}
-	rowsOut := func(r plan.Relation) plan.LogicalPlan {
+	filtered := func(r plan.Relation, cond plan.Expr) plan.LogicalPlan {
+		return &plan.FilterNode{Cond: cond, Child: &plan.ScanNode{Relation: r}}
+	}
+	rowsOut := func(r plan.Relation, cond plan.Expr) plan.LogicalPlan {
 		return &plan.ProjectNode{
 			Exprs: []plan.NamedExpr{{Expr: plan.Col("id"), Name: "id"}, {Expr: plan.Col("score"), Name: "score"}},
-			Child: filtered(r),
+			Child: filtered(r, cond),
 		}
 	}
-	aggOut := func(r plan.Relation) plan.LogicalPlan {
+	aggOut := func(r plan.Relation, cond plan.Expr) plan.LogicalPlan {
 		return &plan.AggregateNode{
 			Aggs: []plan.AggExpr{
 				{Kind: plan.AggCount, Name: "n"},
@@ -74,22 +81,25 @@ func BenchmarkPipeline(b *testing.B) {
 					{Expr: plan.Col("age"), Name: "a"},
 					{Expr: plan.Col("city"), Name: "c"},
 				},
-				Child: filtered(r),
+				Child: filtered(r, cond),
 			},
 		}
 	}
 	for _, bc := range []struct {
 		name string
-		lp   func(plan.Relation) plan.LogicalPlan
+		lp   func(plan.Relation, plan.Expr) plan.LogicalPlan
 		rel  plan.Relation
+		cond func() plan.Expr
 	}{
-		{"rows/vector", rowsOut, rel},
-		{"rows/row-route", rowsOut, rowRoute{rel}},
-		{"agg/vector", aggOut, rel},
-		{"agg/row-route", aggOut, rowRoute{rel}},
+		{"rows/vector", rowsOut, rel, ageLtCap},
+		{"rows/row-route", rowsOut, rowRoute{rel}, ageLtCap},
+		{"agg/vector", aggOut, rel, ageLtCap},
+		{"agg/row-route", aggOut, rowRoute{rel}, ageLtCap},
+		{"rows/vector/arith", rowsOut, rel, twiceAgeLt80},
+		{"agg/vector/arith", aggOut, rel, twiceAgeLt80},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			phys, err := CompileWith(plan.Optimize(bc.lp(bc.rel)), CompileConfig{})
+			phys, err := CompileWith(plan.Optimize(bc.lp(bc.rel, bc.cond())), CompileConfig{})
 			if err != nil {
 				b.Fatal(err)
 			}

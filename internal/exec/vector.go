@@ -32,7 +32,7 @@ func (p *PipelineExec) program() *vecProgram {
 	p.vec.once.Do(func() {
 		schema := p.Scan.OutSchema
 		if p.Cond != nil {
-			p.vec.filter = plan.CompileFilter(p.Cond, schema)
+			p.vec.filter = plan.CompileFilter(p.Cond)
 			// Only the filter's and the aggregates' inputs need eager
 			// decode; everything else stays lazy until it survives the
 			// filter. With no filter every row survives and laziness buys
@@ -40,7 +40,7 @@ func (p *PipelineExec) program() *vecProgram {
 			p.vec.eager = eagerColumns(schema, p.Cond, p.aggArgs)
 		}
 		if p.Exprs != nil {
-			p.vec.proj = plan.CompileProjection(p.Exprs, schema)
+			p.vec.proj = plan.CompileProjection(p.Exprs)
 		}
 	})
 	return p.vec

@@ -402,9 +402,15 @@ func (l *Like) Eval(row Row) (any, error) {
 
 func likeMatch(s, pat string) bool {
 	// Dynamic programming over the pattern, treating % as any run and _ as
-	// any single byte.
-	prev := make([]bool, len(s)+1)
-	cur := make([]bool, len(s)+1)
+	// any single byte. Strings shorter than 64 bytes keep both rows on the
+	// stack.
+	var buf [128]bool
+	prev, cur := buf[:0], buf[64:64]
+	if n := len(s) + 1; n <= 64 {
+		prev, cur = prev[:n], cur[:n]
+	} else {
+		prev, cur = make([]bool, n), make([]bool, n)
+	}
 	prev[0] = true
 	for j := 0; j < len(s); j++ {
 		prev[j+1] = false

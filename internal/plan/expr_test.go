@@ -163,6 +163,11 @@ func TestLikeMatch(t *testing.T) {
 		{"hello", "", false},
 		{"", "%", true},
 		{"abc", "a%c%", true},
+		// 63 bytes fit the stack rows, 64 and more take the heap.
+		{strings.Repeat("x", 62) + "y", "%y", true},
+		{strings.Repeat("x", 63) + "y", "%y", true},
+		{strings.Repeat("x", 63) + "y", "x%x", false},
+		{strings.Repeat("x", 100), "x%_x", true},
 	}
 	for _, c := range cases {
 		if got := likeMatch(c.s, c.pat); got != c.want {

@@ -256,6 +256,26 @@ func (v *Vector) Num(i int) (float64, bool, error) {
 	return f, true, nil
 }
 
+// Str reads entry i of a string column; ok=false means NULL. Lazy entries
+// decode; non-string values error.
+func (v *Vector) Str(i int) (string, bool, error) {
+	if v.Null(i) {
+		return "", false, nil
+	}
+	if v.Kind == KindString {
+		return v.Strings[i], true, nil
+	}
+	val, err := v.Value(i)
+	if err != nil || val == nil {
+		return "", false, err
+	}
+	s, ok := val.(string)
+	if !ok {
+		return "", false, fmt.Errorf("plan: want a string, got %T", val)
+	}
+	return s, true, nil
+}
+
 // MemSize approximates the vector's decoded bytes for memory metering.
 func (v *Vector) MemSize() int64 {
 	switch v.Kind {

@@ -1,18 +1,19 @@
 package plan
 
-import (
-	"bytes"
-	"fmt"
-)
+import "slices"
 
 // This file compiles resolved expressions into closures over column batches
 // — the expression-VM idiom. A predicate compiles once per query into a
-// chain of selection-vector transforms (each conjunct a tight loop over one
-// or two vectors); a projection compiles into per-output scalar evaluators
-// that read vectors positionally. Any expression shape without a typed fast
-// path falls back to a closure that materializes just the referenced
-// columns of one row and calls the interpreted Eval — so every expression
-// is supported and fallbacks still benefit from late materialization.
+// chain of selection-vector transforms, one loop per conjunct. Each side of
+// a comparison, IN list or LIKE compiles to an unboxed operand of one of
+// two families, numeric (columns, literals, arithmetic; compared in
+// float64) or string (columns, literals), and one loop per family compares
+// them. A column against a literal or another column, and a numeric
+// column's IN list, also get a loop over the vectors' storage, used for
+// batches that hold it. A projection compiles into per-output evaluators
+// that read vectors positionally. Any other shape falls back to a closure
+// that materializes just the referenced columns of one row and calls the
+// interpreted Eval, so every expression is supported.
 //
 // Compiled programs are immutable and shared across concurrently running
 // partitions; all per-worker mutable state lives in EvalScratch.
@@ -56,17 +57,17 @@ func (f *CompiledFilter) Run(b *Batch, sel []int, sc *EvalScratch) ([]int, error
 // SQL semantics match EvalPredicate exactly: a conjunct evaluating to NULL
 // drops the row. Like the projection compiler it never fails: unsupported
 // conjuncts get an interpreted fallback.
-func CompileFilter(e Expr, schema Schema) *CompiledFilter {
+func CompileFilter(e Expr) *CompiledFilter {
 	out := &CompiledFilter{}
 	for _, c := range SplitConjuncts(e) {
-		out.steps = append(out.steps, compileConjunct(c, schema))
+		out.steps = append(out.steps, compileConjunct(c))
 	}
 	return out
 }
 
 // compileConjunct returns a filter step for one conjunct: a typed loop
 // where one exists, the interpreted fallback otherwise.
-func compileConjunct(e Expr, schema Schema) VecFilter {
+func compileConjunct(e Expr) VecFilter {
 	switch x := e.(type) {
 	case *Comparison:
 		if f := compileComparison(x); f != nil {
@@ -91,17 +92,16 @@ func compileConjunct(e Expr, schema Schema) VecFilter {
 			}
 		}
 	case *Like:
-		if c, ok := x.E.(*ColumnRef); ok && c.idx >= 0 && c.typ == TypeString {
-			idx, pat := c.idx, x.Pattern
-			generic := rowFallbackFilter(x, schema)
-			return func(b *Batch, sel []int, sc *EvalScratch) ([]int, error) {
-				v := b.Cols[idx]
-				if v.Kind != KindString {
-					return generic(b, sel, sc)
-				}
+		if e, ok := compileStr(x.E); ok {
+			pat := x.Pattern
+			return func(b *Batch, sel []int, _ *EvalScratch) ([]int, error) {
 				out := sel[:0]
 				for _, i := range sel {
-					if !v.Null(i) && likeMatch(v.Strings[i], pat) {
+					s, null, err := e(b, i)
+					if err != nil {
+						return nil, err
+					}
+					if !null && likeMatch(s, pat) {
 						out = append(out, i)
 					}
 				}
@@ -114,16 +114,16 @@ func compileConjunct(e Expr, schema Schema) VecFilter {
 		// NULL exactly when the operand is, and flips otherwise.
 		switch inner := x.E.(type) {
 		case *Comparison:
-			return compileConjunct(&Comparison{Op: negateCmp(inner.Op), L: inner.L, R: inner.R}, schema)
+			return compileConjunct(&Comparison{Op: negateCmp(inner.Op), L: inner.L, R: inner.R})
 		case *In:
-			return compileConjunct(&In{E: inner.E, Values: inner.Values, Negate: !inner.Negate}, schema)
+			return compileConjunct(&In{E: inner.E, Values: inner.Values, Negate: !inner.Negate})
 		case *IsNull:
-			return compileConjunct(&IsNull{E: inner.E, Negate: !inner.Negate}, schema)
+			return compileConjunct(&IsNull{E: inner.E, Negate: !inner.Negate})
 		case *Not:
-			return compileConjunct(inner.E, schema)
+			return compileConjunct(inner.E)
 		}
 	}
-	return rowFallbackFilter(e, schema)
+	return rowFallbackFilter(e)
 }
 
 func negateCmp(op CmpOp) CmpOp {
@@ -161,32 +161,21 @@ func cmpKeep(op CmpOp, c int) bool {
 	return c >= 0
 }
 
-func cmpFloats(a, b float64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
-}
-
-// compileComparison builds a typed loop for col-vs-literal and col-vs-col
-// comparisons; nil when no fast path applies. Numeric comparisons happen in
-// float64 space, exactly like Compare, so results match the row path bit
-// for bit.
+// compileComparison compiles a comparison from its operands; nil when the
+// two sides share no compiled family. Numeric operands compare in float64,
+// exactly like Compare, so results match the row path bit for bit.
 func compileComparison(x *Comparison) VecFilter {
-	if c, ok := x.L.(*ColumnRef); ok && c.idx >= 0 {
-		if lit, ok := x.R.(*Literal); ok {
-			return cmpColLit(c, x.Op, lit.Val)
-		}
-		if rc, ok := x.R.(*ColumnRef); ok && rc.idx >= 0 {
-			return cmpColCol(c, x.Op, rc)
+	if _, ok := x.L.(*Literal); ok {
+		x = &Comparison{Op: flipCmp(x.Op), L: x.R, R: x.L}
+	}
+	if l, ok := compileNum(x.L); ok {
+		if r, ok := compileNum(x.R); ok {
+			return typedCmp(x, cmpLoop(l, r, x.Op))
 		}
 	}
-	if lit, ok := x.L.(*Literal); ok {
-		if c, ok := x.R.(*ColumnRef); ok && c.idx >= 0 {
-			return cmpColLit(c, flipCmp(x.Op), lit.Val)
+	if l, ok := compileStr(x.L); ok {
+		if r, ok := compileStr(x.R); ok {
+			return typedCmp(x, cmpLoop(l, r, x.Op))
 		}
 	}
 	return nil
@@ -206,214 +195,9 @@ func flipCmp(op CmpOp) CmpOp {
 	return op
 }
 
-// numAt reads entry i of a numeric vector as float64; ok=false for NULL.
-func numAt(v *Vector, i int) (float64, bool, error) { return v.Num(i) }
-
-func cmpColLit(c *ColumnRef, op CmpOp, lit any) VecFilter {
-	if lit == nil {
-		// NULL literal: every comparison is NULL, nothing survives.
-		return func(_ *Batch, sel []int, _ *EvalScratch) ([]int, error) {
-			return sel[:0], nil
-		}
-	}
-	idx := c.idx
-	switch KindOf(c.typ) {
-	case KindInt64, KindFloat64:
-		lf, ok := ToFloat(lit)
-		if !ok {
-			return nil
-		}
-		return func(b *Batch, sel []int, _ *EvalScratch) ([]int, error) {
-			v := b.Cols[idx]
-			out := sel[:0]
-			switch v.Kind {
-			case KindInt64:
-				data := v.Int64s
-				for _, i := range sel {
-					if !v.Null(i) && cmpKeep(op, cmpFloats(float64(data[i]), lf)) {
-						out = append(out, i)
-					}
-				}
-			case KindFloat64:
-				data := v.Float64s
-				for _, i := range sel {
-					if !v.Null(i) && cmpKeep(op, cmpFloats(data[i], lf)) {
-						out = append(out, i)
-					}
-				}
-			default:
-				for _, i := range sel {
-					f, ok, err := numAt(v, i)
-					if err != nil {
-						return nil, err
-					}
-					if ok && cmpKeep(op, cmpFloats(f, lf)) {
-						out = append(out, i)
-					}
-				}
-			}
-			return out, nil
-		}
-	case KindString:
-		ls, ok := lit.(string)
-		if !ok {
-			return nil
-		}
-		return func(b *Batch, sel []int, _ *EvalScratch) ([]int, error) {
-			v := b.Cols[idx]
-			out := sel[:0]
-			if v.Kind == KindString {
-				data := v.Strings
-				for _, i := range sel {
-					if !v.Null(i) && cmpKeep(op, compareStrings(data[i], ls)) {
-						out = append(out, i)
-					}
-				}
-				return out, nil
-			}
-			for _, i := range sel {
-				val, err := v.Value(i)
-				if err != nil {
-					return nil, err
-				}
-				s, ok := val.(string)
-				if val != nil && !ok {
-					return nil, fmt.Errorf("plan: cannot compare string with %T", val)
-				}
-				if val != nil && cmpKeep(op, compareStrings(s, ls)) {
-					out = append(out, i)
-				}
-			}
-			return out, nil
-		}
-	case KindBool:
-		lb, ok := lit.(bool)
-		if !ok {
-			return nil
-		}
-		return func(b *Batch, sel []int, _ *EvalScratch) ([]int, error) {
-			v := b.Cols[idx]
-			out := sel[:0]
-			for _, i := range sel {
-				val, err := v.Value(i)
-				if err != nil {
-					return nil, err
-				}
-				vb, isBool := val.(bool)
-				if val == nil {
-					continue
-				}
-				if !isBool {
-					return nil, fmt.Errorf("plan: cannot compare bool with %T", val)
-				}
-				if cmpKeep(op, compareBools(vb, lb)) {
-					out = append(out, i)
-				}
-			}
-			return out, nil
-		}
-	case KindBytes:
-		lv, ok := lit.([]byte)
-		if !ok {
-			return nil
-		}
-		return func(b *Batch, sel []int, _ *EvalScratch) ([]int, error) {
-			v := b.Cols[idx]
-			out := sel[:0]
-			if v.Kind == KindBytes {
-				data := v.Bytes
-				for _, i := range sel {
-					if !v.Null(i) && cmpKeep(op, bytes.Compare(data[i], lv)) {
-						out = append(out, i)
-					}
-				}
-				return out, nil
-			}
-			for _, i := range sel {
-				val, err := v.Value(i)
-				if err != nil {
-					return nil, err
-				}
-				bv, isBytes := val.([]byte)
-				if val == nil {
-					continue
-				}
-				if !isBytes {
-					return nil, fmt.Errorf("plan: cannot compare binary with %T", val)
-				}
-				if cmpKeep(op, bytes.Compare(bv, lv)) {
-					out = append(out, i)
-				}
-			}
-			return out, nil
-		}
-	}
-	return nil
-}
-
-func cmpColCol(l *ColumnRef, op CmpOp, r *ColumnRef) VecFilter {
-	lk, rk := KindOf(l.typ), KindOf(r.typ)
-	numeric := func(k VecKind) bool { return k == KindInt64 || k == KindFloat64 }
-	li, ri := l.idx, r.idx
-	switch {
-	case numeric(lk) && numeric(rk):
-		return func(b *Batch, sel []int, _ *EvalScratch) ([]int, error) {
-			lv, rv := b.Cols[li], b.Cols[ri]
-			out := sel[:0]
-			for _, i := range sel {
-				lf, lok, err := numAt(lv, i)
-				if err != nil {
-					return nil, err
-				}
-				rf, rok, err := numAt(rv, i)
-				if err != nil {
-					return nil, err
-				}
-				if lok && rok && cmpKeep(op, cmpFloats(lf, rf)) {
-					out = append(out, i)
-				}
-			}
-			return out, nil
-		}
-	case lk == KindString && rk == KindString:
-		return func(b *Batch, sel []int, _ *EvalScratch) ([]int, error) {
-			lv, rv := b.Cols[li], b.Cols[ri]
-			out := sel[:0]
-			if lv.Kind == KindString && rv.Kind == KindString {
-				for _, i := range sel {
-					if !lv.Null(i) && !rv.Null(i) && cmpKeep(op, compareStrings(lv.Strings[i], rv.Strings[i])) {
-						out = append(out, i)
-					}
-				}
-				return out, nil
-			}
-			for _, i := range sel {
-				a, err := lv.Value(i)
-				if err != nil {
-					return nil, err
-				}
-				bb, err := rv.Value(i)
-				if err != nil {
-					return nil, err
-				}
-				if a == nil || bb == nil {
-					continue
-				}
-				c, err := Compare(a, bb)
-				if err != nil {
-					return nil, err
-				}
-				if cmpKeep(op, c) {
-					out = append(out, i)
-				}
-			}
-			return out, nil
-		}
-	}
-	return nil
-}
-
-func compareStrings(a, b string) int {
+// threeWay orders two values of one operand family the way Compare does
+// (for floats, NaN orders equal to everything).
+func threeWay[T float64 | string](a, b T) int {
 	switch {
 	case a < b:
 		return -1
@@ -423,111 +207,180 @@ func compareStrings(a, b string) int {
 	return 0
 }
 
-func compareBools(a, b bool) int {
-	switch {
-	case a == b:
-		return 0
-	case !a:
-		return -1
+// cmpLoop keeps the rows where neither operand is NULL and op holds.
+func cmpLoop[T float64 | string](l, r operand[T], op CmpOp) VecFilter {
+	return func(b *Batch, sel []int, _ *EvalScratch) ([]int, error) {
+		out := sel[:0]
+		for _, i := range sel {
+			lv, lnull, err := l(b, i)
+			if err != nil {
+				return nil, err
+			}
+			rv, rnull, err := r(b, i)
+			if err != nil {
+				return nil, err
+			}
+			if !lnull && !rnull && cmpKeep(op, threeWay(lv, rv)) {
+				out = append(out, i)
+			}
+		}
+		return out, nil
 	}
-	return 1
 }
 
-// compileIn builds a typed membership loop for a column tested against a
-// literal list. The three-valued outcome mirrors In.Eval: a match keeps
-// (or drops, negated), a miss with a NULL in the list is NULL and drops.
-func compileIn(x *In) VecFilter {
-	c, ok := x.E.(*ColumnRef)
-	if !ok || c.idx < 0 {
-		return nil
+// typedCmp gives the comparisons of a column against a non-NULL literal of
+// its family, or against another column, a loop over the vectors' storage
+// for batches that hold it (int64 and float64 against a literal; int64 or
+// string pairs). Any other shape or storage (lazy, boxed) runs generic,
+// the operand loop, whose two calls per row would double these shapes'
+// cost.
+func typedCmp(x *Comparison, generic VecFilter) VecFilter {
+	c, ok := x.L.(*ColumnRef)
+	if !ok {
+		return generic
 	}
-	lits := make([]any, 0, len(x.Values))
+	li, op := c.idx, x.Op
+	switch r := x.R.(type) {
+	case *Literal:
+		if kf, ok := ToFloat(r.Val); ok {
+			return func(b *Batch, sel []int, sc *EvalScratch) ([]int, error) {
+				switch v := b.Cols[li]; v.Kind {
+				case KindInt64:
+					return keepVsConst(v, v.Int64s, sel, op, kf), nil
+				case KindFloat64:
+					return keepVsConst(v, v.Float64s, sel, op, kf), nil
+				}
+				return generic(b, sel, sc)
+			}
+		}
+		if ks, ok := r.Val.(string); ok {
+			return func(b *Batch, sel []int, sc *EvalScratch) ([]int, error) {
+				v := b.Cols[li]
+				if v.Kind != KindString {
+					return generic(b, sel, sc)
+				}
+				out := sel[:0]
+				for _, i := range sel {
+					if !v.Null(i) && cmpKeep(op, threeWay(v.Strings[i], ks)) {
+						out = append(out, i)
+					}
+				}
+				return out, nil
+			}
+		}
+	case *ColumnRef:
+		ri := r.idx
+		return func(b *Batch, sel []int, sc *EvalScratch) ([]int, error) {
+			lv, rv := b.Cols[li], b.Cols[ri]
+			out := sel[:0]
+			switch {
+			case lv.Kind == KindInt64 && rv.Kind == KindInt64:
+				for _, i := range sel {
+					if !lv.Null(i) && !rv.Null(i) && cmpKeep(op, threeWay(float64(lv.Int64s[i]), float64(rv.Int64s[i]))) {
+						out = append(out, i)
+					}
+				}
+			case lv.Kind == KindString && rv.Kind == KindString:
+				for _, i := range sel {
+					if !lv.Null(i) && !rv.Null(i) && cmpKeep(op, threeWay(lv.Strings[i], rv.Strings[i])) {
+						out = append(out, i)
+					}
+				}
+			default:
+				return generic(b, sel, sc)
+			}
+			return out, nil
+		}
+	}
+	return generic
+}
+
+func keepVsConst[T int64 | float64](v *Vector, data []T, sel []int, op CmpOp, k float64) []int {
+	out := sel[:0]
+	for _, i := range sel {
+		if !v.Null(i) && cmpKeep(op, threeWay(float64(data[i]), k)) {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// compileIn compiles membership of an operand in a literal list of the
+// same family. The three-valued outcome mirrors In.Eval: a match keeps (or
+// drops, negated), a miss with a NULL in the list is NULL and drops.
+func compileIn(x *In) VecFilter {
+	var nums []float64
+	var strs []string
 	hasNull := false
 	for _, ve := range x.Values {
 		lit, ok := ve.(*Literal)
 		if !ok {
 			return nil
 		}
-		if lit.Val == nil {
+		switch v := lit.Val.(type) {
+		case nil:
 			hasNull = true
-			continue
+		case string:
+			strs = append(strs, v)
+		default:
+			f, ok := ToFloat(v)
+			if !ok {
+				return nil
+			}
+			nums = append(nums, f)
 		}
-		lits = append(lits, lit.Val)
 	}
-	idx, neg := c.idx, x.Negate
-	switch KindOf(c.typ) {
-	case KindInt64, KindFloat64:
-		floats := make([]float64, 0, len(lits))
-		for _, lv := range lits {
-			f, ok := ToFloat(lv)
-			if !ok {
-				return nil
-			}
-			floats = append(floats, f)
+	if e, ok := compileNum(x.E); ok && len(strs) == 0 {
+		generic, neg := inLoop(e, nums, x.Negate, hasNull), x.Negate
+		c, ok := x.E.(*ColumnRef)
+		if !ok {
+			return generic
 		}
-		return func(b *Batch, sel []int, _ *EvalScratch) ([]int, error) {
-			v := b.Cols[idx]
-			out := sel[:0]
-			for _, i := range sel {
-				f, ok, err := numAt(v, i)
-				if err != nil {
-					return nil, err
-				}
-				if !ok {
-					continue
-				}
-				match := false
-				for _, lf := range floats {
-					if f == lf {
-						match = true
-						break
-					}
-				}
-				if keepMembership(match, neg, hasNull) {
-					out = append(out, i)
-				}
+		// A numeric column reads its storage directly, as typedCmp does.
+		idx := c.idx
+		return func(b *Batch, sel []int, sc *EvalScratch) ([]int, error) {
+			switch v := b.Cols[idx]; v.Kind {
+			case KindInt64:
+				return keepIn(v, v.Int64s, sel, nums, neg, hasNull), nil
+			case KindFloat64:
+				return keepIn(v, v.Float64s, sel, nums, neg, hasNull), nil
 			}
-			return out, nil
+			return generic(b, sel, sc)
 		}
-	case KindString:
-		strs := make([]string, 0, len(lits))
-		for _, lv := range lits {
-			s, ok := lv.(string)
-			if !ok {
-				return nil
-			}
-			strs = append(strs, s)
-		}
-		return func(b *Batch, sel []int, _ *EvalScratch) ([]int, error) {
-			v := b.Cols[idx]
-			out := sel[:0]
-			for _, i := range sel {
-				val, err := v.Value(i)
-				if err != nil {
-					return nil, err
-				}
-				if val == nil {
-					continue
-				}
-				s, ok := val.(string)
-				if !ok {
-					return nil, fmt.Errorf("plan: cannot compare string with %T", val)
-				}
-				match := false
-				for _, ls := range strs {
-					if s == ls {
-						match = true
-						break
-					}
-				}
-				if keepMembership(match, neg, hasNull) {
-					out = append(out, i)
-				}
-			}
-			return out, nil
-		}
+	}
+	if e, ok := compileStr(x.E); ok && len(nums) == 0 {
+		return inLoop(e, strs, x.Negate, hasNull)
 	}
 	return nil
+}
+
+func inLoop[T float64 | string](e operand[T], set []T, negate, listHasNull bool) VecFilter {
+	return func(b *Batch, sel []int, _ *EvalScratch) ([]int, error) {
+		out := sel[:0]
+		for _, i := range sel {
+			v, null, err := e(b, i)
+			if err != nil {
+				return nil, err
+			}
+			if null {
+				continue
+			}
+			if keepMembership(slices.Contains(set, v), negate, listHasNull) {
+				out = append(out, i)
+			}
+		}
+		return out, nil
+	}
+}
+
+func keepIn[T int64 | float64](v *Vector, data []T, sel []int, set []float64, negate, listHasNull bool) []int {
+	out := sel[:0]
+	for _, i := range sel {
+		if !v.Null(i) && keepMembership(slices.Contains(set, float64(data[i])), negate, listHasNull) {
+			out = append(out, i)
+		}
+	}
+	return out
 }
 
 // keepMembership folds In's three-valued result into the filter decision
@@ -543,47 +396,47 @@ func keepMembership(match, negate, listHasNull bool) bool {
 	return negate
 }
 
-// columnIndexes collects the bound positions of every column e references.
-func columnIndexes(e Expr) []int {
-	var out []int
+// interpreted evaluates e at one batch position through the interpreted
+// Eval, materializing only the columns e references: the fallback that
+// keeps every expression shape supported, for filters and projections.
+func interpreted(e Expr) scalarFn {
+	var cols []int
 	seen := make(map[int]bool)
 	var walk func(Expr)
 	walk = func(x Expr) {
-		if c, ok := x.(*ColumnRef); ok {
-			if c.idx >= 0 && !seen[c.idx] {
-				seen[c.idx] = true
-				out = append(out, c.idx)
-			}
-			return
+		if c, ok := x.(*ColumnRef); ok && c.idx >= 0 && !seen[c.idx] {
+			seen[c.idx] = true
+			cols = append(cols, c.idx)
 		}
 		for _, ch := range x.Children() {
 			walk(ch)
 		}
 	}
 	walk(e)
-	return out
-}
-
-// rowFallbackFilter evaluates one conjunct through the interpreted Eval,
-// materializing only the columns it references — the universal fallback
-// that keeps every expression shape supported.
-func rowFallbackFilter(e Expr, schema Schema) VecFilter {
-	cols := columnIndexes(e)
-	return func(b *Batch, sel []int, sc *EvalScratch) ([]int, error) {
-		out := sel[:0]
-		for _, i := range sel {
-			for _, ci := range cols {
-				v, err := b.Cols[ci].Value(i)
-				if err != nil {
-					return nil, err
-				}
-				sc.row[ci] = v
-			}
-			ok, err := EvalPredicate(e, sc.row)
+	return func(b *Batch, i int, sc *EvalScratch) (any, error) {
+		for _, ci := range cols {
+			v, err := b.Cols[ci].Value(i)
 			if err != nil {
 				return nil, err
 			}
-			if ok {
+			sc.row[ci] = v
+		}
+		return e.Eval(sc.row)
+	}
+}
+
+// rowFallbackFilter keeps the rows where the interpreted conjunct is true;
+// NULL drops, as in EvalPredicate.
+func rowFallbackFilter(e Expr) VecFilter {
+	eval := interpreted(e)
+	return func(b *Batch, sel []int, sc *EvalScratch) ([]int, error) {
+		out := sel[:0]
+		for _, i := range sel {
+			v, err := eval(b, i, sc)
+			if err != nil {
+				return nil, err
+			}
+			if keep, _ := v.(bool); keep {
 				out = append(out, i)
 			}
 		}
@@ -594,9 +447,9 @@ func rowFallbackFilter(e Expr, schema Schema) VecFilter {
 // scalarFn evaluates one output expression at one batch position, boxed.
 type scalarFn func(b *Batch, i int, sc *EvalScratch) (any, error)
 
-// numFn evaluates a numeric expression at one position without boxing;
-// null=true represents SQL NULL.
-type numFn func(b *Batch, i int, sc *EvalScratch) (v float64, null bool, err error)
+// operand evaluates a numeric or string expression at one batch position
+// without boxing; null=true represents SQL NULL.
+type operand[T float64 | string] func(b *Batch, i int) (v T, null bool, err error)
 
 // CompiledProjection evaluates a projection list against batch positions.
 type CompiledProjection struct {
@@ -608,10 +461,10 @@ type CompiledProjection struct {
 // CompileProjection compiles resolved projection expressions. Like the
 // filter compiler it never fails: unsupported shapes get an interpreted
 // fallback that materializes just the referenced columns.
-func CompileProjection(exprs []NamedExpr, schema Schema) *CompiledProjection {
+func CompileProjection(exprs []NamedExpr) *CompiledProjection {
 	out := &CompiledProjection{fns: make([]scalarFn, len(exprs)), Vectorized: true}
 	for i, ne := range exprs {
-		fn, fast := compileScalar(ne.Expr, schema)
+		fn, fast := compileScalar(ne.Expr)
 		out.fns[i] = fn
 		out.Vectorized = out.Vectorized && fast
 	}
@@ -634,7 +487,7 @@ func (p *CompiledProjection) ProjectRow(b *Batch, i int, sc *EvalScratch, dst Ro
 	return nil
 }
 
-func compileScalar(e Expr, schema Schema) (scalarFn, bool) {
+func compileScalar(e Expr) (scalarFn, bool) {
 	switch x := e.(type) {
 	case *ColumnRef:
 		if x.idx >= 0 {
@@ -648,8 +501,8 @@ func compileScalar(e Expr, schema Schema) (scalarFn, bool) {
 		return func(*Batch, int, *EvalScratch) (any, error) { return v, nil }, true
 	case *Arithmetic:
 		if nf, ok := compileNum(x); ok {
-			return func(b *Batch, i int, sc *EvalScratch) (any, error) {
-				v, null, err := nf(b, i, sc)
+			return func(b *Batch, i int, _ *EvalScratch) (any, error) {
+				v, null, err := nf(b, i)
 				if err != nil || null {
 					return nil, err
 				}
@@ -657,38 +510,28 @@ func compileScalar(e Expr, schema Schema) (scalarFn, bool) {
 			}, true
 		}
 	}
-	cols := columnIndexes(e)
-	return func(b *Batch, i int, sc *EvalScratch) (any, error) {
-		for _, ci := range cols {
-			v, err := b.Cols[ci].Value(i)
-			if err != nil {
-				return nil, err
-			}
-			sc.row[ci] = v
-		}
-		return e.Eval(sc.row)
-	}, false
+	return interpreted(e), false
 }
 
-// compileNum compiles a numeric expression to an unboxed evaluator,
-// mirroring Arithmetic.Eval's widening, NULL propagation, and NULL on
-// division by zero.
-func compileNum(e Expr) (numFn, bool) {
+// compileNum compiles a numeric column, literal or arithmetic expression
+// to an unboxed operand, mirroring Arithmetic.Eval's widening, NULL
+// propagation, and NULL on division by zero.
+func compileNum(e Expr) (operand[float64], bool) {
 	switch x := e.(type) {
 	case *ColumnRef:
 		if x.idx >= 0 && x.typ.Numeric() {
 			idx := x.idx
-			return func(b *Batch, i int, _ *EvalScratch) (float64, bool, error) {
-				f, ok, err := numAt(b.Cols[idx], i)
+			return func(b *Batch, i int) (float64, bool, error) {
+				f, ok, err := b.Cols[idx].Num(i)
 				return f, !ok, err
 			}, true
 		}
 	case *Literal:
 		if x.Val == nil {
-			return func(*Batch, int, *EvalScratch) (float64, bool, error) { return 0, true, nil }, true
+			return func(*Batch, int) (float64, bool, error) { return 0, true, nil }, true
 		}
 		if f, ok := ToFloat(x.Val); ok {
-			return func(*Batch, int, *EvalScratch) (float64, bool, error) { return f, false, nil }, true
+			return func(*Batch, int) (float64, bool, error) { return f, false, nil }, true
 		}
 	case *Arithmetic:
 		lf, lok := compileNum(x.L)
@@ -697,12 +540,12 @@ func compileNum(e Expr) (numFn, bool) {
 			return nil, false
 		}
 		op := x.Op
-		return func(b *Batch, i int, sc *EvalScratch) (float64, bool, error) {
-			l, lnull, err := lf(b, i, sc)
+		return func(b *Batch, i int) (float64, bool, error) {
+			l, lnull, err := lf(b, i)
 			if err != nil || lnull {
 				return 0, true, err
 			}
-			r, rnull, err := rf(b, i, sc)
+			r, rnull, err := rf(b, i)
 			if err != nil || rnull {
 				return 0, true, err
 			}
@@ -719,6 +562,28 @@ func compileNum(e Expr) (numFn, bool) {
 			}
 			return l / r, false, nil
 		}, true
+	}
+	return nil, false
+}
+
+// compileStr compiles a string column or literal to an unboxed operand.
+func compileStr(e Expr) (operand[string], bool) {
+	switch x := e.(type) {
+	case *ColumnRef:
+		if x.idx >= 0 && x.typ == TypeString {
+			idx := x.idx
+			return func(b *Batch, i int) (string, bool, error) {
+				s, ok, err := b.Cols[idx].Str(i)
+				return s, !ok, err
+			}, true
+		}
+	case *Literal:
+		if x.Val == nil {
+			return func(*Batch, int) (string, bool, error) { return "", true, nil }, true
+		}
+		if s, ok := x.Val.(string); ok {
+			return func(*Batch, int) (string, bool, error) { return s, false, nil }, true
+		}
 	}
 	return nil, false
 }

@@ -1,9 +1,9 @@
 package plan
 
 import (
-	"fmt"
 	"math/rand"
 	"reflect"
+	"strconv"
 	"testing"
 )
 
@@ -25,7 +25,7 @@ func compiledKeeps(t *testing.T, cond Expr, schema Schema, b *Batch) []int {
 	if err := Resolve(cond, schema); err != nil {
 		t.Fatal(err)
 	}
-	f := CompileFilter(cond, schema)
+	f := CompileFilter(cond)
 	sel, err := f.Run(b, FullSel(b.Len(), nil), NewEvalScratch(schema))
 	if err != nil {
 		t.Fatal(err)
@@ -151,21 +151,44 @@ func TestCompiledFilterMixedTypes(t *testing.T) {
 
 // TestCompiledFilterTypeErrorsMatchInterpreter: when a comparison is
 // ill-typed for the data, the compiled path must surface an error just like
-// the interpreter instead of silently dropping or keeping rows.
+// the interpreter instead of silently dropping or keeping rows. Data can be
+// ill-typed only where a lazy column decodes to another type than its
+// catalog type says, so those cases read a lazy column.
 func TestCompiledFilterTypeErrorsMatchInterpreter(t *testing.T) {
-	schema := Schema{{Name: "s", Type: TypeString}}
-	rows := []Row{{"abc"}}
-	cond := &Comparison{Op: OpGt, L: Col("s"), R: Lit(int64(3))}
-	if err := Resolve(cond, schema); err != nil {
-		t.Fatal(err)
+	schema := Schema{{Name: "s", Type: TypeString}, {Name: "n", Type: TypeInt64}}
+	cases := []struct {
+		name string
+		cond Expr
+		row  Row // the decoded values the interpreter sees
+		lazy bool
+	}{
+		{"string > int", &Comparison{Op: OpGt, L: Col("s"), R: Lit(int64(3))}, Row{"abc", int64(1)}, false},
+		{"int > string", &Comparison{Op: OpGt, L: Lit("x"), R: Col("n")}, Row{"abc", int64(1)}, false},
+		{"lazy string holds an int", &Comparison{Op: OpEq, L: Col("s"), R: Lit("abc")}, Row{int64(3), int64(1)}, true},
+		{"lazy int holds a string", &Comparison{Op: OpLt, L: &Arithmetic{Op: OpMul, L: Col("n"), R: Lit(int64(2))}, R: Lit(int64(80))}, Row{"abc", "x"}, true},
+		{"string IN over an int", &In{E: Col("s"), Values: []Expr{Lit("a")}}, Row{int64(3), int64(1)}, true},
+		{"LIKE over an int", &Like{E: Col("s"), Pattern: "a%"}, Row{int64(3), int64(1)}, true},
 	}
-	if _, err := EvalPredicate(cond, rows[0]); err == nil {
-		t.Fatal("interpreter accepted string > int; test premise broken")
-	}
-	f := CompileFilter(cond, schema)
-	b := vbatch(t, schema, rows)
-	if _, err := f.Run(b, FullSel(b.Len(), nil), NewEvalScratch(schema)); err == nil {
-		t.Error("compiled filter accepted string > int")
+	for _, c := range cases {
+		if err := Resolve(c.cond, schema); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := EvalPredicate(c.cond, c.row); err == nil {
+			t.Fatalf("%s: interpreter accepted %s; test premise broken", c.name, c.cond)
+		}
+		b := NewBatch(schema)
+		for j, v := range c.row {
+			if c.lazy {
+				b.Cols[j] = NewLazyVector(schema[j].Type, func([]byte) (any, error) { return v, nil })
+				b.Cols[j].AppendRaw([]byte{1})
+			} else if err := b.Cols[j].Append(v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		b.SetLen(1)
+		if _, err := CompileFilter(c.cond).Run(b, FullSel(1, nil), NewEvalScratch(schema)); err == nil {
+			t.Errorf("%s: compiled filter accepted %s", c.name, c.cond)
+		}
 	}
 }
 
@@ -196,7 +219,7 @@ func TestCompiledProjectionNullPropagation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	proj := CompileProjection(exprs, schema)
+	proj := CompileProjection(exprs)
 	if !proj.Vectorized {
 		t.Error("arithmetic projection should compile to typed evaluators")
 	}
@@ -219,96 +242,236 @@ func TestCompiledProjectionNullPropagation(t *testing.T) {
 	}
 }
 
-// TestCompiledFilterMatchesInterpreterRandom is the property test: random
-// batches (every storage class, ~15% NULLs) against random predicates —
-// typed fast paths and fallback shapes alike — must keep exactly the rows
-// the interpreter keeps.
-func TestCompiledFilterMatchesInterpreterRandom(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	schema := Schema{
-		{Name: "i", Type: TypeInt32},
-		{Name: "l", Type: TypeInt64},
-		{Name: "f", Type: TypeFloat64},
-		{Name: "s", Type: TypeString},
-		{Name: "bl", Type: TypeBool},
-	}
-	randRow := func() Row {
-		r := make(Row, len(schema))
-		for j, fld := range schema {
-			if rng.Float64() < 0.15 {
-				continue // NULL
-			}
-			switch fld.Type {
-			case TypeInt32:
-				r[j] = int32(rng.Intn(20) - 10)
-			case TypeInt64:
-				r[j] = int64(rng.Intn(20) - 10)
-			case TypeFloat64:
-				r[j] = float64(rng.Intn(40))/4 - 5
-			case TypeString:
-				r[j] = string(rune('a' + rng.Intn(4)))
-			case TypeBool:
-				r[j] = rng.Intn(2) == 0
-			}
+// randSchema holds every storage class the compiled program meets.
+var randSchema = Schema{
+	{Name: "i", Type: TypeInt32},
+	{Name: "l", Type: TypeInt64},
+	{Name: "f", Type: TypeFloat64},
+	{Name: "s", Type: TypeString},
+	{Name: "t", Type: TypeString},
+	{Name: "bl", Type: TypeBool},
+	{Name: "by", Type: TypeBinary},
+}
+
+// exprGen draws random rows and expressions over randSchema.
+type exprGen struct{ rng *rand.Rand }
+
+var cmpOps = []CmpOp{OpEq, OpNe, OpLt, OpLe, OpGt, OpGe}
+
+func (g exprGen) row() Row {
+	r := make(Row, len(randSchema))
+	for j, fld := range randSchema {
+		if g.rng.Float64() < 0.15 {
+			continue // NULL
 		}
-		return r
+		switch fld.Type {
+		case TypeInt32:
+			r[j] = int32(g.rng.Intn(20) - 10)
+		case TypeInt64:
+			r[j] = int64(g.rng.Intn(20) - 10)
+		case TypeFloat64:
+			r[j] = float64(g.rng.Intn(40))/4 - 5
+		case TypeString:
+			r[j] = g.str()
+		case TypeBool:
+			r[j] = g.rng.Intn(2) == 0
+		case TypeBinary:
+			r[j] = []byte(g.str())
+		}
 	}
-	numCols := []string{"i", "l", "f"}
-	ops := []CmpOp{OpEq, OpNe, OpLt, OpLe, OpGt, OpGe}
-	randCond := func() Expr {
-		switch rng.Intn(6) {
-		case 0: // col vs literal
-			return &Comparison{
-				Op: ops[rng.Intn(len(ops))],
-				L:  Col(numCols[rng.Intn(len(numCols))]),
-				R:  Lit(float64(rng.Intn(16)) - 8),
-			}
-		case 1: // col vs col, mixed numeric kinds
-			return &Comparison{
-				Op: ops[rng.Intn(len(ops))],
-				L:  Col(numCols[rng.Intn(len(numCols))]),
-				R:  Col(numCols[rng.Intn(len(numCols))]),
-			}
-		case 2: // membership with an occasional NULL literal
-			vals := []Expr{Lit(int64(rng.Intn(10) - 5)), Lit(float64(rng.Intn(10) - 5))}
-			if rng.Intn(3) == 0 {
+	return r
+}
+
+func (g exprGen) str() string { return string(rune('a' + g.rng.Intn(4))) }
+
+func (g exprGen) op() CmpOp { return cmpOps[g.rng.Intn(len(cmpOps))] }
+
+// numLit is a numeric literal of a random Go type, NULL one time in 12.
+func (g exprGen) numLit() Expr {
+	switch g.rng.Intn(12) {
+	case 0:
+		return Lit(nil)
+	case 1, 2, 3:
+		return Lit(int32(g.rng.Intn(10) - 5))
+	case 4, 5, 6, 7:
+		return Lit(int64(g.rng.Intn(16) - 8))
+	}
+	return Lit(float64(g.rng.Intn(16))/2 - 4)
+}
+
+func (g exprGen) numCol() Expr { return Col([]string{"i", "l", "f"}[g.rng.Intn(3)]) }
+
+// num is a numeric operand: a column, a literal, or arithmetic over them
+// (division by a zero literal or column included).
+func (g exprGen) num(depth int) Expr {
+	switch n := g.rng.Intn(4); {
+	case depth > 0 && n == 0:
+		ops := []ArithOp{OpAdd, OpSub, OpMul, OpDiv}
+		return &Arithmetic{Op: ops[g.rng.Intn(len(ops))], L: g.num(depth - 1), R: g.num(depth - 1)}
+	case n == 1:
+		return g.numLit()
+	}
+	return g.numCol()
+}
+
+func (g exprGen) strOperand() Expr {
+	switch g.rng.Intn(4) {
+	case 0:
+		if g.rng.Intn(6) == 0 {
+			return Lit(nil)
+		}
+		return Lit(g.str())
+	case 1:
+		return Col("t")
+	}
+	return Col("s")
+}
+
+// cond draws one conjunct: typed-loop shapes, operand-loop shapes and
+// interpreted fallbacks alike.
+func (g exprGen) cond() Expr {
+	switch g.rng.Intn(11) {
+	case 0: // column against a literal, the literal on either side
+		c := &Comparison{Op: g.op(), L: g.numCol(), R: g.numLit()}
+		if g.rng.Intn(2) == 0 {
+			c.L, c.R = c.R, c.L
+		}
+		return c
+	case 1: // column against column, mixed numeric kinds
+		return &Comparison{Op: g.op(), L: g.numCol(), R: g.numCol()}
+	case 2: // arithmetic on either side
+		return &Comparison{Op: g.op(), L: g.num(2), R: g.num(2)}
+	case 3: // numeric membership, an arithmetic probe included
+		vals := []Expr{Lit(int64(g.rng.Intn(10) - 5)), Lit(float64(g.rng.Intn(10) - 5))}
+		if g.rng.Intn(3) == 0 {
+			vals = append(vals, Lit(nil))
+		}
+		return &In{E: g.num(1), Values: vals, Negate: g.rng.Intn(2) == 0}
+	case 4: // strings: column or literal against column or literal
+		return &Comparison{Op: g.op(), L: g.strOperand(), R: g.strOperand()}
+	case 5: // string membership and LIKE
+		if g.rng.Intn(2) == 0 {
+			vals := []Expr{Lit(g.str()), Lit(g.str())}
+			if g.rng.Intn(3) == 0 {
 				vals = append(vals, Lit(nil))
 			}
-			return &In{E: Col(numCols[rng.Intn(len(numCols))]), Values: vals, Negate: rng.Intn(2) == 0}
-		case 3: // string predicates
-			if rng.Intn(2) == 0 {
-				return &Comparison{Op: ops[rng.Intn(len(ops))], L: Col("s"), R: Lit(string(rune('a' + rng.Intn(4))))}
+			return &In{E: g.strOperand(), Values: vals, Negate: g.rng.Intn(2) == 0}
+		}
+		return &Like{E: g.strOperand(), Pattern: g.str() + "%"}
+	case 6: // bool and binary comparisons, interpreted
+		if g.rng.Intn(2) == 0 {
+			r := Expr(Col("bl"))
+			if g.rng.Intn(2) == 0 {
+				r = Lit(g.rng.Intn(2) == 0)
 			}
-			return &Like{E: Col("s"), Pattern: string(rune('a'+rng.Intn(4))) + "%"}
-		case 4: // NOT / IS NULL shapes
-			if rng.Intn(2) == 0 {
-				return &IsNull{E: Col(schema[rng.Intn(len(schema))].Name), Negate: rng.Intn(2) == 0}
+			return &Comparison{Op: g.op(), L: Col("bl"), R: r}
+		}
+		return &Comparison{Op: g.op(), L: Col("by"), R: Lit([]byte(g.str()))}
+	case 7: // IS [NOT] NULL
+		return &IsNull{E: Col(randSchema[g.rng.Intn(len(randSchema))].Name), Negate: g.rng.Intn(2) == 0}
+	case 8: // NOT over a compiled shape
+		return &Not{E: &Comparison{Op: g.op(), L: g.num(1), R: g.numLit()}}
+	case 9: // NOT over membership
+		return &Not{E: &In{E: g.numCol(), Values: []Expr{g.numLit(), g.numLit()}}}
+	}
+	// OR has no compiled form.
+	return &Or{L: &Comparison{Op: g.op(), L: g.numCol(), R: g.numLit()}, R: &IsNull{E: Col("s")}}
+}
+
+// batch transposes rows into a batch; with lazy set, a random subset of
+// the columns are NewLazyVector columns that decode a value only when it
+// is read, as a scan's late-materialized columns do.
+func (g exprGen) batch(t *testing.T, rows []Row, lazy bool) *Batch {
+	t.Helper()
+	b := vbatch(t, randSchema, rows)
+	if !lazy {
+		return b
+	}
+	for j, fld := range randSchema {
+		if g.rng.Intn(2) == 0 {
+			continue
+		}
+		v := NewLazyVector(fld.Type, func(raw []byte) (any, error) {
+			n, err := strconv.Atoi(string(raw))
+			if err != nil {
+				return nil, err
 			}
-			return &Not{E: &Comparison{
-				Op: ops[rng.Intn(len(ops))],
-				L:  Col(numCols[rng.Intn(len(numCols))]),
-				R:  Lit(int64(rng.Intn(10) - 5)),
-			}}
-		default: // fallback shape: arithmetic inside the comparison
-			return &Comparison{
-				Op: ops[rng.Intn(len(ops))],
-				L:  &Arithmetic{Op: OpAdd, L: Col("i"), R: Col("f")},
-				R:  Lit(float64(rng.Intn(10) - 5)),
+			return rows[n][j], nil
+		})
+		for i, r := range rows {
+			if r[j] == nil {
+				v.AppendNull()
+			} else {
+				v.AppendRaw([]byte(strconv.Itoa(i)))
 			}
+		}
+		b.Cols[j] = v
+	}
+	return b
+}
+
+// TestCompiledFilterMatchesInterpreterRandom is the property test: random
+// batches (every storage class, ~15% NULLs, some columns lazy) against
+// random predicates — typed loops, operand loops and interpreted fallbacks
+// alike — must keep exactly the rows the interpreter keeps.
+func TestCompiledFilterMatchesInterpreterRandom(t *testing.T) {
+	g := exprGen{rand.New(rand.NewSource(7))}
+	for trial := 0; trial < 600; trial++ {
+		rows := make([]Row, 1+g.rng.Intn(60))
+		for i := range rows {
+			rows[i] = g.row()
+		}
+		cond := g.cond()
+		if g.rng.Intn(3) == 0 {
+			cond = &And{L: cond, R: g.cond()}
+		}
+		want := interpretedKeeps(t, cond, randSchema, rows)
+		got := compiledKeeps(t, cond, randSchema, g.batch(t, rows, trial%2 == 1))
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("trial %d: %s: compiled keeps %v, interpreter keeps %v", trial, cond, got, want)
 		}
 	}
+}
+
+// TestCompiledProjectionMatchesInterpreterRandom: random projection lists
+// (columns, literals, arithmetic, interpreted shapes) over random batches,
+// some columns lazy, must produce exactly the interpreter's values.
+func TestCompiledProjectionMatchesInterpreterRandom(t *testing.T) {
+	g := exprGen{rand.New(rand.NewSource(11))}
 	for trial := 0; trial < 200; trial++ {
-		n := 1 + rng.Intn(60)
-		rows := make([]Row, n)
+		rows := make([]Row, 1+g.rng.Intn(40))
 		for i := range rows {
-			rows[i] = randRow()
+			rows[i] = g.row()
 		}
-		cond := randCond()
-		if rng.Intn(3) == 0 {
-			cond = &And{L: cond, R: randCond()}
+		exprs := []NamedExpr{
+			{Expr: g.num(3), Name: "n"},
+			{Expr: Col(randSchema[g.rng.Intn(len(randSchema))].Name), Name: "c"},
+			{Expr: g.strOperand(), Name: "s"},
+			{Expr: g.cond(), Name: "p"},
 		}
-		name := fmt.Sprintf("trial %d: %s", trial, cond)
-		assertSameKeeps(t, name, cond, schema, rows)
+		for _, ne := range exprs {
+			if err := Resolve(ne.Expr, randSchema); err != nil {
+				t.Fatal(err)
+			}
+		}
+		proj := CompileProjection(exprs)
+		b := g.batch(t, rows, trial%2 == 1)
+		sc := NewEvalScratch(randSchema)
+		dst := make(Row, proj.Width())
+		for i, r := range rows {
+			if err := proj.ProjectRow(b, i, sc, dst); err != nil {
+				t.Fatal(err)
+			}
+			for j, ne := range exprs {
+				want, err := ne.Expr.Eval(r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(dst[j], want) {
+					t.Errorf("trial %d row %d %s: compiled %#v, interpreter %#v", trial, i, ne.Expr, dst[j], want)
+				}
+			}
+		}
 	}
 }
 
