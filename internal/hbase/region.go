@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -762,61 +763,66 @@ func (r *Region) defaultRows(c *rowCursor, k keys) {
 
 // locked (read or write), with a current view; sets c over the rows k
 // covers. The cursor shares only immutable data with the region — the
-// view, the store files' cells — and the dictionary, which guards itself,
-// and owns copies of the rest, so it is walked after the lock is released.
+// view, the store files and their cells — and the dictionary, which
+// guards itself, so it is walked after the lock is released. A point read
+// of a dirty row also keeps the MemStore's cells and row hashes as the
+// lock shows them: the MemStore only appends past them, and a flush or
+// reset replaces its arrays rather than rewriting them, so that prefix
+// never changes and is read unlocked. A range takes its own sorted copy
+// of the MemStore rows it covers.
 func (r *Region) cursorLocked(c *rowCursor, k keys) {
-	c.dict, c.ncols, c.clean = r.cols, r.cols.size(), r.view.clip(k)
+	c.dict, c.ncols = r.cols, r.cols.size()
 	if k.point {
 		if i := sort.Search(len(r.dirty), func(i int) bool { return bytes.Compare(r.dirty[i], k.start) >= 0 }); i < len(r.dirty) && bytes.Equal(r.dirty[i], k.start) {
-			c.clean, c.dirtyRow = rowRun{}, k.start
+			c.dirtyRow = k.start
 			if c.dirtyRow == nil {
 				c.dirtyRow = []byte{} // the empty row key, still dirty
 			}
+			c.files, c.mem, c.memHash = r.files, r.mem.cells, r.mem.hashes
+		} else {
+			c.clean = r.view.clip(k)
 		}
-	} else {
-		lo := sort.Search(len(r.dirty), func(i int) bool { return bytes.Compare(r.dirty[i], k.start) >= 0 })
-		hi := len(r.dirty)
-		if k.stop != nil {
-			hi = lo + sort.Search(hi-lo, func(i int) bool { return bytes.Compare(r.dirty[lo+i], k.stop) >= 0 })
-		}
-		if lo < hi {
-			c.dirty = append([][]byte(nil), r.dirty[lo:hi]...)
-		}
-	}
-	if len(c.dirty) == 0 && c.dirtyRow == nil {
 		return
 	}
-	c.runs = make([][]Cell, 0, len(r.files)+1)
-	for _, f := range r.files {
-		c.runs = append(c.runs, f.cells)
+	c.clean = r.view.clip(k)
+	lo := sort.Search(len(r.dirty), func(i int) bool { return bytes.Compare(r.dirty[i], k.start) >= 0 })
+	hi := len(r.dirty)
+	if k.stop != nil {
+		hi = lo + sort.Search(hi-lo, func(i int) bool { return bytes.Compare(r.dirty[lo+i], k.stop) >= 0 })
 	}
-	c.runs = append(c.runs, r.mem.sorted(k))
+	if lo < hi {
+		c.dirty = append([][]byte(nil), r.dirty[lo:hi]...)
+		c.files, c.mem = r.files, r.mem.sorted(k)
+	}
 }
 
 // rowCursor walks resolved rows in row order. clean is an indexed run of
 // resolved rows; dirty lists rows (sorted) whose clean entry is stale and
-// which are resolved instead from runs — the store files and the MemStore
-// in tie order, as allCellsLocked merges them. A point read of a dirty row
-// has dirtyRow set instead, and no clean row. dict is the dictionary the
-// ids of both come from, and ncols its size when the cursor was opened:
-// every id the cursor yields is below it.
+// which are resolved instead from the store files and mem. A point read of
+// a dirty row has dirtyRow set instead, and no clean row; its mem is the
+// MemStore's cells in arrival order with their row hashes in memHash. A
+// range's mem is sorted, and memHash nil. dict is the dictionary the ids
+// of both come from, and ncols its size when the cursor was opened: every
+// id the cursor yields is below it.
 type rowCursor struct {
 	dict     *colDict
 	ncols    int
 	clean    rowRun
 	dirty    [][]byte
 	dirtyRow []byte
-	runs     [][]Cell
+	files    []*storeFile
+	mem      []Cell
+	memHash  []uint32
 
-	// Scratch for dirty rows, reused row to row.
-	rowRuns [][]Cell
-	scratch rowRun
+	// A dirty row's cells and ids, reused row to row.
+	cells []Cell
+	ids   []colID
 }
 
 // next returns the cells of the next row with a visible cell and their
 // column ids, or nil when the cursor is exhausted. A clean row is a
-// subslice of clean; a dirty row is merged and resolved for that row alone
-// into scratch, valid until the next call.
+// subslice of clean; a dirty row is resolved for that row alone, valid
+// until the next call.
 func (c *rowCursor) next() ([]Cell, []colID) {
 	if row := c.dirtyRow; row != nil {
 		c.dirtyRow = nil
@@ -846,21 +852,38 @@ func (c *rowCursor) next() ([]Cell, []colID) {
 	return c.clean.cells[a:b], c.clean.ids[a:b]
 }
 
-// resolveRow merges and resolves one dirty row from runs into scratch,
-// returning nil when no cell of it is visible.
+// resolveRow resolves the default read of one dirty row in one pass over
+// its cells where they lie, with no merge: each store file's cells of the
+// row in file order, then the MemStore's, each column keeping its newest
+// cell (newestCell). The columns left on a put are the row, returned
+// with their ids, or nil when none is.
 func (c *rowCursor) resolveRow(row []byte) ([]Cell, []colID) {
-	if c.rowRuns == nil {
-		c.rowRuns = make([][]Cell, len(c.runs))
+	cols, at := slices.Grow(c.cells[:0], 8), -1
+	for _, f := range c.files {
+		cols, at = foldNewest(cols, rowCells(f.cells, row), at)
 	}
-	for i, run := range c.runs {
-		c.rowRuns[i] = rowCells(run, row)
+	if c.memHash == nil {
+		cols, _ = foldNewest(cols, rowCells(c.mem, row), at)
+	} else {
+		h := rowHash(row)
+		for i, x := range c.memHash {
+			if x == h && bytes.Equal(c.mem[i].Row, row) {
+				cols, at = newestCell(cols, &c.mem[i], at+1)
+			}
+		}
 	}
-	v := &c.scratch
-	v.ids, v.rows = v.ids[:0], v.rows[:0]
-	if resolve(appendMerged(v.cells[:0], c.rowRuns...), 1, TimeRange{}, c.dict, v); len(v.cells) == 0 {
+	c.cells = cols
+	if cols = slices.DeleteFunc(cols, func(c Cell) bool { return c.Type == TypeDelete }); len(cols) == 0 {
 		return nil, nil
 	}
-	return v.cells, v.ids
+	ids := slices.Grow(c.ids[:0], len(cols))
+	c.dict.mu.RLock()
+	for i := range cols {
+		ids = append(ids, c.dict.lookup(cols[i].Family, cols[i].Qualifier))
+	}
+	c.dict.mu.RUnlock()
+	c.ids = ids
+	return cols, ids
 }
 
 // Get reads one row, honoring the same projection/version/time options as

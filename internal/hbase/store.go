@@ -3,29 +3,48 @@ package hbase
 import (
 	"bytes"
 	"cmp"
+	"hash/maphash"
 	"slices"
 	"sort"
+	"strings"
 )
 
 // memStore is the in-memory write buffer of a region: cells in arrival
 // order, appended in O(1) under the region's write lock. It is never
-// sorted in place and caches no sorted copy: each reader, holding only the
-// read lock, takes its own sorted copy of the rows it needs (sorted), so
-// concurrent readers share no mutable state.
+// sorted in place and caches no sorted copy: a flush or a read takes its
+// own sorted copy of the rows it needs (sorted), and a point read finds its
+// row by hashes, so concurrent readers share no mutable state. add only
+// appends, and reset replaces the arrays, so the cells and hashes a reader
+// saw under the lock are never written again.
 type memStore struct {
 	cells []Cell
-	bytes int
+	// hashes[i] is rowHash(cells[i].Row), computed once per run of
+	// same-row cells: a point read compares these and reads a cell's row
+	// only on a match.
+	hashes []uint32
+	bytes  int
 }
 
 func (m *memStore) add(c Cell) {
+	if n := len(m.cells); n > 0 && bytes.Equal(m.cells[n-1].Row, c.Row) {
+		m.hashes = append(m.hashes, m.hashes[n-1])
+	} else {
+		m.hashes = append(m.hashes, rowHash(c.Row))
+	}
 	m.cells = append(m.cells, c)
 	m.bytes += c.WireSize()
 }
 
 func (m *memStore) reset() {
-	m.cells = nil
+	m.cells, m.hashes = nil, nil
 	m.bytes = 0
 }
+
+// rowSeed seeds rowHash. No read depends on the hash's values: a match is
+// confirmed by comparing the rows.
+var rowSeed = maphash.MakeSeed()
+
+func rowHash(row []byte) uint32 { return uint32(maphash.Bytes(rowSeed, row)) }
 
 // sorted returns a fresh copy of the cells of the rows k covers, in
 // store-file order. Cells at equal coordinates keep their arrival order.
@@ -35,8 +54,9 @@ func (m *memStore) sorted(k keys) []Cell {
 	}
 	var buf [16]int32 // a point read's few indices stay on the stack
 	idx := buf[:0]
+	h := rowHash(k.start) // a point reads a cell's row only on a hash match
 	for i := range m.cells {
-		if k.has(m.cells[i].Row) {
+		if k.point && m.hashes[i] == h && bytes.Equal(m.cells[i].Row, k.start) || !k.point && k.has(m.cells[i].Row) {
 			idx = append(idx, int32(i))
 		}
 	}
@@ -158,10 +178,7 @@ func rowCells(cells []Cell, row []byte) []Cell {
 // the order a stable sort of the concatenated runs gives — so an earlier
 // run wins a tie wherever version resolution keeps the first of equals.
 // It is a k-way merge over a heap of run heads: O(n log k), no sort.
-func mergeSorted(runs ...[]Cell) []Cell { return appendMerged(nil, runs...) }
-
-// appendMerged is mergeSorted appending to out, growing it at most once.
-func appendMerged(out []Cell, runs ...[]Cell) []Cell {
+func mergeSorted(runs ...[]Cell) []Cell {
 	total, nonEmpty, last := 0, 0, 0
 	for i, r := range runs {
 		if len(r) > 0 {
@@ -170,13 +187,13 @@ func appendMerged(out []Cell, runs ...[]Cell) []Cell {
 			last = i
 		}
 	}
-	out = slices.Grow(out, total)
 	switch nonEmpty {
 	case 0:
-		return out
+		return nil
 	case 1:
-		return append(out, runs[last]...)
+		return append([]Cell(nil), runs[last]...)
 	}
+	out := make([]Cell, 0, total)
 	m := runMerger{runs: make([][]Cell, 0, nonEmpty)}
 	for _, r := range runs {
 		if len(r) > 0 {
@@ -360,6 +377,48 @@ func keepVisible(sorted []Cell, n, i, j, maxVersions int, tr TimeRange) int {
 		taken++
 	}
 	return n
+}
+
+// foldNewest folds the cells of one column-sorted run of a row into cols
+// (newestCell). Only a column's first cell in the run can win, so the
+// rest of its cells are skipped.
+func foldNewest(cols, run []Cell, at int) ([]Cell, int) {
+	for i := range run {
+		if i == 0 || run[i].Qualifier != run[i-1].Qualifier || run[i].Family != run[i-1].Family {
+			cols, at = newestCell(cols, &run[i], at+1)
+		}
+	}
+	return cols, at
+}
+
+// newestCell folds c into cols, one cell per column of a row, sorted by
+// column, and returns c's column's index. A column keeps the first of its
+// cells in the order resolve reads them: the newest, a tombstone before a
+// put of the same timestamp, and of equal cells the one folded first.
+// Folded run by run in tie order, a column ends on a put exactly when
+// resolve at one version keeps that put: the newest put that no tombstone
+// at or above its timestamp masks. A row's cells come column by column, so
+// c's column is looked for at next first (0 past the end), then searched.
+func newestCell(cols []Cell, c *Cell, next int) ([]Cell, int) {
+	i := next
+	if i >= len(cols) {
+		i = 0
+	}
+	if i == len(cols) || cols[i].Family != c.Family || cols[i].Qualifier != c.Qualifier {
+		i = sort.Search(len(cols), func(i int) bool { return compareColumns(&cols[i], c) >= 0 })
+		if i == len(cols) || compareColumns(&cols[i], c) != 0 {
+			return slices.Insert(cols, i, *c), i
+		}
+	}
+	if b := &cols[i]; c.Timestamp > b.Timestamp || c.Timestamp == b.Timestamp && c.Type == TypeDelete && b.Type != TypeDelete {
+		*b = *c
+	}
+	return cols, i
+}
+
+// compareColumns orders cells by column, as CompareCells does within a row.
+func compareColumns(a, b *Cell) int {
+	return cmp.Or(strings.Compare(a.Family, b.Family), strings.Compare(a.Qualifier, b.Qualifier))
 }
 
 // isDefaultRead reports whether a run in CompareCells order is its own
