@@ -453,30 +453,46 @@ func BenchmarkMemStoreFlush(b *testing.B) {
 // flushSink keeps BenchmarkMemStoreFlush's result live.
 var flushSink *storeFile
 
-// BenchmarkRegionCompact compacts four store files (5,000 cells, 1,500
-// columns, the rest older versions) of a region whose view is current,
-// then reads one row back, as the next read after a compaction does.
+// BenchmarkRegionCompact compacts two regions whose view is current. In
+// "4flushes", four store files (5,000 cells, 1,500 columns, the rest older
+// versions) are compacted, then one row is read back, as the next read
+// after a compaction does. "mixedrw" has mixed-rw's shape (compactShape):
+// a compacted file of 1,330 four-column rows whose cells the view shares,
+// and three 12 KiB flushes of updates to Zipf(1.2)-hot rows.
 func BenchmarkRegionCompact(b *testing.B) {
-	r := NewRegion(RegionInfo{Table: "t", ID: "t-0"}, viewDesc(1), StoreConfig{FlushThresholdBytes: 1 << 30, CompactThresholdFiles: 1 << 10}, metrics.NewRegistry())
-	for i := 0; i < 5000; i++ {
-		if err := putCells(r, cell(fmt.Sprintf("row%04d", (i*7)%500), "cf", fmt.Sprintf("q%d", i%6), int64(i), "value-0123456789")); err != nil {
-			b.Fatal(err)
+	b.Run("4flushes", func(b *testing.B) {
+		r := NewRegion(RegionInfo{Table: "t", ID: "t-0"}, viewDesc(1), StoreConfig{FlushThresholdBytes: 1 << 30, CompactThresholdFiles: 1 << 10}, metrics.NewRegistry())
+		for i := 0; i < 5000; i++ {
+			if err := putCells(r, cell(fmt.Sprintf("row%04d", (i*7)%500), "cf", fmt.Sprintf("q%d", i%6), int64(i), "value-0123456789")); err != nil {
+				b.Fatal(err)
+			}
+			if i%1250 == 1249 {
+				r.Flush()
+			}
 		}
-		if i%1250 == 1249 {
-			r.Flush()
+		r.Get([]byte("row0000"), nil, 1, TimeRange{})
+		files := r.files
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			r.mu.Lock()
+			r.files = append([]*storeFile(nil), files...)
+			r.compactLocked()
+			r.mu.Unlock()
+			if res := r.Get([]byte(fmt.Sprintf("row%04d", (i*7)%500)), nil, 1, TimeRange{}); res.Empty() {
+				b.Fatal("row missing after compaction")
+			}
 		}
-	}
-	r.Get([]byte("row0000"), nil, 1, TimeRange{})
-	files := r.files
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.mu.Lock()
-		r.files = append([]*storeFile(nil), files...)
-		r.compactLocked()
-		r.mu.Unlock()
-		if res := r.Get([]byte(fmt.Sprintf("row%04d", (i*7)%500)), nil, 1, TimeRange{}); res.Empty() {
-			b.Fatal("row missing after compaction")
+	})
+	b.Run("mixedrw", func(b *testing.B) {
+		rng := rand.New(rand.NewSource(1))
+		zipf := rand.NewZipf(rng, 1.2, 1, 1330-1)
+		rank := rng.Perm(1330)
+		again := recompact(compactShape(b, func() int { return rank[zipf.Uint64()] }))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			again()
 		}
-	}
+	})
 }

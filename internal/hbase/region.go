@@ -377,21 +377,28 @@ func (r *Region) Flush() {
 	r.flushLocked()
 }
 
-// locked; a major compaction of the store files. A current view is kept:
-// each row the MemStore holds becomes dirty, and every other row resolves
-// to what the compacted file holds of it. When the table keeps one
-// version, the compacted file holds no tombstone and one version per
-// column, so it is its own default read and the view shares its cells.
+// locked; a major compaction of the store files into one resolved file.
+// A current view is kept: each row the MemStore holds becomes dirty, and
+// every other row resolves to what the compacted file holds of it. When
+// the table keeps one version, the compacted file holds no tombstone and
+// one version per column, so it is its own default read: compact indexes
+// it as it writes it, carrying the old view's index for the rows it copies
+// from the file the old view shared, and the view shares its cells.
 func (r *Region) compactLocked() {
-	runs := make([][]Cell, len(r.files))
-	for i, f := range r.files {
-		runs[i] = f.cells
+	maxV, v := r.desc.maxVersions(), r.view
+	var ix *rowRun
+	if r.viewOK && maxV == 1 {
+		ix = &v
 	}
-	cells := compact(r.desc.maxVersions(), runs...)
-	r.files = []*storeFile{newStoreFile(cells)}
+	f := newStoreFile(compact(r.files, maxV, ix, r.cols))
+	f.resolved = true
+	r.files = []*storeFile{f}
 	r.meter.Inc(metrics.Compactions)
-	if r.viewOK {
-		r.setViewLocked(r.defaultView(cells, false), r.mem.rows())
+	switch {
+	case ix != nil:
+		r.setViewLocked(v, r.mem.rows())
+	case r.viewOK:
+		r.setViewLocked(r.defaultView(f.cells, false), r.mem.rows())
 	}
 }
 

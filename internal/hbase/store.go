@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // memStore is the in-memory write buffer of a region: cells in arrival
@@ -105,10 +106,15 @@ func gather(cells []Cell, idx []int32) []Cell {
 }
 
 // storeFile is an immutable run of cells sorted in CompareCells order —
-// the simulator's HFile. Range reads binary-search it (clipRows).
+// the simulator's HFile. Range reads binary-search it (clipRows). A
+// resolved file, which only a compaction writes, is a fixed point of
+// resolve at the table's max versions: it holds no tombstone and at most
+// that many versions of a column, so the next compaction copies the rows
+// it alone holds as they stand.
 type storeFile struct {
-	cells []Cell
-	size  int
+	cells    []Cell
+	size     int
+	resolved bool
 }
 
 func newStoreFile(sorted []Cell) *storeFile {
@@ -297,10 +303,10 @@ func (v rowRun) clip(k keys) rowRun {
 // visible. Tombstones themselves are never kept. A cell is written only
 // when an earlier one was dropped, so a run resolve keeps whole is only
 // read: a shared run that is its own default read (isDefaultRead) may be
-// resolved to the default read too. With ix non-nil, the same pass
-// indexes the result into ix: it sets ix.cells to it, appends each kept
-// cell's id in d to ix.ids and each kept row's first offset to ix.rows,
-// and closes ix.rows with the kept length.
+// resolved to the default read too. With ix non-nil, the result is then
+// indexed into ix: ix.cells is set to it, each kept cell's id in d is
+// appended to ix.ids and each kept row's first offset to ix.rows, and
+// ix.rows is closed with the kept length.
 func resolve(sorted []Cell, maxVersions int, tr TimeRange, d *colDict, ix *rowRun) []Cell {
 	if maxVersions <= 0 {
 		maxVersions = 1
@@ -308,70 +314,65 @@ func resolve(sorted []Cell, maxVersions int, tr TimeRange, d *colDict, ix *rowRu
 	// sorted[:n] holds the kept cells: a column's kept cells never
 	// outnumber its cells, so writes stay behind reads.
 	n := 0
-	// rowOpen says the current row has a kept cell (and so an entry in
-	// ix.rows).
-	rowOpen := false
-	if ix != nil {
-		d.mu.RLock()
-		defer d.mu.RUnlock()
-	}
 	for i := 0; i < len(sorted); {
-		row, family, qualifier := sorted[i].Row, sorted[i].Family, sorted[i].Qualifier
 		j := i + 1
-		for j < len(sorted) && sorted[j].Family == family && sorted[j].Qualifier == qualifier && bytes.Equal(sorted[j].Row, row) {
+		for j < len(sorted) && sameQualifier(&sorted[j], &sorted[i]) && bytes.Equal(sorted[j].Row, sorted[i].Row) {
 			j++
 		}
-		start := n
 		n = keepVisible(sorted, n, i, j, maxVersions, tr)
-		if ix != nil && n > start {
-			if !rowOpen {
-				ix.rows = append(ix.rows, int32(start))
-				rowOpen = true
-			}
-			id := d.lookup(family, qualifier)
-			for range n - start {
-				ix.ids = append(ix.ids, id)
-			}
-		}
-		if j == len(sorted) || !bytes.Equal(sorted[j].Row, row) {
-			rowOpen = false
-		}
 		i = j
 	}
 	out := sorted[:n]
 	if ix != nil {
+		d.mu.RLock()
+		ix.index(out, 0, d)
+		d.mu.RUnlock()
 		ix.cells, ix.rows = out, append(ix.rows, int32(n))
 	}
 	return out
 }
 
+// index extends v, an index of cells[:lo], over cells[lo:], whole rows of
+// a resolved run: it appends each cell's column id in d to v.ids and each
+// row's first offset to v.rows. A cell of the same column as the previous
+// row's cell at the same position takes that cell's id: rows repeat their
+// columns in order, so few cells look theirs up in d's map. The caller
+// holds d.mu shared or the region's write lock.
+func (v *rowRun) index(cells []Cell, lo int, d *colDict) {
+	prev, cur := -1, -1 // the first cells of the previous row and of this one
+	if n := len(v.rows); n > 0 {
+		cur = int(v.rows[n-1])
+	}
+	for i := lo; i < len(cells); i++ {
+		c := &cells[i]
+		if i == lo || !bytes.Equal(c.Row, cells[i-1].Row) {
+			prev, cur = cur, i
+			v.rows = append(v.rows, int32(i))
+		}
+		if p := prev + i - cur; prev >= 0 && p < cur && sameQualifier(&cells[p], c) {
+			v.ids = append(v.ids, v.ids[p])
+		} else {
+			v.ids = append(v.ids, d.lookup(c.Family, c.Qualifier))
+		}
+	}
+}
+
+// sameQualifier reports whether a and b are cells of the same column
+// (family and qualifier), whatever their rows.
+func sameQualifier(a, b *Cell) bool { return a.Qualifier == b.Qualifier && a.Family == b.Family }
+
 // keepVisible moves the visible cells of one column, sorted[i:j], down to
-// sorted[n:] and returns the new kept length. A cell already in its place
-// is not written.
+// sorted[n:] and returns the new kept length: the newest maxVersions puts
+// inside tr above the column's first tombstone, which, newest first and
+// ahead of a put of its timestamp, masks every cell after it. A cell
+// already in its place is not written.
 func keepVisible(sorted []Cell, n, i, j, maxVersions int, tr TimeRange) int {
-	var deleteFloor int64 = -1 << 63
-	hasFloor := false
-	taken := 0
-	for k := i; k < j; k++ {
-		c := &sorted[k]
-		if c.Type == TypeDelete {
-			if !hasFloor || c.Timestamp > deleteFloor {
-				deleteFloor = c.Timestamp
-				hasFloor = true
-			}
-			continue
-		}
-		if hasFloor && c.Timestamp <= deleteFloor {
-			continue
-		}
-		if !tr.Contains(c.Timestamp) {
-			continue
-		}
-		if taken >= maxVersions {
+	for k, taken := i, 0; k < j && sorted[k].Type != TypeDelete && taken < maxVersions; k++ {
+		if !tr.Contains(sorted[k].Timestamp) {
 			continue
 		}
 		if n != k {
-			sorted[n] = *c
+			sorted[n] = sorted[k]
 		}
 		n++
 		taken++
@@ -426,15 +427,8 @@ func compareColumns(a, b *Cell) int {
 // tombstone and one version per column, so resolve keeps every cell.
 func isDefaultRead(cells []Cell) bool {
 	for i := range cells {
-		c := &cells[i]
-		if c.Type == TypeDelete {
+		if c := &cells[i]; c.Type == TypeDelete || i > 0 && sameQualifier(&cells[i-1], c) && bytes.Equal(cells[i-1].Row, c.Row) {
 			return false
-		}
-		if i > 0 {
-			p := &cells[i-1]
-			if p.Family == c.Family && p.Qualifier == c.Qualifier && bytes.Equal(p.Row, c.Row) {
-				return false
-			}
 		}
 	}
 	return true
@@ -451,9 +445,144 @@ func fit[T any](s []T) []T {
 	return s[:len(s):len(s)]
 }
 
-// compact merges cells from several sorted runs into one run with deletes
-// applied and versions trimmed to maxVersions, dropping tombstones — a
-// major compaction.
-func compact(maxVersions int, runs ...[]Cell) []Cell {
-	return fit(resolve(mergeSorted(runs...), maxVersions, TimeRange{}, nil, nil))
+// sharesCells reports whether a and b are the same cells in memory.
+func sharesCells(a, b []Cell) bool {
+	return len(a) == len(b) && len(a) > 0 && &a[0] == &b[0]
+}
+
+// compactScratch is a compaction's working memory, pooled so that the
+// compactions of every region reuse it: the rows it resolves, the plan of
+// its output, each input file's read offset, and the output's row index.
+type compactScratch struct {
+	cells []Cell
+	segs  []compactSeg
+	pos   []int
+	rows  []int32
+}
+
+// compactSeg is a stretch of a compaction's output: cells[lo:hi] of input
+// file file, or of the scratch's resolved rows when file is -1.
+type compactSeg struct{ file, lo, hi int }
+
+var compactScratchPool = sync.Pool{New: func() any { return new(compactScratch) }}
+
+// compact merges files into one new run resolved at maxVersions — a major
+// compaction — equal to resolve(mergeSorted(cells of files...)). It walks
+// the files by head row. The stretch of rows one file alone holds, up to
+// the next file's head row, is copied as it stands from a resolved file and
+// resolved alone from any other. A row several files hold has just its
+// cells merged, of equal cells the earlier file's first, and resolved. The
+// output is allocated once, at its size.
+//
+// With view non-nil the table keeps one version, so the output is its own
+// default read, and compact replaces *view with the output's index. The
+// stretches it copies from the file whose cells *view indexes take their
+// ids and row offsets from *view; only other rows look their columns up in
+// d. The caller holds the region's write lock.
+func compact(files []*storeFile, maxVersions int, view *rowRun, d *colDict) []Cell {
+	s := compactScratchPool.Get().(*compactScratch)
+	pos, resolved, segs, total := append(s.pos[:0], make([]int, len(files))...), s.cells[:0], s.segs[:0], 0
+	row := func(i int) []byte { return files[i].cells[pos[i]].Row }
+	for {
+		// head is the file with the least head row, next the file with the
+		// next least, which may be the same row.
+		head, next := -1, -1
+		for i, f := range files {
+			switch {
+			case pos[i] == len(f.cells):
+			case head < 0 || bytes.Compare(row(i), row(head)) < 0:
+				head, next = i, head
+			case next < 0 || bytes.Compare(row(i), row(next)) < 0:
+				next = i
+			}
+		}
+		if head < 0 {
+			break
+		}
+		start := len(resolved)
+		if next < 0 || !bytes.Equal(row(head), row(next)) {
+			run := files[head].cells[pos[head]:]
+			if next >= 0 {
+				run = run[:gallop(run, row(next))]
+			}
+			pos[head] += len(run)
+			if files[head].resolved {
+				segs = append(segs, compactSeg{head, pos[head] - len(run), pos[head]})
+				total += len(run)
+				continue
+			}
+			resolved = append(resolved, run...)
+		} else {
+			// Each time the least head cell of the row, of equal cells the
+			// earlier file's.
+			for key := row(head); ; {
+				next := -1
+				for i, f := range files {
+					if pos[i] < len(f.cells) && bytes.Equal(row(i), key) && (next < 0 || CompareCells(&f.cells[pos[i]], &files[next].cells[pos[next]]) < 0) {
+						next = i
+					}
+				}
+				if next < 0 {
+					break
+				}
+				resolved = append(resolved, files[next].cells[pos[next]])
+				pos[next]++
+			}
+		}
+		resolved = resolved[:start+len(resolve(resolved[start:], maxVersions, TimeRange{}, nil, nil))]
+		total += len(resolved) - start
+		segs = append(segs, compactSeg{-1, start, len(resolved)})
+	}
+
+	out := make([]Cell, total)
+	var old rowRun
+	from := -1 // the file whose cells old indexes
+	if view != nil {
+		old, *view = *view, rowRun{cells: out, ids: make([]colID, 0, total), rows: s.rows[:0]}
+		from = slices.IndexFunc(files, func(f *storeFile) bool { return sharesCells(f.cells, old.cells) })
+	}
+	at, r := 0, 0 // r: the first of old's row offsets not yet passed
+	for _, g := range segs {
+		src := resolved
+		if g.file >= 0 {
+			src = files[g.file].cells
+		}
+		src = src[g.lo:g.hi]
+		copy(out[at:], src)
+		switch {
+		case view == nil:
+		case g.file >= 0 && g.file == from:
+			view.ids = append(view.ids, old.ids[g.lo:g.hi]...)
+			// old.rows ends with len(old.cells), at or past g.hi.
+			for ; int(old.rows[r]) < g.hi; r++ {
+				if int(old.rows[r]) >= g.lo {
+					view.rows = append(view.rows, old.rows[r]-int32(g.lo)+int32(at))
+				}
+			}
+		default:
+			view.index(out[:at+len(src)], at, d)
+		}
+		at += len(src)
+	}
+	if view != nil {
+		s.rows = append(view.rows, int32(total))
+		view.rows = append(make([]int32, 0, len(s.rows)), s.rows...)
+	}
+	clear(resolved)
+	s.pos, s.cells, s.segs = pos, resolved[:0], segs[:0]
+	compactScratchPool.Put(s)
+	return out
+}
+
+// gallop returns how many leading cells of run, whose first cell sorts
+// below bound, have rows below bound: doubling steps from the front, then
+// bisection, so a short stretch costs few compares.
+func gallop(run []Cell, bound []byte) int {
+	lo, step := 0, 1 // run[lo].Row < bound
+	for lo+step < len(run) && bytes.Compare(run[lo+step].Row, bound) < 0 {
+		lo += step
+		step *= 2
+	}
+	n := min(step, len(run)-lo) - 1 // run[lo+n+1], if any, has a row at or above bound
+	return lo + 1 + sort.Search(n, func(i int) bool { return bytes.Compare(run[lo+1+i].Row, bound) >= 0 })
 }

@@ -158,7 +158,7 @@ func TestResolveVersionsMultipleColumns(t *testing.T) {
 func TestCompactDropsTombstonesAndTrims(t *testing.T) {
 	run1 := sortCells([]Cell{cell("r", "cf", "q", 1, "v1"), cell("r", "cf", "q", 2, "v2")})
 	run2 := sortCells([]Cell{tomb("r", "cf", "q", 1), cell("r", "cf", "q", 3, "v3")})
-	out := compact(1, run1, run2)
+	out := compact([]*storeFile{newStoreFile(run1), newStoreFile(run2)}, 1, nil, nil)
 	if len(out) != 1 || string(out[0].Value) != "v3" {
 		t.Errorf("compact = %v", out)
 	}

@@ -175,11 +175,6 @@ func runKeptViewOracle(t *testing.T, mv int, seed int64) {
 	}
 }
 
-// sharesCells reports whether a and b are the same cells in memory.
-func sharesCells(a, b []Cell) bool {
-	return len(a) == len(b) && len(a) > 0 && &a[0] == &b[0]
-}
-
 // After a load — puts flushed into one store file — and after a
 // compaction, the view is the store file's own cells; a lone file that is
 // not its own default read is resolved into a copy.

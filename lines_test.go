@@ -12,7 +12,7 @@ import (
 // internalLineCeiling is the most code lines the non-test .go files under
 // internal/ may hold. A change that deletes lines lowers it to the new
 // count; one that must raise it says why in CHANGES.md.
-const internalLineCeiling = 21301
+const internalLineCeiling = 21391
 
 // TestInternalLineCeiling holds the size of the engine: it counts the
 // lines of non-test .go files under internal/ that are neither blank nor
