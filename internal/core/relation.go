@@ -59,6 +59,10 @@ type Options struct {
 	// leading equality-bound dimension narrows the scan (the paper's future
 	// work, §VIII), and a full-rowkey equality is a Get.
 	FirstDimensionPruning bool
+	// RowMajorPages keeps materialized scans (Compute) on row-major pages,
+	// as the row side of the vectorized-execution comparison reads them.
+	// By default their pages travel column-major.
+	RowMajorPages bool
 }
 
 func (o Options) timeRange() hbase.TimeRange {
@@ -748,11 +752,13 @@ func (p *hbasePartition) PreferredHost() string { return p.host }
 
 // Compute implements datasource.Partition: fetch and decode this
 // partition's rows in a fused RPC, failing over to reassigned region
-// servers if the host dies mid-query.
+// servers if the host dies mid-query. Pages travel column-major unless
+// the read keeps several versions or the relation asks for RowMajorPages.
 func (p *hbasePartition) Compute(ctx context.Context) ([]plan.Row, error) {
 	ctx = bridgeConsistency(ctx)
-	pager := p.pager(hbase.FusedRequest{}, 0)
 	r, specs := p.scan.rel, p.scan.all.specs
+	pager := p.pager(hbase.FusedRequest{Columnar: !r.opts.RowMajorPages}, 0)
+	meter := metrics.Scoped(ctx, r.meter)
 	var rows []plan.Row
 	var keyScratch []any
 	for {
@@ -763,7 +769,7 @@ func (p *hbasePartition) Compute(ctx context.Context) ([]plan.Row, error) {
 		if resp == nil {
 			return rows, nil
 		}
-		rows, keyScratch, err = r.decodeResults(resp.Results, specs, rows, keyScratch)
+		rows, keyScratch, err = r.decodeBlockRows(pageBlock(resp, specs, meter), specs, rows, keyScratch)
 		if err != nil {
 			return nil, err
 		}
@@ -836,6 +842,52 @@ func (r *HBaseRelation) decodeResults(results []hbase.Result, specs []vecColSpec
 		keyScratch, err = r.decodeResultInto(row, keyScratch, &results[i], specs)
 		if err != nil {
 			return nil, keyScratch, err
+		}
+		dst = append(dst, row)
+	}
+	return dst, keyScratch, nil
+}
+
+// decodeBlockRows is decodeResults for a column-major page: it decodes the
+// block column by column into one slab backing its rows, finding each
+// spec's column once.
+func (r *HBaseRelation) decodeBlockRows(block *hbase.CellBlock, specs []vecColSpec, dst []plan.Row, keyScratch []any) ([]plan.Row, []any, error) {
+	n, w := block.Len(), len(specs)
+	slab := make([]any, n*w)
+	for j := range specs {
+		s := &specs[j]
+		if s.keyDim >= 0 {
+			continue
+		}
+		c := slices.IndexFunc(block.Cols, func(c hbase.CellColumn) bool { return c.Family == s.cf && c.Qualifier == s.q })
+		if c < 0 {
+			continue // no row of the page holds the column: all NULL
+		}
+		for i, raw := range block.Cols[c].Values {
+			if raw == nil {
+				continue // SQL NULL for absent cells
+			}
+			v, err := r.coder.Decode(raw, s.typ)
+			if err != nil {
+				return nil, keyScratch, fmt.Errorf("core: decode %s: %w", s.name, err)
+			}
+			slab[i*w+j] = v
+		}
+	}
+	keyed := slices.ContainsFunc(specs, func(s vecColSpec) bool { return s.keyDim >= 0 })
+	for i, key := range block.Rows {
+		row := plan.Row(slab[i*w : (i+1)*w : (i+1)*w])
+		if keyed {
+			vals, err := r.codec.decodeRowkeyInto(keyScratch, key)
+			if err != nil {
+				return nil, keyScratch, err
+			}
+			keyScratch = vals
+			for j := range specs {
+				if dim := specs[j].keyDim; dim >= 0 {
+					row[j] = vals[dim]
+				}
+			}
 		}
 		dst = append(dst, row)
 	}

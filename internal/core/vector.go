@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"github.com/shc-go/shc/internal/bytesutil"
@@ -91,25 +92,15 @@ func (p *hbasePartition) ComputeVectors(ctx context.Context, opts datasource.Bat
 		if err != nil || resp == nil {
 			return err
 		}
-		meter.Inc(metrics.FusedPages)
-		n := len(resp.Results)
-		if resp.Block != nil {
-			n = resp.Block.Len()
-			meter.Inc(metrics.ColumnarPages)
-		}
-		if n == 0 {
+		block := pageBlock(resp, specs, meter)
+		if block.Len() == 0 {
 			continue
 		}
 		batch.Reset()
-		if resp.Block != nil {
-			err = r.decodeBlock(batch, specs, resp.Block, n, &keyScratch)
-		} else {
-			err = r.decodeResultsToBatch(batch, specs, resp.Results, &keyScratch)
-		}
-		if err != nil {
+		if err := r.decodeBlock(batch, specs, block, &keyScratch); err != nil {
 			return err
 		}
-		batch.SetLen(n)
+		batch.SetLen(block.Len())
 		if err := yield(batch); err != nil {
 			if errors.Is(err, datasource.ErrStopBatches) {
 				return nil
@@ -176,8 +167,9 @@ func (r *HBaseRelation) vecSpecs(required []string, eagerCols []int) ([]vecColSp
 // decodeBlock fills batch from a column-major page: n rows of every spec'd
 // column, eager columns through the typed fast path, lazy columns as raw
 // bytes (absent cells become nulls either way).
-func (r *HBaseRelation) decodeBlock(batch *plan.Batch, specs []vecColSpec, block *hbase.CellBlock, n int, keyScratch *[]any) error {
-	if err := r.decodeKeys(batch, specs, block.Rows[:n], keyScratch); err != nil {
+func (r *HBaseRelation) decodeBlock(batch *plan.Batch, specs []vecColSpec, block *hbase.CellBlock, keyScratch *[]any) error {
+	n := block.Len()
+	if err := r.decodeKeys(batch, specs, block.Rows, keyScratch); err != nil {
 		return err
 	}
 	for j := range specs {
@@ -185,79 +177,55 @@ func (r *HBaseRelation) decodeBlock(batch *plan.Batch, specs []vecColSpec, block
 		if s.keyDim >= 0 {
 			continue
 		}
-		vec := batch.Cols[j]
-		var vals [][]byte
-		for c := range block.Cols {
-			if block.Cols[c].Family == s.cf && block.Cols[c].Qualifier == s.q {
-				vals = block.Cols[c].Values
-				break
-			}
+		var err error
+		if c := slices.IndexFunc(block.Cols, func(c hbase.CellColumn) bool { return c.Family == s.cf && c.Qualifier == s.q }); c >= 0 {
+			err = r.appendDecoded(batch.Cols[j], block.Cols[c].Values, s)
+		} else {
+			err = r.appendDecoded(batch.Cols[j], make([][]byte, n), s) // no row in this page has the column
 		}
-		if vals == nil {
-			// No row in this page has the column.
-			for i := 0; i < n; i++ {
-				vec.AppendNull()
-			}
-			continue
-		}
-		if !s.eager {
-			for i := 0; i < n; i++ {
-				if vals[i] == nil {
-					vec.AppendNull()
-				} else {
-					vec.AppendRaw(vals[i])
-				}
-			}
-			continue
-		}
-		if err := r.appendDecoded(vec, vals[:n], s); err != nil {
+		if err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// decodeResultsToBatch fills batch from a row-major page — the fallback
-// when the server could not pack the page (multi-version rows, empty
-// values).
-func (r *HBaseRelation) decodeResultsToBatch(batch *plan.Batch, specs []vecColSpec, results []hbase.Result, keyScratch *[]any) error {
-	rows := make([][]byte, len(results))
-	for i := range results {
-		rows[i] = results[i].Row
+// noRows is the block of a page without rows; its readers only read it.
+var noRows hbase.CellBlock
+
+// pageBlock returns a fused page's rows column-major, counting the page in
+// meter: its block, or else its Results transposed into the block of
+// specs' columns, each row's entry its newest cell of the column. Only a
+// read of several versions is answered row-major, and it decodes as the
+// newest version.
+func pageBlock(resp *hbase.ScanResponse, specs []vecColSpec, meter metrics.Meter) *hbase.CellBlock {
+	meter.Inc(metrics.FusedPages)
+	if resp.Block != nil {
+		meter.Inc(metrics.ColumnarPages)
+		return resp.Block
 	}
-	if err := r.decodeKeys(batch, specs, rows, keyScratch); err != nil {
-		return err
+	if len(resp.Results) == 0 {
+		return &noRows
 	}
-	var vals [][]byte
-	for j := range specs {
-		s := &specs[j]
+	block := &hbase.CellBlock{Rows: make([][]byte, len(resp.Results))}
+	for i := range resp.Results {
+		block.Rows[i] = resp.Results[i].Row
+	}
+	for _, s := range specs {
 		if s.keyDim >= 0 {
 			continue
 		}
-		vals = vals[:0]
-		for i := range results {
-			raw, ok := results[i].Value(s.cf, s.q)
-			if !ok {
-				raw = nil
+		vals := make([][]byte, len(resp.Results))
+		for i := range resp.Results {
+			if raw, ok := resp.Results[i].Value(s.cf, s.q); ok && raw == nil {
+				vals[i] = []byte{} // present, as in a cut block
+			} else {
+				vals[i] = raw
 			}
-			vals = append(vals, raw)
 		}
-		vec := batch.Cols[j]
-		if !s.eager {
-			for _, raw := range vals {
-				if raw == nil {
-					vec.AppendNull()
-				} else {
-					vec.AppendRaw(raw)
-				}
-			}
-			continue
-		}
-		if err := r.appendDecoded(vec, vals, s); err != nil {
-			return err
-		}
+		block.Cols = append(block.Cols, hbase.CellColumn{Family: s.cf, Qualifier: s.q, Values: vals})
 	}
-	return nil
+	return block
 }
 
 // decodeKeys fills the rowkey-backed columns: eager dims decode each key
@@ -295,10 +263,21 @@ func (r *HBaseRelation) decodeKeys(batch *plan.Batch, specs []vecColSpec, rows [
 	return nil
 }
 
-// appendDecoded decodes one column's raw values (nil = NULL) into an eager
-// vector. The primitive coder decodes straight into the typed arrays; other
-// coders box through FieldCoder.Decode.
+// appendDecoded appends one column's raw values (nil = NULL) to vec: as
+// raw bytes to a lazy vector, decoded to an eager one. The primitive coder
+// decodes straight into the typed arrays; other coders box through
+// FieldCoder.Decode.
 func (r *HBaseRelation) appendDecoded(vec *plan.Vector, vals [][]byte, s *vecColSpec) error {
+	if !s.eager {
+		for _, raw := range vals {
+			if raw == nil {
+				vec.AppendNull()
+			} else {
+				vec.AppendRaw(raw)
+			}
+		}
+		return nil
+	}
 	if _, prim := r.coder.(PrimitiveCoder); prim {
 		switch vec.Kind {
 		case plan.KindInt64:

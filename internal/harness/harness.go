@@ -80,7 +80,8 @@ type Config struct {
 	// fused scan pipelines (the baseline side of the streaming comparison).
 	DisablePipelining bool
 	// DisableVectorization keeps fused pipelines row-at-a-time (the baseline
-	// side of the vectorized-execution comparison).
+	// side of the vectorized-execution comparison), and materialized scans
+	// on row-major pages (core.Options.RowMajorPages).
 	DisableVectorization bool
 	// HedgeDelay enables hedged reads on the rig's client: a read RPC
 	// unanswered after this delay fires a speculative duplicate. 0 disables.
@@ -240,6 +241,7 @@ func (r *Rig) relation(table string) (insertable, error) {
 		return nil, err
 	}
 	opts := r.Config.Options
+	opts.RowMajorPages = opts.RowMajorPages || r.Config.DisableVectorization
 	if opts.NewTableRegions == 0 {
 		// Several regions per server, as production tables have; the
 		// executor sweep (Fig. 6) needs per-host work to parallelize.

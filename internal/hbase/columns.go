@@ -192,6 +192,18 @@ func (b *binding) projects(ids []colID) bool {
 	return false
 }
 
+// kept counts the cells of a row whose cells have ids that the projection
+// keeps.
+func (b *binding) kept(ids []colID) int {
+	n := 0
+	for _, id := range ids {
+		if b.keeps(id) {
+			n++
+		}
+	}
+	return n
+}
+
 // result copies the projected cells of a visited row into a Result.
 func (b *binding) result(row []Cell, ids []colID) Result {
 	res := Result{Row: row[0].Row}
@@ -199,13 +211,7 @@ func (b *binding) result(row []Cell, ids []colID) Result {
 		res.Cells = append(res.Cells, row...)
 		return res
 	}
-	n := 0
-	for _, id := range ids {
-		if b.keep.has(id) {
-			n++
-		}
-	}
-	res.Cells = make([]Cell, 0, n)
+	res.Cells = make([]Cell, 0, b.kept(ids))
 	for i, id := range ids {
 		if b.keep.has(id) {
 			res.Cells = append(res.Cells, row[i])

@@ -118,7 +118,7 @@ func (p Ping) WireSize() int { return 9 + len(p.Master) }
 // carries the continuation state: More reports that the server stopped at
 // the request's BatchLimit with work remaining, and Next is the cursor the
 // client echoes back to resume exactly where this page ended. When the
-// request asked for Columnar and the page is packable, the rows travel in
+// request asked for Columnar and reads one version, the rows travel in
 // Block instead of Results — same rows, same order, column-major. An
 // aggregate request is answered with Aggs alone: the request's partials
 // with every visited row folded in.
@@ -164,9 +164,10 @@ func (m *ScanResponse) WireSize() int {
 // CellColumn is one column of a columnar page: the family:qualifier pair is
 // carried once for the whole page instead of once per cell, and Values is
 // row-aligned with CellBlock.Rows (nil = the row has no cell in this
-// column). Cell timestamps and types are not carried — the columnar form
-// serves latest-version scan decoding, and the server falls back to
-// row-major Results whenever that would lose information.
+// column; a present empty value is a non-nil zero-length entry). Cell
+// timestamps and types are not carried — the columnar form serves
+// one-version reads, and a read of several versions is answered with
+// row-major Results.
 type CellColumn struct {
 	Family    string
 	Qualifier string
@@ -174,9 +175,10 @@ type CellColumn struct {
 }
 
 // CellBlock is the column-major encoding of one fused page: row keys in
-// scan order plus one row-aligned value array per projected column. Packing
-// happens after the page's rows and continuation cursor are computed, so
-// paging and mid-scan resume behave identically to the row-major form.
+// scan order plus one row-aligned value array per projected column. The
+// region cuts each row into the block as it visits it (blockCut), with no
+// Result in between; the rows, continuation cursor and metered counts are
+// those of the row-major page of the same request.
 type CellBlock struct {
 	Rows [][]byte
 	Cols []CellColumn
@@ -257,8 +259,9 @@ type FusedRequest struct {
 	Ops        []ScanOp
 	BatchLimit int
 	Cursor     FusedCursor
-	// Columnar asks the server to pack the page column-major (CellBlock)
-	// when lossless; the server silently falls back to Results otherwise.
+	// Columnar asks the server to cut the page column-major (CellBlock)
+	// when every op reads one version; a read of several versions gets
+	// Results.
 	Columnar bool
 	Aggs     []AggSpec
 	State    []AggPartial

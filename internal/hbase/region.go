@@ -584,80 +584,27 @@ func (s *Scan) WireSize() int {
 	return n
 }
 
-// RunScan executes the scan against this region, metering rows scanned vs
-// returned so the benchmark harness can attribute pushdown savings.
-func (r *Region) RunScan(s *Scan) []Result {
-	return r.RunScanWith(s, metrics.Direct(r.meter))
-}
-
-// RunScanWith is RunScan writing its counters through m, which lets the
-// RPC handlers attribute rows to the calling query's scoped registry as
-// well as the cluster's. Counters are accumulated locally and written once
-// per scan rather than per row, so metering stays off the row loop's hot
-// path.
-func (r *Region) RunScanWith(s *Scan, m metrics.Meter) []Result {
-	b := binding{cols: s.Columns}
-	return r.scanRows(s, keys{}, &b, m, nil)
-}
-
-// scanRows appends the projected rows visitScan visits to out, at most
-// s.Limit of them when set.
-func (r *Region) scanRows(s *Scan, k keys, b *binding, m metrics.Meter, out []Result) []Result {
-	base := len(out)
-	var cellsReturned int64
-	r.visitScan(s, k, b, m, func(row []Cell, ids []colID) bool {
-		res := b.result(row, ids)
-		cellsReturned += int64(len(res.Cells))
-		out = append(out, res)
-		return s.Limit <= 0 || len(out)-base < s.Limit
-	})
-	m.Add(metrics.RowsReturned, int64(len(out)-base))
-	m.Add(metrics.CellsReturned, cellsReturned)
-	return out
-}
-
-// getBlock is scanRows for the point k on a one-row columnar page: the
-// row visitScan finds is cut straight into the CellBlock packColumnar
-// would make of its Result, the column order taken from the row's column
-// ids. A row packColumnar would leave row-major — two versions of a
-// column, or an empty value — comes back as that Result instead.
-func (r *Region) getBlock(s *Scan, k keys, b *binding, m metrics.Meter) (block *CellBlock, res []Result) {
+// cutRows cuts the projected rows visitScan visits, at most s.Limit of
+// them when set: into cut when it is on, else appended to out as Results.
+// It returns out and how many rows it cut. The Results are passed and
+// returned rather than kept in the page, so a caller's own array for them
+// can stay on its stack.
+func (r *Region) cutRows(s *Scan, k keys, b *binding, m metrics.Meter, cut *blockCut, out []Result) ([]Result, int) {
 	var rows, cells int64
 	r.visitScan(s, k, b, m, func(row []Cell, ids []colID) bool {
+		if cut != nil && cut.on {
+			cells += int64(cut.add(row, ids, b))
+		} else {
+			res := b.result(row, ids)
+			cells += int64(len(res.Cells))
+			out = append(out, res)
+		}
 		rows++
-		n, packable := 0, true
-		prev := absent
-		for i, id := range ids {
-			if !b.keeps(id) {
-				continue
-			}
-			packable = packable && id != prev && len(row[i].Value) > 0
-			prev = id
-			n++
-		}
-		cells = int64(n)
-		if !packable {
-			res = append(res, b.result(row, ids))
-			return false
-		}
-		// One backing array for the row key and every column's value.
-		vals := make([][]byte, n+1)
-		vals[0] = row[0].Row
-		block = &CellBlock{Rows: vals[:1:1], Cols: make([]CellColumn, 0, n)}
-		for i, id := range ids {
-			if !b.keeps(id) {
-				continue
-			}
-			c := &row[i]
-			j := len(block.Cols) + 1
-			vals[j] = c.Value
-			block.Cols = append(block.Cols, CellColumn{Family: c.Family, Qualifier: c.Qualifier, Values: vals[j : j+1 : j+1]})
-		}
-		return false
+		return s.Limit <= 0 || rows < int64(s.Limit)
 	})
 	m.Add(metrics.RowsReturned, rows)
 	m.Add(metrics.CellsReturned, cells)
-	return block, res
+	return out, int(rows)
 }
 
 // foldScan folds the rows visitScan visits into b.fold — the
@@ -724,13 +671,7 @@ func (r *Region) openCursor(c *rowCursor, s *Scan, k keys) {
 			k.stop = r.info.EndKey
 		}
 	}
-	maxV := s.MaxVersions
-	if maxV <= 0 {
-		maxV = 1
-	}
-	if maxV > r.desc.maxVersions() {
-		maxV = r.desc.maxVersions()
-	}
+	maxV := r.versions(s.MaxVersions)
 	if maxV == 1 && s.TimeRange.Unbounded() {
 		r.defaultRows(c, k)
 		return
@@ -741,6 +682,12 @@ func (r *Region) openCursor(c *rowCursor, s *Scan, k keys) {
 	r.mu.RUnlock()
 	c.clean.ids = make([]colID, 0, len(cells))
 	resolve(cells, maxV, s.TimeRange, c.dict, &c.clean)
+}
+
+// versions returns the versions per column a read asking for maxVersions
+// keeps: at least one, at most the table's.
+func (r *Region) versions(maxVersions int) int {
+	return min(max(maxVersions, 1), r.desc.maxVersions())
 }
 
 // defaultRows sets c over the resolved default read (maxVersions 1,
@@ -891,18 +838,6 @@ func (c *rowCursor) resolveRow(row []byte) ([]Cell, []colID) {
 	c.dict.mu.RUnlock()
 	c.ids = ids
 	return cols, ids
-}
-
-// Get reads one row, honoring the same projection/version/time options as
-// Scan.
-func (r *Region) Get(row []byte, cols []Column, maxVersions int, tr TimeRange) Result {
-	s := Scan{Columns: cols, MaxVersions: maxVersions, TimeRange: tr, Limit: 1}
-	b := binding{cols: cols}
-	var one [1]Result
-	if results := r.scanRows(&s, keys{start: row, point: true}, &b, metrics.Direct(r.meter), one[:0]); len(results) > 0 {
-		return results[0]
-	}
-	return Result{Row: append([]byte(nil), row...)}
 }
 
 // RecoverFromWAL rebuilds MemStore state by replaying the region's log from

@@ -555,34 +555,14 @@ func (rs *RegionServer) handleBulkLoad(_ context.Context, req rpc.Message) (rpc.
 	return Ack{}, nil
 }
 
-// runScanTraced executes a region scan under a "region.scan" span tagged
-// with the region and host, metering through the caller's scoped registry
-// when the context carries one. Scans served by a secondary copy carry a
-// "replica" tag so EXPLAIN ANALYZE can attribute stale rows. The scan body
-// runs under a pprof "region" label (composing with the engine's
-// query_fingerprint label carried in ctx), so a CPU profile scraped from
-// the ops endpoint attributes scan time to regions and statements.
-func (rs *RegionServer) runScanTraced(ctx context.Context, r *Region, s *Scan) []Result {
-	var results []Result
-	rs.traceScan(ctx, r, func(m metrics.Meter) {
-		results = r.RunScanWith(s, m)
-	}).SetAttr("rows", int64(len(results)))
-	return results
-}
-
-// foldScanTraced is runScanTraced for the aggregate sink: the rows of s
-// fold into f instead of coming back.
-func (rs *RegionServer) foldScanTraced(ctx context.Context, r *Region, s *Scan, f *aggFold) error {
-	var err error
-	rs.traceScan(ctx, r, func(m metrics.Meter) {
-		b := binding{cols: s.Columns, fold: f}
-		err = r.foldScan(s, keys{}, &b, m)
-	}).SetTag("sink", "aggregate")
-	return err
-}
-
-// traceScan runs body under r's "region.scan" span and pprof label and
-// returns the ended span for the caller's attributes.
+// traceScan runs body, a scan of r, under a "region.scan" span tagged with
+// the region and host, and returns the ended span for the caller's
+// attributes. body meters through the caller's scoped registry when the
+// context carries one. Scans served by a secondary copy carry a "replica"
+// tag so EXPLAIN ANALYZE can attribute stale rows. body runs under a pprof
+// "region" label (composing with the engine's query_fingerprint label
+// carried in ctx), so a CPU profile scraped from the ops endpoint
+// attributes scan time to regions and statements.
 func (rs *RegionServer) traceScan(ctx context.Context, r *Region, body func(m metrics.Meter)) *trace.Span {
 	_, sp := trace.StartSpan(ctx, "region.scan")
 	info := r.Info()
@@ -613,23 +593,14 @@ func (rs *RegionServer) handleFused(ctx context.Context, req rpc.Message) (rpc.M
 	if !ok {
 		return nil, fmt.Errorf("hbase: %s: bad request type %T", MethodFused, req)
 	}
-	resp, err := rs.fusedPage(ctx, m)
-	if err != nil {
-		return nil, err
-	}
-	// Column-major packing happens strictly after the page's rows and
-	// continuation cursor are final, so paging and mid-scan resume are
-	// byte-identical to the row-major form.
-	if m.Columnar && resp.Block == nil {
-		packColumnar(resp)
-	}
-	return resp, nil
+	return rs.fusedPage(ctx, m)
 }
 
 // fusedPage walks the request's ops from its cursor. Each visited row goes
-// to the page's sink: appended as a projected Result for a paged scan, or
+// to the page's sink: cut into the page (page.add) for a paged scan, or
 // folded into the partials for an aggregate request (which has no row
-// budget and returns only the partials).
+// budget and returns only the partials). A Columnar request whose ops read
+// one version is cut column-major; any other page is row-major.
 func (rs *RegionServer) fusedPage(ctx context.Context, m *FusedRequest) (*ScanResponse, error) {
 	if err := rs.auth(m.Token); err != nil {
 		return nil, err
@@ -643,6 +614,8 @@ func (rs *RegionServer) fusedPage(ctx context.Context, m *FusedRequest) (*ScanRe
 	}
 	meter := metrics.Scoped(ctx, rs.meter)
 	resp := &ScanResponse{}
+	var results []Result
+	var cut blockCut
 	var fold *aggFold
 	if len(m.Aggs) > 0 {
 		var err error
@@ -657,8 +630,9 @@ func (rs *RegionServer) fusedPage(ctx context.Context, m *FusedRequest) (*ScanRe
 		if m.BatchLimit <= 0 {
 			return -1
 		}
-		return m.BatchLimit - len(resp.Results)
+		return m.BatchLimit - len(results) - cut.n
 	}
+walk:
 	for opIdx := m.Cursor.Op; opIdx < len(m.Ops); opIdx++ {
 		// A cancelled caller (deadline, hedged-read loser) stops the fused
 		// walk between ops instead of scanning regions nobody will read.
@@ -677,6 +651,9 @@ func (rs *RegionServer) fusedPage(ctx context.Context, m *FusedRequest) (*ScanRe
 		}
 		if op.Replica > 0 {
 			markStale(resp, r)
+		}
+		if opIdx == m.Cursor.Op && m.Columnar && fold == nil {
+			cut.columnar(m, r)
 		}
 		if len(op.Rows) > 0 {
 			// Point gets inherit the template's projection, filter, and
@@ -703,7 +680,7 @@ func (rs *RegionServer) fusedPage(ctx context.Context, m *FusedRequest) (*ScanRe
 					resp.Next = FusedCursor{Op: opIdx, RowIdx: ri}
 					sp.SetAttr("rows", got)
 					sp.End()
-					return resp, nil
+					break walk
 				}
 				point := keys{start: op.Rows[ri], point: true}
 				if fold != nil {
@@ -713,17 +690,9 @@ func (rs *RegionServer) fusedPage(ctx context.Context, m *FusedRequest) (*ScanRe
 					}
 					continue
 				}
-				if m.Columnar && len(m.Ops) == 1 && len(op.Rows) == 1 {
-					// The page is this one row: cut its block directly.
-					resp.Block, resp.Results = r.getBlock(&s, point, &b, meter)
-					if resp.Block != nil || resp.Results != nil {
-						got++
-					}
-					continue
-				}
-				n := len(resp.Results)
-				resp.Results = r.scanRows(&s, point, &b, meter, resp.Results)
-				got += int64(len(resp.Results) - n)
+				var n int
+				results, n = r.cutRows(&s, point, &b, meter, &cut, results)
+				got += int64(n)
 			}
 			sp.SetAttr("rows", got)
 			sp.End()
@@ -735,7 +704,7 @@ func (rs *RegionServer) fusedPage(ctx context.Context, m *FusedRequest) (*ScanRe
 		if room() == 0 {
 			resp.More = true
 			resp.Next = FusedCursor{Op: opIdx, Row: cur.Row, Sent: cur.Sent}
-			return resp, nil
+			break walk
 		}
 		s := *op.Scan
 		if cur.Row != nil {
@@ -750,7 +719,11 @@ func (rs *RegionServer) fusedPage(ctx context.Context, m *FusedRequest) (*ScanRe
 			s.Limit = left
 		}
 		if fold != nil {
-			if err := rs.foldScanTraced(ctx, r, &s, fold); err != nil {
+			rs.traceScan(ctx, r, func(m metrics.Meter) {
+				b := binding{cols: s.Columns, fold: fold}
+				err = r.foldScan(&s, keys{}, &b, m)
+			}).SetTag("sink", "aggregate")
+			if err != nil {
 				return nil, err
 			}
 			continue
@@ -761,76 +734,35 @@ func (rs *RegionServer) fusedPage(ctx context.Context, m *FusedRequest) (*ScanRe
 			s.Limit = rm
 			pageBounded = true
 		}
-		results := rs.runScanTraced(ctx, r, &s)
-		resp.Results = append(resp.Results, results...)
-		if pageBounded && len(results) == s.Limit {
+		var n int
+		rs.traceScan(ctx, r, func(m metrics.Meter) {
+			b := binding{cols: s.Columns}
+			results, n = r.cutRows(&s, keys{}, &b, m, &cut, results)
+		}).SetAttr("rows", int64(n))
+		if pageBounded && n == s.Limit {
 			// The op may hold more rows: stop here and hand back a cursor
-			// resuming just past the last row returned — unless that row is
+			// resuming just past the last row cut — unless that row is
 			// already past the op's range or the region's end, where the op
 			// is done and a further page would come back empty.
-			next := append(append([]byte(nil), results[len(results)-1].Row...), 0)
+			var last []byte
+			if cut.on {
+				last = cut.vals[cut.n-1]
+			} else {
+				last = results[len(results)-1].Row
+			}
+			next := append(append([]byte(nil), last...), 0)
 			if (s.StopRow != nil && bytes.Compare(next, s.StopRow) >= 0) ||
 				(len(r.info.EndKey) > 0 && bytes.Compare(next, r.info.EndKey) >= 0) {
 				continue
 			}
 			resp.More = true
-			resp.Next = FusedCursor{Op: opIdx, Row: next, Sent: cur.Sent + len(results)}
-			return resp, nil
+			resp.Next = FusedCursor{Op: opIdx, Row: next, Sent: cur.Sent + n}
+			break walk
 		}
 	}
 	if fold != nil {
 		resp.Aggs = fold.state
 	}
+	resp.Results, resp.Block = results, cut.block()
 	return resp, nil
-}
-
-// packColumnar repacks a page's row-major Results into a CellBlock when the
-// transformation is lossless: at most one (latest) version per column per
-// row. Multi-version rows keep the row-major form — the client decodes
-// both.
-func packColumnar(resp *ScanResponse) {
-	results := resp.Results
-	if len(results) == 0 {
-		return
-	}
-	type colKey struct{ f, q string }
-	var order []colKey
-	index := make(map[colKey]int)
-	for ri := range results {
-		cells := results[ri].Cells
-		for ci := range cells {
-			c := &cells[ci]
-			// Cells are ordered (family, qualifier, timestamp desc): a
-			// duplicate column means multiple versions — not packable.
-			if ci > 0 && cells[ci-1].Family == c.Family && cells[ci-1].Qualifier == c.Qualifier {
-				return
-			}
-			// A nil entry in the block means "no cell"; an empty stored
-			// value would be indistinguishable, so such pages stay row-major.
-			if len(c.Value) == 0 {
-				return
-			}
-			k := colKey{c.Family, c.Qualifier}
-			if _, ok := index[k]; !ok {
-				index[k] = len(order)
-				order = append(order, k)
-			}
-		}
-	}
-	block := &CellBlock{
-		Rows: make([][]byte, len(results)),
-		Cols: make([]CellColumn, len(order)),
-	}
-	for i, k := range order {
-		block.Cols[i] = CellColumn{Family: k.f, Qualifier: k.q, Values: make([][]byte, len(results))}
-	}
-	for ri := range results {
-		block.Rows[ri] = results[ri].Row
-		for ci := range results[ri].Cells {
-			c := &results[ri].Cells[ci]
-			block.Cols[index[colKey{c.Family, c.Qualifier}]].Values[ri] = c.Value
-		}
-	}
-	resp.Block = block
-	resp.Results = nil
 }

@@ -508,14 +508,18 @@ func TestBindingSeesColumnsAddedSinceBound(t *testing.T) {
 	s := Scan{Limit: 1}
 	point := keys{start: []byte("r1"), point: true}
 	m := metrics.Direct(r.meter)
-	if got := r.scanRows(&s, point, &rows, m, nil); len(got) != 0 {
+	cut := func() []Result {
+		out, _ := r.cutRows(&s, point, &rows, m, nil, nil)
+		return out
+	}
+	if got := cut(); len(got) != 0 {
 		t.Fatalf("before the column exists: got %+v", got)
 	}
 	if err := r.foldScan(&s, point, &sums, m); err != nil || fold.state[0].Count != 0 {
 		t.Fatalf("before the column exists: fold %+v, err %v", fold.state[0], err)
 	}
 	put("late", 7)
-	got := r.scanRows(&s, point, &rows, m, nil)
+	got := cut()
 	if len(got) != 1 || len(got[0].Cells) != 1 || got[0].Cells[0].Qualifier != "late" {
 		t.Fatalf("after the column exists: got %+v", got)
 	}
