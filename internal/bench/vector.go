@@ -334,37 +334,6 @@ func (s *colScan) Compute(context.Context) ([]plan.Row, error) {
 // colBatchRows bounds the rows per batch a colScan yields.
 const colBatchRows = 1024
 
-// ComputeBatches implements datasource.BatchScan: boxed rows in bounded
-// batches — what the row pipeline consumes.
-func (s *colScan) ComputeBatches(_ context.Context, opts datasource.BatchOptions, yield func([]plan.Row) error) error {
-	n := len(s.part.k)
-	if opts.LimitHint > 0 && opts.LimitHint < n {
-		n = opts.LimitHint
-	}
-	batch := make([]plan.Row, 0, colBatchRows)
-	for at := 0; at < n; at += colBatchRows {
-		end := at + colBatchRows
-		if end > n {
-			end = n
-		}
-		batch = batch[:0]
-		for i := at; i < end; i++ {
-			row := make(plan.Row, len(s.cols))
-			for j, c := range s.cols {
-				row[j] = s.cell(c, i)
-			}
-			batch = append(batch, row)
-		}
-		if err := yield(batch); err != nil {
-			if errors.Is(err, datasource.ErrStopBatches) {
-				return nil
-			}
-			return err
-		}
-	}
-	return nil
-}
-
 // ComputeVectors implements datasource.VectorScan: typed appends, no boxing.
 func (s *colScan) ComputeVectors(_ context.Context, opts datasource.BatchOptions, yield func(*plan.Batch) error) error {
 	schema := make(plan.Schema, len(s.cols))

@@ -53,14 +53,13 @@ type rowsOnlyScan struct{ datasource.PreparedScan }
 func (s rowsOnlyScan) BindScan(filters []datasource.Filter) ([]datasource.Partition, []int, error) {
 	parts, unhandled, err := s.PreparedScan.BindScan(filters)
 	for i, p := range parts {
-		parts[i] = rowsPartition{Partition: p, BatchScan: p.(datasource.BatchScan), VectorScan: p.(datasource.VectorScan)}
+		parts[i] = rowsPartition{Partition: p, VectorScan: p.(datasource.VectorScan)}
 	}
 	return parts, unhandled, err
 }
 
 type rowsPartition struct {
 	datasource.Partition
-	datasource.BatchScan
 	datasource.VectorScan
 }
 

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"strings"
 
 	"github.com/shc-go/shc/internal/bytesutil"
 	"github.com/shc-go/shc/internal/plan"
@@ -334,51 +333,25 @@ func fixedWidth(t plan.DataType, coder FieldCoder) int {
 	return -1
 }
 
-// decodeRowkey splits an encoded key back into dimension values.
-func (rc rowkeyCodec) decodeRowkey(key []byte) ([]any, error) {
-	return rc.decodeRowkeyInto(nil, key)
-}
-
-// decodeRowkeyInto is decodeRowkey with a reusable destination: when dst has
-// capacity for every dimension it is reused, so a tight decode loop pays for
-// one scratch slice instead of one allocation per row.
-func (rc rowkeyCodec) decodeRowkeyInto(dst []any, key []byte) ([]any, error) {
+// splitRowkey splits an encoded key into its dimensions' encoded bytes,
+// appended to dst[:0].
+func (rc rowkeyCodec) splitRowkey(dst [][]byte, key []byte) ([][]byte, error) {
 	fields := rc.cat.RowkeyFields()
-	var out []any
-	if cap(dst) >= len(fields) {
-		out = dst[:len(fields)]
-	} else {
-		out = make([]any, len(fields))
-	}
-	rest := key
+	out, rest := dst[:0], key
 	for i, f := range fields {
-		t := rc.cat.fieldType(f)
-		last := i == len(fields)-1
-		var chunk []byte
-		w := fixedWidth(t, rc.coder)
+		t := rc.cat.schema[i].Type // the schema leads with the rowkey dimensions
+		w, skip := fixedWidth(t, rc.coder), 0
 		switch {
-		case last:
-			chunk = rest
-			rest = nil
+		case i == len(fields)-1:
+			w = len(rest)
 		case w < 0:
-			idx := strings.IndexByte(string(rest), 0)
-			if idx < 0 {
+			if w, skip = bytes.IndexByte(rest, 0), 1; w < 0 {
 				return nil, fmt.Errorf("core: rowkey dimension %q: missing terminator", f)
 			}
-			chunk = rest[:idx]
-			rest = rest[idx+1:]
-		default:
-			if len(rest) < w {
-				return nil, fmt.Errorf("core: rowkey dimension %q: cannot split %s", f, t)
-			}
-			chunk = rest[:w]
-			rest = rest[w:]
+		case len(rest) < w:
+			return nil, fmt.Errorf("core: rowkey dimension %q: cannot split %s", f, t)
 		}
-		v, err := rc.coder.Decode(chunk, t)
-		if err != nil {
-			return nil, fmt.Errorf("core: rowkey dimension %q: %w", f, err)
-		}
-		out[i] = v
+		out, rest = append(out, rest[:w]), rest[w+skip:]
 	}
 	return out, nil
 }

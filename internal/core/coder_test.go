@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -240,4 +241,19 @@ func TestRowkeyCodecPhoenix(t *testing.T) {
 	if vals[0] != int64(77) || vals[1] != int32(3) {
 		t.Errorf("decoded = %v", vals)
 	}
+}
+
+// decodeRowkey splits an encoded key back into dimension values.
+func (rc rowkeyCodec) decodeRowkey(key []byte) ([]any, error) {
+	chunks, err := rc.splitRowkey(nil, key)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]any, len(chunks))
+	for i, f := range rc.cat.RowkeyFields() {
+		if out[i], err = rc.coder.Decode(chunks[i], rc.cat.fieldType(f)); err != nil {
+			return nil, fmt.Errorf("core: rowkey dimension %q: %w", f, err)
+		}
+	}
+	return out, nil
 }

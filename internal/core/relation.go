@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"slices"
 	"sort"
 	"strings"
@@ -752,28 +751,56 @@ func (p *hbasePartition) PreferredHost() string { return p.host }
 
 // Compute implements datasource.Partition: fetch and decode this
 // partition's rows in a fused RPC, failing over to reassigned region
-// servers if the host dies mid-query. Pages travel column-major unless
-// the read keeps several versions or the relation asks for RowMajorPages.
+// servers if the host dies mid-query. Each page's rows are carved from its
+// decoded batch (ComputeColumns), one slab per page.
 func (p *hbasePartition) Compute(ctx context.Context) ([]plan.Row, error) {
+	batches, err := p.ComputeColumns(ctx)
+	var rows []plan.Row
+	for _, b := range batches {
+		if err != nil {
+			break
+		}
+		rows, err = b.AppendRows(rows)
+	}
+	return rows, err
+}
+
+// ComputeColumns implements datasource.ColumnScan: Compute's read, every
+// page decoded into its own batch of typed vectors. Pages travel
+// column-major unless the read keeps several versions or the relation asks
+// for RowMajorPages.
+func (p *hbasePartition) ComputeColumns(ctx context.Context) ([]*plan.Batch, error) {
 	ctx = bridgeConsistency(ctx)
-	r, specs := p.scan.rel, p.scan.all.specs
+	r, dec := p.scan.rel, p.scan.all
 	pager := p.pager(hbase.FusedRequest{Columnar: !r.opts.RowMajorPages}, 0)
 	meter := metrics.Scoped(ctx, r.meter)
-	var rows []plan.Row
-	var keyScratch []any
+	var out []*plan.Batch
+	var keyScratch [][]byte
 	for {
 		resp, err := pager.Next(ctx)
+		if err != nil || resp == nil {
+			return out, err
+		}
+		b, err := r.pageBatch(pageBlock(resp, dec.specs, meter), dec, &keyScratch)
 		if err != nil {
 			return nil, err
 		}
-		if resp == nil {
-			return rows, nil
-		}
-		rows, keyScratch, err = r.decodeBlockRows(pageBlock(resp, specs, meter), specs, rows, keyScratch)
-		if err != nil {
-			return nil, err
+		if b.Len() > 0 {
+			out = append(out, b)
 		}
 	}
+}
+
+// pageBatch decodes a page's block into a new batch of dec's eager
+// columns.
+func (r *HBaseRelation) pageBatch(block *hbase.CellBlock, dec *decodePlan, keyScratch *[][]byte) (*plan.Batch, error) {
+	b := plan.NewBatch(dec.schema)
+	b.Grow(block.Len())
+	if err := r.decodeBlock(b, dec.specs, block, keyScratch); err != nil {
+		return nil, err
+	}
+	b.SetLen(block.Len())
+	return b, nil
 }
 
 // pager starts the partition's read: its ops on its planned host, pages
@@ -790,140 +817,9 @@ const fusedBatchRows = 256
 // batchPages pages the partition's read for a batch scan: pages of
 // fusedBatchRows rows, at most opts.LimitHint rows in all — the fused-LIMIT
 // short circuit — and the next page's RPC in flight while the caller decodes
-// the current one (double buffering).
-func (p *hbasePartition) batchPages(ctx context.Context, opts datasource.BatchOptions, columnar bool) func() (*hbase.ScanResponse, error) {
-	pager := p.pager(hbase.FusedRequest{BatchLimit: fusedBatchRows, Columnar: columnar}, opts.LimitHint)
+// the current one (double buffering). Pages travel column-major unless the
+// relation asks for RowMajorPages.
+func (p *hbasePartition) batchPages(ctx context.Context, opts datasource.BatchOptions) func() (*hbase.ScanResponse, error) {
+	pager := p.pager(hbase.FusedRequest{BatchLimit: fusedBatchRows, Columnar: !p.scan.rel.opts.RowMajorPages}, opts.LimitHint)
 	return pager.Prefetch(ctx, p.scan.rel.meter)
-}
-
-// ComputeBatches implements datasource.BatchScan: the partition's fused RPC
-// is paged with a continuation cursor, each page decoded and yielded as one
-// batch while the next page is already in flight.
-func (p *hbasePartition) ComputeBatches(ctx context.Context, opts datasource.BatchOptions, yield func([]plan.Row) error) error {
-	ctx = bridgeConsistency(ctx)
-	next := p.batchPages(ctx, opts, false)
-	r, specs := p.scan.rel, p.scan.all.specs
-	meter := metrics.Scoped(ctx, r.meter)
-	var batch []plan.Row
-	var keyScratch []any
-	for {
-		resp, err := next()
-		if err != nil || resp == nil {
-			return err
-		}
-		meter.Inc(metrics.FusedPages)
-		if len(resp.Results) == 0 {
-			continue
-		}
-		batch, keyScratch, err = r.decodeResults(resp.Results, specs, batch[:0], keyScratch)
-		if err != nil {
-			return err
-		}
-		if err := yield(batch); err != nil {
-			if errors.Is(err, datasource.ErrStopBatches) {
-				return nil
-			}
-			return err
-		}
-	}
-}
-
-// decodeResults decodes a page of HBase results into rows of the specs'
-// columns appended to dst, amortizing allocations: one values slab backs
-// every row in the batch, and keyScratch is reused across rows for
-// composite-rowkey decoding. It returns the grown dst and scratch. Rows
-// stay valid after dst is reused — they alias the slab, not dst.
-func (r *HBaseRelation) decodeResults(results []hbase.Result, specs []vecColSpec, dst []plan.Row, keyScratch []any) ([]plan.Row, []any, error) {
-	w := len(specs)
-	slab := make([]any, len(results)*w)
-	for i := range results {
-		row := plan.Row(slab[i*w : (i+1)*w : (i+1)*w])
-		var err error
-		keyScratch, err = r.decodeResultInto(row, keyScratch, &results[i], specs)
-		if err != nil {
-			return nil, keyScratch, err
-		}
-		dst = append(dst, row)
-	}
-	return dst, keyScratch, nil
-}
-
-// decodeBlockRows is decodeResults for a column-major page: it decodes the
-// block column by column into one slab backing its rows, finding each
-// spec's column once.
-func (r *HBaseRelation) decodeBlockRows(block *hbase.CellBlock, specs []vecColSpec, dst []plan.Row, keyScratch []any) ([]plan.Row, []any, error) {
-	n, w := block.Len(), len(specs)
-	slab := make([]any, n*w)
-	for j := range specs {
-		s := &specs[j]
-		if s.keyDim >= 0 {
-			continue
-		}
-		c := slices.IndexFunc(block.Cols, func(c hbase.CellColumn) bool { return c.Family == s.cf && c.Qualifier == s.q })
-		if c < 0 {
-			continue // no row of the page holds the column: all NULL
-		}
-		for i, raw := range block.Cols[c].Values {
-			if raw == nil {
-				continue // SQL NULL for absent cells
-			}
-			v, err := r.coder.Decode(raw, s.typ)
-			if err != nil {
-				return nil, keyScratch, fmt.Errorf("core: decode %s: %w", s.name, err)
-			}
-			slab[i*w+j] = v
-		}
-	}
-	keyed := slices.ContainsFunc(specs, func(s vecColSpec) bool { return s.keyDim >= 0 })
-	for i, key := range block.Rows {
-		row := plan.Row(slab[i*w : (i+1)*w : (i+1)*w])
-		if keyed {
-			vals, err := r.codec.decodeRowkeyInto(keyScratch, key)
-			if err != nil {
-				return nil, keyScratch, err
-			}
-			keyScratch = vals
-			for j := range specs {
-				if dim := specs[j].keyDim; dim >= 0 {
-					row[j] = vals[dim]
-				}
-			}
-		}
-		dst = append(dst, row)
-	}
-	return dst, keyScratch, nil
-}
-
-// decodeResultInto decodes res into row (which must have len(specs)),
-// reusing keyScratch for rowkey dimension values; it returns the (possibly
-// grown) scratch. Values are copied out of the scratch, so callers may hand
-// the same scratch to the next row.
-func (r *HBaseRelation) decodeResultInto(row plan.Row, keyScratch []any, res *hbase.Result, specs []vecColSpec) ([]any, error) {
-	keyDecoded := false
-	for i := range specs {
-		s := &specs[i]
-		if s.keyDim >= 0 {
-			if !keyDecoded {
-				vals, err := r.codec.decodeRowkeyInto(keyScratch, res.Row)
-				if err != nil {
-					return keyScratch, err
-				}
-				keyScratch = vals
-				keyDecoded = true
-			}
-			row[i] = keyScratch[s.keyDim]
-			continue
-		}
-		raw, ok := res.Value(s.cf, s.q)
-		if !ok {
-			row[i] = nil // SQL NULL for absent cells
-			continue
-		}
-		v, err := r.coder.Decode(raw, s.typ)
-		if err != nil {
-			return keyScratch, fmt.Errorf("core: decode %s: %w", s.name, err)
-		}
-		row[i] = v
-	}
-	return keyScratch, nil
 }

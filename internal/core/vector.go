@@ -72,10 +72,9 @@ func putBatch(b *plan.Batch) {
 	batchPool.Put(b)
 }
 
-// ComputeVectors implements datasource.VectorScan: the same paged fused
-// read as ComputeBatches — double-buffered prefetch, the LimitHint cap,
-// cursor-exact failover — but pages are requested column-major and decoded
-// into one reused column batch instead of row slices.
+// ComputeVectors implements datasource.VectorScan: the paged fused read —
+// double-buffered prefetch, the LimitHint cap, cursor-exact failover —
+// each page decoded into one reused column batch.
 func (p *hbasePartition) ComputeVectors(ctx context.Context, opts datasource.BatchOptions, yield func(*plan.Batch) error) error {
 	ctx = bridgeConsistency(ctx)
 	dec := p.scan.decodePlan(opts.EagerColumns)
@@ -84,9 +83,9 @@ func (p *hbasePartition) ComputeVectors(ctx context.Context, opts datasource.Bat
 	defer putBatch(batch)
 
 	r := p.scan.rel
-	next := p.batchPages(ctx, opts, true)
+	next := p.batchPages(ctx, opts)
 	meter := metrics.Scoped(ctx, r.meter)
-	var keyScratch []any
+	var keyScratch [][]byte
 	for {
 		resp, err := next()
 		if err != nil || resp == nil {
@@ -136,13 +135,13 @@ func (r *HBaseRelation) vecSpecs(required []string, eagerCols []int) ([]vecColSp
 		if dim, ok := r.cat.IsRowkeyField(col); ok {
 			specs[i].keyDim = dim
 			if !eager[i] {
-				dim := dim
+				dim, t := dim, t
 				lazyDec[i] = func(raw []byte) (any, error) {
-					vals, err := r.codec.decodeRowkey(raw)
+					dims, err := r.codec.splitRowkey(nil, raw)
 					if err != nil {
 						return nil, err
 					}
-					return vals[dim], nil
+					return r.coder.Decode(dims[dim], t)
 				}
 			}
 			continue
@@ -167,8 +166,7 @@ func (r *HBaseRelation) vecSpecs(required []string, eagerCols []int) ([]vecColSp
 // decodeBlock fills batch from a column-major page: n rows of every spec'd
 // column, eager columns through the typed fast path, lazy columns as raw
 // bytes (absent cells become nulls either way).
-func (r *HBaseRelation) decodeBlock(batch *plan.Batch, specs []vecColSpec, block *hbase.CellBlock, keyScratch *[]any) error {
-	n := block.Len()
+func (r *HBaseRelation) decodeBlock(batch *plan.Batch, specs []vecColSpec, block *hbase.CellBlock, keyScratch *[][]byte) error {
 	if err := r.decodeKeys(batch, specs, block.Rows, keyScratch); err != nil {
 		return err
 	}
@@ -177,14 +175,15 @@ func (r *HBaseRelation) decodeBlock(batch *plan.Batch, specs []vecColSpec, block
 		if s.keyDim >= 0 {
 			continue
 		}
-		var err error
-		if c := slices.IndexFunc(block.Cols, func(c hbase.CellColumn) bool { return c.Family == s.cf && c.Qualifier == s.q }); c >= 0 {
-			err = r.appendDecoded(batch.Cols[j], block.Cols[c].Values, s)
-		} else {
-			err = r.appendDecoded(batch.Cols[j], make([][]byte, n), s) // no row in this page has the column
-		}
-		if err != nil {
-			return err
+		c := slices.IndexFunc(block.Cols, func(c hbase.CellColumn) bool { return c.Family == s.cf && c.Qualifier == s.q })
+		for i := 0; i < block.Len(); i++ {
+			var raw []byte // NULL where no row in this page has the column
+			if c >= 0 {
+				raw = block.Cols[c].Values[i]
+			}
+			if err := r.appendValue(batch.Cols[j], raw, s); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -228,9 +227,10 @@ func pageBlock(resp *hbase.ScanResponse, specs []vecColSpec, meter metrics.Meter
 	return block
 }
 
-// decodeKeys fills the rowkey-backed columns: eager dims decode each key
-// once per row, lazy dims store the raw key.
-func (r *HBaseRelation) decodeKeys(batch *plan.Batch, specs []vecColSpec, rows [][]byte, keyScratch *[]any) error {
+// decodeKeys fills the rowkey-backed columns: eager dims split each key
+// once per row and decode each dimension straight into its vector, lazy
+// dims store the raw key.
+func (r *HBaseRelation) decodeKeys(batch *plan.Batch, specs []vecColSpec, rows [][]byte, keyScratch *[][]byte) error {
 	var eagerKeys []int
 	for j := range specs {
 		if specs[j].keyDim < 0 {
@@ -249,13 +249,13 @@ func (r *HBaseRelation) decodeKeys(batch *plan.Batch, specs []vecColSpec, rows [
 		return nil
 	}
 	for _, row := range rows {
-		vals, err := r.codec.decodeRowkeyInto(*keyScratch, row)
+		dims, err := r.codec.splitRowkey(*keyScratch, row)
 		if err != nil {
 			return err
 		}
-		*keyScratch = vals
+		*keyScratch = dims
 		for _, j := range eagerKeys {
-			if err := batch.Cols[j].Append(vals[specs[j].keyDim]); err != nil {
+			if err := r.appendValue(batch.Cols[j], dims[specs[j].keyDim], &specs[j]); err != nil {
 				return err
 			}
 		}
@@ -263,80 +263,43 @@ func (r *HBaseRelation) decodeKeys(batch *plan.Batch, specs []vecColSpec, rows [
 	return nil
 }
 
-// appendDecoded appends one column's raw values (nil = NULL) to vec: as
-// raw bytes to a lazy vector, decoded to an eager one. The primitive coder
-// decodes straight into the typed arrays; other coders box through
-// FieldCoder.Decode.
-func (r *HBaseRelation) appendDecoded(vec *plan.Vector, vals [][]byte, s *vecColSpec) error {
-	if !s.eager {
-		for _, raw := range vals {
-			if raw == nil {
-				vec.AppendNull()
-			} else {
-				vec.AppendRaw(raw)
-			}
+// appendValue appends one raw value (nil = NULL) to vec: as raw bytes to a
+// lazy vector, decoded to an eager one. The primitive coder decodes
+// integers, floats and strings straight into the typed arrays; anything
+// else boxes through FieldCoder.Decode.
+func (r *HBaseRelation) appendValue(vec *plan.Vector, raw []byte, s *vecColSpec) error {
+	_, prim := r.coder.(PrimitiveCoder)
+	var err error
+	switch {
+	case raw == nil:
+		vec.AppendNull()
+	case !s.eager:
+		vec.AppendRaw(raw)
+	case prim && vec.Kind == plan.KindInt64:
+		var x int64
+		if x, err = decodeIntAs(raw, s.typ); err == nil {
+			vec.AppendInt64(x)
 		}
-		return nil
-	}
-	if _, prim := r.coder.(PrimitiveCoder); prim {
-		switch vec.Kind {
-		case plan.KindInt64:
-			for _, raw := range vals {
-				if raw == nil {
-					vec.AppendNull()
-					continue
-				}
-				x, err := decodeIntAs(raw, s.typ)
-				if err != nil {
-					return fmt.Errorf("core: decode %s: %w", s.name, err)
-				}
-				vec.AppendInt64(x)
-			}
-			return nil
-		case plan.KindFloat64:
-			for _, raw := range vals {
-				if raw == nil {
-					vec.AppendNull()
-					continue
-				}
-				var f float64
-				var err error
-				if s.typ == plan.TypeFloat32 {
-					var f32 float32
-					f32, err = bytesutil.DecodeFloat32(raw)
-					f = float64(f32)
-				} else {
-					f, err = bytesutil.DecodeFloat64(raw)
-				}
-				if err != nil {
-					return fmt.Errorf("core: decode %s: %w", s.name, err)
-				}
-				vec.AppendFloat64(f)
-			}
-			return nil
-		case plan.KindString:
-			for _, raw := range vals {
-				if raw == nil {
-					vec.AppendNull()
-					continue
-				}
-				vec.AppendString(string(raw))
-			}
-			return nil
+	case prim && vec.Kind == plan.KindFloat64 && s.typ == plan.TypeFloat32:
+		var f float32
+		if f, err = bytesutil.DecodeFloat32(raw); err == nil {
+			vec.AppendFloat64(float64(f))
+		}
+	case prim && vec.Kind == plan.KindFloat64:
+		var f float64
+		if f, err = bytesutil.DecodeFloat64(raw); err == nil {
+			vec.AppendFloat64(f)
+		}
+	case prim && vec.Kind == plan.KindString:
+		vec.AppendString(string(raw))
+	default:
+		var v any
+		if v, err = r.coder.Decode(raw, s.typ); err == nil {
+			return vec.Append(v)
 		}
 	}
-	for _, raw := range vals {
-		if raw == nil {
-			vec.AppendNull()
-			continue
-		}
-		v, err := r.coder.Decode(raw, s.typ)
-		if err != nil {
-			return fmt.Errorf("core: decode %s: %w", s.name, err)
-		}
-		if err := vec.Append(v); err != nil {
-			return err
-		}
+	if err != nil {
+		return fmt.Errorf("core: decode %s: %w", s.name, err)
 	}
 	return nil
 }

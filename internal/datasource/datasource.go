@@ -224,13 +224,25 @@ type BatchScan interface {
 	ComputeBatches(ctx context.Context, opts BatchOptions, yield func([]plan.Row) error) error
 }
 
-// StreamPartition streams p's rows through yield, using the BatchScan fast
-// path when the partition implements it and falling back to a single
-// materialized batch otherwise — the compatibility shim that lets the
-// pipelined executor run over any Partition.
+// StreamPartition streams p's rows through yield: a BatchScan's batches, a
+// VectorScan's column batches with every column decoded and each batch's
+// rows boxed into one slab, or else a single materialized batch — the
+// compatibility shim that lets the pipelined executor run over any
+// Partition.
 func StreamPartition(ctx context.Context, p Partition, opts BatchOptions, yield func([]plan.Row) error) error {
 	if bs, ok := p.(BatchScan); ok {
 		return bs.ComputeBatches(ctx, opts, yield)
+	}
+	if vs, ok := p.(VectorScan); ok {
+		opts.EagerColumns = nil
+		var rows []plan.Row
+		return vs.ComputeVectors(ctx, opts, func(b *plan.Batch) error {
+			var err error
+			if rows, err = b.AppendRows(rows[:0]); err != nil {
+				return err
+			}
+			return yield(rows)
+		})
 	}
 	rows, err := p.Compute(ctx)
 	if err != nil {
@@ -257,6 +269,13 @@ func StreamPartition(ctx context.Context, p Partition, opts BatchOptions, yield 
 // they keep before returning.
 type VectorScan interface {
 	ComputeVectors(ctx context.Context, opts BatchOptions, yield func(*plan.Batch) error) error
+}
+
+// ColumnScan is an optional Partition capability: Compute's rows as
+// column batches, every vector typed and decoded, one batch per page the
+// source read. The caller owns the batches.
+type ColumnScan interface {
+	ComputeColumns(ctx context.Context) ([]*plan.Batch, error)
 }
 
 // Aggregate is one aggregate a source may fold for the engine.

@@ -66,17 +66,18 @@ func (n *instrumented) Execute(ctx *Context) ([]plan.Row, error) {
 	return rows, err
 }
 
-// stream implements rowStream for an instrumented hash join: the rows it
-// emits are its output rows and bytes. The consumer's work on each row
-// runs inside emit, so it falls inside this operator's span and wall time.
-func (n *instrumented) stream(ctx *Context, emit func(plan.Row) error) error {
+// batches implements batchStream for an instrumented scan or hash join:
+// the batches it emits are its output rows and bytes. The consumer's work
+// on each batch runs inside emit, so it falls inside this operator's span
+// and wall time.
+func (n *instrumented) batches(ctx *Context, emit func(*plan.Batch) error) error {
 	child, sp := n.start(ctx)
 	start := time.Now()
 	var rows, bytes int64
-	err := n.inner.(rowStream).stream(child, func(r plan.Row) error {
-		rows++
-		bytes += int64(plan.RowSize(r))
-		return emit(r)
+	err := n.inner.(batchStream).batches(child, func(b *plan.Batch) error {
+		rows += int64(b.Len())
+		bytes += b.RowBytes()
+		return emit(b)
 	})
 	n.record(sp, time.Since(start), rows, bytes, err)
 	return err

@@ -105,9 +105,11 @@ func BenchmarkExchange(b *testing.B) {
 }
 
 // BenchmarkHashAggOverJoin times one month of q39: inventory probes the
-// item, warehouse and date dimensions in turn, and the joined rows fold
+// item, warehouse and date dimensions in turn, and the joined batches fold
 // into GROUP BY warehouse, item with avg and stddev_samp of the quantity.
-// The join chain streams into the aggregate, materializing no joined row.
+// The inputs are rows, boxed into one batch each, or typed batches, the
+// inventory in pages of 1,000 rows, as a scan of columnar pages hands them
+// over.
 func BenchmarkHashAggOverJoin(b *testing.B) {
 	inv, item := q39Inputs(4000, 200)
 	dim := func(name string, n int) *rowsExec {
@@ -118,35 +120,44 @@ func BenchmarkHashAggOverJoin(b *testing.B) {
 		return d
 	}
 	wh, date := dim("w_warehouse_sk", 5), dim("d_date_sk", 30)
-	join := func(left PhysicalPlan, right *rowsExec, lk string) *HashJoinExec {
-		out := append(append(plan.Schema{}, left.Schema()...), right.schema...)
+	join := func(left, right PhysicalPlan, lk string) *HashJoinExec {
+		out := append(append(plan.Schema{}, left.Schema()...), right.Schema()...)
 		return &HashJoinExec{
 			Left: left, Right: right,
 			LeftKeys:  resolved(b, left.Schema(), lk),
-			RightKeys: resolved(b, right.schema, right.schema[0].Name),
+			RightKeys: resolved(b, right.Schema(), right.Schema()[0].Name),
 			Type:      plan.InnerJoin,
 			OutSchema: out,
 		}
 	}
-	chain := join(join(join(inv, item, "inv_item_sk"), wh, "inv_warehouse_sk"), date, "inv_date_sk")
-	groups := resolved(b, chain.OutSchema, "w_warehouse_sk", "i_item_sk")
-	qty := resolved(b, chain.OutSchema, "inv_quantity_on_hand")[0]
-	a := &HashAggExec{
-		GroupBy: []plan.NamedExpr{{Expr: groups[0], Name: "w"}, {Expr: groups[1], Name: "i"}},
-		Aggs: []plan.AggExpr{
-			{Kind: plan.AggAvg, Arg: qty, Name: "qmean"},
-			{Kind: plan.AggStddevSamp, Arg: qty, Name: "qstd"},
-		},
-		Child: chain,
+	inputs := map[string][4]PhysicalPlan{
+		"rows":    {inv, item, wh, date},
+		"batches": {typedScan(b, inv, 1000), typedScan(b, item, 1000), typedScan(b, wh, 1000), typedScan(b, date, 1000)},
 	}
-	ctx, _ := testCtx()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows, err := a.Execute(ctx)
-		if err != nil {
-			b.Fatal(err)
+	for _, form := range []string{"rows", "batches"} {
+		in := inputs[form]
+		chain := join(join(join(in[0], in[1], "inv_item_sk"), in[2], "inv_warehouse_sk"), in[3], "inv_date_sk")
+		groups := resolved(b, chain.OutSchema, "w_warehouse_sk", "i_item_sk")
+		qty := resolved(b, chain.OutSchema, "inv_quantity_on_hand")[0]
+		a := &HashAggExec{
+			GroupBy: []plan.NamedExpr{{Expr: groups[0], Name: "w"}, {Expr: groups[1], Name: "i"}},
+			Aggs: []plan.AggExpr{
+				{Kind: plan.AggAvg, Arg: qty, Name: "qmean"},
+				{Kind: plan.AggStddevSamp, Arg: qty, Name: "qstd"},
+			},
+			Child: chain,
 		}
-		benchRows = rows
+		b.Run(form, func(b *testing.B) {
+			ctx, _ := testCtx()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rows, err := a.Execute(ctx)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchRows = rows
+			}
+		})
 	}
 }

@@ -101,27 +101,37 @@ func TestFNV64aMatchesHashFNV(t *testing.T) {
 
 // joinEveryWay runs one join as a broadcast hash join on 1, 2 and 4 slots
 // and, when smj is set, as a sort-merge join too, and fails the test unless
-// every run returns want (as a canonical multiset).
-func joinEveryWay(t *testing.T, name string, left, right *rowsExec, lKey, rKey string, jt plan.JoinType, smj bool, want []string) {
+// every run returns want (as a canonical multiset). The keys are column
+// names, comma-separated for a composite key. When both inputs fit their
+// schemas' types, every run is repeated over scans of them stored as
+// tables, whose batches are typed vectors decoded from columnar pages.
+func joinEveryWay(t *testing.T, pt *pageTables, name string, left, right *rowsExec, lKey, rKey string, jt plan.JoinType, smj bool, want []string) {
 	t.Helper()
 	out := append(append(plan.Schema{}, left.schema...), right.schema...)
-	lKeys, rKeys := resolved(t, left.schema, lKey), resolved(t, right.schema, rKey)
-	for _, slots := range []int{1, 2, 4} {
-		plans := map[string]PhysicalPlan{"hash": &HashJoinExec{
-			Left: left, Right: right, LeftKeys: lKeys, RightKeys: rKeys, Type: jt, OutSchema: out,
-		}}
-		if smj {
-			plans["sort-merge"] = &SortMergeJoinExec{
-				Left: left, Right: right, LeftKeys: lKeys, RightKeys: rKeys, Type: jt, OutSchema: out,
+	lKeys := resolved(t, left.schema, strings.Split(lKey, ",")...)
+	rKeys := resolved(t, right.schema, strings.Split(rKey, ",")...)
+	inputs := map[string][2]PhysicalPlan{"rows": {left, right}}
+	if storable(left.schema, left.rows) && storable(right.schema, right.rows) {
+		inputs["pages"] = [2]PhysicalPlan{pt.scan(t, left.schema, left.rows), pt.scan(t, right.schema, right.rows)}
+	}
+	for form, in := range inputs {
+		for _, slots := range []int{1, 2, 4} {
+			plans := map[string]PhysicalPlan{"hash": &HashJoinExec{
+				Left: in[0], Right: in[1], LeftKeys: lKeys, RightKeys: rKeys, Type: jt, OutSchema: out,
+			}}
+			if smj {
+				plans["sort-merge"] = &SortMergeJoinExec{
+					Left: in[0], Right: in[1], LeftKeys: lKeys, RightKeys: rKeys, Type: jt, OutSchema: out,
+				}
 			}
-		}
-		for strategy, p := range plans {
-			rows, err := p.Execute(slotsCtx(slots))
-			if err != nil {
-				t.Fatalf("%s %s %s/%d-slot: %v", name, jt, strategy, slots, err)
-			}
-			if got := canonical(rows); fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Errorf("%s %s %s/%d-slot: rows = %q, want %q", name, jt, strategy, slots, got, want)
+			for strategy, p := range plans {
+				rows, err := p.Execute(slotsCtx(slots))
+				if err != nil {
+					t.Fatalf("%s %s %s/%s/%d-slot: %v", name, jt, form, strategy, slots, err)
+				}
+				if got := canonical(rows); fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Errorf("%s %s %s/%s/%d-slot: rows = %q, want %q", name, jt, form, strategy, slots, got, want)
+				}
 			}
 		}
 	}
@@ -142,10 +152,12 @@ func intOf(t plan.DataType, v int64) any {
 
 // TestJoinKeySemantics pins the equality the key bytes give every join
 // strategy: integer keys of any two widths match when equal, NULL keys
-// never match (not even each other), and a left-outer join NULL-extends the
-// rest. The broadcast join's int64 table must agree with the key bytes
-// wherever they differ from plain integer equality.
+// never match (not even each other), composite keys match column by
+// column, and a left-outer join NULL-extends the rest. The broadcast
+// join's int64 table must agree with the key bytes wherever they differ
+// from plain integer equality, over boxed rows and over typed batches.
 func TestJoinKeySemantics(t *testing.T) {
+	pt := newPageTables(t)
 	widths := []plan.DataType{plan.TypeInt8, plan.TypeInt16, plan.TypeInt32, plan.TypeInt64}
 	for _, lt := range widths {
 		for _, rt := range widths {
@@ -158,8 +170,8 @@ func TestJoinKeySemantics(t *testing.T) {
 				rows:   []plan.Row{{intOf(rt, 7), "SEVEN"}, {nil, "NULL"}, {intOf(rt, 9), "NINE"}},
 			}
 			name := fmt.Sprintf("%s=%s", lt, rt)
-			joinEveryWay(t, name, left, right, "k", "j", plan.InnerJoin, true, []string{"[7 seven 7 SEVEN]"})
-			joinEveryWay(t, name, left, right, "k", "j", plan.LeftOuterJoin, true,
+			joinEveryWay(t, pt, name, left, right, "k", "j", plan.InnerJoin, true, []string{"[7 seven 7 SEVEN]"})
+			joinEveryWay(t, pt, name, left, right, "k", "j", plan.LeftOuterJoin, true,
 				[]string{"[7 seven 7 SEVEN]", "[8 eight <nil> <nil>]", "[<nil> null <nil> <nil>]"})
 		}
 	}
@@ -174,13 +186,18 @@ func TestJoinKeySemantics(t *testing.T) {
 		schema: plan.Schema{{Name: "i", Type: plan.TypeInt64}},
 		rows:   []plan.Row{{int64(7)}, {int64(8)}, {nil}},
 	}
-	joinEveryWay(t, "string=bigint", strs, ints, "s", "i", plan.InnerJoin, false, []string{"[7 7]"})
-	joinEveryWay(t, "bigint=string", ints, strs, "i", "s", plan.LeftOuterJoin, false,
+	joinEveryWay(t, pt, "string=bigint", strs, ints, "s", "i", plan.InnerJoin, false, []string{"[7 7]"})
+	joinEveryWay(t, pt, "bigint=string", ints, strs, "i", "s", plan.LeftOuterJoin, false,
 		[]string{"[7 7]", "[8 <nil>]", "[<nil> <nil>]"})
+	// The same without the NULL rows, which a table of one column cannot
+	// hold, run over columnar pages too.
+	strs.rows, ints.rows = strs.rows[:4], ints.rows[:2]
+	joinEveryWay(t, pt, "string=bigint", strs, ints, "s", "i", plan.InnerJoin, false, []string{"[7 7]"})
+	joinEveryWay(t, pt, "bigint=string", ints, strs, "i", "s", plan.LeftOuterJoin, false, []string{"[7 7]", "[8 <nil>]"})
 
 	// Integer-typed columns holding other values: a probe value that
 	// renders as an integer still matches, and a build value that does not
-	// falls the table back to key bytes.
+	// is keyed by its bytes and matches the same value.
 	strayProbe := &rowsExec{
 		schema: plan.Schema{{Name: "k", Type: plan.TypeInt32}},
 		rows:   []plan.Row{{"7"}, {7.0}, {7.5}, {int32(8)}},
@@ -189,10 +206,10 @@ func TestJoinKeySemantics(t *testing.T) {
 		schema: plan.Schema{{Name: "j", Type: plan.TypeInt64}},
 		rows:   []plan.Row{{int64(7)}, {"x"}},
 	}
-	joinEveryWay(t, "stray probe", strayProbe, strayBuild, "k", "j", plan.LeftOuterJoin, false,
+	joinEveryWay(t, pt, "stray probe", strayProbe, strayBuild, "k", "j", plan.LeftOuterJoin, false,
 		[]string{"[7 7]", "[7 7]", "[7.5 <nil>]", "[8 <nil>]"})
 	strayBuild.rows = append(strayBuild.rows, plan.Row{7.5})
-	joinEveryWay(t, "stray build", strayProbe, strayBuild, "k", "j", plan.LeftOuterJoin, false,
+	joinEveryWay(t, pt, "stray build", strayProbe, strayBuild, "k", "j", plan.LeftOuterJoin, false,
 		[]string{"[7 7]", "[7 7]", "[7.5 7.5]", "[8 <nil>]"})
 
 	// A left-outer join builds on the right even when the right is the
@@ -206,6 +223,35 @@ func TestJoinKeySemantics(t *testing.T) {
 		large.rows = append(large.rows, plan.Row{i % 3, i})
 	}
 	large.rows = append(large.rows, plan.Row{nil, int64(99)})
-	joinEveryWay(t, "outer, larger build", small, large, "k", "j", plan.LeftOuterJoin, true,
+	joinEveryWay(t, pt, "outer, larger build", small, large, "k", "j", plan.LeftOuterJoin, true,
 		[]string{"[1 1 10]", "[1 1 1]", "[1 1 4]", "[1 1 7]", "[5 <nil> <nil>]", "[<nil> <nil> <nil>]"})
+
+	// A composite key matches when every column matches, integers of any
+	// width by value (an int64-keyed table for two integer columns, key
+	// bytes beside a string one); a NULL in any column matches nothing.
+	for _, second := range []plan.DataType{plan.TypeInt16, plan.TypeString} {
+		val := func(t plan.DataType, v int64) any {
+			if t == plan.TypeString {
+				return fmt.Sprint(v)
+			}
+			return intOf(t, v)
+		}
+		left := &rowsExec{
+			schema: plan.Schema{{Name: "k", Type: plan.TypeInt32}, {Name: "s", Type: second}, {Name: "l", Type: plan.TypeString}},
+			rows: []plan.Row{{int32(1), val(second, 5), "x"}, {int32(1), val(second, 6), "y"}, {int32(2), val(second, 5), "z"},
+				{nil, val(second, 5), "n"}, {int32(1), nil, "m"}},
+		}
+		right := &rowsExec{
+			schema: plan.Schema{{Name: "j", Type: plan.TypeInt64}, {Name: "u", Type: second}, {Name: "r", Type: plan.TypeString}},
+			rows: []plan.Row{{int64(1), val(second, 5), "A"}, {int64(1), val(second, 5), "A2"}, {int64(2), val(second, 6), "B"},
+				{nil, val(second, 5), "N"}},
+		}
+		name := fmt.Sprintf("composite int,%s", second)
+		joinEveryWay(t, pt, name, left, right, "k,s", "j,u", plan.InnerJoin, true, []string{"[1 5 x 1 5 A2]", "[1 5 x 1 5 A]"})
+		joinEveryWay(t, pt, name, left, right, "k,s", "j,u", plan.LeftOuterJoin, true, []string{"[1 5 x 1 5 A2]", "[1 5 x 1 5 A]",
+			"[1 6 y <nil> <nil> <nil>]", "[1 <nil> m <nil> <nil> <nil>]", "[2 5 z <nil> <nil> <nil>]", "[<nil> 5 n <nil> <nil> <nil>]"})
+	}
+	if pt.n < 40 {
+		t.Errorf("%d tables stored: the integer-width, string and composite cases must each also run over columnar pages", pt.n)
+	}
 }

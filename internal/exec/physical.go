@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -83,36 +84,87 @@ func (s *ScanExec) Explain() string {
 		s.Source.Name(), strings.Join(s.Columns, ","), strings.Join(parts, " AND "), len(s.Partitions))
 }
 
-// Execute implements PhysicalPlan: one task per partition, placed on the
-// partition's preferred host.
+// Execute implements PhysicalPlan: the scan's batches as rows.
 func (s *ScanExec) Execute(ctx *Context) ([]plan.Row, error) {
-	results := make([][]plan.Row, len(s.Partitions))
+	return rowsOf(ctx, s)
+}
+
+// batches implements batchStream: one task per partition, placed on the
+// partition's preferred host, reads its pages as owned batches of typed
+// vectors (datasource.ColumnScan), or its rows boxed into one batch. They
+// are emitted in partition order once every partition is read. A
+// materialized scan holds every decoded row until the query finishes; the
+// streamed pipeline releases per batch, and the (MemoryHeld, MemoryPeak)
+// pair makes that difference visible.
+func (s *ScanExec) batches(ctx *Context, emit func(*plan.Batch) error) error {
+	results := make([][]*plan.Batch, len(s.Partitions))
 	tasks := make([]Task, len(s.Partitions))
 	for i, p := range s.Partitions {
-		i, p := i, p
-		tasks[i] = Task{
-			PreferredHost: p.PreferredHost(),
-			Run: func(tctx context.Context) error {
-				rows, err := p.Compute(tctx)
-				if err != nil {
-					return err
-				}
-				var bytes int64
-				for _, r := range rows {
-					bytes += int64(plan.RowSize(r))
-				}
-				m := metrics.Scoped(tctx, ctx.Meter)
-				m.Add(metrics.MemoryCharged, bytes)
-				// Materialized scans hold every decoded row until the query
-				// finishes; the streamed pipeline releases per batch, and the
-				// (MemoryHeld, MemoryPeak) pair makes that difference visible.
-				m.AddPeak(metrics.MemoryHeld, metrics.MemoryPeak, bytes)
-				results[i] = rows
-				return nil
-			},
+		tasks[i] = Task{PreferredHost: p.PreferredHost(), Run: func(tctx context.Context) error {
+			m := metrics.Scoped(tctx, ctx.Meter)
+			var err error
+			if cs, ok := p.(datasource.ColumnScan); ok {
+				results[i], err = cs.ComputeColumns(tctx)
+				m.Add(metrics.VectorRows, int64(batchRows(results[i])))
+			} else {
+				var rows []plan.Row
+				rows, err = p.Compute(tctx)
+				results[i] = []*plan.Batch{plan.BoxedBatch(s.OutSchema, rows)}
+			}
+			if err != nil {
+				return err
+			}
+			var bytes int64
+			for _, b := range results[i] {
+				bytes += b.RowBytes()
+			}
+			m.Add(metrics.MemoryCharged, bytes)
+			m.AddPeak(metrics.MemoryHeld, metrics.MemoryPeak, bytes)
+			return nil
+		}}
+	}
+	if err := ctx.Scheduler.RunContext(ctx.ctx(), tasks); err != nil {
+		return err
+	}
+	for _, bs := range results {
+		for _, b := range bs {
+			if err := emit(b); err != nil {
+				return err
+			}
 		}
 	}
-	return runAll(ctx, tasks, results)
+	return nil
+}
+
+// rowsOf materializes an operator's batches as rows.
+func rowsOf(ctx *Context, s batchStream) ([]plan.Row, error) {
+	var out []plan.Row
+	err := s.batches(ctx, func(b *plan.Batch) error {
+		var err error
+		out, err = b.AppendRows(out)
+		return err
+	})
+	return out, err
+}
+
+// runAll runs tasks on the scheduler and concatenates their results in
+// task order.
+func runAll(ctx *Context, tasks []Task, results [][]plan.Row) ([]plan.Row, error) {
+	if err := ctx.Scheduler.RunContext(ctx.ctx(), tasks); err != nil {
+		return nil, err
+	}
+	if len(results) == 1 {
+		return results[0], nil
+	}
+	n := 0
+	for _, rs := range results {
+		n += len(rs)
+	}
+	out := make([]plan.Row, 0, n)
+	for _, rs := range results {
+		out = append(out, rs...)
+	}
+	return out, nil
 }
 
 // FilterExec keeps rows matching a resolved predicate.
@@ -199,18 +251,27 @@ func (p *ProjectExec) Execute(ctx *Context) ([]plan.Row, error) {
 // int64 7) get the same key, which is what lets join keys of different
 // integer widths match.
 func appendKey(dst []byte, r plan.Row, idx []int) []byte {
-	var scratch [32]byte
 	for _, i := range idx {
-		if s, ok := r[i].(string); ok {
-			dst = append(strconv.AppendInt(dst, int64(len(s)), 10), ',')
-			dst = append(append(dst, s...), ';')
-			continue
-		}
-		v := appendValue(scratch[:0], r[i])
-		dst = append(strconv.AppendInt(dst, int64(len(v)), 10), ',')
-		dst = append(append(dst, v...), ';')
+		dst = appendKeyValue(dst, r[i])
 	}
 	return dst
+}
+
+// appendKeyValue appends one column of a key as appendKey renders it.
+func appendKeyValue(dst []byte, v any) []byte {
+	if s, ok := v.(string); ok {
+		return appendKeyString(dst, s)
+	}
+	var scratch [32]byte
+	r := appendValue(scratch[:0], v)
+	dst = append(strconv.AppendInt(dst, int64(len(r)), 10), ',')
+	return append(append(dst, r...), ';')
+}
+
+// appendKeyString is appendKeyValue for a string, which it does not box.
+func appendKeyString(dst []byte, s string) []byte {
+	dst = append(strconv.AppendInt(dst, int64(len(s)), 10), ',')
+	return append(append(dst, s...), ';')
 }
 
 // appendValue appends v's %v rendering to dst, through strconv for the
@@ -240,9 +301,9 @@ func appendValue(dst []byte, v any) []byte {
 }
 
 // intKey returns the integer whose decimal rendering is v's rendering, so
-// an int64-keyed join table matches exactly the pairs appendKey's bytes
-// match: every integer width, and any other value (the string "7", say)
-// that renders as a canonical integer. ok is false for any other value.
+// an int64-keyed table matches exactly the pairs appendKey's bytes match:
+// every integer width, and any other value (the string "7", say) that
+// renders as a canonical integer. ok is false for any other value.
 func intKey(v any) (k int64, ok bool) {
 	switch x := v.(type) {
 	case int64:
@@ -269,6 +330,141 @@ func integer(t plan.DataType) bool {
 		return true
 	}
 	return false
+}
+
+// maxIntKeys is the most columns an int64-keyed keyMap keys by.
+const maxIntKeys = 2
+
+// intTuple is a key tuple of integers: a NULL column is a bit of nulls.
+type intTuple struct {
+	vals  [maxIntKeys]int64
+	nulls uint8
+}
+
+// hash mixes every bit of t into the low bits a table masks.
+func (t *intTuple) hash() int {
+	h := uint64(t.nulls)
+	for _, v := range t.vals {
+		h = (h ^ uint64(v)) * 0x9e3779b97f4a7c15
+		h ^= h >> 32
+	}
+	return int(h)
+}
+
+// intEntry is an int64 key and its number.
+type intEntry struct {
+	key intTuple
+	g   int32
+}
+
+// keyMap numbers key tuples, read from a batch's vectors, densely in
+// first-seen order. In an int64-keyed map, one whose key columns are all of
+// integer types, a tuple whose values all render as integers (intKey) is
+// keyed by those integers in an open-addressing table; any other tuple is
+// keyed by its appendKey bytes. Tuples match when their appendKey bytes
+// match, except that a NULL matches only a NULL. A key is loaded, then
+// looked up.
+type keyMap struct {
+	intKeyed bool
+	n        int32            // numbers given
+	strs     map[string]int32 // bytes keys
+	slots    []int32          // int64 keys: an entry's index plus one, 0 empty
+	entries  []intEntry
+	isInt    bool     // the loaded key is tuple, not buf
+	tuple    intTuple // the loaded key
+	buf      []byte
+}
+
+// newKeyMap returns a keyMap sized for hint tuples.
+func newKeyMap(intKeyed bool, hint int) keyMap {
+	if !intKeyed {
+		return keyMap{strs: make(map[string]int32, hint)}
+	}
+	n := 16
+	for n < 2*hint {
+		n *= 2
+	}
+	return keyMap{intKeyed: true, slots: make([]int32, n), entries: make([]intEntry, 0, hint)}
+}
+
+// load reads row i's key over cols. Join and aggregate batches hold no
+// lazy vector, the one kind whose Value fails.
+func (m *keyMap) load(cols []*plan.Vector, i int) {
+	if m.isInt = m.intKeyed && m.loadInts(cols, i); m.isInt {
+		return
+	}
+	m.buf = m.buf[:0]
+	for _, v := range cols {
+		if v.Kind == plan.KindString && !v.Null(i) {
+			m.buf = appendKeyString(m.buf, v.Strings[i])
+		} else {
+			x, _ := v.Value(i)
+			m.buf = appendKeyValue(m.buf, x)
+		}
+	}
+}
+
+// loadInts loads row i's key as a tuple of integers, reporting false when
+// a value does not render as one.
+func (m *keyMap) loadInts(cols []*plan.Vector, i int) bool {
+	m.tuple = intTuple{}
+	for c, v := range cols {
+		switch {
+		case v.Null(i):
+			m.tuple.nulls |= 1 << c
+		case v.Kind == plan.KindInt64:
+			m.tuple.vals[c] = v.Int64s[i]
+		default:
+			x, _ := v.Value(i)
+			k, ok := intKey(x)
+			if !ok {
+				return false
+			}
+			m.tuple.vals[c] = k
+		}
+	}
+	return true
+}
+
+// lookup returns the loaded key's number; a key without one gets the next
+// number when add is set, else -1. seen reports that it had one.
+func (m *keyMap) lookup(add bool) (g int32, seen bool) {
+	slot := 0
+	if m.isInt {
+		mask := len(m.slots) - 1
+		for slot = m.tuple.hash() & mask; m.slots[slot] != 0; slot = (slot + 1) & mask {
+			if e := &m.entries[m.slots[slot]-1]; e.key == m.tuple {
+				return e.g, true
+			}
+		}
+	} else if g, seen = m.strs[string(m.buf)]; seen {
+		return g, true
+	}
+	if !add {
+		return -1, false
+	}
+	g, m.n = m.n, m.n+1
+	if !m.isInt {
+		if m.strs == nil {
+			m.strs = make(map[string]int32)
+		}
+		m.strs[string(m.buf)] = g
+		return g, false
+	}
+	m.entries = append(m.entries, intEntry{m.tuple, g})
+	m.slots[slot] = int32(len(m.entries))
+	if 2*len(m.entries) > len(m.slots) {
+		m.slots = make([]int32, 2*len(m.slots))
+		mask := len(m.slots) - 1
+		for j := range m.entries {
+			s := m.entries[j].key.hash() & mask
+			for m.slots[s] != 0 {
+				s = (s + 1) & mask
+			}
+			m.slots[s] = int32(j + 1)
+		}
+	}
+	return g, false
 }
 
 // fnv64a is FNV-1a over b, equal to hash/fnv's New64a without a hasher
@@ -300,15 +496,16 @@ func exchange(ctx *Context, rows []plan.Row, keyIdx []int, n int) [][]plan.Row {
 	return buckets
 }
 
-// HashJoinExec is an equi-join that broadcasts its build side: one
-// joinTable is built over it, and the probe side is split into contiguous
-// chunks, one task per scheduler slot, that all read that table. An inner
-// join builds on the smaller side; a left-outer join builds on the right,
-// and each chunk NULL-extends its own unmatched left rows. Output follows
-// probe order.
+// HashJoinExec is an equi-join over batches that broadcasts its build
+// side: one joinTable is built over the build side's batches, and each
+// probe batch is joined into a batch of its selected rows beside the build
+// rows they match. An inner join builds on the smaller side; a left-outer
+// join builds on the right and NULL-extends its unmatched left rows.
+// Output follows probe order.
 //
-// Under a HashAggExec the join streams instead (see stream): its rows go
-// to the aggregate's fold one at a time, and none is materialized.
+// A child that is itself a hash join streams its batches into the probe,
+// so a chain of joins under a HashAggExec hands each joined batch to the
+// aggregate's fold and materializes no row.
 type HashJoinExec struct {
 	Left, Right         PhysicalPlan
 	LeftKeys, RightKeys []plan.Expr // resolved against the child schemas
@@ -331,170 +528,200 @@ func (j *HashJoinExec) Explain() string {
 	return fmt.Sprintf("HashJoinExec[%s] %s", j.Type, strings.Join(parts, " AND "))
 }
 
-// Execute implements PhysicalPlan.
+// Execute implements PhysicalPlan: the joined batches as rows.
 func (j *HashJoinExec) Execute(ctx *Context) ([]plan.Row, error) {
-	pr, probe, err := j.open(ctx, false, false)
-	if err != nil {
-		return nil, err
-	}
-	n := min(ctx.shufflePartitions(), len(probe))
-	pr.broadcast(ctx, n)
-	results := make([][]plan.Row, n)
-	tasks := make([]Task, n)
-	for i := range tasks {
-		chunk := probe[i*len(probe)/n : (i+1)*len(probe)/n]
-		tasks[i] = Task{Run: func(_ context.Context) error {
-			results[i] = pr.probe(chunk)
-			return nil
-		}}
-	}
-	return runAll(ctx, tasks, results)
+	return rowsOf(ctx, j)
 }
 
-// rowStream is an operator that can hand its output to a consumer one row
-// at a time instead of materializing it. The row passed to emit is reused
-// once emit returns: a consumer that keeps any part of the slice must copy
-// it.
-type rowStream interface {
-	stream(ctx *Context, emit func(plan.Row) error) error
+// batchStream is a scan or a hash join, instrumented or not: an operator
+// that can hand its output to a consumer as owned batches, which the
+// consumer may keep.
+type batchStream interface {
+	batches(ctx *Context, emit func(*plan.Batch) error) error
 }
 
-// streamOf returns p as a row stream when it is a hash join, instrumented
-// or not.
-func streamOf(p PhysicalPlan) (rowStream, bool) {
+// operator returns p's operator, instrumented or not.
+func operator(p PhysicalPlan) PhysicalPlan {
 	if n, ok := p.(*instrumented); ok {
-		if _, ok := n.inner.(*HashJoinExec); ok {
-			return n, true
-		}
+		return n.inner
 	}
-	if j, ok := p.(*HashJoinExec); ok {
-		return j, true
-	}
-	return nil, false
+	return p
 }
 
-// stream implements rowStream on the caller's goroutine. A child that is
-// itself a hash join streams into the probe — for a left-outer join only
-// the left child may, since the left side is the one NULL-extended — and
-// the other child is built. When neither child streams, both are
-// materialized and the build side is chosen as Execute chooses it. Every
-// joined row is written into one reused row.
-func (j *HashJoinExec) stream(ctx *Context, emit func(plan.Row) error) error {
-	src, left := streamOf(j.Left)
-	right := false
-	if !left && j.Type == plan.InnerJoin {
-		src, right = streamOf(j.Right)
+// isHashJoin reports whether p is a hash join, instrumented or not.
+func isHashJoin(p PhysicalPlan) bool {
+	_, ok := operator(p).(*HashJoinExec)
+	return ok
+}
+
+// eachBatch hands p's output to fn batch by batch: a scan's and a hash
+// join's own batches, any other operator's rows boxed into one. A hash join
+// streams its batches into fn, so fn runs inside its span; any other
+// output is collected first.
+func eachBatch(ctx *Context, p PhysicalPlan, fn func(*plan.Batch) error) error {
+	var bs []*plan.Batch
+	switch operator(p).(type) {
+	case *HashJoinExec:
+		return p.(batchStream).batches(ctx, fn)
+	case *ScanExec:
+		if err := p.(batchStream).batches(ctx, func(b *plan.Batch) error {
+			bs = append(bs, b)
+			return nil
+		}); err != nil {
+			return err
+		}
+	default:
+		rows, err := p.Execute(ctx)
+		if err != nil {
+			return err
+		}
+		bs = []*plan.Batch{plan.BoxedBatch(p.Schema(), rows)}
 	}
-	pr, probe, err := j.open(ctx, left, right)
-	if err != nil {
-		return err
-	}
-	// One consumer reads the build side.
-	pr.broadcast(ctx, 1)
-	row := make(plan.Row, pr.width)
-	reuse := func() plan.Row { return row }
-	var key []byte
-	each := func(r plan.Row) error {
-		return pr.probeRow(r, pr.table.lookup(r, pr.key, &key), reuse, emit)
-	}
-	if src != nil {
-		return src.stream(ctx, each)
-	}
-	for _, r := range probe {
-		if err := each(r); err != nil {
+	for _, b := range bs {
+		if err := fn(b); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// open materializes the join's inputs, except a streamed child (the left
-// one when streamLeft, the right one when streamRight), and builds the
-// table over the build side, returning the materialized probe side (nil
-// when a child streams). A streamed child is the probe side. Otherwise an
-// inner join builds on whichever side turned out smaller, and a left-outer
-// join builds on the right, since it must probe with the left side to
-// NULL-extend it.
-func (j *HashJoinExec) open(ctx *Context, streamLeft, streamRight bool) (*prober, []plan.Row, error) {
-	lKey := keyIndexes(j.LeftKeys)
-	rKey := keyIndexes(j.RightKeys)
+// collectBatches returns p's whole output as batches (eachBatch).
+func collectBatches(ctx *Context, p PhysicalPlan) ([]*plan.Batch, error) {
+	var out []*plan.Batch
+	err := eachBatch(ctx, p, func(b *plan.Batch) error {
+		out = append(out, b)
+		return nil
+	})
+	return out, err
+}
+
+// batches implements batchStream on the caller's goroutine. A child that
+// is itself a hash join is the probe side and streams into it — for a
+// left-outer join only the left child may, since the left side is the one
+// NULL-extended — and the other child is built. When neither child
+// streams, both are collected, and an inner join builds on whichever side
+// turned out smaller.
+func (j *HashJoinExec) batches(ctx *Context, emit func(*plan.Batch) error) error {
+	lKey, rKey := keyIndexes(j.LeftKeys), keyIndexes(j.RightKeys)
 	if lKey == nil || rKey == nil {
-		return nil, nil, fmt.Errorf("exec: join keys must be resolved column references")
+		return fmt.Errorf("exec: join keys must be resolved column references")
 	}
-	var left, right []plan.Row
+	lSchema, rSchema := j.Left.Schema(), j.Right.Schema()
+	streamLeft := isHashJoin(j.Left)
+	streamRight := !streamLeft && j.Type == plan.InnerJoin && isHashJoin(j.Right)
+	var left, right []*plan.Batch
 	var err error
 	if !streamLeft {
-		if left, err = j.Left.Execute(ctx); err != nil {
-			return nil, nil, err
+		if left, err = collectBatches(ctx, j.Left); err != nil {
+			return err
 		}
 	}
 	if !streamRight {
-		if right, err = j.Right.Execute(ctx); err != nil {
-			return nil, nil, err
+		if right, err = collectBatches(ctx, j.Right); err != nil {
+			return err
 		}
 	}
-	lSchema, rSchema := j.Left.Schema(), j.Right.Schema()
-	intKeyed := len(lKey) == 1 && integer(lSchema[lKey[0]].Type) && integer(rSchema[rKey[0]].Type)
-	pr := &prober{key: lKey, outer: j.Type == plan.LeftOuterJoin, leftWidth: len(lSchema), width: len(lSchema) + len(rSchema)}
-	probe, build, bKey := left, right, rKey
-	if streamRight || !streamLeft && j.Type == plan.InnerJoin && len(left) < len(right) {
-		probe, build, bKey = right, left, lKey
+	intKeyed := len(lKey) <= maxIntKeys
+	for k := range lKey {
+		intKeyed = intKeyed && integer(lSchema[lKey[k]].Type) && integer(rSchema[rKey[k]].Type)
+	}
+	pr := &prober{key: lKey, outer: j.Type == plan.LeftOuterJoin, schema: j.OutSchema}
+	probe, build, bKey, bSchema := left, right, rKey, rSchema
+	if streamRight || !streamLeft && j.Type == plan.InnerJoin && batchRows(left) < batchRows(right) {
+		probe, build, bKey, bSchema = right, left, lKey, lSchema
 		pr.key, pr.buildLeft = rKey, true
 	}
-	pr.table = buildTable(build, bKey, intKeyed)
-	pr.buildRows = len(build)
-	for _, r := range build {
-		pr.buildBytes += int64(plan.RowSize(r))
+	b, err := plan.Concat(bSchema, build)
+	if err != nil {
+		return err
 	}
-	return pr, probe, nil
+	pr.table = buildTable(b, bKey, intKeyed)
+	// One consumer reads the build side: a broadcast moves it once.
+	m := ctx.meter()
+	m.Add(metrics.ShuffleBytes, b.RowBytes())
+	m.Add(metrics.ShuffleRecords, int64(b.Len()))
+	each := func(pb *plan.Batch) error {
+		if out := pr.join(pb); out.Len() > 0 {
+			return emit(out)
+		}
+		return nil
+	}
+	switch {
+	case streamLeft:
+		return j.Left.(batchStream).batches(ctx, each)
+	case streamRight:
+		return j.Right.(batchStream).batches(ctx, each)
+	}
+	for _, pb := range probe {
+		if err := each(pb); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// runAll runs tasks on the scheduler and concatenates their results in
-// task order.
-func runAll(ctx *Context, tasks []Task, results [][]plan.Row) ([]plan.Row, error) {
-	if err := ctx.Scheduler.RunContext(ctx.ctx(), tasks); err != nil {
-		return nil, err
-	}
-	if len(results) == 1 {
-		return results[0], nil
-	}
+// batchRows counts the rows of bs.
+func batchRows(bs []*plan.Batch) int {
 	n := 0
-	for _, rs := range results {
-		n += len(rs)
+	for _, b := range bs {
+		n += b.Len()
 	}
-	out := make([]plan.Row, 0, n)
-	for _, rs := range results {
-		out = append(out, rs...)
-	}
-	return out, nil
+	return n
 }
 
-// joinTable is a hash join's build side: rows grouped by key, each group's
-// rows contiguous and in build order. It is keyed by int64 when both key
-// columns are integers and by appendKey bytes otherwise. Rows with a NULL
-// key are left out — SQL NULL keys never match.
+// keyCols returns b's columns at idx, appended to dst[:0].
+func keyCols(dst []*plan.Vector, b *plan.Batch, idx []int) []*plan.Vector {
+	dst = dst[:0]
+	for _, i := range idx {
+		dst = append(dst, b.Cols[i])
+	}
+	return dst
+}
+
+// joinTable is a hash join's build side: a batch whose rows are grouped by
+// key, each group's row indexes contiguous and in build order. Rows with a
+// NULL key are left out — SQL NULL keys never match. A single integer key
+// whose values span a range at most a few times their count — a dimension's
+// surrogate keys — is also indexed directly: dense[k-lo] is k's group plus
+// one, 0 for none.
 type joinTable struct {
-	ints  map[int64]int32  // key → group for an int64-keyed table, else nil
-	keys  map[string]int32 // key bytes → group otherwise
-	start []int32          // group g's rows are rows[start[g]:start[g+1]]
-	rows  []plan.Row
+	keys  keyMap         // key → group
+	cols  []*plan.Vector // scratch: a probe batch's key columns
+	start []int32        // group g's rows are rows[start[g]:start[g+1]]
+	rows  []int32
+	batch *plan.Batch
+	dense []int32
+	lo    int64
 }
 
-// buildTable groups rows by their key at idx. intKeyed asks for the int64
-// table; a key value that does not render as an integer falls the whole
-// table back to key bytes.
-func buildTable(rows []plan.Row, idx []int, intKeyed bool) *joinTable {
-	t := &joinTable{}
-	gid := make([]int32, len(rows)) // each row's group, -1 for a NULL key
-	groups := -1
-	if intKeyed {
-		groups = t.groupInts(rows, idx[0], gid)
+// buildTable groups b's rows by their key at idx, in an int64-keyed table
+// when intKeyed.
+func buildTable(b *plan.Batch, idx []int, intKeyed bool) *joinTable {
+	t := &joinTable{batch: b, keys: newKeyMap(intKeyed, b.Len())}
+	cols := keyCols(nil, b, idx)
+	gid := make([]int32, b.Len()) // each row's group, -1 for a NULL key
+	for i := range gid {
+		gid[i] = -1
+		if !hasNull(cols, i) {
+			t.keys.load(cols, i)
+			gid[i], _ = t.keys.lookup(true)
+		}
 	}
-	if groups < 0 {
-		groups = t.groupKeys(rows, idx, gid)
+	if e := t.keys.entries; len(idx) == 1 && len(e) > 0 && len(t.keys.strs) == 0 {
+		lo, hi := e[0].key.vals[0], e[0].key.vals[0]
+		for _, x := range e {
+			lo, hi = min(lo, x.key.vals[0]), max(hi, x.key.vals[0])
+		}
+		if uint64(hi-lo) < uint64(4*len(e)+64) {
+			t.lo, t.dense = lo, make([]int32, hi-lo+1)
+			for _, x := range e {
+				t.dense[x.key.vals[0]-lo] = x.g + 1
+			}
+		}
 	}
 	// A counting sort by group keeps each group's rows contiguous and in
 	// build order, in two allocations.
+	groups := int(t.keys.n)
 	t.start = make([]int32, groups+1)
 	for _, g := range gid {
 		if g >= 0 {
@@ -504,169 +731,105 @@ func buildTable(rows []plan.Row, idx []int, intKeyed bool) *joinTable {
 	for g := 1; g <= groups; g++ {
 		t.start[g] += t.start[g-1]
 	}
-	t.rows = make([]plan.Row, t.start[groups])
+	t.rows = make([]int32, t.start[groups])
 	next := append([]int32(nil), t.start[:groups]...)
 	for i, g := range gid {
 		if g >= 0 {
-			t.rows[next[g]] = rows[i]
+			t.rows[next[g]] = int32(i)
 			next[g]++
 		}
 	}
 	return t
 }
 
-// groupInts numbers the groups of rows by the integer key in column c,
-// returning the group count, or -1 if a key is not an integer.
-func (t *joinTable) groupInts(rows []plan.Row, c int, gid []int32) int {
-	ints := make(map[int64]int32, len(rows))
-	for i, r := range rows {
-		if r[c] == nil {
-			gid[i] = -1
-			continue
+// find returns the group row i's key over cols falls in, or -1 for none.
+func (t *joinTable) find(cols []*plan.Vector, i int) int32 {
+	switch {
+	case hasNull(cols, i):
+		return -1
+	case t.dense != nil && cols[0].Kind == plan.KindInt64:
+		if k := uint64(cols[0].Int64s[i] - t.lo); k < uint64(len(t.dense)) {
+			return t.dense[k] - 1
 		}
-		k, ok := intKey(r[c])
-		if !ok {
-			return -1
-		}
-		g, seen := ints[k]
-		if !seen {
-			g = int32(len(ints))
-			ints[k] = g
-		}
-		gid[i] = g
-	}
-	t.ints = ints
-	return len(ints)
-}
-
-// groupKeys numbers the groups of rows by their appendKey bytes, rendered
-// into one reused buffer; a key string is allocated only for a new group.
-func (t *joinTable) groupKeys(rows []plan.Row, idx []int, gid []int32) int {
-	t.keys = make(map[string]int32, len(rows))
-	var key []byte
-	for i, r := range rows {
-		if hasNilKey(r, idx) {
-			gid[i] = -1
-			continue
-		}
-		key = appendKey(key[:0], r, idx)
-		g, seen := t.keys[string(key)]
-		if !seen {
-			g = int32(len(t.keys))
-			t.keys[string(key)] = g
-		}
-		gid[i] = g
-	}
-	return len(t.keys)
-}
-
-// lookup returns the group r's key at idx falls in, or -1 for none.
-func (t *joinTable) lookup(r plan.Row, idx []int, key *[]byte) int32 {
-	if hasNilKey(r, idx) {
 		return -1
 	}
-	var g int32
-	var ok bool
-	if t.ints != nil {
-		var k int64
-		if k, ok = intKey(r[idx[0]]); ok {
-			g, ok = t.ints[k]
-		}
-	} else {
-		*key = appendKey((*key)[:0], r, idx)
-		g, ok = t.keys[string(*key)]
-	}
-	if !ok {
-		return -1
-	}
+	t.keys.load(cols, i)
+	g, _ := t.keys.lookup(false)
 	return g
 }
 
-// prober joins probe rows against a broadcast joinTable.
+// prober joins probe batches against a broadcast joinTable.
 type prober struct {
 	table     *joinTable
 	key       []int // the probe side's key columns
 	outer     bool  // left-outer: NULL-extend unmatched probe rows
 	buildLeft bool  // the build side is the join's left input
-	leftWidth int   // columns of the left input
-	width     int   // columns of a joined row
-	// buildRows and buildBytes measure the build side, which every
-	// consumer of the table reads.
-	buildRows  int
-	buildBytes int64
+	schema    plan.Schema
+	// Scratch: each probe row's group, then the probe and build row of
+	// each output row.
+	groups, probeIdx, buildIdx []int32
 }
 
-// broadcast meters the build side as read by n consumers: that is what a
-// broadcast moves.
-func (p *prober) broadcast(ctx *Context, n int) {
-	m := ctx.meter()
-	m.Add(metrics.ShuffleBytes, p.buildBytes*int64(n))
-	m.Add(metrics.ShuffleRecords, int64(p.buildRows*n))
-}
-
-// probe joins a chunk of probe rows in order. A first pass finds each
-// row's group and counts the output, so every joined row is carved from
-// one slab.
-func (p *prober) probe(chunk []plan.Row) []plan.Row {
+// join returns probe batch pb joined: each row once per build row its key
+// matches, in order, with an unmatched row of a left-outer join
+// NULL-extended. Where every row matches exactly one build row, pb's
+// vectors are the output's as they are.
+func (p *prober) join(pb *plan.Batch) *plan.Batch {
 	t := p.table
-	groups := make([]int32, len(chunk))
-	n := 0
-	var key []byte
-	for i, r := range chunk {
-		g := t.lookup(r, p.key, &key)
-		groups[i] = g
-		if g >= 0 {
-			n += int(t.start[g+1] - t.start[g])
-		} else if p.outer {
-			n++
+	t.cols = keyCols(t.cols, pb, p.key)
+	gs := slices.Grow(p.groups[:0], pb.Len())[:pb.Len()]
+	p.groups = gs
+	n, same := 0, true
+	for i := range gs {
+		g := t.find(t.cols, i)
+		gs[i] = g
+		switch {
+		case g >= 0:
+			m := int(t.start[g+1] - t.start[g])
+			n, same = n+m, same && m == 1
+		case p.outer:
+			n, same = n+1, false
+		default:
+			same = false
 		}
 	}
-	out := make([]plan.Row, 0, n)
-	slab := make([]any, n*p.width)
-	next := func() plan.Row {
-		row := plan.Row(slab[:p.width:p.width])
-		slab = slab[p.width:]
-		return row
+	probed, bi := pb.Cols, gs
+	if same {
+		for i, g := range gs {
+			bi[i] = t.rows[t.start[g]]
+		}
+	} else {
+		pi := slices.Grow(p.probeIdx[:0], n)
+		bi = slices.Grow(p.buildIdx[:0], n)
+		for i, g := range gs {
+			switch {
+			case g >= 0:
+				for _, r := range t.rows[t.start[g]:t.start[g+1]] {
+					pi, bi = append(pi, int32(i)), append(bi, r)
+				}
+			case p.outer:
+				pi, bi = append(pi, int32(i)), append(bi, -1)
+			}
+		}
+		p.probeIdx, p.buildIdx = pi, bi
+		probed = make([]*plan.Vector, len(pb.Cols))
+		for c, v := range pb.Cols {
+			probed[c] = v.Gather(pi)
+		}
 	}
-	keep := func(row plan.Row) error {
-		out = append(out, row)
-		return nil
+	cols := make([]*plan.Vector, 0, len(p.schema))
+	if !p.buildLeft {
+		cols = append(cols, probed...)
 	}
-	for i, r := range chunk {
-		_ = p.probeRow(r, groups[i], next, keep)
+	for _, v := range t.batch.Cols {
+		cols = append(cols, v.Gather(bi))
 	}
+	if p.buildLeft {
+		cols = append(cols, probed...)
+	}
+	out := &plan.Batch{Schema: p.schema, Cols: cols}
+	out.SetLen(n)
 	return out
-}
-
-// probeRow joins probe row r, whose key fell in group g (-1 for none): each
-// joined row is written into the row next returns and handed to emit, and
-// an unmatched row of a left-outer join is NULL-extended. It is the one
-// per-row probe loop of both the materialized join and the stream.
-func (p *prober) probeRow(r plan.Row, g int32, next func() plan.Row, emit func(plan.Row) error) error {
-	if g < 0 {
-		if !p.outer {
-			return nil
-		}
-		row := next()
-		copy(row, r)
-		clear(row[p.leftWidth:])
-		return emit(row)
-	}
-	t := p.table
-	for _, b := range t.rows[t.start[g]:t.start[g+1]] {
-		row := next()
-		if p.buildLeft {
-			copy(row, b)
-			copy(row[p.leftWidth:], r)
-		} else {
-			copy(row, r)
-			copy(row[p.leftWidth:], b)
-		}
-		if err := emit(row); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 func keyIndexes(keys []plan.Expr) []int {
@@ -684,6 +847,16 @@ func keyIndexes(keys []plan.Expr) []int {
 func hasNilKey(r plan.Row, idx []int) bool {
 	for _, i := range idx {
 		if r[i] == nil {
+			return true
+		}
+	}
+	return false
+}
+
+// hasNull reports whether row i is NULL in any of cols.
+func hasNull(cols []*plan.Vector, i int) bool {
+	for _, v := range cols {
+		if v.Null(i) {
 			return true
 		}
 	}
@@ -833,12 +1006,14 @@ type accumulator struct {
 	states    []aggState
 }
 
+// aggState is one aggregate's partial state. Which fields it uses depends
+// on the aggregate, so they are shared: sum is stddev_samp's Welford
+// running mean, and best is min's or max's value.
 type aggState struct {
 	count    int64
 	sum      float64
-	mean     float64 // Welford running mean
-	m2       float64 // Welford running squared deviation
-	min, max any
+	m2       float64 // stddev_samp's Welford running squared deviation
+	best     any
 	distinct map[string]bool
 }
 
@@ -854,43 +1029,113 @@ func (s *aggState) update(kind plan.AggKind, v any) error {
 			s.distinct = make(map[string]bool)
 		}
 		var scratch [48]byte
-		if key := appendKey(scratch[:0], plan.Row{v}, []int{0}); !s.distinct[string(key)] {
+		if key := appendKeyValue(scratch[:0], v); !s.distinct[string(key)] {
 			s.distinct[string(key)] = true
 		}
-	case plan.AggSum, plan.AggAvg:
+	case plan.AggSum, plan.AggAvg, plan.AggStddevSamp:
 		f, ok := plan.ToFloat(v)
 		if !ok {
 			return fmt.Errorf("exec: %s over non-numeric %T", kind, v)
 		}
-		s.count++
-		s.sum += f
-	case plan.AggStddevSamp:
-		f, ok := plan.ToFloat(v)
-		if !ok {
-			return fmt.Errorf("exec: stddev over non-numeric %T", v)
-		}
-		s.count++
-		d := f - s.mean
-		s.mean += d / float64(s.count)
-		s.m2 += d * (f - s.mean)
-	case plan.AggMin:
-		if s.min == nil {
-			s.min = v
-		} else if c, err := plan.Compare(v, s.min); err != nil {
+		s.add(kind, f)
+	case plan.AggMin, plan.AggMax:
+		if s.best == nil {
+			s.best = v
+		} else if c, err := plan.Compare(v, s.best); err != nil {
 			return err
-		} else if c < 0 {
-			s.min = v
-		}
-	case plan.AggMax:
-		if s.max == nil {
-			s.max = v
-		} else if c, err := plan.Compare(v, s.max); err != nil {
-			return err
-		} else if c > 0 {
-			s.max = v
+		} else if kind == plan.AggMin && c < 0 || kind == plan.AggMax && c > 0 {
+			s.best = v
 		}
 	}
 	return nil
+}
+
+// updateAt folds entry i of v. Counts, sums, avgs and stddevs read an
+// integer or float vector unboxed, and a numeric extreme boxes only the
+// value that beats it; anything else goes through update.
+func (s *aggState) updateAt(kind plan.AggKind, v *plan.Vector, i int) error {
+	if v.Null(i) {
+		return nil
+	}
+	f, typed := 0.0, true
+	switch v.Kind {
+	case plan.KindInt64:
+		f = float64(v.Int64s[i])
+	case plan.KindFloat64:
+		f = v.Float64s[i]
+	default:
+		typed = false
+	}
+	switch {
+	case !typed || kind == plan.AggCountDistinct:
+	case kind == plan.AggMin || kind == plan.AggMax:
+		if b, ok := plan.ToFloat(s.best); ok && (f >= b) == (kind == plan.AggMin) {
+			return nil
+		}
+	default:
+		s.add(kind, f)
+		return nil
+	}
+	x, err := v.Value(i)
+	if err != nil {
+		return err
+	}
+	return s.update(kind, x)
+}
+
+// updateSel folds v's entries at sel: an integer or float vector through a
+// typed loop, in which an extreme finds the batch's first best entry
+// (compared as float64, as plan.Compare does) and updates with it alone.
+func (s *aggState) updateSel(kind plan.AggKind, v *plan.Vector, sel []int) error {
+	switch {
+	case kind == plan.AggCountDistinct:
+	case v.Kind == plan.KindInt64:
+		return updateNums(s, kind, v, v.Int64s, sel)
+	case v.Kind == plan.KindFloat64:
+		return updateNums(s, kind, v, v.Float64s, sel)
+	}
+	for _, i := range sel {
+		if err := s.updateAt(kind, v, i); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func updateNums[T int64 | float64](s *aggState, kind plan.AggKind, v *plan.Vector, data []T, sel []int) error {
+	if kind != plan.AggMin && kind != plan.AggMax {
+		for _, i := range sel {
+			if !v.Null(i) {
+				s.add(kind, float64(data[i]))
+			}
+		}
+		return nil
+	}
+	best := -1
+	for _, i := range sel {
+		if !v.Null(i) && (best < 0 || kind == plan.AggMin && float64(data[i]) < float64(data[best]) ||
+			kind == plan.AggMax && float64(data[i]) > float64(data[best])) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return nil
+	}
+	return s.updateAt(kind, v, best)
+}
+
+// add folds a non-NULL value, read as f, into a count, sum, avg or
+// stddev_samp.
+func (s *aggState) add(kind plan.AggKind, f float64) {
+	s.count++
+	switch kind {
+	case plan.AggSum, plan.AggAvg:
+		s.sum += f
+	case plan.AggStddevSamp:
+		d := f - s.sum
+		s.sum += d / float64(s.count)
+		s.m2 += d * (f - s.sum)
+	}
 }
 
 func (s *aggState) merge(kind plan.AggKind, o *aggState) error {
@@ -917,17 +1162,13 @@ func (s *aggState) merge(kind plan.AggKind, o *aggState) error {
 			return nil
 		}
 		n := float64(s.count + o.count)
-		d := o.mean - s.mean
+		d := o.sum - s.sum
 		s.m2 += o.m2 + d*d*float64(s.count)*float64(o.count)/n
-		s.mean += d * float64(o.count) / n
+		s.sum += d * float64(o.count) / n
 		s.count += o.count
-	case plan.AggMin:
-		if o.min != nil {
-			return s.update(plan.AggMin, o.min)
-		}
-	case plan.AggMax:
-		if o.max != nil {
-			return s.update(plan.AggMax, o.max)
+	case plan.AggMin, plan.AggMax:
+		if o.best != nil {
+			return s.update(kind, o.best)
 		}
 	}
 	return nil
@@ -954,10 +1195,8 @@ func (s *aggState) final(kind plan.AggKind) any {
 			return nil
 		}
 		return math.Sqrt(s.m2 / float64(s.count-1))
-	case plan.AggMin:
-		return s.min
-	case plan.AggMax:
-		return s.max
+	case plan.AggMin, plan.AggMax:
+		return s.best
 	}
 	return nil
 }
@@ -970,23 +1209,11 @@ func (a *accumulator) stateSize() int {
 
 // Execute implements PhysicalPlan.
 func (a *HashAggExec) Execute(ctx *Context) ([]plan.Row, error) {
-	// Phase 1: local partial aggregation. A hash-join child streams its
-	// rows into the fold; any other child is materialized first.
+	// Phase 1: local partial aggregation over the child's batches; a hash
+	// join streams them into the fold.
 	f := newGroupFold(a)
-	if src, ok := streamOf(a.Child); ok {
-		if err := src.stream(ctx, f.add); err != nil {
-			return nil, err
-		}
-	} else {
-		rows, err := a.Child.Execute(ctx)
-		if err != nil {
-			return nil, err
-		}
-		for _, r := range rows {
-			if err := f.add(r); err != nil {
-				return nil, err
-			}
-		}
+	if err := eachBatch(ctx, a.Child, f.add); err != nil {
+		return nil, err
 	}
 	// Phase 2: the partial states cross the exchange (metered shuffle).
 	m := ctx.meter()
@@ -1017,66 +1244,115 @@ func (a *HashAggExec) Execute(ctx *Context) ([]plan.Row, error) {
 	return out, nil
 }
 
-// groupFold folds rows into a HashAggExec's groups. Group values are
-// evaluated into one reused row and keyed through one reused buffer; only
-// a new group copies them, and its accumulator, values and states are
-// carved from chunked slabs. Groups are kept in first-seen input order, so
-// the output order never depends on map iteration. add keeps no part of
-// the row it is given, so a stream may reuse it.
+// groupFold folds batches into a HashAggExec's groups, reading group and
+// argument values from typed vectors. Groups are numbered through a
+// keyMap, int64-keyed when every group column is of an integer type, and
+// kept in first-seen input order, so the output order never depends on map
+// iteration. Only a new group boxes its values; its
+// accumulator, values and states are carved from chunked slabs.
 type groupFold struct {
 	a            *HashAggExec
-	partials     map[string]*accumulator
+	intKeyed     bool
+	keys         keyMap
 	groups       []*accumulator
 	shuffleBytes int64
-	vals         plan.Row
-	key          []byte
+	cols         []*plan.Vector // scratch: a batch's group columns
+	gids         []int32        // scratch: each row's group
 	accs         slab[accumulator]
 	groupVals    slab[any]
 	states       slab[aggState]
 }
 
 func newGroupFold(a *HashAggExec) *groupFold {
-	return &groupFold{a: a, partials: make(map[string]*accumulator), vals: make(plan.Row, len(a.GroupBy))}
+	intKeyed := len(a.GroupBy) <= maxIntKeys
+	for _, g := range a.GroupBy {
+		intKeyed = intKeyed && integer(g.Expr.Type())
+	}
+	return &groupFold{a: a, intKeyed: intKeyed}
 }
 
-// add folds row r into its group.
-func (f *groupFold) add(r plan.Row) error {
+// add folds batch b into its groups: each row's group is found first, then
+// each aggregate folds its argument column.
+func (f *groupFold) add(b *plan.Batch) error {
 	a := f.a
-	var err error
-	f.key = f.key[:0]
-	for i, g := range a.GroupBy {
-		if f.vals[i], err = g.Expr.Eval(r); err != nil {
+	if len(f.groups) == 0 {
+		// The first rows size the keys: they hold at most as many groups.
+		f.keys = newKeyMap(f.intKeyed, min(b.Len(), 1+len(a.GroupBy)*b.Len()))
+	}
+	var rows []plan.Row // b's rows, boxed only if an expression needs them
+	f.cols = f.cols[:0]
+	for _, g := range a.GroupBy {
+		v, err := exprVector(g.Expr, b, &rows)
+		if err != nil {
 			return err
 		}
-		f.key = appendKey(f.key, f.vals, []int{i})
+		f.cols = append(f.cols, v)
 	}
-	acc, ok := f.partials[string(f.key)]
-	if !ok {
-		acc = &f.accs.take(1)[0]
-		acc.groupVals = f.groupVals.take(len(f.vals))
-		copy(acc.groupVals, f.vals)
-		acc.states = f.states.take(len(a.Aggs))
-		f.partials[string(f.key)] = acc
-		f.groups = append(f.groups, acc)
-		f.shuffleBytes += int64(acc.stateSize())
+	f.gids = f.gids[:0]
+	for i := 0; i < b.Len(); i++ {
+		f.keys.load(f.cols, i)
+		g, seen := f.keys.lookup(true)
+		if !seen {
+			f.newGroup(i)
+		}
+		f.gids = append(f.gids, g)
 	}
-	for i, agg := range a.Aggs {
-		var v any = int64(1) // COUNT(*) counts rows
-		if agg.Arg != nil {
-			if v, err = agg.Arg.Eval(r); err != nil {
+	for k, agg := range a.Aggs {
+		if agg.Arg == nil {
+			if agg.Kind != plan.AggCount && b.Len() > 0 {
+				return fmt.Errorf("exec: %s requires an argument", agg.Kind)
+			}
+			for _, g := range f.gids {
+				f.groups[g].states[k].count++ // COUNT(*) counts rows
+			}
+			continue
+		}
+		v, err := exprVector(agg.Arg, b, &rows)
+		if err != nil {
+			return err
+		}
+		for i, g := range f.gids {
+			if err := f.groups[g].states[k].updateAt(agg.Kind, v, i); err != nil {
 				return err
 			}
-		} else if agg.Kind != plan.AggCount {
-			return fmt.Errorf("exec: %s requires an argument", agg.Kind)
-		}
-		if agg.Kind == plan.AggCount && agg.Arg != nil && v == nil {
-			continue // COUNT(col) skips NULLs
-		}
-		if err := acc.states[i].update(agg.Kind, v); err != nil {
-			return err
 		}
 	}
 	return nil
+}
+
+// newGroup opens the group of row i of the loaded group columns.
+func (f *groupFold) newGroup(i int) {
+	acc := &f.accs.take(1)[0]
+	acc.groupVals = f.groupVals.take(len(f.cols))
+	for c, v := range f.cols {
+		acc.groupVals[c], _ = v.Value(i)
+	}
+	acc.states = f.states.take(len(f.a.Aggs))
+	f.groups = append(f.groups, acc)
+	f.shuffleBytes += int64(acc.stateSize())
+}
+
+// exprVector returns e's value on each row of b: b's column for a column
+// reference, else e evaluated on b's rows (boxed into *rows once), boxed.
+func exprVector(e plan.Expr, b *plan.Batch, rows *[]plan.Row) (*plan.Vector, error) {
+	if c, ok := e.(*plan.ColumnRef); ok && c.Index() >= 0 {
+		return b.Cols[c.Index()], nil
+	}
+	if *rows == nil {
+		var err error
+		if *rows, err = b.AppendRows(nil); err != nil {
+			return nil, err
+		}
+	}
+	v := &plan.Vector{Kind: plan.KindAny, Typ: e.Type()}
+	for _, r := range *rows {
+		x, err := e.Eval(r)
+		if err != nil {
+			return nil, err
+		}
+		_ = v.Append(x) // a KindAny vector stores any value
+	}
+	return v, nil
 }
 
 // slab hands out short slices carved from chunks, so many small slices
@@ -1099,18 +1375,6 @@ func (s *slab[T]) take(n int) []T {
 	return out
 }
 
-// Explain renders the whole physical tree.
-func Explain(p PhysicalPlan) string {
-	var b strings.Builder
-	var walk func(PhysicalPlan, int)
-	walk = func(n PhysicalPlan, depth int) {
-		b.WriteString(strings.Repeat("  ", depth))
-		b.WriteString(n.Explain())
-		b.WriteByte('\n')
-		for _, c := range n.Children() {
-			walk(c, depth+1)
-		}
-	}
-	walk(p, 0)
-	return b.String()
-}
+// Explain renders the whole physical tree: ExplainAnalyzed, which adds
+// actuals only to instrumented operators.
+func Explain(p PhysicalPlan) string { return ExplainAnalyzed(p) }

@@ -274,12 +274,7 @@ func (p *PipelineExec) runPushed(tctx context.Context, as datasource.AggregateSc
 		if !pa.Has {
 			continue
 		}
-		best := boxBest(p.aggArgs[k].Type(), pa.Int, pa.Float, "")
-		if p.Aggs[k].Kind == plan.AggMin {
-			states[k].min = best
-		} else {
-			states[k].max = best
-		}
+		states[k].best = boxBest(p.aggArgs[k].Type(), pa.Int, pa.Float)
 	}
 	return states, true, nil
 }
@@ -291,7 +286,10 @@ func (p *PipelineExec) runPushed(tctx context.Context, as datasource.AggregateSc
 func (p *PipelineExec) runVector(tctx context.Context, m metrics.Meter, vs datasource.VectorScan, opts datasource.BatchOptions, tracker *limitTracker) ([]plan.Row, []aggState, error) {
 	prog := p.program()
 	opts.EagerColumns = prog.eager
-	aggs := p.vecAggs()
+	var states []aggState
+	if p.Aggs != nil {
+		states = make([]aggState, len(p.Aggs))
+	}
 	sc := plan.NewEvalScratch(p.Scan.OutSchema)
 	var selBuf []int
 	var out []plan.Row
@@ -299,7 +297,7 @@ func (p *PipelineExec) runVector(tctx context.Context, m metrics.Meter, vs datas
 		m.Inc(metrics.BatchesStreamed)
 		m.Inc(metrics.VectorBatches)
 		var batchBytes int64
-		if aggs == nil {
+		if states == nil {
 			// Rows output holds the batch until its survivors are kept:
 			// charge it like the materialized path, release it below.
 			batchBytes = b.MemSize()
@@ -314,10 +312,15 @@ func (p *PipelineExec) runVector(tctx context.Context, m metrics.Meter, vs datas
 				return err
 			}
 		}
-		if aggs != nil {
+		if states != nil {
 			m.Add(metrics.VectorRows, int64(len(sel)))
-			for k := range aggs {
-				if err := aggs[k].consume(b, sel); err != nil {
+			for k, agg := range p.Aggs {
+				c := p.aggArgs[k]
+				if c == nil {
+					states[k].count += int64(len(sel)) // COUNT(*)
+					continue
+				}
+				if err := states[k].updateSel(agg.Kind, b.Cols[c.Index()], sel); err != nil {
 					return err
 				}
 			}
@@ -355,10 +358,6 @@ func (p *PipelineExec) runVector(tctx context.Context, m metrics.Meter, vs datas
 	})
 	if err != nil {
 		return nil, nil, err
-	}
-	states := make([]aggState, len(aggs))
-	for k := range aggs {
-		states[k] = aggs[k].fold()
 	}
 	return out, states, nil
 }

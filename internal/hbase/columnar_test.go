@@ -330,3 +330,47 @@ func oneRowColumnarPages(t *testing.T) {
 		t.Errorf("coverage %+v: the cases must cover block pages, row-major pages and empty values", cov)
 	}
 }
+
+// TestUnboundedPageGrowsOnce: an unbounded columnar range page of 1,000
+// rows allocates its block array at most twice — the first array and one
+// grow to the rows its op is projected to return — where doubling from 64
+// rows would allocate it five times. Its allocations beyond those of a page
+// that fits the first array are the grows.
+func TestUnboundedPageGrowsOnce(t *testing.T) {
+	c, err := NewCluster(ClusterConfig{Name: "grow", NumServers: 1, Meter: metrics.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := c.NewClient()
+	defer client.Close()
+	if err := client.CreateTable(TableDescriptor{Name: "t", Families: []string{"a"}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	var cells []Cell
+	for i := 0; i < 1000; i++ {
+		for _, q := range []string{"x", "y", "z"} {
+			cells = append(cells, Cell{Row: []byte(fmt.Sprintf("r%04d", i)), Family: "a", Qualifier: q, Timestamp: 1, Type: TypePut, Value: []byte(q)})
+		}
+	}
+	if err := client.Put("t", cells); err != nil {
+		t.Fatal(err)
+	}
+	rs := c.Servers[0]
+	r := rs.Regions()[0]
+	r.Flush()
+	allocs := func(stop string) float64 {
+		info := r.Info()
+		m := FusedRequest{Columnar: true, Ops: []ScanOp{{RegionID: info.ID, Epoch: info.Epoch,
+			Scan: &Scan{StopRow: []byte(stop)}}}}
+		return testing.AllocsPerRun(20, func() {
+			resp, err := rs.fusedPage(context.Background(), &m)
+			if err != nil || resp.Block == nil {
+				t.Fatalf("page: %v", err)
+			}
+		})
+	}
+	small, large := allocs("r0050"), allocs("r9999")
+	if large-small > 1 {
+		t.Errorf("a 1,000-row page makes %.0f allocations, a 50-row page %.0f: its block array grew %.0f times, want at most once", large, small, large-small)
+	}
+}

@@ -16,9 +16,10 @@ var emptyValue = []byte{}
 // values share one backing array, vals, in stripes of rowCap entries:
 // stripe 0 holds the row keys, stripe j+1 column j's values, nil (absent)
 // until a cell is cut there. vals has a stripe for each column cols has
-// room for. A row past rowCap doubles rowCap, a column past cap(cols)
-// doubles it, each by one copy into a new array, so a page pads no absent
-// cell and allocates a logarithmic number of arrays.
+// room for. A range op's first row past rowCap grows rowCap to the rows the
+// op is projected to return (Region.cutRows); any later one doubles it, and
+// a column past cap(cols) doubles that, each by one copy into a new array,
+// so a page pads no absent cell and allocates few arrays.
 type blockCut struct {
 	on        bool
 	hint      int // rows the first array holds

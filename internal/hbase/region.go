@@ -591,8 +591,21 @@ func (s *Scan) WireSize() int {
 // can stay on its stack.
 func (r *Region) cutRows(s *Scan, k keys, b *binding, m metrics.Meter, cut *blockCut, out []Result) ([]Result, int) {
 	var rows, cells int64
-	r.visitScan(s, k, b, m, func(row []Cell, ids []colID) bool {
+	projected := k.point
+	r.visitScan(s, k, b, m, func(row []Cell, ids []colID, scanned, left int) bool {
 		if cut != nil && cut.on {
+			if !projected && cut.vals != nil && cut.n == cut.rowCap {
+				// The page's first overflow in a range op grows it once, to
+				// the rows cut so far plus this one and the rows the op has
+				// left, scaled by the share of its visited rows kept, and
+				// within its limit. It doubles only past that.
+				projected = true
+				want := cut.n + 1 + left*int(rows+1)/scanned
+				if s.Limit > 0 {
+					want = min(want, cut.n+s.Limit-int(rows))
+				}
+				cut.grow(max(want, 2*cut.rowCap), cap(cut.cols))
+			}
 			cells += int64(cut.add(row, ids, b))
 		} else {
 			res := b.result(row, ids)
@@ -612,7 +625,7 @@ func (r *Region) cutRows(s *Scan, k keys, b *binding, m metrics.Meter, cut *bloc
 // when set. It returns the fold's decode error, if any.
 func (r *Region) foldScan(s *Scan, k keys, b *binding, m metrics.Meter) error {
 	n := 0
-	r.visitScan(s, k, b, m, func(row []Cell, ids []colID) bool {
+	r.visitScan(s, k, b, m, func(row []Cell, ids []colID, _, _ int) bool {
 		n++
 		return b.fold.add(row, ids, b.slots()) && (s.Limit <= 0 || n < s.Limit)
 	})
@@ -624,9 +637,10 @@ func (r *Region) foldScan(s *Scan, k keys, b *binding, m metrics.Meter) error {
 // bounds — binds b to the dictionary the rows' column ids come from, and
 // calls visit with the full resolved cells and ids of each row that holds a
 // projected cell and passes s.Filter, in row order, until visit returns
-// false. The cells are valid only during the call. It meters rows and
-// cells scanned; what a row turns into is the caller's business.
-func (r *Region) visitScan(s *Scan, k keys, b *binding, m metrics.Meter, visit func(row []Cell, ids []colID) bool) {
+// false, with the rows visited so far (this one too) and the rows the
+// cursor has left. The cells are valid only during the call. It meters
+// rows and cells scanned; what a row turns into is the caller's business.
+func (r *Region) visitScan(s *Scan, k keys, b *binding, m metrics.Meter, visit func(row []Cell, ids []colID, scanned, left int) bool) {
 	var rows rowCursor
 	r.openCursor(&rows, s, k)
 	b.bind(rows.dict, rows.ncols)
@@ -648,7 +662,7 @@ func (r *Region) visitScan(s *Scan, k keys, b *binding, m metrics.Meter, visit f
 				continue
 			}
 		}
-		if !visit(row, ids) {
+		if !visit(row, ids, int(rowsScanned), rows.left()) {
 			break
 		}
 	}
@@ -772,6 +786,10 @@ type rowCursor struct {
 	cells []Cell
 	ids   []colID
 }
+
+// left reports how many rows the cursor may still return: its clean run's
+// and its dirty rows.
+func (c *rowCursor) left() int { return max(len(c.clean.rows)-1, 0) + len(c.dirty) }
 
 // next returns the cells of the next row with a visible cell and their
 // column ids, or nil when the cursor is exhausted. A clean row is a

@@ -1,6 +1,9 @@
 package plan
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // VecKind is the physical storage class of a Vector. Several catalog types
 // share one storage class (every integer width and timestamps ride in
@@ -276,6 +279,73 @@ func (v *Vector) Str(i int) (string, bool, error) {
 	return s, true, nil
 }
 
+// Grow makes room for n more entries without reallocating.
+func (v *Vector) Grow(n int) {
+	switch v.Kind {
+	case KindInt64:
+		v.Int64s = slices.Grow(v.Int64s, n)
+	case KindFloat64:
+		v.Float64s = slices.Grow(v.Float64s, n)
+	case KindString:
+		v.Strings = slices.Grow(v.Strings, n)
+	}
+}
+
+// Gather returns a new vector of v's entries at idx, in order; an index
+// below zero gathers NULL.
+func (v *Vector) Gather(idx []int32) *Vector {
+	out := &Vector{Kind: v.Kind, Typ: v.Typ, Decode: v.Decode, n: len(idx),
+		Int64s: gather(v.Int64s, idx), Float64s: gather(v.Float64s, idx), Strings: gather(v.Strings, idx),
+		Bools: gather(v.Bools, idx), Bytes: gather(v.Bytes, idx), Anys: gather(v.Anys, idx), Raw: gather(v.Raw, idx)}
+	for k, i := range idx {
+		if i < 0 || v.Null(int(i)) {
+			out.setNull(k)
+		}
+	}
+	return out
+}
+
+// gather returns src's entries at idx, the zero value at an index below
+// zero; nil for a storage slice the vector does not use.
+func gather[T any](src []T, idx []int32) []T {
+	if src == nil {
+		return nil
+	}
+	out := make([]T, len(idx))
+	for k, i := range idx {
+		if i >= 0 {
+			out[k] = src[i]
+		}
+	}
+	return out
+}
+
+// rowBytes is the sum of RowSize over v's entries, each boxed only where
+// its kind does not give its size: a fixed-width kind's entries all size
+// as its first one does.
+func (v *Vector) rowBytes() int64 {
+	var n, width int64
+	fixed := v.Kind == KindInt64 || v.Kind == KindFloat64 || v.Kind == KindBool
+	for i := 0; i < v.n; i++ {
+		switch {
+		case v.Null(i):
+			n++
+		case v.Kind == KindString:
+			n += int64(len(v.Strings[i]))
+		case fixed && width > 0:
+			n += width
+		default:
+			x, _ := v.Value(i)
+			size := int64(RowSize(Row{x}))
+			if fixed {
+				width = size
+			}
+			n += size
+		}
+	}
+	return n
+}
+
 // MemSize approximates the vector's decoded bytes for memory metering.
 func (v *Vector) MemSize() int64 {
 	switch v.Kind {
@@ -317,6 +387,7 @@ type Batch struct {
 	Schema Schema
 	Cols   []*Vector
 	n      int
+	rows   []Row // a BoxedBatch's rows, which AppendRows hands back as they are
 }
 
 // NewBatch returns an empty batch with one eager vector per field.
@@ -364,6 +435,87 @@ func (b *Batch) MaterializeRow(i int) (Row, error) {
 		r[j] = v
 	}
 	return r, nil
+}
+
+// BoxedBatch returns rows as a batch of schema whose vectors hold the
+// rows' own values, boxed (KindAny): Value gives back exactly what the
+// row held, whatever the schema says of it.
+func BoxedBatch(schema Schema, rows []Row) *Batch {
+	b := &Batch{Schema: schema, Cols: make([]*Vector, len(schema)), n: len(rows), rows: rows}
+	for j, f := range schema {
+		v := &Vector{Kind: KindAny, Typ: f.Type, Anys: make([]any, len(rows)), n: len(rows)}
+		for i, r := range rows {
+			if v.Anys[i] = r[j]; r[j] == nil {
+				v.setNull(i)
+			}
+		}
+		b.Cols[j] = v
+	}
+	return b
+}
+
+// Concat returns the rows of bs, in order, as one batch of schema: bs[0]
+// itself when it is the only one. Typed batches give a typed batch; boxed
+// ones, or values a typed vector cannot store, a boxed batch.
+func Concat(schema Schema, bs []*Batch) (*Batch, error) {
+	if len(bs) == 1 {
+		return bs[0], nil
+	}
+	var rows []Row
+	for _, b := range bs {
+		var err error
+		if rows, err = b.AppendRows(rows); err != nil {
+			return nil, err
+		}
+	}
+	out := NewBatch(schema)
+	boxed := len(bs) == 0 || slices.ContainsFunc(bs[0].Cols, func(v *Vector) bool { return v.Kind == KindAny })
+	for _, r := range rows {
+		if boxed || out.AppendRow(r) != nil {
+			return BoxedBatch(schema, rows), nil
+		}
+	}
+	return out, nil
+}
+
+// Grow makes room in every vector for n more rows.
+func (b *Batch) Grow(n int) {
+	for _, c := range b.Cols {
+		c.Grow(n)
+	}
+}
+
+// AppendRows appends b's rows to dst: a BoxedBatch's own rows, any other
+// batch's boxed into one slab.
+func (b *Batch) AppendRows(dst []Row) ([]Row, error) {
+	if b.rows != nil {
+		return append(dst, b.rows...), nil
+	}
+	w := len(b.Cols)
+	slab := make([]any, b.n*w)
+	for j, c := range b.Cols {
+		for i := 0; i < b.n; i++ {
+			v, err := c.Value(i)
+			if err != nil {
+				return nil, err
+			}
+			slab[i*w+j] = v
+		}
+	}
+	for i := 0; i < b.n; i++ {
+		dst = append(dst, slab[i*w:(i+1)*w:(i+1)*w])
+	}
+	return dst, nil
+}
+
+// RowBytes is the sum of RowSize over b's rows, computed without boxing
+// them.
+func (b *Batch) RowBytes() int64 {
+	var n int64
+	for _, c := range b.Cols {
+		n += c.rowBytes()
+	}
+	return n
 }
 
 // MemSize approximates the batch's decoded bytes for memory metering.
