@@ -1276,7 +1276,8 @@ func newGroupFold(a *HashAggExec) *groupFold {
 func (f *groupFold) add(b *plan.Batch) error {
 	a := f.a
 	if len(f.groups) == 0 {
-		// The first rows size the keys: they hold at most as many groups.
+		// The first rows size the keys: they hold at most as many groups,
+		// and a global aggregate's one.
 		f.keys = newKeyMap(f.intKeyed, min(b.Len(), 1+len(a.GroupBy)*b.Len()))
 	}
 	var rows []plan.Row // b's rows, boxed only if an expression needs them
