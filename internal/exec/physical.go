@@ -86,7 +86,7 @@ func (s *ScanExec) Explain() string {
 
 // Execute implements PhysicalPlan: the scan's batches as rows.
 func (s *ScanExec) Execute(ctx *Context) ([]plan.Row, error) {
-	return rowsOf(ctx, s)
+	return rowsOf(func(emit func(*plan.Batch) error) error { return s.batches(ctx, emit) })
 }
 
 // batches implements batchStream: one task per partition, placed on the
@@ -126,20 +126,19 @@ func (s *ScanExec) batches(ctx *Context, emit func(*plan.Batch) error) error {
 	if err := ctx.Scheduler.RunContext(ctx.ctx(), tasks); err != nil {
 		return err
 	}
-	for _, bs := range results {
-		for _, b := range bs {
-			if err := emit(b); err != nil {
-				return err
-			}
+	var err error
+	for _, b := range slices.Concat(results...) {
+		if err = emit(b); err != nil {
+			break
 		}
 	}
-	return nil
+	return err
 }
 
-// rowsOf materializes an operator's batches as rows.
-func rowsOf(ctx *Context, s batchStream) ([]plan.Row, error) {
+// rowsOf materializes the batches run emits as rows.
+func rowsOf(run func(emit func(*plan.Batch) error) error) ([]plan.Row, error) {
 	var out []plan.Row
-	err := s.batches(ctx, func(b *plan.Batch) error {
+	err := run(func(b *plan.Batch) error {
 		var err error
 		out, err = b.AppendRows(out)
 		return err
@@ -305,17 +304,10 @@ func appendValue(dst []byte, v any) []byte {
 // every integer width, and any other value (the string "7", say) that
 // renders as a canonical integer. ok is false for any other value.
 func intKey(v any) (k int64, ok bool) {
-	switch x := v.(type) {
-	case int64:
-		return x, true
-	case int32:
-		return int64(x), true
-	case int:
-		return int64(x), true
-	case int16:
-		return int64(x), true
-	case int8:
-		return int64(x), true
+	if _, f := v.(float64); !f {
+		if k, ok := plan.ToInt(v); ok {
+			return k, true
+		}
 	}
 	var scratch, canon [32]byte
 	r := appendValue(scratch[:0], v)
@@ -528,9 +520,10 @@ func (j *HashJoinExec) Explain() string {
 	return fmt.Sprintf("HashJoinExec[%s] %s", j.Type, strings.Join(parts, " AND "))
 }
 
-// Execute implements PhysicalPlan: the joined batches as rows.
+// Execute implements PhysicalPlan: the join's output as rows, which it
+// carves straight from its inputs (prober.joinRows).
 func (j *HashJoinExec) Execute(ctx *Context) ([]plan.Row, error) {
-	return rowsOf(ctx, j)
+	return rowsOf(func(emit func(*plan.Batch) error) error { return j.run(ctx, true, emit) })
 }
 
 // batchStream is a scan or a hash join, instrumented or not: an operator
@@ -554,54 +547,49 @@ func isHashJoin(p PhysicalPlan) bool {
 	return ok
 }
 
-// eachBatch hands p's output to fn batch by batch: a scan's and a hash
-// join's own batches, any other operator's rows boxed into one. A hash join
-// streams its batches into fn, so fn runs inside its span; any other
-// output is collected first.
+// eachBatch hands p's output to fn batch by batch (collectBatches). A
+// hash join streams its batches into fn, so fn runs inside its span; any
+// other output is collected first.
 func eachBatch(ctx *Context, p PhysicalPlan, fn func(*plan.Batch) error) error {
-	var bs []*plan.Batch
-	switch operator(p).(type) {
-	case *HashJoinExec:
+	if isHashJoin(p) {
 		return p.(batchStream).batches(ctx, fn)
-	case *ScanExec:
-		if err := p.(batchStream).batches(ctx, func(b *plan.Batch) error {
-			bs = append(bs, b)
-			return nil
-		}); err != nil {
-			return err
-		}
-	default:
-		rows, err := p.Execute(ctx)
-		if err != nil {
-			return err
-		}
-		bs = []*plan.Batch{plan.BoxedBatch(p.Schema(), rows)}
 	}
-	for _, b := range bs {
-		if err := fn(b); err != nil {
-			return err
-		}
+	bs, err := collectBatches(ctx, p)
+	for i := 0; err == nil && i < len(bs); i++ {
+		err = fn(bs[i])
 	}
-	return nil
+	return err
 }
 
-// collectBatches returns p's whole output as batches (eachBatch).
+// collectBatches returns p's whole output as batches: a scan's and a hash
+// join's own, any other operator's rows boxed into one.
 func collectBatches(ctx *Context, p PhysicalPlan) ([]*plan.Batch, error) {
-	var out []*plan.Batch
-	err := eachBatch(ctx, p, func(b *plan.Batch) error {
-		out = append(out, b)
-		return nil
-	})
-	return out, err
+	switch operator(p).(type) {
+	case *HashJoinExec, *ScanExec:
+		var out []*plan.Batch
+		err := p.(batchStream).batches(ctx, func(b *plan.Batch) error {
+			out = append(out, b)
+			return nil
+		})
+		return out, err
+	}
+	rows, err := p.Execute(ctx)
+	return []*plan.Batch{plan.BoxedBatch(p.Schema(), rows)}, err
 }
 
-// batches implements batchStream on the caller's goroutine. A child that
+// batches implements batchStream.
+func (j *HashJoinExec) batches(ctx *Context, emit func(*plan.Batch) error) error {
+	return j.run(ctx, false, emit)
+}
+
+// run joins on the caller's goroutine, emitting batches of rows when rows
+// is set (the consumer reads rows) and of vectors otherwise. A child that
 // is itself a hash join is the probe side and streams into it — for a
 // left-outer join only the left child may, since the left side is the one
 // NULL-extended — and the other child is built. When neither child
 // streams, both are collected, and an inner join builds on whichever side
 // turned out smaller.
-func (j *HashJoinExec) batches(ctx *Context, emit func(*plan.Batch) error) error {
+func (j *HashJoinExec) run(ctx *Context, rows bool, emit func(*plan.Batch) error) error {
 	lKey, rKey := keyIndexes(j.LeftKeys), keyIndexes(j.RightKeys)
 	if lKey == nil || rKey == nil {
 		return fmt.Errorf("exec: join keys must be resolved column references")
@@ -612,20 +600,19 @@ func (j *HashJoinExec) batches(ctx *Context, emit func(*plan.Batch) error) error
 	var left, right []*plan.Batch
 	var err error
 	if !streamLeft {
-		if left, err = collectBatches(ctx, j.Left); err != nil {
-			return err
-		}
+		left, err = collectBatches(ctx, j.Left)
 	}
-	if !streamRight {
-		if right, err = collectBatches(ctx, j.Right); err != nil {
-			return err
-		}
+	if err == nil && !streamRight {
+		right, err = collectBatches(ctx, j.Right)
+	}
+	if err != nil {
+		return err
 	}
 	intKeyed := len(lKey) <= maxIntKeys
 	for k := range lKey {
 		intKeyed = intKeyed && integer(lSchema[lKey[k]].Type) && integer(rSchema[rKey[k]].Type)
 	}
-	pr := &prober{key: lKey, outer: j.Type == plan.LeftOuterJoin, schema: j.OutSchema}
+	pr := &prober{key: lKey, outer: j.Type == plan.LeftOuterJoin, rows: rows, schema: j.OutSchema}
 	probe, build, bKey, bSchema := left, right, rKey, rSchema
 	if streamRight || !streamLeft && j.Type == plan.InnerJoin && batchRows(left) < batchRows(right) {
 		probe, build, bKey, bSchema = right, left, lKey, lSchema
@@ -641,10 +628,11 @@ func (j *HashJoinExec) batches(ctx *Context, emit func(*plan.Batch) error) error
 	m.Add(metrics.ShuffleBytes, b.RowBytes())
 	m.Add(metrics.ShuffleRecords, int64(b.Len()))
 	each := func(pb *plan.Batch) error {
-		if out := pr.join(pb); out.Len() > 0 {
-			return emit(out)
+		out, err := pr.join(pb)
+		if err != nil || out.Len() == 0 {
+			return err
 		}
-		return nil
+		return emit(out)
 	}
 	switch {
 	case streamLeft:
@@ -652,12 +640,10 @@ func (j *HashJoinExec) batches(ctx *Context, emit func(*plan.Batch) error) error
 	case streamRight:
 		return j.Right.(batchStream).batches(ctx, each)
 	}
-	for _, pb := range probe {
-		if err := each(pb); err != nil {
-			return err
-		}
+	for i := 0; err == nil && i < len(probe); i++ {
+		err = each(probe[i])
 	}
-	return nil
+	return err
 }
 
 // batchRows counts the rows of bs.
@@ -680,18 +666,14 @@ func keyCols(dst []*plan.Vector, b *plan.Batch, idx []int) []*plan.Vector {
 
 // joinTable is a hash join's build side: a batch whose rows are grouped by
 // key, each group's row indexes contiguous and in build order. Rows with a
-// NULL key are left out — SQL NULL keys never match. A single integer key
-// whose values span a range at most a few times their count — a dimension's
-// surrogate keys — is also indexed directly: dense[k-lo] is k's group plus
-// one, 0 for none.
+// NULL key are left out — SQL NULL keys never match.
 type joinTable struct {
 	keys  keyMap         // key → group
 	cols  []*plan.Vector // scratch: a probe batch's key columns
 	start []int32        // group g's rows are rows[start[g]:start[g+1]]
 	rows  []int32
 	batch *plan.Batch
-	dense []int32
-	lo    int64
+	boxed []plan.Row // batch's rows, boxed when a probe batch of rows first needs them
 }
 
 // buildTable groups b's rows by their key at idx, in an int64-keyed table
@@ -705,18 +687,6 @@ func buildTable(b *plan.Batch, idx []int, intKeyed bool) *joinTable {
 		if !hasNull(cols, i) {
 			t.keys.load(cols, i)
 			gid[i], _ = t.keys.lookup(true)
-		}
-	}
-	if e := t.keys.entries; len(idx) == 1 && len(e) > 0 && len(t.keys.strs) == 0 {
-		lo, hi := e[0].key.vals[0], e[0].key.vals[0]
-		for _, x := range e {
-			lo, hi = min(lo, x.key.vals[0]), max(hi, x.key.vals[0])
-		}
-		if uint64(hi-lo) < uint64(4*len(e)+64) {
-			t.lo, t.dense = lo, make([]int32, hi-lo+1)
-			for _, x := range e {
-				t.dense[x.key.vals[0]-lo] = x.g + 1
-			}
 		}
 	}
 	// A counting sort by group keeps each group's rows contiguous and in
@@ -744,13 +714,7 @@ func buildTable(b *plan.Batch, idx []int, intKeyed bool) *joinTable {
 
 // find returns the group row i's key over cols falls in, or -1 for none.
 func (t *joinTable) find(cols []*plan.Vector, i int) int32 {
-	switch {
-	case hasNull(cols, i):
-		return -1
-	case t.dense != nil && cols[0].Kind == plan.KindInt64:
-		if k := uint64(cols[0].Int64s[i] - t.lo); k < uint64(len(t.dense)) {
-			return t.dense[k] - 1
-		}
+	if hasNull(cols, i) {
 		return -1
 	}
 	t.keys.load(cols, i)
@@ -764,6 +728,7 @@ type prober struct {
 	key       []int // the probe side's key columns
 	outer     bool  // left-outer: NULL-extend unmatched probe rows
 	buildLeft bool  // the build side is the join's left input
+	rows      bool  // emit rows (joinRows), not vectors
 	schema    plan.Schema
 	// Scratch: each probe row's group, then the probe and build row of
 	// each output row.
@@ -773,8 +738,9 @@ type prober struct {
 // join returns probe batch pb joined: each row once per build row its key
 // matches, in order, with an unmatched row of a left-outer join
 // NULL-extended. Where every row matches exactly one build row, pb's
-// vectors are the output's as they are.
-func (p *prober) join(pb *plan.Batch) *plan.Batch {
+// vectors are the output's as they are. A prober that emits rows joins
+// into rows (joinRows).
+func (p *prober) join(pb *plan.Batch) (*plan.Batch, error) {
 	t := p.table
 	t.cols = keyCols(t.cols, pb, p.key)
 	gs := slices.Grow(p.groups[:0], pb.Len())[:pb.Len()]
@@ -793,13 +759,14 @@ func (p *prober) join(pb *plan.Batch) *plan.Batch {
 			same = false
 		}
 	}
-	probed, bi := pb.Cols, gs
+	var pi, bi []int32 // pi nil: the probe rows in order
 	if same {
+		bi = gs
 		for i, g := range gs {
 			bi[i] = t.rows[t.start[g]]
 		}
 	} else {
-		pi := slices.Grow(p.probeIdx[:0], n)
+		pi = slices.Grow(p.probeIdx[:0], n)
 		bi = slices.Grow(p.buildIdx[:0], n)
 		for i, g := range gs {
 			switch {
@@ -812,6 +779,12 @@ func (p *prober) join(pb *plan.Batch) *plan.Batch {
 			}
 		}
 		p.probeIdx, p.buildIdx = pi, bi
+	}
+	if p.rows {
+		return p.joinRows(pb, pi, bi)
+	}
+	probed := pb.Cols
+	if pi != nil {
 		probed = make([]*plan.Vector, len(pb.Cols))
 		for c, v := range pb.Cols {
 			probed[c] = v.Gather(pi)
@@ -829,7 +802,41 @@ func (p *prober) join(pb *plan.Batch) *plan.Batch {
 	}
 	out := &plan.Batch{Schema: p.schema, Cols: cols}
 	out.SetLen(n)
-	return out
+	return out, nil
+}
+
+// joinRows returns pb joined as rows: output row k is probe row pi[k] (row
+// k when pi is nil) beside build row bi[k], NULLs for -1, in the schema's
+// order, all carved from one slab. Rows are copied from a BoxedBatch as
+// they are, and boxed from any other batch.
+func (p *prober) joinRows(pb *plan.Batch, pi, bi []int32) (*plan.Batch, error) {
+	t := p.table
+	probe, err := pb.AppendRows(nil)
+	if err == nil && t.boxed == nil {
+		t.boxed, err = t.batch.AppendRows(nil)
+	}
+	if err != nil {
+		return nil, err
+	}
+	w, pw := len(p.schema), len(pb.Cols)
+	po, bo := 0, pw // where the probe and the build values go
+	if p.buildLeft {
+		po, bo = w-pw, 0
+	}
+	slab := make([]any, len(bi)*w)
+	rows := make([]plan.Row, len(bi))
+	for k, b := range bi {
+		r, i := slab[k*w:(k+1)*w:(k+1)*w], k
+		if pi != nil {
+			i = int(pi[k])
+		}
+		copy(r[po:po+pw], probe[i])
+		if b >= 0 {
+			copy(r[bo:bo+w-pw], t.boxed[b])
+		}
+		rows[k] = r
+	}
+	return plan.BoxedBatch(p.schema, rows), nil
 }
 
 func keyIndexes(keys []plan.Expr) []int {
@@ -1103,18 +1110,14 @@ func (s *aggState) updateSel(kind plan.AggKind, v *plan.Vector, sel []int) error
 }
 
 func updateNums[T int64 | float64](s *aggState, kind plan.AggKind, v *plan.Vector, data []T, sel []int) error {
-	if kind != plan.AggMin && kind != plan.AggMax {
-		for _, i := range sel {
-			if !v.Null(i) {
-				s.add(kind, float64(data[i]))
-			}
-		}
-		return nil
-	}
-	best := -1
+	extreme, best := kind == plan.AggMin || kind == plan.AggMax, -1
 	for _, i := range sel {
-		if !v.Null(i) && (best < 0 || kind == plan.AggMin && float64(data[i]) < float64(data[best]) ||
-			kind == plan.AggMax && float64(data[i]) > float64(data[best])) {
+		switch {
+		case v.Null(i):
+		case !extreme:
+			s.add(kind, float64(data[i]))
+		case best < 0 || kind == plan.AggMin && float64(data[i]) < float64(data[best]) ||
+			kind == plan.AggMax && float64(data[i]) > float64(data[best]):
 			best = i
 		}
 	}
@@ -1220,7 +1223,10 @@ func (a *HashAggExec) Execute(ctx *Context) ([]plan.Row, error) {
 	m.Add(metrics.ShuffleBytes, f.shuffleBytes)
 	m.Add(metrics.ShuffleRecords, int64(len(f.groups)))
 	// Phase 3: finalize on the caller, every output row carved from one
-	// slab.
+	// slab. A global aggregate over no rows still makes one row.
+	if len(a.GroupBy) == 0 && len(f.groups) == 0 {
+		f.newGroup(0)
+	}
 	w := len(a.GroupBy) + len(a.Aggs)
 	slab := make([]any, len(f.groups)*w)
 	out := make([]plan.Row, len(f.groups))
@@ -1231,15 +1237,6 @@ func (a *HashAggExec) Execute(ctx *Context) ([]plan.Row, error) {
 			row[len(a.GroupBy)+i] = acc.states[i].final(agg.Kind)
 		}
 		out[g] = row
-	}
-	// Global aggregates over an empty input still produce one row.
-	if len(a.GroupBy) == 0 && len(out) == 0 {
-		row := make(plan.Row, len(a.Aggs))
-		for i, agg := range a.Aggs {
-			var s aggState
-			row[i] = s.final(agg.Kind)
-		}
-		out = append(out, row)
 	}
 	return out, nil
 }

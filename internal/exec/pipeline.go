@@ -254,8 +254,8 @@ func (p *PipelineExec) runPartition(tctx context.Context, ctx *Context, part dat
 // runPushed has the source fold the partition's rows into partial
 // aggregates where the data lives (no residual predicate remains). The
 // partials become the same states the vector fold would have produced:
-// extremes box through boxBest, so answers are byte-identical. ok=false
-// means the source declined.
+// extremes box as their column's type (plan.CoerceLiteral), so answers
+// are byte-identical. ok=false means the source declined.
 func (p *PipelineExec) runPushed(tctx context.Context, as datasource.AggregateScan) ([]aggState, bool, error) {
 	aggs := make([]datasource.Aggregate, len(p.Aggs))
 	for k, agg := range p.Aggs {
@@ -274,7 +274,11 @@ func (p *PipelineExec) runPushed(tctx context.Context, as datasource.AggregateSc
 		if !pa.Has {
 			continue
 		}
-		states[k].best = boxBest(p.aggArgs[k].Type(), pa.Int, pa.Float)
+		best, t := any(pa.Float), p.aggArgs[k].Type()
+		if plan.KindOf(t) == plan.KindInt64 {
+			best = pa.Int
+		}
+		states[k].best, _ = plan.CoerceLiteral(best, t)
 	}
 	return states, true, nil
 }

@@ -67,25 +67,3 @@ func eagerColumns(schema plan.Schema, cond plan.Expr, extra []*plan.ColumnRef) [
 	}
 	return out
 }
-
-// boxBest restores the exact Go representation of a typed extreme.
-func boxBest(t plan.DataType, i int64, f float64) any {
-	switch plan.KindOf(t) {
-	case plan.KindInt64:
-		switch t {
-		case plan.TypeInt8:
-			return int8(i)
-		case plan.TypeInt16:
-			return int16(i)
-		case plan.TypeInt32:
-			return int32(i)
-		}
-		return i
-	case plan.KindFloat64:
-		if t == plan.TypeFloat32 {
-			return float32(f)
-		}
-		return f
-	}
-	return nil
-}

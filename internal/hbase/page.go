@@ -53,7 +53,7 @@ func (c *blockCut) columnar(m *FusedRequest, r *Region) {
 func (c *blockCut) add(row []Cell, ids []colID, b *binding) int {
 	if c.vals == nil {
 		c.grow(c.hint, b.kept(ids))
-	} else if c.n == c.rowCap {
+	} else if c.full() {
 		c.grow(2*c.rowCap, cap(c.cols))
 	}
 	kept := 0
@@ -78,6 +78,10 @@ func (c *blockCut) add(row []Cell, ids []colID, b *binding) int {
 	c.n++
 	return kept
 }
+
+// full reports whether the block holds an array and every row of it is
+// cut, so the next row grows it.
+func (c *blockCut) full() bool { return c.vals != nil && c.n == c.rowCap }
 
 // column returns the block column of cell's family and qualifier, adding
 // it when the block has none.

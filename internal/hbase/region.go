@@ -591,22 +591,24 @@ func (s *Scan) WireSize() int {
 // can stay on its stack.
 func (r *Region) cutRows(s *Scan, k keys, b *binding, m metrics.Meter, cut *blockCut, out []Result) ([]Result, int) {
 	var rows, cells int64
-	projected := k.point
-	r.visitScan(s, k, b, m, func(row []Cell, ids []colID, scanned, left int) bool {
+	// A range op's first row past a full page grows it once, to the rows
+	// cut so far plus this one and the rows the op has left, scaled by the
+	// share of its visited rows kept, and within its limit. It doubles only
+	// past that. The cursor is asked for its rows left only then.
+	project := !k.point && cut != nil && cut.on
+	at := scanProgress{want: project && cut.full()}
+	r.visitScan(s, k, b, m, &at, func(row []Cell, ids []colID) bool {
 		if cut != nil && cut.on {
-			if !projected && cut.vals != nil && cut.n == cut.rowCap {
-				// The page's first overflow in a range op grows it once, to
-				// the rows cut so far plus this one and the rows the op has
-				// left, scaled by the share of its visited rows kept, and
-				// within its limit. It doubles only past that.
-				projected = true
-				want := cut.n + 1 + left*int(rows+1)/scanned
+			if at.want {
+				project, at.want = false, false
+				want := cut.n + 1 + at.left*int(rows+1)/at.scanned
 				if s.Limit > 0 {
 					want = min(want, cut.n+s.Limit-int(rows))
 				}
 				cut.grow(max(want, 2*cut.rowCap), cap(cut.cols))
 			}
 			cells += int64(cut.add(row, ids, b))
+			at.want = project && cut.full()
 		} else {
 			res := b.result(row, ids)
 			cells += int64(len(res.Cells))
@@ -625,11 +627,19 @@ func (r *Region) cutRows(s *Scan, k keys, b *binding, m metrics.Meter, cut *bloc
 // when set. It returns the fold's decode error, if any.
 func (r *Region) foldScan(s *Scan, k keys, b *binding, m metrics.Meter) error {
 	n := 0
-	r.visitScan(s, k, b, m, func(row []Cell, ids []colID, _, _ int) bool {
+	r.visitScan(s, k, b, m, nil, func(row []Cell, ids []colID) bool {
 		n++
 		return b.fold.add(row, ids, b.slots()) && (s.Limit <= 0 || n < s.Limit)
 	})
 	return b.fold.err
+}
+
+// scanProgress is what visitScan reports to a visit that asks for it
+// (want) before its next call: the rows visited by then, that one too, and
+// the rows the cursor has left.
+type scanProgress struct {
+	want          bool
+	scanned, left int
 }
 
 // visitScan is the region's row visitor: it resolves the rows of s in this
@@ -637,10 +647,10 @@ func (r *Region) foldScan(s *Scan, k keys, b *binding, m metrics.Meter) error {
 // bounds — binds b to the dictionary the rows' column ids come from, and
 // calls visit with the full resolved cells and ids of each row that holds a
 // projected cell and passes s.Filter, in row order, until visit returns
-// false, with the rows visited so far (this one too) and the rows the
-// cursor has left. The cells are valid only during the call. It meters
-// rows and cells scanned; what a row turns into is the caller's business.
-func (r *Region) visitScan(s *Scan, k keys, b *binding, m metrics.Meter, visit func(row []Cell, ids []colID, scanned, left int) bool) {
+// false, filling at first when it is set and wants it. The cells are valid
+// only during the call. It meters rows and cells scanned; what a row turns
+// into is the caller's business.
+func (r *Region) visitScan(s *Scan, k keys, b *binding, m metrics.Meter, at *scanProgress, visit func(row []Cell, ids []colID) bool) {
 	var rows rowCursor
 	r.openCursor(&rows, s, k)
 	b.bind(rows.dict, rows.ncols)
@@ -662,7 +672,10 @@ func (r *Region) visitScan(s *Scan, k keys, b *binding, m metrics.Meter, visit f
 				continue
 			}
 		}
-		if !visit(row, ids, int(rowsScanned), rows.left()) {
+		if at != nil && at.want {
+			at.scanned, at.left = int(rowsScanned), rows.left()
+		}
+		if !visit(row, ids) {
 			break
 		}
 	}

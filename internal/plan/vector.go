@@ -60,6 +60,11 @@ type Vector struct {
 	Bytes    [][]byte
 	Anys     []any
 
+	// A BoxedBatch's column reads its rows in place, and holds no Anys:
+	// entry i is rows[i][col], and a nil row is NULL.
+	rows []Row
+	col  int
+
 	// Lazy storage: Raw[i] is the undecoded source value, Decode turns it
 	// into the boxed Go value. Absent cells are nulls with a nil Raw entry.
 	Raw    [][]byte
@@ -92,6 +97,7 @@ func (v *Vector) Reset() {
 	v.Bytes = v.Bytes[:0]
 	v.Anys = v.Anys[:0]
 	v.Raw = v.Raw[:0]
+	v.rows = nil
 	for i := range v.nulls {
 		v.nulls[i] = 0
 	}
@@ -233,6 +239,9 @@ func (v *Vector) Value(i int) (any, error) {
 	case KindLazy:
 		return v.Decode(v.Raw[i])
 	}
+	if v.rows != nil {
+		return v.rows[i][v.col], nil
+	}
 	return v.Anys[i], nil
 }
 
@@ -296,7 +305,8 @@ func (v *Vector) Grow(n int) {
 func (v *Vector) Gather(idx []int32) *Vector {
 	out := &Vector{Kind: v.Kind, Typ: v.Typ, Decode: v.Decode, n: len(idx),
 		Int64s: gather(v.Int64s, idx), Float64s: gather(v.Float64s, idx), Strings: gather(v.Strings, idx),
-		Bools: gather(v.Bools, idx), Bytes: gather(v.Bytes, idx), Anys: gather(v.Anys, idx), Raw: gather(v.Raw, idx)}
+		Bools: gather(v.Bools, idx), Bytes: gather(v.Bytes, idx), Anys: gather(v.Anys, idx), Raw: gather(v.Raw, idx),
+		rows: gather(v.rows, idx), col: v.col}
 	for k, i := range idx {
 		if i < 0 || v.Null(int(i)) {
 			out.setNull(k)
@@ -373,7 +383,8 @@ func (v *Vector) MemSize() int64 {
 		return n
 	}
 	var n int64
-	for _, x := range v.Anys {
+	for i := 0; i < v.n; i++ {
+		x, _ := v.Value(i)
 		n += int64(RowSize(Row{x}))
 	}
 	return n
@@ -437,19 +448,20 @@ func (b *Batch) MaterializeRow(i int) (Row, error) {
 	return r, nil
 }
 
-// BoxedBatch returns rows as a batch of schema whose vectors hold the
-// rows' own values, boxed (KindAny): Value gives back exactly what the
-// row held, whatever the schema says of it.
+// BoxedBatch returns rows as a batch of schema whose vectors read the
+// rows' own values in place (KindAny): Value gives back exactly what the
+// row held, whatever the schema says of it. The rows are not copied.
 func BoxedBatch(schema Schema, rows []Row) *Batch {
 	b := &Batch{Schema: schema, Cols: make([]*Vector, len(schema)), n: len(rows), rows: rows}
 	for j, f := range schema {
-		v := &Vector{Kind: KindAny, Typ: f.Type, Anys: make([]any, len(rows)), n: len(rows)}
-		for i, r := range rows {
-			if v.Anys[i] = r[j]; r[j] == nil {
+		b.Cols[j] = &Vector{Kind: KindAny, Typ: f.Type, rows: rows, col: j, n: len(rows)}
+	}
+	for i, r := range rows {
+		for j, v := range b.Cols {
+			if r[j] == nil {
 				v.setNull(i)
 			}
 		}
-		b.Cols[j] = v
 	}
 	return b
 }
@@ -485,13 +497,17 @@ func (b *Batch) Grow(n int) {
 	}
 }
 
-// AppendRows appends b's rows to dst: a BoxedBatch's own rows, any other
-// batch's boxed into one slab.
+// AppendRows appends b's rows to dst: a BoxedBatch's own rows (themselves,
+// clipped, when dst is nil), any other batch's boxed into one slab.
 func (b *Batch) AppendRows(dst []Row) ([]Row, error) {
-	if b.rows != nil {
+	switch {
+	case b.rows != nil && dst == nil:
+		return slices.Clip(b.rows), nil
+	case b.rows != nil:
 		return append(dst, b.rows...), nil
 	}
 	w := len(b.Cols)
+	dst = slices.Grow(dst, b.n)
 	slab := make([]any, b.n*w)
 	for j, c := range b.Cols {
 		for i := 0; i < b.n; i++ {
