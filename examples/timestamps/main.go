@@ -10,6 +10,8 @@ import (
 	"log"
 
 	"github.com/shc-go/shc"
+	"github.com/shc-go/shc/internal/datasource"
+	"github.com/shc-go/shc/internal/plan"
 )
 
 const sensorsCatalog = `{
@@ -106,11 +108,13 @@ func main() {
 	}
 	versions := 0
 	for _, p := range parts {
-		rows, err := p.Compute(context.Background())
+		err := p.Batches(context.Background(), datasource.BatchOptions{}, func(b *plan.Batch) error {
+			versions += b.Len()
+			return nil
+		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		versions += len(rows)
 	}
 	fmt.Printf("\nMAX_VERSIONS=3 raw scan surfaces the newest version per row (%d rows); ", versions)
 	fmt.Println("older versions remain addressable through TIMESTAMP reads as above.")

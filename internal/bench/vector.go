@@ -307,35 +307,14 @@ func (s *colScan) Index() int { return s.part.index }
 // PreferredHost implements datasource.Partition.
 func (s *colScan) PreferredHost() string { return "" }
 
-func (s *colScan) cell(col, i int) any {
-	switch col {
-	case 0:
-		return s.part.k[i]
-	case 1:
-		return s.part.q[i]
-	default:
-		return s.part.price[i]
-	}
-}
-
-// Compute implements datasource.Partition: the fully boxed row form.
-func (s *colScan) Compute(context.Context) ([]plan.Row, error) {
-	rows := make([]plan.Row, len(s.part.k))
-	for i := range rows {
-		row := make(plan.Row, len(s.cols))
-		for j, c := range s.cols {
-			row[j] = s.cell(c, i)
-		}
-		rows[i] = row
-	}
-	return rows, nil
-}
-
 // colBatchRows bounds the rows per batch a colScan yields.
 const colBatchRows = 1024
 
-// ComputeVectors implements datasource.VectorScan: typed appends, no boxing.
-func (s *colScan) ComputeVectors(_ context.Context, opts datasource.BatchOptions, yield func(*plan.Batch) error) error {
+// Batches implements datasource.Partition: typed appends, no boxing, into
+// one reused batch. Under Keep each batch's rows are boxed into a batch of
+// their own, as a row-at-a-time source yields them: the row side of the
+// comparison boxes every cell.
+func (s *colScan) Batches(_ context.Context, opts datasource.BatchOptions, yield func(*plan.Batch) error) error {
 	schema := make(plan.Schema, len(s.cols))
 	for j, c := range s.cols {
 		schema[j] = s.rel.schema[c]
@@ -346,10 +325,7 @@ func (s *colScan) ComputeVectors(_ context.Context, opts datasource.BatchOptions
 		n = opts.LimitHint
 	}
 	for at := 0; at < n; at += colBatchRows {
-		end := at + colBatchRows
-		if end > n {
-			end = n
-		}
+		end := min(at+colBatchRows, n)
 		batch.Reset()
 		for j, c := range s.cols {
 			vec := batch.Cols[j]
@@ -369,7 +345,15 @@ func (s *colScan) ComputeVectors(_ context.Context, opts datasource.BatchOptions
 			}
 		}
 		batch.SetLen(end - at)
-		if err := yield(batch); err != nil {
+		b := batch
+		if opts.Keep {
+			rows, err := batch.AppendRows(nil)
+			if err != nil {
+				return err
+			}
+			b = plan.BoxedBatch(schema, rows)
+		}
+		if err := yield(b); err != nil {
 			if errors.Is(err, datasource.ErrStopBatches) {
 				return nil
 			}

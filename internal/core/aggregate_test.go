@@ -28,8 +28,8 @@ const typedCatalog = `{
   }
 }`
 
-// rowsOnly hides AggregateScan from a relation's partitions, keeping every
-// other capability: a query over it takes the unpushed vector path, the
+// rowsOnly hides AggregateScan, the one optional capability, from a
+// relation's partitions: a query over it takes the unpushed vector path, the
 // reference the pushed answers must equal.
 type rowsOnly struct{ *HBaseRelation }
 
@@ -53,15 +53,12 @@ type rowsOnlyScan struct{ datasource.PreparedScan }
 func (s rowsOnlyScan) BindScan(filters []datasource.Filter) ([]datasource.Partition, []int, error) {
 	parts, unhandled, err := s.PreparedScan.BindScan(filters)
 	for i, p := range parts {
-		parts[i] = rowsPartition{Partition: p, VectorScan: p.(datasource.VectorScan)}
+		parts[i] = rowsPartition{p}
 	}
 	return parts, unhandled, err
 }
 
-type rowsPartition struct {
-	datasource.Partition
-	datasource.VectorScan
-}
+type rowsPartition struct{ datasource.Partition }
 
 // typedRig loads n rows of every numeric type, with NULLs, negative values
 // and floats whose sum depends on addition order, into a table pre-split

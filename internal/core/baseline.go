@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -143,9 +144,10 @@ func (p *baselinePartition) Index() int { return p.index }
 // surface region locations, so tasks land anywhere.
 func (p *baselinePartition) PreferredHost() string { return "" }
 
-// Compute implements datasource.Partition: full region scan, all columns,
-// then decode everything and project.
-func (p *baselinePartition) Compute(ctx context.Context) ([]plan.Row, error) {
+// Batches implements datasource.Partition: full region scan, all columns,
+// then decode everything and project; the first opts.LimitHint rows (all
+// when 0) are yielded as one BoxedBatch.
+func (p *baselinePartition) Batches(ctx context.Context, opts datasource.BatchOptions, yield func(*plan.Batch) error) error {
 	ctx = bridgeConsistency(ctx)
 	scan := &hbase.Scan{
 		MaxVersions: p.rel.opts.maxVersions(),
@@ -153,24 +155,37 @@ func (p *baselinePartition) Compute(ctx context.Context) ([]plan.Row, error) {
 	}
 	results, err := p.rel.client.ScanRegionContext(ctx, p.region, scan)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	schema := p.rel.cat.Schema()
+	out := make(plan.Schema, len(p.required))
+	for j, col := range p.required {
+		out[j] = schema[schema.IndexOf(col)]
+	}
 	rows := make([]plan.Row, 0, len(results))
 	for i := range results {
 		// Decode the FULL row first (the HadoopRDD has no schema to prune
 		// with), then project.
 		full, err := p.rel.decodeFull(&results[i], schema)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		out := make(plan.Row, len(p.required))
+		row := make(plan.Row, len(p.required))
 		for j, col := range p.required {
-			out[j] = full[schema.IndexOf(col)]
+			row[j] = full[schema.IndexOf(col)]
 		}
-		rows = append(rows, out)
+		rows = append(rows, row)
 	}
-	return rows, nil
+	if opts.LimitHint > 0 && len(rows) > opts.LimitHint {
+		rows = rows[:opts.LimitHint]
+	}
+	if len(rows) == 0 {
+		return nil
+	}
+	if err := yield(plan.BoxedBatch(out, rows)); err != nil && !errors.Is(err, datasource.ErrStopBatches) {
+		return err
+	}
+	return nil
 }
 
 func (b *BaselineRelation) decodeFull(res *hbase.Result, schema plan.Schema) (plan.Row, error) {

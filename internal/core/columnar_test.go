@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -26,8 +25,8 @@ const pagesCatalog = `{
   }
 }`
 
-// TestComputeColumnarMatchesRowMajor: a materialized scan (Compute) decodes
-// its column-major pages into exactly the rows it decodes from the
+// TestComputeColumnarMatchesRowMajor: a materialized scan (a Keep stream)
+// decodes its column-major pages into exactly the rows it decodes from the
 // row-major pages of the same scan (RowMajorPages), over a composite
 // rowkey, absent cells, empty strings and empty binaries, and a projected
 // column no row holds — before and after the regions flush.
@@ -96,15 +95,7 @@ func TestComputeColumnarMatchesRowMajor(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var out []plan.Row
-		for _, p := range parts {
-			got, err := p.Compute(context.Background())
-			if err != nil {
-				t.Fatal(err)
-			}
-			out = append(out, got...)
-		}
-		return out
+		return scanAll(t, parts)
 	}
 	for _, flushed := range []bool{false, true} {
 		if flushed {

@@ -57,10 +57,12 @@ func BenchmarkDecodePage(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		batch, err := r.pageBatch(block, dec, &keyScratch)
-		if err != nil {
+		batch := plan.NewBatch(dec.schema)
+		batch.Grow(block.Len())
+		if err := r.decodeBlock(batch, dec.specs, block, &keyScratch); err != nil {
 			b.Fatal(err)
 		}
+		batch.SetLen(block.Len())
 		if batch.Len() != 1000 || batch.Cols[3].Int64s[999] != 999%500 {
 			b.Fatalf("decoded %d rows, last quantity %d", batch.Len(), batch.Cols[3].Int64s[999])
 		}

@@ -58,9 +58,9 @@ type Options struct {
 	// leading equality-bound dimension narrows the scan (the paper's future
 	// work, §VIII), and a full-rowkey equality is a Get.
 	FirstDimensionPruning bool
-	// RowMajorPages keeps materialized scans (Compute) on row-major pages,
-	// as the row side of the vectorized-execution comparison reads them.
-	// By default their pages travel column-major.
+	// RowMajorPages keeps partition reads on row-major pages, each
+	// transposed into a column block before it decodes. By default pages
+	// travel column-major.
 	RowMajorPages bool
 }
 
@@ -546,8 +546,8 @@ type hbaseScan struct {
 	required []string
 	cols     []hbase.Column // the projection's cell columns
 	conj     conjuncts
-	// all decodes every column eagerly: the row path's plan, and the
-	// vector path's when the consumer names no eager subset.
+	// all decodes every column eagerly: a kept read's plan, and a
+	// streamed read's when the consumer names no eager subset.
 	all *decodePlan
 	// subset is the plan last built for an eager subset; a pipeline names
 	// the same subset on every execution.
@@ -749,60 +749,6 @@ func (p *hbasePartition) Index() int { return p.index }
 // which the scheduler matches to an executor (§VI-A.2).
 func (p *hbasePartition) PreferredHost() string { return p.host }
 
-// Compute implements datasource.Partition: fetch and decode this
-// partition's rows in a fused RPC, failing over to reassigned region
-// servers if the host dies mid-query. Each page's rows are carved from its
-// decoded batch (ComputeColumns), one slab per page.
-func (p *hbasePartition) Compute(ctx context.Context) ([]plan.Row, error) {
-	batches, err := p.ComputeColumns(ctx)
-	var rows []plan.Row
-	for _, b := range batches {
-		if err != nil {
-			break
-		}
-		rows, err = b.AppendRows(rows)
-	}
-	return rows, err
-}
-
-// ComputeColumns implements datasource.ColumnScan: Compute's read, every
-// page decoded into its own batch of typed vectors. Pages travel
-// column-major unless the read keeps several versions or the relation asks
-// for RowMajorPages.
-func (p *hbasePartition) ComputeColumns(ctx context.Context) ([]*plan.Batch, error) {
-	ctx = bridgeConsistency(ctx)
-	r, dec := p.scan.rel, p.scan.all
-	pager := p.pager(hbase.FusedRequest{Columnar: !r.opts.RowMajorPages}, 0)
-	meter := metrics.Scoped(ctx, r.meter)
-	var out []*plan.Batch
-	var keyScratch [][]byte
-	for {
-		resp, err := pager.Next(ctx)
-		if err != nil || resp == nil {
-			return out, err
-		}
-		b, err := r.pageBatch(pageBlock(resp, dec.specs, meter), dec, &keyScratch)
-		if err != nil {
-			return nil, err
-		}
-		if b.Len() > 0 {
-			out = append(out, b)
-		}
-	}
-}
-
-// pageBatch decodes a page's block into a new batch of dec's eager
-// columns.
-func (r *HBaseRelation) pageBatch(block *hbase.CellBlock, dec *decodePlan, keyScratch *[][]byte) (*plan.Batch, error) {
-	b := plan.NewBatch(dec.schema)
-	b.Grow(block.Len())
-	if err := r.decodeBlock(b, dec.specs, block, keyScratch); err != nil {
-		return nil, err
-	}
-	b.SetLen(block.Len())
-	return b, nil
-}
-
 // pager starts the partition's read: its ops on its planned host, pages
 // shaped by tmpl, at most limit rows (0 = all).
 func (p *hbasePartition) pager(tmpl hbase.FusedRequest, limit int) *hbase.Pager {
@@ -811,15 +757,5 @@ func (p *hbasePartition) pager(tmpl hbase.FusedRequest, limit int) *hbase.Pager 
 	return r.client.NewPager(r.cat.Table.Name, p.host, tmpl, limit)
 }
 
-// fusedBatchRows is the per-page row budget of a batch scan.
+// fusedBatchRows is the per-page row budget of a streamed read.
 const fusedBatchRows = 256
-
-// batchPages pages the partition's read for a batch scan: pages of
-// fusedBatchRows rows, at most opts.LimitHint rows in all — the fused-LIMIT
-// short circuit — and the next page's RPC in flight while the caller decodes
-// the current one (double buffering). Pages travel column-major unless the
-// relation asks for RowMajorPages.
-func (p *hbasePartition) batchPages(ctx context.Context, opts datasource.BatchOptions) func() (*hbase.ScanResponse, error) {
-	pager := p.pager(hbase.FusedRequest{BatchLimit: fusedBatchRows, Columnar: !p.scan.rel.opts.RowMajorPages}, opts.LimitHint)
-	return pager.Prefetch(ctx, p.scan.rel.meter)
-}

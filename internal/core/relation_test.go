@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"reflect"
 	"sort"
@@ -70,16 +69,13 @@ func newRig(t *testing.T, opts Options, n int) *testRig {
 	return rig
 }
 
-// scanAll computes every partition and returns the rows.
+// scanAll reads every partition through a Keep stream and returns the
+// rows.
 func scanAll(t *testing.T, parts []datasource.Partition) []plan.Row {
 	t.Helper()
 	var out []plan.Row
 	for _, p := range parts {
-		rows, err := p.Compute(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, rows...)
+		out = append(out, keptRows(t, p, datasource.BatchOptions{})...)
 	}
 	return out
 }

@@ -14,13 +14,14 @@ import (
 	"github.com/shc-go/shc/internal/plan"
 )
 
-// This file is the decode-to-vector path of the HBase relation: fused pages
-// arrive column-major (CellBlock) when the server can pack them, and decode
-// straight into typed vectors. Columns the consumer flags eager decode up
-// front with per-type fast paths; everything else lands as raw bytes in
-// lazy vectors and decodes only for the positions that survive filtering —
-// late materialization over the paged scan RPC, with the same pager,
-// cursor, and failover machinery as the row path.
+// This file is the read path of the HBase relation: fused pages arrive
+// column-major (CellBlock) when the server can pack them, and decode
+// straight into typed vectors. A kept read decodes every column; a
+// streamed one decodes the columns the consumer flags eager up front with
+// per-type fast paths, and everything else lands as raw bytes in lazy
+// vectors that decode only for the positions that survive filtering —
+// late materialization over the paged scan RPC. Both run on one pager,
+// with its cursor and failover machinery.
 
 // vecColSpec is the per-column decode plan for one partition scan.
 type vecColSpec struct {
@@ -31,9 +32,9 @@ type vecColSpec struct {
 	eager  bool
 }
 
-// batchPool recycles column batches (and their vector storage) across
-// partitions and queries — the fused pager otherwise allocates a fresh
-// batch worth of vectors per partition per query.
+// batchPool recycles a streamed read's column batch (and its vector
+// storage) across partitions and queries — the fused pager otherwise
+// allocates a fresh batch worth of vectors per partition per query.
 var batchPool sync.Pool
 
 // getBatch returns a pooled batch reconfigured for specs: vector storage is
@@ -72,18 +73,30 @@ func putBatch(b *plan.Batch) {
 	batchPool.Put(b)
 }
 
-// ComputeVectors implements datasource.VectorScan: the paged fused read —
-// double-buffered prefetch, the LimitHint cap, cursor-exact failover —
-// each page decoded into one reused column batch.
-func (p *hbasePartition) ComputeVectors(ctx context.Context, opts datasource.BatchOptions, yield func(*plan.Batch) error) error {
+// Batches implements datasource.Partition: the partition's paged fused
+// read — the LimitHint cap, cursor-exact failover — each page decoded into
+// a column batch. Under Keep every page is as large as the server sends
+// it and decodes, every column typed, into a batch of its own. Otherwise
+// pages hold fusedBatchRows rows, the next page's RPC is in flight while
+// the caller reads the current one (double buffering), and each decodes
+// into one pooled batch, the columns outside EagerColumns lazy.
+func (p *hbasePartition) Batches(ctx context.Context, opts datasource.BatchOptions, yield func(*plan.Batch) error) error {
 	ctx = bridgeConsistency(ctx)
-	dec := p.scan.decodePlan(opts.EagerColumns)
-	specs := dec.specs
-	batch := getBatch(dec.schema, specs, dec.lazyDec)
-	defer putBatch(batch)
-
 	r := p.scan.rel
-	next := p.batchPages(ctx, opts)
+	tmpl := hbase.FusedRequest{Columnar: !r.opts.RowMajorPages}
+	dec := p.scan.all
+	var batch *plan.Batch
+	if !opts.Keep {
+		tmpl.BatchLimit = fusedBatchRows
+		dec = p.scan.decodePlan(opts.EagerColumns)
+		batch = getBatch(dec.schema, dec.specs, dec.lazyDec)
+		defer putBatch(batch)
+	}
+	pager := p.pager(tmpl, opts.LimitHint)
+	next := func() (*hbase.ScanResponse, error) { return pager.Next(ctx) }
+	if batch != nil {
+		next = pager.Prefetch(ctx, r.meter)
+	}
 	meter := metrics.Scoped(ctx, r.meter)
 	var keyScratch [][]byte
 	for {
@@ -91,16 +104,22 @@ func (p *hbasePartition) ComputeVectors(ctx context.Context, opts datasource.Bat
 		if err != nil || resp == nil {
 			return err
 		}
-		block := pageBlock(resp, specs, meter)
+		block := pageBlock(resp, dec.specs, meter)
 		if block.Len() == 0 {
 			continue
 		}
-		batch.Reset()
-		if err := r.decodeBlock(batch, specs, block, &keyScratch); err != nil {
+		b := batch
+		if b == nil {
+			b = plan.NewBatch(dec.schema)
+			b.Grow(block.Len())
+		} else {
+			b.Reset()
+		}
+		if err := r.decodeBlock(b, dec.specs, block, &keyScratch); err != nil {
 			return err
 		}
-		batch.SetLen(block.Len())
-		if err := yield(batch); err != nil {
+		b.SetLen(block.Len())
+		if err := yield(b); err != nil {
 			if errors.Is(err, datasource.ErrStopBatches) {
 				return nil
 			}

@@ -10,14 +10,14 @@ import (
 	"github.com/shc-go/shc/internal/plan"
 )
 
-// collectRowPath drains a partition through the row-batch path.
-func collectRowPath(t *testing.T, p datasource.Partition, opts datasource.BatchOptions) []plan.Row {
+// keptBatches reads p through a Keep stream and returns the batches it
+// kept.
+func keptBatches(t *testing.T, p datasource.Partition, opts datasource.BatchOptions) []*plan.Batch {
 	t.Helper()
-	var out []plan.Row
-	err := datasource.StreamPartition(context.Background(), p, opts, func(rows []plan.Row) error {
-		for _, r := range rows {
-			out = append(out, append(plan.Row{}, r...))
-		}
+	opts.Keep = true
+	var out []*plan.Batch
+	err := p.Batches(context.Background(), opts, func(b *plan.Batch) error {
+		out = append(out, b)
 		return nil
 	})
 	if err != nil {
@@ -26,24 +26,36 @@ func collectRowPath(t *testing.T, p datasource.Partition, opts datasource.BatchO
 	return out
 }
 
-// collectVectorPath drains a partition through ComputeVectors, boxing every
-// batch row back out — the representation the pipeline's output sees.
-func collectVectorPath(t *testing.T, p datasource.Partition, opts datasource.BatchOptions) []plan.Row {
+// batchesRows boxes the rows of bs, in order.
+func batchesRows(t *testing.T, bs []*plan.Batch) []plan.Row {
 	t.Helper()
-	vs, ok := p.(datasource.VectorScan)
-	if !ok {
-		t.Fatalf("partition %T does not implement VectorScan", p)
-	}
 	var out []plan.Row
-	err := vs.ComputeVectors(context.Background(), opts, func(b *plan.Batch) error {
-		for i := 0; i < b.Len(); i++ {
-			r, err := b.MaterializeRow(i)
-			if err != nil {
-				return err
-			}
-			out = append(out, r)
+	for _, b := range bs {
+		var err error
+		if out, err = b.AppendRows(out); err != nil {
+			t.Fatal(err)
 		}
-		return nil
+	}
+	return out
+}
+
+// keptRows reads p's rows through a Keep stream.
+func keptRows(t *testing.T, p datasource.Partition, opts datasource.BatchOptions) []plan.Row {
+	t.Helper()
+	return batchesRows(t, keptBatches(t, p, opts))
+}
+
+// streamedRows reads p through a stream without Keep, boxing each
+// batch's rows inside its yield — the representation the pipeline's
+// output sees.
+func streamedRows(t *testing.T, p datasource.Partition, opts datasource.BatchOptions) []plan.Row {
+	t.Helper()
+	opts.Keep = false
+	var out []plan.Row
+	err := p.Batches(context.Background(), opts, func(b *plan.Batch) error {
+		var err error
+		out, err = b.AppendRows(out)
+		return err
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -51,11 +63,11 @@ func collectVectorPath(t *testing.T, p datasource.Partition, opts datasource.Bat
 	return out
 }
 
-// TestComputeVectorsMatchesRowPath pins the columnar decode layer: every
-// partition of a fused scan, streamed as column batches — eager, partially
-// lazy, and with a limit hint — materializes byte-identically to the row
-// path, rowkey-backed columns included.
-func TestComputeVectorsMatchesRowPath(t *testing.T) {
+// TestVectorBatchesMatchRowPath pins the columnar decode layer: every
+// partition of a fused scan, streamed through one pooled batch — eager,
+// partially lazy, and with a limit hint — materializes byte-identically to
+// its kept batches, rowkey-backed columns included.
+func TestVectorBatchesMatchRowPath(t *testing.T) {
 	rig := newRig(t, Options{}, 700)
 	parts, _, err := rig.rel.BuildScan([]string{"id", "age", "city", "score"}, nil)
 	if err != nil {
@@ -75,8 +87,8 @@ func TestComputeVectorsMatchesRowPath(t *testing.T) {
 	for _, v := range optVariants {
 		var rowAll, vecAll []plan.Row
 		for _, p := range parts {
-			rowAll = append(rowAll, collectRowPath(t, p, v.opts)...)
-			vecAll = append(vecAll, collectVectorPath(t, p, v.opts)...)
+			rowAll = append(rowAll, keptRows(t, p, v.opts)...)
+			vecAll = append(vecAll, streamedRows(t, p, v.opts)...)
 		}
 		if len(rowAll) == 0 {
 			t.Fatalf("%s: row path returned nothing", v.name)
@@ -131,10 +143,11 @@ func TestVectorBatchPoolReuse(t *testing.T) {
 	}
 }
 
-// TestVectorScanFollowsRegionMove pins cursor-exact resume on the columnar
-// pager: draining a server mid-scan (regions move, epochs bump) must not
-// lose, duplicate, or reorder rows relative to an undisturbed row-path scan.
-func TestVectorScanFollowsRegionMove(t *testing.T) {
+// TestVectorBatchesFollowRegionMove pins cursor-exact resume on the
+// columnar pager: draining a server mid-scan (regions move, epochs bump)
+// must not lose, duplicate, or reorder rows relative to an undisturbed
+// kept scan.
+func TestVectorBatchesFollowRegionMove(t *testing.T) {
 	// Enough rows that every partition spans several pages, so the drain
 	// lands between pages of an in-flight scan.
 	rig := newRig(t, Options{}, 12*fusedBatchRows)
@@ -144,14 +157,13 @@ func TestVectorScanFollowsRegionMove(t *testing.T) {
 	}
 	want := make(map[int][]plan.Row)
 	for i, p := range parts {
-		want[i] = collectRowPath(t, p, datasource.BatchOptions{})
+		want[i] = keptRows(t, p, datasource.BatchOptions{})
 	}
 	drained := false
 	for i, p := range parts {
-		vs := p.(datasource.VectorScan)
 		var got []plan.Row
 		pages := 0
-		err := vs.ComputeVectors(context.Background(), datasource.BatchOptions{}, func(b *plan.Batch) error {
+		err := p.Batches(context.Background(), datasource.BatchOptions{}, func(b *plan.Batch) error {
 			pages++
 			if pages == 2 && !drained {
 				drained = true

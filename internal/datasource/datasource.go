@@ -3,8 +3,11 @@
 // paper §III-C). The engine hands a relation the columns it needs and the
 // source-level filters it derived; the relation answers with partitions
 // carrying preferred hosts for locality scheduling, and reports which
-// predicates it left for the engine to re-apply. SHC's
-// HBase relation and the generic baseline both implement exactly these
+// predicates it left for the engine to re-apply. A partition is read one
+// way, Partition.Batches: a stream of column batches the consumer either
+// keeps (BatchOptions.Keep, a materialized scan) or reads while the
+// source refills one pooled batch (a streamed pipeline). SHC's HBase
+// relation and the generic baseline both implement exactly these
 // interfaces — the engine contains no HBase-specific code, mirroring the
 // paper's "least modification in Spark SQL itself".
 package datasource
@@ -184,20 +187,31 @@ type Partition interface {
 	// PreferredHost names the host holding the data, or "" when any host
 	// will do.
 	PreferredHost() string
-	// Compute materializes the partition's rows in the scan's projected
-	// column order. ctx bounds the read: sources abandon RPCs, retries, and
+	// Batches streams the partition's rows through yield as column
+	// batches in row order, each holding the scan's projected columns in
+	// order: typed vectors, or a plan.BoxedBatch of rows a source decodes
+	// whole. If yield returns ErrStopBatches the stream ends and Batches
+	// returns nil; any other error aborts the stream and is returned
+	// as-is. ctx bounds the read: sources abandon RPCs, retries, and
 	// backoff sleeps as soon as it is done, so a cancelled query releases
 	// its executor slots promptly.
-	Compute(ctx context.Context) ([]plan.Row, error)
+	Batches(ctx context.Context, opts BatchOptions, yield func(*plan.Batch) error) error
 }
 
-// ErrStopBatches is the sentinel a ComputeBatches yield callback returns to
-// end the stream early without error — how a fused LIMIT tells the source to
+// ErrStopBatches is the sentinel a Batches yield callback returns to end
+// the stream early without error — how a fused LIMIT tells the source to
 // stop fetching once enough rows arrived.
 var ErrStopBatches = errors.New("datasource: stop batch stream")
 
-// BatchOptions tunes a streaming partition read.
+// BatchOptions tunes a partition read.
 type BatchOptions struct {
+	// Keep hands the consumer batches it owns: each has its own storage
+	// and stays valid after its yield returns, every column is decoded,
+	// and pages are as large as the source sends them — a materialized
+	// scan keeps every batch. Without Keep a batch, vectors included, is
+	// valid only during its yield call: the source reuses and refills it,
+	// so the consumer copies out whatever it keeps.
+	Keep bool
 	// LimitHint caps the rows the consumer will take from this partition
 	// (0 = unlimited). Callers may only set it when every remaining
 	// predicate is already evaluated inside the source, so that the first
@@ -205,77 +219,11 @@ type BatchOptions struct {
 	LimitHint int
 	// EagerColumns lists the positions (in the scan's projected column
 	// order) that the consumer reads for every row — typically the filter
-	// and aggregate inputs. A vectorized source decodes these into typed
-	// vectors up front and may leave the rest lazy, decoding only the
-	// positions that survive filtering (late materialization). nil means
-	// "decode everything eagerly".
+	// and aggregate inputs. Without Keep a source may decode only these
+	// into typed vectors up front and leave the rest lazy, decoding only
+	// the positions that survive filtering (late materialization). nil
+	// means "decode everything eagerly".
 	EagerColumns []int
-}
-
-// BatchScan is an optional Partition capability: compute the partition's
-// rows as a stream of bounded batches instead of one materialized slice.
-// yield is called with consecutive batches in row order; if it returns
-// ErrStopBatches the stream ends and ComputeBatches returns nil, and any
-// other error aborts the stream and is returned as-is. The batch slice is
-// only valid for the duration of the yield call (sources may reuse its
-// backing array); the rows it holds stay valid, so consumers keep rows by
-// copying them out of the slice, never by retaining the slice itself.
-type BatchScan interface {
-	ComputeBatches(ctx context.Context, opts BatchOptions, yield func([]plan.Row) error) error
-}
-
-// StreamPartition streams p's rows through yield: a BatchScan's batches, a
-// VectorScan's column batches with every column decoded and each batch's
-// rows boxed into one slab, or else a single materialized batch — the
-// compatibility shim that lets the pipelined executor run over any
-// Partition.
-func StreamPartition(ctx context.Context, p Partition, opts BatchOptions, yield func([]plan.Row) error) error {
-	if bs, ok := p.(BatchScan); ok {
-		return bs.ComputeBatches(ctx, opts, yield)
-	}
-	if vs, ok := p.(VectorScan); ok {
-		opts.EagerColumns = nil
-		var rows []plan.Row
-		return vs.ComputeVectors(ctx, opts, func(b *plan.Batch) error {
-			var err error
-			if rows, err = b.AppendRows(rows[:0]); err != nil {
-				return err
-			}
-			return yield(rows)
-		})
-	}
-	rows, err := p.Compute(ctx)
-	if err != nil {
-		return err
-	}
-	if opts.LimitHint > 0 && len(rows) > opts.LimitHint {
-		rows = rows[:opts.LimitHint]
-	}
-	if len(rows) == 0 {
-		return nil
-	}
-	if err := yield(rows); err != nil && !errors.Is(err, ErrStopBatches) {
-		return err
-	}
-	return nil
-}
-
-// VectorScan is an optional Partition capability: compute the partition as
-// a stream of column batches — typed vectors with null bitmaps — instead of
-// row slices. The batch holds the scan's projected columns in order, and
-// the same ErrStopBatches/LimitHint contract as BatchScan applies. The
-// batch (vectors included) is only valid for the duration of the yield
-// call: sources reuse and re-fill it, so consumers materialize whatever
-// they keep before returning.
-type VectorScan interface {
-	ComputeVectors(ctx context.Context, opts BatchOptions, yield func(*plan.Batch) error) error
-}
-
-// ColumnScan is an optional Partition capability: Compute's rows as
-// column batches, every vector typed and decoded, one batch per page the
-// source read. The caller owns the batches.
-type ColumnScan interface {
-	ComputeColumns(ctx context.Context) ([]*plan.Batch, error)
 }
 
 // Aggregate is one aggregate a source may fold for the engine.
@@ -300,10 +248,10 @@ type AggregatePartial struct {
 	Int   int64
 }
 
-// AggregateScan is an optional Partition capability: fold the partition's
-// rows — every predicate already evaluated at the source — into partial
-// aggregates where the data lives, so only the partials travel. Partials
-// come back in aggs order. ok=false means the source declines these
+// AggregateScan is the one optional Partition capability: fold the
+// partition's rows — every predicate already evaluated at the source —
+// into partial aggregates where the data lives, so only the partials
+// travel. Partials come back in aggs order. ok=false means the source declines these
 // aggregates without having read anything; the caller then scans rows.
 type AggregateScan interface {
 	ComputeAggregates(ctx context.Context, aggs []Aggregate) (partials []AggregatePartial, ok bool, err error)

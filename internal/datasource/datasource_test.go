@@ -121,11 +121,7 @@ func TestMemRelationScanProjectionAndFilter(t *testing.T) {
 	}
 	var got []string
 	for _, p := range parts {
-		rs, err := p.Compute(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range rs {
+		for _, r := range keptRows(t, p) {
 			if len(r) != 1 {
 				t.Fatalf("projection width = %d", len(r))
 			}
@@ -160,8 +156,22 @@ func TestMemRelationEmptyScan(t *testing.T) {
 	if len(parts) != 1 {
 		t.Errorf("empty relation partitions = %d", len(parts))
 	}
-	rows, err := parts[0].Compute(context.Background())
-	if err != nil || len(rows) != 0 {
-		t.Errorf("empty scan = %v, %v", rows, err)
+	if rows := keptRows(t, parts[0]); len(rows) != 0 {
+		t.Errorf("empty scan = %v", rows)
 	}
+}
+
+// keptRows reads p's rows through a Keep stream.
+func keptRows(t *testing.T, p Partition) []plan.Row {
+	t.Helper()
+	var rows []plan.Row
+	err := p.Batches(context.Background(), BatchOptions{Keep: true}, func(b *plan.Batch) error {
+		var err error
+		rows, err = b.AppendRows(rows)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
 }

@@ -114,39 +114,28 @@ func (p *memPartition) Index() int { return p.index }
 // PreferredHost implements Partition; in-memory data has no locality.
 func (p *memPartition) PreferredHost() string { return "" }
 
-// Compute implements Partition.
-func (p *memPartition) Compute(ctx context.Context) ([]plan.Row, error) {
-	var out []plan.Row
-	err := p.ComputeBatches(ctx, BatchOptions{}, func(batch []plan.Row) error {
-		out = append(out, batch...)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// memBatchRows bounds the rows per batch a memory partition yields.
+// memBatchRows bounds the rows per batch a streamed memory partition
+// yields.
 const memBatchRows = 256
 
-// ComputeBatches implements BatchScan: filter and project row-at-a-time,
-// yielding bounded batches, so the engine's pipeline never holds more than
-// one batch of this partition at once.
-func (p *memPartition) ComputeBatches(ctx context.Context, opts BatchOptions, yield func([]plan.Row) error) error {
+// Batches implements Partition: filter and project row-at-a-time. Under
+// Keep the surviving rows are yielded as one BoxedBatch; otherwise they
+// are transposed into one reused typed batch of at most memBatchRows
+// rows, so the engine's pipeline never holds more than one batch of this
+// partition at once. The in-memory source pays no decode cost, so eager vs
+// lazy does not apply here.
+func (p *memPartition) Batches(ctx context.Context, opts BatchOptions, yield func(*plan.Batch) error) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	emitted := 0
-	batch := make([]plan.Row, 0, memBatchRows)
-	flush := func() error {
-		if len(batch) == 0 {
-			return nil
-		}
-		err := yield(batch)
-		batch = batch[:0]
-		return err
+	schema := make(plan.Schema, len(p.colIdx))
+	for i, j := range p.colIdx {
+		schema[i] = p.rel.schema[j]
 	}
+	var kept []plan.Row
+	batch := plan.NewBatch(schema)
+	scratch := make(plan.Row, len(p.colIdx))
+	emitted := 0
 	for _, r := range p.rows {
 		keep := true
 		for _, f := range p.filters {
@@ -162,46 +151,44 @@ func (p *memPartition) ComputeBatches(ctx context.Context, opts BatchOptions, yi
 		if !keep {
 			continue
 		}
-		nr := make(plan.Row, len(p.colIdx))
+		nr := scratch
+		if opts.Keep {
+			nr = make(plan.Row, len(p.colIdx))
+		}
 		for i, j := range p.colIdx {
 			nr[i] = r[j]
 		}
-		batch = append(batch, nr)
+		if opts.Keep {
+			kept = append(kept, nr)
+		} else if err := batch.AppendRow(nr); err != nil {
+			return err
+		}
 		emitted++
 		if opts.LimitHint > 0 && emitted >= opts.LimitHint {
 			break
 		}
-		if len(batch) >= memBatchRows {
-			if err := flush(); err != nil {
-				if errors.Is(err, ErrStopBatches) {
-					return nil
-				}
-				return err
+		if !opts.Keep && batch.Len() >= memBatchRows {
+			err := yield(batch)
+			batch.Reset()
+			if err != nil {
+				return endStream(err)
 			}
 		}
 	}
-	if err := flush(); err != nil && !errors.Is(err, ErrStopBatches) {
-		return err
+	switch {
+	case len(kept) > 0:
+		return endStream(yield(plan.BoxedBatch(schema, kept)))
+	case batch.Len() > 0:
+		return endStream(yield(batch))
 	}
 	return nil
 }
 
-// ComputeVectors implements VectorScan by transposing the filtered,
-// projected row stream into one reused column batch — the in-memory source
-// pays no decode cost, so eager vs lazy does not apply here.
-func (p *memPartition) ComputeVectors(ctx context.Context, opts BatchOptions, yield func(*plan.Batch) error) error {
-	schema := make(plan.Schema, len(p.colIdx))
-	for i, j := range p.colIdx {
-		schema[i] = p.rel.schema[j]
+// endStream is what a source's Batches returns once yield returned err:
+// nil when err asks the stream to stop, err otherwise.
+func endStream(err error) error {
+	if errors.Is(err, ErrStopBatches) {
+		return nil
 	}
-	batch := plan.NewBatch(schema)
-	return p.ComputeBatches(ctx, opts, func(rows []plan.Row) error {
-		batch.Reset()
-		for _, r := range rows {
-			if err := batch.AppendRow(r); err != nil {
-				return err
-			}
-		}
-		return yield(batch)
-	})
+	return err
 }

@@ -484,8 +484,8 @@ func TestPlanCacheConcurrent(t *testing.T) {
 }
 
 // scanCounter counts a relation's BuildScan calls and records the most
-// goroutines any of its partitions saw while computing. Its partitions
-// offer only Compute, so every read goes through it.
+// goroutines any of its partitions saw while reading. Every read goes
+// through its partitions' Batches.
 type scanCounter struct {
 	*datasource.MemRelation
 	builds     atomic.Int64
@@ -506,7 +506,7 @@ type countedPartition struct {
 	rel *scanCounter
 }
 
-func (p countedPartition) Compute(ctx context.Context) ([]plan.Row, error) {
+func (p countedPartition) Batches(ctx context.Context, opts datasource.BatchOptions, yield func(*plan.Batch) error) error {
 	n := int64(runtime.NumGoroutine())
 	for {
 		seen := p.rel.goroutines.Load()
@@ -514,7 +514,7 @@ func (p countedPartition) Compute(ctx context.Context) ([]plan.Row, error) {
 			break
 		}
 	}
-	return p.Partition.Compute(ctx)
+	return p.Partition.Batches(ctx, opts, yield)
 }
 
 // TestWarmLookupPlansOnceOnCaller: every execution of a point-lookup

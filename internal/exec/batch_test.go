@@ -77,8 +77,14 @@ func (pt *pageTables) scan(tb testing.TB, schema plan.Schema, rows []plan.Row) *
 		tb.Fatal(err)
 	}
 	for _, p := range parts {
-		if _, ok := p.(datasource.ColumnScan); !ok {
-			tb.Fatalf("partition %T decodes no columnar page", p)
+		err := p.Batches(context.Background(), datasource.BatchOptions{Keep: true}, func(b *plan.Batch) error {
+			if b.Boxed() {
+				return fmt.Errorf("partition %T yields boxed rows, not decoded columnar pages", p)
+			}
+			return nil
+		})
+		if err != nil {
+			tb.Fatal(err)
 		}
 	}
 	return &ScanExec{Source: rel, Columns: names, OutSchema: schema, Partitions: parts}
@@ -114,19 +120,13 @@ type batchPartition struct{ batches []*plan.Batch }
 func (p batchPartition) Index() int            { return 0 }
 func (p batchPartition) PreferredHost() string { return "" }
 
-func (p batchPartition) Compute(context.Context) ([]plan.Row, error) {
-	var rows []plan.Row
+func (p batchPartition) Batches(_ context.Context, _ datasource.BatchOptions, yield func(*plan.Batch) error) error {
 	for _, b := range p.batches {
-		var err error
-		if rows, err = b.AppendRows(rows); err != nil {
-			return nil, err
+		if err := yield(b); err != nil {
+			return err
 		}
 	}
-	return rows, nil
-}
-
-func (p batchPartition) ComputeColumns(context.Context) ([]*plan.Batch, error) {
-	return p.batches, nil
+	return nil
 }
 
 // typedScan is a scan of r's rows transposed into typed batches of at

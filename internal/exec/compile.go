@@ -24,12 +24,6 @@ type CompileConfig struct {
 	DisableVectorization bool
 }
 
-// Compile lowers an optimized logical plan to a physical one with default
-// strategies.
-func Compile(p plan.LogicalPlan) (PhysicalPlan, error) {
-	return CompileWith(p, CompileConfig{})
-}
-
 // CompileWith lowers an optimized logical plan to a physical one, resolving
 // every expression against its input schema, translating pushed predicates
 // to source filters, and re-applying exactly the filters each relation's

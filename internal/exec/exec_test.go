@@ -65,7 +65,7 @@ func runPlan(t *testing.T, lp plan.LogicalPlan) ([]plan.Row, *metrics.Registry) 
 	t.Helper()
 	ctx, m := testCtx()
 	opt := plan.Optimize(lp)
-	phys, err := Compile(opt)
+	phys, err := CompileWith(opt, CompileConfig{})
 	if err != nil {
 		t.Fatalf("compile: %v\n%s", err, plan.Format(opt))
 	}
@@ -140,7 +140,7 @@ func TestJoinWithFilterPushdownProducesSameResult(t *testing.T) {
 	optRows, optMeter := runPlan(t, build())
 	// Unoptimized path: compile without Optimize.
 	ctx, rawMeter := testCtx()
-	phys, err := Compile(build())
+	phys, err := CompileWith(build(), CompileConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +324,7 @@ func TestSchedulerErrorPropagation(t *testing.T) {
 
 func TestCompileRejectsUnscannableRelation(t *testing.T) {
 	bad := &planOnlyRelation{}
-	if _, err := Compile(&plan.ScanNode{Relation: bad}); err == nil {
+	if _, err := CompileWith(&plan.ScanNode{Relation: bad}, CompileConfig{}); err == nil {
 		t.Error("relation without scan support must fail to compile")
 	}
 }
@@ -384,7 +384,7 @@ func TestExplainRendersTree(t *testing.T) {
 		Cond:  &plan.Comparison{Op: plan.OpGt, L: plan.Col("age"), R: plan.Col("score")},
 		Child: &plan.ScanNode{Relation: rel},
 	}
-	phys, err := Compile(plan.Optimize(lp))
+	phys, err := CompileWith(plan.Optimize(lp), CompileConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ func TestExplainCoversAllOperators(t *testing.T) {
 		},
 	}}
 	union := &plan.UnionNode{Inputs: []plan.LogicalPlan{lp, plan.ClonePlan(lp)}}
-	phys, err := Compile(plan.Optimize(union))
+	phys, err := CompileWith(plan.Optimize(union), CompileConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,7 +73,7 @@ func TestInstrumentRecordsActualsAndNestsSpans(t *testing.T) {
 		Cond:  &plan.Comparison{Op: plan.OpLt, L: plan.Col("age"), R: plan.Lit(5)},
 		Child: &plan.ScanNode{Relation: rel},
 	})
-	phys, err := Compile(lp)
+	phys, err := CompileWith(lp, CompileConfig{})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -136,7 +136,7 @@ func TestInstrumentedPipelineChainNotWrapped(t *testing.T) {
 			Child: &plan.ScanNode{Relation: rel},
 		},
 	})
-	phys, err := Compile(lp)
+	phys, err := CompileWith(lp, CompileConfig{})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}

@@ -90,33 +90,31 @@ func (s *ScanExec) Execute(ctx *Context) ([]plan.Row, error) {
 }
 
 // batches implements batchStream: one task per partition, placed on the
-// partition's preferred host, reads its pages as owned batches of typed
-// vectors (datasource.ColumnScan), or its rows boxed into one batch. They
-// are emitted in partition order once every partition is read. A
-// materialized scan holds every decoded row until the query finishes; the
-// streamed pipeline releases per batch, and the (MemoryHeld, MemoryPeak)
-// pair makes that difference visible.
+// partition's preferred host, keeps every batch the partition yields
+// (datasource.BatchOptions.Keep) — typed vectors, or the rows a source
+// decodes whole boxed into one batch. They are emitted in partition order
+// once every partition is read. A materialized scan holds every decoded
+// row until the query finishes; the streamed pipeline releases per batch,
+// and the (MemoryHeld, MemoryPeak) pair makes that difference visible.
 func (s *ScanExec) batches(ctx *Context, emit func(*plan.Batch) error) error {
 	results := make([][]*plan.Batch, len(s.Partitions))
 	tasks := make([]Task, len(s.Partitions))
 	for i, p := range s.Partitions {
 		tasks[i] = Task{PreferredHost: p.PreferredHost(), Run: func(tctx context.Context) error {
-			m := metrics.Scoped(tctx, ctx.Meter)
-			var err error
-			if cs, ok := p.(datasource.ColumnScan); ok {
-				results[i], err = cs.ComputeColumns(tctx)
-				m.Add(metrics.VectorRows, int64(batchRows(results[i])))
-			} else {
-				var rows []plan.Row
-				rows, err = p.Compute(tctx)
-				results[i] = []*plan.Batch{plan.BoxedBatch(s.OutSchema, rows)}
-			}
+			err := p.Batches(tctx, datasource.BatchOptions{Keep: true}, func(b *plan.Batch) error {
+				results[i] = append(results[i], b)
+				return nil
+			})
 			if err != nil {
 				return err
 			}
+			m := metrics.Scoped(tctx, ctx.Meter)
 			var bytes int64
 			for _, b := range results[i] {
 				bytes += b.RowBytes()
+				if !b.Boxed() {
+					m.Add(metrics.VectorRows, int64(b.Len()))
+				}
 			}
 			m.Add(metrics.MemoryCharged, bytes)
 			m.AddPeak(metrics.MemoryHeld, metrics.MemoryPeak, bytes)

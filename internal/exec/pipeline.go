@@ -16,10 +16,11 @@ import (
 // streaming operator per partition — the batch-pipeline alternative to the
 // Volcano-style materialize-at-every-operator execution the rest of the
 // physical layer uses. Each partition's rows arrive as bounded batches
-// (datasource.BatchScan) and flow through the residual filter, projection,
-// and limit without the scan output ever being materialized whole; batch
-// memory is released as soon as the batch is processed, so peak memory
-// tracks the output plus one in-flight batch instead of the full scan.
+// (datasource.Partition.Batches without Keep) and flow through the
+// residual filter, projection, and limit without the scan output ever
+// being materialized whole; batch memory is released as soon as the batch
+// is processed, so peak memory tracks the output plus one in-flight batch
+// instead of the full scan.
 //
 // With Aggs set the pipeline ends in a global aggregate instead of rows:
 // each partition folds the rows that survive the filter into partial
@@ -52,11 +53,11 @@ type PipelineExec struct {
 	// aggregate pipeline (a LIMIT below a global aggregate cannot be split
 	// across partitions).
 	Limit int
-	// Vectorize enables the columnar path: partitions exposing
-	// datasource.VectorScan stream typed column batches that the residual
-	// filter and projection — compiled once per query into closures over
-	// vectors — consume with selection vectors. Partitions without the
-	// capability keep the row path.
+	// Vectorize enables the columnar path: typed column batches go
+	// through the residual filter and projection compiled once per query
+	// into closures over vectors, which consume them with selection
+	// vectors. Boxed batches (a source that decodes rows whole) keep the
+	// row path.
 	Vectorize bool
 	// Aggs, when set, make the output one global aggregate row (output
 	// order) instead of the filtered rows.
@@ -228,9 +229,10 @@ func (p *PipelineExec) Execute(ctx *Context) ([]plan.Row, error) {
 }
 
 // runPartition streams one partition through the fused stages: folded at
-// the source when aggregating with no residual predicate, else over column
-// batches when vectorized and the program compiles, else row-at-a-time.
-// It returns the partition's output rows, or its partial aggregate states.
+// the source when aggregating with no residual predicate, else batch by
+// batch — through the compiled vector program when vectorized and the
+// batch is typed, else row-at-a-time. It returns the partition's output
+// rows, or its partial aggregate states.
 func (p *PipelineExec) runPartition(tctx context.Context, ctx *Context, part datasource.Partition, tracker *limitTracker) ([]plan.Row, []aggState, error) {
 	if as, ok := part.(datasource.AggregateScan); ok && p.Aggs != nil && p.Cond == nil {
 		if st, pushed, err := p.runPushed(tctx, as); pushed || err != nil {
@@ -244,11 +246,69 @@ func (p *PipelineExec) runPartition(tctx context.Context, ctx *Context, part dat
 	if p.Limit > 0 && p.Cond == nil {
 		opts.LimitHint = p.Limit
 	}
-	m := metrics.Scoped(tctx, ctx.Meter)
-	if vs, ok := part.(datasource.VectorScan); ok && p.Vectorize {
-		return p.runVector(tctx, m, vs, opts, tracker)
+	run := &partitionRun{p: p, m: metrics.Scoped(tctx, ctx.Meter)}
+	if p.Aggs != nil {
+		run.states = make([]aggState, len(p.Aggs))
 	}
-	return p.runRows(tctx, m, part, opts, tracker)
+	if p.Vectorize {
+		run.prog = p.program()
+		run.sc = plan.NewEvalScratch(p.Scan.OutSchema)
+		opts.EagerColumns = run.prog.eager
+	}
+	err := part.Batches(tctx, opts, func(b *plan.Batch) error {
+		run.m.Inc(metrics.BatchesStreamed)
+		vector := run.prog != nil && !b.Boxed()
+		var held int64
+		if run.states == nil {
+			// Rows output holds the batch until its survivors are kept:
+			// charge it like the materialized path, and release it once
+			// the batch is processed, keeping only the output's bytes.
+			if held = b.RowBytes(); vector {
+				held = b.MemSize()
+			}
+			run.m.Add(metrics.MemoryCharged, held)
+			run.m.AddPeak(metrics.MemoryHeld, metrics.MemoryPeak, held)
+		}
+		kept := len(run.out)
+		var err error
+		if vector {
+			err = run.vector(b)
+		} else {
+			err = run.rows(b)
+		}
+		if err != nil {
+			return err
+		}
+		if run.states == nil {
+			var keptBytes int64
+			for _, r := range run.out[kept:] {
+				keptBytes += int64(plan.RowSize(r))
+			}
+			run.m.AddPeak(metrics.MemoryHeld, metrics.MemoryPeak, keptBytes)
+			run.m.Add(metrics.MemoryHeld, -held)
+		}
+		if (p.Limit > 0 && len(run.out) >= p.Limit) || tracker.satisfied() {
+			return datasource.ErrStopBatches
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return run.out, run.states, nil
+}
+
+// partitionRun is one partition's pass through a pipeline: its output
+// rows under the limit, or its aggregate states.
+type partitionRun struct {
+	p      *PipelineExec
+	m      metrics.Meter
+	out    []plan.Row
+	states []aggState // nil for rows output
+	prog   *vecProgram
+	sc     *plan.EvalScratch
+	sel    []int
+	boxed  []plan.Row // the row route's reused row headers
 }
 
 // runPushed has the source fold the partition's rows into partial
@@ -283,170 +343,112 @@ func (p *PipelineExec) runPushed(tctx context.Context, as datasource.AggregateSc
 	return states, true, nil
 }
 
-// runVector streams one partition's column batches through the compiled
-// filter. The positions that survive become output rows under the limit —
-// projected, or materialized whole — or fold into the aggregates with
-// typed loops, no row ever materializing.
-func (p *PipelineExec) runVector(tctx context.Context, m metrics.Meter, vs datasource.VectorScan, opts datasource.BatchOptions, tracker *limitTracker) ([]plan.Row, []aggState, error) {
-	prog := p.program()
-	opts.EagerColumns = prog.eager
-	var states []aggState
-	if p.Aggs != nil {
-		states = make([]aggState, len(p.Aggs))
-	}
-	sc := plan.NewEvalScratch(p.Scan.OutSchema)
-	var selBuf []int
-	var out []plan.Row
-	err := vs.ComputeVectors(tctx, opts, func(b *plan.Batch) error {
-		m.Inc(metrics.BatchesStreamed)
-		m.Inc(metrics.VectorBatches)
-		var batchBytes int64
-		if states == nil {
-			// Rows output holds the batch until its survivors are kept:
-			// charge it like the materialized path, release it below.
-			batchBytes = b.MemSize()
-			m.Add(metrics.MemoryCharged, batchBytes)
-			m.AddPeak(metrics.MemoryHeld, metrics.MemoryPeak, batchBytes)
+// vector runs a typed batch through the compiled filter. The positions
+// that survive become output rows under the limit — projected, or
+// materialized whole — or fold into the aggregates with typed loops, no
+// row ever materializing.
+func (r *partitionRun) vector(b *plan.Batch) error {
+	p, prog := r.p, r.prog
+	r.m.Inc(metrics.VectorBatches)
+	sel := plan.FullSel(b.Len(), r.sel)
+	r.sel = sel
+	if prog.filter != nil {
+		var err error
+		if sel, err = prog.filter.Run(b, sel, r.sc); err != nil {
+			return err
 		}
-		sel := plan.FullSel(b.Len(), selBuf)
-		selBuf = sel
-		if prog.filter != nil {
-			var err error
-			if sel, err = prog.filter.Run(b, sel, sc); err != nil {
+	}
+	if r.states != nil {
+		r.m.Add(metrics.VectorRows, int64(len(sel)))
+		for k, agg := range p.Aggs {
+			c := p.aggArgs[k]
+			if c == nil {
+				r.states[k].count += int64(len(sel)) // COUNT(*)
+				continue
+			}
+			if err := r.states[k].updateSel(agg.Kind, b.Cols[c.Index()], sel); err != nil {
 				return err
 			}
 		}
-		if states != nil {
-			m.Add(metrics.VectorRows, int64(len(sel)))
-			for k, agg := range p.Aggs {
-				c := p.aggArgs[k]
-				if c == nil {
-					states[k].count += int64(len(sel)) // COUNT(*)
-					continue
-				}
-				if err := states[k].updateSel(agg.Kind, b.Cols[c.Index()], sel); err != nil {
-					return err
-				}
-			}
-			return nil
+		return nil
+	}
+	if p.Limit > 0 && len(r.out)+len(sel) > p.Limit {
+		r.m.Add(metrics.RowsShortCircuited, int64(len(r.out)+len(sel)-p.Limit))
+		sel = sel[:p.Limit-len(r.out)]
+	}
+	r.m.Add(metrics.VectorRows, int64(len(sel)))
+	for _, i := range sel {
+		var nr plan.Row
+		var err error
+		if prog.proj != nil {
+			nr = make(plan.Row, prog.proj.Width())
+			err = prog.proj.ProjectRow(b, i, r.sc, nr)
+		} else {
+			nr, err = b.MaterializeRow(i)
 		}
-		stop := false
-		if p.Limit > 0 && len(out)+len(sel) >= p.Limit {
-			m.Add(metrics.RowsShortCircuited, int64(len(out)+len(sel)-p.Limit))
-			sel = sel[:p.Limit-len(out)]
-			stop = true
+		if err != nil {
+			return err
 		}
-		var keptBytes int64
-		for _, i := range sel {
-			var nr plan.Row
-			var err error
-			if prog.proj != nil {
-				nr = make(plan.Row, prog.proj.Width())
-				err = prog.proj.ProjectRow(b, i, sc, nr)
-			} else {
-				nr, err = b.MaterializeRow(i)
-			}
+		r.out = append(r.out, nr)
+	}
+	return nil
+}
+
+// rows is the row-at-a-time route, taken by boxed batches and by
+// unvectorized pipelines: each of the batch's rows that survives the
+// filter becomes an output row under the limit, or updates the boxed
+// aggregate states.
+func (r *partitionRun) rows(b *plan.Batch) error {
+	p := r.p
+	batch, err := b.AppendRows(r.boxed[:0])
+	if err != nil {
+		return err
+	}
+	if !b.Boxed() {
+		// A boxed batch's rows are the source's own: never reuse them.
+		r.boxed = batch
+	}
+	for bi, row := range batch {
+		if p.Limit > 0 && len(r.out) >= p.Limit {
+			// Rows past the per-partition cap are dropped unprocessed.
+			r.m.Add(metrics.RowsShortCircuited, int64(len(batch)-bi))
+			break
+		}
+		if p.Cond != nil {
+			ok, err := plan.EvalPredicate(p.Cond, row)
 			if err != nil {
 				return err
 			}
-			out = append(out, nr)
-			keptBytes += int64(plan.RowSize(nr))
-		}
-		m.Add(metrics.VectorRows, int64(len(sel)))
-		m.AddPeak(metrics.MemoryHeld, metrics.MemoryPeak, keptBytes)
-		m.Add(metrics.MemoryHeld, -batchBytes)
-		if stop || tracker.satisfied() {
-			return datasource.ErrStopBatches
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return out, states, nil
-}
-
-// runRows is the row-at-a-time route, taken by partitions without
-// VectorScan and by unvectorized pipelines: each row that survives the
-// filter becomes an output row under the limit, or updates the boxed
-// aggregate states.
-func (p *PipelineExec) runRows(tctx context.Context, m metrics.Meter, part datasource.Partition, opts datasource.BatchOptions, tracker *limitTracker) ([]plan.Row, []aggState, error) {
-	var states []aggState
-	if p.Aggs != nil {
-		states = make([]aggState, len(p.Aggs))
-	}
-	var out []plan.Row
-	err := datasource.StreamPartition(tctx, part, opts, func(batch []plan.Row) error {
-		m.Inc(metrics.BatchesStreamed)
-		var batchBytes, keptBytes int64
-		if states == nil {
-			// Every decoded row is charged (same meaning as the materialized
-			// path); the held/peak pair additionally tracks that batch
-			// memory is released once the batch is processed.
-			for _, r := range batch {
-				batchBytes += int64(plan.RowSize(r))
+			if !ok {
+				continue
 			}
-			m.Add(metrics.MemoryCharged, batchBytes)
-			m.AddPeak(metrics.MemoryHeld, metrics.MemoryPeak, batchBytes)
 		}
-		stop := false
-		for bi, r := range batch {
-			if p.Limit > 0 && len(out) >= p.Limit {
-				// Rows past the per-partition cap are dropped unprocessed.
-				m.Add(metrics.RowsShortCircuited, int64(len(batch)-bi))
-				stop = true
-				break
+		if r.states != nil {
+			for k, agg := range p.Aggs {
+				var v any = int64(1) // COUNT(*) counts rows
+				if p.aggArgs[k] != nil {
+					v = row[p.aggArgs[k].Index()]
+				}
+				if err := r.states[k].update(agg.Kind, v); err != nil {
+					return err
+				}
 			}
-			if p.Cond != nil {
-				ok, err := plan.EvalPredicate(p.Cond, r)
+			continue
+		}
+		nr := row
+		if p.Exprs != nil {
+			nr = make(plan.Row, len(p.Exprs))
+			for j, ne := range p.Exprs {
+				v, err := ne.Expr.Eval(row)
 				if err != nil {
 					return err
 				}
-				if !ok {
-					continue
-				}
+				nr[j] = v
 			}
-			if states != nil {
-				for k, agg := range p.Aggs {
-					var v any = int64(1) // COUNT(*) counts rows
-					if p.aggArgs[k] != nil {
-						v = r[p.aggArgs[k].Index()]
-					}
-					if err := states[k].update(agg.Kind, v); err != nil {
-						return err
-					}
-				}
-				continue
-			}
-			nr := r
-			if p.Exprs != nil {
-				nr = make(plan.Row, len(p.Exprs))
-				for j, ne := range p.Exprs {
-					v, err := ne.Expr.Eval(r)
-					if err != nil {
-						return err
-					}
-					nr[j] = v
-				}
-			}
-			out = append(out, nr)
-			keptBytes += int64(plan.RowSize(nr))
 		}
-		if states == nil {
-			// The batch is consumed: release its bytes, keep only the
-			// output's.
-			m.AddPeak(metrics.MemoryHeld, metrics.MemoryPeak, keptBytes)
-			m.Add(metrics.MemoryHeld, -batchBytes)
-		}
-		if stop || (p.Limit > 0 && len(out) >= p.Limit) || tracker.satisfied() {
-			return datasource.ErrStopBatches
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
+		r.out = append(r.out, nr)
 	}
-	return out, states, nil
+	return nil
 }
 
 // FusePipelinesWith rewrites every Limit→Project→Filter→Scan chain (each

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -9,22 +10,29 @@ import (
 	"github.com/shc-go/shc/internal/plan"
 )
 
-// rowRoute hides ComputeVectors from a relation's partitions, so fused
-// pipelines take the row route even with vectorization on: the route every
-// partition without datasource.VectorScan takes.
+// rowRoute boxes a relation's batches, so fused pipelines take the row
+// route even with vectorization on: the route a source's boxed batches
+// take.
 type rowRoute struct{ *datasource.MemRelation }
 
 func (r rowRoute) BuildScan(cols []string, filters []datasource.Filter) ([]datasource.Partition, []int, error) {
 	parts, unhandled, err := r.MemRelation.BuildScan(cols, filters)
 	for i, p := range parts {
-		parts[i] = rowPartition{Partition: p, BatchScan: p.(datasource.BatchScan)}
+		parts[i] = rowPartition{p}
 	}
 	return parts, unhandled, err
 }
 
-type rowPartition struct {
-	datasource.Partition
-	datasource.BatchScan
+type rowPartition struct{ datasource.Partition }
+
+func (p rowPartition) Batches(ctx context.Context, opts datasource.BatchOptions, yield func(*plan.Batch) error) error {
+	return p.Partition.Batches(ctx, opts, func(b *plan.Batch) error {
+		rows, err := b.AppendRows(nil)
+		if err != nil {
+			return err
+		}
+		return yield(plan.BoxedBatch(b.Schema, rows))
+	})
 }
 
 // BenchmarkPipeline measures one fused pipeline query over a 4-partition,

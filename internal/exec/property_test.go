@@ -77,7 +77,7 @@ func TestOptimizerPreservesSemanticsProperty(t *testing.T) {
 func run(t *testing.T, lp plan.LogicalPlan) ([]plan.Row, error) {
 	t.Helper()
 	ctx, _ := testCtx()
-	phys, err := Compile(lp)
+	phys, err := CompileWith(lp, CompileConfig{})
 	if err != nil {
 		return nil, err
 	}
@@ -149,11 +149,14 @@ func scanParts(t *testing.T, parts []datasource.Partition) []plan.Row {
 	t.Helper()
 	var out []plan.Row
 	for _, p := range parts {
-		rows, err := p.Compute(context.Background())
+		err := p.Batches(context.Background(), datasource.BatchOptions{Keep: true}, func(b *plan.Batch) error {
+			var err error
+			out, err = b.AppendRows(out)
+			return err
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		out = append(out, rows...)
 	}
 	return out
 }

@@ -6,18 +6,18 @@ import (
 	"github.com/shc-go/shc/internal/plan"
 )
 
-// This file is the columnar half of the fused pipeline: partitions exposing
-// datasource.VectorScan stream typed column batches, the residual predicate
-// and projection run as compiled closures over vectors guided by a
-// selection vector, and rows materialize only at pipeline output (or never,
-// for an aggregate pipeline, whose survivors fold into aggregate states
-// read unboxed, aggState.updateAt). Partitions
-// without the capability — and operators without a vectorized form — keep
-// the row path, so the two execute side by side in one plan.
+// This file is the columnar half of the fused pipeline: over a partition's
+// typed column batches, the residual predicate and projection run as
+// compiled closures over vectors guided by a selection vector, and rows
+// materialize only at pipeline output (or never, for an aggregate
+// pipeline, whose survivors fold into aggregate states read unboxed,
+// aggState.updateAt). Boxed batches — and operators without a vectorized
+// form — keep the row path, so the two execute side by side in one plan.
 
 // vecProgram is a pipeline's compiled vector program: the residual filter,
 // the projection, and the scan positions the filter and aggregates read
-// eagerly. It is built once, on the first vectorized partition, and the
+// eagerly. It is built once, when a vectorized pipeline first runs a
+// partition, and the
 // compiled closures are stateless, so every partition task — and every
 // execution of a prepared plan — shares it.
 type vecProgram struct {

@@ -388,8 +388,8 @@ func TestVectorRowEquivalenceManySeeds(t *testing.T) {
 }
 
 // TestRowRouteEquivalence runs fused pipelines with vectorization on over
-// partitions without datasource.VectorScan: the row route, which the
-// baseline relation takes for every fused chain. The aggregate cases must
+// partitions that yield boxed batches: the row route, which the baseline
+// relation takes for every fused chain. The aggregate cases must
 // match the hash aggregate and the pipeline cases the materialized
 // operators, row for row and type for type.
 func TestRowRouteEquivalence(t *testing.T) {

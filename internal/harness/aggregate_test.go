@@ -19,8 +19,8 @@ import (
 const pushedAggQuery = `SELECT count(*), count(ss_quantity), sum(ss_sales_price), avg(ss_quantity),
 	min(ss_sales_price), max(ss_sales_price), min(ss_quantity), max(ss_quantity) FROM %s`
 
-// rowsOnly hides AggregateScan from a relation's partitions, keeping every
-// other capability: a query over it takes the unpushed vector path.
+// rowsOnly hides AggregateScan, the one optional capability, from a
+// relation's partitions: a query over it takes the unpushed vector path.
 type rowsOnly struct{ *core.HBaseRelation }
 
 func (r rowsOnly) BuildScan(cols []string, filters []datasource.Filter) ([]datasource.Partition, []int, error) {
@@ -43,15 +43,12 @@ type rowsOnlyScan struct{ datasource.PreparedScan }
 func (s rowsOnlyScan) BindScan(filters []datasource.Filter) ([]datasource.Partition, []int, error) {
 	parts, unhandled, err := s.PreparedScan.BindScan(filters)
 	for i, p := range parts {
-		parts[i] = rowsPartition{Partition: p, VectorScan: p.(datasource.VectorScan)}
+		parts[i] = rowsPartition{p}
 	}
 	return parts, unhandled, err
 }
 
-type rowsPartition struct {
-	datasource.Partition
-	datasource.VectorScan
-}
+type rowsPartition struct{ datasource.Partition }
 
 // unpushedAggregate registers store_sales with aggregate pushdown hidden
 // and returns the query's answer through the unpushed vector path.

@@ -32,7 +32,7 @@ func runTimeline(t *testing.T, rig *Rig, query string) []plan.Row {
 // byte-identical to the undisturbed strong baseline: the pager's replica
 // failover changes where rows are read, never what rows are read. The rig
 // runs the default vectorized pipeline, so this is also the composition
-// proof for replica failover inside ComputeVectors.
+// proof for replica failover inside a streamed partition read.
 func TestTimelineFusedScanFailoverByteIdentical(t *testing.T) {
 	// The undisturbed baseline runs the SAME replicated topology (replica
 	// placement shifts load-based primary assignment, legitimately changing

@@ -1,6 +1,7 @@
 package hbase
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -216,7 +217,7 @@ func TestWritesRecoverThroughReassignment(t *testing.T) {
 	if err := client.Put("t", []Cell{cell("b", "cf", "q", 2, "w")}); err != nil {
 		t.Fatalf("Put after reassignment: %v", err)
 	}
-	results, err := client.BulkGet("t", [][]byte{[]byte("a"), []byte("b"), []byte("z")}, nil, 1, TimeRange{})
+	results, err := client.BulkGetContext(context.Background(), "t", [][]byte{[]byte("a"), []byte("b"), []byte("z")}, nil, 1, TimeRange{})
 	if err != nil {
 		t.Fatalf("BulkGet after reassignment: %v", err)
 	}

@@ -593,14 +593,9 @@ func (c *Client) GetContext(ctx context.Context, table string, row []byte, cols 
 	return results[0], nil
 }
 
-// BulkGet fetches many rows, one fused RPC per same-host run of regions.
-// Stale region locations are refreshed and retried under the client's retry
-// policy.
-func (c *Client) BulkGet(table string, rows [][]byte, cols []Column, maxVersions int, tr TimeRange) ([]Result, error) {
-	return c.BulkGetContext(context.Background(), table, rows, cols, maxVersions, tr)
-}
-
-// BulkGetContext is BulkGet bounded by ctx; the per-region read RPCs hedge
+// BulkGetContext fetches many rows, one fused RPC per same-host run of
+// regions, bounded by ctx. Stale region locations are refreshed and
+// retried under the client's retry policy; the per-region read RPCs hedge
 // when hedged reads are enabled.
 func (c *Client) BulkGetContext(ctx context.Context, table string, rows [][]byte, cols []Column, maxVersions int, tr TimeRange) ([]Result, error) {
 	out, _, err := c.BulkGetFresh(ctx, table, rows, cols, maxVersions, tr)

@@ -133,7 +133,7 @@ func TestClientGetAndBulkGet(t *testing.T) {
 	if v, _ := res.Value("cf", "q"); string(v) != "va" {
 		t.Errorf("Get = %q", v)
 	}
-	results, err := client.BulkGet("t", [][]byte{[]byte("a"), []byte("z"), []byte("missing")}, nil, 1, TimeRange{})
+	results, err := client.BulkGetContext(context.Background(), "t", [][]byte{[]byte("a"), []byte("z"), []byte("missing")}, nil, 1, TimeRange{})
 	if err != nil {
 		t.Fatal(err)
 	}

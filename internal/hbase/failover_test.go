@@ -1,6 +1,7 @@
 package hbase
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -222,7 +223,7 @@ func TestStaleMetaRetryAfterRegionMove(t *testing.T) {
 	if len(results) != 2 {
 		t.Errorf("rows = %d", len(results))
 	}
-	if _, err := client.BulkGet("t", [][]byte{[]byte("a")}, nil, 1, TimeRange{}); err != nil {
+	if _, err := client.BulkGetContext(context.Background(), "t", [][]byte{[]byte("a")}, nil, 1, TimeRange{}); err != nil {
 		t.Fatalf("BulkGet after move: %v", err)
 	}
 }

@@ -2,6 +2,7 @@ package hbase
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -113,7 +114,7 @@ func TestBulkGetReturnsRegionKeyOrder(t *testing.T) {
 		t.Fatalf("fixture has %d regions, want at least 3", len(regions))
 	}
 	for call := 0; call < 20; call++ {
-		results, err := client.BulkGet("t", rows, nil, 1, TimeRange{})
+		results, err := client.BulkGetContext(context.Background(), "t", rows, nil, 1, TimeRange{})
 		if err != nil {
 			t.Fatal(err)
 		}

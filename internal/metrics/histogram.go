@@ -101,15 +101,6 @@ func (h *Histogram) Max() time.Duration {
 	return time.Duration(h.max.Load())
 }
 
-// Mean returns the average observation.
-func (h *Histogram) Mean() time.Duration {
-	n := h.Count()
-	if n == 0 {
-		return 0
-	}
-	return h.Sum() / time.Duration(n)
-}
-
 // Quantile estimates the q-th quantile (0 < q ≤ 1) by locating the
 // containing bucket and interpolating linearly inside it. Returns 0 when
 // the histogram is empty. The estimate for the overflow bucket is clamped

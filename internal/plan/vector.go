@@ -466,6 +466,10 @@ func BoxedBatch(schema Schema, rows []Row) *Batch {
 	return b
 }
 
+// Boxed reports whether b is a BoxedBatch: its vectors read rows a source
+// built whole, not typed storage.
+func (b *Batch) Boxed() bool { return b.rows != nil }
+
 // Concat returns the rows of bs, in order, as one batch of schema: bs[0]
 // itself when it is the only one. Typed batches give a typed batch; boxed
 // ones, or values a typed vector cannot store, a boxed batch.
