@@ -86,16 +86,18 @@ func (p *hbasePartition) Batches(ctx context.Context, opts datasource.BatchOptio
 	tmpl := hbase.FusedRequest{Columnar: !r.opts.RowMajorPages}
 	dec := p.scan.all
 	var batch *plan.Batch
-	if !opts.Keep {
+	var next func() (*hbase.ScanResponse, error)
+	if opts.Keep {
+		// A kept read's pager, which only Next reads, stays on the stack;
+		// a streamed read's pager escapes into Prefetch's goroutine.
+		pager := p.pager(tmpl, opts.LimitHint)
+		next = func() (*hbase.ScanResponse, error) { return pager.Next(ctx) }
+	} else {
 		tmpl.BatchLimit = fusedBatchRows
 		dec = p.scan.decodePlan(opts.EagerColumns)
 		batch = getBatch(dec.schema, dec.specs, dec.lazyDec)
 		defer putBatch(batch)
-	}
-	pager := p.pager(tmpl, opts.LimitHint)
-	next := func() (*hbase.ScanResponse, error) { return pager.Next(ctx) }
-	if batch != nil {
-		next = pager.Prefetch(ctx, r.meter)
+		next = p.pager(tmpl, opts.LimitHint).Prefetch(ctx, r.meter)
 	}
 	meter := metrics.Scoped(ctx, r.meter)
 	var keyScratch [][]byte

@@ -3,9 +3,11 @@ package core
 import (
 	"context"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"github.com/shc-go/shc/internal/datasource"
+	"github.com/shc-go/shc/internal/exec"
 	"github.com/shc-go/shc/internal/metrics"
 	"github.com/shc-go/shc/internal/plan"
 )
@@ -99,6 +101,52 @@ func TestVectorBatchesMatchRowPath(t *testing.T) {
 	}
 	if rig.meter.Get(metrics.ColumnarPages) == 0 {
 		t.Error("no fused page traveled column-major; the CellBlock path never engaged")
+	}
+}
+
+// countingCoder counts the values of one type its coder decodes.
+type countingCoder struct {
+	FieldCoder
+	typ plan.DataType
+	n   atomic.Int64
+}
+
+func (c *countingCoder) Decode(b []byte, t plan.DataType) (any, error) {
+	if t == c.typ {
+		c.n.Add(1)
+	}
+	return c.FieldCoder.Decode(b, t)
+}
+
+// TestVectorPipelineDecodesOnlySurvivors pins late materialization: a
+// vectorized filter+project over an HBase scan decodes a column outside
+// the filter only for the rows the filter keeps.
+func TestVectorPipelineDecodesOnlySurvivors(t *testing.T) {
+	rig := newRig(t, Options{}, 300)
+	coder := &countingCoder{FieldCoder: rig.rel.coder, typ: plan.TypeFloat64}
+	rig.rel.coder = coder
+	// NOT IN never pushes down, so the pipeline filters; score is lazy.
+	lp := &plan.ProjectNode{
+		Exprs: []plan.NamedExpr{{Expr: plan.Col("id"), Name: "id"}, {Expr: plan.Col("score"), Name: "score"}},
+		Child: &plan.FilterNode{
+			Cond:  &plan.In{E: plan.Col("city"), Values: []plan.Expr{plan.Lit("sf"), plan.Lit("la")}, Negate: true},
+			Child: &plan.ScanNode{Relation: rig.rel},
+		},
+	}
+	phys, err := exec.CompileWith(plan.Optimize(lp), exec.CompileConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := metrics.NewRegistry()
+	rows, err := phys.Execute(&exec.Context{Scheduler: exec.NewScheduler([]string{"h1"}, 2, m), Meter: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 100 {
+		t.Fatalf("got %d rows, want the 100 in nyc", len(rows))
+	}
+	if got := coder.n.Load(); got != int64(len(rows)) {
+		t.Errorf("decoded score %d times for %d surviving rows of 300", got, len(rows))
 	}
 }
 

@@ -262,9 +262,11 @@ func (p *PipelineExec) runPartition(tctx context.Context, ctx *Context, part dat
 		if run.states == nil {
 			// Rows output holds the batch until its survivors are kept:
 			// charge it like the materialized path, and release it once
-			// the batch is processed, keeping only the output's bytes.
-			if held = b.RowBytes(); vector {
-				held = b.MemSize()
+			// the batch is processed, keeping only the output's bytes. The
+			// vector route reads lazy columns' sizes raw: boxing them to
+			// size rows would decode values the filter drops.
+			if held = b.MemSize(); !vector {
+				held = b.RowBytes()
 			}
 			run.m.Add(metrics.MemoryCharged, held)
 			run.m.AddPeak(metrics.MemoryHeld, metrics.MemoryPeak, held)
